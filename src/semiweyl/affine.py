@@ -21,7 +21,7 @@ from .tensor import (
     ricci_values,
     scalar_curvature,
 )
-from .verdicts import RunConfig, SkipPoint, Verdict, run_pointwise_check
+from .verdicts import RunConfig, SkipPoint, run_pointwise_check
 
 __all__ = [
     "AffineDistribution",
@@ -46,6 +46,8 @@ class AffineDistribution:
         self.chart = chart
         self.omega_fn = omega_fn  # (p, order) -> (n+1, n) jets
         self.xi_fn = xi_fn  # (p, order) -> (n+1,) jets
+        self._solved_at = None  # point bytes of the solves in ``_solved``
+        self._solved = {}  # order -> decompose result at that point
 
     @classmethod
     def from_immersion(cls, chart: Chart, components, xi_components):
@@ -98,7 +100,23 @@ class AffineDistribution:
         """Solve the frame equations at a point: returns jets
         ``(gamma[k,i,j], g[i,j], B[l,i], eta[i])`` with
         ``d_i(omega e_j) = omega(gamma^._ij) + g_ij xi`` and
-        ``d_i xi = -omega(B e_i) + eta_i xi``."""
+        ``d_i xi = -omega(B e_i) + eta_i xi``.
+
+        The solves at the most recent point are kept, one per order, so the
+        metric, one-form, connection and shape operator of
+        :func:`realized_structure` share them; the arrays are read-only."""
+        key = np.asarray(p, dtype=float).tobytes()
+        if key != self._solved_at:
+            self._solved_at = key
+            self._solved = {}
+        if order not in self._solved:
+            parts = self._solve(p, order)
+            for a in parts:
+                a.flags.writeable = False
+            self._solved[order] = parts
+        return self._solved[order]
+
+    def _solve(self, p, order):
         n = self.chart.dim
         A = self.frame(p, order)
         om1 = self.omega_fn(p, order + 1)

@@ -29,7 +29,7 @@ from .tensor import (
     scalar_curvature,
     torsion_values,
 )
-from .verdicts import RunConfig, Verdict, run_pointwise_check
+from .verdicts import RunConfig, agreement, gated, outcome, run_pointwise_check
 
 __all__ = [
     "TransformData",
@@ -179,28 +179,22 @@ def check_structure_invariance(s: Structure, t: TransformData, config: RunConfig
     before = is_swmt(s, config, name="cp_invariance/before")
     after = is_swmt(st, config, name="cp_invariance/after")
     out = [
-        Verdict(
+        agreement(
             "cp_swmt_invariance",
-            max_residual=max(before.max_residual, after.max_residual),
-            points_tested=before.points_tested + after.points_tested,
-            points_skipped=before.points_skipped + after.points_skipped,
-            tol=config.tol,
-            passed=before.passed == after.passed,
-            detail=f"verdicts agree (before={before.passed}, after={after.passed})",
+            [(before, after)],
+            config.tol,
+            detail=f"verdicts agree (before={outcome(before)}, after={outcome(after)})",
         )
     ]
     if s.eta.is_zero():
         b2 = is_smt(s, config, name="cp_invariance/before_smt")
         a2 = is_smt(st, config, name="cp_invariance/after_smt")
         out.append(
-            Verdict(
+            agreement(
                 "cp_smt_invariance",
-                max_residual=max(b2.max_residual, a2.max_residual),
-                points_tested=b2.points_tested + a2.points_tested,
-                points_skipped=b2.points_skipped + a2.points_skipped,
-                tol=config.tol,
-                passed=b2.passed == a2.passed,
-                detail=f"verdicts agree (before={b2.passed}, after={a2.passed})",
+                [(b2, a2)],
+                config.tol,
+                detail=f"verdicts agree (before={outcome(b2)}, after={outcome(a2)})",
             )
         )
     return out
@@ -462,10 +456,8 @@ def check_conformal_corollaries(s: Structure, psi, config: RunConfig):
         out.append(run_pointwise_check("cyclic_torsion_identity", chart, cyclic_fn, config,
                                        detail="cyclic sum of torsion contractions with grad psi vanishes"))
     else:
-        out.append(Verdict("conformal_ricci_antisymmetry_preserved", float("nan"), 0, 0, config.tol, False,
-                           skipped=True, detail="hypothesis not met: structure condition fails"))
-        out.append(Verdict("cyclic_torsion_identity", float("nan"), 0, 0, config.tol, False,
-                           skipped=True, detail="hypothesis not met: structure condition fails"))
+        out.append(gated("conformal_ricci_antisymmetry_preserved", "structure condition fails", config.tol))
+        out.append(gated("cyclic_torsion_identity", "structure condition fails", config.tol))
     return out
 
 
@@ -484,12 +476,10 @@ def check_conformally_flat(s: Structure, psi, config: RunConfig):
 
     gate = run_pointwise_check("conformally_flat/hypothesis", chart, flat_fn, config)
     if not gate.passed:
-        return [Verdict("conformally_flat_closed_forms", float("nan"), 0, 0, config.tol, False,
-                        skipped=True, detail="hypothesis not met: shifted connection is not flat")]
+        return [gated("conformally_flat_closed_forms", "shifted connection is not flat", config.tol)]
     swmt = is_swmt(s, config, name="conformally_flat/hypothesis_swmt")
     if not swmt.passed:
-        return [Verdict("conformally_flat_closed_forms", float("nan"), 0, 0, config.tol, False,
-                        skipped=True, detail="hypothesis not met: structure condition fails")]
+        return [gated("conformally_flat_closed_forms", "structure condition fails", config.tol)]
 
     def fn(p):
         d = _PointData(s, t, p)

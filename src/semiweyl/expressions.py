@@ -509,26 +509,3 @@ def finite_difference(e, point, coord, h):
     pp[coord] += h
     pm[coord] -= h
     return (eval_value(e, pp) - eval_value(e, pm)) / (2.0 * h)
-
-
-def second_finite_difference(e, point, i, j, h):
-    """Central second difference for the (i, j) mixed partial."""
-    point = np.asarray(point, dtype=float)
-
-    def at(di, dj):
-        p = point.copy()
-        p[i] += di * h
-        p[j] += dj * h
-        return eval_value(e, p)
-
-    if i == j:
-        return (at(1, 0) - 2.0 * at(0, 0) + at(-1, 0)) / h**2
-    return (at(1, 1) - at(1, -1) - at(-1, 1) + at(-1, -1)) / (4.0 * h**2)
-
-
-def constant_expression(value):
-    return Num(float(value))
-
-
-def is_zero_expression(e):
-    return isinstance(e, Num) and e.value == 0.0

@@ -27,7 +27,6 @@ __all__ = [
     "eta_tensor_id",
     "id_tensor_eta",
     "g_tensor_vector",
-    "scale_tensor",
     "negate_tensor",
     "sum_tensors",
 ]
@@ -56,9 +55,6 @@ class Chart:
     @property
     def dim(self):
         return len(self.coord_names)
-
-    def contains(self, p):
-        return all(l <= x <= h for x, l, h in zip(p, self.lo, self.hi))
 
     def center(self):
         return np.array([(l + h) / 2.0 for l, h in zip(self.lo, self.hi)])
@@ -99,9 +95,6 @@ def _expr_of(item, chart):
 
 
 class ScalarField(_Field):
-    def jet(self, p, order):
-        return self._fn(np.asarray(p, dtype=float), order)
-
     @classmethod
     def from_expression(cls, chart, expr):
         e = _expr_of(expr, chart)
@@ -311,20 +304,6 @@ def g_tensor_vector(g: MetricField, V: VectorField):
                 gij = G[i, j]
                 for k in range(n):
                     out[k, i, j] = gij * Vj[k]
-        return out
-
-    return fn
-
-
-def scale_tensor(tensor_fn, factor):
-    """Multiply a (1,2) tensor field by a scalar field pointwise."""
-
-    def fn(p, order):
-        K = tensor_fn(p, order)
-        f = factor.jet(p, order)
-        out = np.empty(K.shape, dtype=object)
-        for idx in np.ndindex(K.shape):
-            out[idx] = f * K[idx]
         return out
 
     return fn

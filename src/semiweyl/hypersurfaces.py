@@ -25,7 +25,7 @@ from .tensor import (
     require_nondegenerate,
     torsion_values,
 )
-from .verdicts import RunConfig, SkipPoint, Verdict, run_pointwise_check
+from .verdicts import RunConfig, SkipPoint, gated, run_pointwise_check
 
 __all__ = [
     "EmbeddingMap",
@@ -343,8 +343,7 @@ def check_induced_structure(emb: EmbeddingMap, s: Structure, config: RunConfig):
     induced data)."""
     gate = is_swmt(s, config, name="induced/ambient_hypothesis")
     if not gate.passed:
-        return [Verdict("induced_structure_swmt", float("nan"), 0, 0, config.tol, False,
-                        skipped=True, detail="hypothesis not met: ambient structure condition fails")]
+        return [gated("induced_structure_swmt", "ambient structure condition fails", config.tol)]
     ind = induced_structure(emb, s)
     v = is_swmt(ind, config, name="induced_structure_swmt")
     v.detail = "induced structure satisfies the same condition as the ambient one"
@@ -397,8 +396,7 @@ def check_beta_symmetry(emb: EmbeddingMap, s: Structure, config: RunConfig):
     normal-derivative form ``beta`` is symmetric."""
     gate = is_swmt(s, config, name="beta/ambient_hypothesis")
     if not gate.passed:
-        return [Verdict("beta_symmetry", float("nan"), 0, 0, config.tol, False,
-                        skipped=True, detail="hypothesis not met: ambient structure condition fails")]
+        return [gated("beta_symmetry", "ambient structure condition fails", config.tol)]
     frame = HypersurfaceFrame(emb, s)
 
     def fn(p):
@@ -567,9 +565,7 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
 
     gate = run_pointwise_check("flat_dual/hypothesis", emb.domain, gate_fn, config)
     if not gate.passed:
-        return [Verdict("flat_dual_hypersurface", float("nan"), 0, 0, config.tol, False,
-                        skipped=True,
-                        detail="hypothesis not met: not umbilic or ambient semi-dual not flat")]
+        return [gated("flat_dual_hypersurface", "not umbilic or ambient semi-dual not flat", config.tol)]
 
     def fn(p):
         f_jet, _, _, gp = umbilic_deviation(frame, p, order=1)

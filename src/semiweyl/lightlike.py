@@ -11,7 +11,7 @@ from .hypersurfaces import EmbeddingMap, _differential, _induced_metric_jets
 from .jets import Jet, constant_jets, jet_solve, values_of
 from .structures import Structure, is_swmt, semi_dual_connection
 from .tensor import degeneracy_threshold
-from .verdicts import RunConfig, SkipPoint, Verdict, run_pointwise_check
+from .verdicts import RunConfig, SkipPoint, gated, run_pointwise_check
 
 __all__ = [
     "LightlikeFrame",
@@ -396,12 +396,10 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
     ambient structure (screen assumed integrable)."""
     gate = is_swmt(frame.s, config, name="screen/ambient_hypothesis")
     if not gate.passed:
-        return [Verdict("screen_structure_swmt", float("nan"), 0, 0, config.tol, False,
-                        skipped=True, detail="hypothesis not met: ambient structure condition fails")]
+        return [gated("screen_structure_swmt", "ambient structure condition fails", config.tol)]
     gate2 = check_screen_integrability(frame, config)[0]
     if not gate2.passed:
-        return [Verdict("screen_structure_swmt", float("nan"), 0, 0, config.tol, False,
-                        skipped=True, detail="hypothesis not met: screen distribution not integrable")]
+        return [gated("screen_structure_swmt", "screen distribution not integrable", config.tol)]
 
     emb = frame.emb
 
@@ -510,8 +508,7 @@ def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
 def check_lightlike_beta_symmetry(frame: LightlikeFrame, config: RunConfig):
     gate = is_swmt(frame.s, config, name="lightlike_beta/ambient_hypothesis")
     if not gate.passed:
-        return [Verdict("lightlike_beta_symmetry", float("nan"), 0, 0, config.tol, False,
-                        skipped=True, detail="hypothesis not met: ambient structure condition fails")]
+        return [gated("lightlike_beta_symmetry", "ambient structure condition fails", config.tol)]
 
     def fn(p):
         data = frame.screen_data(p, 0)

@@ -19,7 +19,7 @@ class CheckResult:
     anchor: str
     expectation: str
     outcome: str  # "pass" | "fail" | "skip"
-    matched: bool  # outcome == expectation, or outcome == "skip" (never counts against)
+    matched: bool  # outcome == expectation; a skip meets only an expected "skip"
     verdicts: list
 
     @property
@@ -89,8 +89,7 @@ def run_spec(spec, config=None):
     for name, expectation in spec.checks:
         verdicts = run_check(name, spec, config)
         outcome = _outcome(verdicts)
-        matched = outcome == "skip" or outcome == expectation
-        results.append(CheckResult(name, REGISTRY[name].anchor, expectation, outcome, matched, verdicts))
+        results.append(CheckResult(name, REGISTRY[name].anchor, expectation, outcome, outcome == expectation, verdicts))
     return CheckReport(
         spec_path=spec.path,
         samples=config.samples,

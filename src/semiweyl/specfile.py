@@ -33,7 +33,7 @@ Sections and keys
     or ``omega_row_i = e1, ..., en`` entries; ``xi = c1, ..., c_{n+1}``;
     optional ``psi = expr`` for the transversal-rescaling checks
 ``[run]``
-    ``samples``, ``seed``, ``tol``, ``min_valid_points``, ``jet_order``
+    ``samples``, ``seed``, ``tol``, ``min_valid_points``
 ``[checks]``
     ``name = pass | fail | skip`` (bare ``name`` means ``pass``)
 """
@@ -345,19 +345,12 @@ def _build_connection(chart, entries, g, eta, col, sources):
             inner = spec[len("g_tensor_gradient(") : -1]
             expr = _parse_expr(chart, _Entry(e.key, inner, e.line), col, "g_tensor_gradient argument", sources)
             if expr is not None and g is not None:
-                f = ScalarField(chart, lambda p, order, _e=expr: _eval(_e, p, order, chart.dim), expressions=expr)
-                tensors.append(g_tensor_vector(g, gradient(g, f)))
+                tensors.append(g_tensor_vector(g, gradient(g, ScalarField.from_expression(chart, expr))))
         else:
             col.err(e, f"unknown connection modifier {spec!r}")
     if tensors:
         conn = conn.add_tensor(sum_tensors(*tensors) if len(tensors) > 1 else tensors[0])
     return conn
-
-
-def _eval(expr, p, order, dim):
-    from .expressions import eval_jet
-
-    return eval_jet(expr, p, order, dim=dim)
 
 
 def _build_embedding(chart, entries, col, section, sources):
@@ -416,7 +409,7 @@ def _build_affine(entries, col, sources):
     if pe is not None:
         expr = _parse_expr(sub, pe, col, "affine psi", sources)
         if expr is not None:
-            psi = ScalarField(sub, lambda p, order, _e=expr: _eval(_e, p, order, sub.dim), expressions=expr)
+            psi = ScalarField.from_expression(sub, expr)
     return dist, psi
 
 
@@ -425,11 +418,10 @@ _RUN_FIELDS = {
     "seed": int,
     "tol": float,
     "min_valid_points": int,
-    "jet_order": int,
 }
 
 
-def _build_config(entries, col, has_affine):
+def _build_config(entries, col):
     kw = {}
     for e in entries:
         caster = _RUN_FIELDS.get(e.key)
@@ -440,8 +432,6 @@ def _build_config(entries, col, has_affine):
             kw[e.key] = caster(e.value)
         except ValueError:
             col.err(e, f"run option {e.key!r} needs a {caster.__name__} value, got {e.value!r}")
-    if "jet_order" not in kw and has_affine:
-        kw["jet_order"] = 3
     return RunConfig(**kw)
 
 
@@ -514,9 +504,7 @@ def load_spec(path):
                 psi = _parse_expr(chart, se, col, "transform psi", sources)
                 if phi is not None and psi is not None:
                     transform = TransformData(
-                        chart,
-                        ScalarField(chart, lambda p, o, _e=phi: _eval(_e, p, o, chart.dim), expressions=phi),
-                        ScalarField(chart, lambda p, o, _e=psi: _eval(_e, p, o, chart.dim), expressions=psi),
+                        chart, ScalarField.from_expression(chart, phi), ScalarField.from_expression(chart, psi)
                     )
         if "submanifold" in sections:
             embedding = _build_embedding(chart, sections["submanifold"], col, "submanifold", sources)
@@ -525,7 +513,7 @@ def load_spec(path):
     if "affine" in sections:
         affine, affine_psi = _build_affine(sections["affine"], col, sources)
 
-    config = _build_config(sections.get("run", []), col, "affine" in sections)
+    config = _build_config(sections.get("run", []), col)
     checks = _build_checks(sections.get("checks", []), col)
 
     blocks = {

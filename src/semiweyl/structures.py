@@ -16,7 +16,7 @@ from .tensor import (
     require_nondegenerate,
     torsion_values,
 )
-from .verdicts import RunConfig, Verdict, combine, run_pointwise_check
+from .verdicts import RunConfig, agreement, run_pointwise_check
 
 __all__ = [
     "Structure",
@@ -163,6 +163,26 @@ def duality_residual(g, eta, conn, dual, p):
     return res, scale
 
 
+def _torsion_res(g: MetricField, conn):
+    def fn(p):
+        require_nondegenerate(g.value(p))
+        T = torsion_values(conn, p)
+        gam = conn.value(p)
+        return np.max(np.abs(T)), 1.0 + np.max(np.abs(gam))
+
+    return fn
+
+
+def _curv_res(g: MetricField, conn):
+    def fn(p):
+        require_nondegenerate(g.value(p))
+        R = curvature_values(conn, p)
+        gam = conn.value(p)
+        return np.max(np.abs(R)), 1.0 + np.max(np.abs(gam)) ** 2
+
+    return fn
+
+
 def check_dual_structure(s: Structure, config: RunConfig, check_flatness=False):
     """Equivalences tying a structure to its dual:
 
@@ -175,52 +195,24 @@ def check_dual_structure(s: Structure, config: RunConfig, check_flatness=False):
     star = dual_connection(s.g, s.conn)
     smt_self = is_smt(s, config, name="dual_equiv/base_smt")
     smt_star = is_smt(Structure(s.chart, s.g, s.eta, star), config, name="dual_equiv/dual_smt")
-
-    def torsion_res(conn):
-        def fn(p):
-            require_nondegenerate(s.g.value(p))
-            T = torsion_values(conn, p)
-            gam = conn.value(p)
-            return np.max(np.abs(T)), 1.0 + np.max(np.abs(gam))
-
-        return fn
-
-    t_self = run_pointwise_check("dual_equiv/torsion_base", s.chart, torsion_res(s.conn), config)
-    t_star = run_pointwise_check("dual_equiv/torsion_dual", s.chart, torsion_res(star), config)
-
-    verdicts = [smt_self, smt_star, t_self, t_star]
-    agreement = (t_star.passed == smt_self.passed) and (t_self.passed == smt_star.passed)
+    t_self = run_pointwise_check("dual_equiv/torsion_base", s.chart, _torsion_res(s.g, s.conn), config)
+    t_star = run_pointwise_check("dual_equiv/torsion_dual", s.chart, _torsion_res(s.g, star), config)
     out = [
-        Verdict(
+        agreement(
             "dual_equivalences",
-            max_residual=max(v.max_residual for v in verdicts),
-            points_tested=sum(v.points_tested for v in verdicts),
-            points_skipped=sum(v.points_skipped for v in verdicts),
-            tol=config.tol,
-            passed=agreement,
+            [(t_star, smt_self), (t_self, smt_star)],
+            config.tol,
             detail="dual torsion vanishes iff base satisfies the torsion-Codazzi condition, and conversely",
         )
     ]
     if check_flatness:
-        def curv_res(conn):
-            def fn(p):
-                require_nondegenerate(s.g.value(p))
-                R = curvature_values(conn, p)
-                gam = conn.value(p)
-                return np.max(np.abs(R)), 1.0 + np.max(np.abs(gam)) ** 2
-
-            return fn
-
-        r_self = run_pointwise_check("dual_equiv/flat_base", s.chart, curv_res(s.conn), config)
-        r_star = run_pointwise_check("dual_equiv/flat_dual", s.chart, curv_res(star), config)
+        r_self = run_pointwise_check("dual_equiv/flat_base", s.chart, _curv_res(s.g, s.conn), config)
+        r_star = run_pointwise_check("dual_equiv/flat_dual", s.chart, _curv_res(s.g, star), config)
         out.append(
-            Verdict(
+            agreement(
                 "dual_flatness_covanishing",
-                max_residual=max(r_self.max_residual, r_star.max_residual),
-                points_tested=r_self.points_tested + r_star.points_tested,
-                points_skipped=r_self.points_skipped + r_star.points_skipped,
-                tol=config.tol,
-                passed=r_self.passed == r_star.passed,
+                [(r_self, r_star)],
+                config.tol,
                 detail="flatness of a connection co-vanishes with flatness of its dual",
             )
         )
@@ -237,56 +229,26 @@ def check_semi_dual_structure(s: Structure, config: RunConfig, check_flatness=Fa
     swmt_self = is_swmt(s, config, name="semi_dual_equiv/base_swmt")
     swmt_star = is_swmt(Structure(s.chart, s.g, s.eta, star_eta), config, name="semi_dual_equiv/semi_dual_swmt")
     smt_star_g = is_smt(Structure(s.chart, s.g, s.eta, star_g), config, name="semi_dual_equiv/dual_smt")
-
-    def torsion_res(conn):
-        def fn(p):
-            require_nondegenerate(s.g.value(p))
-            T = torsion_values(conn, p)
-            gam = conn.value(p)
-            return np.max(np.abs(T)), 1.0 + np.max(np.abs(gam))
-
-        return fn
-
-    t_self = run_pointwise_check("semi_dual_equiv/torsion_base", s.chart, torsion_res(s.conn), config)
-    t_star = run_pointwise_check("semi_dual_equiv/torsion_semi_dual", s.chart, torsion_res(star_eta), config)
-
-    verdicts = [swmt_self, swmt_star, smt_star_g, t_self, t_star]
-    agree_ii = t_star.passed == swmt_self.passed
-    agree_iii = t_self.passed == swmt_star.passed
-    agree_iv = swmt_star.passed == smt_star_g.passed
+    t_self = run_pointwise_check("semi_dual_equiv/torsion_base", s.chart, _torsion_res(s.g, s.conn), config)
+    t_star = run_pointwise_check("semi_dual_equiv/torsion_semi_dual", s.chart, _torsion_res(s.g, star_eta), config)
     out = [
-        Verdict(
+        agreement(
             "semi_dual_equivalences",
-            max_residual=max(v.max_residual for v in verdicts),
-            points_tested=sum(v.points_tested for v in verdicts),
-            points_skipped=sum(v.points_skipped for v in verdicts),
-            tol=config.tol,
-            passed=agree_ii and agree_iii and agree_iv,
+            [(t_star, swmt_self), (t_self, swmt_star), (swmt_star, smt_star_g)],
+            config.tol,
             detail="semi-dual torsion/structure equivalences, incl. semi-dual vs plain-dual verdict agreement",
         )
     ]
     if check_flatness:
-        def curv_res(conn):
-            def fn(p):
-                require_nondegenerate(s.g.value(p))
-                R = curvature_values(conn, p)
-                gam = conn.value(p)
-                return np.max(np.abs(R)), 1.0 + np.max(np.abs(gam)) ** 2
-
-            return fn
-
         r = [
-            run_pointwise_check(f"semi_dual_equiv/flat_{tag}", s.chart, curv_res(c), config)
+            run_pointwise_check(f"semi_dual_equiv/flat_{tag}", s.chart, _curv_res(s.g, c), config)
             for tag, c in (("base", s.conn), ("semi_dual", star_eta), ("dual", star_g))
         ]
         out.append(
-            Verdict(
+            agreement(
                 "semi_dual_flatness_covanishing",
-                max_residual=max(v.max_residual for v in r),
-                points_tested=sum(v.points_tested for v in r),
-                points_skipped=sum(v.points_skipped for v in r),
-                tol=config.tol,
-                passed=len({v.passed for v in r}) == 1,
+                [r],
+                config.tol,
                 detail="flatness co-vanishes across the connection, its semi-dual and its dual",
             )
         )

@@ -20,19 +20,16 @@ __all__ = [
     "inverse_metric_values",
     "levi_civita",
     "torsion_values",
-    "torsion_jets",
     "curvature_values",
     "ricci_values",
     "frame_ricci_values",
     "scalar_curvature",
     "nabla_g_values",
-    "nabla_g_jets",
     "d_nabla_g_values",
     "gradient",
     "gradient_values",
     "covariant_derivative_of_vector",
     "laplacian",
-    "trace_T",
     "orthonormal_frame",
     "signature",
 ]
@@ -91,17 +88,6 @@ def torsion_values(conn: ConnectionField, p):
     """Coordinate-frame torsion ``T^k_{ij} = gamma^k_{ij} - gamma^k_{ji}``."""
     G = conn.value(p)
     return G - np.transpose(G, (0, 2, 1))
-
-
-def torsion_jets(conn: ConnectionField, p, order):
-    G = conn.jet(p, order)
-    n = G.shape[0]
-    out = np.empty_like(G)
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                out[k, i, j] = G[k, i, j] - G[k, j, i]
-    return out
 
 
 def curvature_values(conn: ConnectionField, p):
@@ -181,21 +167,6 @@ def nabla_g_values(conn: ConnectionField, g: MetricField, p):
     return out
 
 
-def nabla_g_jets(conn: ConnectionField, g: MetricField, p, order):
-    n = conn.chart.dim
-    G = g.jet(p, order + 1)
-    gam = conn.jet(p, order)
-    out = np.empty((n, n, n), dtype=object)
-    for a in range(n):
-        for i in range(n):
-            for j in range(n):
-                acc = G[i, j].partial(a)
-                for m in range(n):
-                    acc = acc - gam[m, a, i] * G[m, j].truncate(order) - gam[m, a, j] * G[i, m].truncate(order)
-                out[a, i, j] = acc
-    return out
-
-
 def d_nabla_g_values(conn: ConnectionField, g: MetricField, p):
     """``(d^nabla g)(X, Y, Z) = (nabla_X g)(Y,Z) - (nabla_Y g)(X,Z) + g(T(X,Y),Z)``."""
     ng = nabla_g_values(conn, g, p)
@@ -256,15 +227,6 @@ def laplacian(conn: ConnectionField, g: MetricField, f, p):
     gvals = g.value(p)
     ginv = np.linalg.inv(gvals)
     return float(np.einsum("ab,ak,kb->", ginv, dV, gvals))
-
-
-def trace_T(conn: ConnectionField, g: MetricField, Y, p):
-    """``trace(X -> T(X, Y)) = sum_{a,b} g^{ab} g(T(d_a, Y), d_b)``."""
-    T = torsion_values(conn, p)
-    gvals = g.value(p)
-    ginv = np.linalg.inv(gvals)
-    Y = np.asarray(Y, dtype=float)
-    return float(np.einsum("ab,maj,j,mb->", ginv, T, Y, gvals))
 
 
 def orthonormal_frame(gvals):

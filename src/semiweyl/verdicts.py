@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -10,7 +10,15 @@ from .fields import DegeneratePointError
 from .jets import EvaluationDomainError
 from .sampling import halton_points
 
-__all__ = ["RunConfig", "Verdict", "SkipPoint", "run_pointwise_check", "combine"]
+__all__ = [
+    "RunConfig",
+    "Verdict",
+    "SkipPoint",
+    "run_pointwise_check",
+    "outcome",
+    "gated",
+    "agreement",
+]
 
 
 class SkipPoint(Exception):
@@ -27,12 +35,9 @@ class RunConfig:
     seed: int = 0
     tol: float = 1e-8
     min_valid_points: int = 50
-    jet_order: int = 2
 
     def with_(self, **kw):
-        data = {k: getattr(self, k) for k in ("samples", "seed", "tol", "min_valid_points", "jet_order")}
-        data.update(kw)
-        return RunConfig(**data)
+        return replace(self, **kw)
 
 
 @dataclass
@@ -124,20 +129,35 @@ def run_pointwise_check(name, chart, residual_fn, config: RunConfig, tol=None, d
     )
 
 
-def combine(name, verdicts, detail=""):
-    """Conjunction of sub-verdicts, reporting the worst residual."""
-    verdicts = list(verdicts)
-    live = [v for v in verdicts if not v.skipped]
-    if not live:
-        return Verdict(name, float("nan"), 0, sum(v.points_skipped for v in verdicts), 0.0, False, skipped=True, detail=detail or "all sub-checks skipped")
-    worst = max(live, key=lambda v: v.max_residual / max(v.tol, 1e-300))
+def outcome(v: Verdict):
+    """``"pass"``, ``"fail"`` or ``"skip"``."""
+    if v.skipped:
+        return "skip"
+    return "pass" if v.passed else "fail"
+
+
+def gated(name, reason, tol):
+    """The skipped verdict of a check whose hypothesis is not met."""
+    return Verdict(name, float("nan"), 0, 0, tol, False, skipped=True, detail=f"hypothesis not met: {reason}")
+
+
+def agreement(name, groups, tol, detail=""):
+    """Verdict that the verdicts within each group share one outcome.
+
+    An equivalence cannot be decided from a verdict that skipped, so when
+    any input skipped the result skips too.  Residual and point counts are
+    taken over the distinct input verdicts.
+    """
+    inputs = list({id(v): v for group in groups for v in group}.values())
+    residuals = [v.max_residual for v in inputs if v.max_residual == v.max_residual]
+    skipped = [v.name for v in inputs if v.skipped]
     return Verdict(
         name,
-        max_residual=worst.max_residual,
-        points_tested=sum(v.points_tested for v in live),
-        points_skipped=sum(v.points_skipped for v in verdicts),
-        tol=worst.tol,
-        passed=all(v.passed for v in live),
-        worst_point=worst.worst_point,
-        detail=detail,
+        max_residual=max(residuals, default=float("nan")),
+        points_tested=sum(v.points_tested for v in inputs),
+        points_skipped=sum(v.points_skipped for v in inputs),
+        tol=tol,
+        passed=not skipped and all(len({outcome(v) for v in group}) == 1 for group in groups),
+        skipped=bool(skipped),
+        detail=f"{detail}; undecided, skipped: {', '.join(skipped)}" if skipped else detail,
     )

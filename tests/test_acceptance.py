@@ -343,7 +343,7 @@ class TestAffineRealizationSuite:
         dist = AffineDistribution.from_immersion(
             chart, F, tuple(f"0 - ({c})" for c in F)
         )
-        cfg = RunConfig(samples=40, seed=3, tol=1e-10, min_valid_points=20, jet_order=3)
+        cfg = RunConfig(samples=40, seed=3, tol=1e-10, min_valid_points=20)
 
         # structure equations realize a valid structure at tight tolerance
         assert_all_pass(check_realization(dist, cfg), "realization")

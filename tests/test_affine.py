@@ -54,7 +54,7 @@ def scaled_sphere_distribution():
 
 @pytest.fixture
 def aconfig():
-    return RunConfig(samples=60, seed=3, tol=1e-9, min_valid_points=30, jet_order=3)
+    return RunConfig(samples=60, seed=3, tol=1e-9, min_valid_points=30)
 
 
 def psi_field(chart):
@@ -82,6 +82,19 @@ class TestDecomposition:
             assert np.allclose(g, round_g, atol=1e-12)
             assert np.allclose(B, np.eye(2), atol=1e-12)
             assert np.max(np.abs(eta)) < 1e-12
+
+    def test_solves_are_shared_per_point_and_read_only(self):
+        dist = centroaffine_sphere()
+        p, q = halton_points(dist.chart, 2)
+        first = dist.decompose(p, 1)
+        assert dist.decompose(p.copy(), 1) is first
+        assert dist.decompose(p, 0) is not first
+        with pytest.raises(ValueError):
+            first[1][0, 0] = first[1][1, 1]
+        fresh = centroaffine_sphere().decompose(q, 1)
+        for got, want in zip(dist.decompose(q, 1), fresh):
+            assert np.array_equal(values_of(got), values_of(want))
+        assert dist.decompose(p, 1) is not first  # only the latest point is kept
 
     def test_realization_is_swmt(self, aconfig):
         for dist in (graph_distribution(), centroaffine_sphere(), scaled_sphere_distribution()):

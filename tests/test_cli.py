@@ -129,3 +129,33 @@ class TestFixtureSuite:
     )
     def test_fixture_expectations_met(self, name, capsys):
         assert main(["verify", fixture(name), "--samples", "80"]) == 0
+
+
+class TestSkipsAreNotAgreement:
+    def test_skips_do_not_meet_pass_or_fail_expectations(self, capsys):
+        path = fixture("negative_controls.spec")
+        assert main(["verify", path, "--samples", "10", "--report", "json"]) == 1
+        d = json.loads(capsys.readouterr().out)
+        assert {c["name"]: c["outcome"] for c in d["checks"]} == {
+            "is_swmt": "skip",
+            "is_smt": "skip",
+            "is_statistical": "skip",
+            "cp_structure_invariance": "skip",
+        }
+        assert d["summary"]["expectations_met"] is False
+
+    def test_unmet_ambient_hypothesis_exits_one(self, tmp_path, capsys):
+        with open(fixture("sphere_hypersurface.spec"), encoding="utf-8") as fh:
+            text = fh.read()
+        broken = text.replace("add = eta_tensor_I\n", "add = eta_tensor_I\nadd = g_tensor_gradient(0.5*x*y)\n")
+        assert broken != text
+        path = tmp_path / "broken_ambient.spec"
+        path.write_text(broken)
+        assert main(["verify", str(path), "--samples", "60", "--report", "json"]) == 1
+        outcomes = {c["name"]: c["outcome"] for c in json.loads(capsys.readouterr().out)["checks"]}
+        assert outcomes["induced_structure"] == "skip"
+        assert outcomes["beta_symmetry"] == "skip"
+
+    def test_expected_skip_is_met(self, tmp_path, capsys):
+        text = MINI_PASS.replace("is_swmt = pass", "is_swmt = skip").replace("is_smt = fail", "is_smt = skip")
+        assert main(["verify", write(tmp_path, text), "--samples", "10"]) == 0

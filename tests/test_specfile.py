@@ -49,20 +49,11 @@ class TestLoading:
         assert spec.config.samples == 200
         assert spec.config.tol == 1e-8
         assert spec.config.min_valid_points == 50
-        assert spec.config.jet_order == 2
 
-    def test_affine_block_raises_jet_order(self, tmp_path):
-        spec = load_spec(write(tmp_path, """
-        [affine]
-        coords = u, v
-        domain = 0.3 .. 1.0, 0.3 .. 1.0
-        immersion = u, v, u*u + v*v
-        xi = 0, 0, 1
-
-        [checks]
-        affine_realization
-        """))
-        assert spec.config.jet_order == 3
+    def test_jet_order_is_an_unknown_run_option(self, tmp_path):
+        with pytest.raises(SpecError) as exc:
+            load_spec(write(tmp_path, MINIMAL + "\n[run]\njet_order = 3\n"))
+        assert any("unknown run option 'jet_order'" in m for m in exc.value.errors)
 
     def test_missing_block_error_names_the_block(self, tmp_path):
         with pytest.raises(SpecError) as exc:

@@ -20,7 +20,7 @@ from semiweyl.structures import (
     semi_dual_connection,
 )
 from semiweyl.tensor import levi_civita
-from semiweyl.verdicts import RunConfig
+from semiweyl.verdicts import RunConfig, Verdict, agreement, gated
 
 
 def levi_civita_structure(chart=None):
@@ -132,3 +132,52 @@ class TestSelfDuality:
         d = dual_connection(s.g, s.conn)
         for p in halton_points(s.chart, 20):
             assert np.max(np.abs(d.value(p) - s.conn.value(p))) < 1e-12
+
+
+def verdict(name, passed=True, skipped=False, residual=1e-12, tested=10, skipped_points=0):
+    return Verdict(name, residual, tested, skipped_points, 1e-8, passed, skipped=skipped)
+
+
+class TestVerdictHelpers:
+    def test_gated_is_a_skip_carrying_the_reason(self):
+        v = gated("beta_symmetry", "ambient structure condition fails", 1e-9)
+        assert v.skipped and not v.passed
+        assert v.name == "beta_symmetry" and v.tol == 1e-9
+        assert (v.points_tested, v.points_skipped) == (0, 0)
+        assert v.max_residual != v.max_residual
+        assert v.detail == "hypothesis not met: ambient structure condition fails"
+
+    def test_agreement_passes_when_each_group_shares_an_outcome(self):
+        a, b = verdict("a"), verdict("b", residual=3e-9, tested=7, skipped_points=2)
+        c, d = verdict("c", passed=False, residual=0.5), verdict("d", passed=False)
+        v = agreement("law", [(a, b), (c, d), (d, c)], 1e-8, detail="iff")
+        assert v.passed and not v.skipped
+        assert v.max_residual == 0.5
+        assert (v.points_tested, v.points_skipped) == (37, 2)  # each input counted once
+        assert v.detail == "iff"
+
+    def test_agreement_fails_on_differing_outcomes(self):
+        v = agreement("law", [(verdict("a"), verdict("b")), (verdict("c"), verdict("d", passed=False))], 1e-8)
+        assert not v.passed and not v.skipped
+
+    @pytest.mark.parametrize("other_skipped", [True, False])
+    def test_agreement_with_a_skipped_input_skips(self, other_skipped):
+        a = verdict("a", passed=False, skipped=True, residual=float("nan"), tested=0, skipped_points=5)
+        b = verdict("b", passed=False, skipped=other_skipped, residual=0.25)
+        v = agreement("law", [(a, b)], 1e-8, detail="iff")
+        assert v.skipped and not v.passed
+        assert v.max_residual == 0.25
+        assert (v.points_tested, v.points_skipped) == (10, 5)
+        assert v.detail.startswith("iff; undecided") and "a" in v.detail
+
+    def test_equivalences_skip_when_their_sides_skip(self):
+        cfg = RunConfig(samples=10, seed=0, tol=1e-8, min_valid_points=50)
+        s = swmt_structure()
+        out = check_dual_structure(s, cfg, check_flatness=True) + check_semi_dual_structure(s, cfg, check_flatness=True)
+        assert [v.name for v in out] == [
+            "dual_equivalences",
+            "dual_flatness_covanishing",
+            "semi_dual_equivalences",
+            "semi_dual_flatness_covanishing",
+        ]
+        assert all(v.skipped and not v.passed for v in out)

@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from semiweyl.fields import Chart, ConnectionField, MetricField, ScalarField
+from semiweyl.fields import Chart, ConnectionField, MetricField, OneFormField, ScalarField, eta_tensor_id
 from semiweyl.jets import values_of
 from semiweyl.sampling import halton_points
 from semiweyl.tensor import (
     curvature_values,
+    frame_ricci_values,
     gradient_values,
     inverse_metric_values,
     laplacian,
@@ -138,3 +139,20 @@ class TestFrames:
         g = MetricField.from_expressions(chart, [["1 + x", "0.3"], ["0.3", "2"]])
         for p in halton_points(chart, 5):
             assert np.allclose(inverse_metric_values(g, p) @ g.value(p), np.eye(2), atol=1e-12)
+
+
+class TestFrameOracle:
+    def test_frame_ricci_matches_contraction_when_ricci_is_not_symmetric(self):
+        # curved 3-D metric; the one-form (x) I torsion shift makes Ricci non-symmetric
+        chart = Chart(("x", "y", "z"), (0.3, 0.3, 0.3), (1.1, 1.1, 1.1))
+        g = MetricField.from_expressions(chart, [
+            ["1 + 0.2*x*x", "0.1*x*y", "0.05*z"],
+            ["0.1*x*y", "1 + 0.2*y*y", "0.05*y*z"],
+            ["0.05*z", "0.05*y*z", "exp(0.2*x*z)"],
+        ])
+        eta = OneFormField.from_expressions(chart, ["0.2*y + z", "0.1*z - x", "0.15*x + y"])
+        conn = levi_civita(g).add_tensor(eta_tensor_id(chart, eta))
+        for p in halton_points(chart, 10):
+            ric = ricci_values(conn, g, p)
+            assert np.max(np.abs(frame_ricci_values(conn, g, p) - ric)) < 1e-12
+            assert np.max(np.abs(ric - ric.T)) > 0.1
