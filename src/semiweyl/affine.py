@@ -9,13 +9,12 @@ import numpy as np
 
 from .expressions import differentiate, eval_jet
 from .fields import Chart, ConnectionField, MetricField, OneFormField, ScalarField
-from .jets import Jet, jet_solve, values_of
+from .jets import jet_einsum, jet_solve, partials, values_of
 from .structures import Structure, is_swmt
 from .tensor import (
     covariant_derivative_of_vector,
     curvature_values,
     gradient,
-    inverse_metric_values,
     orthonormal_frame,
     require_nondegenerate,
     ricci_values,
@@ -87,14 +86,7 @@ class AffineDistribution:
     def frame(self, p, order):
         """The (n+1) x (n+1) jet matrix whose columns are the omega images
         of the coordinate vectors followed by xi."""
-        n = self.chart.dim
-        om = self.omega_fn(p, order)
-        xi = self.xi_fn(p, order)
-        A = np.empty((n + 1, n + 1), dtype=object)
-        A[:, :n] = om
-        for i in range(n + 1):
-            A[i, n] = xi[i]
-        return A
+        return np.concatenate([self.omega_fn(p, order), self.xi_fn(p, order)[:, None]], axis=1)
 
     def decompose(self, p, order):
         """Solve the frame equations at a point: returns jets
@@ -118,32 +110,12 @@ class AffineDistribution:
 
     def _solve(self, p, order):
         n = self.chart.dim
-        A = self.frame(p, order)
-        om1 = self.omega_fn(p, order + 1)
-        xi1 = self.xi_fn(p, order + 1)
-        rhs = np.empty((n + 1, n * n + n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                for l in range(n + 1):
-                    rhs[l, i * n + j] = om1[l, j].partial(i)
-        for i in range(n):
-            for l in range(n + 1):
-                rhs[l, n * n + i] = xi1[l].partial(i)
+        A = self.frame(p, order + 1)
+        # d_i (omega e_j) as [l, i, j] and d_i xi as [l, i], one solve for both
+        rhs = np.concatenate([partials(A[:, :n]).transpose(0, 2, 1).reshape(n + 1, n * n), partials(A[:, n])], axis=1)
         sol = jet_solve(A, rhs)
-        gamma = np.empty((n, n, n), dtype=object)
-        g = np.empty((n, n), dtype=object)
-        B = np.empty((n, n), dtype=object)
-        eta = np.empty(n, dtype=object)
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    gamma[k, i, j] = sol[k, i * n + j]
-                g[i, j] = sol[n, i * n + j]
-        for i in range(n):
-            for l in range(n):
-                B[l, i] = -sol[l, n * n + i]
-            eta[i] = sol[n, n * n + i]
-        return gamma, g, B, eta
+        conn_part, xi_part = sol[:, : n * n].reshape(n + 1, n, n), sol[:, n * n :]
+        return conn_part[:n], conn_part[n], -xi_part[:n], xi_part[n]
 
 
 def realized_structure(dist: AffineDistribution):
@@ -154,14 +126,7 @@ def realized_structure(dist: AffineDistribution):
 
     def g_fn(p, order):
         _, g, _, _ = dist.decompose(p, order)
-        n = chart.dim
-        out = np.empty((n, n), dtype=object)
-        for i in range(n):
-            for j in range(i, n):
-                s = (g[i, j] + g[j, i]) * 0.5
-                out[i, j] = s
-                out[j, i] = s
-        return out
+        return (g + g.T) * 0.5
 
     def eta_fn(p, order):
         _, _, _, eta = dist.decompose(p, order)
@@ -200,7 +165,6 @@ def check_realization(dist: AffineDistribution, config: RunConfig):
 def check_realization_curvature_law(dist: AffineDistribution, config: RunConfig):
     """``R(X,Y)Z = g(Y,Z) B(X) - g(X,Z) B(Y)`` for the realized data."""
     s, B_fn = realized_structure(dist)
-    n = dist.chart.dim
 
     def fn(p):
         require_nondegenerate(s.g.value(p))
@@ -287,24 +251,12 @@ def xi_rescaled(dist: AffineDistribution, psi, variant):
     psi_s = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
     s, _ = realized_structure(dist)
     grad_psi = gradient(s.g, psi_s)
-    n = chart.dim
 
     def xi_fn(p, order):
-        om = dist.omega_fn(p, order)
+        om_grad = jet_einsum("ia,a->i", dist.omega_fn(p, order), grad_psi.jet(p, order))
         xi = dist.xi_fn(p, order)
-        gp = grad_psi.jet(p, order)
         e = psi_s.jet(p, order).exp()
-        out = np.empty(n + 1, dtype=object)
-        for i in range(n + 1):
-            acc = None
-            for a in range(n):
-                term = om[i, a] * gp[a]
-                acc = term if acc is None else acc + term
-            if variant == "inner":
-                out[i] = (acc + xi[i]) / e
-            else:
-                out[i] = acc + xi[i] / e
-        return out
+        return (om_grad + xi) / e if variant == "inner" else om_grad + xi / e
 
     return AffineDistribution(chart, dist.omega_fn, xi_fn)
 
@@ -319,7 +271,6 @@ def check_xi_rescale_laws(dist: AffineDistribution, psi, variant, config: RunCon
     dist_t = xi_rescaled(dist, psi_s, variant)
     s_t, B_t_fn = realized_structure(dist_t)
     grad_psi = gradient(s.g, psi_s)
-    n = chart.dim
 
     def fn(p):
         gv = s.g.value(p)

@@ -13,8 +13,6 @@ from __future__ import annotations
 import argparse
 import sys
 
-import numpy as np
-
 from .expressions import differentiate, eval_value, finite_difference
 from .registry import REGISTRY
 from .report import emit_report, run_spec

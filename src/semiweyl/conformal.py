@@ -400,7 +400,6 @@ def check_gradient_codazzi_identity(s: Structure, f, config: RunConfig, name="gr
     fs = f if isinstance(f, ScalarField) else ScalarField.from_expression(s.chart, f)
 
     def fn(p):
-        n = s.chart.dim
         gvals = s.g.value(p)
         require_nondegenerate(gvals)
         ng = nabla_g_values(s.conn, s.g, p)

@@ -4,7 +4,10 @@ Every field is a function from a chart point to an object array of jets of
 a requested order.  Expression-backed fields are the common case; derived
 fields (duals, induced connections, transformed structures) are closures
 over other fields, so derivative information flows through every
-construction without symbolic matrix algebra.
+construction without symbolic matrix algebra.  Derived fields combine jets
+with :func:`~semiweyl.jets.jet_einsum` (contractions and outer products),
+:func:`~semiweyl.jets.partials` (coordinate derivatives) and plain
+object-array arithmetic (``G + K``, ``-K``, ``G * f``).
 """
 
 from __future__ import annotations
@@ -14,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .expressions import Expression, Num, eval_jet, parse_expression
-from .jets import Jet, constant_jets
+from .jets import constant_jets, jet_einsum, partials, values_of
 
 __all__ = [
     "Chart",
@@ -77,13 +80,7 @@ class _Field:
         return self._fn(np.asarray(p, dtype=float), order)
 
     def value(self, p):
-        out = self.jet(p, 0)
-        if isinstance(out, Jet):
-            return out.value
-        vals = np.empty(out.shape, dtype=float)
-        for idx in np.ndindex(out.shape):
-            vals[idx] = out[idx].value
-        return vals
+        return values_of(self.jet(p, 0))[()]  # a float for a scalar field
 
 
 def _expr_of(item, chart):
@@ -128,14 +125,7 @@ class OneFormField(_Field):
     def d(cls, chart, phi: ScalarField):
         """Exterior derivative of a scalar field."""
 
-        def fn(p, order):
-            j = phi.jet(p, order + 1)
-            out = np.empty(chart.dim, dtype=object)
-            for i in range(chart.dim):
-                out[i] = j.partial(i)
-            return out
-
-        return cls(chart, fn)
+        return cls(chart, lambda p, order: partials(phi.jet(p, order + 1)))
 
     def is_zero(self):
         if self.expressions is None:
@@ -193,17 +183,7 @@ class MetricField(_Field):
     def scaled(self, factor: ScalarField):
         """Pointwise conformal scaling ``e -> factor * g`` (factor a scalar field)."""
 
-        def fn(p, order):
-            G = self.jet(p, order)
-            f = factor.jet(p, order)
-            n = self.chart.dim
-            out = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(i, n):
-                    out[i, j] = out[j, i] = f * G[i, j]
-            return out
-
-        return MetricField(self.chart, fn)
+        return MetricField(self.chart, lambda p, order: self.jet(p, order) * factor.jet(p, order))
 
 
 class ConnectionField(_Field):
@@ -239,16 +219,7 @@ class ConnectionField(_Field):
         ``tensor_fn(p, order)`` must return a (k, i, j) object array of jets.
         """
 
-        def fn(p, order):
-            G = self.jet(p, order)
-            K = tensor_fn(p, order)
-            n = self.chart.dim
-            out = np.empty((n, n, n), dtype=object)
-            for idx in np.ndindex((n, n, n)):
-                out[idx] = G[idx] + K[idx]
-            return out
-
-        return ConnectionField(self.chart, fn)
+        return ConnectionField(self.chart, lambda p, order: self.jet(p, order) + tensor_fn(p, order))
 
 
 # -- difference-tensor constructors -------------------------------------------
@@ -259,76 +230,28 @@ class ConnectionField(_Field):
 
 def eta_tensor_id(chart, eta: OneFormField):
     """``K^k_{ij} = eta_i delta^k_j`` (the ``eta (x) I`` shape)."""
-    n = chart.dim
-
-    def fn(p, order):
-        ej = eta.jet(p, order)
-        zero = Jet.constant(0.0, n, order)
-        out = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[k, i, j] = ej[i] if k == j else zero
-        return out
-
-    return fn
+    eye = np.eye(chart.dim)
+    return lambda p, order: jet_einsum("i,kj->kij", eta.jet(p, order), eye)
 
 
 def id_tensor_eta(chart, eta: OneFormField):
     """``K^k_{ij} = delta^k_i eta_j`` (the ``I (x) d phi`` shape)."""
-    n = chart.dim
-
-    def fn(p, order):
-        ej = eta.jet(p, order)
-        zero = Jet.constant(0.0, n, order)
-        out = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    out[k, i, j] = ej[j] if k == i else zero
-        return out
-
-    return fn
+    eye = np.eye(chart.dim)
+    return lambda p, order: jet_einsum("j,ki->kij", eta.jet(p, order), eye)
 
 
 def g_tensor_vector(g: MetricField, V: VectorField):
     """``K^k_{ij} = g_ij V^k`` (the ``g (x) V`` shape)."""
-    n = g.chart.dim
-
-    def fn(p, order):
-        G = g.jet(p, order)
-        Vj = V.jet(p, order)
-        out = np.empty((n, n, n), dtype=object)
-        for i in range(n):
-            for j in range(n):
-                gij = G[i, j]
-                for k in range(n):
-                    out[k, i, j] = gij * Vj[k]
-        return out
-
-    return fn
+    return lambda p, order: jet_einsum("ij,k->kij", g.jet(p, order), V.jet(p, order))
 
 
 def negate_tensor(tensor_fn):
-    def fn(p, order):
-        K = tensor_fn(p, order)
-        out = np.empty(K.shape, dtype=object)
-        for idx in np.ndindex(K.shape):
-            out[idx] = -K[idx]
-        return out
-
-    return fn
+    return lambda p, order: -tensor_fn(p, order)
 
 
 def sum_tensors(*tensor_fns):
     def fn(p, order):
         parts = [t(p, order) for t in tensor_fns]
-        out = np.empty(parts[0].shape, dtype=object)
-        for idx in np.ndindex(parts[0].shape):
-            acc = parts[0][idx]
-            for q in parts[1:]:
-                acc = acc + q[idx]
-            out[idx] = acc
-        return out
+        return sum(parts[1:], parts[0])
 
     return fn

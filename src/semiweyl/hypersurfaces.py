@@ -14,9 +14,8 @@ from .fields import (
     MetricField,
     OneFormField,
     ScalarField,
-    VectorField,
 )
-from .jets import Jet, jet_compose, jet_det, jet_matinv, jet_solve, values_of
+from .jets import jet_compose, jet_det, jet_einsum, jet_solve, partials, values_of
 from .structures import Structure, is_swmt, semi_dual_connection
 from .tensor import (
     curvature_values,
@@ -76,13 +75,7 @@ class EmbeddingMap:
 
         def fn(p, order):
             F = self.jet(p, order + extra_order)
-            q = values_of(F)
-            outer = field.jet(q, order)
-            outer = np.asarray(outer, dtype=object)
-            out = np.empty(outer.shape, dtype=object)
-            for idx in np.ndindex(outer.shape):
-                out[idx] = jet_compose(outer[idx], F)
-            return out if outer.shape else out[()]
+            return jet_compose(field.jet(values_of(F), order), F)
 
         return fn
 
@@ -97,80 +90,34 @@ def pullback_scalar(emb: EmbeddingMap, f) -> ScalarField:
     return ScalarField(emb.domain, fn)
 
 
-def _differential(F, m):
-    """``dF[i, a] = d F^i / d u^a`` as jets one order below ``F``."""
-    n = F.shape[0]
-    dF = np.empty((n, m), dtype=object)
-    for i in range(n):
-        for a in range(m):
-            dF[i, a] = F[i].partial(a)
-    return dF
-
-
 def _induced_metric_jets(emb, g, p, order):
-    F = emb.jet(p, order + 1)
-    dF = _differential(F, emb.domain.dim)
+    """``(g', dF, Gc)``: the induced metric ``g(dF e_a, dF e_b)``, the
+    differential ``dF[i, a] = d F^i / d u^a`` and the ambient metric along
+    the map, all of order ``order``."""
+    dF = partials(emb.jet(p, order + 1))
     Gc = emb.compose(g)(p, order)
-    m = emb.domain.dim
-    gp = np.empty((m, m), dtype=object)
-    for a in range(m):
-        for b in range(a, m):
-            acc = None
-            for i in range(emb.ambient.dim):
-                for j in range(emb.ambient.dim):
-                    term = dF[i, a] * dF[j, b] * Gc[i, j]
-                    acc = term if acc is None else acc + term
-            gp[a, b] = acc
-            gp[b, a] = acc
-    return gp, dF, Gc
+    return jet_einsum("ia,jb,ij->ab", dF, dF, Gc), dF, Gc
 
 
 def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
     """Restrict the metric and one-form and project the connection onto the
     image of the map (valid in any codimension, requires the induced metric
     to be non-degenerate)."""
-    m = emb.domain.dim
-    n = emb.ambient.dim
 
     def g_fn(p, order):
         gp, _, _ = _induced_metric_jets(emb, s.g, p, order)
         return gp
 
     def eta_fn(p, order):
-        F = emb.jet(p, order + 1)
-        dF = _differential(F, m)
-        ec = emb.compose(s.eta)(p, order)
-        out = np.empty(m, dtype=object)
-        for a in range(m):
-            acc = None
-            for i in range(n):
-                term = ec[i] * dF[i, a]
-                acc = term if acc is None else acc + term
-            out[a] = acc
-        return out
+        dF = partials(emb.jet(p, order + 1))
+        return jet_einsum("i,ia->a", emb.compose(s.eta)(p, order), dF)
 
     def conn_fn(p, order):
         gp, dF, Gc = _induced_metric_jets(emb, s.g, p, order)
         require_nondegenerate(values_of(gp))
         W = _ambient_derivative_of_frame(emb, s.conn, p, order)
-        # right-hand sides: v[d, (a,b)] = g(dF e_d, W_ab)
-        rhs = np.empty((m, m * m), dtype=object)
-        for d in range(m):
-            for a in range(m):
-                for b in range(m):
-                    acc = None
-                    for i in range(n):
-                        for j in range(n):
-                            term = dF[i, d] * Gc[i, j] * W[j, a, b]
-                            acc = term if acc is None else acc + term
-                    rhs[d, a * m + b] = acc
-        sol = jet_solve(gp, rhs)
-        out = np.empty((m, m, m), dtype=object)
-        for k in range(m):
-            for a in range(m):
-                for b in range(m):
-                    out[k, a, b] = sol[k, a * m + b]
-        return out
+        # g'_{kd} gamma^k_{ab} = g(dF e_d, W_ab)
+        return jet_solve(gp, jet_einsum("id,ij,jab->dab", dF, Gc, W))
 
     return Structure(
         emb.domain,
@@ -183,21 +130,9 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
 def _ambient_derivative_of_frame(emb, conn, p, order):
     """``W[i, a, b]``: ambient components of the ambient covariant
     derivative of the coordinate frame, ``nabla_{dF e_a} (dF e_b)``."""
-    m = emb.domain.dim
-    n = emb.ambient.dim
-    F = emb.jet(p, order + 2)
-    dF = _differential(F, m)
+    dF = partials(emb.jet(p, order + 2))
     Gamc = emb.compose(conn)(p, order)
-    W = np.empty((n, m, m), dtype=object)
-    for i in range(n):
-        for a in range(m):
-            for b in range(m):
-                acc = dF[i, b].partial(a)
-                for j in range(n):
-                    for k in range(n):
-                        acc = acc + Gamc[i, j, k] * dF[j, a] * dF[k, b]
-                W[i, a, b] = acc
-    return W
+    return partials(dF).transpose(0, 2, 1) + jet_einsum("ijk,ja,kb->iab", Gamc, dF, dF)
 
 
 class HypersurfaceFrame:
@@ -215,25 +150,13 @@ class HypersurfaceFrame:
         """Un-normalized conormal by cofactor expansion, raised with the
         inverse metric; returns (N_raw ambient-vector jets, Gc, dF)."""
         emb = self.emb
-        n = emb.ambient.dim
-        m = emb.domain.dim
-        F = emb.jet(p, order + 1)
-        dF = _differential(F, m)
+        dF = partials(emb.jet(p, order + 1))
         Gc = emb.compose(self.s.g)(p, order)
-        nu = np.empty(n, dtype=object)
-        for i in range(n):
-            minor = np.delete(dF, i, axis=0)
-            d = jet_det(minor)
+        nu = np.empty(emb.ambient.dim, dtype=object)
+        for i in range(emb.ambient.dim):
+            d = jet_det(np.delete(dF, i, axis=0))
             nu[i] = d if i % 2 == 0 else -d
-        Ginv = jet_matinv(Gc)
-        N_raw = np.empty(n, dtype=object)
-        for i in range(n):
-            acc = None
-            for j in range(n):
-                term = Ginv[i, j] * nu[j]
-                acc = term if acc is None else acc + term
-            N_raw[i] = acc
-        return N_raw, nu, Gc, dF
+        return jet_solve(Gc, nu), nu, Gc, dF
 
     def _orientation(self):
         if self._sign is None:
@@ -248,11 +171,7 @@ class HypersurfaceFrame:
         """Unit normal ``N`` (ambient components, jets) and the sign
         ``eps = g(N, N) = +-1``."""
         N_raw, nu, Gc, dF = self._raw_normal(p, order)
-        norm2 = None
-        for i in range(self.emb.ambient.dim):
-            term = nu[i] * N_raw[i]
-            acc_prev = norm2
-            norm2 = term if acc_prev is None else acc_prev + term
+        norm2 = jet_einsum("i,i->", nu, N_raw)
         v = norm2.value
         gvals = values_of(Gc)
         if abs(v) <= degeneracy_threshold(gvals):
@@ -260,74 +179,36 @@ class HypersurfaceFrame:
         eps = 1.0 if v > 0 else -1.0
         length = (norm2 if eps > 0 else -norm2).sqrt()
         _, sign = self._orientation()
-        N = np.empty_like(N_raw)
-        for i in range(self.emb.ambient.dim):
-            N[i] = N_raw[i] / length if sign > 0 else -(N_raw[i] / length)
-        return N, eps
+        N = N_raw / length
+        return (N if sign > 0 else -N), eps
 
     def second_fundamental_form(self, p, order=0, conn=None):
         """``alpha[a, b] = eps * g(nabla_{dF e_a}(dF e_b), N)`` as jets."""
         conn = self.s.conn if conn is None else conn
-        m = self.emb.domain.dim
-        n = self.emb.ambient.dim
         W = _ambient_derivative_of_frame(self.emb, conn, p, order)
         Gc = self.emb.compose(self.s.g)(p, order)
         N, eps = self.normal(p, order)
-        alpha = np.empty((m, m), dtype=object)
-        for a in range(m):
-            for b in range(m):
-                acc = None
-                for i in range(n):
-                    for j in range(n):
-                        term = Gc[i, j] * W[i, a, b] * N[j]
-                        acc = term if acc is None else acc + term
-                alpha[a, b] = acc * eps if eps < 0 else acc
-        return alpha, eps
+        alpha = jet_einsum("ij,iab,j->ab", Gc, W, N)
+        return (-alpha if eps < 0 else alpha), eps
 
     def normal_derivative(self, p, order=0, conn=None):
         """``DN[i, a]``: ambient components of ``nabla_{dF e_a} N``."""
         conn = self.s.conn if conn is None else conn
-        m = self.emb.domain.dim
-        n = self.emb.ambient.dim
         N, eps = self.normal(p, order + 1)
         Gamc = self.emb.compose(conn, extra_order=1)(p, order)
-        F = self.emb.jet(p, order + 1)
-        dF = _differential(F, m)
-        DN = np.empty((n, m), dtype=object)
-        for i in range(n):
-            for a in range(m):
-                acc = N[i].partial(a)
-                for j in range(n):
-                    for k in range(n):
-                        acc = acc + Gamc[i, j, k] * dF[j, a] * N[k].truncate(order)
-                DN[i, a] = acc
+        dF = partials(self.emb.jet(p, order + 1))
+        DN = partials(N) + jet_einsum("ijk,ja,k->ia", Gamc, dF, N)
         return DN, N, eps, dF
 
     def weingarten(self, p, order=0, conn=None):
         """Returns ``(beta, tau, B, eps)`` as jets: ``beta[a,b] =
         -g(nabla_a N, dF e_b)``, ``tau[a] = eps g(nabla_a N, N)`` and the
         shape operator ``B[d, a]`` with ``beta(X, Y) = g'(B X, Y)``."""
-        m = self.emb.domain.dim
-        n = self.emb.ambient.dim
         DN, N, eps, dF = self.normal_derivative(p, order, conn=conn)
         Gc = self.emb.compose(self.s.g)(p, order)
-        Ntr = np.array([N[i].truncate(order) for i in range(n)], dtype=object)
-        beta = np.empty((m, m), dtype=object)
-        tau = np.empty(m, dtype=object)
-        for a in range(m):
-            acc_t = None
-            for i in range(n):
-                for j in range(n):
-                    term = Gc[i, j] * DN[i, a] * Ntr[j]
-                    acc_t = term if acc_t is None else acc_t + term
-            tau[a] = acc_t * eps if eps < 0 else acc_t
-            for b in range(m):
-                acc = None
-                for i in range(n):
-                    for j in range(n):
-                        term = Gc[i, j] * DN[i, a] * dF[j, b]
-                        acc = term if acc is None else acc + term
-                beta[a, b] = -acc
+        tau = jet_einsum("ij,ia,j->a", Gc, DN, N)
+        tau = -tau if eps < 0 else tau
+        beta = -jet_einsum("ij,ia,jb->ab", Gc, DN, dF)
         gp, _, _ = _induced_metric_jets(self.emb, self.s.g, p, order)
         require_nondegenerate(values_of(gp))
         B = jet_solve(gp, beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}
@@ -434,16 +315,7 @@ def umbilic_deviation(frame: HypersurfaceFrame, p, order=0):
     the residual ``|beta - f g'|`` (jets when order > 0)."""
     beta, _, _, _ = frame.weingarten(p, order)
     gp, _, _ = _induced_metric_jets(frame.emb, frame.s.g, p, order)
-    num = None
-    den = None
-    m = frame.emb.domain.dim
-    for a in range(m):
-        for b in range(m):
-            tn = beta[a, b] * gp[a, b]
-            td = gp[a, b] * gp[a, b]
-            num = tn if num is None else num + tn
-            den = td if den is None else den + td
-    f = num / den
+    f = jet_einsum("ab,ab->", beta, gp) / jet_einsum("ab,ab->", gp, gp)
     dev = np.max(np.abs(values_of(beta) - f.value * values_of(gp)))
     return f, float(dev), beta, gp
 
@@ -495,13 +367,11 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
     frame = HypersurfaceFrame(emb, s)
     ind = induced_structure(emb, s)
     m = emb.domain.dim
-    n = emb.ambient.dim
 
     def fn(p):
         q = emb.value(p)
         R_amb = curvature_values(s.conn, q)
-        F = emb.jet(p, 1)
-        dF = values_of(_differential(F, m))
+        dF = values_of(partials(emb.jet(p, 1)))
         lhs = np.einsum("lkij,kc,ia,jb->lcab", R_amb, dF, dF, dF)
 
         Rp = curvature_values(ind.conn, p)
@@ -509,11 +379,7 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
         Tp = torsion_values(ind.conn, p)
         alpha_j, eps = frame.second_fundamental_form(p, order=1)
         alpha = values_of(alpha_j)
-        dalpha = np.empty((m, m, m))
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    dalpha[a, b, c] = alpha_j[b, c].grad[a]
+        dalpha = values_of(partials(alpha_j)).transpose(2, 0, 1)  # [a, b, c] = d_a alpha_bc
         # (nabla'_a alpha)(b, c)
         nalpha = dalpha - np.einsum("mab,mc->abc", gam_p, alpha) - np.einsum("mac,bm->abc", gam_p, alpha)
         beta_j, tau_j, B_j, _ = frame.weingarten(p)
@@ -554,7 +420,6 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
     dual = semi_dual_connection(s.g, s.eta, s.conn)
     ind = induced_structure(emb, s)
     ind_dual = semi_dual_connection(ind.g, ind.eta, ind.conn)
-    m = emb.domain.dim
 
     def gate_fn(p):
         q = emb.value(p)

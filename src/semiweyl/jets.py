@@ -3,14 +3,23 @@
 A ``Jet`` carries the value of a smooth function at a point together with
 its partial derivatives up to a fixed order (0 to 3).  Arithmetic on jets
 implements the product and chain rules exactly, so any quantity assembled
-from jets carries exact derivatives of the assembly.  Linear solves with
-jet-valued matrices propagate derivatives through the solution
-(differentiating ``A(x) s(x) = b(x)`` order by order).
+from jets carries exact derivatives of the assembly.
+
+Modules combine object arrays of jets through four helpers, which gather
+each operand once into dense value/grad/hess/third layers and scatter the
+result back into jets: :func:`jet_einsum` contracts them by the Leibniz
+rule, :func:`partials` appends a derivative axis, :func:`jet_solve` solves
+linear systems (differentiating ``A(x) s(x) = b(x)`` order by order) and
+:func:`jet_compose` applies the chain rule.  Elementwise sums, negation and
+scaling are plain object-array arithmetic (``G + K``, ``-K``, ``G * f``).
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
+import string
 
 import numpy as np
 
@@ -22,6 +31,8 @@ __all__ = [
     "jet_matinv",
     "jet_det",
     "jet_compose",
+    "jet_einsum",
+    "partials",
     "constant_jets",
     "values_of",
 ]
@@ -270,131 +281,157 @@ class Jet:
         return self.compose_scalar(derivs)
 
 
-# -- array helpers ----------------------------------------------------------
+# -- dense layers and contractions -------------------------------------------
+#
+# The helpers below gather the jets of each operand once into dense layers
+# (value, grad, hess, third; layer ``r`` has the operand's shape followed by
+# ``r`` derivative axes), combine the layers with ``np.einsum`` and scatter
+# the result back into jets.
+
+
+def _as_jets(x):
+    """``x`` as an object array of jets, or ``None`` when it holds floats."""
+    if isinstance(x, Jet):
+        out = np.empty((), dtype=object)
+        out[()] = x
+        return out
+    x = np.asarray(x)
+    return x if x.dtype == object else None
+
+
+def _common(arrays):
+    """Variable count shared by the jets in ``arrays`` and their lowest
+    order (the order a product truncates to, as in ``Jet._coerce``)."""
+    jets = [j for a in arrays for j in a.flat]
+    ns = {j.n for j in jets}
+    if len(ns) != 1:
+        raise ValueError("jet dimension mismatch")
+    return ns.pop(), min(j.order for j in jets)
+
+
+def _layers(J, n, order):
+    """Dense ``[value, grad, hess, third][: order + 1]`` of an object array
+    of jets in ``n`` variables."""
+    flat = J.ravel()
+    out = [values_of(J)]
+    for r, name in enumerate(("grad", "hess", "third")[:order], start=1):
+        out.append(np.array([getattr(j, name) for j in flat], dtype=float).reshape(J.shape + (n,) * r))
+    return out
+
+
+def _scatter(layers, n):
+    """Object array of jets in ``n`` variables from dense layers."""
+    shape = layers[0].shape
+    out = np.empty(shape, dtype=object)
+    flat = out.reshape(-1)
+    rows = [L.reshape((-1,) + L.shape[len(shape):]) for L in layers]
+    for i, parts in enumerate(zip(*rows)):
+        flat[i] = Jet(n, len(layers) - 1, *parts)
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _leibniz_terms(inputs, output, depths, r):
+    """``(einsum spec, layer index per operand)`` of each order-``r`` term
+    of the Leibniz rule: one per assignment of the ``r`` derivative slots to
+    the operands, skipping those that need a layer an operand of ``depths``
+    layers lacks (its higher layers are zero)."""
+    used = "".join(inputs) + output
+    slots = "".join(c for c in string.ascii_letters if c not in used)[:r]
+    terms = []
+    for assign in itertools.product(range(len(inputs)), repeat=r):
+        counts = tuple(assign.count(k) for k in range(len(inputs)))
+        if all(c < d for c, d in zip(counts, depths)):
+            specs = [spec + "".join(s for s, owner in zip(slots, assign) if owner == k) for k, spec in enumerate(inputs)]
+            terms.append((",".join(specs) + "->" + output + slots, counts))
+    return tuple(terms)
+
+
+def _leibniz(inputs, output, layers, r):
+    """Order-``r`` layer of the einsum product ``inputs -> output`` of
+    operands given by their dense layers (a constant has one layer)."""
+    parts = [
+        np.einsum(spec, *(L[c] for L, c in zip(layers, counts)))
+        for spec, counts in _leibniz_terms(tuple(inputs), output, tuple(len(L) for L in layers), r)
+    ]
+    return sum(parts[1:], parts[0])
+
+
+def jet_einsum(subscripts, *operands):
+    """``np.einsum`` over object arrays of jets, with exact derivatives.
+
+    Float arrays count as constants.  Each jet operand is gathered once into
+    dense layers and the product rule is applied up to the lowest operand
+    order (the truncation ``Jet._coerce`` does).  Subscripts must be in
+    explicit ``...->...`` form.  Returns an object array of jets, or a jet
+    for a scalar output; with no jet operand it is plain ``np.einsum``.
+    """
+    arrays = [_as_jets(op) for op in operands]
+    jets = [a for a in arrays if a is not None]
+    if not jets:
+        return np.einsum(subscripts, *operands)
+    inputs, output = subscripts.replace(" ", "").split("->")
+    n, order = _common(jets)
+    layers = [[np.asarray(op, dtype=float)] if a is None else _layers(a, n, order) for op, a in zip(operands, arrays)]
+    out = _scatter([_leibniz(inputs.split(","), output, layers, r) for r in range(order + 1)], n)
+    return out[()]  # the jet itself for a scalar output
+
+
+def partials(J):
+    """First partials of an object array of jets, one order lower, on a new
+    last axis: ``out[..., a] = J[...].partial(a)``."""
+    J = _as_jets(J)
+    n, order = _common([J])
+    if order < 1:
+        raise JetOrderError("partials() needs jets of order >= 1")
+    return _scatter(_layers(J, n, order)[1:], n)
 
 
 def constant_jets(values, n, order):
     """Object array of constant jets with the shape of ``values``."""
     values = np.asarray(values, dtype=float)
-    out = np.empty(values.shape, dtype=object)
-    for idx in np.ndindex(values.shape):
-        out[idx] = Jet.constant(values[idx], n, order)
-    return out
+    return _scatter([values] + [np.zeros(values.shape + (n,) * r) for r in range(1, order + 1)], n)
 
 
 def values_of(jets):
     """Float array of the values of an object array of jets."""
     jets = np.asarray(jets, dtype=object)
-    out = np.empty(jets.shape, dtype=float)
-    for idx in np.ndindex(jets.shape):
-        out[idx] = jets[idx].value
-    return out
+    return np.array([j.value for j in jets.flat], dtype=float).reshape(jets.shape)
 
 
-def _grads_of(jets, n):
-    jets = np.asarray(jets, dtype=object)
-    out = np.empty(jets.shape + (n,), dtype=float)
-    for idx in np.ndindex(jets.shape):
-        out[idx] = jets[idx].grad
-    return out
-
-
-def _hess_of(jets, n):
-    jets = np.asarray(jets, dtype=object)
-    out = np.empty(jets.shape + (n, n), dtype=float)
-    for idx in np.ndindex(jets.shape):
-        out[idx] = jets[idx].hess
-    return out
-
-
-def _third_of(jets, n):
-    jets = np.asarray(jets, dtype=object)
-    out = np.empty(jets.shape + (n, n, n), dtype=float)
-    for idx in np.ndindex(jets.shape):
-        out[idx] = jets[idx].third
-    return out
-
-
-def jet_solve(A, b, singular_tol=None):
+def jet_solve(A, b):
     """Solve ``A s = b`` with jet entries, propagating derivatives.
 
-    ``A`` is a (k, k) object array of jets, ``b`` a (k,) or (k, m) object
-    array of matching order and variable count.  Raises
+    ``A`` is a (k, k) object array of jets; ``b`` has shape ``(k, ...)`` and
+    holds jets in the same variables, or floats.  The solution has the shape
+    of ``b`` and the lower order of the two.  Raises
     :class:`EvaluationDomainError` when the value-level matrix is singular.
     """
     A = np.asarray(A, dtype=object)
-    b = np.asarray(b, dtype=object)
-    probe = A[0, 0]
-    n, order = probe.n, probe.order
-    squeeze = b.ndim == 1
-    if squeeze:
-        b = b[:, None]
-    k, m = b.shape
-
-    A0 = values_of(A)
+    b_jets = _as_jets(b)
+    n, order = _common([A] if b_jets is None else [A, b_jets])
+    a = _layers(A, n, order)
+    shape = np.shape(b)
+    k = shape[0]
+    b_layers = [np.asarray(b, dtype=float)] if b_jets is None else _layers(b_jets, n, order)
+    rhs = [L.reshape((k, -1) + L.shape[len(shape):]) for L in b_layers]
     try:
-        lu = np.linalg.inv(A0)
+        inv = np.linalg.inv(a[0])
     except np.linalg.LinAlgError as exc:
         raise EvaluationDomainError("singular frame in jet solve") from exc
-    cond_scale = np.max(np.abs(A0)) * np.max(np.abs(lu))
-    if singular_tol is not None and cond_scale > 1.0 / singular_tol:
-        raise EvaluationDomainError("ill-conditioned frame in jet solve")
-
-    b0 = values_of(b)
-    s0 = lu @ b0
-
-    sg = sh = st = None
-    if order >= 1:
-        Ag = _grads_of(A, n)  # (k,k,n)
-        bg = _grads_of(b, n)  # (k,m,n)
-        rhs = bg - np.einsum("ija,jm->ima", Ag, s0)
-        sg = np.einsum("ij,jma->ima", lu, rhs)  # (k,m,n)
-    if order >= 2:
-        Ah = _hess_of(A, n)
-        bh = _hess_of(b, n)
-        rhs = (
-            bh
-            - np.einsum("ijab,jm->imab", Ah, s0)
-            - np.einsum("ija,jmb->imab", Ag, sg)
-            - np.einsum("ijb,jma->imab", Ag, sg)
-        )
-        sh = np.einsum("ij,jmab->imab", lu, rhs)
-    if order >= 3:
-        At = _third_of(A, n)
-        bt = _third_of(b, n)
-        rhs = (
-            bt
-            - np.einsum("ijabc,jm->imabc", At, s0)
-            - np.einsum("ijab,jmc->imabc", Ah, sg)
-            - np.einsum("ijac,jmb->imabc", Ah, sg)
-            - np.einsum("ijbc,jma->imabc", Ah, sg)
-            - np.einsum("ija,jmbc->imabc", Ag, sh)
-            - np.einsum("ijb,jmac->imabc", Ag, sh)
-            - np.einsum("ijc,jmab->imabc", Ag, sh)
-        )
-        st = np.einsum("ij,jmabc->imabc", lu, rhs)
-
-    out = np.empty((k, m), dtype=object)
-    for i in range(k):
-        for j in range(m):
-            out[i, j] = Jet(
-                n,
-                order,
-                s0[i, j],
-                sg[i, j] if order >= 1 else None,
-                sh[i, j] if order >= 2 else None,
-                st[i, j] if order >= 3 else None,
-            )
-    return out[:, 0] if squeeze else out
+    s = [inv @ rhs[0]]
+    for r in range(1, order + 1):
+        # order r of A s = b: every Leibniz term but A s_r (not yet in s)
+        # moves to the right; a constant b has no layer r
+        rest = _leibniz(("ij", "jm"), "im", [a, s], r)
+        s.append(np.einsum("ij,jm...->im...", inv, (rhs[r] if r < len(rhs) else 0.0) - rest))
+    return _scatter([x.reshape(shape + x.shape[2:]) for x in s], n)
 
 
 def jet_matinv(A):
     """Inverse of a jet-valued square matrix."""
     A = np.asarray(A, dtype=object)
-    k = A.shape[0]
-    probe = A[0, 0]
-    eye = constant_jets(np.eye(k), probe.n, probe.order)
-    return jet_solve(A, eye)
+    return jet_solve(A, np.eye(A.shape[0]))
 
 
 def jet_det(A):
@@ -405,43 +442,33 @@ def jet_det(A):
         return A[0, 0]
     if k == 2:
         return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    total = None
-    for j in range(k):
-        minor = np.delete(np.delete(A, 0, axis=0), j, axis=1)
-        term = A[0, j] * jet_det(minor)
-        if j % 2:
-            term = -term
-        total = term if total is None else total + term
-    return total
+    terms = [A[0, j] * jet_det(np.delete(np.delete(A, 0, axis=0), j, axis=1)) for j in range(k)]
+    return sum((-t if j % 2 else t for j, t in enumerate(terms[1:], start=1)), terms[0])
 
 
 def jet_compose(outer, inner):
-    """Chain rule: ``outer`` is a jet in the m image variables, ``inner`` a
-    length-m object array of jets in the source variables.  Returns the jet
-    of the composition in the source variables."""
+    """Chain rule: ``outer`` is a jet, or an object array of jets, in the m
+    image variables, ``inner`` a length-m object array of jets in the source
+    variables.  Returns the jet(s) of the composition in the source
+    variables, at the lower order of the two."""
     inner = np.asarray(inner, dtype=object)
-    m = inner.shape[0]
-    probe = inner[0]
-    n, order = probe.n, min(probe.order, outer.order)
-
-    value = outer.value
-    grad = hess = third = None
+    outer = _as_jets(outer)
+    m, outer_order = _common([outer])
+    n, order = _common([inner])
+    order = min(order, outer_order)
+    _, J, H, T = _layers(inner, n, order) + [None] * (3 - order)
+    o = _layers(outer, m, order)
+    layers = [o[0]]
     if order >= 1:
-        J = _grads_of(inner, n)  # (m, n)
-        og = outer.grad[:m]
-        grad = og @ J
+        layers.append(np.einsum("...a,ai->...i", o[1], J))
     if order >= 2:
-        H = _hess_of(inner, n)  # (m, n, n)
-        oh = outer.hess[:m, :m]
-        hess = np.einsum("ab,ai,bj->ij", oh, J, J) + np.einsum("a,aij->ij", og, H)
+        layers.append(np.einsum("...ab,ai,bj->...ij", o[2], J, J) + np.einsum("...a,aij->...ij", o[1], H))
     if order >= 3:
-        T = _third_of(inner, n)
-        ot = outer.third[:m, :m, :m]
-        third = (
-            np.einsum("abc,ai,bj,ck->ijk", ot, J, J, J)
-            + np.einsum("ab,aij,bk->ijk", oh, H, J)
-            + np.einsum("ab,aik,bj->ijk", oh, H, J)
-            + np.einsum("ab,ajk,bi->ijk", oh, H, J)
-            + np.einsum("a,aijk->ijk", og, T)
+        layers.append(
+            np.einsum("...abc,ai,bj,ck->...ijk", o[3], J, J, J)
+            + np.einsum("...ab,aij,bk->...ijk", o[2], H, J)
+            + np.einsum("...ab,aik,bj->...ijk", o[2], H, J)
+            + np.einsum("...ab,ajk,bi->...ijk", o[2], H, J)
+            + np.einsum("...a,aijk->...ijk", o[1], T)
         )
-    return Jet(n, order, value, grad, hess, third)
+    return _scatter(layers, n)[()]  # the jet itself for a scalar outer

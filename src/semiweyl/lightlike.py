@@ -7,8 +7,8 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Chart, DegeneratePointError, VectorField
-from .hypersurfaces import EmbeddingMap, _differential, _induced_metric_jets
-from .jets import Jet, constant_jets, jet_solve, values_of
+from .hypersurfaces import EmbeddingMap, _induced_metric_jets
+from .jets import constant_jets, jet_einsum, jet_solve, partials, values_of
 from .structures import Structure, is_swmt, semi_dual_connection
 from .tensor import degeneracy_threshold
 from .verdicts import RunConfig, SkipPoint, gated, run_pointwise_check
@@ -69,7 +69,6 @@ class LightlikeFrame:
     def radical(self, p, order):
         """Jets of the radical direction ``xi`` (domain components),
         normalized so that its pinned component is exactly one."""
-        m = self.emb.domain.dim
         k, _ = self._pin_indices()
         gp, dF, Gc = _induced_metric_jets(self.emb, self.s.g, p, order)
         gv = values_of(gp)
@@ -78,16 +77,11 @@ class LightlikeFrame:
         w = np.linalg.eigvalsh(gv)
         if np.sum(np.abs(w) <= max(thr, 1e-7 * (1 + np.max(np.abs(gv))))) != 1:
             raise DegeneratePointError("induced metric does not have corank one")
-        A = np.empty((m, m), dtype=object)
-        probe = gp[0, 0]
-        for i in range(m):
-            for j in range(m):
-                if i == k:
-                    A[i, j] = Jet.constant(1.0 if j == k else 0.0, probe.n, probe.order)
-                else:
-                    A[i, j] = gp[i, j]
-        b = constant_jets(np.eye(m)[k], probe.n, probe.order)
-        xi = jet_solve(A, b)
+        # rows of g' except row k, which pins the k-th component to one
+        e_k = np.eye(len(gp))[k]
+        A = gp.copy()
+        A[k] = constant_jets(e_k, gp[0, 0].n, gp[0, 0].order)
+        xi = jet_solve(A, e_k)
         return xi, gp, dF, Gc
 
     # -- screen ----------------------------------------------------------
@@ -112,60 +106,21 @@ class LightlikeFrame:
         """Jets of the transversal ``N`` (ambient components), together
         with the pushed-forward radical and screen vectors."""
         n = self.emb.ambient.dim
-        m = self.emb.domain.dim
         xi, gp, dF, Gc = self.radical(p, order)
         Wdom = self._screen_jets(p, order)
         # ambient pushforwards
-        def push(vec):
-            out = np.empty(n, dtype=object)
-            for i in range(n):
-                acc = None
-                for a in range(m):
-                    term = dF[i, a] * vec[a]
-                    acc = term if acc is None else acc + term
-                out[i] = acc
-            return out
-
-        xi_amb = push(xi)
-        W_amb = [push(Wdom[i]) for i in range(len(Wdom))]
-        probe = xi_amb[0]
-        # rows: g(., W_i) = 0, g(., xi) = 1, pinned component = 0
-        A = np.empty((n, n), dtype=object)
-        b = np.empty(n, dtype=object)
-        for r, w in enumerate(W_amb):
-            for j in range(n):
-                acc = None
-                for i in range(n):
-                    term = Gc[i, j] * w[i]
-                    acc = term if acc is None else acc + term
-                A[r, j] = acc
-            b[r] = Jet.constant(0.0, probe.n, probe.order)
+        xi_amb = jet_einsum("ia,a->i", dF, xi)
+        W_amb = jet_einsum("ia,ra->ri", dF, Wdom)
         r = len(W_amb)
-        for j in range(n):
-            acc = None
-            for i in range(n):
-                term = Gc[i, j] * xi_amb[i]
-                acc = term if acc is None else acc + term
-            A[r, j] = acc
-        b[r] = Jet.constant(1.0, probe.n, probe.order)
-        k_u = self._transversal_pin(p)
-        for j in range(n):
-            A[r + 1, j] = Jet.constant(1.0 if j == k_u else 0.0, probe.n, probe.order)
-        b[r + 1] = Jet.constant(0.0, probe.n, probe.order)
-        U = jet_solve(A, b)
+        # rows: g(., W_i) = 0, g(., xi) = 1, pinned component = 0
+        pin = constant_jets(np.eye(n)[self._transversal_pin()], gp[0, 0].n, gp[0, 0].order)
+        A = np.concatenate([jet_einsum("ij,ri->rj", Gc, W_amb), [jet_einsum("ij,i->j", Gc, xi_amb), pin]])
+        U = jet_solve(A, np.eye(n)[r])
         # shift along the radical to make N null
-        gUU = None
-        for i in range(n):
-            for j in range(n):
-                term = Gc[i, j] * U[i] * U[j]
-                gUU = term if gUU is None else gUU + term
-        N = np.empty(n, dtype=object)
-        half = gUU * 0.5
-        for i in range(n):
-            N[i] = U[i] - half * xi_amb[i]
+        N = U - xi_amb * (jet_einsum("ij,i,j->", Gc, U, U) * 0.5)
         return N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc
 
-    def _transversal_pin(self, p0):
+    def _transversal_pin(self):
         k, pin_u = self._pin_indices()
         if pin_u is None:
             p = self.emb.domain.center()
@@ -177,46 +132,11 @@ class LightlikeFrame:
 
     # -- screen connection -------------------------------------------------
 
-    def _ambient_derivative(self, p, order, vec_dom, target_amb_jets, conn=None):
-        """Ambient components of the ambient covariant derivative of an
-        ambient-vector jet field along the pushforward of a domain vector:
-        ``sum_a v^a (d_a t^i) + Gamma^i_{jk} (dF v)^j t^k``."""
-        conn = self.s.conn if conn is None else conn
-        n = self.emb.ambient.dim
-        m = self.emb.domain.dim
-        F = self.emb.jet(p, order + 1)
-        dF = _differential(F, m)
-        Gamc = self.emb.compose(conn)(p, order)
-        out = np.empty(n, dtype=object)
-        vtr = [vec_dom[a].truncate(order) for a in range(m)]
-        push = np.empty(n, dtype=object)
-        for j in range(n):
-            acc = None
-            for a in range(m):
-                term = dF[j, a] * vtr[a]
-                acc = term if acc is None else acc + term
-            push[j] = acc
-        for i in range(n):
-            acc = None
-            for a in range(m):
-                term = target_amb_jets[i].partial(a) * vtr[a]
-                acc = term if acc is None else acc + term
-            for j in range(n):
-                for k in range(n):
-                    acc = acc + Gamc[i, j, k] * push[j] * target_amb_jets[k].truncate(order)
-            out[i] = acc
-        return out
-
     def decompose(self, p, order, amb_jets, basis):
-        """Coefficients of an ambient-vector jet in the frame given by the
-        columns of ``basis`` (a list of ambient-vector jets)."""
-        n = self.emb.ambient.dim
-        A = np.empty((n, n), dtype=object)
-        for j, col in enumerate(basis):
-            for i in range(n):
-                A[i, j] = col[i].truncate(order)
-        b = np.array([amb_jets[i].truncate(order) for i in range(n)], dtype=object)
-        return jet_solve(A, b)
+        """Coefficients of ambient-vector jets ``amb_jets[i, ...]`` in the
+        frame given by the columns of ``basis`` (a list of ambient-vector
+        jets).  The result has the lower order of the two operands."""
+        return jet_solve(np.stack(basis, axis=1), amb_jets)
 
     def screen_data(self, p, order=0, conn=None):
         """Returns a dict with the pointwise screen geometry: the Gram
@@ -225,87 +145,32 @@ class LightlikeFrame:
         ``alpha``, ``beta``, ``tau`` and the screen brackets."""
         conn = self.s.conn if conn is None else conn
         N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc = self.transversal(p, order + 1)
-        n = self.emb.ambient.dim
-        m = self.emb.domain.dim
         r = len(W_amb)
         basis = list(W_amb) + [xi_amb, N]
+        Gamc = self.emb.compose(conn)(p, order)
 
-        gram = np.empty((r, r), dtype=object)
-        for a in range(r):
-            for b in range(r):
-                acc = None
-                for i in range(m):
-                    for j in range(m):
-                        term = gp[i, j] * Wdom[a][i] * Wdom[b][j]
-                        acc = term if acc is None else acc + term
-                gram[a, b] = acc
+        def along_screen(t):
+            """``[a, ..., i]``: ambient covariant derivative of the ambient
+            vectors ``t[..., i]`` along the screen field ``W_a``."""
+            return jet_einsum("ad,...id->a...i", Wdom, partials(t)) + jet_einsum("ijk,aj,...k->a...i", Gamc, W_amb, t)
 
-        # derivatives of screen fields along screen fields
-        nabla_bar = np.empty((r, r, r), dtype=object)  # [c, a, b]
-        xi_comp = np.empty((r, r), dtype=object)
-        alpha = np.empty((r, r), dtype=object)  # the pairing g(nabla_a W_b, N)
-        for a in range(r):
-            for b in range(r):
-                # ambient jets of the pushforward of W_b as a field: dF W_b
-                target = np.empty(n, dtype=object)
-                for i in range(n):
-                    acc = None
-                    for d in range(m):
-                        term = dF[i, d] * Wdom[b][d].truncate(order + 1)
-                        acc = term if acc is None else acc + term
-                    target[i] = acc
-                D = self._ambient_derivative(p, order, Wdom[a], target, conn=conn)
-                coeff = self.decompose(p, order, D, basis)
-                for c in range(r):
-                    nabla_bar[c, a, b] = coeff[c]
-                xi_comp[a, b] = coeff[r]
-                acc = None
-                for i in range(n):
-                    for j in range(n):
-                        term = Gc[i, j].truncate(order) * D[i] * N[j].truncate(order)
-                        acc = term if acc is None else acc + term
-                alpha[a, b] = acc
+        gram = jet_einsum("ij,ai,bj->ab", gp, Wdom, Wdom)
+
+        # derivatives of screen fields along screen fields, D[a, b] = nabla_{W_a} W_b
+        D = along_screen(W_amb)
+        coeff = self.decompose(p, order, D.transpose(2, 0, 1), basis)  # [c, a, b]
+        nabla_bar, xi_comp = coeff[:r], coeff[r]
+        alpha = jet_einsum("ij,abi,j->ab", Gc, D, N)  # the pairing g(nabla_a W_b, N)
 
         # brackets of the screen fields (domain components)
-        bracket = np.empty((r, r, m), dtype=object)
-        for a in range(r):
-            for b in range(r):
-                for k in range(m):
-                    acc = None
-                    for d in range(m):
-                        term = Wdom[a][d].truncate(order) * Wdom[b][k].partial(d) - \
-                            Wdom[b][d].truncate(order) * Wdom[a][k].partial(d)
-                        acc = term if acc is None else acc + term
-                    bracket[a, b, k] = acc
+        W_dW = jet_einsum("ad,bkd->abk", Wdom, partials(Wdom))
+        bracket = W_dW - W_dW.transpose(1, 0, 2)
 
         # beta and tau from the derivative of N along screen fields
-        DN = [self._ambient_derivative(p, order, Wdom[a], N, conn=conn) for a in range(r)]
-        beta = np.empty((r, r), dtype=object)
-        tau_xi = np.empty(r, dtype=object)
-        tau_null = np.empty(r, dtype=object)
-        for a in range(r):
-            acc_xi = None
-            acc_nn = None
-            for i in range(n):
-                for j in range(n):
-                    Gij = Gc[i, j].truncate(order)
-                    t1 = Gij * DN[a][i] * xi_amb[j].truncate(order)
-                    t2 = Gij * DN[a][i] * N[j].truncate(order)
-                    acc_xi = t1 if acc_xi is None else acc_xi + t1
-                    acc_nn = t2 if acc_nn is None else acc_nn + t2
-            tau_xi[a] = acc_xi
-            tau_null[a] = acc_nn
-            for b in range(r):
-                acc = None
-                for i in range(n):
-                    push_b = None
-                    for d in range(m):
-                        term = dF[i, d] * Wdom[b][d].truncate(order + 1)
-                        push_b = term if push_b is None else push_b + term
-                    for j in range(n):
-                        term = Gc[j, i].truncate(order) * DN[a][j] * push_b.truncate(order)
-                        acc = term if acc is None else acc + term
-                beta[a, b] = -acc
+        DN = along_screen(N)
+        tau_xi = jet_einsum("ij,ai,j->a", Gc, DN, xi_amb)
+        tau_null = jet_einsum("ij,ai,j->a", Gc, DN, N)
+        beta = -jet_einsum("ij,ai,bj->ab", Gc, DN, W_amb)
 
         return {
             "gram": gram,
@@ -455,9 +320,8 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
 
 def _pullback_eta_values(frame, p):
     emb = frame.emb
-    m = emb.domain.dim
     F = emb.jet(p, 1)
-    dF = values_of(_differential(F, m))
+    dF = values_of(partials(F))
     eta_amb = frame.s.eta.value(values_of(F))
     return eta_amb @ dF
 
@@ -480,9 +344,7 @@ def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
         q = emb.value(p)
         phi_j = t.phi.jet(q, 1)
         psi_j = t.psi.jet(q, 1)
-        m = emb.domain.dim
-        F = emb.jet(p, 1)
-        dF = values_of(_differential(F, m))
+        dF = values_of(partials(emb.jet(p, 1)))
         Wdom = data["Wdom"]
         dphi_W = np.empty(r)
         dpsi_W = np.empty(r)

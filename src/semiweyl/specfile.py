@@ -49,7 +49,6 @@ from .fields import (
     MetricField,
     OneFormField,
     ScalarField,
-    VectorField,
     eta_tensor_id,
     g_tensor_vector,
     id_tensor_eta,

@@ -8,10 +8,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .fields import Chart, ConnectionField, MetricField, OneFormField
-from .jets import jet_matinv, values_of
+from .jets import jet_einsum, partials
 from .tensor import (
+    _raise_index,
     curvature_values,
-    levi_civita,
     nabla_g_values,
     require_nondegenerate,
     torsion_values,
@@ -25,7 +25,6 @@ __all__ = [
     "is_swmt",
     "dual_connection",
     "semi_dual_connection",
-    "duality_residual",
     "check_dual_structure",
     "check_semi_dual_structure",
 ]
@@ -108,59 +107,22 @@ def is_swmt(s: Structure, config: RunConfig, name="is_swmt"):
 def semi_dual_connection(g: MetricField, eta: OneFormField, conn: ConnectionField) -> ConnectionField:
     """The connection ``conn*`` with
     ``X g(Y,Z) = g(conn_X Y, Z) + g(Y, conn*_X Z) - eta(X) g(Y,Z)``."""
-    n = g.chart.dim
 
     def fn(p, order):
         G = g.jet(p, order + 1)
-        Gq = np.array([[G[i, j].truncate(order) for j in range(n)] for i in range(n)], dtype=object)
-        require_nondegenerate(values_of(Gq))
-        Ginv = jet_matinv(Gq)
-        gam = conn.jet(p, order)
-        etaj = eta.jet(p, order)
-        out = np.empty((n, n, n), dtype=object)
-        for i in range(n):
-            for k in range(n):
-                for l in range(n):
-                    acc = None
-                    for j in range(n):
-                        inner = G[j, k].partial(i) + etaj[i] * Gq[j, k]
-                        for m in range(n):
-                            inner = inner - gam[m, i, j] * Gq[m, k]
-                        term = Ginv[l, j] * inner
-                        acc = term if acc is None else acc + term
-                    out[l, i, k] = acc
-        return out
+        # lower[j, i, k] = d_i g_jk + eta_i g_jk - gamma^m_ij g_mk
+        lower = (
+            partials(G).transpose(0, 2, 1)
+            + jet_einsum("i,jk->jik", eta.jet(p, order), G)
+            - jet_einsum("mij,mk->jik", conn.jet(p, order), G)
+        )
+        return _raise_index(G, lower)
 
     return ConnectionField(g.chart, fn)
 
 
 def dual_connection(g: MetricField, conn: ConnectionField) -> ConnectionField:
     return semi_dual_connection(g, OneFormField.zero(g.chart), conn)
-
-
-def duality_residual(g, eta, conn, dual, p):
-    """Residual of the defining pairing of (semi-)dual connections."""
-    n = g.chart.dim
-    G = g.jet(p, 1)
-    gvals = values_of(G)
-    require_nondegenerate(gvals)
-    dg = np.array([[G[i, j].grad for j in range(n)] for i in range(n)])  # dg[i,j,a] = d_a g_ij
-    gam = conn.value(p)
-    gams = dual.value(p)
-    eta_v = eta.value(p) if eta is not None else np.zeros(n)
-    res = 0.0
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                lhs = dg[j, k][i]
-                rhs = (
-                    float(gam[:, i, j] @ gvals[:, k])
-                    + float(gvals[j, :] @ gams[:, i, k])
-                    - eta_v[i] * gvals[j, k]
-                )
-                res = max(res, abs(lhs - rhs))
-    scale = 1.0 + np.max(np.abs(gvals)) * (1.0 + np.max(np.abs(gam)) + np.max(np.abs(gams)) + np.max(np.abs(eta_v))) + np.max(np.abs(dg))
-    return res, scale
 
 
 def _torsion_res(g: MetricField, conn):

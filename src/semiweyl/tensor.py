@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField
-from .jets import Jet, jet_matinv, values_of
+from .jets import jet_einsum, jet_solve, partials, values_of
 
 __all__ = [
     "degeneracy_threshold",
@@ -53,33 +53,21 @@ def inverse_metric_values(g: MetricField, p):
     return np.linalg.inv(gvals)
 
 
-def _inverse_metric_jets(G):
+def _raise_index(G, lower):
+    """``g^{kl} lower[l, ...]``, with ``G`` the metric jets."""
     require_nondegenerate(values_of(G))
-    return jet_matinv(G)
+    return jet_solve(G, lower)
 
 
 def levi_civita(g: MetricField) -> ConnectionField:
     """Christoffel coefficients of ``g`` as a jet-evaluable connection."""
-    n = g.chart.dim
 
     def fn(p, order):
         G = g.jet(p, order + 1)
-        Ginv = _inverse_metric_jets(np.array([[G[i, j].truncate(order) for j in range(n)] for i in range(n)], dtype=object))
-        dG = np.empty((n, n, n), dtype=object)  # dG[l, i, j] = d_l g_ij
-        for l in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    dG[l, i, j] = dG[l, j, i] = G[i, j].partial(l)
-        out = np.empty((n, n, n), dtype=object)
-        for k in range(n):
-            for i in range(n):
-                for j in range(i, n):
-                    acc = None
-                    for l in range(n):
-                        term = Ginv[k, l] * (dG[i, j, l] + dG[j, i, l] - dG[l, i, j])
-                        acc = term if acc is None else acc + term
-                    out[k, i, j] = out[k, j, i] = 0.5 * acc
-        return out
+        dG = partials(G)  # dG[i, j, l] = d_l g_ij
+        # first kind: (d_i g_jl + d_j g_il - d_l g_ij) / 2 as [l, i, j]
+        lower = (dG.transpose(1, 2, 0) + dG.transpose(1, 0, 2) - dG.transpose(2, 0, 1)) * 0.5
+        return _raise_index(G, lower)
 
     return ConnectionField(g.chart, fn)
 
@@ -92,37 +80,23 @@ def torsion_values(conn: ConnectionField, p):
 
 def curvature_values(conn: ConnectionField, p):
     """``R[l, k, i, j]``: coefficient of ``d_l`` in ``R(d_i, d_j) d_k``."""
-    n = conn.chart.dim
     G = conn.jet(p, 1)
     gam = values_of(G)
-    dgam = np.empty((n, n, n, n))  # dgam[a, k, i, j] = d_a gamma^k_{ij}
-    for idx in np.ndindex((n, n, n)):
-        dgam[(slice(None),) + idx] = G[idx].grad
-    R = np.empty((n, n, n, n))
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    R[l, k, i, j] = (
-                        dgam[i, l, j, k]
-                        - dgam[j, l, i, k]
-                        + np.dot(gam[l, i, :], gam[:, j, k])
-                        - np.dot(gam[l, j, :], gam[:, i, k])
-                    )
-    return R
+    dgam = values_of(partials(G))  # dgam[k, i, j, a] = d_a gamma^k_{ij}
+    return (
+        np.einsum("ljki->lkij", dgam)
+        - np.einsum("likj->lkij", dgam)
+        + np.einsum("lim,mjk->lkij", gam, gam)
+        - np.einsum("ljm,mik->lkij", gam, gam)
+    )
 
 
 def ricci_values(conn: ConnectionField, g: MetricField, p, R=None):
     """``Ric[i, j] = Ric(d_i, d_j)``, by contraction of the curvature."""
-    n = conn.chart.dim
     if R is None:
         R = curvature_values(conn, p)
     require_nondegenerate(g.value(p))
-    ric = np.empty((n, n))
-    for i in range(n):
-        for j in range(n):
-            ric[i, j] = sum(R[a, j, a, i] for a in range(n))
-    return ric
+    return np.einsum("ajai->ij", R)
 
 
 def frame_ricci_values(conn: ConnectionField, g: MetricField, p, R=None):
@@ -145,7 +119,6 @@ def frame_ricci_values(conn: ConnectionField, g: MetricField, p, R=None):
 
 
 def scalar_curvature(conn: ConnectionField, g: MetricField, p, R=None):
-    n = conn.chart.dim
     ric = ricci_values(conn, g, p, R=R)
     ginv = inverse_metric_values(g, p)
     return float(np.einsum("ij,ij->", ginv, ric))
@@ -153,18 +126,11 @@ def scalar_curvature(conn: ConnectionField, g: MetricField, p, R=None):
 
 def nabla_g_values(conn: ConnectionField, g: MetricField, p):
     """``(nabla_{d_a} g)(d_i, d_j)`` as an ``[a, i, j]`` array."""
-    n = conn.chart.dim
     G = g.jet(p, 1)
     gvals = values_of(G)
-    dg = np.empty((n, n, n))
-    for i in range(n):
-        for j in range(n):
-            dg[:, i, j] = G[i, j].grad
+    dg = values_of(partials(G))  # dg[i, j, a] = d_a g_ij
     gam = conn.value(p)
-    out = np.empty((n, n, n))
-    for a in range(n):
-        out[a] = dg[a] - np.einsum("mi,mj->ij", gam[:, a, :], gvals) - np.einsum("mj,im->ij", gam[:, a, :], gvals)
-    return out
+    return dg.transpose(2, 0, 1) - np.einsum("mai,mj->aij", gam, gvals) - np.einsum("maj,im->aij", gam, gvals)
 
 
 def d_nabla_g_values(conn: ConnectionField, g: MetricField, p):
@@ -178,20 +144,9 @@ def d_nabla_g_values(conn: ConnectionField, g: MetricField, p):
 
 def gradient(g: MetricField, f) -> VectorField:
     """Metric gradient ``(grad f)^k = g^{kl} d_l f`` as a vector field."""
-    n = g.chart.dim
 
     def fn(p, order):
-        G = g.jet(p, order)
-        Ginv = _inverse_metric_jets(G)
-        fj = f.jet(p, order + 1)
-        out = np.empty(n, dtype=object)
-        for k in range(n):
-            acc = None
-            for l in range(n):
-                term = Ginv[k, l] * fj.partial(l)
-                acc = term if acc is None else acc + term
-            out[k] = acc
-        return out
+        return _raise_index(g.jet(p, order), partials(f.jet(p, order + 1)))
 
     return VectorField(g.chart, fn)
 
@@ -204,16 +159,8 @@ def gradient_values(g: MetricField, f, p):
 
 def covariant_derivative_of_vector(conn: ConnectionField, V: VectorField, p, order=0):
     """``(nabla_{d_a} V)^k`` as an ``[a, k]`` array (of jets when order > 0)."""
-    n = conn.chart.dim
     Vj = V.jet(p, order + 1)
-    gam = conn.jet(p, order)
-    out = np.empty((n, n), dtype=object)
-    for a in range(n):
-        for k in range(n):
-            acc = Vj[k].partial(a)
-            for m in range(n):
-                acc = acc + gam[k, a, m] * Vj[m].truncate(order)
-            out[a, k] = acc
+    out = partials(Vj).T + jet_einsum("kam,m->ak", conn.jet(p, order), Vj)
     if order == 0:
         return values_of(out)
     return out

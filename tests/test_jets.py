@@ -1,3 +1,6 @@
+import itertools
+from functools import reduce
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,11 +10,14 @@ from semiweyl.expressions import differentiate, eval_jet, eval_value, parse_expr
 from semiweyl.jets import (
     EvaluationDomainError,
     Jet,
+    JetOrderError,
     constant_jets,
     jet_compose,
     jet_det,
+    jet_einsum,
     jet_matinv,
     jet_solve,
+    partials,
     values_of,
 )
 
@@ -148,3 +154,123 @@ class TestComposition:
     def test_values_of(self):
         arr = constant_jets(np.arange(6.0).reshape(2, 3), 2, 1)
         assert np.allclose(values_of(arr), np.arange(6.0).reshape(2, 3))
+
+
+# -- dense contractions ---------------------------------------------------------
+
+
+def _symmetric(rng, n, rank):
+    t = rng.normal(size=(n,) * rank)
+    return sum(np.transpose(t, perm) for perm in itertools.permutations(range(rank))) / 6.0
+
+
+def random_jets(rng, shape, order, n=2):
+    """Object array of jets with random symmetric derivative coefficients."""
+    out = np.empty(shape, dtype=object)
+    for idx in np.ndindex(shape):
+        out[idx] = Jet(
+            n,
+            order,
+            rng.normal(),
+            rng.normal(size=n) if order >= 1 else None,
+            _symmetric(rng, n, 2) if order >= 2 else None,
+            _symmetric(rng, n, 3) if order >= 3 else None,
+        )
+    return out
+
+
+def assert_jets_close(got, want, tol=1e-13):
+    got, want = np.asarray(got, dtype=object), np.asarray(want, dtype=object)
+    assert got.shape == want.shape
+    for g, w in zip(got.flat, want.flat):
+        assert g.order == w.order
+        for name in ("value", "grad", "hess", "third")[: w.order + 1]:
+            a, b = np.asarray(getattr(g, name)), np.asarray(getattr(w, name))
+            assert np.max(np.abs(a - b)) <= tol * (1.0 + np.max(np.abs(b))), name
+
+
+def jet_sum(terms):
+    return reduce(lambda a, b: a + b, terms)
+
+
+ORDERS = [0, 1, 2, 3]
+
+
+class TestJetEinsum:
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_matrix_product(self, order):
+        rng = np.random.default_rng(order)
+        A, B = random_jets(rng, (3, 2), order), random_jets(rng, (2, 4), order)
+        want = np.empty((3, 4), dtype=object)
+        for i, k in np.ndindex(want.shape):
+            want[i, k] = jet_sum(A[i, j] * B[j, k] for j in range(2))
+        assert_jets_close(jet_einsum("ij,jk->ik", A, B), want)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_three_operands(self, order):
+        rng = np.random.default_rng(10 + order)
+        A, B, v = random_jets(rng, (2, 3), order), random_jets(rng, (3, 2), order), random_jets(rng, (2,), order)
+        want = np.empty((2, 2), dtype=object)
+        for i, a in np.ndindex(want.shape):
+            want[i, a] = jet_sum(A[i, j] * B[j, k] * v[a] for j in range(3) for k in range(2))
+        assert_jets_close(jet_einsum("ij,jk,a->ia", A, B, v), want)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_float_operand_is_a_constant(self, order):
+        rng = np.random.default_rng(20 + order)
+        A, C = random_jets(rng, (3, 3), order), rng.normal(size=(3, 2))
+        want = np.empty((3, 2), dtype=object)
+        for i, k in np.ndindex(want.shape):
+            want[i, k] = jet_sum(A[i, j] * C[j, k] for j in range(3))
+        assert_jets_close(jet_einsum("ij,jk->ik", A, C), want)
+
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_scalar_output_is_a_jet(self, order):
+        rng = np.random.default_rng(30 + order)
+        u, v = random_jets(rng, (3,), order), random_jets(rng, (3,), order)
+        out = jet_einsum("i,i->", u, v)
+        assert isinstance(out, Jet)
+        assert_jets_close(out, jet_sum(u[i] * v[i] for i in range(3)))
+
+    @pytest.mark.parametrize("low, high", [(0, 3), (1, 2), (1, 3), (2, 3)])
+    def test_mixed_orders_truncate_to_the_lowest(self, low, high):
+        rng = np.random.default_rng(40 + 4 * low + high)
+        A, v = random_jets(rng, (2, 3), high), random_jets(rng, (3,), low)
+        out = jet_einsum("ij,j->i", A, v)
+        assert all(j.order == low for j in out)
+        want = np.array([jet_sum(A[i, j] * v[j] for j in range(3)) for i in range(2)], dtype=object)
+        assert_jets_close(out, want)
+
+    def test_no_jet_operand_is_plain_einsum(self):
+        a = np.arange(6.0).reshape(2, 3)
+        assert np.array_equal(jet_einsum("ij->ji", a), a.T)
+
+
+class TestPartials:
+    @pytest.mark.parametrize("order", [1, 2, 3])
+    def test_matches_partial(self, order):
+        J = random_jets(np.random.default_rng(50 + order), (2, 3), order)
+        want = np.empty((2, 3, 2), dtype=object)
+        for i, j, a in np.ndindex(want.shape):
+            want[i, j, a] = J[i, j].partial(a)
+        assert_jets_close(partials(J), want, tol=0.0)
+
+    def test_scalar_jet_gives_its_gradient_jets(self):
+        j = random_jets(np.random.default_rng(60), (), 2)[()]
+        assert_jets_close(partials(j), np.array([j.partial(0), j.partial(1)], dtype=object), tol=0.0)
+
+    def test_order_zero_raises(self):
+        with pytest.raises(JetOrderError):
+            partials(constant_jets(np.ones(2), 2, 0))
+
+
+class TestArrayCompose:
+    @pytest.mark.parametrize("order", ORDERS)
+    def test_array_outer_matches_entrywise(self, order):
+        rng = np.random.default_rng(70 + order)
+        outer = random_jets(rng, (2, 3), order, n=3)
+        inner = random_jets(rng, (3,), order, n=2)
+        want = np.empty((2, 3), dtype=object)
+        for idx in np.ndindex(want.shape):
+            want[idx] = jet_compose(outer[idx], inner)
+        assert_jets_close(jet_compose(outer, inner), want)
