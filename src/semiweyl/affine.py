@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .expressions import differentiate, eval_jet
-from .fields import Chart, ConnectionField, MetricField, OneFormField, ScalarField
+from .fields import Chart, ConnectionField, LastPointCache, MetricField, OneFormField, ScalarField
 from .jets import jet_einsum, jet_solve, partials, values_of
 from .structures import Structure, is_swmt
 from .tensor import (
@@ -45,8 +45,7 @@ class AffineDistribution:
         self.chart = chart
         self.omega_fn = omega_fn  # (p, order) -> (n+1, n) jets
         self.xi_fn = xi_fn  # (p, order) -> (n+1,) jets
-        self._solved_at = None  # point bytes of the solves in ``_solved``
-        self._solved = {}  # order -> decompose result at that point
+        self._solved = LastPointCache()
 
     @classmethod
     def from_immersion(cls, chart: Chart, components, xi_components):
@@ -97,16 +96,7 @@ class AffineDistribution:
         The solves at the most recent point are kept, one per order, so the
         metric, one-form, connection and shape operator of
         :func:`realized_structure` share them; the arrays are read-only."""
-        key = np.asarray(p, dtype=float).tobytes()
-        if key != self._solved_at:
-            self._solved_at = key
-            self._solved = {}
-        if order not in self._solved:
-            parts = self._solve(p, order)
-            for a in parts:
-                a.flags.writeable = False
-            self._solved[order] = parts
-        return self._solved[order]
+        return self._solved(self._solve, p, order)
 
     def _solve(self, p, order):
         n = self.chart.dim

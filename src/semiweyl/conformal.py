@@ -102,6 +102,7 @@ class _PointData:
         self.psi = psi_j.value
         self.dphi = phi_j.grad
         self.dpsi = psi_j.grad
+        self.hess_phi = phi_j.hess
         self.grad_phi = self.ginv @ self.dphi
         self.grad_psi = self.ginv @ self.dpsi
         self.dVphi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.phi), p)
@@ -305,33 +306,32 @@ def _rhs_scal(d: _PointData):
     )
 
 
-def _augment_hessians(d: _PointData, s, t, p):
-    phi_j = t.phi.jet(p, 2)
-    psi_j = t.psi.jet(p, 2)
-    d.hess_phi = phi_j.hess
-    d.hess_psi = psi_j.hess
-
-
 def check_curvature_transform(s: Structure, t: TransformData, config: RunConfig):
     """Compare the transformed curvature, Ricci and scalar curvature against
     the term-by-term assembled change-of-curvature formulas."""
     st = transform(s, t)
+    shared = {}  # point bytes -> _PointData, built once for the three laws
+
+    def point_data(p):
+        key = p.tobytes()
+        if key not in shared:
+            shared[key] = _PointData(s, t, p)
+        return shared[key]
 
     def r_fn(p):
-        d = _PointData(s, t, p)
-        _augment_hessians(d, s, t, p)
+        d = point_data(p)
         lhs = curvature_values(st.conn, p)
         rhs = _rhs_curvature(d)
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def ric_fn(p):
-        d = _PointData(s, t, p)
+        d = point_data(p)
         lhs = ricci_values(st.conn, st.g, p)
         rhs = _rhs_ricci(d)
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def scal_fn(p):
-        d = _PointData(s, t, p)
+        d = point_data(p)
         lhs = scalar_curvature(st.conn, st.g, p)
         rhs = _rhs_scal(d)
         return float(abs(lhs - rhs)), 1.0 + abs(lhs) + abs(rhs)

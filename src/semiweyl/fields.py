@@ -8,6 +8,12 @@ construction without symbolic matrix algebra.  Derived fields combine jets
 with :func:`~semiweyl.jets.jet_einsum` (contractions and outer products),
 :func:`~semiweyl.jets.partials` (coordinate derivatives) and plain
 object-array arithmetic (``G + K``, ``-K``, ``G * f``).
+
+Each field remembers its jets at the most recent point it was evaluated
+at, one result per order (:class:`LastPointCache`), so a check that asks a
+derived field for the same point several times builds its chain once.  The
+results at that point are shared between callers and therefore read-only,
+and a field's ``fn`` may depend on nothing but ``(p, order)``.
 """
 
 from __future__ import annotations
@@ -66,6 +72,37 @@ class Chart:
         return parse_expression(text, self.coord_names)
 
 
+class LastPointCache:
+    """The results of ``fn(p, order)`` at the most recent point, one per
+    order; points are compared by their float bytes.
+
+    A call at a new point drops the previous point's results, so the memory
+    held is one point's worth per owner.  Returned arrays (and the arrays of
+    a returned tuple) are made read-only, since every caller at that point
+    gets the same objects.  Nothing is stored when ``fn`` raises.
+    """
+
+    __slots__ = ("_key", "_by_order")
+
+    def __init__(self):
+        self._key = None
+        self._by_order = {}
+
+    def __call__(self, fn, p, order):
+        p = np.asarray(p, dtype=float)
+        key = p.tobytes()
+        if key != self._key:
+            self._key, self._by_order = key, {}
+        out = self._by_order.get(order)
+        if out is None:
+            out = fn(p, order)
+            for a in out if isinstance(out, tuple) else (out,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
+            self._by_order[order] = out
+        return out
+
+
 class _Field:
     """Base: wraps ``fn(point, order) -> object array of jets``."""
 
@@ -74,10 +111,15 @@ class _Field:
     def __init__(self, chart, fn, expressions=None):
         self.chart = chart
         self._fn = fn
+        self._jets = LastPointCache()
         self.expressions = expressions  # AST grid when expression-backed
 
     def jet(self, p, order):
-        return self._fn(np.asarray(p, dtype=float), order)
+        """Jets of order ``order`` at ``p`` (an object array, or a jet for a
+        scalar field).  The result at the most recent point is kept per
+        order and shared by every caller, so arrays are read-only; ``fn``
+        must depend only on ``(p, order)``."""
+        return self._jets(self._fn, p, order)
 
     def value(self, p):
         return values_of(self.jet(p, 0))[()]  # a float for a scalar field

@@ -7,10 +7,12 @@ from __future__ import annotations
 
 import numpy as np
 
+from .expressions import eval_jet
 from .fields import (
     Chart,
     ConnectionField,
     DegeneratePointError,
+    LastPointCache,
     MetricField,
     OneFormField,
     ScalarField,
@@ -53,14 +55,18 @@ class EmbeddingMap:
         self.domain = domain
         self.ambient = ambient
         self.components = tuple(domain.parse(c) if isinstance(c, str) else c for c in components)
+        self._jets = LastPointCache()
 
     @property
     def codim(self):
         return self.ambient.dim - self.domain.dim
 
     def jet(self, p, order):
-        from .expressions import eval_jet
+        """Jets of the ambient coordinates at ``p``; like a field's jets, the
+        result at the most recent point is shared and read-only."""
+        return self._jets(self._eval_jet, p, order)
 
+    def _eval_jet(self, p, order):
         out = np.empty(self.ambient.dim, dtype=object)
         for i, c in enumerate(self.components):
             out[i] = eval_jet(c, p, order, dim=self.domain.dim)

@@ -44,7 +44,7 @@ def _structure_scale(gvals, gam, etavals, dg):
     return 1.0 + np.max(np.abs(gvals)) * (1.0 + np.max(np.abs(gam)) + np.max(np.abs(etavals))) + np.max(np.abs(dg))
 
 
-def _swmt_residual_at(s: Structure, p, require_torsion_free=False, use_eta=True):
+def _swmt_residual_at(s: Structure, p, use_eta=True):
     n = s.chart.dim
     gvals = s.g.value(p)
     require_nondegenerate(gvals)
@@ -62,10 +62,7 @@ def _swmt_residual_at(s: Structure, p, require_torsion_free=False, use_eta=True)
         - np.einsum("j,ik->ijk", eta, gvals)
         + np.einsum("mij,mk->ijk", T, gvals)
     )
-    r = np.max(np.abs(res))
-    if require_torsion_free:
-        r = max(r, np.max(np.abs(T)))
-    return r, _structure_scale(gvals, gam, eta, dg)
+    return np.max(np.abs(res)), _structure_scale(gvals, gam, eta, dg)
 
 
 def is_statistical(s: Structure, config: RunConfig, name="is_statistical"):

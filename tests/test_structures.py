@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -6,6 +8,7 @@ from semiweyl.fields import (
     ConnectionField,
     MetricField,
     OneFormField,
+    _Field,
     eta_tensor_id,
 )
 from semiweyl.sampling import halton_points
@@ -55,6 +58,32 @@ class TestPredicates:
     def test_eta_shift_family_is_not_smt(self, config):
         v = is_smt(swmt_structure(), config)
         assert not v.passed and v.max_residual > 1e-3
+
+    def test_one_swmt_point_builds_each_field_once_per_order(self, monkeypatch):
+        # count the calls of every field's underlying fn, per field and order
+        calls = Counter()
+        init = _Field.__init__
+
+        def counting_init(field, chart, fn, expressions=None):
+            def counted(p, order):
+                calls[type(field).__name__, id(field), order] += 1
+                return fn(p, order)
+
+            init(field, chart, counted, expressions)
+
+        monkeypatch.setattr(_Field, "__init__", counting_init)
+        s = swmt_structure()
+        monkeypatch.undo()
+        v = is_swmt(s, RunConfig(samples=1, seed=0, tol=1e-8, min_valid_points=1))
+        assert v.points_tested == 1
+        totals = Counter()
+        for (kind, _, _), c in calls.items():
+            totals[kind] += c
+        # without the per-point jet cache this point costs 6 evaluations of
+        # the connections (the shifted one and its Levi-Civita base) and 6
+        # of the metric
+        assert max(calls.values()) == 1, f"evaluations by field kind: {dict(totals)}"
+        assert totals["ConnectionField"] == 2 and totals["MetricField"] == 2
 
 
 class TestDuality:
