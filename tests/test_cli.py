@@ -125,6 +125,7 @@ class TestFixtureSuite:
             "smt_conformal_gradient.spec",
             "swmt_eta_shift.spec",
             "negative_controls.spec",
+            "null_cone.spec",
         ],
     )
     def test_fixture_expectations_met(self, name, capsys):
