@@ -7,9 +7,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expressions import differentiate, eval_jet
+from .expressions import differentiate, eval_jets
 from .fields import Chart, ConnectionField, LastPointCache, MetricField, OneFormField, ScalarField
-from .jets import jet_einsum, jet_solve, partials, values_of
+from .jets import jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, is_swmt
 from .tensor import (
     covariant_derivative_of_vector,
@@ -43,8 +43,8 @@ class AffineDistribution:
 
     def __init__(self, chart: Chart, omega_fn, xi_fn):
         self.chart = chart
-        self.omega_fn = omega_fn  # (p, order) -> (n+1, n) jets
-        self.xi_fn = xi_fn  # (p, order) -> (n+1,) jets
+        self.omega_fn = omega_fn  # (p, order) -> (n+1, n) jet
+        self.xi_fn = xi_fn  # (p, order) -> (n+1,) jet
         self._solved = LastPointCache()
 
     @classmethod
@@ -68,24 +68,17 @@ class AffineDistribution:
             raise ValueError("omega must be (n+1) x n and xi must have n+1 components")
 
         def omega_fn(p, order):
-            out = np.empty((n + 1, n), dtype=object)
-            for i in range(n + 1):
-                for a in range(n):
-                    out[i, a] = eval_jet(om[i][a], p, order, dim=n)
-            return out
+            return eval_jets([e for row in om for e in row], p, order, dim=n).reshape(n + 1, n)
 
         def xi_fn(p, order):
-            out = np.empty(n + 1, dtype=object)
-            for i in range(n + 1):
-                out[i] = eval_jet(xi[i], p, order, dim=n)
-            return out
+            return eval_jets(xi, p, order, dim=n)
 
         return cls(chart, omega_fn, xi_fn)
 
     def frame(self, p, order):
         """The (n+1) x (n+1) jet matrix whose columns are the omega images
         of the coordinate vectors followed by xi."""
-        return np.concatenate([self.omega_fn(p, order), self.xi_fn(p, order)[:, None]], axis=1)
+        return jet_stack([*self.omega_fn(p, order).T, self.xi_fn(p, order)], axis=1)
 
     def decompose(self, p, order):
         """Solve the frame equations at a point: returns jets
@@ -101,10 +94,10 @@ class AffineDistribution:
     def _solve(self, p, order):
         n = self.chart.dim
         A = self.frame(p, order + 1)
-        # d_i (omega e_j) as [l, i, j] and d_i xi as [l, i], one solve for both
-        rhs = np.concatenate([partials(A[:, :n]).transpose(0, 2, 1).reshape(n + 1, n * n), partials(A[:, n])], axis=1)
-        sol = jet_solve(A, rhs)
-        conn_part, xi_part = sol[:, : n * n].reshape(n + 1, n, n), sol[:, n * n :]
+        # d_i of the frame columns as [l, i, j]: omega e_j for j < n, xi for
+        # j = n; one solve for both
+        sol = jet_solve(A, partials(A).transpose(0, 2, 1))
+        conn_part, xi_part = sol[:, :, :n], sol[:, :, n]
         return conn_part[:n], conn_part[n], -xi_part[:n], xi_part[n]
 
 
@@ -141,7 +134,7 @@ def check_realization(dist: AffineDistribution, config: RunConfig):
 
     def symm_fn(p):
         _, g, _, _ = dist.decompose(p, 0)
-        gv = values_of(g)
+        gv = g.value
         return float(np.max(np.abs(gv - gv.T))), 1.0 + np.max(np.abs(gv))
 
     out = [run_pointwise_check("realization_metric_symmetry", dist.chart, symm_fn, config,
@@ -160,7 +153,7 @@ def check_realization_curvature_law(dist: AffineDistribution, config: RunConfig)
         require_nondegenerate(s.g.value(p))
         R = curvature_values(s.conn, p)
         gv = s.g.value(p)
-        Bv = values_of(B_fn(p, 0))
+        Bv = B_fn(p, 0).value
         rhs = np.einsum("jk,li->lkij", gv, Bv) - np.einsum("ik,lj->lkij", gv, Bv)
         return float(np.max(np.abs(R - rhs))), 1.0 + np.max(np.abs(R)) + np.max(np.abs(rhs))
 
@@ -178,7 +171,7 @@ def check_realization_ricci_scalar(dist: AffineDistribution, config: RunConfig):
     def fn(p):
         gv = s.g.value(p)
         require_nondegenerate(gv)
-        Bv = values_of(B_fn(p, 0))
+        Bv = B_fn(p, 0).value
         E, eps = orthonormal_frame(gv)
         # gBE[i] = g(B(E_i), E_i)
         BE = Bv @ E
@@ -214,7 +207,7 @@ def check_shape_proportional_scalar(dist: AffineDistribution, config: RunConfig)
     def fn(p):
         gv = s.g.value(p)
         require_nondegenerate(gv)
-        Bv = values_of(B_fn(p, 0))
+        Bv = B_fn(p, 0).value
         c = float(np.trace(Bv)) / n
         if np.max(np.abs(Bv - c * np.eye(n))) > config.tol * (1.0 + np.max(np.abs(Bv))):
             raise SkipPoint("shape operator is not proportional to the identity here")
@@ -268,16 +261,16 @@ def check_xi_rescale_laws(dist: AffineDistribution, psi, variant, config: RunCon
         psi_j = psi_s.jet(p, 2)
         e = np.exp(psi_j.value)
         dpsi = psi_j.grad
-        gp = values_of(grad_psi.jet(p, 0))
+        gp = grad_psi.value(p)
         etav = s.eta.value(p)
         gamv = s.conn.value(p)
-        Bv = values_of(B_fn(p, 0))
+        Bv = B_fn(p, 0).value
         hess = covariant_derivative_of_vector(s.conn, grad_psi, p)  # [a, k]
 
         g_t = s_t.g.value(p)
         eta_t = s_t.eta.value(p)
         gam_t = s_t.conn.value(p)
-        B_t = values_of(B_t_fn(p, 0))
+        B_t = B_t_fn(p, 0).value
 
         r_g = np.max(np.abs(g_t - e * gv))
         if variant == "inner":

@@ -16,7 +16,6 @@ from .fields import (
     negate_tensor,
     sum_tensors,
 )
-from .jets import values_of
 from .structures import Structure, is_smt, is_swmt, semi_dual_connection
 from .tensor import (
     covariant_derivative_of_vector,
@@ -79,12 +78,25 @@ def transform(s: Structure, t: TransformData) -> Structure:
 # -- pointwise data shared by the section's checks ---------------------------
 
 
+def _point_data_memo(s, t):
+    """``p -> _PointData(s, t, p)``, built once per point for the life of
+    the memo, so that the laws of one check share it."""
+    built = {}
+
+    def point_data(p):
+        key = p.tobytes()
+        if key not in built:
+            built[key] = _PointData(s, t, p)
+        return built[key]
+
+    return point_data
+
+
 class _PointData:
     def __init__(self, s: Structure, t: TransformData, p):
         n = s.chart.dim
         self.n = n
-        G = s.g.jet(p, 1)
-        self.g = values_of(G)
+        self.g = s.g.value(p)
         require_nondegenerate(self.g)
         self.ginv = np.linalg.inv(self.g)
         self.gam = s.conn.value(p)
@@ -306,17 +318,12 @@ def _rhs_scal(d: _PointData):
     )
 
 
-def check_curvature_transform(s: Structure, t: TransformData, config: RunConfig):
+def check_curvature_transform(s: Structure, t: TransformData, config: RunConfig, point_data=None):
     """Compare the transformed curvature, Ricci and scalar curvature against
-    the term-by-term assembled change-of-curvature formulas."""
+    the term-by-term assembled change-of-curvature formulas; ``point_data``
+    is a :func:`_point_data_memo` of ``(s, t)`` to share with other laws."""
     st = transform(s, t)
-    shared = {}  # point bytes -> _PointData, built once for the three laws
-
-    def point_data(p):
-        key = p.tobytes()
-        if key not in shared:
-            shared[key] = _PointData(s, t, p)
-        return shared[key]
+    point_data = point_data or _point_data_memo(s, t)
 
     def r_fn(p):
         d = point_data(p)
@@ -350,9 +357,10 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
     """The antisymmetric part of the transformed Ricci tensor, in both the
     covariant-derivative form and the torsion-contraction restatement."""
     st = transform(s, t)
+    point_data = _point_data_memo(s, t)
 
     def full_fn(p):
-        d = _PointData(s, t, p)
+        d = point_data(p)
         lhs = ricci_values(st.conn, st.g, p)
         lhs = lhs - lhs.T
         ngradphi = np.einsum("jmk,m->jk", d.ng, d.grad_phi)
@@ -370,7 +378,7 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def torsion_form_fn(p):
-        d = _PointData(s, t, p)
+        d = point_data(p)
         lhs = ricci_values(st.conn, st.g, p)
         lhs = lhs - lhs.T
         gT_df = np.einsum("mjk,m->jk", d.T, d.dphi)  # g(T(d_j, d_k), grad phi)
@@ -424,8 +432,9 @@ def check_conformal_corollaries(s: Structure, psi, config: RunConfig):
     chart = s.chart
     t = TransformData(chart, ScalarField.zero(chart), psi)
     st = transform(s, t)
+    point_data = _point_data_memo(s, t)
     out = []
-    laws = check_curvature_transform(s, t, config)
+    laws = check_curvature_transform(s, t, config, point_data)
     for v, nm in zip(laws, ("conformal_curvature_law", "conformal_ricci_law", "conformal_scalar_law")):
         v.name = nm
         out.append(v)
@@ -443,7 +452,7 @@ def check_conformal_corollaries(s: Structure, psi, config: RunConfig):
                                        detail="antisymmetric Ricci part unchanged under a pure conformal-gradient change"))
 
         def cyclic_fn(p):
-            d = _PointData(s, t, p)
+            d = point_data(p)
             term = (
                 np.einsum("mjk,m->jk", d.T, d.dpsi)
                 + np.einsum("mka,a,mj->jk", d.T, d.grad_psi, d.g)

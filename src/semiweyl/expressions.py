@@ -20,7 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .jets import EvaluationDomainError, Jet
+from .jets import EvaluationDomainError, Jet, jet_stack
 
 __all__ = [
     "Expression",
@@ -31,6 +31,7 @@ __all__ = [
     "parse_expression",
     "differentiate",
     "eval_jet",
+    "eval_jets",
     "eval_value",
     "finite_difference",
     "FUNCTIONS",
@@ -484,17 +485,33 @@ def differentiate(e, coord_index):
     return e.diff(coord_index)
 
 
-def eval_jet(e, point, order, dim=None):
-    """Evaluate ``e`` and its partials up to ``order`` at ``point``."""
+def _coordinate_jets(point, order, dim):
     point = np.asarray(point, dtype=float)
     n = dim if dim is not None else point.shape[0]
-    coord_jets = [Jet.coordinate(point[i], i, n, order) for i in range(n)]
-    j = e.jet(coord_jets)
-    if isinstance(j, (int, float)):
-        j = Jet.constant(j, n, order)
+    return [Jet.coordinate(point[i], i, n, order) for i in range(n)]
+
+
+def _checked(j):
     if not j.is_finite():
         raise EvaluationDomainError("non-finite value in expression evaluation")
     return j
+
+
+def eval_jet(e, point, order, dim=None):
+    """Evaluate ``e`` and its partials up to ``order`` at ``point``."""
+    return _checked(e.jet(_coordinate_jets(point, order, dim)))
+
+
+def eval_jets(exprs, point, order, dim=None):
+    """Jets of the expressions ``exprs`` at ``point``, stacked on a new
+    first axis; an expression object listed more than once is evaluated
+    once."""
+    coords = _coordinate_jets(point, order, dim)
+    done = {}
+    for e in exprs:
+        if id(e) not in done:
+            done[id(e)] = _checked(e.jet(coords))
+    return jet_stack([done[id(e)] for e in exprs])
 
 
 def eval_value(e, point, dim=None):

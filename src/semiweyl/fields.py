@@ -1,13 +1,16 @@
 """Charts and pointwise jet-evaluable tensor fields.
 
-Every field is a function from a chart point to an object array of jets of
-a requested order.  Expression-backed fields are the common case; derived
-fields (duals, induced connections, transformed structures) are closures
-over other fields, so derivative information flows through every
-construction without symbolic matrix algebra.  Derived fields combine jets
-with :func:`~semiweyl.jets.jet_einsum` (contractions and outer products),
-:func:`~semiweyl.jets.partials` (coordinate derivatives) and plain
-object-array arithmetic (``G + K``, ``-K``, ``G * f``).
+Every field is a function from a chart point to a dense
+:class:`~semiweyl.jets.Jet` of a requested order, whose tensor shape is the
+field's components (``()`` for a scalar field, ``(n, n)`` for a metric).
+Expression-backed fields evaluate their component expressions into one
+jet (:func:`~semiweyl.expressions.eval_jets`); derived fields (duals,
+induced connections, transformed structures) are closures over other
+fields, so derivative information flows through every construction
+without symbolic matrix algebra.  Derived fields combine jets with
+:func:`~semiweyl.jets.jet_einsum` (contractions and outer products),
+:func:`~semiweyl.jets.partials` (coordinate derivatives) and jet
+arithmetic (``G + K``, ``-K``, ``G * f``).
 
 Each field remembers its jets at the most recent point it was evaluated
 at, one result per order (:class:`LastPointCache`), so a check that asks a
@@ -22,8 +25,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .expressions import Expression, Num, eval_jet, parse_expression
-from .jets import constant_jets, jet_einsum, partials, values_of
+from .expressions import Expression, Num, eval_jet, eval_jets, parse_expression
+from .jets import Jet, jet_einsum, partials
 
 __all__ = [
     "Chart",
@@ -77,9 +80,10 @@ class LastPointCache:
     order; points are compared by their float bytes.
 
     A call at a new point drops the previous point's results, so the memory
-    held is one point's worth per owner.  Returned arrays (and the arrays of
-    a returned tuple) are made read-only, since every caller at that point
-    gets the same objects.  Nothing is stored when ``fn`` raises.
+    held is one point's worth per owner.  The layers of a returned jet,
+    returned arrays and those of a returned tuple are made read-only, since
+    every caller at that point gets the same objects.  Nothing is stored
+    when ``fn`` raises.
     """
 
     __slots__ = ("_key", "_by_order")
@@ -97,14 +101,15 @@ class LastPointCache:
         if out is None:
             out = fn(p, order)
             for a in out if isinstance(out, tuple) else (out,):
-                if isinstance(a, np.ndarray):
-                    a.flags.writeable = False
+                for L in a.layers if isinstance(a, Jet) else (a,):
+                    if isinstance(L, np.ndarray):
+                        L.flags.writeable = False
             self._by_order[order] = out
         return out
 
 
 class _Field:
-    """Base: wraps ``fn(point, order) -> object array of jets``."""
+    """Base: wraps ``fn(point, order) -> Jet``."""
 
     shape_rank = 0
 
@@ -115,14 +120,13 @@ class _Field:
         self.expressions = expressions  # AST grid when expression-backed
 
     def jet(self, p, order):
-        """Jets of order ``order`` at ``p`` (an object array, or a jet for a
-        scalar field).  The result at the most recent point is kept per
-        order and shared by every caller, so arrays are read-only; ``fn``
-        must depend only on ``(p, order)``."""
+        """The jet of order ``order`` at ``p``.  The result at the most
+        recent point is kept per order and shared by every caller, so its
+        layers are read-only; ``fn`` must depend only on ``(p, order)``."""
         return self._jets(self._fn, p, order)
 
     def value(self, p):
-        return values_of(self.jet(p, 0))[()]  # a float for a scalar field
+        return self.jet(p, 0).value  # a float for a scalar field
 
 
 def _expr_of(item, chart):
@@ -131,6 +135,12 @@ def _expr_of(item, chart):
     if isinstance(item, str):
         return chart.parse(item)
     return Num(float(item))
+
+
+def _components(exprs, shape, dim):
+    """``fn(p, order)`` evaluating the flat list ``exprs`` into a jet of
+    tensor shape ``shape``."""
+    return lambda p, order: eval_jets(exprs, p, order, dim=dim).reshape(shape)
 
 
 class ScalarField(_Field):
@@ -150,14 +160,7 @@ class OneFormField(_Field):
         es = [_expr_of(c, chart) for c in comps]
         if len(es) != chart.dim:
             raise ValueError("one-form needs one component per coordinate")
-
-        def fn(p, order):
-            out = np.empty(chart.dim, dtype=object)
-            for i, e in enumerate(es):
-                out[i] = eval_jet(e, p, order, dim=chart.dim)
-            return out
-
-        return cls(chart, fn, expressions=es)
+        return cls(chart, _components(es, (chart.dim,), chart.dim), expressions=es)
 
     @classmethod
     def zero(cls, chart):
@@ -179,14 +182,7 @@ class VectorField(_Field):
     @classmethod
     def from_expressions(cls, chart, comps):
         es = [_expr_of(c, chart) for c in comps]
-
-        def fn(p, order):
-            out = np.empty(chart.dim, dtype=object)
-            for i, e in enumerate(es):
-                out[i] = eval_jet(e, p, order, dim=chart.dim)
-            return out
-
-        return cls(chart, fn, expressions=es)
+        return cls(chart, _components(es, (chart.dim,), chart.dim), expressions=es)
 
 
 class MetricField(_Field):
@@ -200,17 +196,10 @@ class MetricField(_Field):
                 upper = _expr_of(grid[j][i], chart)
                 if str(upper) != str(e):
                     raise ValueError(f"metric components ({i},{j}) and ({j},{i}) differ")
-                # shared node keeps g symmetric bitwise under evaluation
+                # one shared node, evaluated once, keeps g symmetric bitwise
                 es[i][j] = es[j][i] = e
 
-        def fn(p, order):
-            out = np.empty((n, n), dtype=object)
-            for i in range(n):
-                for j in range(i, n):
-                    out[i, j] = out[j, i] = eval_jet(es[i][j], p, order, dim=n)
-            return out
-
-        return cls(chart, fn, expressions=es)
+        return cls(chart, _components([e for row in es for e in row], (n, n), n), expressions=es)
 
     @classmethod
     def from_diagonal(cls, chart, diag):
@@ -235,30 +224,18 @@ class ConnectionField(_Field):
     def from_expressions(cls, chart, grid):
         n = chart.dim
         es = [[[_expr_of(grid[k][i][j], chart) for j in range(n)] for i in range(n)] for k in range(n)]
-
-        def fn(p, order):
-            out = np.empty((n, n, n), dtype=object)
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        out[k, i, j] = eval_jet(es[k][i][j], p, order, dim=n)
-            return out
-
-        return cls(chart, fn, expressions=es)
+        flat = [e for plane in es for row in plane for e in row]
+        return cls(chart, _components(flat, (n, n, n), n), expressions=es)
 
     @classmethod
     def flat(cls, chart):
         n = chart.dim
-
-        def fn(p, order):
-            return constant_jets(np.zeros((n, n, n)), n, order)
-
-        return cls(chart, fn)
+        return cls(chart, lambda p, order: Jet.constant(np.zeros((n, n, n)), n, order))
 
     def add_tensor(self, tensor_fn):
         """Connection plus a (1,2) difference tensor.
 
-        ``tensor_fn(p, order)`` must return a (k, i, j) object array of jets.
+        ``tensor_fn(p, order)`` must return a (k, i, j) jet.
         """
 
         return ConnectionField(self.chart, lambda p, order: self.jet(p, order) + tensor_fn(p, order))

@@ -5,9 +5,11 @@ behaviour under the conformal-projective transformation)."""
 
 from __future__ import annotations
 
+import string
+
 import numpy as np
 
-from .expressions import eval_jet
+from .expressions import eval_jets
 from .fields import (
     Chart,
     ConnectionField,
@@ -17,7 +19,7 @@ from .fields import (
     OneFormField,
     ScalarField,
 )
-from .jets import jet_compose, jet_det, jet_einsum, jet_solve, partials, values_of
+from .jets import jet_compose, jet_einsum, jet_solve, partials, permutation_signs
 from .structures import Structure, is_swmt, semi_dual_connection
 from .tensor import (
     curvature_values,
@@ -67,13 +69,10 @@ class EmbeddingMap:
         return self._jets(self._eval_jet, p, order)
 
     def _eval_jet(self, p, order):
-        out = np.empty(self.ambient.dim, dtype=object)
-        for i, c in enumerate(self.components):
-            out[i] = eval_jet(c, p, order, dim=self.domain.dim)
-        return out
+        return eval_jets(self.components, p, order, dim=self.domain.dim)
 
     def value(self, p):
-        return values_of(self.jet(p, 0))
+        return self.jet(p, 0).value
 
     def compose(self, field, extra_order=0):
         """Pull an ambient field back through the map: returns a function
@@ -81,7 +80,7 @@ class EmbeddingMap:
 
         def fn(p, order):
             F = self.jet(p, order + extra_order)
-            return jet_compose(field.jet(values_of(F), order), F)
+            return jet_compose(field.jet(F.value, order), F)
 
         return fn
 
@@ -91,7 +90,7 @@ def pullback_scalar(emb: EmbeddingMap, f) -> ScalarField:
 
     def fn(p, order):
         F = emb.jet(p, order)
-        return jet_compose(fs.jet(values_of(F), order), F)
+        return jet_compose(fs.jet(F.value, order), F)
 
     return ScalarField(emb.domain, fn)
 
@@ -120,7 +119,7 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
 
     def conn_fn(p, order):
         gp, dF, Gc = _induced_metric_jets(emb, s.g, p, order)
-        require_nondegenerate(values_of(gp))
+        require_nondegenerate(gp.value)
         W = _ambient_derivative_of_frame(emb, s.conn, p, order)
         # g'_{kd} gamma^k_{ab} = g(dF e_d, W_ab)
         return jet_solve(gp, jet_einsum("id,ij,jab->dab", dF, Gc, W))
@@ -153,22 +152,22 @@ class HypersurfaceFrame:
         self._sign = None
 
     def _raw_normal(self, p, order):
-        """Un-normalized conormal by cofactor expansion, raised with the
-        inverse metric; returns (N_raw ambient-vector jets, Gc, dF)."""
+        """Un-normalized conormal ``nu_i = eps_{i j k ...} dF[j, 0] dF[k, 1]
+        ...`` (the cofactors of the differential), raised with the inverse
+        metric; returns (N_raw, nu, Gc, dF)."""
         emb = self.emb
         dF = partials(emb.jet(p, order + 1))
         Gc = emb.compose(self.s.g)(p, order)
-        nu = np.empty(emb.ambient.dim, dtype=object)
-        for i in range(emb.ambient.dim):
-            d = jet_det(np.delete(dF, i, axis=0))
-            nu[i] = d if i % 2 == 0 else -d
+        i, *rows = string.ascii_letters[: emb.ambient.dim]
+        spec = f"{i}{''.join(rows)},{','.join(rows)}->{i}"
+        nu = jet_einsum(spec, permutation_signs(emb.ambient.dim), *dF.T)
         return jet_solve(Gc, nu), nu, Gc, dF
 
     def _orientation(self):
         if self._sign is None:
             p = self.emb.domain.center()
             N_raw, nu, _, _ = self._raw_normal(p, 0)
-            vals = values_of(N_raw)
+            vals = N_raw.value
             pivot = int(np.argmax(np.abs(vals)))
             self._sign = (pivot, 1.0 if vals[pivot] > 0 else -1.0)
         return self._sign
@@ -179,7 +178,7 @@ class HypersurfaceFrame:
         N_raw, nu, Gc, dF = self._raw_normal(p, order)
         norm2 = jet_einsum("i,i->", nu, N_raw)
         v = norm2.value
-        gvals = values_of(Gc)
+        gvals = Gc.value
         if abs(v) <= degeneracy_threshold(gvals):
             raise DegeneratePointError("normal direction is null at this point")
         eps = 1.0 if v > 0 else -1.0
@@ -216,7 +215,7 @@ class HypersurfaceFrame:
         tau = -tau if eps < 0 else tau
         beta = -jet_einsum("ij,ia,jb->ab", Gc, DN, dF)
         gp, _, _ = _induced_metric_jets(self.emb, self.s.g, p, order)
-        require_nondegenerate(values_of(gp))
+        require_nondegenerate(gp.value)
         B = jet_solve(gp, beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}
         return beta, tau, B, eps
 
@@ -246,8 +245,8 @@ def check_induced_duality_commutes(emb: EmbeddingMap, s: Structure, config: RunC
     rhs = induced_structure(emb, amb_dual).conn
 
     def fn(p):
-        L = values_of(lhs.jet(p, 0))
-        R = values_of(rhs.jet(p, 0))
+        L = lhs.value(p)
+        R = rhs.value(p)
         return float(np.max(np.abs(L - R))), 1.0 + np.max(np.abs(L)) + np.max(np.abs(R))
 
     return [run_pointwise_check("induced_duality_commutes", emb.domain, fn, config,
@@ -266,11 +265,11 @@ def check_induced_cp_equivalence(emb: EmbeddingMap, s: Structure, t, config: Run
     rhs = transform(induced_structure(emb, s), t_res)
 
     def fn(p):
-        Lg = values_of(lhs.g.jet(p, 0))
-        Rg = values_of(rhs.g.jet(p, 0))
+        Lg = lhs.g.value(p)
+        Rg = rhs.g.value(p)
         require_nondegenerate(Rg)
-        Lc = values_of(lhs.conn.jet(p, 0))
-        Rc = values_of(rhs.conn.jet(p, 0))
+        Lc = lhs.conn.value(p)
+        Rc = rhs.conn.value(p)
         res = max(np.max(np.abs(Lg - Rg)), np.max(np.abs(Lc - Rc)))
         return float(res), 1.0 + np.max(np.abs(Lg)) + np.max(np.abs(Lc)) + np.max(np.abs(Rc))
 
@@ -288,7 +287,7 @@ def check_beta_symmetry(emb: EmbeddingMap, s: Structure, config: RunConfig):
 
     def fn(p):
         beta, _, _, _ = frame.weingarten(p)
-        b = values_of(beta)
+        b = beta.value
         return float(np.max(np.abs(b - b.T))), 1.0 + np.max(np.abs(b))
 
     return [run_pointwise_check("beta_symmetry", emb.domain, fn, config,
@@ -307,9 +306,9 @@ def check_duality_pairing(emb: EmbeddingMap, s: Structure, config: RunConfig):
         alpha_star, _ = frame.second_fundamental_form(p, conn=dual)
         beta_star, _, _, _ = frame.weingarten(p, conn=dual)
         alpha, _ = frame.second_fundamental_form(p)
-        r1 = np.max(np.abs(values_of(beta) - eps * values_of(alpha_star)))
-        r2 = np.max(np.abs(values_of(beta_star) - eps * values_of(alpha)))
-        scale = 1.0 + np.max(np.abs(values_of(beta))) + np.max(np.abs(values_of(alpha)))
+        r1 = np.max(np.abs(beta.value - eps * alpha_star.value))
+        r2 = np.max(np.abs(beta_star.value - eps * alpha.value))
+        scale = 1.0 + np.max(np.abs(beta.value)) + np.max(np.abs(alpha.value))
         return float(max(r1, r2)), scale
 
     return [run_pointwise_check("duality_pairing", emb.domain, fn, config,
@@ -322,7 +321,7 @@ def umbilic_deviation(frame: HypersurfaceFrame, p, order=0):
     beta, _, _, _ = frame.weingarten(p, order)
     gp, _, _ = _induced_metric_jets(frame.emb, frame.s.g, p, order)
     f = jet_einsum("ab,ab->", beta, gp) / jet_einsum("ab,ab->", gp, gp)
-    dev = np.max(np.abs(values_of(beta) - f.value * values_of(gp)))
+    dev = np.max(np.abs(beta.value - f.value * gp.value))
     return f, float(dev), beta, gp
 
 
@@ -344,10 +343,10 @@ def check_umbilic_preservation(emb: EmbeddingMap, s: Structure, t, config: RunCo
         q = emb.value(p)
         phi_j = t.phi.jet(q, 1)
         psi_j = t.psi.jet(q, 1)
-        dphi_N = float(sum(phi_j.grad[i] * N[i].value for i in range(emb.ambient.dim)))
+        dphi_N = float(phi_j.grad @ N.value)
         factor = np.exp((phi_j.value + psi_j.value) / 2.0)
-        rhs = factor * (values_of(beta) - dphi_N * values_of(gp))
-        lhs = values_of(beta_t)
+        rhs = factor * (beta.value - dphi_N * gp.value)
+        lhs = beta_t.value
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     out = [run_pointwise_check("cp_beta_law", emb.domain, law_fn, config,
@@ -355,11 +354,11 @@ def check_umbilic_preservation(emb: EmbeddingMap, s: Structure, t, config: RunCo
 
     def umbilic_fn(p):
         _, dev_before, _, gp = umbilic_deviation(frame, p)
-        scale_b = 1.0 + np.max(np.abs(values_of(gp)))
+        scale_b = 1.0 + np.max(np.abs(gp.value))
         if dev_before > config.tol * scale_b:
             raise SkipPoint("point is not umbilic before the transformation")
         _, dev_after, beta_t, gp_t = umbilic_deviation(frame_t, p)
-        return float(dev_after), 1.0 + np.max(np.abs(values_of(gp_t)))
+        return float(dev_after), 1.0 + np.max(np.abs(gp_t.value))
 
     out.append(run_pointwise_check("umbilic_preservation", emb.domain, umbilic_fn, config,
                                    detail="umbilic points stay umbilic under the transformation"))
@@ -372,43 +371,37 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
     second fundamental form."""
     frame = HypersurfaceFrame(emb, s)
     ind = induced_structure(emb, s)
-    m = emb.domain.dim
 
     def fn(p):
         q = emb.value(p)
         R_amb = curvature_values(s.conn, q)
-        dF = values_of(partials(emb.jet(p, 1)))
+        dF = emb.jet(p, 1).grad
         lhs = np.einsum("lkij,kc,ia,jb->lcab", R_amb, dF, dF, dF)
 
         Rp = curvature_values(ind.conn, p)
-        gam_p = values_of(ind.conn.jet(p, 0))
+        gam_p = ind.conn.value(p)
         Tp = torsion_values(ind.conn, p)
         alpha_j, eps = frame.second_fundamental_form(p, order=1)
-        alpha = values_of(alpha_j)
-        dalpha = values_of(partials(alpha_j)).transpose(2, 0, 1)  # [a, b, c] = d_a alpha_bc
+        alpha = alpha_j.value
+        dalpha = alpha_j.grad.transpose(2, 0, 1)  # [a, b, c] = d_a alpha_bc
         # (nabla'_a alpha)(b, c)
         nalpha = dalpha - np.einsum("mab,mc->abc", gam_p, alpha) - np.einsum("mac,bm->abc", gam_p, alpha)
         beta_j, tau_j, B_j, _ = frame.weingarten(p)
-        tau = values_of(tau_j)
-        B = values_of(B_j)  # B[d, a]
+        tau = tau_j.value
+        B = B_j.value  # B[d, a]
         N, _ = frame.normal(p, 0)
-        Nv = values_of(N)
+        Nv = N.value
 
         rhs = np.einsum("dcab,ld->lcab", Rp, dF)
         shape_term = np.einsum("bc,da->dcab", alpha, B) - np.einsum("ac,db->dcab", alpha, B)
         rhs -= np.einsum("dcab,ld->lcab", shape_term, dF)
-        normal_coeff = np.empty((m, m, m))
-        for a in range(m):
-            for b in range(m):
-                for c in range(m):
-                    normal_coeff[c, a, b] = (
-                        nalpha[a, b, c]
-                        + alpha[b, c] * tau[a]
-                        - nalpha[b, a, c]
-                        - alpha[a, c] * tau[b]
-                        + float(Tp[:, a, b] @ alpha[:, c])
-                    )
-        rhs += np.einsum("cab,l->lcab", normal_coeff, Nv)
+        # the normal component, as [a, b, c]
+        normal = (
+            nalpha - nalpha.transpose(1, 0, 2)
+            + np.einsum("bc,a->abc", alpha, tau) - np.einsum("ac,b->abc", alpha, tau)
+            + np.einsum("mab,mc->abc", Tp, alpha)
+        )
+        rhs += np.einsum("abc,l->lcab", normal, Nv)
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     return [run_pointwise_check("gauss_equation", emb.domain, fn, config,
@@ -432,7 +425,7 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
         R_star = curvature_values(dual, q)
         _, dev, _, gp = umbilic_deviation(frame, p)
         res = max(np.max(np.abs(R_star)), dev)
-        return float(res), 1.0 + np.max(np.abs(values_of(gp)))
+        return float(res), 1.0 + np.max(np.abs(gp.value))
 
     gate = run_pointwise_check("flat_dual/hypothesis", emb.domain, gate_fn, config)
     if not gate.passed:
@@ -440,11 +433,11 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
 
     def fn(p):
         f_jet, _, _, gp = umbilic_deviation(frame, p, order=1)
-        gpv = values_of(gp)
+        gpv = gp.value
         Rp = curvature_values(ind_dual, p)
         _, tau_star_j, B_star_j, eps = frame.weingarten(p, conn=dual)
-        B_star = values_of(B_star_j)
-        tau_star = values_of(tau_star_j)
+        B_star = B_star_j.value
+        tau_star = tau_star_j.value
         f = f_jet.value
         rhs = eps * f * (
             np.einsum("bc,da->dcab", gpv, B_star) - np.einsum("ac,db->dcab", gpv, B_star)

@@ -1,17 +1,24 @@
-"""Truncated Taylor (jet) arithmetic up to third order.
+"""Truncated Taylor (jet) arithmetic up to third order, stored densely.
 
-A ``Jet`` carries the value of a smooth function at a point together with
-its partial derivatives up to a fixed order (0 to 3).  Arithmetic on jets
-implements the product and chain rules exactly, so any quantity assembled
-from jets carries exact derivatives of the assembly.
+A :class:`Jet` is a tensor of smooth functions at a point together with
+their partial derivatives up to a fixed order (0 to 3) in ``n`` variables.
+It holds one dense array per order: ``layers[r]`` has the tensor shape
+followed by ``r`` derivative axes of length ``n`` (value, grad, hess,
+third).  A scalar jet is the shape-``()`` case; its value is a float.
+Arithmetic implements the product and chain rules exactly (the truncated
+Taylor arithmetic of Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
+ch. 13), so any quantity assembled from jets carries exact derivatives of
+the assembly.
 
-Modules combine object arrays of jets through four helpers, which gather
-each operand once into dense value/grad/hess/third layers and scatter the
-result back into jets: :func:`jet_einsum` contracts them by the Leibniz
-rule, :func:`partials` appends a derivative axis, :func:`jet_solve` solves
-linear systems (differentiating ``A(x) s(x) = b(x)`` order by order) and
-:func:`jet_compose` applies the chain rule.  Elementwise sums, negation and
-scaling are plain object-array arithmetic (``G + K``, ``-K``, ``G * f``).
+Jets index, transpose, reshape and iterate over their tensor axes, and
+``+ - * /`` broadcast between jets, float arrays and floats as numpy
+arrays do.  Five helpers work on the layers: :func:`jet_einsum` contracts
+jets by the Leibniz rule, :func:`partials` turns the first derivative axis
+into a tensor axis, :func:`jet_solve` solves linear systems
+(differentiating ``A(x) s(x) = b(x)`` order by order), :func:`jet_compose`
+applies the chain rule and :func:`jet_stack` stacks jets on a new axis.
+A jet is never modified in place, so results may share layers with their
+operands.
 """
 
 from __future__ import annotations
@@ -32,9 +39,9 @@ __all__ = [
     "jet_det",
     "jet_compose",
     "jet_einsum",
+    "jet_stack",
     "partials",
-    "constant_jets",
-    "values_of",
+    "permutation_signs",
 ]
 
 
@@ -47,287 +54,286 @@ class EvaluationDomainError(ArithmeticError):
     (division by zero, log/sqrt of a non-positive value)."""
 
 
+# -- layer helpers ---------------------------------------------------------------
+
+
+def _up(x, k):
+    """``x`` with ``k`` unit axes appended, to broadcast a value (or an
+    elementwise coefficient) against a layer with ``k`` derivative axes; a
+    float broadcasts as it is."""
+    return x if isinstance(x, float) else x[(Ellipsis,) + (None,) * k]
+
+
+def _scalar(x):
+    """A 0-d array as a float (the value layer of a scalar jet)."""
+    return x[()] if isinstance(x, np.ndarray) and x.ndim == 0 else x
+
+
+def _any(cond):
+    return cond.any() if isinstance(cond, np.ndarray) else cond
+
+
+def _finite(x):
+    return math.isfinite(x) if isinstance(x, float) else bool(np.isfinite(x).all())
+
+
+def _sym3(t):
+    """Sum of the three placements of the first derivative axis of
+    ``t[..., i, j, k] = u_i v_jk`` (``v`` symmetric)."""
+    s = t.swapaxes(-3, -2)
+    return t + s + s.swapaxes(-2, -1)
+
+
+def _cross12(u, v):
+    """``u_i v_jk`` for layers ``u`` with one and ``v`` with two derivative axes."""
+    return u[..., :, None, None] * v[..., None, :, :]
+
+
 class Jet:
-    """Value plus partial derivatives up to ``order`` in ``n`` variables."""
+    """A tensor of values plus partial derivatives up to ``order`` in ``n``
+    variables: ``layers[r]`` has shape ``shape + (n,) * r``."""
 
-    __slots__ = ("n", "order", "value", "grad", "hess", "third")
+    __slots__ = ("n", "layers")
+    __array_ufunc__ = None  # numpy operators defer to the jet's own
 
-    def __init__(self, n, order, value, grad=None, hess=None, third=None):
-        if not 0 <= order <= 3:
-            raise JetOrderError(f"jet order must be in 0..3, got {order}")
+    def __init__(self, n, layers):
+        if not 1 <= len(layers) <= 4:
+            raise JetOrderError(f"jet order must be in 0..3, got {len(layers) - 1}")
         self.n = n
-        self.order = order
-        self.value = float(value)
-        self.grad = grad if grad is not None else (np.zeros(n) if order >= 1 else None)
-        self.hess = hess if hess is not None else (np.zeros((n, n)) if order >= 2 else None)
-        self.third = third if third is not None else (np.zeros((n, n, n)) if order >= 3 else None)
+        self.layers = layers
 
     # -- constructors -----------------------------------------------------
 
     @staticmethod
     def constant(c, n, order):
-        return Jet(n, order, c)
+        """Jet of the constant(s) ``c``: every derivative is zero."""
+        if not 0 <= order <= 3:
+            raise JetOrderError(f"jet order must be in 0..3, got {order}")
+        if isinstance(c, (int, float)):
+            c, shape = float(c), ()
+        else:
+            c = _scalar(np.asarray(c, dtype=float))
+            shape = np.shape(c)
+        return Jet(n, [c] + [np.zeros(shape + (n,) * r) for r in range(1, order + 1)])
 
     @staticmethod
     def coordinate(value, index, n, order):
-        j = Jet(n, order, value)
+        j = Jet.constant(value, n, order)
         if order >= 1:
-            j.grad[index] = 1.0
+            j.layers[1][index] = 1.0
         return j
 
-    # -- basic queries -----------------------------------------------------
+    # -- layers and tensor axes ---------------------------------------------
+
+    @property
+    def order(self):
+        return len(self.layers) - 1
+
+    @property
+    def shape(self):
+        return np.shape(self.layers[0])
+
+    @property
+    def ndim(self):
+        return len(self.shape)
+
+    @property
+    def value(self):
+        return self.layers[0]
+
+    def _layer(self, r):
+        if r > self.order:
+            raise JetOrderError(f"a jet of order {self.order} has no derivatives of order {r}")
+        return self.layers[r]
+
+    grad = property(lambda self: self._layer(1))
+    hess = property(lambda self: self._layer(2))
+    third = property(lambda self: self._layer(3))
+
+    def __array__(self, *args, **kwargs):
+        raise TypeError("a Jet is not a numpy array: read its .value or .layers")
+
+    def __len__(self):
+        if not self.shape:
+            raise TypeError("len() of a scalar jet")
+        return self.shape[0]
+
+    def __iter__(self):
+        return (self[i] for i in range(len(self)))
+
+    def __getitem__(self, idx):
+        """Index the tensor axes; the derivative axes are kept."""
+        idx = idx if isinstance(idx, tuple) else (idx,)
+        if any(i is Ellipsis for i in idx):
+            return Jet(self.n, [_scalar(L[idx + (slice(None),) * r]) for r, L in enumerate(self.layers)])
+        L0, *rest = self.layers
+        return Jet(self.n, [L0[idx]] + [L[idx + (Ellipsis,)] for L in rest])
+
+    def transpose(self, *axes):
+        k = self.ndim
+        if len(axes) == 1 and not isinstance(axes[0], int):
+            axes = tuple(axes[0])
+        axes = tuple(a % k for a in axes) if axes else tuple(reversed(range(k)))
+        return Jet(self.n, [np.transpose(L, axes + tuple(range(k, k + r))) for r, L in enumerate(self.layers)])
+
+    @property
+    def T(self):
+        return self.transpose()
+
+    def reshape(self, *shape):
+        if len(shape) == 1 and not isinstance(shape[0], int):
+            shape = tuple(shape[0])
+        value = np.reshape(self.layers[0], shape)
+        shape = value.shape
+        return Jet(self.n, [_scalar(value)] + [L.reshape(shape + (self.n,) * r) for r, L in enumerate(self.layers) if r])
 
     def is_finite(self):
-        ok = math.isfinite(self.value)
-        if ok and self.order >= 1:
-            ok = bool(np.all(np.isfinite(self.grad)))
-        if ok and self.order >= 2:
-            ok = bool(np.all(np.isfinite(self.hess)))
-        if ok and self.order >= 3:
-            ok = bool(np.all(np.isfinite(self.third)))
-        return ok
-
-    def partial(self, i):
-        """Jet of ``d/dx_i`` of this function, one order lower."""
-        if self.order < 1:
-            raise JetOrderError("partial() needs a jet of order >= 1")
-        return Jet(
-            self.n,
-            self.order - 1,
-            self.grad[i],
-            self.hess[i].copy() if self.order >= 2 else None,
-            self.third[i].copy() if self.order >= 3 else None,
-        )
-
-    def truncate(self, order):
-        if order > self.order:
-            raise JetOrderError(f"cannot raise jet order {self.order} -> {order}")
-        return Jet(
-            self.n,
-            order,
-            self.value,
-            self.grad if order >= 1 else None,
-            self.hess if order >= 2 else None,
-            self.third if order >= 3 else None,
-        )
+        return all(_finite(L) for L in self.layers)
 
     def __repr__(self):
-        return f"Jet(value={self.value!r}, order={self.order}, n={self.n})"
+        return f"Jet(shape={self.shape}, order={self.order}, n={self.n})"
 
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
-        if isinstance(other, Jet):
-            if other.n != self.n:
-                raise ValueError("jet dimension mismatch")
-            if other.order != self.order:
-                o = min(self.order, other.order)
-                return self.truncate(o), other.truncate(o)
-            return self, other
-        return self, Jet.constant(float(other), self.n, self.order)
+        """Layers of ``self`` and ``other`` at their lower order; a float
+        array is a constant."""
+        if not isinstance(other, Jet):
+            other = Jet.constant(other, self.n, self.order)
+        elif other.n != self.n:
+            raise ValueError("jet dimension mismatch")
+        a, b = self.layers, other.layers
+        if len(a) == len(b):
+            return a, b
+        o = min(len(a), len(b))
+        return a[:o], b[:o]
 
     def __add__(self, other):
+        if isinstance(other, (int, float)):
+            return Jet(self.n, [self.layers[0] + other] + self.layers[1:])
         a, b = self._coerce(other)
-        return Jet(
-            a.n,
-            a.order,
-            a.value + b.value,
-            a.grad + b.grad if a.order >= 1 else None,
-            a.hess + b.hess if a.order >= 2 else None,
-            a.third + b.third if a.order >= 3 else None,
-        )
+        return Jet(self.n, [x + y for x, y in zip(a, b)])
 
     __radd__ = __add__
 
     def __neg__(self):
-        return Jet(
-            self.n,
-            self.order,
-            -self.value,
-            -self.grad if self.order >= 1 else None,
-            -self.hess if self.order >= 2 else None,
-            -self.third if self.order >= 3 else None,
-        )
+        return Jet(self.n, [-L for L in self.layers])
 
     def __sub__(self, other):
+        if isinstance(other, (int, float)):
+            return self + (-other)
         a, b = self._coerce(other)
-        return a + (-b)
+        return Jet(self.n, [x - y for x, y in zip(a, b)])
 
     def __rsub__(self, other):
         return (-self) + other
 
     def __mul__(self, other):
+        if isinstance(other, (int, float)):
+            return Jet(self.n, [L * other for L in self.layers])
         a, b = self._coerce(other)
-        o = a.order
-        value = a.value * b.value
-        grad = hess = third = None
+        a0, b0 = a[0], b[0]
+        out = [a0 * b0]
+        o = len(a) - 1
         if o >= 1:
-            grad = a.value * b.grad + b.value * a.grad
+            out.append(_up(a0, 1) * b[1] + _up(b0, 1) * a[1])
         if o >= 2:
-            hess = (
-                a.value * b.hess
-                + b.value * a.hess
-                + np.outer(a.grad, b.grad)
-                + np.outer(b.grad, a.grad)
-            )
+            t = a[1][..., :, None] * b[1][..., None, :]
+            out.append(_up(a0, 2) * b[2] + _up(b0, 2) * a[2] + t + t.swapaxes(-1, -2))
         if o >= 3:
-            third = a.value * b.third + b.value * a.third
-            for u, v in ((a, b), (b, a)):
-                third = third + (
-                    np.einsum("i,jk->ijk", u.grad, v.hess)
-                    + np.einsum("j,ik->ijk", u.grad, v.hess)
-                    + np.einsum("k,ij->ijk", u.grad, v.hess)
-                )
-        return Jet(a.n, o, value, grad, hess, third)
+            out.append(_up(a0, 3) * b[3] + _up(b0, 3) * a[3] + _sym3(_cross12(a[1], b[2]) + _cross12(b[1], a[2])))
+        return Jet(self.n, out)
 
     __rmul__ = __mul__
 
-    def compose_scalar(self, derivs):
-        """Chain rule through a univariate function.
-
-        ``derivs`` holds the outer function's value and derivatives at
-        ``self.value``, up to ``self.order``.
-        """
-        o = self.order
-        f0 = derivs[0]
-        grad = hess = third = None
+    def _chain(self, f):
+        """Chain rule through a function applied elementwise: ``f[r]`` is
+        its ``r``-th derivative at the values, up to ``self.order``."""
+        L = self.layers
+        o = len(L) - 1
+        out = [f[0]]
         if o >= 1:
-            f1 = derivs[1]
-            grad = f1 * self.grad
+            g = L[1]
+            out.append(_up(f[1], 1) * g)
         if o >= 2:
-            f2 = derivs[2]
-            g = self.grad
-            hess = f1 * self.hess + f2 * np.outer(g, g)
+            gg = g[..., :, None] * g[..., None, :]
+            out.append(_up(f[1], 2) * L[2] + _up(f[2], 2) * gg)
         if o >= 3:
-            f3 = derivs[3]
-            g = self.grad
-            h = self.hess
-            third = (
-                f1 * self.third
-                + f2
-                * (
-                    np.einsum("i,jk->ijk", g, h)
-                    + np.einsum("j,ik->ijk", g, h)
-                    + np.einsum("k,ij->ijk", g, h)
-                )
-                + f3 * np.einsum("i,j,k->ijk", g, g, g)
-            )
-        return Jet(self.n, o, f0, grad, hess, third)
+            ggg = gg[..., None] * g[..., None, None, :]
+            out.append(_up(f[1], 3) * L[3] + _up(f[2], 3) * _sym3(_cross12(g, L[2])) + _up(f[3], 3) * ggg)
+        return Jet(self.n, out)
+
+    def _apply(self, scalar_fn, array_fn):
+        v = self.layers[0]
+        return scalar_fn(v) if isinstance(v, float) else array_fn(v)
 
     def reciprocal(self):
-        v = self.value
-        if v == 0.0 or not math.isfinite(v):
+        v = self.layers[0]
+        if _any(v == 0.0) or not _finite(v):
             raise EvaluationDomainError("division by zero")
-        return self.compose_scalar(
-            (1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4)[: self.order + 1]
-        )
+        return self._chain((1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4))
 
     def __truediv__(self, other):
-        a, b = self._coerce(other)
-        return a * b.reciprocal()
+        if not isinstance(other, Jet):
+            other = Jet.constant(other, self.n, self.order)
+        return self * other.reciprocal()
 
     def __rtruediv__(self, other):
         return self.reciprocal() * other
 
     def __pow__(self, k):
         k = int(k)
-        v = self.value
+        v = self.layers[0]
         if k == 0:
-            return Jet.constant(1.0, self.n, self.order)
-        if k < 0 and v == 0.0:
+            return Jet.constant(np.ones(self.shape), self.n, self.order)
+        if k < 0 and _any(v == 0.0):
             raise EvaluationDomainError("zero raised to a negative power")
         derivs = []
         c = 1.0
         for r in range(self.order + 1):
-            e = k - r
-            derivs.append(c * (v**e if (e >= 0 or v != 0.0) else 0.0))
+            # c = k (k-1) ... (k-r+1) vanishes once r > k >= 0
+            derivs.append(c * v ** (k - r) if c else 0.0)
             c *= k - r
-        return self.compose_scalar(derivs)
+        return self._chain(derivs)
 
     # -- elementary functions -------------------------------------------------
 
     def exp(self):
-        e = math.exp(self.value)
-        return self.compose_scalar((e,) * (self.order + 1))
+        e = self._apply(math.exp, np.exp)
+        return self._chain((e,) * (self.order + 1))
 
     def log(self):
-        v = self.value
-        if v <= 0.0:
+        v = self.layers[0]
+        if _any(v <= 0.0):
             raise EvaluationDomainError("log of a non-positive value")
-        return self.compose_scalar(
-            (math.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3)[: self.order + 1]
-        )
+        return self._chain((self._apply(math.log, np.log), 1.0 / v, -1.0 / v**2, 2.0 / v**3))
 
     def sin(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self.compose_scalar((s, c, -s, -c)[: self.order + 1])
+        s, c = self._apply(math.sin, np.sin), self._apply(math.cos, np.cos)
+        return self._chain((s, c, -s, -c))
 
     def cos(self):
-        s, c = math.sin(self.value), math.cos(self.value)
-        return self.compose_scalar((c, -s, -c, s)[: self.order + 1])
+        s, c = self._apply(math.sin, np.sin), self._apply(math.cos, np.cos)
+        return self._chain((c, -s, -c, s))
 
     def sqrt(self):
-        v = self.value
-        if v < 0.0 or (v == 0.0 and self.order >= 1):
+        v = self.layers[0]
+        if _any(v < 0.0) or (self.order >= 1 and _any(v == 0.0)):
             raise EvaluationDomainError("sqrt of a negative value")
-        r = math.sqrt(v)
-        derivs = [r]
-        if self.order >= 1:
-            derivs.append(0.5 / r)
-        if self.order >= 2:
-            derivs.append(-0.25 / r**3)
-        if self.order >= 3:
-            derivs.append(0.375 / r**5)
-        return self.compose_scalar(derivs)
+        r = self._apply(math.sqrt, np.sqrt)
+        return self._chain((r, 0.5 / r, -0.25 / r**3, 0.375 / r**5) if self.order else (r,))
 
 
-# -- dense layers and contractions -------------------------------------------
-#
-# The helpers below gather the jets of each operand once into dense layers
-# (value, grad, hess, third; layer ``r`` has the operand's shape followed by
-# ``r`` derivative axes), combine the layers with ``np.einsum`` and scatter
-# the result back into jets.
+# -- contractions, solves and composition on the layers ----------------------------
 
 
-def _as_jets(x):
-    """``x`` as an object array of jets, or ``None`` when it holds floats."""
-    if isinstance(x, Jet):
-        out = np.empty((), dtype=object)
-        out[()] = x
-        return out
-    x = np.asarray(x)
-    return x if x.dtype == object else None
-
-
-def _common(arrays):
-    """Variable count shared by the jets in ``arrays`` and their lowest
-    order (the order a product truncates to, as in ``Jet._coerce``)."""
-    jets = [j for a in arrays for j in a.flat]
-    ns = {j.n for j in jets}
-    if len(ns) != 1:
+def _shared(jets):
+    """Variable count of ``jets`` and their lowest order (the order a
+    product truncates to)."""
+    n = jets[0].n
+    if any(j.n != n for j in jets):
         raise ValueError("jet dimension mismatch")
-    return ns.pop(), min(j.order for j in jets)
-
-
-def _layers(J, n, order):
-    """Dense ``[value, grad, hess, third][: order + 1]`` of an object array
-    of jets in ``n`` variables."""
-    flat = J.ravel()
-    out = [values_of(J)]
-    for r, name in enumerate(("grad", "hess", "third")[:order], start=1):
-        out.append(np.array([getattr(j, name) for j in flat], dtype=float).reshape(J.shape + (n,) * r))
-    return out
-
-
-def _scatter(layers, n):
-    """Object array of jets in ``n`` variables from dense layers."""
-    shape = layers[0].shape
-    out = np.empty(shape, dtype=object)
-    flat = out.reshape(-1)
-    rows = [L.reshape((-1,) + L.shape[len(shape):]) for L in layers]
-    for i, parts in enumerate(zip(*rows)):
-        flat[i] = Jet(n, len(layers) - 1, *parts)
-    return out
+    return n, min(len(j.layers) for j in jets) - 1
 
 
 @functools.lru_cache(maxsize=None)
@@ -358,62 +364,57 @@ def _leibniz(inputs, output, layers, r):
 
 
 def jet_einsum(subscripts, *operands):
-    """``np.einsum`` over object arrays of jets, with exact derivatives.
+    """``np.einsum`` over jets, with exact derivatives.
 
-    Float arrays count as constants.  Each jet operand is gathered once into
-    dense layers and the product rule is applied up to the lowest operand
-    order (the truncation ``Jet._coerce`` does).  Subscripts must be in
-    explicit ``...->...`` form.  Returns an object array of jets, or a jet
-    for a scalar output; with no jet operand it is plain ``np.einsum``.
+    Float arrays count as constants.  The product rule is applied up to the
+    lowest jet order.  Subscripts must be in explicit ``...->...`` form.
+    With no jet operand it is plain ``np.einsum``.
     """
-    arrays = [_as_jets(op) for op in operands]
-    jets = [a for a in arrays if a is not None]
+    jets = [op for op in operands if isinstance(op, Jet)]
     if not jets:
         return np.einsum(subscripts, *operands)
     inputs, output = subscripts.replace(" ", "").split("->")
-    n, order = _common(jets)
-    layers = [[np.asarray(op, dtype=float)] if a is None else _layers(a, n, order) for op, a in zip(operands, arrays)]
-    out = _scatter([_leibniz(inputs.split(","), output, layers, r) for r in range(order + 1)], n)
-    return out[()]  # the jet itself for a scalar output
+    n, order = _shared(jets)
+    layers = [op.layers[: order + 1] if isinstance(op, Jet) else [np.asarray(op, dtype=float)] for op in operands]
+    out = [_leibniz(inputs.split(","), output, layers, r) for r in range(order + 1)]
+    out[0] = _scalar(out[0])
+    return Jet(n, out)
 
 
 def partials(J):
-    """First partials of an object array of jets, one order lower, on a new
-    last axis: ``out[..., a] = J[...].partial(a)``."""
-    J = _as_jets(J)
-    n, order = _common([J])
-    if order < 1:
-        raise JetOrderError("partials() needs jets of order >= 1")
-    return _scatter(_layers(J, n, order)[1:], n)
+    """First partials of a jet, one order lower, on a new last tensor axis:
+    ``partials(J)[..., a]`` is the jet of ``d/dx_a J``."""
+    if J.order < 1:
+        raise JetOrderError("partials() needs a jet of order >= 1")
+    return Jet(J.n, J.layers[1:])
 
 
-def constant_jets(values, n, order):
-    """Object array of constant jets with the shape of ``values``."""
-    values = np.asarray(values, dtype=float)
-    return _scatter([values] + [np.zeros(values.shape + (n,) * r) for r in range(1, order + 1)], n)
-
-
-def values_of(jets):
-    """Float array of the values of an object array of jets."""
-    jets = np.asarray(jets, dtype=object)
-    return np.array([j.value for j in jets.flat], dtype=float).reshape(jets.shape)
+def jet_stack(items, axis=0):
+    """``np.stack`` for jets: ``items`` share one tensor shape, and floats or
+    float arrays among them are constants.  The result has the lowest order
+    of the jets."""
+    jets = [x for x in items if isinstance(x, Jet)]
+    n, order = _shared(jets)
+    if axis < 0:
+        axis += jets[0].ndim + 1
+    items = [x if isinstance(x, Jet) else Jet.constant(x, n, order) for x in items]
+    return Jet(n, [np.stack([x.layers[r] for x in items], axis=axis) for r in range(order + 1)])
 
 
 def jet_solve(A, b):
     """Solve ``A s = b`` with jet entries, propagating derivatives.
 
-    ``A`` is a (k, k) object array of jets; ``b`` has shape ``(k, ...)`` and
-    holds jets in the same variables, or floats.  The solution has the shape
-    of ``b`` and the lower order of the two.  Raises
-    :class:`EvaluationDomainError` when the value-level matrix is singular.
+    ``A`` is a (k, k) jet; ``b`` has shape ``(k, ...)`` and is a jet in the
+    same variables or a float array.  The solution has the shape of ``b``
+    and the lower order of the two.  Raises :class:`EvaluationDomainError`
+    when the value-level matrix is singular.
     """
-    A = np.asarray(A, dtype=object)
-    b_jets = _as_jets(b)
-    n, order = _common([A] if b_jets is None else [A, b_jets])
-    a = _layers(A, n, order)
-    shape = np.shape(b)
+    b_is_jet = isinstance(b, Jet)
+    n, order = _shared([A, b] if b_is_jet else [A])
+    a = A.layers[: order + 1]
+    shape = b.shape if b_is_jet else np.shape(b)
     k = shape[0]
-    b_layers = [np.asarray(b, dtype=float)] if b_jets is None else _layers(b_jets, n, order)
+    b_layers = b.layers[: order + 1] if b_is_jet else [np.asarray(b, dtype=float)]
     rhs = [L.reshape((k, -1) + L.shape[len(shape):]) for L in b_layers]
     try:
         inv = np.linalg.inv(a[0])
@@ -425,39 +426,42 @@ def jet_solve(A, b):
         # moves to the right; a constant b has no layer r
         rest = _leibniz(("ij", "jm"), "im", [a, s], r)
         s.append(np.einsum("ij,jm...->im...", inv, (rhs[r] if r < len(rhs) else 0.0) - rest))
-    return _scatter([x.reshape(shape + x.shape[2:]) for x in s], n)
+    return Jet(n, [x.reshape(shape + x.shape[2:]) for x in s])
 
 
 def jet_matinv(A):
     """Inverse of a jet-valued square matrix."""
-    A = np.asarray(A, dtype=object)
     return jet_solve(A, np.eye(A.shape[0]))
 
 
+@functools.lru_cache(maxsize=None)
+def permutation_signs(k):
+    """The ``k``-index permutation symbol: ``eps[s] = sign(s)`` for each
+    permutation ``s`` of ``range(k)``, zero elsewhere (read-only)."""
+    eps = np.zeros((k,) * k)
+    for perm in itertools.permutations(range(k)):
+        inversions = sum(perm[i] > perm[j] for i in range(k) for j in range(i + 1, k))
+        eps[perm] = -1.0 if inversions % 2 else 1.0
+    eps.flags.writeable = False
+    return eps
+
+
 def jet_det(A):
-    """Determinant of a jet-valued square matrix by cofactor expansion."""
-    A = np.asarray(A, dtype=object)
+    """Determinant of a jet-valued square matrix, ``eps_{a b ...} A[0, a]
+    A[1, b] ...``."""
     k = A.shape[0]
-    if k == 1:
-        return A[0, 0]
-    if k == 2:
-        return A[0, 0] * A[1, 1] - A[0, 1] * A[1, 0]
-    terms = [A[0, j] * jet_det(np.delete(np.delete(A, 0, axis=0), j, axis=1)) for j in range(k)]
-    return sum((-t if j % 2 else t for j, t in enumerate(terms[1:], start=1)), terms[0])
+    idx = string.ascii_letters[:k]
+    return jet_einsum(f"{idx},{','.join(idx)}->", permutation_signs(k), *A)
 
 
 def jet_compose(outer, inner):
-    """Chain rule: ``outer`` is a jet, or an object array of jets, in the m
-    image variables, ``inner`` a length-m object array of jets in the source
-    variables.  Returns the jet(s) of the composition in the source
-    variables, at the lower order of the two."""
-    inner = np.asarray(inner, dtype=object)
-    outer = _as_jets(outer)
-    m, outer_order = _common([outer])
-    n, order = _common([inner])
-    order = min(order, outer_order)
-    _, J, H, T = _layers(inner, n, order) + [None] * (3 - order)
-    o = _layers(outer, m, order)
+    """Chain rule: ``outer`` is a jet (of any shape) in the m image
+    variables, ``inner`` a shape-``(m,)`` jet in the source variables.
+    Returns the jet of the composition in the source variables, at the
+    lower order of the two."""
+    order = min(outer.order, inner.order)
+    _, J, H, T = list(inner.layers[: order + 1]) + [None] * (3 - order)
+    o = outer.layers
     layers = [o[0]]
     if order >= 1:
         layers.append(np.einsum("...a,ai->...i", o[1], J))
@@ -471,4 +475,4 @@ def jet_compose(outer, inner):
             + np.einsum("...ab,ajk,bi->...ijk", o[2], H, J)
             + np.einsum("...a,aijk->...ijk", o[1], T)
         )
-    return _scatter(layers, n)[()]  # the jet itself for a scalar outer
+    return Jet(inner.n, layers)

@@ -8,7 +8,7 @@ import numpy as np
 
 from .fields import Chart, DegeneratePointError, VectorField
 from .hypersurfaces import EmbeddingMap, _induced_metric_jets
-from .jets import constant_jets, jet_einsum, jet_solve, partials, values_of
+from .jets import jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, is_swmt, semi_dual_connection
 from .tensor import degeneracy_threshold
 from .verdicts import RunConfig, SkipPoint, gated, run_pointwise_check
@@ -58,8 +58,7 @@ class LightlikeFrame:
         if self._pins is None:
             p = self.emb.domain.center()
             gp, _, _ = _induced_metric_jets(self.emb, self.s.g, p, 0)
-            gv = values_of(gp)
-            w, V = np.linalg.eigh(gv)
+            w, V = np.linalg.eigh(gp.value)
             xi0 = V[:, int(np.argmin(np.abs(w)))]
             k = int(np.argmax(np.abs(xi0)))
             pin_u = None  # chosen lazily for the transversal
@@ -71,7 +70,7 @@ class LightlikeFrame:
         normalized so that its pinned component is exactly one."""
         k, _ = self._pin_indices()
         gp, dF, Gc = _induced_metric_jets(self.emb, self.s.g, p, order)
-        gv = values_of(gp)
+        gv = gp.value
         thr = degeneracy_threshold(gv)
         # the metric must be degenerate of corank exactly one
         w = np.linalg.eigvalsh(gv)
@@ -79,8 +78,7 @@ class LightlikeFrame:
             raise DegeneratePointError("induced metric does not have corank one")
         # rows of g' except row k, which pins the k-th component to one
         e_k = np.eye(len(gp))[k]
-        A = gp.copy()
-        A[k] = constant_jets(e_k, gp[0, 0].n, gp[0, 0].order)
+        A = jet_stack([e_k if i == k else row for i, row in enumerate(gp)])
         xi = jet_solve(A, e_k)
         return xi, gp, dF, Gc
 
@@ -93,12 +91,8 @@ class LightlikeFrame:
         return self._screen
 
     def _screen_jets(self, p, order):
-        W = self.screen_fields()
-        m = self.emb.domain.dim
-        out = np.empty((len(W), m), dtype=object)
-        for i, field in enumerate(W):
-            out[i] = field.jet(p, order)
-        return out  # [screen index, domain component]
+        # [screen index, domain component]
+        return jet_stack([field.jet(p, order) for field in self.screen_fields()])
 
     # -- transversal -------------------------------------------------------
 
@@ -113,8 +107,8 @@ class LightlikeFrame:
         W_amb = jet_einsum("ia,ra->ri", dF, Wdom)
         r = len(W_amb)
         # rows: g(., W_i) = 0, g(., xi) = 1, pinned component = 0
-        pin = constant_jets(np.eye(n)[self._transversal_pin()], gp[0, 0].n, gp[0, 0].order)
-        A = np.concatenate([jet_einsum("ij,ri->rj", Gc, W_amb), [jet_einsum("ij,i->j", Gc, xi_amb), pin]])
+        pin = np.eye(n)[self._transversal_pin()]
+        A = jet_stack([*jet_einsum("ij,ri->rj", Gc, W_amb), jet_einsum("ij,i->j", Gc, xi_amb), pin])
         U = jet_solve(A, np.eye(n)[r])
         # shift along the radical to make N null
         N = U - xi_amb * (jet_einsum("ij,i,j->", Gc, U, U) * 0.5)
@@ -125,7 +119,7 @@ class LightlikeFrame:
         if pin_u is None:
             p = self.emb.domain.center()
             xi, _, dF, _ = self.radical(p, 0)
-            xi_amb = values_of(dF) @ values_of(xi)
+            xi_amb = dF.value @ xi.value
             pin_u = int(np.argmax(np.abs(xi_amb)))
             self._pins = (k, pin_u)
         return self._pins[1]
@@ -136,7 +130,7 @@ class LightlikeFrame:
         """Coefficients of ambient-vector jets ``amb_jets[i, ...]`` in the
         frame given by the columns of ``basis`` (a list of ambient-vector
         jets).  The result has the lower order of the two operands."""
-        return jet_solve(np.stack(basis, axis=1), amb_jets)
+        return jet_solve(jet_stack(basis, axis=1), amb_jets)
 
     def screen_data(self, p, order=0, conn=None):
         """Returns a dict with the pointwise screen geometry: the Gram
@@ -201,8 +195,8 @@ def check_radical_quality(frame: LightlikeFrame, config: RunConfig):
 
     def fn(p):
         xi, gp, _, _ = frame.radical(p, 0)
-        gv = values_of(gp)
-        res = np.max(np.abs(gv @ values_of(xi)))
+        gv = gp.value
+        res = np.max(np.abs(gv @ xi.value))
         return float(res), 1.0 + np.max(np.abs(gv))
 
     return [run_pointwise_check("radical_quality", frame.emb.domain, fn, config,
@@ -214,12 +208,12 @@ def check_transversal_conditions(frame: LightlikeFrame, config: RunConfig):
 
     def fn(p):
         N, xi, xi_amb, W_amb, _, _, _, Gc = frame.transversal(p, 0)
-        gv = values_of(Gc)
-        Nv = values_of(N)
-        res = abs(float(Nv @ gv @ values_of(xi_amb)) - 1.0)
+        gv = Gc.value
+        Nv = N.value
+        res = abs(float(Nv @ gv @ xi_amb.value) - 1.0)
         res = max(res, abs(float(Nv @ gv @ Nv)))
-        for w in W_amb:
-            res = max(res, abs(float(Nv @ gv @ values_of(w))))
+        for w in W_amb.value:
+            res = max(res, abs(float(Nv @ gv @ w)))
         return float(res), 1.0 + np.max(np.abs(Nv)) * (1.0 + np.max(np.abs(gv)))
 
     return [run_pointwise_check("transversal_conditions", frame.emb.domain, fn, config,
@@ -232,24 +226,8 @@ def check_screen_integrability(frame: LightlikeFrame, config: RunConfig):
     for fields tangent to the hypersurface)."""
 
     def fn(p):
-        data = frame.screen_data(p, 0)
-        xi = data["xi"]
-        Wdom = data["Wdom"]
-        m = frame.emb.domain.dim
-        r = len(Wdom)
-        # decompose each bracket (domain vector) in {W_a, xi}
-        A = np.zeros((m, r + 1))
-        for a in range(r):
-            A[:, a] = values_of(Wdom[a])
-        A[:, r] = values_of(xi)
-        res = 0.0
-        for a in range(r):
-            for b in range(r):
-                v = values_of(data["bracket"][a, b])
-                coeff, *_ = np.linalg.lstsq(A, v, rcond=None)
-                rec = A @ coeff
-                res = max(res, float(np.max(np.abs(v - rec))), abs(float(coeff[r])))
-        return res, 1.0
+        coeff, err = _bracket_coefficients(frame.screen_data(p, 0))
+        return max(err, float(np.max(np.abs(coeff[-1])))), 1.0
 
     return [run_pointwise_check("screen_integrability", frame.emb.domain, fn, config,
                                 detail="screen brackets have no radical component")]
@@ -271,59 +249,44 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
     def fn(p):
         data = frame.screen_data(p, 1)
         gram = data["gram"]
-        nb = data["nabla_bar"]
-        Wdom = data["Wdom"]
-        xi = data["xi"]
-        r = gram.shape[0]
-        m = emb.domain.dim
-        gram_v = values_of(gram)
-        eta_dom = _pullback_eta_values(frame, p)
-        eta_W = np.array([float(eta_dom @ values_of(Wdom[a])[: len(eta_dom)]) for a in range(r)])
+        Wdom = data["Wdom"].value
+        gv, nbv = gram.value, data["nabla_bar"].value
+        eta_W = Wdom @ _pullback_eta_values(frame, p)
         # directional derivatives of the Gram matrix along screen fields
-        dgram = np.empty((r, r, r))
-        for a in range(r):
-            wa = values_of(Wdom[a])
-            for b in range(r):
-                for c in range(r):
-                    dgram[a, b, c] = float(gram[b, c].grad @ wa)
-        nbv = values_of(nb)
-        # screen components of the brackets
-        A = np.zeros((m, r + 1))
-        for a in range(r):
-            A[:, a] = values_of(Wdom[a])
-        A[:, r] = values_of(xi)
-        brk = np.zeros((r, r, r))
-        for a in range(r):
-            for b in range(r):
-                coeff, *_ = np.linalg.lstsq(A, values_of(data["bracket"][a, b]), rcond=None)
-                brk[a, b] = coeff[:r]
-        res = 0.0
-        for a in range(r):
-            for b in range(r):
-                for c in range(r):
-                    nabla_g_ab = dgram[a, b, c] - float(nbv[:, a, b] @ gram_v[:, c]) - float(nbv[:, a, c] @ gram_v[b, :])
-                    nabla_g_ba = dgram[b, a, c] - float(nbv[:, b, a] @ gram_v[:, c]) - float(nbv[:, b, c] @ gram_v[a, :])
-                    tors = nbv[:, a, b] - nbv[:, b, a] - brk[a, b]
-                    val = (
-                        nabla_g_ab + eta_W[a] * gram_v[b, c]
-                        - nabla_g_ba - eta_W[b] * gram_v[a, c]
-                        + float(tors @ gram_v[:, c])
-                    )
-                    res = max(res, abs(val))
-        scale = 1.0 + np.max(np.abs(gram_v)) * (1.0 + np.max(np.abs(nbv)) + np.max(np.abs(eta_W))) + np.max(np.abs(dgram))
-        return res, scale
+        dgram = np.einsum("bcd,ad->abc", gram.grad, Wdom)
+        # (nabla_a g)(W_b, W_c), and the screen torsion, whose bracket part
+        # is the screen component of [W_a, W_b]
+        ng = dgram - np.einsum("mab,mc->abc", nbv, gv) - np.einsum("mac,bm->abc", nbv, gv)
+        tors = nbv - nbv.transpose(0, 2, 1) - _bracket_coefficients(data)[0][:-1]
+        res = (
+            ng - ng.transpose(1, 0, 2)
+            + np.einsum("a,bc->abc", eta_W, gv) - np.einsum("b,ac->abc", eta_W, gv)
+            + np.einsum("mab,mc->abc", tors, gv)
+        )
+        scale = 1.0 + np.max(np.abs(gv)) * (1.0 + np.max(np.abs(nbv)) + np.max(np.abs(eta_W))) + np.max(np.abs(dgram))
+        return float(np.max(np.abs(res))), scale
 
     v = run_pointwise_check("screen_structure_swmt", emb.domain, fn, config,
                             detail="induced screen structure satisfies the eta-weighted torsion-Codazzi condition")
     return [v]
 
 
+def _bracket_coefficients(data):
+    """Least-squares coefficients ``[c, a, b]`` of the screen brackets
+    ``[W_a, W_b]`` (domain vectors) in the frame ``W_1 .. W_r, xi``, and
+    the largest reconstruction error."""
+    A = np.column_stack([*data["Wdom"].value, data["xi"].value])
+    brackets = data["bracket"].value  # [a, b, domain component]
+    r = len(brackets)
+    V = brackets.reshape(r * r, -1).T
+    coeff = np.linalg.lstsq(A, V, rcond=None)[0]
+    return coeff.reshape(-1, r, r), float(np.max(np.abs(V - A @ coeff)))
+
+
 def _pullback_eta_values(frame, p):
     emb = frame.emb
     F = emb.jet(p, 1)
-    dF = values_of(partials(F))
-    eta_amb = frame.s.eta.value(values_of(F))
-    return eta_amb @ dF
+    return frame.s.eta.value(F.value) @ F.grad
 
 
 def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
@@ -339,28 +302,22 @@ def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
     def fn(p):
         data = frame.screen_data(p, 0)
         data_t = frame_t.screen_data(p, 0)
-        gram = values_of(data["gram"])
-        r = gram.shape[0]
+        gram = data["gram"].value
         q = emb.value(p)
-        phi_j = t.phi.jet(q, 1)
-        psi_j = t.psi.jet(q, 1)
-        dF = values_of(partials(emb.jet(p, 1)))
-        Wdom = data["Wdom"]
-        dphi_W = np.empty(r)
-        dpsi_W = np.empty(r)
-        for a in range(r):
-            push = dF @ values_of(Wdom[a])
-            dphi_W[a] = float(phi_j.grad @ push)
-            dpsi_W[a] = float(psi_j.grad @ push)
+        # ambient images of the screen fields, and phi, psi derived along them
+        push = data["Wdom"].value @ emb.jet(p, 1).grad.T
+        dphi_W = push @ t.phi.jet(q, 1).grad
+        dpsi_W = push @ t.psi.jet(q, 1).grad
         # screen gradient of the restricted psi: gram s = dpsi_W
         sgrad = np.linalg.solve(gram, dpsi_W)
-        lhs = values_of(data_t["nabla_bar"])
-        rhs = values_of(data["nabla_bar"]).copy()
-        for c in range(r):
-            for a in range(r):
-                for b in range(r):
-                    rhs[c, a, b] += (dphi_W[a] if c == b else 0.0) + (dphi_W[b] if c == a else 0.0) \
-                        - gram[a, b] * sgrad[c]
+        eye = np.eye(len(gram))
+        lhs = data_t["nabla_bar"].value
+        rhs = (
+            data["nabla_bar"].value
+            + np.einsum("a,cb->cab", dphi_W, eye)
+            + np.einsum("b,ca->cab", dphi_W, eye)
+            - np.einsum("ab,c->cab", gram, sgrad)
+        )
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     return [run_pointwise_check("screen_cp_equivalence", emb.domain, fn, config,
@@ -374,7 +331,7 @@ def check_lightlike_beta_symmetry(frame: LightlikeFrame, config: RunConfig):
 
     def fn(p):
         data = frame.screen_data(p, 0)
-        b = values_of(data["beta"])
+        b = data["beta"].value
         return float(np.max(np.abs(b - b.T))), 1.0 + np.max(np.abs(b))
 
     return [run_pointwise_check("lightlike_beta_symmetry", frame.emb.domain, fn, config,
@@ -388,9 +345,9 @@ def check_lightlike_duality_pairing(frame: LightlikeFrame, config: RunConfig):
     def fn(p):
         data = frame.screen_data(p, 0)
         data_star = frame.screen_data(p, 0, conn=dual)
-        r1 = np.max(np.abs(values_of(data["beta"]) - values_of(data_star["alpha"])))
-        r2 = np.max(np.abs(values_of(data_star["beta"]) - values_of(data["alpha"])))
-        scale = 1.0 + np.max(np.abs(values_of(data["beta"]))) + np.max(np.abs(values_of(data["alpha"])))
+        r1 = np.max(np.abs(data["beta"].value - data_star["alpha"].value))
+        r2 = np.max(np.abs(data_star["beta"].value - data["alpha"].value))
+        scale = 1.0 + np.max(np.abs(data["beta"].value)) + np.max(np.abs(data["alpha"].value))
         return float(max(r1, r2)), scale
 
     return [run_pointwise_check("lightlike_duality_pairing", frame.emb.domain, fn, config,
@@ -414,10 +371,9 @@ def check_lightlike_umbilic_preservation(frame: LightlikeFrame, t, config: RunCo
         data_t = frame_t.screen_data(p, 0)
         q = emb.value(p)
         phi_j = t.phi.jet(q, 1)
-        Nv = values_of(data["N"])
-        dphi_N = float(phi_j.grad @ Nv)
-        rhs = values_of(data["beta"]) - dphi_N * values_of(data["gram"])
-        lhs = values_of(data_t["beta"])
+        dphi_N = float(phi_j.grad @ data["N"].value)
+        rhs = data["beta"].value - dphi_N * data["gram"].value
+        lhs = data_t["beta"].value
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     out = [run_pointwise_check("lightlike_beta_law", emb.domain, law_fn, config,
@@ -425,14 +381,14 @@ def check_lightlike_umbilic_preservation(frame: LightlikeFrame, t, config: RunCo
 
     def umbilic_fn(p):
         data = frame.screen_data(p, 0)
-        b = values_of(data["beta"])
-        gr = values_of(data["gram"])
+        b = data["beta"].value
+        gr = data["gram"].value
         f = float(np.sum(b * gr) / np.sum(gr * gr))
         if np.max(np.abs(b - f * gr)) > config.tol * (1.0 + np.max(np.abs(gr))):
             raise SkipPoint("point is not umbilic before the transformation")
         data_t = frame_t.screen_data(p, 0)
-        bt = values_of(data_t["beta"])
-        gt = values_of(data_t["gram"])
+        bt = data_t["beta"].value
+        gt = data_t["gram"].value
         ft = float(np.sum(bt * gt) / np.sum(gt * gt))
         return float(np.max(np.abs(bt - ft * gt))), 1.0 + np.max(np.abs(gt))
 

@@ -52,8 +52,7 @@ def _swmt_residual_at(s: Structure, p, use_eta=True):
     gam = s.conn.value(p)
     T = torsion_values(s.conn, p)
     eta = s.eta.value(p) if use_eta else np.zeros(n)
-    G = s.g.jet(p, 1)
-    dg = np.array([[G[i, j].grad for j in range(n)] for i in range(n)])
+    dg = s.g.jet(p, 1).grad
     # residual of (nabla_X g)(Y,Z) + eta(X) g(Y,Z) - (nabla_Y g)(X,Z) - eta(Y) g(X,Z) + g(T(X,Y),Z)
     res = (
         ng
@@ -75,8 +74,7 @@ def is_statistical(s: Structure, config: RunConfig, name="is_statistical"):
         ng = nabla_g_values(s.conn, s.g, p)
         gam = s.conn.value(p)
         T = torsion_values(s.conn, p)
-        G = s.g.jet(p, 1)
-        dg = np.array([[G[i, j].grad for j in range(n)] for i in range(n)])
+        dg = s.g.jet(p, 1).grad
         res = max(np.max(np.abs(ng - np.transpose(ng, (1, 0, 2)))), np.max(np.abs(T)))
         return res, _structure_scale(gvals, gam, np.zeros(n), dg)
 

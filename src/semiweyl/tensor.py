@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField
-from .jets import jet_einsum, jet_solve, partials, values_of
+from .jets import jet_einsum, jet_solve, partials
 
 __all__ = [
     "degeneracy_threshold",
@@ -55,7 +55,7 @@ def inverse_metric_values(g: MetricField, p):
 
 def _raise_index(G, lower):
     """``g^{kl} lower[l, ...]``, with ``G`` the metric jets."""
-    require_nondegenerate(values_of(G))
+    require_nondegenerate(G.value)
     return jet_solve(G, lower)
 
 
@@ -81,8 +81,8 @@ def torsion_values(conn: ConnectionField, p):
 def curvature_values(conn: ConnectionField, p):
     """``R[l, k, i, j]``: coefficient of ``d_l`` in ``R(d_i, d_j) d_k``."""
     G = conn.jet(p, 1)
-    gam = values_of(G)
-    dgam = values_of(partials(G))  # dgam[k, i, j, a] = d_a gamma^k_{ij}
+    gam = G.value
+    dgam = G.grad  # dgam[k, i, j, a] = d_a gamma^k_{ij}
     return (
         np.einsum("ljki->lkij", dgam)
         - np.einsum("likj->lkij", dgam)
@@ -127,8 +127,8 @@ def scalar_curvature(conn: ConnectionField, g: MetricField, p, R=None):
 def nabla_g_values(conn: ConnectionField, g: MetricField, p):
     """``(nabla_{d_a} g)(d_i, d_j)`` as an ``[a, i, j]`` array."""
     G = g.jet(p, 1)
-    gvals = values_of(G)
-    dg = values_of(partials(G))  # dg[i, j, a] = d_a g_ij
+    gvals = G.value
+    dg = G.grad  # dg[i, j, a] = d_a g_ij
     gam = conn.value(p)
     return dg.transpose(2, 0, 1) - np.einsum("mai,mj->aij", gam, gvals) - np.einsum("maj,im->aij", gam, gvals)
 
@@ -158,12 +158,10 @@ def gradient_values(g: MetricField, f, p):
 
 
 def covariant_derivative_of_vector(conn: ConnectionField, V: VectorField, p, order=0):
-    """``(nabla_{d_a} V)^k`` as an ``[a, k]`` array (of jets when order > 0)."""
+    """``(nabla_{d_a} V)^k`` as an ``[a, k]`` array (a jet when order > 0)."""
     Vj = V.jet(p, order + 1)
     out = partials(Vj).T + jet_einsum("kam,m->ak", conn.jet(p, order), Vj)
-    if order == 0:
-        return values_of(out)
-    return out
+    return out.value if order == 0 else out
 
 
 def laplacian(conn: ConnectionField, g: MetricField, f, p):

@@ -106,6 +106,7 @@ def run_pointwise_check(name, chart, residual_fn, config: RunConfig, tol=None, d
             worst = res
             worst_point = tuple(float(x) for x in p)
     if tested < config.min_valid_points:
+        too_few = f"too few valid points ({tested} < {config.min_valid_points}): {skip_reason}"
         return Verdict(
             name,
             max_residual=float("nan") if tested == 0 else worst,
@@ -115,7 +116,7 @@ def run_pointwise_check(name, chart, residual_fn, config: RunConfig, tol=None, d
             passed=False,
             worst_point=worst_point,
             skipped=True,
-            detail=detail or f"too few valid points ({tested} < {config.min_valid_points}): {skip_reason}",
+            detail=f"{detail}; {too_few}" if detail else too_few,
         )
     return Verdict(
         name,

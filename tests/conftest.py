@@ -1,6 +1,5 @@
 """Shared fixture builders for the test suite."""
 
-import numpy as np
 import pytest
 
 from semiweyl.fields import (
@@ -12,6 +11,7 @@ from semiweyl.fields import (
     eta_tensor_id,
     g_tensor_vector,
 )
+from semiweyl.jets import partials
 from semiweyl.structures import Structure
 from semiweyl.tensor import gradient, levi_civita
 from semiweyl.verdicts import RunConfig
@@ -45,10 +45,7 @@ def conformally_flat_structure(chart=None, psi_expr="0.3*x + 0.2*x*y + 0.1*y"):
     g = MetricField.euclidean(chart)
     psi = ScalarField.from_expression(chart, psi_expr)
     conn = ConnectionField.flat(chart).add_tensor(g_tensor_vector(g, gradient(g, psi)))
-    minus_dpsi = OneFormField(
-        chart,
-        lambda p, order: np.array([-psi.jet(p, order + 1).partial(i) for i in range(chart.dim)], dtype=object),
-    )
+    minus_dpsi = OneFormField(chart, lambda p, order: -partials(psi.jet(p, order + 1)))
     return Structure(chart, g, minus_dpsi, conn), psi
 
 

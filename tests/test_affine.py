@@ -14,7 +14,6 @@ from semiweyl.affine import (
     xi_rescaled,
 )
 from semiweyl.fields import Chart, ScalarField
-from semiweyl.jets import values_of
 from semiweyl.sampling import halton_points
 from semiweyl.tensor import scalar_curvature, signature
 from semiweyl.verdicts import RunConfig
@@ -65,7 +64,7 @@ class TestDecomposition:
     def test_graph_goldens(self):
         dist = graph_distribution()
         for p in halton_points(dist.chart, 10):
-            gamma, g, B, eta = (values_of(x) for x in dist.decompose(p, 0))
+            gamma, g, B, eta = (x.value for x in dist.decompose(p, 0))
             u, v = p
             hess = np.array([[2 + 0.2 * v, 0.3 + 0.2 * u], [0.3 + 0.2 * u, 2.0]])
             assert np.allclose(g, hess, atol=1e-12)
@@ -76,7 +75,7 @@ class TestDecomposition:
     def test_centroaffine_sphere_goldens(self):
         dist = centroaffine_sphere()
         for p in halton_points(dist.chart, 10):
-            _gamma, g, B, eta = (values_of(x) for x in dist.decompose(p, 0))
+            _gamma, g, B, eta = (x.value for x in dist.decompose(p, 0))
             v = p[1]
             round_g = np.array([[np.sin(v) ** 2, 0.0], [0.0, 1.0]])
             assert np.allclose(g, round_g, atol=1e-12)
@@ -89,11 +88,12 @@ class TestDecomposition:
         first = dist.decompose(p, 1)
         assert dist.decompose(p.copy(), 1) is first
         assert dist.decompose(p, 0) is not first
-        with pytest.raises(ValueError):
-            first[1][0, 0] = first[1][1, 1]
+        for layer in first[1].layers:
+            with pytest.raises(ValueError):
+                layer[0, 0] = layer[1, 1]
         fresh = centroaffine_sphere().decompose(q, 1)
         for got, want in zip(dist.decompose(q, 1), fresh):
-            assert np.array_equal(values_of(got), values_of(want))
+            assert np.array_equal(got.value, want.value)
         assert dist.decompose(p, 1) is not first  # only the latest point is kept
 
     def test_realization_is_swmt(self, aconfig):
@@ -126,7 +126,7 @@ class TestCurvature:
         s, B_fn = realized_structure(dist)
         for p in halton_points(dist.chart, 10):
             assert signature(s.g.value(p)) == (0, 2)
-            c = float(np.trace(values_of(B_fn(p, 0)))) / 2
+            c = float(np.trace(B_fn(p, 0).value)) / 2
             assert scalar_curvature(s.conn, s.g, p) == pytest.approx(2 * c, rel=1e-9)
 
     def test_neutral_realization_flat(self, aconfig):
@@ -172,6 +172,6 @@ class TestRescaling:
         psi = psi_field(dist.chart)
         t = xi_rescaled(dist, psi, "inner")
         for p in halton_points(dist.chart, 10):
-            _g0, g0, _B0, _e0 = (values_of(x) for x in dist.decompose(p, 0))
-            _g1, g1, _B1, _e1 = (values_of(x) for x in t.decompose(p, 0))
+            _g0, g0, _B0, _e0 = (x.value for x in dist.decompose(p, 0))
+            _g1, g1, _B1, _e1 = (x.value for x in t.decompose(p, 0))
             assert np.allclose(g1, np.exp(psi.value(p)) * g0, rtol=1e-10)

@@ -132,6 +132,16 @@ class TestFixtureSuite:
         assert main(["verify", fixture(name), "--samples", "80"]) == 0
 
 
+class TestSkipReasons:
+    def test_a_check_detail_keeps_the_too_few_points_reason(self, capsys):
+        path = fixture("conformal_projective_suite.spec")
+        assert main(["verify", path, "--samples", "10", "--report", "json"]) == 1
+        d = json.loads(capsys.readouterr().out)
+        (v,) = next(c for c in d["checks"] if c["name"] == "cp_codazzi_scaling")["verdicts"]
+        assert v["skipped"]
+        assert v["detail"].startswith("antisymmetrized nabla g scales by the conformal factor; too few valid points (10 < 50)")
+
+
 class TestSkipsAreNotAgreement:
     def test_skips_do_not_meet_pass_or_fail_expectations(self, capsys):
         path = fixture("negative_controls.spec")

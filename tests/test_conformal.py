@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,7 +28,10 @@ from semiweyl.fields import (
     OneFormField,
     ScalarField,
 )
+from semiweyl import conformal
+from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
+from semiweyl.specfile import load_spec
 from semiweyl.structures import Structure, is_swmt
 from semiweyl.verdicts import RunConfig
 
@@ -152,3 +157,22 @@ class TestTransformComposition:
         for p in halton_points(chart, 10):
             assert np.allclose(one.g.value(p), both.g.value(p), rtol=1e-12)
             assert np.allclose(one.conn.value(p), both.conn.value(p), atol=1e-10)
+
+
+class TestPointData:
+    def test_each_check_builds_the_point_data_once_per_point(self, monkeypatch):
+        # cp_codazzi_scaling, cp_curvature_laws, cp_ricci_antisymmetry (two
+        # laws) and conformal_corollaries (three laws and the cyclic
+        # identity) build one _PointData per point each
+        spec = load_spec(Path(__file__).resolve().parents[1] / "fixtures" / "conformal_projective_suite.spec")
+        builds = []
+        init = conformal._PointData.__init__
+
+        def counted(self, s, t, p):
+            builds.append(p.tobytes())
+            init(self, s, t, p)
+
+        monkeypatch.setattr(conformal._PointData, "__init__", counted)
+        run_spec(spec)
+        assert spec.config.samples == 150
+        assert len(builds) == 4 * 150 and len(set(builds)) == 150

@@ -1,7 +1,10 @@
-"""Source hygiene: no module of the package imports a name it never uses.
+"""Source hygiene: no module of the package imports a name it never uses,
+and none builds a numpy object array.
 
-An AST check, so it needs no linter.  Names re-exported through
-``__all__`` and ``from __future__ import annotations`` are exempt.
+AST checks, so they need no linter.  Names re-exported through ``__all__``
+and ``from __future__ import annotations`` are exempt from the first.  The
+second keeps jets in their dense storage (``semiweyl.jets.Jet``): an
+object array of per-scalar jets is the format that type replaced.
 """
 
 import ast
@@ -49,3 +52,31 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _is_object_dtype(node):
+    return (isinstance(node, ast.Name) and node.id == "object") or (
+        isinstance(node, ast.Constant) and node.value in ("O", "object")
+    )
+
+
+def object_arrays(source):
+    """Lines of every call that passes ``object`` (or ``"O"``) as a dtype,
+    by keyword or as the second positional argument."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            dtypes = [kw.value for kw in node.keywords if kw.arg == "dtype"] + node.args[1:2]
+            if any(_is_object_dtype(d) for d in dtypes):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_sees_an_object_array():
+    source = "import numpy as np\na = np.empty(3, dtype=object)\nb = np.asarray(a, object)\nc = np.zeros(3, dtype=float)\n"
+    assert object_arrays(source) == [2, 3]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_builds_no_object_array(path):
+    assert object_arrays(path.read_text()) == []

@@ -23,7 +23,6 @@ from semiweyl.hypersurfaces import (
     induced_structure,
     umbilic_deviation,
 )
-from semiweyl.jets import values_of
 from semiweyl.sampling import halton_points
 from semiweyl.structures import Structure
 from semiweyl.tensor import curvature_values, scalar_curvature
@@ -98,7 +97,7 @@ class TestFundamentalForms:
         ind = induced_structure(emb, s)
         signs = set()
         for p in halton_points(emb.domain, 10):
-            beta, tau, B, eps = (values_of(a) if hasattr(a, "shape") else a for a in frame.weingarten(p))
+            beta, tau, B, eps = (a.value if hasattr(a, "value") else a for a in frame.weingarten(p))
             gp = ind.g.value(p)
             ratio = beta[0, 0] / gp[0, 0]
             assert abs(abs(ratio) - 1.0) < 1e-10

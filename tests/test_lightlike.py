@@ -5,7 +5,6 @@ from conftest import minkowski_structure, null_cone_embedding
 from semiweyl.conformal import TransformData
 from semiweyl.fields import Chart
 from semiweyl.hypersurfaces import EmbeddingMap
-from semiweyl.jets import values_of
 from semiweyl.lightlike import (
     LightlikeFrame,
     check_lightlike_beta_symmetry,
@@ -55,7 +54,7 @@ class TestRadicalAndTransversal:
         frame, _s = cone_frame()
         for p in halton_points(frame.emb.domain, 10):
             xi, gp, dF, Gc = frame.radical(p, 0)
-            xi_v = values_of(xi)
+            xi_v = xi.value
             xi_v = xi_v / xi_v[0]
             # the kernel of the cone metric is the radial ruling d_u
             assert np.allclose(xi_v, [1.0, 0.0], atol=1e-10)
@@ -70,7 +69,7 @@ class TestRadicalAndTransversal:
         emb = frame.emb
         for p in halton_points(emb.domain, 10):
             _xi, gp, _dF, _Gc = frame.radical(p, 0)
-            assert abs(np.linalg.det(values_of(gp))) < 1e-12
+            assert abs(np.linalg.det(gp.value)) < 1e-12
 
 
 class TestScreen:
@@ -93,6 +92,28 @@ class TestScreen:
         bad = LightlikeFrame(frame.emb, s, screen=bad_fields)
         out = check_screen_integrability(bad, config)
         assert any((not v.passed) and v.max_residual > 1e-2 for v in out)
+
+    def test_screen_checks_pass_on_a_non_coordinate_screen(self, config):
+        # screen {d_v, d_w + 0.3 v d_v}: its bracket 0.3 d_v stays in the
+        # screen, so the screen is integrable, and the bracket enters the
+        # screen torsion
+        from semiweyl.fields import VectorField
+
+        frame, s = cone4_frame()
+        dom = frame.emb.domain
+        fields = (
+            VectorField.from_expressions(dom, ["0", "1", "0"]),
+            VectorField.from_expressions(dom, ["0", "0.3*v", "1"]),
+        )
+        skew = LightlikeFrame(frame.emb, s, screen=fields)
+        p = halton_points(dom, 1)[0]
+        assert np.allclose(skew.screen_data(p, 0)["bracket"].value[0, 1], [0.0, 0.3, 0.0])
+        out = (
+            check_screen_integrability(skew, config)
+            + check_screen_structure(skew, config)
+            + check_screen_cp_equivalence(skew, ambient_transform(s.chart), config)
+        )
+        assert all(v.passed for v in out)
 
     def test_screen_structure_is_swmt(self, config):
         frame, _s = cone4_frame()

@@ -20,7 +20,6 @@ from semiweyl.fields import (  # noqa: E402
     id_tensor_eta,
 )
 from semiweyl.hypersurfaces import EmbeddingMap, induced_structure  # noqa: E402
-from semiweyl.jets import values_of  # noqa: E402
 from semiweyl.structures import Structure, semi_dual_connection  # noqa: E402
 from semiweyl.tensor import curvature_values, levi_civita, ricci_values  # noqa: E402
 
@@ -126,10 +125,8 @@ def engine(case):
     return g, eta, levi_civita(g).add_tensor(eta_tensor_id(chart, eta))
 
 
-def value_and_gradient(jets):
-    vals = values_of(jets)
-    grads = np.array([j.grad for j in np.asarray(jets).flat]).reshape(vals.shape + (-1,))
-    return vals, grads
+def value_and_gradient(jet):
+    return jet.value, jet.grad
 
 
 def assert_close(got, want):

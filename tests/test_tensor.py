@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from semiweyl.fields import Chart, ConnectionField, MetricField, OneFormField, ScalarField, eta_tensor_id
-from semiweyl.jets import values_of
 from semiweyl.sampling import halton_points
 from semiweyl.tensor import (
     curvature_values,
