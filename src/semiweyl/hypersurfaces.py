@@ -5,8 +5,6 @@ behaviour under the conformal-projective transformation)."""
 
 from __future__ import annotations
 
-import string
-
 import numpy as np
 
 from .expressions import eval_jets
@@ -19,7 +17,7 @@ from .fields import (
     OneFormField,
     ScalarField,
 )
-from .jets import jet_compose, jet_einsum, jet_solve, partials, permutation_signs
+from .jets import jet_compose, jet_cross, jet_einsum, jet_solve, partials
 from .structures import Structure, is_swmt, semi_dual_connection
 from .tensor import (
     curvature_values,
@@ -158,9 +156,7 @@ class HypersurfaceFrame:
         emb = self.emb
         dF = partials(emb.jet(p, order + 1))
         Gc = emb.compose(self.s.g)(p, order)
-        i, *rows = string.ascii_letters[: emb.ambient.dim]
-        spec = f"{i}{''.join(rows)},{','.join(rows)}->{i}"
-        nu = jet_einsum(spec, permutation_signs(emb.ambient.dim), *dF.T)
+        nu = jet_cross(dF.T)
         return jet_solve(Gc, nu), nu, Gc, dF
 
     def _orientation(self):

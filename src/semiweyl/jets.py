@@ -12,13 +12,14 @@ the assembly.
 
 Jets index, transpose, reshape and iterate over their tensor axes, and
 ``+ - * /`` broadcast between jets, float arrays and floats as numpy
-arrays do.  Five helpers work on the layers: :func:`jet_einsum` contracts
+arrays do.  The helpers work on the layers: :func:`jet_einsum` contracts
 jets by the Leibniz rule, :func:`partials` turns the first derivative axis
 into a tensor axis, :func:`jet_solve` solves linear systems
 (differentiating ``A(x) s(x) = b(x)`` order by order), :func:`jet_compose`
-applies the chain rule and :func:`jet_stack` stacks jets on a new axis.
-A jet is never modified in place, so results may share layers with their
-operands.
+applies the chain rule, :func:`jet_stack` stacks jets on a new axis, and
+:func:`jet_cross` (the generalized cross product, which gives normals)
+expands :func:`jet_det`.  A jet is never modified in place, so results may
+share layers with their operands.
 """
 
 from __future__ import annotations
@@ -37,11 +38,11 @@ __all__ = [
     "jet_solve",
     "jet_matinv",
     "jet_det",
+    "jet_cross",
     "jet_compose",
     "jet_einsum",
     "jet_stack",
     "partials",
-    "permutation_signs",
 ]
 
 
@@ -153,6 +154,9 @@ class Jet:
     def __array__(self, *args, **kwargs):
         raise TypeError("a Jet is not a numpy array: read its .value or .layers")
 
+    def __bool__(self):
+        raise TypeError("a Jet has no truth value: compare its .value")
+
     def __len__(self):
         if not self.shape:
             raise TypeError("len() of a scalar jet")
@@ -209,8 +213,6 @@ class Jet:
         return a[:o], b[:o]
 
     def __add__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.n, [self.layers[0] + other] + self.layers[1:])
         a, b = self._coerce(other)
         return Jet(self.n, [x + y for x, y in zip(a, b)])
 
@@ -220,8 +222,6 @@ class Jet:
         return Jet(self.n, [-L for L in self.layers])
 
     def __sub__(self, other):
-        if isinstance(other, (int, float)):
-            return self + (-other)
         a, b = self._coerce(other)
         return Jet(self.n, [x - y for x, y in zip(a, b)])
 
@@ -229,8 +229,6 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return Jet(self.n, [L * other for L in self.layers])
         a, b = self._coerce(other)
         a0, b0 = a[0], b[0]
         out = [a0 * b0]
@@ -262,10 +260,6 @@ class Jet:
             ggg = gg[..., None] * g[..., None, None, :]
             out.append(_up(f[1], 3) * L[3] + _up(f[2], 3) * _sym3(_cross12(g, L[2])) + _up(f[3], 3) * ggg)
         return Jet(self.n, out)
-
-    def _apply(self, scalar_fn, array_fn):
-        v = self.layers[0]
-        return scalar_fn(v) if isinstance(v, float) else array_fn(v)
 
     def reciprocal(self):
         v = self.layers[0]
@@ -299,28 +293,30 @@ class Jet:
     # -- elementary functions -------------------------------------------------
 
     def exp(self):
-        e = self._apply(math.exp, np.exp)
+        e = np.exp(self.layers[0])
         return self._chain((e,) * (self.order + 1))
 
     def log(self):
         v = self.layers[0]
         if _any(v <= 0.0):
             raise EvaluationDomainError("log of a non-positive value")
-        return self._chain((self._apply(math.log, np.log), 1.0 / v, -1.0 / v**2, 2.0 / v**3))
+        return self._chain((np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3))
 
     def sin(self):
-        s, c = self._apply(math.sin, np.sin), self._apply(math.cos, np.cos)
+        v = self.layers[0]
+        s, c = np.sin(v), np.cos(v)
         return self._chain((s, c, -s, -c))
 
     def cos(self):
-        s, c = self._apply(math.sin, np.sin), self._apply(math.cos, np.cos)
+        v = self.layers[0]
+        s, c = np.sin(v), np.cos(v)
         return self._chain((c, -s, -c, s))
 
     def sqrt(self):
         v = self.layers[0]
         if _any(v < 0.0) or (self.order >= 1 and _any(v == 0.0)):
             raise EvaluationDomainError("sqrt of a negative value")
-        r = self._apply(math.sqrt, np.sqrt)
+        r = np.sqrt(v)
         return self._chain((r, 0.5 / r, -0.25 / r**3, 0.375 / r**5) if self.order else (r,))
 
 
@@ -435,7 +431,7 @@ def jet_matinv(A):
 
 
 @functools.lru_cache(maxsize=None)
-def permutation_signs(k):
+def _permutation_signs(k):
     """The ``k``-index permutation symbol: ``eps[s] = sign(s)`` for each
     permutation ``s`` of ``range(k)``, zero elsewhere (read-only)."""
     eps = np.zeros((k,) * k)
@@ -446,12 +442,19 @@ def permutation_signs(k):
     return eps
 
 
+def jet_cross(rows):
+    """Generalized cross product of the rows of a ``(k - 1, k)`` jet: the
+    covector ``c_i = eps_{i a b ...} rows[0, a] rows[1, b] ...``, whose
+    entries are the cofactors of a first row placed above ``rows``."""
+    k = rows.shape[1]
+    i, *idx = string.ascii_letters[:k]
+    return jet_einsum(f"{i}{''.join(idx)},{','.join(idx)}->{i}", _permutation_signs(k), *rows)
+
+
 def jet_det(A):
-    """Determinant of a jet-valued square matrix, ``eps_{a b ...} A[0, a]
-    A[1, b] ...``."""
-    k = A.shape[0]
-    idx = string.ascii_letters[:k]
-    return jet_einsum(f"{idx},{','.join(idx)}->", permutation_signs(k), *A)
+    """Determinant of a jet-valued square matrix, expanded along its first
+    row."""
+    return jet_einsum("i,i->", A[0], jet_cross(A[1:]))
 
 
 def jet_compose(outer, inner):

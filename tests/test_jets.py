@@ -12,6 +12,7 @@ from semiweyl.jets import (
     Jet,
     JetOrderError,
     jet_compose,
+    jet_cross,
     jet_det,
     jet_einsum,
     jet_matinv,
@@ -216,6 +217,8 @@ class TestDenseJet:
         assert not Jet(2, [J.value, J.grad * np.inf]).is_finite()
         with pytest.raises(TypeError):
             np.asarray(J)
+        with pytest.raises(TypeError, match="truth value"):
+            bool(J[0])
 
 
 class TestLinearAlgebra:
@@ -250,6 +253,16 @@ class TestLinearAlgebra:
         assert d.value == pytest.approx(ref.value, rel=1e-12)
         assert np.allclose(d.grad, ref.grad)
         assert np.allclose(d.hess, ref.hess)
+
+    def test_cross_matches_symbolic(self):
+        rows = [["1 + x", "y^2", "x*y"], ["sin(y)", "2", "x - y"]]
+        (a1, a2, a3), (b1, b2, b3) = rows
+        cross = [f"({a2})*({b3}) - ({a3})*({b2})", f"({a3})*({b1}) - ({a1})*({b3})", f"({a1})*({b2}) - ({a2})*({b1})"]
+        p = (0.3, 0.8)
+        c = jet_cross(eval_jets(_parsed([e for row in rows for e in row]), p, 3).reshape(2, 3))
+        ref = eval_jets(_parsed(cross), p, 3)
+        for got, want in zip(c.layers, ref.layers):
+            assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
     def test_singular_matrix_raises(self):
         ones = Jet.constant(np.ones((2, 2)), 2, 2)
