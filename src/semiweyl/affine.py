@@ -7,8 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .expressions import differentiate, eval_jets
-from .fields import Chart, ConnectionField, LastPointCache, MetricField, OneFormField, ScalarField
+from .fields import Chart, ConnectionField, LastPointCache, MetricField, OneFormField, ScalarField, VectorField
 from .jets import jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, is_swmt
 from .tensor import (
@@ -36,6 +35,14 @@ __all__ = [
 ]
 
 
+def _ambient_vector(chart, components, what):
+    """A field of n+1 component expressions (``what`` names it in errors)."""
+    v = VectorField.from_expressions(chart, components)
+    if len(v.expressions) != chart.dim + 1:
+        raise ValueError(f"{what} needs n+1 components")
+    return v
+
+
 class AffineDistribution:
     """``omega`` maps tangent vectors to an (n+1)-dimensional ambient space
     and ``xi`` is a transversal ambient direction; together they must frame
@@ -43,8 +50,11 @@ class AffineDistribution:
 
     def __init__(self, chart: Chart, omega_fn, xi_fn):
         self.chart = chart
-        self.omega_fn = omega_fn  # (p, order) -> (n+1, n) jet
-        self.xi_fn = xi_fn  # (p, order) -> (n+1,) jet
+        # (p, order) -> (n+1, n) and (n+1,) jets; the expression-backed ones
+        # read fields, which keep their jets at the most recent point, so a
+        # distribution and its rescalings share one evaluation of omega
+        self.omega_fn = omega_fn
+        self.xi_fn = xi_fn
         self._solved = LastPointCache()
 
     @classmethod
@@ -52,28 +62,18 @@ class AffineDistribution:
         """``omega`` is the differential of the immersion given by
         ``components`` (n+1 expressions in the chart coordinates); ``xi``
         is an ambient-vector field along it (n+1 expressions)."""
-        n = chart.dim
-        comps = [chart.parse(c) if isinstance(c, str) else c for c in components]
-        if len(comps) != n + 1:
-            raise ValueError("an immersion into n+1 dimensions needs n+1 components")
-        domega = [[differentiate(c, a) for a in range(n)] for c in comps]
-        return cls.from_expressions(chart, domega, xi_components)
+        immersion = _ambient_vector(chart, components, "an immersion into n+1 dimensions")
+        xi = _ambient_vector(chart, xi_components, "xi")
+        return cls(chart, lambda p, order: partials(immersion.jet(p, order + 1)), xi.jet)
 
     @classmethod
     def from_expressions(cls, chart: Chart, omega, xi_components):
         n = chart.dim
-        om = [[chart.parse(e) if isinstance(e, str) else e for e in row] for row in omega]
-        xi = [chart.parse(e) if isinstance(e, str) else e for e in xi_components]
-        if len(om) != n + 1 or any(len(row) != n for row in om) or len(xi) != n + 1:
-            raise ValueError("omega must be (n+1) x n and xi must have n+1 components")
-
-        def omega_fn(p, order):
-            return eval_jets([e for row in om for e in row], p, order, dim=n).reshape(n + 1, n)
-
-        def xi_fn(p, order):
-            return eval_jets(xi, p, order, dim=n)
-
-        return cls(chart, omega_fn, xi_fn)
+        if len(omega) != n + 1 or any(len(row) != n for row in omega):
+            raise ValueError("omega must be (n+1) x n")
+        rows = VectorField.from_expressions(chart, [e for row in omega for e in row])
+        xi = _ambient_vector(chart, xi_components, "xi")
+        return cls(chart, lambda p, order: rows.jet(p, order).reshape(n + 1, n), xi.jet)
 
     def frame(self, p, order):
         """The (n+1) x (n+1) jet matrix whose columns are the omega images

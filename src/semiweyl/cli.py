@@ -2,7 +2,7 @@
 
 ``verify <spec-file>``   load a spec, run its checks, print/write a report
 ``list-checks``          print every known check with the law it tests
-``oracle <spec-file>``   cross-check symbolic derivatives of every expression
+``oracle <spec-file>``   cross-check the jet gradients of every expression
                          in the spec against central finite differences
 
 Exit codes: 0 all expectations met, 1 at least one violated, 2 input error.
@@ -13,7 +13,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .expressions import differentiate, eval_value, finite_difference
+from .expressions import eval_jet, finite_difference
 from .registry import REGISTRY
 from .report import emit_report, run_spec
 from .sampling import halton_points
@@ -102,12 +102,12 @@ def _cmd_oracle(args):
     count = 0
     for label, chart, expr in spec.expression_sources:
         pts = halton_points(chart, args.points, seed=spec.config.seed)
-        partials = [differentiate(expr, a) for a in range(chart.dim)]
         for p in pts:
             try:
-                scale = 1.0 + abs(eval_value(expr, p, dim=chart.dim))
+                jet = eval_jet(expr, p, 1, dim=chart.dim)
+                scale = 1.0 + abs(jet.value)
                 for a in range(chart.dim):
-                    exact = eval_value(partials[a], p, dim=chart.dim)
+                    exact = jet.grad[a]
                     approx = finite_difference(expr, p, a, 1e-5)
                     dev = abs(exact - approx) / scale
                     count += 1

@@ -61,18 +61,23 @@ def _exp_sum(chart, phi, psi):
     return ScalarField(chart, fn)
 
 
+def _coefficient_tensor(g, phi, psi):
+    """The difference tensor ``K = dphi (x) I + I (x) dphi - g (x) grad psi``
+    the transformation adds to a connection, as ``(p, order) -> K[k, i, j]``
+    jets.  It is symmetric in ``i, j`` bit for bit: its two ``dphi`` terms
+    are mirror images and ``g`` is symmetric."""
+    dphi = OneFormField.d(g.chart, phi)
+    return sum_tensors(
+        eta_tensor_id(g.chart, dphi),
+        id_tensor_eta(g.chart, dphi),
+        negate_tensor(g_tensor_vector(g, gradient(g, psi))),
+    )
+
+
 def transform(s: Structure, t: TransformData) -> Structure:
     """Apply the transformation; ``eta`` is carried unchanged."""
-    chart = s.chart
-    g_new = s.g.scaled(_exp_sum(chart, t.phi, t.psi))
-    dphi = OneFormField.d(chart, t.phi)
-    grad_psi = gradient(s.g, t.psi)
-    K = sum_tensors(
-        eta_tensor_id(chart, dphi),
-        id_tensor_eta(chart, dphi),
-        negate_tensor(g_tensor_vector(s.g, grad_psi)),
-    )
-    return Structure(chart, g_new, s.eta, s.conn.add_tensor(K))
+    g_new = s.g.scaled(_exp_sum(s.chart, t.phi, t.psi))
+    return Structure(s.chart, g_new, s.eta, s.conn.add_tensor(_coefficient_tensor(s.g, t.phi, t.psi)))
 
 
 # -- pointwise data shared by the section's checks ---------------------------
@@ -128,31 +133,15 @@ class _PointData:
         self.g_phi_psi = float(self.dphi @ self.grad_psi)
 
 
-def _coefficient_tensor_values(s, t, p):
-    """Values of the added difference tensor ``K^k_{ij}``."""
-    n = s.chart.dim
-    d = _PointData(s, t, p)
-    K = np.zeros((n, n, n))
-    for k in range(n):
-        for i in range(n):
-            for j in range(n):
-                K[k, i, j] = (
-                    (d.dphi[i] if k == j else 0.0)
-                    + (d.dphi[j] if k == i else 0.0)
-                    - d.g[i, j] * d.grad_psi[k]
-                )
-    return K, d
-
-
 def check_torsion_invariance(s: Structure, t: TransformData, config: RunConfig):
     """Torsion is unchanged: the added tensor is symmetric in its lower
     indices (exactly), so transformed and original torsion coincide."""
     st = transform(s, t)
+    K_fn = _coefficient_tensor(s.g, t.phi, t.psi)
 
     def symm_fn(p):
-        K, d = _coefficient_tensor_values(s, t, p)
-        res = float(np.max(np.abs(K - np.transpose(K, (0, 2, 1)))))
-        return res, 1.0
+        K = K_fn(p, 0).value
+        return float(np.max(np.abs(K - np.transpose(K, (0, 2, 1))))), 1.0
 
     def torsion_fn(p):
         require_nondegenerate(s.g.value(p))
@@ -223,15 +212,7 @@ def check_semi_dual_transform_law(s: Structure, t: TransformData, config: RunCon
     base = semi_dual_connection(s.g, s.eta, s.conn)
     chart = s.chart
     a, b = (t.psi, t.phi) if swap_roles else (t.phi, t.psi)
-    da = OneFormField.d(chart, a)
-    grad_b = gradient(s.g, b)
-    rhs = base.add_tensor(
-        sum_tensors(
-            eta_tensor_id(chart, da),
-            id_tensor_eta(chart, da),
-            negate_tensor(g_tensor_vector(s.g, grad_b)),
-        )
-    )
+    rhs = base.add_tensor(_coefficient_tensor(s.g, a, b))
 
     def fn(p):
         require_nondegenerate(s.g.value(p))

@@ -1,5 +1,7 @@
-"""Closed-form coordinate expressions: parsing, printing, exact symbolic
-differentiation, and jet evaluation.
+"""Closed-form coordinate expressions: parsing, printing and jet
+evaluation.  Derivatives come from evaluating an expression on coordinate
+jets (:mod:`semiweyl.jets`); :func:`finite_difference` is the independent
+central-difference oracle for them.
 
 Grammar (EBNF)::
 
@@ -29,7 +31,6 @@ __all__ = [
     "ExpressionSyntaxError",
     "UnknownSymbolError",
     "parse_expression",
-    "differentiate",
     "eval_jet",
     "eval_jets",
     "eval_value",
@@ -54,10 +55,7 @@ class UnknownSymbolError(ValueError):
 
 
 class Expression:
-    """Immutable AST node; subclasses implement diff/jet/printing."""
-
-    def diff(self, i):
-        raise NotImplementedError
+    """Immutable AST node; subclasses implement jet evaluation and printing."""
 
     def jet(self, coord_jets):
         raise NotImplementedError
@@ -82,9 +80,6 @@ class Expression:
 class Num(Expression):
     value: float
 
-    def diff(self, i):
-        return Num(0.0)
-
     def jet(self, coord_jets):
         probe = coord_jets[0]
         return Jet.constant(self.value, probe.n, probe.order)
@@ -108,9 +103,6 @@ class Var(Expression):
     index: int
     name: str
 
-    def diff(self, i):
-        return Num(1.0 if i == self.index else 0.0)
-
     def jet(self, coord_jets):
         return coord_jets[self.index]
 
@@ -125,9 +117,6 @@ class Var(Expression):
 class Add(Expression):
     a: Expression
     b: Expression
-
-    def diff(self, i):
-        return add(self.a.diff(i), self.b.diff(i))
 
     def jet(self, coord_jets):
         return self.a.jet(coord_jets) + self.b.jet(coord_jets)
@@ -145,9 +134,6 @@ class Sub(Expression):
     a: Expression
     b: Expression
 
-    def diff(self, i):
-        return sub(self.a.diff(i), self.b.diff(i))
-
     def jet(self, coord_jets):
         return self.a.jet(coord_jets) - self.b.jet(coord_jets)
 
@@ -163,9 +149,6 @@ class Sub(Expression):
 class Mul(Expression):
     a: Expression
     b: Expression
-
-    def diff(self, i):
-        return add(mul(self.a.diff(i), self.b), mul(self.a, self.b.diff(i)))
 
     def jet(self, coord_jets):
         return self.a.jet(coord_jets) * self.b.jet(coord_jets)
@@ -183,11 +166,6 @@ class Div(Expression):
     a: Expression
     b: Expression
 
-    def diff(self, i):
-        # (a/b)' = a'/b - a b'/b^2
-        num = sub(mul(self.a.diff(i), self.b), mul(self.a, self.b.diff(i)))
-        return div(num, Pow(self.b, 2))
-
     def jet(self, coord_jets):
         return self.a.jet(coord_jets) / self.b.jet(coord_jets)
 
@@ -202,9 +180,6 @@ class Div(Expression):
 @dataclass(frozen=True, eq=False)
 class Neg(Expression):
     a: Expression
-
-    def diff(self, i):
-        return neg(self.a.diff(i))
 
     def jet(self, coord_jets):
         return -self.a.jet(coord_jets)
@@ -221,10 +196,6 @@ class Neg(Expression):
 class Pow(Expression):
     base: Expression
     exponent: int
-
-    def diff(self, i):
-        k = self.exponent
-        return mul(mul(Num(float(k)), pow_(self.base, k - 1)), self.base.diff(i))
 
     def jet(self, coord_jets):
         return self.base.jet(coord_jets) ** self.exponent
@@ -244,22 +215,6 @@ class Func(Expression):
     name: str
     arg: Expression
 
-    def diff(self, i):
-        a, da = self.arg, self.arg.diff(i)
-        if self.name == "exp":
-            outer = Func("exp", a)
-        elif self.name == "log":
-            return div(da, a)
-        elif self.name == "sin":
-            outer = Func("cos", a)
-        elif self.name == "cos":
-            outer = neg(Func("sin", a))
-        elif self.name == "sqrt":
-            return div(da, mul(Num(2.0), Func("sqrt", a)))
-        else:  # pragma: no cover
-            raise ValueError(f"unknown function {self.name}")
-        return mul(outer, da)
-
     def jet(self, coord_jets):
         j = self.arg.jet(coord_jets)
         return getattr(j, self.name)()
@@ -269,73 +224,6 @@ class Func(Expression):
 
     def _key(self):
         return (self.name, self.arg)
-
-
-# -- folding constructors ----------------------------------------------------
-
-
-def _num(e):
-    return isinstance(e, Num)
-
-
-def add(a, b):
-    if _num(a) and _num(b):
-        return Num(a.value + b.value)
-    if _num(a) and a.value == 0.0:
-        return b
-    if _num(b) and b.value == 0.0:
-        return a
-    return Add(a, b)
-
-
-def sub(a, b):
-    if _num(a) and _num(b):
-        return Num(a.value - b.value)
-    if _num(b) and b.value == 0.0:
-        return a
-    if _num(a) and a.value == 0.0:
-        return neg(b)
-    return Sub(a, b)
-
-
-def mul(a, b):
-    if _num(a) and _num(b):
-        return Num(a.value * b.value)
-    if (_num(a) and a.value == 0.0) or (_num(b) and b.value == 0.0):
-        return Num(0.0)
-    if _num(a) and a.value == 1.0:
-        return b
-    if _num(b) and b.value == 1.0:
-        return a
-    return Mul(a, b)
-
-
-def div(a, b):
-    if _num(a) and a.value == 0.0:
-        return Num(0.0)
-    if _num(b) and b.value == 1.0:
-        return a
-    if _num(a) and _num(b) and b.value != 0.0:
-        return Num(a.value / b.value)
-    return Div(a, b)
-
-
-def neg(a):
-    if _num(a):
-        return Num(-a.value)
-    if isinstance(a, Neg):
-        return a.a
-    return Neg(a)
-
-
-def pow_(a, k):
-    if k == 0:
-        return Num(1.0)
-    if k == 1:
-        return a
-    if _num(a):
-        return Num(a.value**k)
-    return Pow(a, k)
 
 
 # -- parser -------------------------------------------------------------------
@@ -478,11 +366,6 @@ class _Parser:
 def parse_expression(text, coord_names):
     """Parse ``text`` over the given coordinate names into an AST."""
     return _Parser(text, coord_names).parse()
-
-
-def differentiate(e, coord_index):
-    """Exact symbolic partial derivative with constant folding."""
-    return e.diff(coord_index)
 
 
 def _coordinate_jets(point, order, dim):

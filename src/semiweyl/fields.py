@@ -179,10 +179,14 @@ class OneFormField(_Field):
 
 
 class VectorField(_Field):
+    """A vector along the chart: a tangent vector (one component per
+    coordinate) or a vector of a larger ambient space (an immersion's
+    coordinates, a transversal)."""
+
     @classmethod
     def from_expressions(cls, chart, comps):
         es = [_expr_of(c, chart) for c in comps]
-        return cls(chart, _components(es, (chart.dim,), chart.dim), expressions=es)
+        return cls(chart, _components(es, (len(es),), chart.dim), expressions=es)
 
 
 class MetricField(_Field):

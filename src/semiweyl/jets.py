@@ -1,14 +1,23 @@
-"""Truncated Taylor (jet) arithmetic up to third order, stored densely.
+"""Truncated Taylor (jet) arithmetic of any order, stored densely.
 
 A :class:`Jet` is a tensor of smooth functions at a point together with
-their partial derivatives up to a fixed order (0 to 3) in ``n`` variables.
-It holds one dense array per order: ``layers[r]`` has the tensor shape
+their partial derivatives up to a fixed order in ``n`` variables.  It
+holds one dense array per order: ``layers[r]`` has the tensor shape
 followed by ``r`` derivative axes of length ``n`` (value, grad, hess,
-third).  A scalar jet is the shape-``()`` case; its value is a float.
+third, ...).  A scalar jet is the shape-``()`` case; its value is a float.
 Arithmetic implements the product and chain rules exactly (the truncated
 Taylor arithmetic of Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
 ch. 13), so any quantity assembled from jets carries exact derivatives of
 the assembly.
+
+Layer ``r`` of a product is a Leibniz sum over the ways of sharing the
+``r`` derivative slots between the factors, and layer ``r`` of a
+composition is a Faa di Bruno sum over the set partitions of the slots
+(Griewank, Utke & Walther, "Evaluating higher derivative tensors by forward
+propagation of univariate Taylor series", *Math. Comp.* 69, 2000).  Both
+sums are generic in ``r``; their einsum terms are built once per order and
+operand layout and cached.  Products and elementwise functions spell out
+orders 1 to 3 by hand, as a fast path.
 
 Jets index, transpose, reshape and iterate over their tensor axes, and
 ``+ - * /`` broadcast between jets, float arrays and floats as numpy
@@ -17,9 +26,9 @@ jets by the Leibniz rule, :func:`partials` turns the first derivative axis
 into a tensor axis, :func:`jet_solve` solves linear systems
 (differentiating ``A(x) s(x) = b(x)`` order by order), :func:`jet_compose`
 applies the chain rule, :func:`jet_stack` stacks jets on a new axis, and
-:func:`jet_cross` (the generalized cross product, which gives normals)
-expands :func:`jet_det`.  A jet is never modified in place, so results may
-share layers with their operands.
+:func:`jet_cross` is the generalized cross product, which gives normals.
+A jet is never modified in place, so results may share layers with their
+operands.
 """
 
 from __future__ import annotations
@@ -36,8 +45,6 @@ __all__ = [
     "JetOrderError",
     "EvaluationDomainError",
     "jet_solve",
-    "jet_matinv",
-    "jet_det",
     "jet_cross",
     "jet_compose",
     "jet_einsum",
@@ -90,6 +97,15 @@ def _cross12(u, v):
     return u[..., :, None, None] * v[..., None, :, :]
 
 
+def _falling_factorials(a, order):
+    """``(r, a (a-1) ... (a-r+1))`` for ``r = 0 .. order``: the coefficients
+    of the derivatives of ``v ** a``."""
+    c = 1.0
+    for r in range(order + 1):
+        yield r, c
+        c *= a - r
+
+
 class Jet:
     """A tensor of values plus partial derivatives up to ``order`` in ``n``
     variables: ``layers[r]`` has shape ``shape + (n,) * r``."""
@@ -98,8 +114,8 @@ class Jet:
     __array_ufunc__ = None  # numpy operators defer to the jet's own
 
     def __init__(self, n, layers):
-        if not 1 <= len(layers) <= 4:
-            raise JetOrderError(f"jet order must be in 0..3, got {len(layers) - 1}")
+        if not layers:
+            raise JetOrderError("a jet needs at least its value layer")
         self.n = n
         self.layers = layers
 
@@ -108,8 +124,8 @@ class Jet:
     @staticmethod
     def constant(c, n, order):
         """Jet of the constant(s) ``c``: every derivative is zero."""
-        if not 0 <= order <= 3:
-            raise JetOrderError(f"jet order must be in 0..3, got {order}")
+        if order < 0:
+            raise JetOrderError(f"jet order must be >= 0, got {order}")
         if isinstance(c, (int, float)):
             c, shape = float(c), ()
         else:
@@ -240,6 +256,10 @@ class Jet:
             out.append(_up(a0, 2) * b[2] + _up(b0, 2) * a[2] + t + t.swapaxes(-1, -2))
         if o >= 3:
             out.append(_up(a0, 3) * b[3] + _up(b0, 3) * a[3] + _sym3(_cross12(a[1], b[2]) + _cross12(b[1], a[2])))
+        if o >= 4:
+            # orders 1 to 3 above are the closed forms of this generic sum,
+            # kept as a fast path
+            out += [_leibniz(("...", "..."), "...", [a, b], r) for r in range(4, o + 1)]
         return Jet(self.n, out)
 
     __rmul__ = __mul__
@@ -259,13 +279,16 @@ class Jet:
         if o >= 3:
             ggg = gg[..., None] * g[..., None, None, :]
             out.append(_up(f[1], 3) * L[3] + _up(f[2], 3) * _sym3(_cross12(g, L[2])) + _up(f[3], 3) * ggg)
+        if o >= 4:
+            # as in __mul__, orders 1 to 3 are closed forms of the generic sum
+            out += [_faa_di_bruno("chain", f, L, r) for r in range(4, o + 1)]
         return Jet(self.n, out)
 
     def reciprocal(self):
         v = self.layers[0]
         if _any(v == 0.0) or not _finite(v):
             raise EvaluationDomainError("division by zero")
-        return self._chain((1.0 / v, -1.0 / v**2, 2.0 / v**3, -6.0 / v**4))
+        return self._chain([c / v ** (r + 1) for r, c in _falling_factorials(-1, self.order)])
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
@@ -282,13 +305,8 @@ class Jet:
             return Jet.constant(np.ones(self.shape), self.n, self.order)
         if k < 0 and _any(v == 0.0):
             raise EvaluationDomainError("zero raised to a negative power")
-        derivs = []
-        c = 1.0
-        for r in range(self.order + 1):
-            # c = k (k-1) ... (k-r+1) vanishes once r > k >= 0
-            derivs.append(c * v ** (k - r) if c else 0.0)
-            c *= k - r
-        return self._chain(derivs)
+        # the falling factorial vanishes once r > k >= 0
+        return self._chain([c * v ** (k - r) if c else 0.0 for r, c in _falling_factorials(k, self.order)])
 
     # -- elementary functions -------------------------------------------------
 
@@ -300,24 +318,28 @@ class Jet:
         v = self.layers[0]
         if _any(v <= 0.0):
             raise EvaluationDomainError("log of a non-positive value")
-        return self._chain((np.log(v), 1.0 / v, -1.0 / v**2, 2.0 / v**3))
+        # d^r log v = (d^(r-1) of v^-1) = (-1)_(r-1) / v^r
+        return self._chain([np.log(v)] + [c / v ** (r + 1) for r, c in _falling_factorials(-1, self.order - 1)])
 
     def sin(self):
         v = self.layers[0]
         s, c = np.sin(v), np.cos(v)
-        return self._chain((s, c, -s, -c))
+        cycle = (s, c, -s, -c)
+        return self._chain([cycle[r % 4] for r in range(self.order + 1)])
 
     def cos(self):
         v = self.layers[0]
         s, c = np.sin(v), np.cos(v)
-        return self._chain((c, -s, -c, s))
+        cycle = (c, -s, -c, s)
+        return self._chain([cycle[r % 4] for r in range(self.order + 1)])
 
     def sqrt(self):
         v = self.layers[0]
         if _any(v < 0.0) or (self.order >= 1 and _any(v == 0.0)):
             raise EvaluationDomainError("sqrt of a negative value")
-        r = np.sqrt(v)
-        return self._chain((r, 0.5 / r, -0.25 / r**3, 0.375 / r**5) if self.order else (r,))
+        rt = np.sqrt(v)
+        # d^r v^(1/2) = (1/2)_r v^(1/2 - r) = (1/2)_r / rt^(2r - 1)
+        return self._chain([rt] + [c / rt ** (2 * r - 1) for r, c in _falling_factorials(0.5, self.order) if r])
 
 
 # -- contractions, solves and composition on the layers ----------------------------
@@ -355,6 +377,52 @@ def _leibniz(inputs, output, layers, r):
     parts = [
         np.einsum(spec, *(L[c] for L, c in zip(layers, counts)))
         for spec, counts in _leibniz_terms(tuple(inputs), output, tuple(len(L) for L in layers), r)
+    ]
+    return sum(parts[1:], parts[0])
+
+
+def _set_partitions(slots):
+    """Every partition of the tuple ``slots`` into blocks, each block in
+    increasing order."""
+    if not slots:
+        return [()]
+    first, rest = slots[0], slots[1:]
+    out = []
+    for part in _set_partitions(rest):
+        out.append(((first,),) + part)
+        out += [part[:i] + ((first,) + block,) + part[i + 1 :] for i, block in enumerate(part)]
+    return out
+
+
+@functools.lru_cache(maxsize=None)
+def _faa_di_bruno_terms(kind, r):
+    """``(einsum spec, outer layer, inner layer per block)`` of each
+    order-``r`` term of the Faa di Bruno formula, one per set partition of
+    the ``r`` derivative slots: layer ``k`` of the outer function (``k`` the
+    block count) times, for each block, the inner layer with as many
+    derivative axes as the block has slots, placed on the block's slots.
+
+    ``kind`` "chain" is an elementwise function (every operand shares the
+    tensor axes ``...``); "compose" is a function of m variables, whose
+    layer ``k`` contracts ``k`` image axes with the blocks' leading axes."""
+    slots = string.ascii_lowercase[:r]
+    terms = []
+    for part in _set_partitions(tuple(range(r))):
+        blocks = ["".join(slots[i] for i in block) for block in part]
+        if kind == "chain":
+            specs = ["..."] + ["..." + b for b in blocks]
+        else:
+            images = string.ascii_uppercase[: len(blocks)]
+            specs = ["..." + images] + [a + b for a, b in zip(images, blocks)]
+        terms.append((",".join(specs) + "->..." + slots, len(blocks), tuple(len(b) for b in blocks)))
+    return tuple(terms)
+
+
+def _faa_di_bruno(kind, outer, inner, r):
+    """Order-``r`` layer of the composition of the outer function's
+    derivative layers ``outer`` with the inner layers ``inner``."""
+    parts = [
+        np.einsum(spec, outer[k], *(inner[s] for s in sizes)) for spec, k, sizes in _faa_di_bruno_terms(kind, r)
     ]
     return sum(parts[1:], parts[0])
 
@@ -425,11 +493,6 @@ def jet_solve(A, b):
     return Jet(n, [x.reshape(shape + x.shape[2:]) for x in s])
 
 
-def jet_matinv(A):
-    """Inverse of a jet-valued square matrix."""
-    return jet_solve(A, np.eye(A.shape[0]))
-
-
 @functools.lru_cache(maxsize=None)
 def _permutation_signs(k):
     """The ``k``-index permutation symbol: ``eps[s] = sign(s)`` for each
@@ -451,31 +514,11 @@ def jet_cross(rows):
     return jet_einsum(f"{i}{''.join(idx)},{','.join(idx)}->{i}", _permutation_signs(k), *rows)
 
 
-def jet_det(A):
-    """Determinant of a jet-valued square matrix, expanded along its first
-    row."""
-    return jet_einsum("i,i->", A[0], jet_cross(A[1:]))
-
-
 def jet_compose(outer, inner):
     """Chain rule: ``outer`` is a jet (of any shape) in the m image
     variables, ``inner`` a shape-``(m,)`` jet in the source variables.
     Returns the jet of the composition in the source variables, at the
     lower order of the two."""
     order = min(outer.order, inner.order)
-    _, J, H, T = list(inner.layers[: order + 1]) + [None] * (3 - order)
-    o = outer.layers
-    layers = [o[0]]
-    if order >= 1:
-        layers.append(np.einsum("...a,ai->...i", o[1], J))
-    if order >= 2:
-        layers.append(np.einsum("...ab,ai,bj->...ij", o[2], J, J) + np.einsum("...a,aij->...ij", o[1], H))
-    if order >= 3:
-        layers.append(
-            np.einsum("...abc,ai,bj,ck->...ijk", o[3], J, J, J)
-            + np.einsum("...ab,aij,bk->...ijk", o[2], H, J)
-            + np.einsum("...ab,aik,bj->...ijk", o[2], H, J)
-            + np.einsum("...ab,ajk,bi->...ijk", o[2], H, J)
-            + np.einsum("...a,aijk->...ijk", o[1], T)
-        )
-    return Jet(inner.n, layers)
+    o, F = outer.layers, inner.layers
+    return Jet(inner.n, [o[0]] + [_faa_di_bruno("compose", o, F, r) for r in range(1, order + 1)])

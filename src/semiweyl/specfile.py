@@ -42,7 +42,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expressions import ExpressionSyntaxError, UnknownSymbolError, differentiate
+from .expressions import ExpressionSyntaxError, UnknownSymbolError
 from .fields import (
     Chart,
     ConnectionField,
@@ -295,10 +295,6 @@ def _build_eta(chart, entries, col, sources):
     return None if es is None else OneFormField.from_expressions(chart, [e for e in es])
 
 
-def _one_form_from_differential(chart, expr):
-    return OneFormField.from_expressions(chart, [differentiate(expr, a) for a in range(chart.dim)])
-
-
 def _build_connection(chart, entries, g, eta, col, sources):
     n = chart.dim
     be = _single(entries, "base")
@@ -339,7 +335,7 @@ def _build_connection(chart, entries, g, eta, col, sources):
             inner = spec[len("I_tensor_dphi(") : -1]
             expr = _parse_expr(chart, _Entry(e.key, inner, e.line), col, "I_tensor_dphi argument", sources)
             if expr is not None:
-                tensors.append(id_tensor_eta(chart, _one_form_from_differential(chart, expr)))
+                tensors.append(id_tensor_eta(chart, OneFormField.d(chart, ScalarField.from_expression(chart, expr))))
         elif spec.startswith("g_tensor_gradient(") and spec.endswith(")"):
             inner = spec[len("g_tensor_gradient(") : -1]
             expr = _parse_expr(chart, _Entry(e.key, inner, e.line), col, "g_tensor_gradient argument", sources)

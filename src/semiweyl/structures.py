@@ -211,8 +211,3 @@ def check_semi_dual_structure(s: Structure, config: RunConfig, check_flatness=Fa
         )
     return out
 
-
-def connection_coefficient_residual(c1: ConnectionField, c2: ConnectionField, p):
-    g1 = c1.value(p)
-    g2 = c2.value(p)
-    return np.max(np.abs(g1 - g2)), 1.0 + max(np.max(np.abs(g1)), np.max(np.abs(g2)))

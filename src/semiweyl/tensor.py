@@ -1,6 +1,6 @@
 """Pointwise tensor operators: Levi-Civita connection, torsion, curvature,
-Ricci and scalar curvature, covariant derivative of the metric, gradients,
-divergence-type traces and orthonormal frames.
+Ricci and scalar curvature, covariant derivative of the metric, gradients
+and orthonormal frames.
 
 Ricci and scalar curvature are defined by metric contraction; the
 frame-based sums (over an orthonormal frame with signs ``eps_i``) are kept
@@ -27,9 +27,7 @@ __all__ = [
     "nabla_g_values",
     "d_nabla_g_values",
     "gradient",
-    "gradient_values",
     "covariant_derivative_of_vector",
-    "laplacian",
     "orthonormal_frame",
     "signature",
 ]
@@ -151,27 +149,11 @@ def gradient(g: MetricField, f) -> VectorField:
     return VectorField(g.chart, fn)
 
 
-def gradient_values(g: MetricField, f, p):
-    ginv = inverse_metric_values(g, p)
-    fj = f.jet(p, 1)
-    return ginv @ fj.grad
-
-
 def covariant_derivative_of_vector(conn: ConnectionField, V: VectorField, p, order=0):
     """``(nabla_{d_a} V)^k`` as an ``[a, k]`` array (a jet when order > 0)."""
     Vj = V.jet(p, order + 1)
     out = partials(Vj).T + jet_einsum("kam,m->ak", conn.jet(p, order), Vj)
     return out.value if order == 0 else out
-
-
-def laplacian(conn: ConnectionField, g: MetricField, f, p):
-    """``Delta^{(nabla, g)} f = sum_i eps_i g(nabla_{E_i} grad f, E_i)``,
-    computed by metric contraction."""
-    grad_f = gradient(g, f)
-    dV = covariant_derivative_of_vector(conn, grad_f, p)
-    gvals = g.value(p)
-    ginv = np.linalg.inv(gvals)
-    return float(np.einsum("ab,ak,kb->", ginv, dV, gvals))
 
 
 def orthonormal_frame(gvals):

@@ -176,3 +176,21 @@ class TestPointData:
         run_spec(spec)
         assert spec.config.samples == 150
         assert len(builds) == 4 * 150 and len(set(builds)) == 150
+
+    def test_torsion_invariance_builds_no_point_data(self, monkeypatch):
+        # cp_torsion_term_symmetry reads the coefficient tensor that
+        # transform adds; it needs no curvature or covariant derivatives
+        spec = load_spec(Path(__file__).resolve().parents[1] / "fixtures" / "swmt_eta_shift.spec")
+        builds = []
+        init = conformal._PointData.__init__
+
+        def counted(self, s, t, p):
+            builds.append(p.tobytes())
+            init(self, s, t, p)
+
+        monkeypatch.setattr(conformal._PointData, "__init__", counted)
+        symmetry, torsion = check_torsion_invariance(spec.structure, spec.transform, spec.config)
+        assert builds == []
+        assert symmetry.name == "cp_torsion_term_symmetry" and symmetry.tol == 0.0
+        assert symmetry.passed and symmetry.max_residual == 0.0 and symmetry.points_tested == 200
+        assert torsion.passed and torsion.points_tested == 200

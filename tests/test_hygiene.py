@@ -1,10 +1,11 @@
 """Source hygiene: no module of the package imports a name it never uses,
-and none builds a numpy object array.
+every name in its ``__all__`` exists, and none builds a numpy object array.
 
 AST checks, so they need no linter.  Names re-exported through ``__all__``
-and ``from __future__ import annotations`` are exempt from the first.  The
-second keeps jets in their dense storage (``semiweyl.jets.Jet``): an
-object array of per-scalar jets is the format that type replaced.
+and ``from __future__ import annotations`` are exempt from the first, so
+the second keeps a deleted function from lingering as a stale export.  The
+third keeps jets in their dense storage (``semiweyl.jets.Jet``): an object
+array of per-scalar jets is the format that type replaced.
 """
 
 import ast
@@ -52,6 +53,37 @@ def test_the_check_sees_an_unused_import():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def _defined_names(tree):
+    """Names bound at module level: functions, classes, assignments and
+    imports."""
+    names = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names |= {n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name)}
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            names |= {alias.asname or alias.name.split(".")[0] for alias in node.names}
+    return names
+
+
+def stale_exports(source):
+    """Entries of ``__all__`` that name nothing the module defines or imports."""
+    tree = ast.parse(source)
+    return sorted(_exported_names(tree) - _defined_names(tree))
+
+
+def test_the_check_sees_a_stale_export():
+    source = "from .jets import Jet\nX, (Y, Z) = 1, (2, 3)\ndef f(): pass\n__all__ = ['Jet', 'X', 'Z', 'f', 'gone']\n"
+    assert stale_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_exports_only_names_it_has(path):
+    assert stale_exports(path.read_text()) == []
 
 
 def _is_object_dtype(node):

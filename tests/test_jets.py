@@ -6,16 +6,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from semiweyl.expressions import differentiate, eval_jet, eval_jets, eval_value, parse_expression
+from semiweyl.expressions import eval_jet, eval_jets, parse_expression
 from semiweyl.jets import (
     EvaluationDomainError,
     Jet,
     JetOrderError,
+    _faa_di_bruno,
+    _leibniz,
     jet_compose,
     jet_cross,
-    jet_det,
     jet_einsum,
-    jet_matinv,
     jet_solve,
     jet_stack,
     partials,
@@ -133,14 +133,22 @@ class TestArithmetic:
 
     def test_order_three_product(self):
         # third-order coefficients follow the trilinear Leibniz rule,
-        # cross-checked against symbolic differentiation
+        # cross-checked against sympy
+        sp = pytest.importorskip("sympy")
+        x, y = sp.symbols("x y")
         e = parse_expression("(x^2*y + sin(x)) * exp(y)", ("x", "y"))
         p = (0.7, 0.4)
         j = eval_jet(e, p, 3)
-        d = e
-        for idx in (0, 1, 1):
-            d = differentiate(d, idx)
-        assert j.third[0, 1, 1] == pytest.approx(eval_value(d, p), rel=1e-12)
+        d = sp.diff((x**2 * y + sp.sin(x)) * sp.exp(y), x, y, y)
+        assert j.third[0, 1, 1] == pytest.approx(float(d.subs({x: p[0], y: p[1]})), rel=1e-12)
+
+    def test_order_is_not_capped(self):
+        assert Jet.constant(1.0, 2, 5).order == 5
+        assert eval_jet(parse_expression("x*y", NAMES), (0.5, 0.5), 6).layers[6].shape == (2,) * 6
+        with pytest.raises(JetOrderError):
+            Jet.constant(1.0, 2, -1)
+        with pytest.raises(JetOrderError):
+            Jet(2, [])
 
 
 NAMES = ("x", "y")
@@ -237,18 +245,21 @@ class TestLinearAlgebra:
         assert np.max(np.abs(r[2])) < 1e-10
 
     def test_matinv_times_matrix_is_identity(self):
+        # the inverse is jet_solve against the identity
         p = (0.5, 0.9)
         A = self._matrix_jets([["2 + x", "y"], ["0.1", "1 + y^2"]], p)
-        acc = product_layers("ij,jk->ik", A.layers, jet_matinv(A).layers, 2)
+        acc = product_layers("ij,jk->ik", A.layers, jet_solve(A, np.eye(2)).layers, 2)
         assert np.allclose(acc[0], np.eye(2), rtol=0.0, atol=1e-12)
         assert np.max(np.abs(acc[1])) < 1e-11
         assert np.max(np.abs(acc[2])) < 1e-10
 
     def test_det_matches_symbolic(self):
+        # the determinant is the first row against the cross product of the others
         exprs = [["2 + x", "y"], ["0.1*x", "1 + y^2"]]
         det_expr = parse_expression("(2 + x)*(1 + y^2) - y*0.1*x", NAMES)
         p = (0.4, 0.7)
-        d = jet_det(self._matrix_jets(exprs, p))
+        A = self._matrix_jets(exprs, p)
+        d = jet_einsum("i,i->", A[0], jet_cross(A[1:]))
         ref = eval_jet(det_expr, p, 2)
         assert d.value == pytest.approx(ref.value, rel=1e-12)
         assert np.allclose(d.grad, ref.grad)
@@ -286,10 +297,68 @@ class TestComposition:
         assert np.allclose(out.grad, ref.grad)
         assert np.allclose(out.hess, ref.hess)
 
+    @pytest.mark.parametrize("order", [3, 4, 5])
+    def test_compose_matches_direct_evaluation_at_high_order(self, order):
+        # every layer of the Faa di Bruno sum, against products and
+        # elementwise functions of the composite expression
+        names = ("u", "v")
+        outer = parse_expression("exp(x) * y + x*x*y", NAMES)
+        composite = parse_expression("exp(u*v) * sin(u + v) + u*v*u*v*sin(u + v)", names)
+        p = (0.6, 0.8)
+        inner = eval_jets([parse_expression(t, names) for t in ("u*v", "sin(u + v)")], p, order)
+        out = jet_compose(eval_jet(outer, inner.value, order), inner)
+        assert_layers_close(out, eval_jet(composite, p, order).layers, tol=1e-12)
+
     def test_values_of(self):
         arr = Jet.constant(np.arange(6.0).reshape(2, 3), 2, 1)
         assert np.array_equal(arr.value, np.arange(6.0).reshape(2, 3))
         assert arr.grad.shape == (2, 3, 2) and not arr.grad.any()
+
+
+class TestGenericOrders:
+    """Layers above order 3 come from the generic Leibniz and Faa di Bruno
+    sums.  At orders 1 to 3 the same sums must reproduce the hand-written
+    layers of products and elementwise functions."""
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_generic_leibniz_sum_matches_the_closed_forms(self, r):
+        rng = np.random.default_rng(80 + r)
+        T, v = random_jets(rng, (2, 3), 3), random_jets(rng, (3,), 3)
+        want = (T * v).layers[r]
+        got = _leibniz(("...", "..."), "...", [T.layers, v.layers], r)
+        assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+    @pytest.mark.parametrize("r", [1, 2, 3])
+    def test_generic_chain_sum_matches_the_closed_forms(self, r):
+        rng = np.random.default_rng(90 + r)
+        J = random_jets(rng, (2, 3), 3)
+        f = [rng.normal(size=(2, 3)) for _ in range(4)]
+        want = J._chain(f).layers[r]
+        got = _faa_di_bruno("chain", f, J.layers, r)
+        assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+    def test_order_four_product_against_every_placement(self):
+        # reference: all 2^4 ways of sharing the slots x, y, z, w between the
+        # factors, written out here with numpy
+        rng = np.random.default_rng(99)
+        T, v = random_jets(rng, (2, 3), 4), random_jets(rng, (3,), 4)
+        slots = "wxyz"
+        want = 0.0
+        for owner in itertools.product((0, 1), repeat=4):
+            on_T = "".join(c for c, o in zip(slots, owner) if o == 0)
+            on_v = "".join(c for c, o in zip(slots, owner) if o == 1)
+            want = want + np.einsum(f"ij{on_T},j{on_v}->ij{slots}", T.layers[len(on_T)], v.layers[len(on_v)])
+        got = (T * v).layers[4]
+        assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+
+    def test_order_four_solve_satisfies_the_system(self):
+        p = (0.8, 0.6)
+        exprs = ["1 + x*y", "0.3*y", "0.2*x", "2 + sin(x)"]
+        A = eval_jets(_parsed(exprs), p, 4).reshape(2, 2)
+        b = eval_jets(_parsed(["x^2", "cos(y)"]), p, 4)
+        residual = jet_einsum("ij,j->i", A, jet_solve(A, b)) - b
+        for r, L in enumerate(residual.layers):
+            assert np.max(np.abs(L)) < 1e-9, r
 
 
 # -- dense contractions ---------------------------------------------------------

@@ -3,7 +3,9 @@
 Christoffel symbols, curvature, Ricci, the semi-dual connection and an
 induced metric are derived symbolically from their definitions and
 compared, with first derivatives where the engine carries them, against
-the jet values at fixed points.  No code is shared with ``semiweyl.jets``.
+the jet values at fixed points.  Expressions and a composition are also
+compared layer by layer up to order 4, where the jets' generic Leibniz and
+Faa di Bruno sums take over.  No code is shared with ``semiweyl.jets``.
 """
 
 import numpy as np
@@ -11,6 +13,7 @@ import pytest
 
 sp = pytest.importorskip("sympy")
 
+from semiweyl.expressions import eval_jets, parse_expression  # noqa: E402
 from semiweyl.fields import (  # noqa: E402
     Chart,
     ConnectionField,
@@ -20,6 +23,7 @@ from semiweyl.fields import (  # noqa: E402
     id_tensor_eta,
 )
 from semiweyl.hypersurfaces import EmbeddingMap, induced_structure  # noqa: E402
+from semiweyl.jets import jet_compose  # noqa: E402
 from semiweyl.structures import Structure, semi_dual_connection  # noqa: E402
 from semiweyl.tensor import curvature_values, levi_civita, ricci_values  # noqa: E402
 
@@ -191,3 +195,53 @@ def test_induced_metric_of_the_sphere_in_a_curved_ambient():
     want_grad = np.moveaxis(np.array(sp.lambdify(u, grads, "math")(*p), dtype=float), 0, -1)
     assert_close(got[0], want_value)
     assert_close(got[1], want_grad)
+
+
+# -- order four: the generic Leibniz and Faa di Bruno sums ---------------------
+
+
+def symbolic_layers(exprs, symbols, point, order):
+    """Layers ``0 .. order`` of the sympy array ``exprs`` at ``point``, each
+    with its derivative axes last, as the jets store them."""
+    D, layers = sp.Array(exprs), []
+    for r in range(order + 1):
+        values = np.array(sp.lambdify(symbols, D.tolist(), "math", cse=True)(*point), dtype=float)
+        layers.append(np.moveaxis(values, list(range(r)), list(range(-r, 0))) if r else values)
+        D = sp.derive_by_array(D, symbols)
+    return layers
+
+
+def assert_layers_close(jet, want, tol=TOL):
+    assert jet.order == len(want) - 1
+    for r, (got, ref) in enumerate(zip(jet.layers, want)):
+        assert np.max(np.abs(got - ref)) <= tol * (1.0 + np.max(np.abs(ref))), r
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "exp(x*y) * sin(x + y^2)",
+        "log(1 + x*y) / (2 + cos(x))",
+        "sqrt(1 + x*x*y) * (x - y)^3",
+        "(1 + x*y)^(-2) - 1/(x + y)",
+    ],
+)
+def test_expression_layers_to_fourth_order(text):
+    # every elementary function and integer power, products and quotients
+    x = sp.symbols(("x", "y"))
+    p = (0.7, 0.4)
+    e = parse_expression(text, ("x", "y"))
+    want = symbolic_layers([sp.sympify(text.replace("^", "**"))], x, p, 4)
+    assert_layers_close(eval_jets([e], p, 4), want)
+
+
+def test_composition_to_fourth_order():
+    # ambient metric entries pulled back through the sphere map, by jet_compose
+    x, u = sp.symbols(("x", "y", "z")), sp.symbols(("u", "v"))
+    outer = ["exp(0.2*x*z)", "0.1*x*y", "1 + 0.2*y*y"]
+    inner = ["cos(u)*sin(v)", "sin(u)*sin(v)", "cos(v)"]
+    p = (0.7, 0.9)
+    F = eval_jets([parse_expression(c, ("u", "v")) for c in inner], p, 4)
+    G = eval_jets([parse_expression(c, ("x", "y", "z")) for c in outer], F.value, 4)
+    at_F = dict(zip(x, (sp.sympify(c) for c in inner)))
+    assert_layers_close(jet_compose(G, F), symbolic_layers([sp.sympify(c).subs(at_F) for c in outer], u, p, 4))

@@ -13,19 +13,21 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import HealthCheck, Phase, assume, given, settings
 from hypothesis import strategies as st
 
 from semiweyl.affine import realized_structure, xi_rescaled
 from semiweyl.conformal import transform
+from semiweyl.expressions import eval_jet, parse_expression
 from semiweyl.hypersurfaces import induced_structure
+from semiweyl.jets import Jet
 from semiweyl.lightlike import LightlikeFrame
 from semiweyl.specfile import load_spec
 from semiweyl.structures import semi_dual_connection
 
 FIXTURES = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.spec"))
 H = 1e-4
-ORDERS = (0,)  # k: the order-k jet is differenced against layer k + 1
+ORDERS = (0, 1, 2, 3)  # k: the order-k jet is differenced against layer k + 1
 TOL = 2e-6  # relative to 1 + max |layer k + 1|
 
 
@@ -105,7 +107,15 @@ def _evaluable(fields, p):
 def test_jet_layers_are_derivatives_of_the_layer_below(path):
     for chart, fields in spec_fields(load_spec(path)):
 
-        @settings(max_examples=1, deadline=None, database=None, suppress_health_check=[HealthCheck.filter_too_much])
+        # one point per chart keeps the test near 8 s; a failure names its
+        # point, and is not shrunk (each evaluation takes up to a second)
+        @settings(
+            max_examples=1,
+            deadline=None,
+            database=None,
+            phases=(Phase.generate,),
+            suppress_health_check=[HealthCheck.filter_too_much],
+        )
         @given(_points(chart))
         def check(p):
             assume(_evaluable(fields, p))
@@ -119,9 +129,6 @@ def test_jet_layers_are_derivatives_of_the_layer_below(path):
 
 def test_the_oracle_sees_a_wrong_layer():
     # a jet whose second layer is off by a constant fails at k = 1
-    from semiweyl.expressions import eval_jet, parse_expression
-    from semiweyl.jets import Jet
-
     e = parse_expression("sin(x)*exp(y)", ("x", "y"))
 
     def wrong(p, order):
