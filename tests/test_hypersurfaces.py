@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import ambient_swmt_3d, euclidean3_chart, sphere_embedding
+from conftest import ambient_swmt_3d, euclidean3_chart, minkowski_structure, sphere_embedding
 from semiweyl.conformal import TransformData
 from semiweyl.fields import (
     Chart,
@@ -49,6 +49,13 @@ def cylinder_embedding(ambient_chart):
 
 def ambient_transform(chart):
     return TransformData(chart, "0.2*x + 0.1*y", "0.1*z + 0.05*x*y")
+
+
+def spacelike_hyperboloid(ambient_chart):
+    """The unit hyperboloid ``t = sqrt(1 + x^2 + y^2)`` of 3-D Minkowski
+    space: a spacelike, umbilic hypersurface whose unit normal is timelike."""
+    dom = Chart(("u", "v"), (-0.8, -0.8), (0.8, 0.8))
+    return EmbeddingMap(dom, ambient_chart, ["sqrt(1 + u*u + v*v)", "u", "v"])
 
 
 class TestInducedGeometry:
@@ -186,3 +193,31 @@ class TestCurvatureRelations:
         s = Structure(chart, g, eta, levi_civita(g))
         out = check_flat_dual_hypersurface(sphere_embedding(chart), s, config)
         assert all(v.skipped for v in out)
+
+
+class TestTimelikeNormal:
+    """``eps = g(N, N) = -1``: every other hypersurface in the suite has a
+    spacelike normal, so only this case sees the sign in the laws."""
+
+    def test_normal_of_the_hyperboloid_is_timelike(self):
+        s = minkowski_structure(3)
+        frame = HypersurfaceFrame(spacelike_hyperboloid(s.chart), s)
+        for p in halton_points(frame.emb.domain, 10):
+            N, eps = frame.normal(p, 0)
+            assert eps == -1.0
+            assert N.value @ s.g.value(frame.emb.value(p)) @ N.value == pytest.approx(-1.0, abs=1e-12)
+
+    def test_fundamental_form_checks_hold(self):
+        s = minkowski_structure(3)
+        emb = spacelike_hyperboloid(s.chart)
+        t = TransformData(s.chart, "0.2*t + 0.1*y", "0.1*x + 0.05*y")
+        cfg = RunConfig(samples=60, seed=0, tol=1e-10, min_valid_points=30)
+        out = (
+            check_beta_symmetry(emb, s, cfg)
+            + check_duality_pairing(emb, s, cfg)
+            + check_umbilic_preservation(emb, s, t, cfg)
+        )
+        assert [v.name for v in out] == ["beta_symmetry", "duality_pairing", "cp_beta_law", "umbilic_preservation"]
+        for v in out:
+            assert v.passed and not v.skipped, v
+            assert (v.points_tested, v.points_skipped) == (60, 0), v  # every point is umbilic
