@@ -1,13 +1,20 @@
-"""Non-degenerate submanifolds: induced structures, second fundamental
-forms, shape operators, and the checks tying them to the ambient geometry
-(induced-structure condition, duality, curvature decomposition, umbilic
-behaviour under the conformal-projective transformation)."""
+"""Non-degenerate submanifolds: pullbacks through an embedding, induced
+structures, second fundamental forms, shape operators, and the checks tying
+them to the ambient geometry (induced-structure condition, duality,
+curvature decomposition, umbilic behaviour under the conformal-projective
+transformation).
+
+Beta symmetry, the duality pairing and the umbilic laws are written once,
+against the fundamental-form data a frame gives at a point (the forms
+``alpha`` and ``beta`` of a connection, the sign ``eps = g(N, N)``, the
+metric of the tangent frame and the transversal ``N``).  They serve the
+unit normal of a :class:`HypersurfaceFrame` here and the null transversal
+of a :class:`~semiweyl.lightlike.LightlikeFrame`."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .expressions import eval_jets
 from .fields import (
     Chart,
     ConnectionField,
@@ -15,7 +22,7 @@ from .fields import (
     LastPointCache,
     MetricField,
     OneFormField,
-    ScalarField,
+    VectorField,
 )
 from .jets import jet_compose, jet_cross, jet_einsum, jet_solve, partials
 from .structures import Structure, is_swmt, semi_dual_connection
@@ -30,7 +37,6 @@ from .verdicts import RunConfig, SkipPoint, gated, run_pointwise_check
 
 __all__ = [
     "EmbeddingMap",
-    "pullback_scalar",
     "induced_structure",
     "HypersurfaceFrame",
     "check_induced_structure",
@@ -47,84 +53,86 @@ __all__ = [
 
 class EmbeddingMap:
     """A smooth map from a parameter chart into an ambient chart, given by
-    one expression per ambient coordinate."""
+    one expression per ambient coordinate.
+
+    Its coordinates are a :class:`~semiweyl.fields.VectorField` on the
+    domain, and the pullback of an ambient field is a field on the domain.
+    The map keeps one pullback per ambient field (and one induced metric
+    per ambient metric), so every frame and check on the map shares its
+    jets at the most recent point."""
 
     def __init__(self, domain: Chart, ambient: Chart, components):
         if len(components) != ambient.dim:
             raise ValueError("one component expression per ambient coordinate is required")
         self.domain = domain
         self.ambient = ambient
-        self.components = tuple(domain.parse(c) if isinstance(c, str) else c for c in components)
-        self._jets = LastPointCache()
+        self.coords = VectorField.from_expressions(domain, components)
+        self._pullbacks = {}
+        self._induced_metrics = {}
 
     @property
     def codim(self):
         return self.ambient.dim - self.domain.dim
 
     def jet(self, p, order):
-        """Jets of the ambient coordinates at ``p``; like a field's jets, the
-        result at the most recent point is shared and read-only."""
-        return self._jets(self._eval_jet, p, order)
-
-    def _eval_jet(self, p, order):
-        return eval_jets(self.components, p, order, dim=self.domain.dim)
+        """Jets of the ambient coordinates at ``p`` (shared and read-only,
+        like any field's)."""
+        return self.coords.jet(p, order)
 
     def value(self, p):
-        return self.jet(p, 0).value
+        return self.coords.value(p)
 
-    def compose(self, field, extra_order=0):
-        """Pull an ambient field back through the map: returns a function
-        ``(p, order) -> jets in the domain variables``."""
+    def compose(self, field):
+        """The pullback of an ambient field: a field of the same kind on the
+        domain, whose jets are those of ``field`` along the map."""
+        pb = self._pullbacks.get(field)
+        if pb is None:
 
-        def fn(p, order):
-            F = self.jet(p, order + extra_order)
-            return jet_compose(field.jet(F.value, order), F)
+            def fn(p, order):
+                F = self.jet(p, order)
+                return jet_compose(field.jet(F.value, order), F)
 
-        return fn
+            pb = self._pullbacks[field] = type(field)(self.domain, fn)
+        return pb
 
+    def induced_metric(self, g):
+        """The metric ``g(dF e_a, dF e_b)`` induced on the domain by the
+        ambient metric ``g``."""
+        gp = self._induced_metrics.get(g)
+        if gp is None:
+            Gc = self.compose(g)
 
-def pullback_scalar(emb: EmbeddingMap, f) -> ScalarField:
-    fs = f if isinstance(f, ScalarField) else ScalarField.from_expression(emb.ambient, f)
+            def fn(p, order):
+                dF = partials(self.jet(p, order + 1))
+                return jet_einsum("ia,jb,ij->ab", dF, dF, Gc.jet(p, order))
 
-    def fn(p, order):
-        F = emb.jet(p, order)
-        return jet_compose(fs.jet(F.value, order), F)
-
-    return ScalarField(emb.domain, fn)
-
-
-def _induced_metric_jets(emb, g, p, order):
-    """``(g', dF, Gc)``: the induced metric ``g(dF e_a, dF e_b)``, the
-    differential ``dF[i, a] = d F^i / d u^a`` and the ambient metric along
-    the map, all of order ``order``."""
-    dF = partials(emb.jet(p, order + 1))
-    Gc = emb.compose(g)(p, order)
-    return jet_einsum("ia,jb,ij->ab", dF, dF, Gc), dF, Gc
+            gp = self._induced_metrics[g] = MetricField(self.domain, fn)
+        return gp
 
 
 def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
     """Restrict the metric and one-form and project the connection onto the
     image of the map (valid in any codimension, requires the induced metric
     to be non-degenerate)."""
-
-    def g_fn(p, order):
-        gp, _, _ = _induced_metric_jets(emb, s.g, p, order)
-        return gp
+    gp = emb.induced_metric(s.g)
+    Gc = emb.compose(s.g)
+    eta_c = emb.compose(s.eta)
 
     def eta_fn(p, order):
         dF = partials(emb.jet(p, order + 1))
-        return jet_einsum("i,ia->a", emb.compose(s.eta)(p, order), dF)
+        return jet_einsum("i,ia->a", eta_c.jet(p, order), dF)
 
     def conn_fn(p, order):
-        gp, dF, Gc = _induced_metric_jets(emb, s.g, p, order)
-        require_nondegenerate(gp.value)
+        G = gp.jet(p, order)
+        require_nondegenerate(G.value)
+        dF = partials(emb.jet(p, order + 1))
         W = _ambient_derivative_of_frame(emb, s.conn, p, order)
         # g'_{kd} gamma^k_{ab} = g(dF e_d, W_ab)
-        return jet_solve(gp, jet_einsum("id,ij,jab->dab", dF, Gc, W))
+        return jet_solve(G, jet_einsum("id,ij,jab->dab", dF, Gc.jet(p, order), W))
 
     return Structure(
         emb.domain,
-        MetricField(emb.domain, g_fn),
+        gp,
         OneFormField(emb.domain, eta_fn),
         ConnectionField(emb.domain, conn_fn),
     )
@@ -134,7 +142,7 @@ def _ambient_derivative_of_frame(emb, conn, p, order):
     """``W[i, a, b]``: ambient components of the ambient covariant
     derivative of the coordinate frame, ``nabla_{dF e_a} (dF e_b)``."""
     dF = partials(emb.jet(p, order + 2))
-    Gamc = emb.compose(conn)(p, order)
+    Gamc = emb.compose(conn).jet(p, order)
     return partials(dF).transpose(0, 2, 1) + jet_einsum("ijk,ja,kb->iab", Gamc, dF, dF)
 
 
@@ -142,27 +150,42 @@ class HypersurfaceFrame:
     """Unit normal and fundamental forms of a codimension-one non-degenerate
     submanifold, evaluated pointwise as jets."""
 
+    # verdict names and details of the checks shared with lightlike frames
+    VERDICTS = {
+        "beta_symmetry": ("beta_symmetry", "the form g(nabla N, .) is symmetric on the hypersurface"),
+        "duality_pairing": ("duality_pairing", "fundamental forms of a connection and its semi-dual pair up"),
+        "beta_law": ("cp_beta_law", "normal-derivative form transforms by the stated closed formula"),
+        "umbilic": ("umbilic_preservation", "umbilic points stay umbilic under the transformation"),
+    }
+    # the transformation rescales the unit normal by e^{-(phi+psi)/2}, so
+    # the beta law carries the prefactor e^{(phi+psi)/2}
+    BETA_LAW_WEIGHT = 0.5
+
     def __init__(self, emb: EmbeddingMap, s: Structure):
         if emb.codim != 1:
             raise ValueError("a hypersurface has codimension one")
         self.emb = emb
         self.s = s
         self._sign = None
+        self._normals = LastPointCache()
+
+    def with_structure(self, s: Structure):
+        """The frame of the same hypersurface in another ambient structure."""
+        return HypersurfaceFrame(self.emb, s)
 
     def _raw_normal(self, p, order):
         """Un-normalized conormal ``nu_i = eps_{i j k ...} dF[j, 0] dF[k, 1]
         ...`` (the cofactors of the differential), raised with the inverse
-        metric; returns (N_raw, nu, Gc, dF)."""
+        metric; returns (N_raw, nu, Gc)."""
         emb = self.emb
         dF = partials(emb.jet(p, order + 1))
-        Gc = emb.compose(self.s.g)(p, order)
+        Gc = emb.compose(self.s.g).jet(p, order)
         nu = jet_cross(dF.T)
-        return jet_solve(Gc, nu), nu, Gc, dF
+        return jet_solve(Gc, nu), nu, Gc
 
     def _orientation(self):
         if self._sign is None:
-            p = self.emb.domain.center()
-            N_raw, nu, _, _ = self._raw_normal(p, 0)
+            N_raw, _, _ = self._raw_normal(self.emb.domain.center(), 0)
             vals = N_raw.value
             pivot = int(np.argmax(np.abs(vals)))
             self._sign = (pivot, 1.0 if vals[pivot] > 0 else -1.0)
@@ -170,16 +193,19 @@ class HypersurfaceFrame:
 
     def normal(self, p, order):
         """Unit normal ``N`` (ambient components, jets) and the sign
-        ``eps = g(N, N) = +-1``."""
-        N_raw, nu, Gc, dF = self._raw_normal(p, order)
+        ``eps = g(N, N) = +-1``; the result at the most recent point is
+        kept per order."""
+        return self._normals(self._unit_normal, p, order)
+
+    def _unit_normal(self, p, order):
+        _, sign = self._orientation()  # before p's jets, which it would evict
+        N_raw, nu, Gc = self._raw_normal(p, order)
         norm2 = jet_einsum("i,i->", nu, N_raw)
         v = norm2.value
-        gvals = Gc.value
-        if abs(v) <= degeneracy_threshold(gvals):
+        if abs(v) <= degeneracy_threshold(Gc.value):
             raise DegeneratePointError("normal direction is null at this point")
         eps = 1.0 if v > 0 else -1.0
         length = (norm2 if eps > 0 else -norm2).sqrt()
-        _, sign = self._orientation()
         N = N_raw / length
         return (N if sign > 0 else -N), eps
 
@@ -187,7 +213,7 @@ class HypersurfaceFrame:
         """``alpha[a, b] = eps * g(nabla_{dF e_a}(dF e_b), N)`` as jets."""
         conn = self.s.conn if conn is None else conn
         W = _ambient_derivative_of_frame(self.emb, conn, p, order)
-        Gc = self.emb.compose(self.s.g)(p, order)
+        Gc = self.emb.compose(self.s.g).jet(p, order)
         N, eps = self.normal(p, order)
         alpha = jet_einsum("ij,iab,j->ab", Gc, W, N)
         return (-alpha if eps < 0 else alpha), eps
@@ -196,7 +222,7 @@ class HypersurfaceFrame:
         """``DN[i, a]``: ambient components of ``nabla_{dF e_a} N``."""
         conn = self.s.conn if conn is None else conn
         N, eps = self.normal(p, order + 1)
-        Gamc = self.emb.compose(conn, extra_order=1)(p, order)
+        Gamc = self.emb.compose(conn).jet(p, order)
         dF = partials(self.emb.jet(p, order + 1))
         DN = partials(N) + jet_einsum("ijk,ja,k->ia", Gamc, dF, N)
         return DN, N, eps, dF
@@ -206,14 +232,32 @@ class HypersurfaceFrame:
         -g(nabla_a N, dF e_b)``, ``tau[a] = eps g(nabla_a N, N)`` and the
         shape operator ``B[d, a]`` with ``beta(X, Y) = g'(B X, Y)``."""
         DN, N, eps, dF = self.normal_derivative(p, order, conn=conn)
-        Gc = self.emb.compose(self.s.g)(p, order)
+        Gc = self.emb.compose(self.s.g).jet(p, order)
         tau = jet_einsum("ij,ia,j->a", Gc, DN, N)
         tau = -tau if eps < 0 else tau
         beta = -jet_einsum("ij,ia,jb->ab", Gc, DN, dF)
-        gp, _, _ = _induced_metric_jets(self.emb, self.s.g, p, order)
+        gp = self.emb.induced_metric(self.s.g).jet(p, order)
         require_nondegenerate(gp.value)
         B = jet_solve(gp, beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}
         return beta, tau, B, eps
+
+    # -- the values the shared fundamental-form checks read ----------------
+
+    def alpha(self, p, conn=None):
+        return self.second_fundamental_form(p, 0, conn)[0].value
+
+    def beta(self, p, conn=None):
+        return self.weingarten(p, 0, conn)[0].value
+
+    def eps(self, p):
+        return self.normal(p, 0)[1]
+
+    def tangent_metric(self, p):
+        """The induced metric ``g'``."""
+        return self.emb.induced_metric(self.s.g).value(p)
+
+    def transversal_value(self, p):
+        return self.normal(p, 0)[0].value
 
 
 # -- checks -------------------------------------------------------------------
@@ -257,7 +301,7 @@ def check_induced_cp_equivalence(emb: EmbeddingMap, s: Structure, t, config: Run
 
     st = transform(s, t)
     lhs = induced_structure(emb, st)
-    t_res = TransformData(emb.domain, pullback_scalar(emb, t.phi), pullback_scalar(emb, t.psi))
+    t_res = TransformData(emb.domain, emb.compose(t.phi), emb.compose(t.psi))
     rhs = transform(induced_structure(emb, s), t_res)
 
     def fn(p):
@@ -273,92 +317,95 @@ def check_induced_cp_equivalence(emb: EmbeddingMap, s: Structure, t, config: Run
                                 detail="transforming then inducing = inducing then transforming")]
 
 
-def check_beta_symmetry(emb: EmbeddingMap, s: Structure, config: RunConfig):
+def check_beta_symmetry(frame, config: RunConfig):
     """On a hypersurface of a structure satisfying the condition, the
     normal-derivative form ``beta`` is symmetric."""
-    gate = is_swmt(s, config, name="beta/ambient_hypothesis")
+    name, detail = frame.VERDICTS["beta_symmetry"]
+    gate = is_swmt(frame.s, config, name=f"{name}/ambient_hypothesis")
     if not gate.passed:
-        return [gated("beta_symmetry", "ambient structure condition fails", config.tol)]
-    frame = HypersurfaceFrame(emb, s)
+        return [gated(name, "ambient structure condition fails", config.tol)]
 
     def fn(p):
-        beta, _, _, _ = frame.weingarten(p)
-        b = beta.value
+        b = frame.beta(p)
         return float(np.max(np.abs(b - b.T))), 1.0 + np.max(np.abs(b))
 
-    return [run_pointwise_check("beta_symmetry", emb.domain, fn, config,
-                                detail="the form g(nabla N, .) is symmetric on the hypersurface")]
+    return [run_pointwise_check(name, frame.emb.domain, fn, config, detail=detail)]
 
 
-def check_duality_pairing(emb: EmbeddingMap, s: Structure, config: RunConfig):
+def check_duality_pairing(frame, config: RunConfig):
     """``beta = eps * alpha-star`` and ``beta-star = eps * alpha``: the
     normal-derivative form of one connection is the second fundamental form
     of its semi-dual."""
-    frame = HypersurfaceFrame(emb, s)
+    s = frame.s
     dual = semi_dual_connection(s.g, s.eta, s.conn)
+    name, detail = frame.VERDICTS["duality_pairing"]
 
     def fn(p):
-        beta, _, _, eps = frame.weingarten(p)
-        alpha_star, _ = frame.second_fundamental_form(p, conn=dual)
-        beta_star, _, _, _ = frame.weingarten(p, conn=dual)
-        alpha, _ = frame.second_fundamental_form(p)
-        r1 = np.max(np.abs(beta.value - eps * alpha_star.value))
-        r2 = np.max(np.abs(beta_star.value - eps * alpha.value))
-        scale = 1.0 + np.max(np.abs(beta.value)) + np.max(np.abs(alpha.value))
+        eps = frame.eps(p)
+        beta, alpha = frame.beta(p), frame.alpha(p)
+        r1 = np.max(np.abs(beta - eps * frame.alpha(p, dual)))
+        r2 = np.max(np.abs(frame.beta(p, dual) - eps * alpha))
+        scale = 1.0 + np.max(np.abs(beta)) + np.max(np.abs(alpha))
         return float(max(r1, r2)), scale
 
-    return [run_pointwise_check("duality_pairing", emb.domain, fn, config,
-                                detail="fundamental forms of a connection and its semi-dual pair up")]
+    return [run_pointwise_check(name, frame.emb.domain, fn, config, detail=detail)]
 
 
 def umbilic_deviation(frame: HypersurfaceFrame, p, order=0):
     """Least-squares proportionality factor ``f`` with ``beta ~ f g'`` and
     the residual ``|beta - f g'|`` (jets when order > 0)."""
     beta, _, _, _ = frame.weingarten(p, order)
-    gp, _, _ = _induced_metric_jets(frame.emb, frame.s.g, p, order)
+    gp = frame.emb.induced_metric(frame.s.g).jet(p, order)
     f = jet_einsum("ab,ab->", beta, gp) / jet_einsum("ab,ab->", gp, gp)
     dev = np.max(np.abs(beta.value - f.value * gp.value))
     return f, float(dev), beta, gp
 
 
-def check_umbilic_preservation(emb: EmbeddingMap, s: Structure, t, config: RunConfig):
-    """The transformed normal-derivative form satisfies
-    ``beta~ = e^{(phi+psi)/2} (beta - dphi(N) g')``; in particular points
-    where ``beta`` is proportional to ``g'`` stay proportional."""
+def _off_umbilic(beta, G):
+    """``|beta - f G|`` for the least-squares factor ``f``."""
+    f = np.einsum("ab,ab->", beta, G) / np.einsum("ab,ab->", G, G)
+    return float(np.max(np.abs(beta - f * G)))
+
+
+def check_umbilic_preservation(frame, t, config: RunConfig):
+    """The transformed normal-derivative form satisfies ``beta~ = c (beta -
+    dphi(N) G)``, with ``G`` the metric of the tangent frame and ``c =
+    e^{w (phi+psi)}`` for the frame's weight ``w``; in particular points
+    where ``beta`` is proportional to ``G`` stay proportional.
+
+    The unit normal has ``w = 1/2``.  The null transversal of a radical
+    pinned to the same normalization before and after rescales by the full
+    inverse conformal factor, which absorbs the square-root prefactor:
+    ``w = 0``."""
     from .conformal import transform
 
-    st = transform(s, t)
-    frame = HypersurfaceFrame(emb, s)
-    frame_t = HypersurfaceFrame(emb, st)
+    frame_t = frame.with_structure(transform(frame.s, t))
+    emb = frame.emb
+    law_name, law_detail = frame.VERDICTS["beta_law"]
+    name, detail = frame.VERDICTS["umbilic"]
 
     def law_fn(p):
-        beta_t, _, _, _ = frame_t.weingarten(p)
-        beta, _, _, _ = frame.weingarten(p)
-        gp, _, _ = _induced_metric_jets(emb, s.g, p, 0)
-        N, _ = frame.normal(p, 0)
+        lhs = frame_t.beta(p)
+        beta = frame.beta(p)
+        G = frame.tangent_metric(p)
         q = emb.value(p)
         phi_j = t.phi.jet(q, 1)
-        psi_j = t.psi.jet(q, 1)
-        dphi_N = float(phi_j.grad @ N.value)
-        factor = np.exp((phi_j.value + psi_j.value) / 2.0)
-        rhs = factor * (beta.value - dphi_N * gp.value)
-        lhs = beta_t.value
+        dphi_N = float(phi_j.grad @ frame.transversal_value(p))
+        factor = np.exp(frame.BETA_LAW_WEIGHT * (phi_j.value + t.psi.value(q)))
+        rhs = factor * (beta - dphi_N * G)
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
-    out = [run_pointwise_check("cp_beta_law", emb.domain, law_fn, config,
-                               detail="normal-derivative form transforms by the stated closed formula")]
-
     def umbilic_fn(p):
-        _, dev_before, _, gp = umbilic_deviation(frame, p)
-        scale_b = 1.0 + np.max(np.abs(gp.value))
-        if dev_before > config.tol * scale_b:
+        G = frame.tangent_metric(p)
+        if _off_umbilic(frame.beta(p), G) > config.tol * (1.0 + np.max(np.abs(G))):
             raise SkipPoint("point is not umbilic before the transformation")
-        _, dev_after, beta_t, gp_t = umbilic_deviation(frame_t, p)
-        return float(dev_after), 1.0 + np.max(np.abs(gp_t.value))
+        G_t = frame_t.tangent_metric(p)
+        return _off_umbilic(frame_t.beta(p), G_t), 1.0 + np.max(np.abs(G_t))
 
-    out.append(run_pointwise_check("umbilic_preservation", emb.domain, umbilic_fn, config,
-                                   detail="umbilic points stay umbilic under the transformation"))
-    return out
+    return [
+        run_pointwise_check(law_name, emb.domain, law_fn, config, detail=law_detail),
+        run_pointwise_check(name, emb.domain, umbilic_fn, config, detail=detail),
+    ]
 
 
 def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):

@@ -1,17 +1,23 @@
 """Degenerate (null) hypersurfaces: radical direction, unique transversal
 field, screen decomposition, the induced screen structure, and its behaviour
-under the conformal-projective transformation."""
+under the conformal-projective transformation.
+
+A :class:`LightlikeFrame` gives the fundamental-form data that beta
+symmetry, the duality pairing and the umbilic laws of
+:mod:`~semiweyl.hypersurfaces` read: the screen forms ``alpha`` and
+``beta``, the screen Gram matrix in place of the induced metric, the null
+transversal ``N`` in place of the unit normal, and ``eps = g(N, xi) = 1``."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import Chart, DegeneratePointError, VectorField
-from .hypersurfaces import EmbeddingMap, _induced_metric_jets
+from .fields import Chart, DegeneratePointError, LastPointCache, VectorField
+from .hypersurfaces import EmbeddingMap
 from .jets import jet_einsum, jet_solve, jet_stack, partials
-from .structures import Structure, is_swmt, semi_dual_connection
+from .structures import Structure, is_swmt
 from .tensor import degeneracy_threshold
-from .verdicts import RunConfig, SkipPoint, gated, run_pointwise_check
+from .verdicts import RunConfig, gated, run_pointwise_check
 
 __all__ = [
     "LightlikeFrame",
@@ -20,9 +26,6 @@ __all__ = [
     "check_screen_integrability",
     "check_screen_structure",
     "check_screen_cp_equivalence",
-    "check_lightlike_beta_symmetry",
-    "check_lightlike_duality_pairing",
-    "check_lightlike_umbilic_preservation",
 ]
 
 
@@ -44,32 +47,51 @@ class LightlikeFrame:
     with ``g(N, xi) = 1``, ``g(N, N) = 0``, ``g(N, W) = 0`` for screen
     fields ``W``, and the screen-projected connection."""
 
+    # verdict names and details of the checks shared with hypersurface frames
+    VERDICTS = {
+        "beta_symmetry": ("lightlike_beta_symmetry", "screen form g(nabla N, .) is symmetric"),
+        "duality_pairing": ("lightlike_duality_pairing", "screen fundamental forms of a connection and its semi-dual pair up"),
+        "beta_law": ("lightlike_beta_law", "screen normal-derivative form transforms by the closed formula"),
+        "umbilic": ("lightlike_umbilic_preservation", "screen umbilic points stay umbilic under the transformation"),
+    }
+    # with the radical pinned to the same normalization before and after,
+    # the transversal rescales by the full inverse conformal factor, which
+    # absorbs the square-root prefactor of the beta law
+    BETA_LAW_WEIGHT = 0.0
+
     def __init__(self, emb: EmbeddingMap, s: Structure, screen=None):
         if emb.codim != 1:
             raise ValueError("a hypersurface has codimension one")
         self.emb = emb
         self.s = s
-        self._pins = None
+        self._radical_pin = None
+        self._transversal_pin = None
         self._screen = screen  # tuple of VectorFields on the domain chart, or None
+        self._screen_data = {}  # connection -> LastPointCache
+
+    def with_structure(self, s: Structure):
+        """The frame of the same hypersurface and screen in another ambient
+        structure."""
+        return LightlikeFrame(self.emb, s, screen=self.screen_fields())
 
     # -- radical ---------------------------------------------------------
 
-    def _pin_indices(self):
-        if self._pins is None:
-            p = self.emb.domain.center()
-            gp, _, _ = _induced_metric_jets(self.emb, self.s.g, p, 0)
-            w, V = np.linalg.eigh(gp.value)
+    def _radical_index(self):
+        if self._radical_pin is None:
+            gp = self.emb.induced_metric(self.s.g).value(self.emb.domain.center())
+            w, V = np.linalg.eigh(gp)
             xi0 = V[:, int(np.argmin(np.abs(w)))]
-            k = int(np.argmax(np.abs(xi0)))
-            pin_u = None  # chosen lazily for the transversal
-            self._pins = (k, pin_u)
-        return self._pins
+            self._radical_pin = int(np.argmax(np.abs(xi0)))
+        return self._radical_pin
 
     def radical(self, p, order):
         """Jets of the radical direction ``xi`` (domain components),
         normalized so that its pinned component is exactly one."""
-        k, _ = self._pin_indices()
-        gp, dF, Gc = _induced_metric_jets(self.emb, self.s.g, p, order)
+        k = self._radical_index()
+        emb = self.emb
+        gp = emb.induced_metric(self.s.g).jet(p, order)
+        dF = partials(emb.jet(p, order + 1))
+        Gc = emb.compose(self.s.g).jet(p, order)
         gv = gp.value
         thr = degeneracy_threshold(gv)
         # the metric must be degenerate of corank exactly one
@@ -86,8 +108,7 @@ class LightlikeFrame:
 
     def screen_fields(self):
         if self._screen is None:
-            k, _ = self._pin_indices()
-            self._screen = _coordinate_screen(self.emb.domain, k)
+            self._screen = _coordinate_screen(self.emb.domain, self._radical_index())
         return self._screen
 
     def _screen_jets(self, p, order):
@@ -100,6 +121,7 @@ class LightlikeFrame:
         """Jets of the transversal ``N`` (ambient components), together
         with the pushed-forward radical and screen vectors."""
         n = self.emb.ambient.dim
+        pin = np.eye(n)[self._transversal_index()]  # before p's jets, which it would evict
         xi, gp, dF, Gc = self.radical(p, order)
         Wdom = self._screen_jets(p, order)
         # ambient pushforwards
@@ -107,41 +129,37 @@ class LightlikeFrame:
         W_amb = jet_einsum("ia,ra->ri", dF, Wdom)
         r = len(W_amb)
         # rows: g(., W_i) = 0, g(., xi) = 1, pinned component = 0
-        pin = np.eye(n)[self._transversal_pin()]
         A = jet_stack([*jet_einsum("ij,ri->rj", Gc, W_amb), jet_einsum("ij,i->j", Gc, xi_amb), pin])
         U = jet_solve(A, np.eye(n)[r])
         # shift along the radical to make N null
         N = U - xi_amb * (jet_einsum("ij,i,j->", Gc, U, U) * 0.5)
         return N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc
 
-    def _transversal_pin(self):
-        k, pin_u = self._pin_indices()
-        if pin_u is None:
-            p = self.emb.domain.center()
-            xi, _, dF, _ = self.radical(p, 0)
+    def _transversal_index(self):
+        if self._transversal_pin is None:
+            xi, _, dF, _ = self.radical(self.emb.domain.center(), 0)
             xi_amb = dF.value @ xi.value
-            pin_u = int(np.argmax(np.abs(xi_amb)))
-            self._pins = (k, pin_u)
-        return self._pins[1]
+            self._transversal_pin = int(np.argmax(np.abs(xi_amb)))
+        return self._transversal_pin
 
     # -- screen connection -------------------------------------------------
-
-    def decompose(self, p, order, amb_jets, basis):
-        """Coefficients of ambient-vector jets ``amb_jets[i, ...]`` in the
-        frame given by the columns of ``basis`` (a list of ambient-vector
-        jets).  The result has the lower order of the two operands."""
-        return jet_solve(jet_stack(basis, axis=1), amb_jets)
 
     def screen_data(self, p, order=0, conn=None):
         """Returns a dict with the pointwise screen geometry: the Gram
         matrix of the screen fields, the screen connection coefficients,
-        the xi/transversal components of frame derivatives, the forms
-        ``alpha``, ``beta``, ``tau`` and the screen brackets."""
+        the forms ``alpha``, ``beta`` and ``tau_null``, the screen brackets,
+        and the transversal, radical and screen fields they came from.  The
+        result at the most recent point is kept per connection and order."""
         conn = self.s.conn if conn is None else conn
+        cache = self._screen_data.get(conn)
+        if cache is None:
+            cache = self._screen_data[conn] = LastPointCache()
+        return cache(lambda p, order: self._build_screen_data(p, order, conn), p, order)
+
+    def _build_screen_data(self, p, order, conn):
         N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc = self.transversal(p, order + 1)
         r = len(W_amb)
-        basis = list(W_amb) + [xi_amb, N]
-        Gamc = self.emb.compose(conn)(p, order)
+        Gamc = self.emb.compose(conn).jet(p, order)
 
         def along_screen(t):
             """``[a, ..., i]``: ambient covariant derivative of the ambient
@@ -150,10 +168,10 @@ class LightlikeFrame:
 
         gram = jet_einsum("ij,ai,bj->ab", gp, Wdom, Wdom)
 
-        # derivatives of screen fields along screen fields, D[a, b] = nabla_{W_a} W_b
+        # derivatives of screen fields along screen fields, D[a, b] = nabla_{W_a} W_b,
+        # in the frame W_1 .. W_r, xi, N
         D = along_screen(W_amb)
-        coeff = self.decompose(p, order, D.transpose(2, 0, 1), basis)  # [c, a, b]
-        nabla_bar, xi_comp = coeff[:r], coeff[r]
+        coeff = jet_solve(jet_stack([*W_amb, xi_amb, N], axis=1), D.transpose(2, 0, 1))  # [c, a, b]
         alpha = jet_einsum("ij,abi,j->ab", Gc, D, N)  # the pairing g(nabla_a W_b, N)
 
         # brackets of the screen fields (domain components)
@@ -162,28 +180,38 @@ class LightlikeFrame:
 
         # beta and tau from the derivative of N along screen fields
         DN = along_screen(N)
-        tau_xi = jet_einsum("ij,ai,j->a", Gc, DN, xi_amb)
         tau_null = jet_einsum("ij,ai,j->a", Gc, DN, N)
         beta = -jet_einsum("ij,ai,bj->ab", Gc, DN, W_amb)
 
         return {
             "gram": gram,
-            "nabla_bar": nabla_bar,
-            "xi_comp": xi_comp,
+            "nabla_bar": coeff[:r],
             "alpha": alpha,
             "beta": beta,
-            "tau_xi": tau_xi,
             "tau_null": tau_null,
             "bracket": bracket,
-            "basis": basis,
-            "gp": gp,
-            "dF": dF,
-            "Gc": Gc,
             "N": N,
             "xi": xi,
-            "xi_amb": xi_amb,
             "Wdom": Wdom,
         }
+
+    # -- the values the shared fundamental-form checks read ----------------
+
+    def alpha(self, p, conn=None):
+        return self.screen_data(p, 0, conn)["alpha"].value
+
+    def beta(self, p, conn=None):
+        return self.screen_data(p, 0, conn)["beta"].value
+
+    def eps(self, p):
+        return 1.0
+
+    def tangent_metric(self, p):
+        """The Gram matrix of the screen fields."""
+        return self.screen_data(p, 0)["gram"].value
+
+    def transversal_value(self, p):
+        return self.screen_data(p, 0)["N"].value
 
 
 # -- checks -------------------------------------------------------------------
@@ -251,7 +279,7 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
         gram = data["gram"]
         Wdom = data["Wdom"].value
         gv, nbv = gram.value, data["nabla_bar"].value
-        eta_W = Wdom @ _pullback_eta_values(frame, p)
+        eta_W = Wdom @ (emb.compose(frame.s.eta).value(p) @ emb.jet(p, 1).grad)
         # directional derivatives of the Gram matrix along screen fields
         dgram = np.einsum("bcd,ad->abc", gram.grad, Wdom)
         # (nabla_a g)(W_b, W_c), and the screen torsion, whose bracket part
@@ -281,12 +309,6 @@ def _bracket_coefficients(data):
     V = brackets.reshape(r * r, -1).T
     coeff = np.linalg.lstsq(A, V, rcond=None)[0]
     return coeff.reshape(-1, r, r), float(np.max(np.abs(V - A @ coeff)))
-
-
-def _pullback_eta_values(frame, p):
-    emb = frame.emb
-    F = emb.jet(p, 1)
-    return frame.s.eta.value(F.value) @ F.grad
 
 
 def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
@@ -322,76 +344,3 @@ def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
 
     return [run_pointwise_check("screen_cp_equivalence", emb.domain, fn, config,
                                 detail="screen connections of transformed and original structures differ by the restricted transformation")]
-
-
-def check_lightlike_beta_symmetry(frame: LightlikeFrame, config: RunConfig):
-    gate = is_swmt(frame.s, config, name="lightlike_beta/ambient_hypothesis")
-    if not gate.passed:
-        return [gated("lightlike_beta_symmetry", "ambient structure condition fails", config.tol)]
-
-    def fn(p):
-        data = frame.screen_data(p, 0)
-        b = data["beta"].value
-        return float(np.max(np.abs(b - b.T))), 1.0 + np.max(np.abs(b))
-
-    return [run_pointwise_check("lightlike_beta_symmetry", frame.emb.domain, fn, config,
-                                detail="screen form g(nabla N, .) is symmetric")]
-
-
-def check_lightlike_duality_pairing(frame: LightlikeFrame, config: RunConfig):
-    """``beta = alpha-star`` and ``beta-star = alpha`` on the screen."""
-    dual = semi_dual_connection(frame.s.g, frame.s.eta, frame.s.conn)
-
-    def fn(p):
-        data = frame.screen_data(p, 0)
-        data_star = frame.screen_data(p, 0, conn=dual)
-        r1 = np.max(np.abs(data["beta"].value - data_star["alpha"].value))
-        r2 = np.max(np.abs(data_star["beta"].value - data["alpha"].value))
-        scale = 1.0 + np.max(np.abs(data["beta"].value)) + np.max(np.abs(data["alpha"].value))
-        return float(max(r1, r2)), scale
-
-    return [run_pointwise_check("lightlike_duality_pairing", frame.emb.domain, fn, config,
-                                detail="screen fundamental forms of a connection and its semi-dual pair up")]
-
-
-def check_lightlike_umbilic_preservation(frame: LightlikeFrame, t, config: RunConfig):
-    """``beta~ = beta - dphi(N) gram`` on the screen (with the radical
-    pinned to the same normalization before and after, the transversal
-    rescales by the full inverse conformal factor, which absorbs the
-    usual square-root prefactor), and pointwise proportionality
-    ``beta ~ f gram`` is preserved."""
-    from .conformal import transform
-
-    st = transform(frame.s, t)
-    frame_t = LightlikeFrame(frame.emb, st, screen=frame.screen_fields())
-    emb = frame.emb
-
-    def law_fn(p):
-        data = frame.screen_data(p, 0)
-        data_t = frame_t.screen_data(p, 0)
-        q = emb.value(p)
-        phi_j = t.phi.jet(q, 1)
-        dphi_N = float(phi_j.grad @ data["N"].value)
-        rhs = data["beta"].value - dphi_N * data["gram"].value
-        lhs = data_t["beta"].value
-        return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
-
-    out = [run_pointwise_check("lightlike_beta_law", emb.domain, law_fn, config,
-                               detail="screen normal-derivative form transforms by the closed formula")]
-
-    def umbilic_fn(p):
-        data = frame.screen_data(p, 0)
-        b = data["beta"].value
-        gr = data["gram"].value
-        f = float(np.sum(b * gr) / np.sum(gr * gr))
-        if np.max(np.abs(b - f * gr)) > config.tol * (1.0 + np.max(np.abs(gr))):
-            raise SkipPoint("point is not umbilic before the transformation")
-        data_t = frame_t.screen_data(p, 0)
-        bt = data_t["beta"].value
-        gt = data_t["gram"].value
-        ft = float(np.sum(bt * gt) / np.sum(gt * gt))
-        return float(np.max(np.abs(bt - ft * gt))), 1.0 + np.max(np.abs(gt))
-
-    out.append(run_pointwise_check("lightlike_umbilic_preservation", emb.domain, umbilic_fn, config,
-                                   detail="screen umbilic points stay umbilic under the transformation"))
-    return out

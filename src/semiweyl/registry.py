@@ -39,20 +39,25 @@ def _embt(fn):
     return lambda spec, config: fn(spec.embedding, spec.structure, spec.transform, config)
 
 
-def _lk_frame(spec):
+def _hypersurface_frame(spec):
+    from .hypersurfaces import HypersurfaceFrame
+
+    return HypersurfaceFrame(spec.embedding, spec.structure)
+
+
+def _lightlike_frame(spec):
     from .lightlike import LightlikeFrame
 
-    if not hasattr(spec, "_lk_frame_cache"):
-        spec._lk_frame_cache = LightlikeFrame(spec.lightlike_embedding, spec.structure)
-    return spec._lk_frame_cache
+    return LightlikeFrame(spec.lightlike_embedding, spec.structure)
 
 
-def _lk(fn):
-    return lambda spec, config: fn(_lk_frame(spec), config)
+def _on(frame_of, fn):
+    """Run ``fn(frame, config)`` on a frame built for this check."""
+    return lambda spec, config: fn(frame_of(spec), config)
 
 
-def _lkt(fn):
-    return lambda spec, config: fn(_lk_frame(spec), spec.transform, config)
+def _on_t(frame_of, fn):
+    return lambda spec, config: fn(frame_of(spec), spec.transform, config)
 
 
 def _aff(fn):
@@ -190,19 +195,19 @@ def _build_registry():
         "beta_symmetry",
         "the dual second-fundamental form is symmetric on semi-Weyl ambients",
         ("structure", "submanifold"),
-        _emb(hypersurfaces.check_beta_symmetry),
+        _on(_hypersurface_frame, hypersurfaces.check_beta_symmetry),
     )
     add(
         "duality_pairing",
         "second-fundamental data of the structure and its semi-dual pair up through the normal sign",
         ("structure", "submanifold"),
-        _emb(hypersurfaces.check_duality_pairing),
+        _on(_hypersurface_frame, hypersurfaces.check_duality_pairing),
     )
     add(
         "umbilic_preservation",
         "transformation law of the dual second-fundamental form; umbilic points stay umbilic",
         ("structure", "submanifold", "transform"),
-        _embt(hypersurfaces.check_umbilic_preservation),
+        _on_t(_hypersurface_frame, hypersurfaces.check_umbilic_preservation),
     )
     add(
         "gauss_equation",
@@ -222,49 +227,49 @@ def _build_registry():
         "radical_quality",
         "the degenerate induced metric has a one-dimensional kernel spanned by the computed radical field",
         ("structure", "lightlike"),
-        _lk(lightlike.check_radical_quality),
+        _on(_lightlike_frame, lightlike.check_radical_quality),
     )
     add(
         "transversal_conditions",
         "the null transversal satisfies: unit pairing with the radical, self-orthogonal, orthogonal to the screen",
         ("structure", "lightlike"),
-        _lk(lightlike.check_transversal_conditions),
+        _on(_lightlike_frame, lightlike.check_transversal_conditions),
     )
     add(
         "screen_integrability",
         "Lie brackets of the screen fields stay inside the screen-plus-radical span",
         ("structure", "lightlike"),
-        _lk(lightlike.check_screen_integrability),
+        _on(_lightlike_frame, lightlike.check_screen_integrability),
     )
     add(
         "screen_structure",
         "the screen metric, restricted one-form and screen connection inherit the semi-Weyl property",
         ("structure", "lightlike"),
-        _lk(lightlike.check_screen_structure),
+        _on(_lightlike_frame, lightlike.check_screen_structure),
     )
     add(
         "screen_cp_equivalence",
         "transforming then restricting to the screen equals restricting then transforming",
         ("structure", "lightlike", "transform"),
-        _lkt(lightlike.check_screen_cp_equivalence),
+        _on_t(_lightlike_frame, lightlike.check_screen_cp_equivalence),
     )
     add(
         "lightlike_beta_symmetry",
         "the screen dual second-fundamental form is symmetric on semi-Weyl ambients",
         ("structure", "lightlike"),
-        _lk(lightlike.check_lightlike_beta_symmetry),
+        _on(_lightlike_frame, hypersurfaces.check_beta_symmetry),
     )
     add(
         "lightlike_duality_pairing",
         "screen fundamental data of the structure and its semi-dual pair up",
         ("structure", "lightlike"),
-        _lk(lightlike.check_lightlike_duality_pairing),
+        _on(_lightlike_frame, hypersurfaces.check_duality_pairing),
     )
     add(
         "lightlike_umbilic_preservation",
         "transformation law of the screen dual fundamental form; umbilic screens stay umbilic",
         ("structure", "lightlike", "transform"),
-        _lkt(lightlike.check_lightlike_umbilic_preservation),
+        _on_t(_lightlike_frame, hypersurfaces.check_umbilic_preservation),
     )
 
     # --- affine distributions ------------------------------------------------

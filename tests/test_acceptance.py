@@ -57,6 +57,8 @@ from semiweyl.fields import (
 from semiweyl.hypersurfaces import (
     EmbeddingMap,
     HypersurfaceFrame,
+    check_beta_symmetry,
+    check_duality_pairing,
     check_gauss_equation,
     check_induced_duality_commutes,
     check_umbilic_preservation,
@@ -64,8 +66,6 @@ from semiweyl.hypersurfaces import (
 )
 from semiweyl.lightlike import (
     LightlikeFrame,
-    check_lightlike_beta_symmetry,
-    check_lightlike_duality_pairing,
     check_screen_integrability,
     check_screen_structure,
     check_transversal_conditions,
@@ -297,7 +297,7 @@ class TestHypersurfaceSuite:
         # transformed second-fundamental form law and umbilicity preservation
         t = TransformData(s.chart, "0.2*x + 0.1*z", "0.1*y + 0.05*z")
         assert_all_pass(
-            check_umbilic_preservation(emb, s, t, cfg.with_(tol=1e-9)), "umbilic"
+            check_umbilic_preservation(frame, t, cfg.with_(tol=1e-9)), "umbilic"
         )
         # tangential curvature decomposition on a torsion-carrying ambient
         assert_all_pass(check_gauss_equation(emb, s, cfg.with_(tol=1e-8)), "gauss")
@@ -325,10 +325,10 @@ class TestDegenerateHypersurfaceSuite:
         # differentiating then projecting agrees with projecting then
         # differentiating (two-path coefficient comparison)
         assert_all_pass(
-            check_lightlike_duality_pairing(frame, cfg.with_(tol=1e-9)), "two-path"
+            check_duality_pairing(frame, cfg.with_(tol=1e-9)), "two-path"
         )
         assert_all_pass(
-            check_lightlike_beta_symmetry(frame, cfg.with_(tol=1e-10)), "symmetry"
+            check_beta_symmetry(frame, cfg.with_(tol=1e-10)), "symmetry"
         )
 
 

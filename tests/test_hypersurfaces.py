@@ -2,12 +2,14 @@ import numpy as np
 import pytest
 
 from conftest import ambient_swmt_3d, euclidean3_chart, minkowski_structure, sphere_embedding
+from semiweyl import hypersurfaces
 from semiweyl.conformal import TransformData
 from semiweyl.fields import (
     Chart,
     ConnectionField,
     MetricField,
     OneFormField,
+    ScalarField,
 )
 from semiweyl.hypersurfaces import (
     EmbeddingMap,
@@ -93,6 +95,32 @@ class TestInducedGeometry:
         assert all(v.passed for v in out)
 
 
+class TestPullbacks:
+    def test_a_pullback_is_a_field_of_the_same_kind(self):
+        s = ambient_swmt_3d()
+        emb = sphere_embedding(s.chart)
+        phi = ScalarField.from_expression(s.chart, "x*y + exp(z)")
+        pb = emb.compose(phi)
+        assert isinstance(pb, ScalarField) and pb.chart is emb.domain
+        assert isinstance(emb.compose(s.conn), ConnectionField)
+        assert emb.compose(phi) is pb and emb.induced_metric(s.g) is emb.induced_metric(s.g)
+        for p in halton_points(emb.domain, 5):
+            x, y, z = emb.value(p)
+            assert pb.value(p) == pytest.approx(x * y + np.exp(z), abs=1e-14)
+
+    def test_a_duality_point_composes_each_ambient_field_once(self, monkeypatch):
+        s = ambient_swmt_3d()
+        frame = HypersurfaceFrame(sphere_embedding(s.chart), s)
+        frame.normal(frame.emb.domain.center(), 0)  # fixes the orientation outside the count
+        real = hypersurfaces.jet_compose
+        calls = []
+        monkeypatch.setattr(hypersurfaces, "jet_compose", lambda *a: calls.append(a) or real(*a))
+        out = check_duality_pairing(frame, RunConfig(samples=1, seed=0, tol=1e-8, min_valid_points=1))
+        assert out[0].passed and out[0].points_tested == 1
+        # the metric at orders 0 and 1, the connection and its semi-dual at order 0
+        assert len(calls) == 4
+
+
 class TestFundamentalForms:
     def test_sphere_shape_operator_golden(self):
         # For the unit sphere in flat space the dual second-fundamental form
@@ -133,17 +161,17 @@ class TestFundamentalForms:
 
     def test_beta_symmetry_on_swmt_ambient(self, config):
         s = ambient_swmt_3d()
-        out = check_beta_symmetry(sphere_embedding(s.chart), s, config)
+        out = check_beta_symmetry(HypersurfaceFrame(sphere_embedding(s.chart), s), config)
         assert all(v.passed for v in out)
 
     def test_duality_pairing(self, config):
         s = ambient_swmt_3d()
-        out = check_duality_pairing(sphere_embedding(s.chart), s, config)
+        out = check_duality_pairing(HypersurfaceFrame(sphere_embedding(s.chart), s), config)
         assert all(v.passed for v in out)
 
     def test_umbilic_preservation_under_transform(self, config):
         s = ambient_swmt_3d()
-        out = check_umbilic_preservation(sphere_embedding(s.chart), s, ambient_transform(s.chart), config)
+        out = check_umbilic_preservation(HypersurfaceFrame(sphere_embedding(s.chart), s), ambient_transform(s.chart), config)
         assert all(v.passed for v in out)
         assert {"cp_beta_law", "umbilic_preservation"} <= {v.name for v in out}
 
@@ -209,13 +237,13 @@ class TestTimelikeNormal:
 
     def test_fundamental_form_checks_hold(self):
         s = minkowski_structure(3)
-        emb = spacelike_hyperboloid(s.chart)
+        frame = HypersurfaceFrame(spacelike_hyperboloid(s.chart), s)
         t = TransformData(s.chart, "0.2*t + 0.1*y", "0.1*x + 0.05*y")
         cfg = RunConfig(samples=60, seed=0, tol=1e-10, min_valid_points=30)
         out = (
-            check_beta_symmetry(emb, s, cfg)
-            + check_duality_pairing(emb, s, cfg)
-            + check_umbilic_preservation(emb, s, t, cfg)
+            check_beta_symmetry(frame, cfg)
+            + check_duality_pairing(frame, cfg)
+            + check_umbilic_preservation(frame, t, cfg)
         )
         assert [v.name for v in out] == ["beta_symmetry", "duality_pairing", "cp_beta_law", "umbilic_preservation"]
         for v in out:

@@ -4,12 +4,14 @@ import pytest
 from conftest import minkowski_structure, null_cone_embedding
 from semiweyl.conformal import TransformData
 from semiweyl.fields import Chart
-from semiweyl.hypersurfaces import EmbeddingMap
+from semiweyl.hypersurfaces import (
+    EmbeddingMap,
+    check_beta_symmetry,
+    check_duality_pairing,
+    check_umbilic_preservation,
+)
 from semiweyl.lightlike import (
     LightlikeFrame,
-    check_lightlike_beta_symmetry,
-    check_lightlike_duality_pairing,
-    check_lightlike_umbilic_preservation,
     check_radical_quality,
     check_screen_cp_equivalence,
     check_screen_integrability,
@@ -129,20 +131,20 @@ class TestScreen:
 class TestFundamentalData:
     def test_beta_symmetry(self, config):
         for frame, _s in (cone_frame(), cone4_frame()):
-            out = check_lightlike_beta_symmetry(frame, config)
+            out = check_beta_symmetry(frame, config)
             assert all(v.passed for v in out)
 
     def test_duality_pairing(self, config):
         frame, _s = cone4_frame()
-        out = check_lightlike_duality_pairing(frame, config)
+        out = check_duality_pairing(frame, config)
         assert all(v.passed for v in out)
 
     def test_umbilic_preservation(self, config):
         frame, s = cone_frame()
-        out = check_lightlike_umbilic_preservation(frame, ambient_transform(s.chart), config)
+        out = check_umbilic_preservation(frame, ambient_transform(s.chart), config)
         assert all(v.passed for v in out)
 
     def test_umbilic_preservation_4d(self, config):
         frame, s = cone4_frame()
-        out = check_lightlike_umbilic_preservation(frame, ambient_transform(s.chart), config)
+        out = check_umbilic_preservation(frame, ambient_transform(s.chart), config)
         assert all(v.passed for v in out)
