@@ -162,11 +162,11 @@ def check_codazzi_scaling(s: Structure, t: TransformData, config: RunConfig):
     st = transform(s, t)
 
     def fn(p):
-        d = _PointData(s, t, p)
-        ng0 = d.ng
+        require_nondegenerate(s.g.value(p))
+        ng0 = nabla_g_values(s.conn, s.g, p)
         ng1 = nabla_g_values(st.conn, st.g, p)
         lhs = ng1 - np.transpose(ng1, (1, 0, 2))
-        rhs = np.exp(d.phi + d.psi) * (ng0 - np.transpose(ng0, (1, 0, 2)))
+        rhs = np.exp(t.phi.value(p) + t.psi.value(p)) * (ng0 - np.transpose(ng0, (1, 0, 2)))
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     return [run_pointwise_check("cp_codazzi_scaling", s.chart, fn, config,
@@ -228,38 +228,30 @@ def check_semi_dual_transform_law(s: Structure, t: TransformData, config: RunCon
 # -- curvature change ---------------------------------------------------------
 
 
+def _wedge_g(a, g):
+    """``W[k, i, j] = a_i g_jk - a_j g_ik``."""
+    w = np.einsum("i,jk->kij", a, g)
+    return w - w.transpose(0, 2, 1)
+
+
 def _rhs_curvature(d: _PointData):
-    n = d.n
-    Rt = np.empty((n, n, n, n))
     # the scalar coefficient of Y (and X) in the transformation law:
     # X(Z(phi)) - g(nabla_X Z, grad phi) - X(phi) Z(phi) + g(X,Z) g(grad phi, grad psi)
-    phi2 = np.empty((n, n))
-    for i in range(n):
-        for k in range(n):
-            phi2[i, k] = d.hess_phi[i, k] - float(d.gam[:, i, k] @ d.dphi) - d.dphi[i] * d.dphi[k] + d.g[i, k] * d.g_phi_psi
-    for l in range(n):
-        for k in range(n):
-            for i in range(n):
-                for j in range(n):
-                    val = (
-                        d.R[l, k, i, j]
-                        + d.dphi[k] * d.T[l, i, j]
-                        + (d.dpsi[i] * d.g[j, k] - d.dpsi[j] * d.g[i, k]) * d.grad_psi[l]
-                        - d.dng[i, j, k] * d.grad_psi[l]
-                        + d.g[i, k] * d.dVpsi[j, l]
-                        - d.g[j, k] * d.dVpsi[i, l]
-                    )
-                    if l == j:
-                        val += phi2[i, k]
-                    if l == i:
-                        val -= phi2[j, k]
-                    Rt[l, k, i, j] = val
-    return Rt
+    phi2 = d.hess_phi - np.einsum("mik,m->ik", d.gam, d.dphi) - np.outer(d.dphi, d.dphi) + d.g * d.g_phi_psi
+    eye = np.eye(d.n)
+    return (
+        d.R
+        + np.einsum("k,lij->lkij", d.dphi, d.T)
+        + np.einsum("kij,l->lkij", _wedge_g(d.dpsi, d.g), d.grad_psi)
+        - np.einsum("ijk,l->lkij", d.dng, d.grad_psi)
+        + np.einsum("ik,jl->lkij", d.g, d.dVpsi)
+        - np.einsum("jk,il->lkij", d.g, d.dVpsi)
+        + np.einsum("lj,ik->lkij", eye, phi2)
+        - np.einsum("li,jk->lkij", eye, phi2)
+    )
 
 
 def _rhs_ricci(d: _PointData):
-    n = d.n
-    ric = np.empty((n, n))
     gT_psi_Y_Z = np.einsum("maj,a,mk->jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
     ngradphi = np.einsum("jmk,m->jk", d.ng, d.grad_phi)  # (nabla_{d_j} g)(grad phi, d_k)
     ngradpsi = np.einsum("jmk,m->jk", d.ng, d.grad_psi)
@@ -267,21 +259,18 @@ def _rhs_ricci(d: _PointData):
     hess_psi_g = d.dVpsi @ d.g
     n_gradpsi_g = np.einsum("ajk,a->jk", d.ng, d.grad_psi)  # (nabla_{grad psi} g)(d_j, d_k)
     bracket = d.norm_psi2 - d.lap_psi - (d.n - 1) * d.g_phi_psi
-    for j in range(n):
-        for k in range(n):
-            ric[j, k] = (
-                d.ric[j, k]
-                + d.dphi[k] * d.trT[j]
-                + d.g[j, k] * bracket
-                + (d.n - 1) * d.dphi[j] * d.dphi[k]
-                - d.dpsi[j] * d.dpsi[k]
-                - gT_psi_Y_Z[j, k]
-                - (d.n - 1) * (ngradphi[j, k] + hess_phi_g[j, k])
-                + ngradpsi[j, k]
-                + hess_psi_g[j, k]
-                - n_gradpsi_g[j, k]
-            )
-    return ric
+    return (
+        d.ric
+        + np.outer(d.trT, d.dphi)
+        + d.g * bracket
+        + np.outer((d.n - 1) * d.dphi, d.dphi)
+        - np.outer(d.dpsi, d.dpsi)
+        - gT_psi_Y_Z
+        - (d.n - 1) * (ngradphi + hess_phi_g)
+        + ngradpsi
+        + hess_psi_g
+        - n_gradpsi_g
+    )
 
 
 def _rhs_scal(d: _PointData):
@@ -477,17 +466,12 @@ def check_conformally_flat(s: Structure, psi, config: RunConfig):
         eta_gradpsi = float(d.eta @ d.grad_psi)
         bracket = d.norm_psi2 - d.lap_psi + eta_gradpsi
         # curvature closed form
-        R_rhs = np.empty((n, n, n, n))
-        for l in range(n):
-            for k in range(n):
-                for i in range(n):
-                    for j in range(n):
-                        R_rhs[l, k, i, j] = (
-                            -(d.dpsi[i] * d.g[j, k] - d.dpsi[j] * d.g[i, k]) * d.grad_psi[l]
-                            - d.g[i, k] * d.dVpsi[j, l]
-                            + d.g[j, k] * d.dVpsi[i, l]
-                            + (d.eta[j] * d.g[i, k] - d.eta[i] * d.g[j, k]) * d.grad_psi[l]
-                        )
+        R_rhs = (
+            -np.einsum("kij,l->lkij", _wedge_g(d.dpsi, d.g), d.grad_psi)
+            - np.einsum("ik,jl->lkij", d.g, d.dVpsi)
+            + np.einsum("jk,il->lkij", d.g, d.dVpsi)
+            - np.einsum("kij,l->lkij", _wedge_g(d.eta, d.g), d.grad_psi)
+        )
         ric_rhs = (
             -d.g * bracket
             + np.einsum("j,k->jk", d.dpsi + d.eta, d.dpsi)

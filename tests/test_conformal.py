@@ -161,9 +161,9 @@ class TestTransformComposition:
 
 class TestPointData:
     def test_each_check_builds_the_point_data_once_per_point(self, monkeypatch):
-        # cp_codazzi_scaling, cp_curvature_laws, cp_ricci_antisymmetry (two
-        # laws) and conformal_corollaries (three laws and the cyclic
-        # identity) build one _PointData per point each
+        # cp_curvature_laws, cp_ricci_antisymmetry (two laws) and
+        # conformal_corollaries (three laws and the cyclic identity) build one
+        # _PointData per point each; cp_codazzi_scaling builds none
         spec = load_spec(Path(__file__).resolve().parents[1] / "fixtures" / "conformal_projective_suite.spec")
         builds = []
         init = conformal._PointData.__init__
@@ -175,7 +175,7 @@ class TestPointData:
         monkeypatch.setattr(conformal._PointData, "__init__", counted)
         run_spec(spec)
         assert spec.config.samples == 150
-        assert len(builds) == 4 * 150 and len(set(builds)) == 150
+        assert len(builds) == 3 * 150 and len(set(builds)) == 150
 
     def test_torsion_invariance_builds_no_point_data(self, monkeypatch):
         # cp_torsion_term_symmetry reads the coefficient tensor that
@@ -194,3 +194,18 @@ class TestPointData:
         assert symmetry.name == "cp_torsion_term_symmetry" and symmetry.tol == 0.0
         assert symmetry.passed and symmetry.max_residual == 0.0 and symmetry.points_tested == 200
         assert torsion.passed and torsion.points_tested == 200
+
+    def test_codazzi_scaling_builds_no_point_data(self, monkeypatch):
+        # the law reads nabla g before and after and the two potentials
+        spec = load_spec(Path(__file__).resolve().parents[1] / "fixtures" / "conformal_projective_suite.spec")
+        builds = []
+        init = conformal._PointData.__init__
+
+        def counted(self, s, t, p):
+            builds.append(p.tobytes())
+            init(self, s, t, p)
+
+        monkeypatch.setattr(conformal._PointData, "__init__", counted)
+        (v,) = check_codazzi_scaling(spec.structure, spec.transform, spec.config)
+        assert builds == []
+        assert v.name == "cp_codazzi_scaling" and v.passed and v.points_tested == 150
