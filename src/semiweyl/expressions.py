@@ -380,9 +380,15 @@ def _checked(j):
     return j
 
 
+# Overflow and invalid operations raise no numpy warning while an expression
+# is evaluated: a non-finite layer raises EvaluationDomainError instead.
+_QUIET = dict(over="ignore", invalid="ignore")
+
+
 def eval_jet(e, point, order, dim=None):
     """Evaluate ``e`` and its partials up to ``order`` at ``point``."""
-    return _checked(e.jet(_coordinate_jets(point, order, dim)))
+    with np.errstate(**_QUIET):
+        return _checked(e.jet(_coordinate_jets(point, order, dim)))
 
 
 def eval_jets(exprs, point, order, dim=None):
@@ -391,9 +397,10 @@ def eval_jets(exprs, point, order, dim=None):
     once."""
     coords = _coordinate_jets(point, order, dim)
     done = {}
-    for e in exprs:
-        if id(e) not in done:
-            done[id(e)] = _checked(e.jet(coords))
+    with np.errstate(**_QUIET):
+        for e in exprs:
+            if id(e) not in done:
+                done[id(e)] = _checked(e.jet(coords))
     return jet_stack([done[id(e)] for e in exprs])
 
 

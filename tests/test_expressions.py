@@ -1,4 +1,5 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from semiweyl.expressions import (
     ExpressionSyntaxError,
     UnknownSymbolError,
     eval_jet,
+    eval_jets,
     eval_value,
     finite_difference,
     parse_expression,
@@ -112,6 +114,17 @@ class TestFiniteDifferenceOracle:
             scale = 1.0 + abs(exact)
             approx = finite_difference(e, p, a, 1e-5)
             assert abs(exact - approx) / scale < 1e-7
+
+    @pytest.mark.parametrize("order", [0, 1, 2])
+    def test_overflow_raises_without_numpy_warnings(self, order):
+        e = parse2("exp(exp(exp(2)))")
+        p = np.array([1.0, 1.0])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(EvaluationDomainError):
+                eval_jet(e, p, order)
+            with pytest.raises(EvaluationDomainError):
+                eval_jets([parse2("x"), e], p, order)
 
     def test_second_order_convergence(self):
         # Central differences converge at order h^2: the deviation-over-h^2
