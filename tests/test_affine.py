@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,9 @@ from semiweyl.affine import (
     xi_rescaled,
 )
 from semiweyl.fields import Chart, ScalarField
+from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
+from semiweyl.specfile import load_spec
 from semiweyl.tensor import scalar_curvature, signature
 from semiweyl.verdicts import RunConfig
 
@@ -175,3 +179,33 @@ class TestRescaling:
             _g0, g0, _B0, _e0 = (x.value for x in dist.decompose(p, 0))
             _g1, g1, _B1, _e1 = (x.value for x in t.decompose(p, 0))
             assert np.allclose(g1, np.exp(psi.value(p)) * g0, rtol=1e-10)
+
+
+class TestOmegaRows:
+    def test_omega_rows_give_the_immersion_outcomes(self, tmp_path):
+        # the rows of the differential of the centroaffine sphere, given as
+        # [affine] omega_row_i entries instead of an immersion
+        fixture = Path(__file__).resolve().parents[1] / "fixtures" / "centroaffine_sphere.spec"
+        text = fixture.read_text()
+        immersion = "immersion = cos(u)*sin(v), sin(u)*sin(v), cos(v)\n"
+        assert immersion in text
+        rows = (
+            "omega_row_1 = 0 - sin(u)*sin(v), cos(u)*cos(v)\n"
+            "omega_row_2 = cos(u)*sin(v), sin(u)*cos(v)\n"
+            "omega_row_3 = 0, 0 - sin(v)\n"
+        )
+        rewritten = tmp_path / "omega_rows.spec"
+        rewritten.write_text(text.replace(immersion, rows))
+
+        def outcomes(path):
+            report = run_spec(load_spec(path))
+            assert report.all_expectations_met
+            return [
+                (r.name, r.outcome, v.name, v.passed, v.skipped, v.points_tested, v.points_skipped)
+                for r in report.results
+                for v in r.verdicts
+            ]
+
+        via_rows = outcomes(rewritten)
+        assert len({r[0] for r in via_rows}) == 9
+        assert via_rows == outcomes(fixture)
