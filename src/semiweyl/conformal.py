@@ -237,7 +237,7 @@ def _wedge_g(a, g):
 def _rhs_curvature(d: _PointData):
     # the scalar coefficient of Y (and X) in the transformation law:
     # X(Z(phi)) - g(nabla_X Z, grad phi) - X(phi) Z(phi) + g(X,Z) g(grad phi, grad psi)
-    phi2 = d.hess_phi - np.einsum("mik,m->ik", d.gam, d.dphi) - np.outer(d.dphi, d.dphi) + d.g * d.g_phi_psi
+    phi2 = d.hess_phi - d.gam.transpose(1, 2, 0) @ d.dphi - np.outer(d.dphi, d.dphi) + d.g * d.g_phi_psi
     eye = np.eye(d.n)
     return (
         d.R

@@ -318,7 +318,7 @@ def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
     from .conformal import transform
 
     st = transform(frame.s, t)
-    frame_t = LightlikeFrame(frame.emb, st, screen=frame.screen_fields())
+    frame_t = frame.with_structure(st)
     emb = frame.emb
 
     def fn(p):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    ambient_swmt_3d,
     conformally_flat_structure,
     plane_chart,
     smt_structure,
@@ -157,6 +158,77 @@ class TestTransformComposition:
         for p in halton_points(chart, 10):
             assert np.allclose(one.g.value(p), both.g.value(p), rtol=1e-12)
             assert np.allclose(one.conn.value(p), both.conn.value(p), atol=1e-10)
+
+
+def _loop_rhs_curvature(d):
+    """The curvature change law written out index by index."""
+    n = d.n
+    Rt = np.empty((n, n, n, n))
+    phi2 = np.empty((n, n))
+    for i in range(n):
+        for k in range(n):
+            phi2[i, k] = d.hess_phi[i, k] - float(d.gam[:, i, k] @ d.dphi) - d.dphi[i] * d.dphi[k] + d.g[i, k] * d.g_phi_psi
+    for l in range(n):
+        for k in range(n):
+            for i in range(n):
+                for j in range(n):
+                    val = (
+                        d.R[l, k, i, j]
+                        + d.dphi[k] * d.T[l, i, j]
+                        + (d.dpsi[i] * d.g[j, k] - d.dpsi[j] * d.g[i, k]) * d.grad_psi[l]
+                        - d.dng[i, j, k] * d.grad_psi[l]
+                        + d.g[i, k] * d.dVpsi[j, l]
+                        - d.g[j, k] * d.dVpsi[i, l]
+                    )
+                    if l == j:
+                        val += phi2[i, k]
+                    if l == i:
+                        val -= phi2[j, k]
+                    Rt[l, k, i, j] = val
+    return Rt
+
+
+def _loop_rhs_ricci(d):
+    """The Ricci change law written out index by index."""
+    n = d.n
+    ric = np.empty((n, n))
+    gT_psi_Y_Z = np.einsum("maj,a,mk->jk", d.T, d.grad_psi, d.g)
+    ngradphi = np.einsum("jmk,m->jk", d.ng, d.grad_phi)
+    ngradpsi = np.einsum("jmk,m->jk", d.ng, d.grad_psi)
+    hess_phi_g = d.dVphi @ d.g
+    hess_psi_g = d.dVpsi @ d.g
+    n_gradpsi_g = np.einsum("ajk,a->jk", d.ng, d.grad_psi)
+    bracket = d.norm_psi2 - d.lap_psi - (n - 1) * d.g_phi_psi
+    for j in range(n):
+        for k in range(n):
+            ric[j, k] = (
+                d.ric[j, k]
+                + d.dphi[k] * d.trT[j]
+                + d.g[j, k] * bracket
+                + (n - 1) * d.dphi[j] * d.dphi[k]
+                - d.dpsi[j] * d.dpsi[k]
+                - gT_psi_Y_Z[j, k]
+                - (n - 1) * (ngradphi[j, k] + hess_phi_g[j, k])
+                + ngradpsi[j, k]
+                + hess_psi_g[j, k]
+                - n_gradpsi_g[j, k]
+            )
+    return ric
+
+
+class TestChangeLawArrays:
+    @pytest.mark.parametrize("dim", [2, 3])
+    def test_array_laws_equal_the_index_loops(self, dim):
+        if dim == 2:
+            s = swmt_structure()
+            t = TransformData(s.chart, "0.2*x + 0.1*sin(y)", "0.15*y + 0.1*x*y")
+        else:
+            s = ambient_swmt_3d()
+            t = TransformData(s.chart, "0.2*x + 0.1*y*z", "0.1*z + 0.05*x*y")
+        for p in halton_points(s.chart, 10):
+            d = conformal._PointData(s, t, p)
+            assert np.array_equal(conformal._rhs_curvature(d), _loop_rhs_curvature(d))
+            assert np.array_equal(conformal._rhs_ricci(d), _loop_rhs_ricci(d))
 
 
 class TestPointData:
