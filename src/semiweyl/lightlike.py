@@ -111,10 +111,6 @@ class LightlikeFrame:
             self._screen = _coordinate_screen(self.emb.domain, self._radical_index())
         return self._screen
 
-    def _screen_jets(self, p, order):
-        # [screen index, domain component]
-        return jet_stack([field.jet(p, order) for field in self.screen_fields()])
-
     # -- transversal -------------------------------------------------------
 
     def transversal(self, p, order):
@@ -123,7 +119,7 @@ class LightlikeFrame:
         n = self.emb.ambient.dim
         pin = np.eye(n)[self._transversal_index()]  # before p's jets, which it would evict
         xi, gp, dF, Gc = self.radical(p, order)
-        Wdom = self._screen_jets(p, order)
+        Wdom = jet_stack([field.jet(p, order) for field in self.screen_fields()])  # [screen index, domain component]
         # ambient pushforwards
         xi_amb = jet_einsum("ia,a->i", dF, xi)
         W_amb = jet_einsum("ia,ra->ri", dF, Wdom)

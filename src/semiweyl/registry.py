@@ -39,18 +39,6 @@ def _embt(fn):
     return lambda spec, config: fn(spec.embedding, spec.structure, spec.transform, config)
 
 
-def _hypersurface_frame(spec):
-    from .hypersurfaces import HypersurfaceFrame
-
-    return HypersurfaceFrame(spec.embedding, spec.structure)
-
-
-def _lightlike_frame(spec):
-    from .lightlike import LightlikeFrame
-
-    return LightlikeFrame(spec.lightlike_embedding, spec.structure)
-
-
 def _on(frame_of, fn):
     """Run ``fn(frame, config)`` on a frame built for this check."""
     return lambda spec, config: fn(frame_of(spec), config)
@@ -75,6 +63,12 @@ def _build_registry():
 
     def add(name, anchor, requires, runner):
         r[name] = CheckEntry(anchor, tuple(requires), runner)
+
+    def hypersurface_frame(spec):
+        return hypersurfaces.HypersurfaceFrame(spec.embedding, spec.structure)
+
+    def lightlike_frame(spec):
+        return lightlike.LightlikeFrame(spec.lightlike_embedding, spec.structure)
 
     # --- structure predicates and duals -----------------------------------
     add(
@@ -195,19 +189,19 @@ def _build_registry():
         "beta_symmetry",
         "the dual second-fundamental form is symmetric on semi-Weyl ambients",
         ("structure", "submanifold"),
-        _on(_hypersurface_frame, hypersurfaces.check_beta_symmetry),
+        _on(hypersurface_frame, hypersurfaces.check_beta_symmetry),
     )
     add(
         "duality_pairing",
         "second-fundamental data of the structure and its semi-dual pair up through the normal sign",
         ("structure", "submanifold"),
-        _on(_hypersurface_frame, hypersurfaces.check_duality_pairing),
+        _on(hypersurface_frame, hypersurfaces.check_duality_pairing),
     )
     add(
         "umbilic_preservation",
         "transformation law of the dual second-fundamental form; umbilic points stay umbilic",
         ("structure", "submanifold", "transform"),
-        _on_t(_hypersurface_frame, hypersurfaces.check_umbilic_preservation),
+        _on_t(hypersurface_frame, hypersurfaces.check_umbilic_preservation),
     )
     add(
         "gauss_equation",
@@ -227,49 +221,49 @@ def _build_registry():
         "radical_quality",
         "the degenerate induced metric has a one-dimensional kernel spanned by the computed radical field",
         ("structure", "lightlike"),
-        _on(_lightlike_frame, lightlike.check_radical_quality),
+        _on(lightlike_frame, lightlike.check_radical_quality),
     )
     add(
         "transversal_conditions",
         "the null transversal satisfies: unit pairing with the radical, self-orthogonal, orthogonal to the screen",
         ("structure", "lightlike"),
-        _on(_lightlike_frame, lightlike.check_transversal_conditions),
+        _on(lightlike_frame, lightlike.check_transversal_conditions),
     )
     add(
         "screen_integrability",
         "Lie brackets of the screen fields stay inside the screen-plus-radical span",
         ("structure", "lightlike"),
-        _on(_lightlike_frame, lightlike.check_screen_integrability),
+        _on(lightlike_frame, lightlike.check_screen_integrability),
     )
     add(
         "screen_structure",
         "the screen metric, restricted one-form and screen connection inherit the semi-Weyl property",
         ("structure", "lightlike"),
-        _on(_lightlike_frame, lightlike.check_screen_structure),
+        _on(lightlike_frame, lightlike.check_screen_structure),
     )
     add(
         "screen_cp_equivalence",
         "transforming then restricting to the screen equals restricting then transforming",
         ("structure", "lightlike", "transform"),
-        _on_t(_lightlike_frame, lightlike.check_screen_cp_equivalence),
+        _on_t(lightlike_frame, lightlike.check_screen_cp_equivalence),
     )
     add(
         "lightlike_beta_symmetry",
         "the screen dual second-fundamental form is symmetric on semi-Weyl ambients",
         ("structure", "lightlike"),
-        _on(_lightlike_frame, hypersurfaces.check_beta_symmetry),
+        _on(lightlike_frame, hypersurfaces.check_beta_symmetry),
     )
     add(
         "lightlike_duality_pairing",
         "screen fundamental data of the structure and its semi-dual pair up",
         ("structure", "lightlike"),
-        _on(_lightlike_frame, hypersurfaces.check_duality_pairing),
+        _on(lightlike_frame, hypersurfaces.check_duality_pairing),
     )
     add(
         "lightlike_umbilic_preservation",
         "transformation law of the screen dual fundamental form; umbilic screens stay umbilic",
         ("structure", "lightlike", "transform"),
-        _on_t(_lightlike_frame, hypersurfaces.check_umbilic_preservation),
+        _on_t(lightlike_frame, hypersurfaces.check_umbilic_preservation),
     )
 
     # --- affine distributions ------------------------------------------------
