@@ -396,11 +396,11 @@ def check_umbilic_preservation(frame, t, config: RunConfig):
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def umbilic_fn(p):
-        G = frame.tangent_metric(p)
-        if _off_umbilic(frame.beta(p), G) > config.tol * (1.0 + np.max(np.abs(G))):
+        beta, G = frame.beta(p), frame.tangent_metric(p)
+        if _off_umbilic(beta, G) > config.tol * (1.0 + np.max(np.abs(G))):
             raise SkipPoint("point is not umbilic before the transformation")
-        G_t = frame_t.tangent_metric(p)
-        return _off_umbilic(frame_t.beta(p), G_t), 1.0 + np.max(np.abs(G_t))
+        beta_t, G_t = frame_t.beta(p), frame_t.tangent_metric(p)
+        return _off_umbilic(beta_t, G_t), 1.0 + np.max(np.abs(G_t))
 
     return [
         run_pointwise_check(law_name, emb.domain, law_fn, config, detail=law_detail),

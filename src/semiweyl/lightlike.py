@@ -275,7 +275,7 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
         gram = data["gram"]
         Wdom = data["Wdom"].value
         gv, nbv = gram.value, data["nabla_bar"].value
-        eta_W = Wdom @ (emb.compose(frame.s.eta).value(p) @ emb.jet(p, 1).grad)
+        eta_W = Wdom @ (frame.s.eta.value(emb.value(p)) @ emb.jet(p, 1).grad)
         # directional derivatives of the Gram matrix along screen fields
         dgram = np.einsum("bcd,ad->abc", gram.grad, Wdom)
         # (nabla_a g)(W_b, W_c), and the screen torsion, whose bracket part
