@@ -9,7 +9,7 @@ import numpy as np
 
 from .fields import Chart, ConnectionField, LastPointCache, MetricField, OneFormField, ScalarField, VectorField
 from .jets import jet_einsum, jet_solve, jet_stack, partials
-from .structures import Structure, is_swmt
+from .structures import Structure, swmt_residual
 from .tensor import (
     covariant_derivative_of_vector,
     curvature_values,
@@ -19,7 +19,7 @@ from .tensor import (
     ricci_values,
     scalar_curvature,
 )
-from .verdicts import RunConfig, SkipPoint, run_pointwise_check
+from .verdicts import RunConfig, SkipPoint, run_laws, run_pointwise_check
 
 __all__ = [
     "AffineDistribution",
@@ -137,12 +137,11 @@ def check_realization(dist: AffineDistribution, config: RunConfig):
         gv = g.value
         return float(np.max(np.abs(gv - gv.T))), 1.0 + np.max(np.abs(gv))
 
-    out = [run_pointwise_check("realization_metric_symmetry", dist.chart, symm_fn, config,
-                               detail="frame-equation metric is symmetric")]
-    v = is_swmt(s, config, name="realization_swmt")
-    v.detail = "realized structure satisfies the eta-weighted torsion-Codazzi condition"
-    out.append(v)
-    return out
+    return run_laws(dist.chart, config, [
+        ("realization_metric_symmetry", symm_fn, None, "frame-equation metric is symmetric"),
+        ("realization_swmt", swmt_residual(s), None,
+         "realized structure satisfies the eta-weighted torsion-Codazzi condition"),
+    ])
 
 
 def check_realization_curvature_law(dist: AffineDistribution, config: RunConfig):
@@ -300,9 +299,8 @@ def check_xi_rescale_structure(dist: AffineDistribution, psi, variant, config: R
     dist_t = xi_rescaled(dist, psi_s, variant)
     s_t, _ = realized_structure(dist_t)
     name = "xi_rescale_swmt_inner" if variant == "inner" else "xi_rescale_swmt_outer"
-    v = is_swmt(s_t, config, name=name)
-    v.detail = "structure realized by the rescaled transversal satisfies the condition"
-    return [v]
+    return [run_pointwise_check(name, chart, swmt_residual(s_t), config,
+                                detail="structure realized by the rescaled transversal satisfies the condition")]
 
 
 def check_xi_rescale_codazzi(dist: AffineDistribution, psi, config: RunConfig):

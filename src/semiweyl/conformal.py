@@ -8,6 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import (
+    LastPointCache,
     OneFormField,
     ScalarField,
     eta_tensor_id,
@@ -16,7 +17,7 @@ from .fields import (
     negate_tensor,
     sum_tensors,
 )
-from .structures import Structure, is_smt, is_swmt, semi_dual_connection
+from .structures import Structure, is_swmt, semi_dual_connection, smt_residual, swmt_residual
 from .tensor import (
     covariant_derivative_of_vector,
     curvature_values,
@@ -28,7 +29,7 @@ from .tensor import (
     scalar_curvature,
     torsion_values,
 )
-from .verdicts import RunConfig, agreement, gated, outcome, run_pointwise_check
+from .verdicts import RunConfig, agreement, gated, outcome, run_laws, run_pointwise_check
 
 __all__ = [
     "TransformData",
@@ -80,21 +81,20 @@ def transform(s: Structure, t: TransformData) -> Structure:
     return Structure(s.chart, g_new, s.eta, s.conn.add_tensor(_coefficient_tensor(s.g, t.phi, t.psi)))
 
 
-# -- pointwise data shared by the section's checks ---------------------------
+# -- pointwise data shared by the laws of a check -----------------------------
+#
+# The laws of one check are evaluated together at each point (run_laws), so
+# one _PointData, kept for the most recent point, serves all of them.
 
 
-def _point_data_memo(s, t):
-    """``p -> _PointData(s, t, p)``, built once per point for the life of
-    the memo, so that the laws of one check share it."""
-    built = {}
+def _point_data(s, t):
+    """``p -> _PointData(s, t, p)``, kept for the most recent point."""
+    cache = LastPointCache()
 
-    def point_data(p):
-        key = p.tobytes()
-        if key not in built:
-            built[key] = _PointData(s, t, p)
-        return built[key]
+    def build(p, _order):
+        return _PointData(s, t, p)
 
-    return point_data
+    return lambda p: cache(build, p, 0)
 
 
 class _PointData:
@@ -149,12 +149,10 @@ def check_torsion_invariance(s: Structure, t: TransformData, config: RunConfig):
         T1 = torsion_values(st.conn, p)
         return float(np.max(np.abs(T1 - T0))), 1.0 + np.max(np.abs(s.conn.value(p)))
 
-    return [
-        run_pointwise_check("cp_torsion_term_symmetry", s.chart, symm_fn, config, tol=0.0,
-                            detail="added coefficient tensor symmetric in lower indices, exactly"),
-        run_pointwise_check("cp_torsion_invariance", s.chart, torsion_fn, config,
-                            detail="torsion tensor unchanged by the transformation"),
-    ]
+    return run_laws(s.chart, config, [
+        ("cp_torsion_term_symmetry", symm_fn, 0.0, "added coefficient tensor symmetric in lower indices, exactly"),
+        ("cp_torsion_invariance", torsion_fn, None, "torsion tensor unchanged by the transformation"),
+    ])
 
 
 def check_codazzi_scaling(s: Structure, t: TransformData, config: RunConfig):
@@ -178,8 +176,10 @@ def check_structure_invariance(s: Structure, t: TransformData, config: RunConfig
     transformation iff it holds after (both for the eta-weighted and the
     eta = 0 condition)."""
     st = transform(s, t)
-    before = is_swmt(s, config, name="cp_invariance/before")
-    after = is_swmt(st, config, name="cp_invariance/after")
+    laws = [("cp_invariance/before", swmt_residual(s)), ("cp_invariance/after", swmt_residual(st))]
+    if s.eta.is_zero():
+        laws += [("cp_invariance/before_smt", smt_residual(s)), ("cp_invariance/after_smt", smt_residual(st))]
+    before, after, *smt = run_laws(s.chart, config, laws)
     out = [
         agreement(
             "cp_swmt_invariance",
@@ -188,9 +188,8 @@ def check_structure_invariance(s: Structure, t: TransformData, config: RunConfig
             detail=f"verdicts agree (before={outcome(before)}, after={outcome(after)})",
         )
     ]
-    if s.eta.is_zero():
-        b2 = is_smt(s, config, name="cp_invariance/before_smt")
-        a2 = is_smt(st, config, name="cp_invariance/after_smt")
+    if smt:
+        b2, a2 = smt
         out.append(
             agreement(
                 "cp_smt_invariance",
@@ -288,12 +287,11 @@ def _rhs_scal(d: _PointData):
     )
 
 
-def check_curvature_transform(s: Structure, t: TransformData, config: RunConfig, point_data=None):
-    """Compare the transformed curvature, Ricci and scalar curvature against
-    the term-by-term assembled change-of-curvature formulas; ``point_data``
-    is a :func:`_point_data_memo` of ``(s, t)`` to share with other laws."""
-    st = transform(s, t)
-    point_data = point_data or _point_data_memo(s, t)
+def _curvature_laws(st: Structure, point_data, names):
+    """The curvature, Ricci and scalar-curvature change laws, under
+    ``names``, as laws of :func:`~semiweyl.verdicts.run_laws`: ``st`` is
+    ``transform(s, t)`` and ``point_data`` a :func:`_point_data` of
+    ``(s, t)``."""
 
     def r_fn(p):
         d = point_data(p)
@@ -313,21 +311,26 @@ def check_curvature_transform(s: Structure, t: TransformData, config: RunConfig,
         rhs = _rhs_scal(d)
         return float(abs(lhs - rhs)), 1.0 + abs(lhs) + abs(rhs)
 
-    return [
-        run_pointwise_check("cp_curvature_law", s.chart, r_fn, config,
-                            detail="curvature of the transformed connection matches the change formula"),
-        run_pointwise_check("cp_ricci_law", s.chart, ric_fn, config,
-                            detail="Ricci of the transformed structure matches the change formula"),
-        run_pointwise_check("cp_scalar_law", s.chart, scal_fn, config,
-                            detail="scalar curvature matches the change formula"),
-    ]
+    details = (
+        "curvature of the transformed connection matches the change formula",
+        "Ricci of the transformed structure matches the change formula",
+        "scalar curvature matches the change formula",
+    )
+    return [(nm, fn, None, det) for nm, fn, det in zip(names, (r_fn, ric_fn, scal_fn), details)]
+
+
+def check_curvature_transform(s: Structure, t: TransformData, config: RunConfig):
+    """Compare the transformed curvature, Ricci and scalar curvature against
+    the term-by-term assembled change-of-curvature formulas."""
+    names = ("cp_curvature_law", "cp_ricci_law", "cp_scalar_law")
+    return run_laws(s.chart, config, _curvature_laws(transform(s, t), _point_data(s, t), names))
 
 
 def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
     """The antisymmetric part of the transformed Ricci tensor, in both the
     covariant-derivative form and the torsion-contraction restatement."""
     st = transform(s, t)
-    point_data = _point_data_memo(s, t)
+    point_data = _point_data(s, t)
 
     def full_fn(p):
         d = point_data(p)
@@ -363,15 +366,14 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
         )
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
-    return [
-        run_pointwise_check("cp_ricci_antisymmetry", s.chart, full_fn, config,
-                            detail="antisymmetrized Ricci change, covariant-derivative form"),
-        run_pointwise_check("cp_ricci_antisymmetry_torsion_form", s.chart, torsion_form_fn, config,
-                            detail="antisymmetrized Ricci change, torsion-contraction form"),
-    ]
+    return run_laws(s.chart, config, [
+        ("cp_ricci_antisymmetry", full_fn, None, "antisymmetrized Ricci change, covariant-derivative form"),
+        ("cp_ricci_antisymmetry_torsion_form", torsion_form_fn, None,
+         "antisymmetrized Ricci change, torsion-contraction form"),
+    ])
 
 
-def check_gradient_codazzi_identity(s: Structure, f, config: RunConfig, name="gradient_codazzi_identity"):
+def check_gradient_codazzi_identity(s: Structure, f, config: RunConfig):
     """For any smooth ``f``:
     ``(nabla_Y g)(Z, grad f) - (nabla_Z g)(Y, grad f)
       = -g(T(Y,Z), grad f) + g(Y, nabla_Z grad f) - g(Z, nabla_Y grad f)``."""
@@ -390,7 +392,7 @@ def check_gradient_codazzi_identity(s: Structure, f, config: RunConfig, name="gr
         rhs = -np.einsum("mjk,m->jk", T, fj.grad) + hf.T - hf
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
-    return [run_pointwise_check(name, s.chart, fn, config,
+    return [run_pointwise_check("gradient_codazzi_identity", s.chart, fn, config,
                                 detail="gradient form of the antisymmetrized nabla g identity")]
 
 
@@ -402,41 +404,37 @@ def check_conformal_corollaries(s: Structure, psi, config: RunConfig):
     chart = s.chart
     t = TransformData(chart, ScalarField.zero(chart), psi)
     st = transform(s, t)
-    point_data = _point_data_memo(s, t)
-    out = []
-    laws = check_curvature_transform(s, t, config, point_data)
-    for v, nm in zip(laws, ("conformal_curvature_law", "conformal_ricci_law", "conformal_scalar_law")):
-        v.name = nm
-        out.append(v)
+    point_data = _point_data(s, t)
+    names = ("conformal_curvature_law", "conformal_ricci_law", "conformal_scalar_law")
+    laws = _curvature_laws(st, point_data, names)
+    if not is_swmt(s, config).passed:
+        return run_laws(chart, config, laws) + [
+            gated("conformal_ricci_antisymmetry_preserved", "structure condition fails", config.tol),
+            gated("cyclic_torsion_identity", "structure condition fails", config.tol),
+        ]
 
-    swmt = is_swmt(s, config, name="conformal/hypothesis_swmt")
-    if swmt.passed:
-        def antisym_fn(p):
-            require_nondegenerate(s.g.value(p))
-            lhs = ricci_values(st.conn, st.g, p)
-            rhs = ricci_values(s.conn, s.g, p)
-            res = np.max(np.abs((lhs - lhs.T) - (rhs - rhs.T)))
-            return float(res), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+    def antisym_fn(p):
+        require_nondegenerate(s.g.value(p))
+        lhs = ricci_values(st.conn, st.g, p)
+        rhs = ricci_values(s.conn, s.g, p)
+        res = np.max(np.abs((lhs - lhs.T) - (rhs - rhs.T)))
+        return float(res), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
-        out.append(run_pointwise_check("conformal_ricci_antisymmetry_preserved", chart, antisym_fn, config,
-                                       detail="antisymmetric Ricci part unchanged under a pure conformal-gradient change"))
+    def cyclic_fn(p):
+        d = point_data(p)
+        term = (
+            np.einsum("mjk,m->jk", d.T, d.dpsi)
+            + np.einsum("mka,a,mj->jk", d.T, d.grad_psi, d.g)
+            + np.einsum("maj,a,mk->jk", d.T, d.grad_psi, d.g)
+        )
+        scale = 1.0 + np.max(np.abs(d.T)) * (np.max(np.abs(d.dpsi)) + 1.0) * (1.0 + np.max(np.abs(d.g)))
+        return float(np.max(np.abs(term))), scale
 
-        def cyclic_fn(p):
-            d = point_data(p)
-            term = (
-                np.einsum("mjk,m->jk", d.T, d.dpsi)
-                + np.einsum("mka,a,mj->jk", d.T, d.grad_psi, d.g)
-                + np.einsum("maj,a,mk->jk", d.T, d.grad_psi, d.g)
-            )
-            scale = 1.0 + np.max(np.abs(d.T)) * (np.max(np.abs(d.dpsi)) + 1.0) * (1.0 + np.max(np.abs(d.g)))
-            return float(np.max(np.abs(term))), scale
-
-        out.append(run_pointwise_check("cyclic_torsion_identity", chart, cyclic_fn, config,
-                                       detail="cyclic sum of torsion contractions with grad psi vanishes"))
-    else:
-        out.append(gated("conformal_ricci_antisymmetry_preserved", "structure condition fails", config.tol))
-        out.append(gated("cyclic_torsion_identity", "structure condition fails", config.tol))
-    return out
+    return run_laws(chart, config, laws + [
+        ("conformal_ricci_antisymmetry_preserved", antisym_fn, None,
+         "antisymmetric Ricci part unchanged under a pure conformal-gradient change"),
+        ("cyclic_torsion_identity", cyclic_fn, None, "cyclic sum of torsion contractions with grad psi vanishes"),
+    ])
 
 
 def check_conformally_flat(s: Structure, psi, config: RunConfig):
@@ -455,8 +453,7 @@ def check_conformally_flat(s: Structure, psi, config: RunConfig):
     gate = run_pointwise_check("conformally_flat/hypothesis", chart, flat_fn, config)
     if not gate.passed:
         return [gated("conformally_flat_closed_forms", "shifted connection is not flat", config.tol)]
-    swmt = is_swmt(s, config, name="conformally_flat/hypothesis_swmt")
-    if not swmt.passed:
+    if not is_swmt(s, config).passed:
         return [gated("conformally_flat_closed_forms", "structure condition fails", config.tol)]
 
     def fn(p):

@@ -25,7 +25,7 @@ from .fields import (
     VectorField,
 )
 from .jets import jet_compose, jet_cross, jet_einsum, jet_solve, partials
-from .structures import Structure, is_swmt, semi_dual_connection
+from .structures import Structure, is_swmt, semi_dual_connection, swmt_residual
 from .tensor import (
     curvature_values,
     degeneracy_threshold,
@@ -33,7 +33,7 @@ from .tensor import (
     require_nondegenerate,
     torsion_values,
 )
-from .verdicts import RunConfig, SkipPoint, gated, run_pointwise_check
+from .verdicts import RunConfig, SkipPoint, gated, run_laws, run_pointwise_check
 
 __all__ = [
     "EmbeddingMap",
@@ -267,13 +267,10 @@ def check_induced_structure(emb: EmbeddingMap, s: Structure, config: RunConfig):
     """A non-degenerate submanifold of a structure satisfying the
     eta-weighted torsion-Codazzi condition satisfies it too (with the
     induced data)."""
-    gate = is_swmt(s, config, name="induced/ambient_hypothesis")
-    if not gate.passed:
+    if not is_swmt(s, config).passed:
         return [gated("induced_structure_swmt", "ambient structure condition fails", config.tol)]
-    ind = induced_structure(emb, s)
-    v = is_swmt(ind, config, name="induced_structure_swmt")
-    v.detail = "induced structure satisfies the same condition as the ambient one"
-    return [v]
+    return [run_pointwise_check("induced_structure_swmt", emb.domain, swmt_residual(induced_structure(emb, s)), config,
+                                detail="induced structure satisfies the same condition as the ambient one")]
 
 
 def check_induced_duality_commutes(emb: EmbeddingMap, s: Structure, config: RunConfig):
@@ -321,8 +318,7 @@ def check_beta_symmetry(frame, config: RunConfig):
     """On a hypersurface of a structure satisfying the condition, the
     normal-derivative form ``beta`` is symmetric."""
     name, detail = frame.VERDICTS["beta_symmetry"]
-    gate = is_swmt(frame.s, config, name=f"{name}/ambient_hypothesis")
-    if not gate.passed:
+    if not is_swmt(frame.s, config).passed:
         return [gated(name, "ambient structure condition fails", config.tol)]
 
     def fn(p):
@@ -402,10 +398,7 @@ def check_umbilic_preservation(frame, t, config: RunConfig):
         beta_t, G_t = frame_t.beta(p), frame_t.tangent_metric(p)
         return _off_umbilic(beta_t, G_t), 1.0 + np.max(np.abs(G_t))
 
-    return [
-        run_pointwise_check(law_name, emb.domain, law_fn, config, detail=law_detail),
-        run_pointwise_check(name, emb.domain, umbilic_fn, config, detail=detail),
-    ]
+    return run_laws(emb.domain, config, [(law_name, law_fn, None, law_detail), (name, umbilic_fn, None, detail)])
 
 
 def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):

@@ -261,8 +261,7 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
     """The screen-projected connection, restricted metric and restricted
     one-form satisfy the same eta-weighted torsion-Codazzi condition as the
     ambient structure (screen assumed integrable)."""
-    gate = is_swmt(frame.s, config, name="screen/ambient_hypothesis")
-    if not gate.passed:
+    if not is_swmt(frame.s, config).passed:
         return [gated("screen_structure_swmt", "ambient structure condition fails", config.tol)]
     gate2 = check_screen_integrability(frame, config)[0]
     if not gate2.passed:

@@ -16,13 +16,15 @@ from .tensor import (
     require_nondegenerate,
     torsion_values,
 )
-from .verdicts import RunConfig, agreement, run_pointwise_check
+from .verdicts import RunConfig, agreement, run_laws, run_pointwise_check
 
 __all__ = [
     "Structure",
     "is_statistical",
     "is_smt",
     "is_swmt",
+    "smt_residual",
+    "swmt_residual",
     "dual_connection",
     "semi_dual_connection",
     "check_dual_structure",
@@ -64,7 +66,7 @@ def _swmt_residual_at(s: Structure, p, use_eta=True):
     return np.max(np.abs(res)), _structure_scale(gvals, gam, eta, dg)
 
 
-def is_statistical(s: Structure, config: RunConfig, name="is_statistical"):
+def is_statistical(s: Structure, config: RunConfig):
     """Torsion-free plus the Codazzi symmetry of ``nabla g``."""
 
     def fn(p):
@@ -78,25 +80,28 @@ def is_statistical(s: Structure, config: RunConfig, name="is_statistical"):
         res = max(np.max(np.abs(ng - np.transpose(ng, (1, 0, 2)))), np.max(np.abs(T)))
         return res, _structure_scale(gvals, gam, np.zeros(n), dg)
 
-    return run_pointwise_check(name, s.chart, fn, config)
+    return run_pointwise_check("is_statistical", s.chart, fn, config)
 
 
-def is_smt(s: Structure, config: RunConfig, name="is_smt"):
+def smt_residual(s: Structure):
+    """The residual function of :func:`is_smt`, for a law of
+    :func:`~semiweyl.verdicts.run_laws`."""
+    return lambda p: _swmt_residual_at(s, p, use_eta=False)
+
+
+def swmt_residual(s: Structure):
+    """The residual function of :func:`is_swmt`."""
+    return lambda p: _swmt_residual_at(s, p, use_eta=True)
+
+
+def is_smt(s: Structure, config: RunConfig):
     """Codazzi condition corrected by the torsion term."""
-
-    def fn(p):
-        return _swmt_residual_at(s, p, use_eta=False)
-
-    return run_pointwise_check(name, s.chart, fn, config)
+    return run_pointwise_check("is_smt", s.chart, smt_residual(s), config)
 
 
-def is_swmt(s: Structure, config: RunConfig, name="is_swmt"):
+def is_swmt(s: Structure, config: RunConfig):
     """Torsion-corrected Codazzi condition weighted by the 1-form ``eta``."""
-
-    def fn(p):
-        return _swmt_residual_at(s, p, use_eta=True)
-
-    return run_pointwise_check(name, s.chart, fn, config)
+    return run_pointwise_check("is_swmt", s.chart, swmt_residual(s), config)
 
 
 def semi_dual_connection(g: MetricField, eta: OneFormField, conn: ConnectionField) -> ConnectionField:
@@ -150,10 +155,15 @@ def check_dual_structure(s: Structure, config: RunConfig, check_flatness=False):
       side is flat by construction).
     """
     star = dual_connection(s.g, s.conn)
-    smt_self = is_smt(s, config, name="dual_equiv/base_smt")
-    smt_star = is_smt(Structure(s.chart, s.g, s.eta, star), config, name="dual_equiv/dual_smt")
-    t_self = run_pointwise_check("dual_equiv/torsion_base", s.chart, _torsion_res(s.g, s.conn), config)
-    t_star = run_pointwise_check("dual_equiv/torsion_dual", s.chart, _torsion_res(s.g, star), config)
+    laws = [
+        ("dual_equiv/base_smt", smt_residual(s)),
+        ("dual_equiv/dual_smt", smt_residual(Structure(s.chart, s.g, s.eta, star))),
+        ("dual_equiv/torsion_base", _torsion_res(s.g, s.conn)),
+        ("dual_equiv/torsion_dual", _torsion_res(s.g, star)),
+    ]
+    if check_flatness:
+        laws += [("dual_equiv/flat_base", _curv_res(s.g, s.conn)), ("dual_equiv/flat_dual", _curv_res(s.g, star))]
+    smt_self, smt_star, t_self, t_star, *flat = run_laws(s.chart, config, laws)
     out = [
         agreement(
             "dual_equivalences",
@@ -163,12 +173,10 @@ def check_dual_structure(s: Structure, config: RunConfig, check_flatness=False):
         )
     ]
     if check_flatness:
-        r_self = run_pointwise_check("dual_equiv/flat_base", s.chart, _curv_res(s.g, s.conn), config)
-        r_star = run_pointwise_check("dual_equiv/flat_dual", s.chart, _curv_res(s.g, star), config)
         out.append(
             agreement(
                 "dual_flatness_covanishing",
-                [(r_self, r_star)],
+                [flat],
                 config.tol,
                 detail="flatness of a connection co-vanishes with flatness of its dual",
             )
@@ -182,12 +190,19 @@ def check_semi_dual_structure(s: Structure, config: RunConfig, check_flatness=Fa
     satisfies the torsion-Codazzi condition."""
     star_eta = semi_dual_connection(s.g, s.eta, s.conn)
     star_g = dual_connection(s.g, s.conn)
-
-    swmt_self = is_swmt(s, config, name="semi_dual_equiv/base_swmt")
-    swmt_star = is_swmt(Structure(s.chart, s.g, s.eta, star_eta), config, name="semi_dual_equiv/semi_dual_swmt")
-    smt_star_g = is_smt(Structure(s.chart, s.g, s.eta, star_g), config, name="semi_dual_equiv/dual_smt")
-    t_self = run_pointwise_check("semi_dual_equiv/torsion_base", s.chart, _torsion_res(s.g, s.conn), config)
-    t_star = run_pointwise_check("semi_dual_equiv/torsion_semi_dual", s.chart, _torsion_res(s.g, star_eta), config)
+    laws = [
+        ("semi_dual_equiv/base_swmt", swmt_residual(s)),
+        ("semi_dual_equiv/semi_dual_swmt", swmt_residual(Structure(s.chart, s.g, s.eta, star_eta))),
+        ("semi_dual_equiv/dual_smt", smt_residual(Structure(s.chart, s.g, s.eta, star_g))),
+        ("semi_dual_equiv/torsion_base", _torsion_res(s.g, s.conn)),
+        ("semi_dual_equiv/torsion_semi_dual", _torsion_res(s.g, star_eta)),
+    ]
+    if check_flatness:
+        laws += [
+            (f"semi_dual_equiv/flat_{tag}", _curv_res(s.g, c))
+            for tag, c in (("base", s.conn), ("semi_dual", star_eta), ("dual", star_g))
+        ]
+    swmt_self, swmt_star, smt_star_g, t_self, t_star, *flat = run_laws(s.chart, config, laws)
     out = [
         agreement(
             "semi_dual_equivalences",
@@ -197,17 +212,12 @@ def check_semi_dual_structure(s: Structure, config: RunConfig, check_flatness=Fa
         )
     ]
     if check_flatness:
-        r = [
-            run_pointwise_check(f"semi_dual_equiv/flat_{tag}", s.chart, _curv_res(s.g, c), config)
-            for tag, c in (("base", s.conn), ("semi_dual", star_eta), ("dual", star_g))
-        ]
         out.append(
             agreement(
                 "semi_dual_flatness_covanishing",
-                [r],
+                [flat],
                 config.tol,
                 detail="flatness co-vanishes across the connection, its semi-dual and its dual",
             )
         )
     return out
-

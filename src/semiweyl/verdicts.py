@@ -1,4 +1,11 @@
-"""Residual checks over sampled chart points and their verdicts."""
+"""Residual checks over sampled chart points and their verdicts.
+
+A check states one or more laws about a structure at the same points.
+:func:`run_laws` makes one pass over the sample points, evaluating every
+law of the check at a point before moving on, so the laws share the jets
+each field keeps for the most recent point; it then reduces each law's
+per-point outcomes to that law's :class:`Verdict`.  A single law is the
+case :func:`run_pointwise_check`."""
 
 from __future__ import annotations
 
@@ -14,6 +21,7 @@ __all__ = [
     "RunConfig",
     "Verdict",
     "SkipPoint",
+    "run_laws",
     "run_pointwise_check",
     "outcome",
     "gated",
@@ -73,32 +81,61 @@ class Verdict:
         )
 
 
-def run_pointwise_check(name, chart, residual_fn, config: RunConfig, tol=None, detail=""):
-    """Evaluate ``residual_fn(p) -> (residual, scale)`` over sampled points.
+def run_laws(chart, config: RunConfig, laws):
+    """Evaluate the laws of one check over sampled points, all of them at a
+    point before the next point, and return one verdict per law.
 
-    The check passes when ``residual <= tol * scale`` at every tested point
-    and at least ``min_valid_points`` points survived the degeneracy and
-    domain-error skipping.
+    A law is a tuple ``(name, residual_fn, tol, detail)``; ``tol`` (default
+    ``config.tol``) and ``detail`` may be left off.  ``residual_fn(p) ->
+    (residual, scale)``.  A law passes when ``residual <= tol * scale`` at
+    every point it tested and at least ``min_valid_points`` of its points
+    survived the degeneracy and domain-error skipping.  Each law skips its
+    own points: a law that skips a point does not skip it for the others.
+
+    Evaluating the laws together lets them share what the fields keep for
+    the most recent point; the evaluation is kept apart from the reduction
+    of each law's outcomes to its verdict.
     """
-    tol = config.tol if tol is None else tol
+    laws = [law + (None, "")[len(law) - 2:] for law in laws]
     pts = halton_points(chart, config.samples, seed=config.seed)
+    outcomes = [[_evaluate(fn, p) for _, fn, _, _ in laws] for p in pts]
+    return [
+        _reduce(name, pts, [row[i] for row in outcomes], config, config.tol if tol is None else tol, detail)
+        for i, (name, _, tol, detail) in enumerate(laws)
+    ]
+
+
+def run_pointwise_check(name, chart, residual_fn, config: RunConfig, tol=None, detail=""):
+    """The verdict of the one law ``(name, residual_fn, tol, detail)``, see
+    :func:`run_laws`."""
+    return run_laws(chart, config, [(name, residual_fn, tol, detail)])[0]
+
+
+def _evaluate(residual_fn, p):
+    """``(residual, scale)`` at ``p``, or the reason the point is skipped."""
+    try:
+        res, scale = residual_fn(p)
+    except (DegeneratePointError, EvaluationDomainError, SkipPoint) as exc:
+        return str(exc)
+    if not np.isfinite(res):
+        return "non-finite residual"
+    return res, scale
+
+
+def _reduce(name, pts, outcomes, config: RunConfig, tol, detail):
+    """The verdict of one law from its outcome at each point."""
     worst = -1.0
     worst_rel = -1.0
     worst_point = None
     tested = 0
     skipped = 0
     skip_reason = ""
-    for p in pts:
-        try:
-            res, scale = residual_fn(p)
-        except (DegeneratePointError, EvaluationDomainError, SkipPoint) as exc:
+    for p, out in zip(pts, outcomes):
+        if isinstance(out, str):
             skipped += 1
-            skip_reason = str(exc)
+            skip_reason = out
             continue
-        if not np.isfinite(res):
-            skipped += 1
-            skip_reason = "non-finite residual"
-            continue
+        res, scale = out
         tested += 1
         rel = res / max(scale, 1e-300)
         if rel > worst_rel:

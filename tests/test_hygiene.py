@@ -1,11 +1,14 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every name in its ``__all__`` exists, and none builds a numpy object array.
+every name in its ``__all__`` exists, none builds a numpy object array, and
+none edits the name or detail of a verdict after a check returned it.
 
 AST checks, so they need no linter.  Names re-exported through ``__all__``
 and ``from __future__ import annotations`` are exempt from the first, so
 the second keeps a deleted function from lingering as a stale export.  The
 third keeps jets in their dense storage (``semiweyl.jets.Jet``): an object
-array of per-scalar jets is the format that type replaced.
+array of per-scalar jets is the format that type replaced.  The fourth keeps
+a check's laws carrying their own names and details into
+``semiweyl.verdicts.run_laws``.
 """
 
 import ast
@@ -112,3 +115,30 @@ def test_the_check_sees_an_object_array():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_builds_no_object_array(path):
     assert object_arrays(path.read_text()) == []
+
+
+def edited_verdicts(source):
+    """Lines that assign to the ``name`` or ``detail`` of an object other
+    than ``self``: a verdict edited after a check returned it, where the
+    law should have carried the name and detail."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        targets = node.targets if isinstance(node, ast.Assign) else [getattr(node, "target", None)]
+        for t in targets:
+            if (
+                isinstance(t, ast.Attribute)
+                and t.attr in ("name", "detail")
+                and not (isinstance(t.value, ast.Name) and t.value.id == "self")
+            ):
+                lines.append(node.lineno)
+    return lines
+
+
+def test_the_check_sees_an_edited_verdict():
+    source = "v = f()\nv.name = 'x'\nself.name = 'y'\nout[0].detail += 'z'\nv.passed = True\n"
+    assert edited_verdicts(source) == [2, 4]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_edits_no_returned_verdict(path):
+    assert edited_verdicts(path.read_text()) == []
