@@ -1,11 +1,8 @@
 """Residual checks over sampled chart points and their verdicts.
 
-A check states one or more laws about a structure at the same points.
-:func:`run_laws` makes one pass over the sample points, evaluating every
-law of the check at a point before moving on, so the laws share the jets
-each field keeps for the most recent point; it then reduces each law's
-per-point outcomes to that law's :class:`Verdict`.  A single law is the
-case :func:`run_pointwise_check`."""
+A check makes one pass over its points: :func:`run_laws` evaluates all the
+check's laws at a point before the next, so they share the jets each field
+keeps for the most recent point, then reduces each law to its verdict."""
 
 from __future__ import annotations
 
@@ -82,19 +79,14 @@ class Verdict:
 
 
 def run_laws(chart, config: RunConfig, laws):
-    """Evaluate the laws of one check over sampled points, all of them at a
-    point before the next point, and return one verdict per law.
+    """One verdict per law ``(name, residual_fn, tol, detail)``, where
+    ``tol`` (default ``config.tol``) and ``detail`` may be left off and
+    ``residual_fn(p) -> (residual, scale)``.
 
-    A law is a tuple ``(name, residual_fn, tol, detail)``; ``tol`` (default
-    ``config.tol``) and ``detail`` may be left off.  ``residual_fn(p) ->
-    (residual, scale)``.  A law passes when ``residual <= tol * scale`` at
-    every point it tested and at least ``min_valid_points`` of its points
-    survived the degeneracy and domain-error skipping.  Each law skips its
-    own points: a law that skips a point does not skip it for the others.
-
-    Evaluating the laws together lets them share what the fields keep for
-    the most recent point; the evaluation is kept apart from the reduction
-    of each law's outcomes to its verdict.
+    A law passes when ``residual <= tol * scale`` at every point it tested
+    and at least ``min_valid_points`` of its points survived the degeneracy
+    and domain-error skipping.  A point one law skips is not skipped for
+    the others.
     """
     laws = [law + (None, "")[len(law) - 2:] for law in laws]
     pts = halton_points(chart, config.samples, seed=config.seed)
@@ -106,8 +98,7 @@ def run_laws(chart, config: RunConfig, laws):
 
 
 def run_pointwise_check(name, chart, residual_fn, config: RunConfig, tol=None, detail=""):
-    """The verdict of the one law ``(name, residual_fn, tol, detail)``, see
-    :func:`run_laws`."""
+    """:func:`run_laws` for the one law ``(name, residual_fn, tol, detail)``."""
     return run_laws(chart, config, [(name, residual_fn, tol, detail)])[0]
 
 
@@ -144,27 +135,10 @@ def _reduce(name, pts, outcomes, config: RunConfig, tol, detail):
             worst_point = tuple(float(x) for x in p)
     if tested < config.min_valid_points:
         too_few = f"too few valid points ({tested} < {config.min_valid_points}): {skip_reason}"
-        return Verdict(
-            name,
-            max_residual=float("nan") if tested == 0 else worst,
-            points_tested=tested,
-            points_skipped=skipped,
-            tol=tol,
-            passed=False,
-            worst_point=worst_point,
-            skipped=True,
-            detail=f"{detail}; {too_few}" if detail else too_few,
-        )
-    return Verdict(
-        name,
-        max_residual=worst,
-        points_tested=tested,
-        points_skipped=skipped,
-        tol=tol,
-        passed=worst_rel <= tol,
-        worst_point=worst_point,
-        detail=detail,
-    )
+        detail = f"{detail}; {too_few}" if detail else too_few
+        return Verdict(name, float("nan") if tested == 0 else worst, tested, skipped, tol, False, worst_point,
+                       skipped=True, detail=detail)
+    return Verdict(name, worst, tested, skipped, tol, worst_rel <= tol, worst_point, detail=detail)
 
 
 def outcome(v: Verdict):
