@@ -11,13 +11,17 @@ from .fields import Chart, ConnectionField, LastPointCache, MetricField, OneForm
 from .jets import jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, swmt_residual
 from .tensor import (
+    codazzi_defect,
     covariant_derivative_of_vector,
     curvature_values,
     gradient,
+    nabla_g_values,
     orthonormal_frame,
     require_nondegenerate,
     ricci_values,
     scalar_curvature,
+    torsion_values,
+    wedge_g,
 )
 from .verdicts import RunConfig, SkipPoint, run_laws, run_pointwise_check
 
@@ -307,8 +311,6 @@ def check_xi_rescale_codazzi(dist: AffineDistribution, psi, config: RunConfig):
     """For the "outer" rescaling: torsion is unchanged, the plain
     antisymmetrized metric derivative scales by the conformal factor, and
     the wedge correction carries its own factor ``e^psi - e^{2 psi}``."""
-    from .tensor import nabla_g_values, torsion_values
-
     chart = dist.chart
     psi_s = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
     s, _ = realized_structure(dist)
@@ -316,22 +318,16 @@ def check_xi_rescale_codazzi(dist: AffineDistribution, psi, config: RunConfig):
     s_t, _ = realized_structure(dist_t)
 
     def fn(p):
-        require_nondegenerate(s.g.value(p))
+        gv = s.g.value(p)
+        require_nondegenerate(gv)
         T0 = torsion_values(s.conn, p)
         T1 = torsion_values(s_t.conn, p)
         r_t = np.max(np.abs(T1 - T0))
         psi_j = psi_s.jet(p, 1)
         e = np.exp(psi_j.value)
-        gv = s.g.value(p)
-        ng0 = nabla_g_values(s.conn, s.g, p)
-        ng1 = nabla_g_values(s_t.conn, s_t.g, p)
-        lhs = ng1 - np.transpose(ng1, (1, 0, 2))
-        base = ng0 - np.transpose(ng0, (1, 0, 2))
-        wedge = (
-            np.einsum("x,yz->xyz", psi_j.grad, gv)
-            - np.einsum("y,xz->xyz", psi_j.grad, gv)
-        )
-        rhs = e * base + (e - e * e) * wedge
+        lhs = codazzi_defect(nabla_g_values(s_t.conn, s_t.g, p), gv)
+        base = codazzi_defect(nabla_g_values(s.conn, s.g, p), gv)
+        rhs = e * base + (e - e * e) * wedge_g(psi_j.grad, gv)
         r_c = np.max(np.abs(lhs - rhs))
         return float(max(r_t, r_c)), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs)) + np.max(np.abs(T0))
 

@@ -19,15 +19,16 @@ from .fields import (
 )
 from .structures import Structure, is_swmt, semi_dual_connection, smt_residual, swmt_residual
 from .tensor import (
+    codazzi_defect,
     covariant_derivative_of_vector,
     curvature_values,
-    d_nabla_g_values,
     gradient,
     nabla_g_values,
     require_nondegenerate,
     ricci_values,
     scalar_curvature,
     torsion_values,
+    wedge_g,
 )
 from .verdicts import RunConfig, agreement, gated, outcome, run_laws, run_pointwise_check
 
@@ -107,7 +108,7 @@ class _PointData:
         self.gam = s.conn.value(p)
         self.T = torsion_values(s.conn, p)
         self.ng = nabla_g_values(s.conn, s.g, p)
-        self.dng = d_nabla_g_values(s.conn, s.g, p)
+        self.dng = codazzi_defect(self.ng, self.g, self.T)
         self.R = curvature_values(s.conn, p)
         self.ric = ricci_values(s.conn, s.g, p, R=self.R)
         self.scal = scalar_curvature(s.conn, s.g, p, R=self.R)
@@ -160,11 +161,10 @@ def check_codazzi_scaling(s: Structure, t: TransformData, config: RunConfig):
     st = transform(s, t)
 
     def fn(p):
-        require_nondegenerate(s.g.value(p))
-        ng0 = nabla_g_values(s.conn, s.g, p)
-        ng1 = nabla_g_values(st.conn, st.g, p)
-        lhs = ng1 - np.transpose(ng1, (1, 0, 2))
-        rhs = np.exp(t.phi.value(p) + t.psi.value(p)) * (ng0 - np.transpose(ng0, (1, 0, 2)))
+        gv = s.g.value(p)
+        require_nondegenerate(gv)
+        lhs = codazzi_defect(nabla_g_values(st.conn, st.g, p), gv)
+        rhs = np.exp(t.phi.value(p) + t.psi.value(p)) * codazzi_defect(nabla_g_values(s.conn, s.g, p), gv)
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     return [run_pointwise_check("cp_codazzi_scaling", s.chart, fn, config,
@@ -227,12 +227,6 @@ def check_semi_dual_transform_law(s: Structure, t: TransformData, config: RunCon
 # -- curvature change ---------------------------------------------------------
 
 
-def _wedge_g(a, g):
-    """``W[k, i, j] = a_i g_jk - a_j g_ik``."""
-    w = np.einsum("i,jk->kij", a, g)
-    return w - w.transpose(0, 2, 1)
-
-
 def _rhs_curvature(d: _PointData):
     # the scalar coefficient of Y (and X) in the transformation law:
     # X(Z(phi)) - g(nabla_X Z, grad phi) - X(phi) Z(phi) + g(X,Z) g(grad phi, grad psi)
@@ -241,7 +235,7 @@ def _rhs_curvature(d: _PointData):
     return (
         d.R
         + np.einsum("k,lij->lkij", d.dphi, d.T)
-        + np.einsum("kij,l->lkij", _wedge_g(d.dpsi, d.g), d.grad_psi)
+        + np.einsum("ijk,l->lkij", wedge_g(d.dpsi, d.g), d.grad_psi)
         - np.einsum("ijk,l->lkij", d.dng, d.grad_psi)
         + np.einsum("ik,jl->lkij", d.g, d.dVpsi)
         - np.einsum("jk,il->lkij", d.g, d.dVpsi)
@@ -464,10 +458,10 @@ def check_conformally_flat(s: Structure, psi, config: RunConfig):
         bracket = d.norm_psi2 - d.lap_psi + eta_gradpsi
         # curvature closed form
         R_rhs = (
-            -np.einsum("kij,l->lkij", _wedge_g(d.dpsi, d.g), d.grad_psi)
+            -np.einsum("ijk,l->lkij", wedge_g(d.dpsi, d.g), d.grad_psi)
             - np.einsum("ik,jl->lkij", d.g, d.dVpsi)
             + np.einsum("jk,il->lkij", d.g, d.dVpsi)
-            - np.einsum("kij,l->lkij", _wedge_g(d.eta, d.g), d.grad_psi)
+            - np.einsum("ijk,l->lkij", wedge_g(d.eta, d.g), d.grad_psi)
         )
         ric_rhs = (
             -d.g * bracket

@@ -27,11 +27,13 @@ from .fields import (
 from .jets import jet_compose, jet_cross, jet_einsum, jet_solve, partials
 from .structures import Structure, is_swmt, semi_dual_connection, swmt_residual
 from .tensor import (
+    codazzi_defect,
     curvature_values,
     degeneracy_threshold,
     nabla_g_values,
     require_nondegenerate,
     torsion_values,
+    wedge_g,
 )
 from .verdicts import RunConfig, SkipPoint, gated, run_laws, run_pointwise_check
 
@@ -431,12 +433,8 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
         rhs = np.einsum("dcab,ld->lcab", Rp, dF)
         shape_term = np.einsum("bc,da->dcab", alpha, B) - np.einsum("ac,db->dcab", alpha, B)
         rhs -= np.einsum("dcab,ld->lcab", shape_term, dF)
-        # the normal component, as [a, b, c]
-        normal = (
-            nalpha - nalpha.transpose(1, 0, 2)
-            + np.einsum("bc,a->abc", alpha, tau) - np.einsum("ac,b->abc", alpha, tau)
-            + np.einsum("mab,mc->abc", Tp, alpha)
-        )
+        # the normal component, as [a, b, c]: the Codazzi defect of alpha
+        normal = codazzi_defect(nalpha, alpha, Tp, tau)
         rhs += np.einsum("abc,l->lcab", normal, Nv)
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
@@ -482,16 +480,8 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
         # the vanishing normal component of the ambient semi-dual curvature,
         # written out exactly (no substitution of a one-form for the induced
         # semi-dual metric-derivative antisymmetry)
-        df = f_jet.grad
         ngs = nabla_g_values(ind_dual, ind.g, p)
-        Ts = torsion_values(ind_dual, p)
-        law = (
-            np.einsum("x,yz->xyz", df, gpv)
-            - np.einsum("y,xz->xyz", df, gpv)
-            + f * (ngs - np.transpose(ngs, (1, 0, 2)))
-            + f * np.einsum("kxy,kz->xyz", Ts, gpv)
-            + f * (np.einsum("x,yz->xyz", tau_star, gpv) - np.einsum("y,xz->xyz", tau_star, gpv))
-        )
+        law = wedge_g(f_jet.grad, gpv) + f * codazzi_defect(ngs, gpv, torsion_values(ind_dual, p), tau_star)
         r2 = np.max(np.abs(law))
         scale = 1.0 + np.max(np.abs(Rp)) + np.max(np.abs(rhs)) + abs(f) * (1 + np.max(np.abs(tau_star)))
         return float(max(r1, r2)), scale

@@ -16,7 +16,7 @@ from .fields import Chart, DegeneratePointError, LastPointCache, VectorField
 from .hypersurfaces import EmbeddingMap
 from .jets import jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, is_swmt
-from .tensor import degeneracy_threshold
+from .tensor import codazzi_defect, degeneracy_threshold
 from .verdicts import RunConfig, gated, run_pointwise_check
 
 __all__ = [
@@ -281,11 +281,7 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
         # is the screen component of [W_a, W_b]
         ng = dgram - np.einsum("mab,mc->abc", nbv, gv) - np.einsum("mac,bm->abc", nbv, gv)
         tors = nbv - nbv.transpose(0, 2, 1) - _bracket_coefficients(data)[0][:-1]
-        res = (
-            ng - ng.transpose(1, 0, 2)
-            + np.einsum("a,bc->abc", eta_W, gv) - np.einsum("b,ac->abc", eta_W, gv)
-            + np.einsum("mab,mc->abc", tors, gv)
-        )
+        res = codazzi_defect(ng, gv, tors, eta_W)
         scale = 1.0 + np.max(np.abs(gv)) * (1.0 + np.max(np.abs(nbv)) + np.max(np.abs(eta_W))) + np.max(np.abs(dgram))
         return float(np.max(np.abs(res))), scale
 

@@ -11,6 +11,7 @@ from .fields import Chart, ConnectionField, MetricField, OneFormField
 from .jets import jet_einsum, partials
 from .tensor import (
     _raise_index,
+    codazzi_defect,
     curvature_values,
     nabla_g_values,
     require_nondegenerate,
@@ -55,14 +56,7 @@ def _swmt_residual_at(s: Structure, p, use_eta=True):
     T = torsion_values(s.conn, p)
     eta = s.eta.value(p) if use_eta else np.zeros(n)
     dg = s.g.jet(p, 1).grad
-    # residual of (nabla_X g)(Y,Z) + eta(X) g(Y,Z) - (nabla_Y g)(X,Z) - eta(Y) g(X,Z) + g(T(X,Y),Z)
-    res = (
-        ng
-        + np.einsum("i,jk->ijk", eta, gvals)
-        - np.transpose(ng, (1, 0, 2))
-        - np.einsum("j,ik->ijk", eta, gvals)
-        + np.einsum("mij,mk->ijk", T, gvals)
-    )
+    res = codazzi_defect(ng, gvals, T, eta)
     return np.max(np.abs(res)), _structure_scale(gvals, gam, eta, dg)
 
 
@@ -77,15 +71,14 @@ def is_statistical(s: Structure, config: RunConfig):
         gam = s.conn.value(p)
         T = torsion_values(s.conn, p)
         dg = s.g.jet(p, 1).grad
-        res = max(np.max(np.abs(ng - np.transpose(ng, (1, 0, 2)))), np.max(np.abs(T)))
+        res = max(np.max(np.abs(codazzi_defect(ng, gvals))), np.max(np.abs(T)))
         return res, _structure_scale(gvals, gam, np.zeros(n), dg)
 
     return run_pointwise_check("is_statistical", s.chart, fn, config)
 
 
 def smt_residual(s: Structure):
-    """The residual function of :func:`is_smt`, for a law of
-    :func:`~semiweyl.verdicts.run_laws`."""
+    """The residual function of :func:`is_smt`, for a law of a check."""
     return lambda p: _swmt_residual_at(s, p, use_eta=False)
 
 

@@ -25,7 +25,8 @@ __all__ = [
     "frame_ricci_values",
     "scalar_curvature",
     "nabla_g_values",
-    "d_nabla_g_values",
+    "wedge_g",
+    "codazzi_defect",
     "gradient",
     "covariant_derivative_of_vector",
     "orthonormal_frame",
@@ -131,13 +132,25 @@ def nabla_g_values(conn: ConnectionField, g: MetricField, p):
     return dg.transpose(2, 0, 1) - np.einsum("mai,mj->aij", gam, gvals) - np.einsum("maj,im->aij", gam, gvals)
 
 
-def d_nabla_g_values(conn: ConnectionField, g: MetricField, p):
-    """``(d^nabla g)(X, Y, Z) = (nabla_X g)(Y,Z) - (nabla_Y g)(X,Z) + g(T(X,Y),Z)``."""
-    ng = nabla_g_values(conn, g, p)
-    gvals = g.value(p)
-    T = torsion_values(conn, p)
-    tg = np.einsum("mij,mk->ijk", T, gvals)
-    return ng - np.transpose(ng, (1, 0, 2)) + tg
+def wedge_g(a, g):
+    """``(a wedge g)(X, Y, Z) = a(X) g(Y,Z) - a(Y) g(X,Z)`` as an ``[X, Y, Z]``
+    array."""
+    w = np.einsum("i,jk->ijk", a, g)
+    return w - w.transpose(1, 0, 2)
+
+
+def codazzi_defect(ng, g, T=None, eta=None):
+    """``(nabla_X g)(Y,Z) - (nabla_Y g)(X,Z) + g(T(X,Y),Z) + (eta wedge
+    g)(X,Y,Z)`` as an ``[X, Y, Z]`` array, from ``ng[a, i, j] = (nabla_{d_a}
+    g)(d_i, d_j)``; no torsion or one-form term when ``T`` or ``eta`` is
+    ``None``.  It vanishes exactly when the (eta-weighted) torsion-Codazzi
+    condition holds."""
+    out = ng - ng.transpose(1, 0, 2)
+    if T is not None:
+        out = out + np.einsum("mij,mk->ijk", T, g)
+    if eta is not None:
+        out = out + wedge_g(eta, g)
+    return out
 
 
 def gradient(g: MetricField, f) -> VectorField:
