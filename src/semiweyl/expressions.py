@@ -69,12 +69,6 @@ class Expression:
     def __repr__(self):
         return f"{type(self).__name__}({self})"
 
-    def __eq__(self, other):
-        return type(self) is type(other) and self._key() == other._key()
-
-    def __hash__(self):
-        return hash((type(self).__name__, self._key()))
-
 
 @dataclass(frozen=True, eq=False)
 class Num(Expression):
@@ -94,9 +88,6 @@ class Num(Expression):
             return f"({s})"
         return s
 
-    def _key(self):
-        return (self.value,)
-
 
 @dataclass(frozen=True, eq=False)
 class Var(Expression):
@@ -108,9 +99,6 @@ class Var(Expression):
 
     def _print(self, prec):
         return self.name
-
-    def _key(self):
-        return (self.index, self.name)
 
 
 @dataclass(frozen=True, eq=False)
@@ -125,9 +113,6 @@ class Add(Expression):
         s = f"{self.a._print(1)} + {self.b._print(1)}"
         return f"({s})" if prec > 1 else s
 
-    def _key(self):
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True, eq=False)
 class Sub(Expression):
@@ -140,9 +125,6 @@ class Sub(Expression):
     def _print(self, prec):
         s = f"{self.a._print(1)} - {self.b._print(2)}"
         return f"({s})" if prec > 1 else s
-
-    def _key(self):
-        return (self.a, self.b)
 
 
 @dataclass(frozen=True, eq=False)
@@ -157,9 +139,6 @@ class Mul(Expression):
         s = f"{self.a._print(2)}*{self.b._print(2)}"
         return f"({s})" if prec > 2 else s
 
-    def _key(self):
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True, eq=False)
 class Div(Expression):
@@ -173,9 +152,6 @@ class Div(Expression):
         s = f"{self.a._print(2)}/{self.b._print(3)}"
         return f"({s})" if prec > 2 else s
 
-    def _key(self):
-        return (self.a, self.b)
-
 
 @dataclass(frozen=True, eq=False)
 class Neg(Expression):
@@ -187,9 +163,6 @@ class Neg(Expression):
     def _print(self, prec):
         s = f"-{self.a._print(3)}"
         return f"({s})" if prec > 1 else s
-
-    def _key(self):
-        return (self.a,)
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +179,6 @@ class Pow(Expression):
         s = f"{self.base._print(4)}^{es}"
         return f"({s})" if prec > 3 else s
 
-    def _key(self):
-        return (self.base, self.exponent)
-
 
 @dataclass(frozen=True, eq=False)
 class Func(Expression):
@@ -221,9 +191,6 @@ class Func(Expression):
 
     def _print(self, prec):
         return f"{self.name}({self.arg._print(0)})"
-
-    def _key(self):
-        return (self.name, self.arg)
 
 
 # -- parser -------------------------------------------------------------------
