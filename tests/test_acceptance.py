@@ -383,7 +383,9 @@ class TestReportDeterminism:
             cfg = spec.config.with_(samples=40, min_valid_points=15)
             payloads = []
             for _ in range(2):
-                doc = json.loads(emit_report(run_spec(spec, cfg), "json"))
+                report = run_spec(spec, cfg)
+                assert report.all_expectations_met, path
+                doc = json.loads(emit_report(report, "json"))
                 doc.pop("wall_time_s", None)
                 payloads.append(json.dumps(doc, sort_keys=True).encode())
             assert payloads[0] == payloads[1], path
