@@ -54,8 +54,8 @@ class TestRunLaws:
 
     def test_each_verdict_is_the_verdict_of_its_law_alone(self):
         def too_few(p):
-            if p[0] > 0.0:
-                raise SkipPoint("right half")
+            if p[0] > 0.6:
+                raise SkipPoint("right two thirds")
             return 0.0, 1.0
 
         laws = [
@@ -75,7 +75,8 @@ class TestRunLaws:
         assert [v.as_dict() for v in together] == [v.as_dict() for v in alone]
         assert together[0].passed and not together[1].passed and together[1].detail == ""
         assert together[2].passed and together[2].tol == 1e-2
-        assert together[3].skipped and together[3].detail.startswith("skips most points; too few valid points")
+        assert together[3].skipped and 0 < together[3].points_tested < CONFIG.min_valid_points
+        assert together[3].detail.startswith("skips most points; too few valid points")
 
 
 def count_calls(field, calls):
