@@ -7,7 +7,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Chart, ConnectionField, LastPointCache, MetricField, OneFormField, ScalarField, VectorField
+from .fields import Chart, ConnectionField, MetricField, OneFormField, ScalarField, VectorField, _Field, kept
 from .jets import jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, swmt_residual
 from .tensor import (
@@ -59,7 +59,7 @@ class AffineDistribution:
         # distribution and its rescalings share one evaluation of omega
         self.omega_fn = omega_fn
         self.xi_fn = xi_fn
-        self._solved = LastPointCache()
+        self._solved = _Field(chart, self._solve)
 
     @classmethod
     def from_immersion(cls, chart: Chart, components, xi_components):
@@ -93,7 +93,7 @@ class AffineDistribution:
         The solves at the most recent point are kept, one per order, so the
         metric, one-form, connection and shape operator of
         :func:`realized_structure` share them; the arrays are read-only."""
-        return self._solved(self._solve, p, order)
+        return self._solved.jet(p, order)
 
     def _solve(self, p, order):
         n = self.chart.dim
@@ -105,6 +105,7 @@ class AffineDistribution:
         return conn_part[:n], conn_part[n], -xi_part[:n], xi_part[n]
 
 
+@kept
 def realized_structure(dist: AffineDistribution):
     """The structure defined by the frame equations, plus the shape
     operator as a ``(p, order) -> B[l, i]`` function.  The raw metric
@@ -226,6 +227,7 @@ def check_shape_proportional_scalar(dist: AffineDistribution, config: RunConfig)
 # -- transversal rescalings ----------------------------------------------------
 
 
+@kept
 def xi_rescaled(dist: AffineDistribution, psi, variant):
     """Replace the transversal: variant "inner" uses
     ``xi~ = e^{-psi} (omega(grad psi) + xi)``, variant "outer" uses

@@ -5,19 +5,22 @@ specializations."""
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 
 from .fields import (
-    LastPointCache,
     OneFormField,
     ScalarField,
+    _Field,
     eta_tensor_id,
     g_tensor_vector,
     id_tensor_eta,
+    kept,
     negate_tensor,
     sum_tensors,
 )
-from .structures import Structure, is_swmt, semi_dual_connection, smt_residual, swmt_residual
+from .structures import Structure, is_smt, is_swmt, semi_dual, smt_residual, swmt_residual
 from .tensor import (
     codazzi_defect,
     covariant_derivative_of_vector,
@@ -76,26 +79,30 @@ def _coefficient_tensor(g, phi, psi):
     )
 
 
+@kept
 def transform(s: Structure, t: TransformData) -> Structure:
     """Apply the transformation; ``eta`` is carried unchanged."""
     g_new = s.g.scaled(_exp_sum(s.chart, t.phi, t.psi))
     return Structure(s.chart, g_new, s.eta, s.conn.add_tensor(_coefficient_tensor(s.g, t.phi, t.psi)))
 
 
+@kept
+def _conformal_data(psi: ScalarField) -> TransformData:
+    """The ``phi = 0`` transformation driven by ``psi``."""
+    return TransformData(psi.chart, ScalarField.zero(psi.chart), psi)
+
+
 # -- pointwise data shared by the laws of a check -----------------------------
 #
 # The laws of one check are evaluated together at each point (run_laws), so
-# one _PointData, kept for the most recent point, serves all of them.
+# one _PointData, kept by its field for the most recent point, serves all of
+# them.
 
 
+@kept
 def _point_data(s, t):
-    """``p -> _PointData(s, t, p)``, kept for the most recent point."""
-    cache = LastPointCache()
-
-    def build(p, _order):
-        return _PointData(s, t, p)
-
-    return lambda p: cache(build, p, 0)
+    """The field ``p -> _PointData(s, t, p)``."""
+    return _Field(s.chart, lambda p, _order: _PointData(s, t, p))
 
 
 class _PointData:
@@ -176,10 +183,11 @@ def check_structure_invariance(s: Structure, t: TransformData, config: RunConfig
     transformation iff it holds after (both for the eta-weighted and the
     eta = 0 condition)."""
     st = transform(s, t)
-    laws = [("cp_invariance/before", swmt_residual(s)), ("cp_invariance/after", swmt_residual(st))]
+    before = replace(is_swmt(s, config), name="cp_invariance/before")
+    laws = [("cp_invariance/after", swmt_residual(st))]
     if s.eta.is_zero():
-        laws += [("cp_invariance/before_smt", smt_residual(s)), ("cp_invariance/after_smt", smt_residual(st))]
-    before, after, *smt = run_laws(s.chart, config, laws)
+        laws += [("cp_invariance/after_smt", smt_residual(st))]
+    after, *smt_after = run_laws(s.chart, config, laws)
     out = [
         agreement(
             "cp_swmt_invariance",
@@ -188,8 +196,8 @@ def check_structure_invariance(s: Structure, t: TransformData, config: RunConfig
             detail=f"verdicts agree (before={outcome(before)}, after={outcome(after)})",
         )
     ]
-    if smt:
-        b2, a2 = smt
+    if smt_after:
+        b2, a2 = replace(is_smt(s, config), name="cp_invariance/before_smt"), smt_after[0]
         out.append(
             agreement(
                 "cp_smt_invariance",
@@ -207,8 +215,8 @@ def check_semi_dual_transform_law(s: Structure, t: TransformData, config: RunCon
     exchanged.  ``swap_roles=False`` is the negative control (the unswapped
     law must fail on a generic instance)."""
     st = transform(s, t)
-    lhs = semi_dual_connection(st.g, st.eta, st.conn)
-    base = semi_dual_connection(s.g, s.eta, s.conn)
+    lhs = semi_dual(st).conn
+    base = semi_dual(s).conn
     chart = s.chart
     a, b = (t.psi, t.phi) if swap_roles else (t.phi, t.psi)
     rhs = base.add_tensor(_coefficient_tensor(s.g, a, b))
@@ -284,23 +292,23 @@ def _rhs_scal(d: _PointData):
 def _curvature_laws(st: Structure, point_data, names):
     """The curvature, Ricci and scalar-curvature change laws, under
     ``names``, as laws of :func:`~semiweyl.verdicts.run_laws`: ``st`` is
-    ``transform(s, t)`` and ``point_data`` a :func:`_point_data` of
+    ``transform(s, t)`` and ``point_data`` the :func:`_point_data` of
     ``(s, t)``."""
 
     def r_fn(p):
-        d = point_data(p)
+        d = point_data.jet(p, 0)
         lhs = curvature_values(st.conn, p)
         rhs = _rhs_curvature(d)
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def ric_fn(p):
-        d = point_data(p)
+        d = point_data.jet(p, 0)
         lhs = ricci_values(st.conn, st.g, p)
         rhs = _rhs_ricci(d)
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def scal_fn(p):
-        d = point_data(p)
+        d = point_data.jet(p, 0)
         lhs = scalar_curvature(st.conn, st.g, p)
         rhs = _rhs_scal(d)
         return float(abs(lhs - rhs)), 1.0 + abs(lhs) + abs(rhs)
@@ -327,7 +335,7 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
     point_data = _point_data(s, t)
 
     def full_fn(p):
-        d = point_data(p)
+        d = point_data.jet(p, 0)
         lhs = ricci_values(st.conn, st.g, p)
         lhs = lhs - lhs.T
         ngradphi = np.einsum("jmk,m->jk", d.ng, d.grad_phi)
@@ -345,7 +353,7 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def torsion_form_fn(p):
-        d = point_data(p)
+        d = point_data.jet(p, 0)
         lhs = ricci_values(st.conn, st.g, p)
         lhs = lhs - lhs.T
         gT_df = np.einsum("mjk,m->jk", d.T, d.dphi)  # g(T(d_j, d_k), grad phi)
@@ -396,7 +404,7 @@ def check_conformal_corollaries(s: Structure, psi, config: RunConfig):
     the (eta-weighted) torsion-Codazzi condition, and the cyclic torsion
     identity."""
     chart = s.chart
-    t = TransformData(chart, ScalarField.zero(chart), psi)
+    t = _conformal_data(psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi))
     st = transform(s, t)
     point_data = _point_data(s, t)
     names = ("conformal_curvature_law", "conformal_ricci_law", "conformal_scalar_law")
@@ -415,7 +423,7 @@ def check_conformal_corollaries(s: Structure, psi, config: RunConfig):
         return float(res), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def cyclic_fn(p):
-        d = point_data(p)
+        d = point_data.jet(p, 0)
         term = (
             np.einsum("mjk,m->jk", d.T, d.dpsi)
             + np.einsum("mka,a,mj->jk", d.T, d.grad_psi, d.g)
@@ -436,8 +444,9 @@ def check_conformally_flat(s: Structure, psi, config: RunConfig):
     scalar curvature of ``conn`` have closed forms, and Ricci is symmetric."""
     chart = s.chart
     psi_s = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
-    t = TransformData(chart, ScalarField.zero(chart), psi_s)
+    t = _conformal_data(psi_s)
     st = transform(s, t)
+    point_data = _point_data(s, t)
 
     def flat_fn(p):
         require_nondegenerate(s.g.value(p))
@@ -451,7 +460,7 @@ def check_conformally_flat(s: Structure, psi, config: RunConfig):
         return [gated("conformally_flat_closed_forms", "structure condition fails", config.tol)]
 
     def fn(p):
-        d = _PointData(s, t, p)
+        d = point_data.jet(p, 0)
         n = d.n
         hpsi = d.dVpsi @ d.g  # g(nabla_{d_j} grad psi, d_k)
         eta_gradpsi = float(d.eta @ d.grad_psi)

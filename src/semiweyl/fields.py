@@ -1,4 +1,5 @@
-"""Charts and pointwise jet-evaluable tensor fields.
+"""Charts, pointwise jet-evaluable tensor fields, and the rule that builds
+each derived object once.
 
 Every field is a function from a chart point to a dense
 :class:`~semiweyl.jets.Jet` of a requested order, whose tensor shape is the
@@ -10,18 +11,22 @@ fields, so derivative information flows through every construction
 without symbolic matrix algebra.  Derived fields combine jets with
 :func:`~semiweyl.jets.jet_einsum` (contractions and outer products),
 :func:`~semiweyl.jets.partials` (coordinate derivatives) and jet
-arithmetic (``G + K``, ``-K``, ``G * f``).
+arithmetic (``G + K``, ``-K``, ``G * f``).  A field may also hold other
+per-point data built from jets (a frame solve, screen geometry).
 
-Each field remembers its jets at the most recent point it was evaluated
-at, one result per order (:class:`LastPointCache`), so a check that asks a
-derived field for the same point several times builds its chain once.  The
-results at that point are shared between callers and therefore read-only,
-and a field's ``fn`` may depend on nothing but ``(p, order)``.
+Two rules share work.  A field keeps its results at the most recent point
+it was evaluated at, one per order, so the laws that ask a field for the
+same point build its chain once; those results are shared between callers
+and therefore read-only, and a field's ``fn`` may depend on nothing but
+``(p, order)``.  And an owner (a field, a structure, a map) keeps what is
+derived from it (:func:`kept`), so each derived structure, frame and
+predicate verdict of a spec is built once and is one Python object.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 import numpy as np
 
@@ -31,6 +36,7 @@ from .jets import Jet, jet_einsum, partials
 __all__ = [
     "Chart",
     "DegeneratePointError",
+    "kept",
     "ScalarField",
     "OneFormField",
     "VectorField",
@@ -75,55 +81,61 @@ class Chart:
         return parse_expression(text, self.coord_names)
 
 
-class LastPointCache:
-    """The results of ``fn(p, order)`` at the most recent point, one per
-    order; points are compared by their float bytes.
+def kept(build):
+    """``build(owner, *args)``, built once per owner and arguments and kept
+    by the owner.
 
-    A call at a new point drops the previous point's results, so the memory
-    held is one point's worth per owner.  The layers of a returned jet,
-    returned arrays and those of a returned tuple are made read-only, since
-    every caller at that point gets the same objects.  Nothing is stored
-    when ``fn`` raises.
-    """
+    The owner and the arguments are compared as dictionary keys: fields,
+    structures, maps and transforms by identity, a ``RunConfig`` or a
+    string by value.  A build that raises keeps nothing."""
 
-    __slots__ = ("_key", "_by_order")
+    @wraps(build)
+    def get(owner, *args):
+        memo = vars(owner).setdefault("_kept", {})
+        key = (build, *args)
+        if key not in memo:
+            memo[key] = build(owner, *args)
+        return memo[key]
 
-    def __init__(self):
-        self._key = None
-        self._by_order = {}
+    return get
 
-    def __call__(self, fn, p, order):
-        p = np.asarray(p, dtype=float)
-        key = p.tobytes()
-        if key != self._key:
-            self._key, self._by_order = key, {}
-        out = self._by_order.get(order)
-        if out is None:
-            out = fn(p, order)
-            for a in out if isinstance(out, tuple) else (out,):
-                for L in a.layers if isinstance(a, Jet) else (a,):
-                    if isinstance(L, np.ndarray):
-                        L.flags.writeable = False
-            self._by_order[order] = out
-        return out
+
+def _read_only(out):
+    """Mark the layers of a jet, an array, or those of a tuple of them
+    read-only; returns ``out``."""
+    for a in out if isinstance(out, tuple) else (out,):
+        for L in a.layers if isinstance(a, Jet) else (a,):
+            if isinstance(L, np.ndarray):
+                L.flags.writeable = False
+    return out
 
 
 class _Field:
-    """Base: wraps ``fn(point, order) -> Jet``."""
-
-    shape_rank = 0
+    """Base: wraps ``fn(point, order)``, which returns a jet (or other
+    per-point data built from jets)."""
 
     def __init__(self, chart, fn, expressions=None):
         self.chart = chart
         self._fn = fn
-        self._jets = LastPointCache()
+        self._point = None
+        self._by_order = {}
         self.expressions = expressions  # AST grid when expression-backed
 
     def jet(self, p, order):
-        """The jet of order ``order`` at ``p``.  The result at the most
-        recent point is kept per order and shared by every caller, so its
-        layers are read-only; ``fn`` must depend only on ``(p, order)``."""
-        return self._jets(self._fn, p, order)
+        """The jet of order ``order`` at ``p``.  The results at the most
+        recent point (compared by its float bytes) are kept, one per order,
+        and shared by every caller, so their layers are read-only; ``fn``
+        must depend only on ``(p, order)``.  Nothing is kept when ``fn``
+        raises."""
+        p = np.asarray(p, dtype=float)
+        key = p.tobytes()
+        if key != self._point:
+            self._point, self._by_order = key, {}
+        by_order = self._by_order
+        out = by_order.get(order)
+        if out is None:
+            out = by_order[order] = _read_only(self._fn(p, order))
+        return out
 
     def value(self, p):
         return self.jet(p, 0).value  # a float for a scalar field

@@ -9,7 +9,10 @@ against the fundamental-form data a frame gives at a point (the forms
 ``alpha`` and ``beta`` of a connection, the sign ``eps = g(N, N)``, the
 metric of the tangent frame and the transversal ``N``).  They serve the
 unit normal of a :class:`HypersurfaceFrame` here and the null transversal
-of a :class:`~semiweyl.lightlike.LightlikeFrame`."""
+of a :class:`~semiweyl.lightlike.LightlikeFrame`.  A frame reads only its
+own structure: the forms of the semi-dual connection are those of the frame
+of the semi-dual structure (``frame.with_structure(semi_dual(frame.s))``),
+which shares the frame's unit normal."""
 
 from __future__ import annotations
 
@@ -19,13 +22,14 @@ from .fields import (
     Chart,
     ConnectionField,
     DegeneratePointError,
-    LastPointCache,
     MetricField,
     OneFormField,
     VectorField,
+    _Field,
+    kept,
 )
 from .jets import jet_compose, jet_cross, jet_einsum, jet_solve, partials
-from .structures import Structure, is_swmt, semi_dual_connection, swmt_residual
+from .structures import Structure, is_swmt, semi_dual, swmt_residual
 from .tensor import (
     codazzi_defect,
     curvature_values,
@@ -40,7 +44,9 @@ from .verdicts import RunConfig, SkipPoint, gated, run_laws, run_pointwise_check
 __all__ = [
     "EmbeddingMap",
     "induced_structure",
+    "unit_normal",
     "HypersurfaceFrame",
+    "hypersurface_frame",
     "check_induced_structure",
     "check_induced_duality_commutes",
     "check_induced_cp_equivalence",
@@ -60,8 +66,8 @@ class EmbeddingMap:
     Its coordinates are a :class:`~semiweyl.fields.VectorField` on the
     domain, and the pullback of an ambient field is a field on the domain.
     The map keeps one pullback per ambient field (and one induced metric
-    per ambient metric), so every frame and check on the map shares its
-    jets at the most recent point."""
+    per ambient metric, see :func:`~semiweyl.fields.kept`), so every frame
+    and check on the map shares its jets at the most recent point."""
 
     def __init__(self, domain: Chart, ambient: Chart, components):
         if len(components) != ambient.dim:
@@ -69,8 +75,6 @@ class EmbeddingMap:
         self.domain = domain
         self.ambient = ambient
         self.coords = VectorField.from_expressions(domain, components)
-        self._pullbacks = {}
-        self._induced_metrics = {}
 
     @property
     def codim(self):
@@ -84,34 +88,31 @@ class EmbeddingMap:
     def value(self, p):
         return self.coords.value(p)
 
+    @kept
     def compose(self, field):
         """The pullback of an ambient field: a field of the same kind on the
         domain, whose jets are those of ``field`` along the map."""
-        pb = self._pullbacks.get(field)
-        if pb is None:
 
-            def fn(p, order):
-                F = self.jet(p, order)
-                return jet_compose(field.jet(F.value, order), F)
+        def fn(p, order):
+            F = self.jet(p, order)
+            return jet_compose(field.jet(F.value, order), F)
 
-            pb = self._pullbacks[field] = type(field)(self.domain, fn)
-        return pb
+        return type(field)(self.domain, fn)
 
+    @kept
     def induced_metric(self, g):
         """The metric ``g(dF e_a, dF e_b)`` induced on the domain by the
         ambient metric ``g``."""
-        gp = self._induced_metrics.get(g)
-        if gp is None:
-            Gc = self.compose(g)
+        Gc = self.compose(g)
 
-            def fn(p, order):
-                dF = partials(self.jet(p, order + 1))
-                return jet_einsum("ia,jb,ij->ab", dF, dF, Gc.jet(p, order))
+        def fn(p, order):
+            dF = partials(self.jet(p, order + 1))
+            return jet_einsum("ia,jb,ij->ab", dF, dF, Gc.jet(p, order))
 
-            gp = self._induced_metrics[g] = MetricField(self.domain, fn)
-        return gp
+        return MetricField(self.domain, fn)
 
 
+@kept
 def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
     """Restrict the metric and one-form and project the connection onto the
     image of the map (valid in any codimension, requires the induced metric
@@ -140,12 +141,59 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
     )
 
 
+@kept
+def _restricted(emb: EmbeddingMap, t):
+    """The transformation driven by the pullbacks of ``t``'s functions."""
+    from .conformal import TransformData
+
+    return TransformData(emb.domain, emb.compose(t.phi), emb.compose(t.psi))
+
+
 def _ambient_derivative_of_frame(emb, conn, p, order):
     """``W[i, a, b]``: ambient components of the ambient covariant
     derivative of the coordinate frame, ``nabla_{dF e_a} (dF e_b)``."""
     dF = partials(emb.jet(p, order + 2))
     Gamc = emb.compose(conn).jet(p, order)
     return partials(dF).transpose(0, 2, 1) + jet_einsum("ijk,ja,kb->iab", Gamc, dF, dF)
+
+
+def _raw_normal(emb, g, p, order):
+    """Un-normalized conormal ``nu_i = eps_{i j k ...} dF[j, 0] dF[k, 1]
+    ...`` (the cofactors of the differential), raised with the inverse
+    metric; returns (N_raw, nu, Gc)."""
+    dF = partials(emb.jet(p, order + 1))
+    Gc = emb.compose(g).jet(p, order)
+    nu = jet_cross(dF.T)
+    return jet_solve(Gc, nu), nu, Gc
+
+
+@kept
+def _orientation(emb, g):
+    """The sign that orients the unit normal: the sign of the largest
+    component of the raw normal at the centre of the domain."""
+    vals = _raw_normal(emb, g, emb.domain.center(), 0)[0].value
+    return 1.0 if vals[int(np.argmax(np.abs(vals)))] > 0 else -1.0
+
+
+@kept
+def unit_normal(emb: EmbeddingMap, g: MetricField) -> _Field:
+    """The unit normal of a hypersurface in the metric ``g``, as a field
+    whose jet at ``p`` is ``(N, eps)``: ``N`` the ambient components (jets)
+    and ``eps = g(N, N) = +-1``."""
+
+    def fn(p, order):
+        sign = _orientation(emb, g)  # before p's jets, which it would evict
+        N_raw, nu, Gc = _raw_normal(emb, g, p, order)
+        norm2 = jet_einsum("i,i->", nu, N_raw)
+        v = norm2.value
+        if abs(v) <= degeneracy_threshold(Gc.value):
+            raise DegeneratePointError("normal direction is null at this point")
+        eps = 1.0 if v > 0 else -1.0
+        length = (norm2 if eps > 0 else -norm2).sqrt()
+        N = N_raw / length
+        return (N if sign > 0 else -N), eps
+
+    return _Field(emb.domain, fn)
 
 
 class HypersurfaceFrame:
@@ -168,88 +216,51 @@ class HypersurfaceFrame:
             raise ValueError("a hypersurface has codimension one")
         self.emb = emb
         self.s = s
-        self._sign = None
-        self._normals = LastPointCache()
 
     def with_structure(self, s: Structure):
         """The frame of the same hypersurface in another ambient structure."""
-        return HypersurfaceFrame(self.emb, s)
-
-    def _raw_normal(self, p, order):
-        """Un-normalized conormal ``nu_i = eps_{i j k ...} dF[j, 0] dF[k, 1]
-        ...`` (the cofactors of the differential), raised with the inverse
-        metric; returns (N_raw, nu, Gc)."""
-        emb = self.emb
-        dF = partials(emb.jet(p, order + 1))
-        Gc = emb.compose(self.s.g).jet(p, order)
-        nu = jet_cross(dF.T)
-        return jet_solve(Gc, nu), nu, Gc
-
-    def _orientation(self):
-        if self._sign is None:
-            N_raw, _, _ = self._raw_normal(self.emb.domain.center(), 0)
-            vals = N_raw.value
-            pivot = int(np.argmax(np.abs(vals)))
-            self._sign = (pivot, 1.0 if vals[pivot] > 0 else -1.0)
-        return self._sign
+        return hypersurface_frame(self.emb, s)
 
     def normal(self, p, order):
         """Unit normal ``N`` (ambient components, jets) and the sign
-        ``eps = g(N, N) = +-1``; the result at the most recent point is
-        kept per order."""
-        return self._normals(self._unit_normal, p, order)
+        ``eps = g(N, N) = +-1``, shared by every frame of the map and
+        metric."""
+        return unit_normal(self.emb, self.s.g).jet(p, order)
 
-    def _unit_normal(self, p, order):
-        _, sign = self._orientation()  # before p's jets, which it would evict
-        N_raw, nu, Gc = self._raw_normal(p, order)
-        norm2 = jet_einsum("i,i->", nu, N_raw)
-        v = norm2.value
-        if abs(v) <= degeneracy_threshold(Gc.value):
-            raise DegeneratePointError("normal direction is null at this point")
-        eps = 1.0 if v > 0 else -1.0
-        length = (norm2 if eps > 0 else -norm2).sqrt()
-        N = N_raw / length
-        return (N if sign > 0 else -N), eps
-
-    def second_fundamental_form(self, p, order=0, conn=None):
+    def second_fundamental_form(self, p, order=0):
         """``alpha[a, b] = eps * g(nabla_{dF e_a}(dF e_b), N)`` as jets."""
-        conn = self.s.conn if conn is None else conn
-        W = _ambient_derivative_of_frame(self.emb, conn, p, order)
+        W = _ambient_derivative_of_frame(self.emb, self.s.conn, p, order)
         Gc = self.emb.compose(self.s.g).jet(p, order)
         N, eps = self.normal(p, order)
         alpha = jet_einsum("ij,iab,j->ab", Gc, W, N)
         return (-alpha if eps < 0 else alpha), eps
 
-    def normal_derivative(self, p, order=0, conn=None):
-        """``DN[i, a]``: ambient components of ``nabla_{dF e_a} N``."""
-        conn = self.s.conn if conn is None else conn
-        N, eps = self.normal(p, order + 1)
-        Gamc = self.emb.compose(conn).jet(p, order)
-        dF = partials(self.emb.jet(p, order + 1))
-        DN = partials(N) + jet_einsum("ijk,ja,k->ia", Gamc, dF, N)
-        return DN, N, eps, dF
-
-    def weingarten(self, p, order=0, conn=None):
+    def weingarten(self, p, order=0):
         """Returns ``(beta, tau, B, eps)`` as jets: ``beta[a,b] =
         -g(nabla_a N, dF e_b)``, ``tau[a] = eps g(nabla_a N, N)`` and the
         shape operator ``B[d, a]`` with ``beta(X, Y) = g'(B X, Y)``."""
-        DN, N, eps, dF = self.normal_derivative(p, order, conn=conn)
-        Gc = self.emb.compose(self.s.g).jet(p, order)
+        emb = self.emb
+        N, eps = self.normal(p, order + 1)
+        Gamc = emb.compose(self.s.conn).jet(p, order)
+        dF = partials(emb.jet(p, order + 1))
+        # DN[i, a]: ambient components of nabla_{dF e_a} N
+        DN = partials(N) + jet_einsum("ijk,ja,k->ia", Gamc, dF, N)
+        Gc = emb.compose(self.s.g).jet(p, order)
         tau = jet_einsum("ij,ia,j->a", Gc, DN, N)
         tau = -tau if eps < 0 else tau
         beta = -jet_einsum("ij,ia,jb->ab", Gc, DN, dF)
-        gp = self.emb.induced_metric(self.s.g).jet(p, order)
+        gp = emb.induced_metric(self.s.g).jet(p, order)
         require_nondegenerate(gp.value)
         B = jet_solve(gp, beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}
         return beta, tau, B, eps
 
     # -- the values the shared fundamental-form checks read ----------------
 
-    def alpha(self, p, conn=None):
-        return self.second_fundamental_form(p, 0, conn)[0].value
+    def alpha(self, p):
+        return self.second_fundamental_form(p, 0)[0].value
 
-    def beta(self, p, conn=None):
-        return self.weingarten(p, 0, conn)[0].value
+    def beta(self, p):
+        return self.weingarten(p, 0)[0].value
 
     def eps(self, p):
         return self.normal(p, 0)[1]
@@ -260,6 +271,9 @@ class HypersurfaceFrame:
 
     def transversal_value(self, p):
         return self.normal(p, 0)[0].value
+
+
+hypersurface_frame = kept(HypersurfaceFrame)
 
 
 # -- checks -------------------------------------------------------------------
@@ -278,10 +292,8 @@ def check_induced_structure(emb: EmbeddingMap, s: Structure, config: RunConfig):
 def check_induced_duality_commutes(emb: EmbeddingMap, s: Structure, config: RunConfig):
     """Projecting the semi-dual connection equals taking the semi-dual of
     the projected connection (with the induced metric and one-form)."""
-    ind = induced_structure(emb, s)
-    lhs = semi_dual_connection(ind.g, ind.eta, ind.conn)
-    amb_dual = Structure(emb.ambient, s.g, s.eta, semi_dual_connection(s.g, s.eta, s.conn))
-    rhs = induced_structure(emb, amb_dual).conn
+    lhs = semi_dual(induced_structure(emb, s)).conn
+    rhs = induced_structure(emb, semi_dual(s)).conn
 
     def fn(p):
         L = lhs.value(p)
@@ -296,12 +308,10 @@ def check_induced_cp_equivalence(emb: EmbeddingMap, s: Structure, t, config: Run
     """The transformation commutes with inducing: transforming the ambient
     structure and restricting agrees with restricting and transforming by
     the restricted functions."""
-    from .conformal import TransformData, transform
+    from .conformal import transform
 
-    st = transform(s, t)
-    lhs = induced_structure(emb, st)
-    t_res = TransformData(emb.domain, emb.compose(t.phi), emb.compose(t.psi))
-    rhs = transform(induced_structure(emb, s), t_res)
+    lhs = induced_structure(emb, transform(s, t))
+    rhs = transform(induced_structure(emb, s), _restricted(emb, t))
 
     def fn(p):
         Lg = lhs.g.value(p)
@@ -334,15 +344,14 @@ def check_duality_pairing(frame, config: RunConfig):
     """``beta = eps * alpha-star`` and ``beta-star = eps * alpha``: the
     normal-derivative form of one connection is the second fundamental form
     of its semi-dual."""
-    s = frame.s
-    dual = semi_dual_connection(s.g, s.eta, s.conn)
+    dual = frame.with_structure(semi_dual(frame.s))
     name, detail = frame.VERDICTS["duality_pairing"]
 
     def fn(p):
         eps = frame.eps(p)
         beta, alpha = frame.beta(p), frame.alpha(p)
-        r1 = np.max(np.abs(beta - eps * frame.alpha(p, dual)))
-        r2 = np.max(np.abs(frame.beta(p, dual) - eps * alpha))
+        r1 = np.max(np.abs(beta - eps * dual.alpha(p)))
+        r2 = np.max(np.abs(dual.beta(p) - eps * alpha))
         scale = 1.0 + np.max(np.abs(beta)) + np.max(np.abs(alpha))
         return float(max(r1, r2)), scale
 
@@ -407,7 +416,7 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
     """Ambient curvature on tangent vectors decomposes into the induced
     curvature, shape-operator terms, and a normal component built from the
     second fundamental form."""
-    frame = HypersurfaceFrame(emb, s)
+    frame = hypersurface_frame(emb, s)
     ind = induced_structure(emb, s)
 
     def fn(p):
@@ -449,14 +458,15 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
     first-order law: the wedge of ``df`` with the induced metric cancels
     ``f`` times the induced semi-dual metric-derivative antisymmetry, its
     torsion pairing, and the wedge of the dual transversal one-form."""
-    frame = HypersurfaceFrame(emb, s)
-    dual = semi_dual_connection(s.g, s.eta, s.conn)
+    frame = hypersurface_frame(emb, s)
+    dual = semi_dual(s)
+    frame_dual = frame.with_structure(dual)
     ind = induced_structure(emb, s)
-    ind_dual = semi_dual_connection(ind.g, ind.eta, ind.conn)
+    ind_dual = semi_dual(ind).conn
 
     def gate_fn(p):
         q = emb.value(p)
-        R_star = curvature_values(dual, q)
+        R_star = curvature_values(dual.conn, q)
         _, dev, _, gp = umbilic_deviation(frame, p)
         res = max(np.max(np.abs(R_star)), dev)
         return float(res), 1.0 + np.max(np.abs(gp.value))
@@ -469,7 +479,7 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
         f_jet, _, _, gp = umbilic_deviation(frame, p, order=1)
         gpv = gp.value
         Rp = curvature_values(ind_dual, p)
-        _, tau_star_j, B_star_j, eps = frame.weingarten(p, conn=dual)
+        _, tau_star_j, B_star_j, eps = frame_dual.weingarten(p)
         B_star = B_star_j.value
         tau_star = tau_star_j.value
         f = f_jet.value

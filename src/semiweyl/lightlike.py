@@ -6,13 +6,15 @@ A :class:`LightlikeFrame` gives the fundamental-form data that beta
 symmetry, the duality pairing and the umbilic laws of
 :mod:`~semiweyl.hypersurfaces` read: the screen forms ``alpha`` and
 ``beta``, the screen Gram matrix in place of the induced metric, the null
-transversal ``N`` in place of the unit normal, and ``eps = g(N, xi) = 1``."""
+transversal ``N`` in place of the unit normal, and ``eps = g(N, xi) = 1``.
+Like a hypersurface frame it reads only its own structure: the semi-dual's
+forms come from the frame of the semi-dual structure on the same screen."""
 
 from __future__ import annotations
 
 import numpy as np
 
-from .fields import Chart, DegeneratePointError, LastPointCache, VectorField
+from .fields import Chart, DegeneratePointError, VectorField, _Field, kept
 from .hypersurfaces import EmbeddingMap
 from .jets import jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, is_swmt
@@ -21,6 +23,7 @@ from .verdicts import RunConfig, gated, run_pointwise_check
 
 __all__ = [
     "LightlikeFrame",
+    "lightlike_frame",
     "check_radical_quality",
     "check_transversal_conditions",
     "check_screen_integrability",
@@ -67,12 +70,12 @@ class LightlikeFrame:
         self._radical_pin = None
         self._transversal_pin = None
         self._screen = screen  # tuple of VectorFields on the domain chart, or None
-        self._screen_data = {}  # connection -> LastPointCache
+        self._screen_data = _Field(emb.domain, lambda p, order: self._build_screen_data(p, order))
 
     def with_structure(self, s: Structure):
         """The frame of the same hypersurface and screen in another ambient
         structure."""
-        return LightlikeFrame(self.emb, s, screen=self.screen_fields())
+        return lightlike_frame(self.emb, s, self.screen_fields())
 
     # -- radical ---------------------------------------------------------
 
@@ -140,22 +143,18 @@ class LightlikeFrame:
 
     # -- screen connection -------------------------------------------------
 
-    def screen_data(self, p, order=0, conn=None):
+    def screen_data(self, p, order=0):
         """Returns a dict with the pointwise screen geometry: the Gram
         matrix of the screen fields, the screen connection coefficients,
         the forms ``alpha``, ``beta`` and ``tau_null``, the screen brackets,
         and the transversal, radical and screen fields they came from.  The
-        result at the most recent point is kept per connection and order."""
-        conn = self.s.conn if conn is None else conn
-        cache = self._screen_data.get(conn)
-        if cache is None:
-            cache = self._screen_data[conn] = LastPointCache()
-        return cache(lambda p, order: self._build_screen_data(p, order, conn), p, order)
+        result at the most recent point is kept per order."""
+        return self._screen_data.jet(p, order)
 
-    def _build_screen_data(self, p, order, conn):
+    def _build_screen_data(self, p, order):
         N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc = self.transversal(p, order + 1)
         r = len(W_amb)
-        Gamc = self.emb.compose(conn).jet(p, order)
+        Gamc = self.emb.compose(self.s.conn).jet(p, order)
 
         def along_screen(t):
             """``[a, ..., i]``: ambient covariant derivative of the ambient
@@ -193,11 +192,11 @@ class LightlikeFrame:
 
     # -- the values the shared fundamental-form checks read ----------------
 
-    def alpha(self, p, conn=None):
-        return self.screen_data(p, 0, conn)["alpha"].value
+    def alpha(self, p):
+        return self.screen_data(p, 0)["alpha"].value
 
-    def beta(self, p, conn=None):
-        return self.screen_data(p, 0, conn)["beta"].value
+    def beta(self, p):
+        return self.screen_data(p, 0)["beta"].value
 
     def eps(self, p):
         return 1.0
@@ -208,6 +207,9 @@ class LightlikeFrame:
 
     def transversal_value(self, p):
         return self.screen_data(p, 0)["N"].value
+
+
+lightlike_frame = kept(LightlikeFrame)
 
 
 # -- checks -------------------------------------------------------------------
@@ -308,8 +310,7 @@ def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
     gradient of the second function)."""
     from .conformal import transform
 
-    st = transform(frame.s, t)
-    frame_t = frame.with_structure(st)
+    frame_t = frame.with_structure(transform(frame.s, t))
     emb = frame.emb
 
     def fn(p):

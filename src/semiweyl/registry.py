@@ -40,7 +40,7 @@ def _embt(fn):
 
 
 def _on(frame_of, fn):
-    """Run ``fn(frame, config)`` on a frame built for this check."""
+    """Run ``fn(frame, config)`` on the spec's frame."""
     return lambda spec, config: fn(frame_of(spec), config)
 
 
@@ -65,10 +65,10 @@ def _build_registry():
         r[name] = CheckEntry(anchor, tuple(requires), runner)
 
     def hypersurface_frame(spec):
-        return hypersurfaces.HypersurfaceFrame(spec.embedding, spec.structure)
+        return hypersurfaces.hypersurface_frame(spec.embedding, spec.structure)
 
     def lightlike_frame(spec):
-        return lightlike.LightlikeFrame(spec.lightlike_embedding, spec.structure)
+        return lightlike.lightlike_frame(spec.lightlike_embedding, spec.structure, None)
 
     # --- structure predicates and duals -----------------------------------
     add(

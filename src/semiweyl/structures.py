@@ -1,13 +1,17 @@
 """Statistical and semi-Weyl structures with torsion: predicates, dual and
-semi-dual connections, and the equivalence checks relating them."""
+semi-dual connections, and the equivalence checks relating them.
+
+A predicate verdict is kept per structure and config (:func:`~semiweyl.fields.kept`),
+so the predicate check, the hypothesis gates that read it and the base laws
+of the equivalence checks share one pass."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import Chart, ConnectionField, MetricField, OneFormField
+from .fields import Chart, ConnectionField, MetricField, OneFormField, kept
 from .jets import jet_einsum, partials
 from .tensor import (
     _raise_index,
@@ -28,14 +32,17 @@ __all__ = [
     "swmt_residual",
     "dual_connection",
     "semi_dual_connection",
+    "semi_dual",
     "check_dual_structure",
     "check_semi_dual_structure",
 ]
 
 
-@dataclass
+@dataclass(eq=False)
 class Structure:
-    """A chart together with ``(g, eta, conn)``; ``eta`` may be zero."""
+    """A chart together with ``(g, eta, conn)``; ``eta`` may be zero.  A
+    structure is compared by identity, so it can own what is derived from
+    it."""
 
     chart: Chart
     g: MetricField
@@ -60,6 +67,7 @@ def _swmt_residual_at(s: Structure, p, use_eta=True):
     return np.max(np.abs(res)), _structure_scale(gvals, gam, eta, dg)
 
 
+@kept
 def is_statistical(s: Structure, config: RunConfig):
     """Torsion-free plus the Codazzi symmetry of ``nabla g``."""
 
@@ -87,16 +95,19 @@ def swmt_residual(s: Structure):
     return lambda p: _swmt_residual_at(s, p, use_eta=True)
 
 
+@kept
 def is_smt(s: Structure, config: RunConfig):
     """Codazzi condition corrected by the torsion term."""
     return run_pointwise_check("is_smt", s.chart, smt_residual(s), config)
 
 
+@kept
 def is_swmt(s: Structure, config: RunConfig):
     """Torsion-corrected Codazzi condition weighted by the 1-form ``eta``."""
     return run_pointwise_check("is_swmt", s.chart, swmt_residual(s), config)
 
 
+@kept
 def semi_dual_connection(g: MetricField, eta: OneFormField, conn: ConnectionField) -> ConnectionField:
     """The connection ``conn*`` with
     ``X g(Y,Z) = g(conn_X Y, Z) + g(Y, conn*_X Z) - eta(X) g(Y,Z)``."""
@@ -114,8 +125,15 @@ def semi_dual_connection(g: MetricField, eta: OneFormField, conn: ConnectionFiel
     return ConnectionField(g.chart, fn)
 
 
+@kept
 def dual_connection(g: MetricField, conn: ConnectionField) -> ConnectionField:
     return semi_dual_connection(g, OneFormField.zero(g.chart), conn)
+
+
+@kept
+def semi_dual(s: Structure) -> Structure:
+    """The structure ``(g, eta, conn*)`` with the semi-dual connection."""
+    return Structure(s.chart, s.g, s.eta, semi_dual_connection(s.g, s.eta, s.conn))
 
 
 def _torsion_res(g: MetricField, conn):
@@ -148,15 +166,15 @@ def check_dual_structure(s: Structure, config: RunConfig, check_flatness=False):
       side is flat by construction).
     """
     star = dual_connection(s.g, s.conn)
+    smt_self = replace(is_smt(s, config), name="dual_equiv/base_smt")
     laws = [
-        ("dual_equiv/base_smt", smt_residual(s)),
         ("dual_equiv/dual_smt", smt_residual(Structure(s.chart, s.g, s.eta, star))),
         ("dual_equiv/torsion_base", _torsion_res(s.g, s.conn)),
         ("dual_equiv/torsion_dual", _torsion_res(s.g, star)),
     ]
     if check_flatness:
         laws += [("dual_equiv/flat_base", _curv_res(s.g, s.conn)), ("dual_equiv/flat_dual", _curv_res(s.g, star))]
-    smt_self, smt_star, t_self, t_star, *flat = run_laws(s.chart, config, laws)
+    smt_star, t_self, t_star, *flat = run_laws(s.chart, config, laws)
     out = [
         agreement(
             "dual_equivalences",
@@ -181,11 +199,11 @@ def check_semi_dual_structure(s: Structure, config: RunConfig, check_flatness=Fa
     """Equivalences for the semi-dual connection, including: the semi-dual
     structure satisfies the eta-weighted condition iff the plain dual
     satisfies the torsion-Codazzi condition."""
-    star_eta = semi_dual_connection(s.g, s.eta, s.conn)
+    star_eta = semi_dual(s).conn
     star_g = dual_connection(s.g, s.conn)
+    swmt_self = replace(is_swmt(s, config), name="semi_dual_equiv/base_swmt")
     laws = [
-        ("semi_dual_equiv/base_swmt", swmt_residual(s)),
-        ("semi_dual_equiv/semi_dual_swmt", swmt_residual(Structure(s.chart, s.g, s.eta, star_eta))),
+        ("semi_dual_equiv/semi_dual_swmt", swmt_residual(semi_dual(s))),
         ("semi_dual_equiv/dual_smt", smt_residual(Structure(s.chart, s.g, s.eta, star_g))),
         ("semi_dual_equiv/torsion_base", _torsion_res(s.g, s.conn)),
         ("semi_dual_equiv/torsion_semi_dual", _torsion_res(s.g, star_eta)),
@@ -195,7 +213,7 @@ def check_semi_dual_structure(s: Structure, config: RunConfig, check_flatness=Fa
             (f"semi_dual_equiv/flat_{tag}", _curv_res(s.g, c))
             for tag, c in (("base", s.conn), ("semi_dual", star_eta), ("dual", star_g))
         ]
-    swmt_self, swmt_star, smt_star_g, t_self, t_star, *flat = run_laws(s.chart, config, laws)
+    swmt_star, smt_star_g, t_self, t_star, *flat = run_laws(s.chart, config, laws)
     out = [
         agreement(
             "semi_dual_equivalences",

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField
+from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField, kept
 from .jets import jet_einsum, jet_solve, partials
 
 __all__ = [
@@ -153,6 +153,7 @@ def codazzi_defect(ng, g, T=None, eta=None):
     return out
 
 
+@kept
 def gradient(g: MetricField, f) -> VectorField:
     """Metric gradient ``(grad f)^k = g^{kl} d_l f`` as a vector field."""
 

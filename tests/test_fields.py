@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import euclidean3_chart, plane_chart, sphere_embedding, swmt_structure
-from semiweyl.fields import LastPointCache, ScalarField
+from semiweyl.fields import ScalarField, _Field
 from semiweyl.jets import EvaluationDomainError
 from semiweyl.sampling import halton_points
 from semiweyl.structures import semi_dual_connection
@@ -80,8 +80,8 @@ class TestReadOnly:
                 layer[0] = layer[-1]
 
     def test_tuple_results_are_read_only(self):
-        cache = LastPointCache()
-        out = cache(lambda p, order: (np.zeros(2), np.ones(3), order), np.zeros(2), 1)
+        field = _Field(plane_chart(), lambda p, order: (np.zeros(2), np.ones(3), order))
+        out = field.jet(np.zeros(2), 1)
         for a in out[:2]:
             with pytest.raises(ValueError):
                 a[0] = 5.0
