@@ -335,21 +335,10 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
     point_data = _point_data(s, t)
 
     def full_fn(p):
-        d = point_data.jet(p, 0)
         lhs = ricci_values(st.conn, st.g, p)
         lhs = lhs - lhs.T
-        ngradphi = np.einsum("jmk,m->jk", d.ng, d.grad_phi)
-        ngradpsi = np.einsum("jmk,m->jk", d.ng, d.grad_psi)
-        hphi = d.dVphi @ d.g
-        hpsi = d.dVpsi @ d.g
-        gTpsi = np.einsum("maj,a,mk->jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
-        rhs = (
-            d.ric - d.ric.T
-            + np.einsum("k,j->jk", d.dphi, d.trT) - np.einsum("j,k->jk", d.dphi, d.trT)
-            - gTpsi + gTpsi.T
-            - (d.n - 1) * (ngradphi - ngradphi.T + hphi - hphi.T)
-            + ngradpsi - ngradpsi.T + hpsi - hpsi.T
-        )
+        rhs = _rhs_ricci(point_data.jet(p, 0))
+        rhs = rhs - rhs.T
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def torsion_form_fn(p):
