@@ -45,15 +45,22 @@ def _build_parser():
     return parser
 
 
-def _cmd_verify(args):
+def _load(path):
+    """The spec at ``path``, or ``None`` once the reasons it cannot be
+    loaded are printed to stderr."""
     try:
-        spec = load_spec(args.spec)
+        return load_spec(path)
     except OSError as exc:
-        print(f"error: cannot read {args.spec}: {exc}", file=sys.stderr)
-        return 2
+        print(f"error: cannot read {path}: {exc}", file=sys.stderr)
     except SpecError as exc:
         for line in exc.errors:
             print(f"error: {line}", file=sys.stderr)
+    return None
+
+
+def _cmd_verify(args):
+    spec = _load(args.spec)
+    if spec is None:
         return 2
     config = spec.config
     overrides = {}
@@ -85,14 +92,8 @@ def _cmd_list_checks():
 
 
 def _cmd_oracle(args):
-    try:
-        spec = load_spec(args.spec)
-    except OSError as exc:
-        print(f"error: cannot read {args.spec}: {exc}", file=sys.stderr)
-        return 2
-    except SpecError as exc:
-        for line in exc.errors:
-            print(f"error: {line}", file=sys.stderr)
+    spec = _load(args.spec)
+    if spec is None:
         return 2
     if not spec.expression_sources:
         print("spec contains no symbolic expressions to cross-check")
@@ -104,7 +105,7 @@ def _cmd_oracle(args):
         pts = halton_points(chart, args.points, seed=spec.config.seed)
         for p in pts:
             try:
-                jet = eval_jet(expr, p, 1, dim=chart.dim)
+                jet = eval_jet(expr, p, 1)
                 scale = 1.0 + abs(jet.value)
                 for a in range(chart.dim):
                     exact = jet.grad[a]

@@ -335,9 +335,9 @@ def parse_expression(text, coord_names):
     return _Parser(text, coord_names).parse()
 
 
-def _coordinate_jets(point, order, dim):
+def _coordinate_jets(point, order):
     point = np.asarray(point, dtype=float)
-    n = dim if dim is not None else point.shape[0]
+    n = point.shape[0]
     return [Jet.coordinate(point[i], i, n, order) for i in range(n)]
 
 
@@ -352,17 +352,17 @@ def _checked(j):
 _QUIET = dict(over="ignore", invalid="ignore")
 
 
-def eval_jet(e, point, order, dim=None):
+def eval_jet(e, point, order):
     """Evaluate ``e`` and its partials up to ``order`` at ``point``."""
     with np.errstate(**_QUIET):
-        return _checked(e.jet(_coordinate_jets(point, order, dim)))
+        return _checked(e.jet(_coordinate_jets(point, order)))
 
 
-def eval_jets(exprs, point, order, dim=None):
+def eval_jets(exprs, point, order):
     """Jets of the expressions ``exprs`` at ``point``, stacked on a new
     first axis; an expression object listed more than once is evaluated
     once."""
-    coords = _coordinate_jets(point, order, dim)
+    coords = _coordinate_jets(point, order)
     done = {}
     with np.errstate(**_QUIET):
         for e in exprs:
@@ -371,8 +371,8 @@ def eval_jets(exprs, point, order, dim=None):
     return jet_stack([done[id(e)] for e in exprs])
 
 
-def eval_value(e, point, dim=None):
-    return eval_jet(e, point, 0, dim=dim).value
+def eval_value(e, point):
+    return eval_jet(e, point, 0).value
 
 
 def finite_difference(e, point, coord, h):

@@ -149,17 +149,17 @@ def _expr_of(item, chart):
     return Num(float(item))
 
 
-def _components(exprs, shape, dim):
+def _components(exprs, shape):
     """``fn(p, order)`` evaluating the flat list ``exprs`` into a jet of
     tensor shape ``shape``."""
-    return lambda p, order: eval_jets(exprs, p, order, dim=dim).reshape(shape)
+    return lambda p, order: eval_jets(exprs, p, order).reshape(shape)
 
 
 class ScalarField(_Field):
     @classmethod
     def from_expression(cls, chart, expr):
         e = _expr_of(expr, chart)
-        return cls(chart, lambda p, order: eval_jet(e, p, order, dim=chart.dim), expressions=e)
+        return cls(chart, lambda p, order: eval_jet(e, p, order), expressions=e)
 
     @classmethod
     def zero(cls, chart):
@@ -172,7 +172,7 @@ class OneFormField(_Field):
         es = [_expr_of(c, chart) for c in comps]
         if len(es) != chart.dim:
             raise ValueError("one-form needs one component per coordinate")
-        return cls(chart, _components(es, (chart.dim,), chart.dim), expressions=es)
+        return cls(chart, _components(es, (chart.dim,)), expressions=es)
 
     @classmethod
     def zero(cls, chart):
@@ -198,7 +198,7 @@ class VectorField(_Field):
     @classmethod
     def from_expressions(cls, chart, comps):
         es = [_expr_of(c, chart) for c in comps]
-        return cls(chart, _components(es, (len(es),), chart.dim), expressions=es)
+        return cls(chart, _components(es, (len(es),)), expressions=es)
 
 
 class MetricField(_Field):
@@ -215,7 +215,7 @@ class MetricField(_Field):
                 # one shared node, evaluated once, keeps g symmetric bitwise
                 es[i][j] = es[j][i] = e
 
-        return cls(chart, _components([e for row in es for e in row], (n, n), n), expressions=es)
+        return cls(chart, _components([e for row in es for e in row], (n, n)), expressions=es)
 
     @classmethod
     def from_diagonal(cls, chart, diag):
@@ -241,7 +241,7 @@ class ConnectionField(_Field):
         n = chart.dim
         es = [[[_expr_of(grid[k][i][j], chart) for j in range(n)] for i in range(n)] for k in range(n)]
         flat = [e for plane in es for row in plane for e in row]
-        return cls(chart, _components(flat, (n, n, n), n), expressions=es)
+        return cls(chart, _components(flat, (n, n, n)), expressions=es)
 
     @classmethod
     def flat(cls, chart):

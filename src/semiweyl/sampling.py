@@ -7,6 +7,7 @@ import numpy as np
 __all__ = ["halton_points", "PRIMES"]
 
 PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+MARGIN = 0.02  # relative margin of the samples from the box's faces
 
 
 def _radical_inverse(i, base):
@@ -19,7 +20,7 @@ def _radical_inverse(i, base):
     return r
 
 
-def halton_points(chart, count, seed=0, margin=0.02):
+def halton_points(chart, count, seed=0):
     """``count`` Halton points inside the chart box, offset by ``seed``.
 
     A small relative margin keeps samples strictly inside the open box.
@@ -27,8 +28,8 @@ def halton_points(chart, count, seed=0, margin=0.02):
     lo = np.asarray(chart.lo, dtype=float)
     hi = np.asarray(chart.hi, dtype=float)
     span = hi - lo
-    lo = lo + margin * span
-    span = (1.0 - 2.0 * margin) * span
+    lo = lo + MARGIN * span
+    span = (1.0 - 2.0 * MARGIN) * span
     dim = chart.dim
     if dim > len(PRIMES):
         raise ValueError("chart dimension too large for Halton sampling")
