@@ -1,0 +1,65 @@
+"""The program entry points that ``perfbench/`` calls keep working.
+
+A benchmark run exits non-zero, and so counts as failed, when a child
+process exits non-zero, a spec does not load, a traced check has no span
+(the trace wraps ``report.run_check``), or a microbenchmark raises.  These
+tests run those paths without editing anything under ``perfbench/``.
+"""
+
+import json
+import subprocess
+import sys
+import time
+from pathlib import Path
+
+import pytest
+
+ROOT = Path(__file__).resolve().parents[1]
+PERFBENCH = ROOT / "perfbench"
+sys.path.insert(0, str(PERFBENCH))
+
+import hostspeed  # noqa: E402
+import layers  # noqa: E402
+import micro  # noqa: E402
+from semiweyl import report  # noqa: E402
+from semiweyl.specfile import load_spec  # noqa: E402
+
+
+def test_a_short_benchmark_run_exits_zero_with_right_outcomes():
+    proc = subprocess.run(
+        [sys.executable, str(PERFBENCH / "run.py"), "--workload", "domain_edge", "--seed", "0", "--seconds", "0.1"],
+        cwd=ROOT,
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert json.loads(proc.stdout.strip().splitlines()[-1])["correct"] is True
+
+
+def test_run_spec_routes_every_check_through_report_run_check(monkeypatch):
+    spec = load_spec(PERFBENCH / "specs" / "domain_edge.spec")
+    seen = []
+    run_check = report.run_check
+
+    def traced(name, spec, config):
+        seen.append(name)
+        return run_check(name, spec, config)
+
+    monkeypatch.setattr(report, "run_check", traced)
+    report.run_spec(spec)
+    assert seen == [name for name, _ in spec.checks]
+
+
+def test_the_microbenchmarks_run(monkeypatch):
+    monkeypatch.setattr(micro, "MIN_SECONDS", 0.0)
+    monkeypatch.setattr(micro, "MIN_SWEEPS", 1)
+    with hostspeed.SpeedProbe() as probe:
+        start = time.perf_counter()
+        while not probe.starts and time.perf_counter() - start < 2.0:
+            pass  # one PERIOD_S: normalize needs a slice of the probe taken
+        assert probe.starts
+        out = micro.run_all(ROOT, probe)
+    names = {name for name, *_ in layers.FIXED if name.endswith(".pts_per_s")}
+    assert set(out) == names
+    assert all(v > 0 for v in out.values())
