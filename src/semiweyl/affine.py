@@ -300,12 +300,9 @@ def check_xi_rescale_structure(dist: AffineDistribution, psi, variant, config: R
     """The rescaled distribution still realizes a structure satisfying the
     condition, with the one-form read off directly from the frame
     decomposition (no extra correction is needed for either variant)."""
-    chart = dist.chart
-    psi_s = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
-    dist_t = xi_rescaled(dist, psi_s, variant)
-    s_t, _ = realized_structure(dist_t)
+    s_t, _ = realized_structure(xi_rescaled(dist, psi, variant))
     name = "xi_rescale_swmt_inner" if variant == "inner" else "xi_rescale_swmt_outer"
-    return [run_pointwise_check(name, chart, swmt_residual(s_t), config,
+    return [run_pointwise_check(name, dist.chart, swmt_residual(s_t), config,
                                 detail="structure realized by the rescaled transversal satisfies the condition")]
 
 

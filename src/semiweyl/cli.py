@@ -46,8 +46,7 @@ def _build_parser():
 
 
 def _load(path):
-    """The spec at ``path``, or ``None`` once the reasons it cannot be
-    loaded are printed to stderr."""
+    """The spec at ``path``, or ``None`` after printing why it failed."""
     try:
         return load_spec(path)
     except OSError as exc:

@@ -59,13 +59,6 @@ class TransformData:
         self.psi = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
 
 
-def _exp_sum(chart, phi, psi):
-    def fn(p, order):
-        return (phi.jet(p, order) + psi.jet(p, order)).exp()
-
-    return ScalarField(chart, fn)
-
-
 def _coefficient_tensor(g, phi, psi):
     """The difference tensor ``K = dphi (x) I + I (x) dphi - g (x) grad psi``
     the transformation adds to a connection, as ``(p, order) -> K[k, i, j]``
@@ -82,7 +75,7 @@ def _coefficient_tensor(g, phi, psi):
 @kept
 def transform(s: Structure, t: TransformData) -> Structure:
     """Apply the transformation; ``eta`` is carried unchanged."""
-    g_new = s.g.scaled(_exp_sum(s.chart, t.phi, t.psi))
+    g_new = s.g.scaled(ScalarField(s.chart, lambda p, order: (t.phi.jet(p, order) + t.psi.jet(p, order)).exp()))
     return Structure(s.chart, g_new, s.eta, s.conn.add_tensor(_coefficient_tensor(s.g, t.phi, t.psi)))
 
 
@@ -95,8 +88,7 @@ def _conformal_data(psi: ScalarField) -> TransformData:
 # -- pointwise data shared by the laws of a check -----------------------------
 #
 # The laws of one check are evaluated together at each point (run_laws), so
-# one _PointData, kept by its field for the most recent point, serves all of
-# them.
+# one _PointData, kept for the most recent point, serves all of them.
 
 
 @kept
@@ -432,8 +424,7 @@ def check_conformally_flat(s: Structure, psi, config: RunConfig):
     """When ``conn - g (x) grad psi`` is flat, the curvature, Ricci and
     scalar curvature of ``conn`` have closed forms, and Ricci is symmetric."""
     chart = s.chart
-    psi_s = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
-    t = _conformal_data(psi_s)
+    t = _conformal_data(psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi))
     st = transform(s, t)
     point_data = _point_data(s, t)
 

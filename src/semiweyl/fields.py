@@ -1,5 +1,4 @@
-"""Charts, pointwise jet-evaluable tensor fields, and the rule that builds
-each derived object once.
+"""Charts and pointwise jet-evaluable tensor fields.
 
 Every field is a function from a chart point to a dense
 :class:`~semiweyl.jets.Jet` of a requested order, whose tensor shape is the
@@ -11,16 +10,14 @@ fields, so derivative information flows through every construction
 without symbolic matrix algebra.  Derived fields combine jets with
 :func:`~semiweyl.jets.jet_einsum` (contractions and outer products),
 :func:`~semiweyl.jets.partials` (coordinate derivatives) and jet
-arithmetic (``G + K``, ``-K``, ``G * f``).  A field may also hold other
-per-point data built from jets (a frame solve, screen geometry).
+arithmetic (``G + K``, ``-K``, ``G * f``).
 
-Two rules share work.  A field keeps its results at the most recent point
-it was evaluated at, one per order, so the laws that ask a field for the
-same point build its chain once; those results are shared between callers
-and therefore read-only, and a field's ``fn`` may depend on nothing but
-``(p, order)``.  And an owner (a field, a structure, a map) keeps what is
-derived from it (:func:`kept`), so each derived structure, frame and
-predicate verdict of a spec is built once and is one Python object.
+Two rules share work.  Each field keeps its results at the most recent
+point, one per order, so the laws asking a field for one point build its
+chain once; they are shared, hence read-only, and a field's ``fn`` may
+depend on nothing but ``(p, order)``.  And an owner keeps what is derived
+from it (:func:`kept`), so each derived structure, frame and predicate
+verdict of a spec is one Python object, built once.
 """
 
 from __future__ import annotations
@@ -100,19 +97,9 @@ def kept(build):
     return get
 
 
-def _read_only(out):
-    """Mark the layers of a jet, an array, or those of a tuple of them
-    read-only; returns ``out``."""
-    for a in out if isinstance(out, tuple) else (out,):
-        for L in a.layers if isinstance(a, Jet) else (a,):
-            if isinstance(L, np.ndarray):
-                L.flags.writeable = False
-    return out
-
-
 class _Field:
-    """Base: wraps ``fn(point, order)``, which returns a jet (or other
-    per-point data built from jets)."""
+    """Base: wraps ``fn(point, order) -> Jet`` (or other per-point data
+    built from jets, such as a frame solve)."""
 
     def __init__(self, chart, fn, expressions=None):
         self.chart = chart
@@ -123,10 +110,9 @@ class _Field:
 
     def jet(self, p, order):
         """The jet of order ``order`` at ``p``.  The results at the most
-        recent point (compared by its float bytes) are kept, one per order,
-        and shared by every caller, so their layers are read-only; ``fn``
-        must depend only on ``(p, order)``.  Nothing is kept when ``fn``
-        raises."""
+        recent point (by its float bytes) are kept per order and shared by
+        every caller, so the layers of a jet, an array or a tuple of them
+        are read-only.  Nothing is kept when ``fn`` raises."""
         p = np.asarray(p, dtype=float)
         key = p.tobytes()
         if key != self._point:
@@ -134,7 +120,12 @@ class _Field:
         by_order = self._by_order
         out = by_order.get(order)
         if out is None:
-            out = by_order[order] = _read_only(self._fn(p, order))
+            out = self._fn(p, order)
+            for a in out if isinstance(out, tuple) else (out,):
+                for L in a.layers if isinstance(a, Jet) else (a,):
+                    if isinstance(L, np.ndarray):
+                        L.flags.writeable = False
+            by_order[order] = out
         return out
 
     def value(self, p):

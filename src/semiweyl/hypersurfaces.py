@@ -10,9 +10,8 @@ against the fundamental-form data a frame gives at a point (the forms
 metric of the tangent frame and the transversal ``N``).  They serve the
 unit normal of a :class:`HypersurfaceFrame` here and the null transversal
 of a :class:`~semiweyl.lightlike.LightlikeFrame`.  A frame reads only its
-own structure: the forms of the semi-dual connection are those of the frame
-of the semi-dual structure (``frame.with_structure(semi_dual(frame.s))``),
-which shares the frame's unit normal."""
+own structure: the semi-dual's forms are those of
+``frame.with_structure(semi_dual(frame.s))``."""
 
 from __future__ import annotations
 
@@ -144,9 +143,7 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
 @kept
 def _restricted(emb: EmbeddingMap, t):
     """The transformation driven by the pullbacks of ``t``'s functions."""
-    from .conformal import TransformData
-
-    return TransformData(emb.domain, emb.compose(t.phi), emb.compose(t.psi))
+    return type(t)(emb.domain, emb.compose(t.phi), emb.compose(t.psi))
 
 
 def _ambient_derivative_of_frame(emb, conn, p, order):
@@ -157,33 +154,26 @@ def _ambient_derivative_of_frame(emb, conn, p, order):
     return partials(dF).transpose(0, 2, 1) + jet_einsum("ijk,ja,kb->iab", Gamc, dF, dF)
 
 
-def _raw_normal(emb, g, p, order):
-    """Un-normalized conormal ``nu_i = eps_{i j k ...} dF[j, 0] dF[k, 1]
-    ...`` (the cofactors of the differential), raised with the inverse
-    metric; returns (N_raw, nu, Gc)."""
-    dF = partials(emb.jet(p, order + 1))
-    Gc = emb.compose(g).jet(p, order)
-    nu = jet_cross(dF.T)
-    return jet_solve(Gc, nu), nu, Gc
-
-
-@kept
-def _orientation(emb, g):
-    """The sign that orients the unit normal: the sign of the largest
-    component of the raw normal at the centre of the domain."""
-    vals = _raw_normal(emb, g, emb.domain.center(), 0)[0].value
-    return 1.0 if vals[int(np.argmax(np.abs(vals)))] > 0 else -1.0
-
-
 @kept
 def unit_normal(emb: EmbeddingMap, g: MetricField) -> _Field:
     """The unit normal of a hypersurface in the metric ``g``, as a field
     whose jet at ``p`` is ``(N, eps)``: ``N`` the ambient components (jets)
-    and ``eps = g(N, N) = +-1``."""
+    and ``eps = g(N, N) = +-1``.  Its sign makes the largest component of
+    the raw normal at the centre of the domain positive."""
+
+    def raw(p, order):
+        """The conormal ``nu_i = eps_{i j k ...} dF[j, 0] dF[k, 1] ...``
+        (cofactors of the differential) raised by ``g``, ``nu`` and ``g``."""
+        dF = partials(emb.jet(p, order + 1))
+        Gc = emb.compose(g).jet(p, order)
+        nu = jet_cross(dF.T)
+        return jet_solve(Gc, nu), nu, Gc
+
+    centre = raw(emb.domain.center(), 0)[0].value
+    sign = 1.0 if centre[int(np.argmax(np.abs(centre)))] > 0 else -1.0
 
     def fn(p, order):
-        sign = _orientation(emb, g)  # before p's jets, which it would evict
-        N_raw, nu, Gc = _raw_normal(emb, g, p, order)
+        N_raw, nu, Gc = raw(p, order)
         norm2 = jet_einsum("i,i->", nu, N_raw)
         v = norm2.value
         if abs(v) <= degeneracy_threshold(Gc.value):
@@ -223,8 +213,7 @@ class HypersurfaceFrame:
 
     def normal(self, p, order):
         """Unit normal ``N`` (ambient components, jets) and the sign
-        ``eps = g(N, N) = +-1``, shared by every frame of the map and
-        metric."""
+        ``eps = g(N, N) = +-1``."""
         return unit_normal(self.emb, self.s.g).jet(p, order)
 
     def second_fundamental_form(self, p, order=0):
@@ -241,10 +230,8 @@ class HypersurfaceFrame:
         shape operator ``B[d, a]`` with ``beta(X, Y) = g'(B X, Y)``."""
         emb = self.emb
         N, eps = self.normal(p, order + 1)
-        Gamc = emb.compose(self.s.conn).jet(p, order)
         dF = partials(emb.jet(p, order + 1))
-        # DN[i, a]: ambient components of nabla_{dF e_a} N
-        DN = partials(N) + jet_einsum("ijk,ja,k->ia", Gamc, dF, N)
+        DN = partials(N) + jet_einsum("ijk,ja,k->ia", emb.compose(self.s.conn).jet(p, order), dF, N)  # nabla_a N
         Gc = emb.compose(self.s.g).jet(p, order)
         tau = jet_einsum("ij,ia,j->a", Gc, DN, N)
         tau = -tau if eps < 0 else tau
@@ -459,14 +446,13 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
     ``f`` times the induced semi-dual metric-derivative antisymmetry, its
     torsion pairing, and the wedge of the dual transversal one-form."""
     frame = hypersurface_frame(emb, s)
-    dual = semi_dual(s)
-    frame_dual = frame.with_structure(dual)
+    frame_dual = hypersurface_frame(emb, semi_dual(s))
     ind = induced_structure(emb, s)
     ind_dual = semi_dual(ind).conn
 
     def gate_fn(p):
         q = emb.value(p)
-        R_star = curvature_values(dual.conn, q)
+        R_star = curvature_values(frame_dual.s.conn, q)
         _, dev, _, gp = umbilic_deviation(frame, p)
         res = max(np.max(np.abs(R_star)), dev)
         return float(res), 1.0 + np.max(np.abs(gp.value))

@@ -6,9 +6,8 @@ A :class:`LightlikeFrame` gives the fundamental-form data that beta
 symmetry, the duality pairing and the umbilic laws of
 :mod:`~semiweyl.hypersurfaces` read: the screen forms ``alpha`` and
 ``beta``, the screen Gram matrix in place of the induced metric, the null
-transversal ``N`` in place of the unit normal, and ``eps = g(N, xi) = 1``.
-Like a hypersurface frame it reads only its own structure: the semi-dual's
-forms come from the frame of the semi-dual structure on the same screen."""
+transversal ``N`` in place of the unit normal, and ``eps = g(N, xi) = 1``,
+all of its own structure."""
 
 from __future__ import annotations
 
@@ -67,10 +66,8 @@ class LightlikeFrame:
             raise ValueError("a hypersurface has codimension one")
         self.emb = emb
         self.s = s
-        self._radical_pin = None
-        self._transversal_pin = None
         self._screen = screen  # tuple of VectorFields on the domain chart, or None
-        self._screen_data = _Field(emb.domain, lambda p, order: self._build_screen_data(p, order))
+        self._screen_data = _Field(emb.domain, self._build_screen_data)
 
     def with_structure(self, s: Structure):
         """The frame of the same hypersurface and screen in another ambient
@@ -79,13 +76,12 @@ class LightlikeFrame:
 
     # -- radical ---------------------------------------------------------
 
+    @kept
     def _radical_index(self):
-        if self._radical_pin is None:
-            gp = self.emb.induced_metric(self.s.g).value(self.emb.domain.center())
-            w, V = np.linalg.eigh(gp)
-            xi0 = V[:, int(np.argmin(np.abs(w)))]
-            self._radical_pin = int(np.argmax(np.abs(xi0)))
-        return self._radical_pin
+        gp = self.emb.induced_metric(self.s.g).value(self.emb.domain.center())
+        w, V = np.linalg.eigh(gp)
+        xi0 = V[:, int(np.argmin(np.abs(w)))]
+        return int(np.argmax(np.abs(xi0)))
 
     def radical(self, p, order):
         """Jets of the radical direction ``xi`` (domain components),
@@ -134,12 +130,10 @@ class LightlikeFrame:
         N = U - xi_amb * (jet_einsum("ij,i,j->", Gc, U, U) * 0.5)
         return N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc
 
+    @kept
     def _transversal_index(self):
-        if self._transversal_pin is None:
-            xi, _, dF, _ = self.radical(self.emb.domain.center(), 0)
-            xi_amb = dF.value @ xi.value
-            self._transversal_pin = int(np.argmax(np.abs(xi_amb)))
-        return self._transversal_pin
+        xi, _, dF, _ = self.radical(self.emb.domain.center(), 0)
+        return int(np.argmax(np.abs(dF.value @ xi.value)))
 
     # -- screen connection -------------------------------------------------
 

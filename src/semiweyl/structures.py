@@ -1,9 +1,5 @@
 """Statistical and semi-Weyl structures with torsion: predicates, dual and
-semi-dual connections, and the equivalence checks relating them.
-
-A predicate verdict is kept per structure and config (:func:`~semiweyl.fields.kept`),
-so the predicate check, the hypothesis gates that read it and the base laws
-of the equivalence checks share one pass."""
+semi-dual connections, and the equivalence checks relating them."""
 
 from __future__ import annotations
 
@@ -40,9 +36,8 @@ __all__ = [
 
 @dataclass(eq=False)
 class Structure:
-    """A chart together with ``(g, eta, conn)``; ``eta`` may be zero.  A
-    structure is compared by identity, so it can own what is derived from
-    it."""
+    """A chart together with ``(g, eta, conn)``; ``eta`` may be zero.
+    Compared by identity, it owns what is derived from it."""
 
     chart: Chart
     g: MetricField
@@ -95,7 +90,7 @@ def swmt_residual(s: Structure):
     return lambda p: _swmt_residual_at(s, p, use_eta=True)
 
 
-@kept
+@kept  # one verdict per structure and config: checks, gates and base laws
 def is_smt(s: Structure, config: RunConfig):
     """Codazzi condition corrected by the torsion term."""
     return run_pointwise_check("is_smt", s.chart, smt_residual(s), config)
