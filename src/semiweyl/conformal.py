@@ -59,6 +59,7 @@ class TransformData:
         self.psi = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
 
 
+@kept
 def _coefficient_tensor(g, phi, psi):
     """The difference tensor ``K = dphi (x) I + I (x) dphi - g (x) grad psi``
     the transformation adds to a connection, as ``(p, order) -> K[k, i, j]``

@@ -239,6 +239,7 @@ class ConnectionField(_Field):
         n = chart.dim
         return cls(chart, lambda p, order: Jet.constant(np.zeros((n, n, n)), n, order))
 
+    @kept
     def add_tensor(self, tensor_fn):
         """Connection plus a (1,2) difference tensor.
 

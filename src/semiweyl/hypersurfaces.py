@@ -216,7 +216,7 @@ class HypersurfaceFrame:
         ``eps = g(N, N) = +-1``."""
         return unit_normal(self.emb, self.s.g).jet(p, order)
 
-    def second_fundamental_form(self, p, order=0):
+    def second_fundamental_form(self, p, order):
         """``alpha[a, b] = eps * g(nabla_{dF e_a}(dF e_b), N)`` as jets."""
         W = _ambient_derivative_of_frame(self.emb, self.s.conn, p, order)
         Gc = self.emb.compose(self.s.g).jet(p, order)
@@ -415,7 +415,7 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
         Rp = curvature_values(ind.conn, p)
         gam_p = ind.conn.value(p)
         Tp = torsion_values(ind.conn, p)
-        alpha_j, eps = frame.second_fundamental_form(p, order=1)
+        alpha_j, eps = frame.second_fundamental_form(p, 1)
         alpha = alpha_j.value
         dalpha = alpha_j.grad.transpose(2, 0, 1)  # [a, b, c] = d_a alpha_bc
         # (nabla'_a alpha)(b, c)

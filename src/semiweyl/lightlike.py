@@ -137,7 +137,7 @@ class LightlikeFrame:
 
     # -- screen connection -------------------------------------------------
 
-    def screen_data(self, p, order=0):
+    def screen_data(self, p, order):
         """Returns a dict with the pointwise screen geometry: the Gram
         matrix of the screen fields, the screen connection coefficients,
         the forms ``alpha``, ``beta`` and ``tau_null``, the screen brackets,

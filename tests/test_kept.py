@@ -75,6 +75,22 @@ class TestOneBuildPerSpec:
         # with a gradient field built per point: 466 and 886 on the suite
         assert fields_built(monkeypatch, name, 60) == fields_built(monkeypatch, name, 120)
 
+    @pytest.mark.parametrize("name", ["conformal_projective_suite.spec", "swmt_eta_shift.spec"])
+    def test_running_a_spec_again_builds_no_field(self, monkeypatch, name):
+        spec = load_spec(FIXTURES / name)
+        config = spec.config.with_(samples=30, min_valid_points=10)
+        run_spec(spec, config)
+        count = [0]
+        init = fields._Field.__init__
+
+        def counting(field, *args, **kw):
+            count[0] += 1
+            init(field, *args, **kw)
+
+        monkeypatch.setattr(fields._Field, "__init__", counting)
+        run_spec(spec, config)
+        assert count[0] == 0
+
     def test_running_a_spec_again_adds_no_pullback(self):
         spec = load_spec(FIXTURES / "sphere_hypersurface.spec")
         compose = EmbeddingMap.compose.__wrapped__
