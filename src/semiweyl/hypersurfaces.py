@@ -162,8 +162,8 @@ def unit_normal(emb: EmbeddingMap, g: MetricField) -> _Field:
     the raw normal at the centre of the domain positive."""
 
     def raw(p, order):
-        """The conormal ``nu_i = eps_{i j k ...} dF[j, 0] dF[k, 1] ...``
-        (cofactors of the differential) raised by ``g``, ``nu`` and ``g``."""
+        """``(N_raw, nu, G)``: the conormal ``nu_i = eps_{i j k ...} dF[j, 0]
+        dF[k, 1] ...`` (cofactors of the differential) raised by ``g``."""
         dF = partials(emb.jet(p, order + 1))
         Gc = emb.compose(g).jet(p, order)
         nu = jet_cross(dF.T)
