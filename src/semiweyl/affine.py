@@ -228,7 +228,7 @@ def check_shape_proportional_scalar(dist: AffineDistribution, config: RunConfig)
 
 
 @kept
-def xi_rescaled(dist: AffineDistribution, psi, variant):
+def xi_rescaled(dist: AffineDistribution, psi: ScalarField, variant):
     """Replace the transversal: variant "inner" uses
     ``xi~ = e^{-psi} (omega(grad psi) + xi)``, variant "outer" uses
     ``xi~ = omega(grad psi) + e^{-psi} xi`` (gradient with respect to the
@@ -236,34 +236,32 @@ def xi_rescaled(dist: AffineDistribution, psi, variant):
     if variant not in ("inner", "outer"):
         raise ValueError("variant must be 'inner' or 'outer'")
     chart = dist.chart
-    psi_s = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
     s, _ = realized_structure(dist)
-    grad_psi = gradient(s.g, psi_s)
+    grad_psi = gradient(s.g, psi)
 
     def xi_fn(p, order):
         om_grad = jet_einsum("ia,a->i", dist.omega_fn(p, order), grad_psi.jet(p, order))
         xi = dist.xi_fn(p, order)
-        e = psi_s.jet(p, order).exp()
+        e = psi.jet(p, order).exp()
         return (om_grad + xi) / e if variant == "inner" else om_grad + xi / e
 
     return AffineDistribution(chart, dist.omega_fn, xi_fn)
 
 
-def check_xi_rescale_laws(dist: AffineDistribution, psi, variant, config: RunConfig):
+def check_xi_rescale_laws(dist: AffineDistribution, psi: ScalarField, variant, config: RunConfig):
     """Decomposing the rescaled distribution reproduces the closed-form
     transformed data: a conformal metric, the stated one-form shift, a
     gradient-type connection change, and the stated shape-operator law."""
     chart = dist.chart
-    psi_s = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
     s, B_fn = realized_structure(dist)
-    dist_t = xi_rescaled(dist, psi_s, variant)
+    dist_t = xi_rescaled(dist, psi, variant)
     s_t, B_t_fn = realized_structure(dist_t)
-    grad_psi = gradient(s.g, psi_s)
+    grad_psi = gradient(s.g, psi)
 
     def fn(p):
         gv = s.g.value(p)
         require_nondegenerate(gv)
-        psi_j = psi_s.jet(p, 2)
+        psi_j = psi.jet(p, 2)
         e = np.exp(psi_j.value)
         dpsi = psi_j.grad
         gp = grad_psi.value(p)
@@ -296,7 +294,7 @@ def check_xi_rescale_laws(dist: AffineDistribution, psi, variant, config: RunCon
                                 detail="rescaled-transversal decomposition matches the closed-form transformed data")]
 
 
-def check_xi_rescale_structure(dist: AffineDistribution, psi, variant, config: RunConfig):
+def check_xi_rescale_structure(dist: AffineDistribution, psi: ScalarField, variant, config: RunConfig):
     """The rescaled distribution still realizes a structure satisfying the
     condition, with the one-form read off directly from the frame
     decomposition (no extra correction is needed for either variant)."""
@@ -306,14 +304,13 @@ def check_xi_rescale_structure(dist: AffineDistribution, psi, variant, config: R
                                 detail="structure realized by the rescaled transversal satisfies the condition")]
 
 
-def check_xi_rescale_codazzi(dist: AffineDistribution, psi, config: RunConfig):
+def check_xi_rescale_codazzi(dist: AffineDistribution, psi: ScalarField, config: RunConfig):
     """For the "outer" rescaling: torsion is unchanged, the plain
     antisymmetrized metric derivative scales by the conformal factor, and
     the wedge correction carries its own factor ``e^psi - e^{2 psi}``."""
     chart = dist.chart
-    psi_s = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
     s, _ = realized_structure(dist)
-    dist_t = xi_rescaled(dist, psi_s, "outer")
+    dist_t = xi_rescaled(dist, psi, "outer")
     s_t, _ = realized_structure(dist_t)
 
     def fn(p):
@@ -322,7 +319,7 @@ def check_xi_rescale_codazzi(dist: AffineDistribution, psi, config: RunConfig):
         T0 = torsion_values(s.conn, p)
         T1 = torsion_values(s_t.conn, p)
         r_t = np.max(np.abs(T1 - T0))
-        psi_j = psi_s.jet(p, 1)
+        psi_j = psi.jet(p, 1)
         e = np.exp(psi_j.value)
         lhs = codazzi_defect(nabla_g_values(s_t.conn, s_t.g, p), gv)
         base = codazzi_defect(nabla_g_values(s.conn, s.g, p), gv)

@@ -5,7 +5,7 @@ specializations."""
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,13 +50,14 @@ __all__ = [
 ]
 
 
+@dataclass(frozen=True)
 class TransformData:
-    """The pair of smooth functions driving the transformation."""
+    """The pair of smooth functions driving the transformation.  Two
+    transforms of the same two fields are equal, so they are one key of
+    :func:`~semiweyl.fields.kept`."""
 
-    def __init__(self, chart, phi, psi):
-        self.chart = chart
-        self.phi = phi if isinstance(phi, ScalarField) else ScalarField.from_expression(chart, phi)
-        self.psi = psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi)
+    phi: ScalarField
+    psi: ScalarField
 
 
 @kept
@@ -83,7 +84,7 @@ def transform(s: Structure, t: TransformData) -> Structure:
 @kept
 def _conformal_data(psi: ScalarField) -> TransformData:
     """The ``phi = 0`` transformation driven by ``psi``."""
-    return TransformData(psi.chart, ScalarField.zero(psi.chart), psi)
+    return TransformData(ScalarField.zero(psi.chart), psi)
 
 
 # -- pointwise data shared by the laws of a check -----------------------------
@@ -357,20 +358,19 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
     ])
 
 
-def check_gradient_codazzi_identity(s: Structure, f, config: RunConfig):
+def check_gradient_codazzi_identity(s: Structure, f: ScalarField, config: RunConfig):
     """For any smooth ``f``:
     ``(nabla_Y g)(Z, grad f) - (nabla_Z g)(Y, grad f)
       = -g(T(Y,Z), grad f) + g(Y, nabla_Z grad f) - g(Z, nabla_Y grad f)``."""
-    fs = f if isinstance(f, ScalarField) else ScalarField.from_expression(s.chart, f)
 
     def fn(p):
         gvals = s.g.value(p)
         require_nondegenerate(gvals)
         ng = nabla_g_values(s.conn, s.g, p)
         T = torsion_values(s.conn, p)
-        fj = fs.jet(p, 1)
+        fj = f.jet(p, 1)
         gradf = np.linalg.inv(gvals) @ fj.grad
-        dVf = covariant_derivative_of_vector(s.conn, gradient(s.g, fs), p)
+        dVf = covariant_derivative_of_vector(s.conn, gradient(s.g, f), p)
         hf = dVf @ gvals  # g(nabla_{d_a} grad f, d_k)
         lhs = np.einsum("jkm,m->jk", ng, gradf) - np.einsum("kjm,m->jk", ng, gradf)
         rhs = -np.einsum("mjk,m->jk", T, fj.grad) + hf.T - hf
@@ -380,13 +380,13 @@ def check_gradient_codazzi_identity(s: Structure, f, config: RunConfig):
                                 detail="gradient form of the antisymmetrized nabla g identity")]
 
 
-def check_conformal_corollaries(s: Structure, psi, config: RunConfig):
+def check_conformal_corollaries(s: Structure, psi: ScalarField, config: RunConfig):
     """The ``phi = 0`` specialization: curvature/Ricci/scalar change laws,
     preservation of the antisymmetric Ricci part on structures satisfying
     the (eta-weighted) torsion-Codazzi condition, and the cyclic torsion
     identity."""
     chart = s.chart
-    t = _conformal_data(psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi))
+    t = _conformal_data(psi)
     st = transform(s, t)
     point_data = _point_data(s, t)
     names = ("conformal_curvature_law", "conformal_ricci_law", "conformal_scalar_law")
@@ -421,11 +421,11 @@ def check_conformal_corollaries(s: Structure, psi, config: RunConfig):
     ])
 
 
-def check_conformally_flat(s: Structure, psi, config: RunConfig):
+def check_conformally_flat(s: Structure, psi: ScalarField, config: RunConfig):
     """When ``conn - g (x) grad psi`` is flat, the curvature, Ricci and
     scalar curvature of ``conn`` have closed forms, and Ricci is symmetric."""
     chart = s.chart
-    t = _conformal_data(psi if isinstance(psi, ScalarField) else ScalarField.from_expression(chart, psi))
+    t = _conformal_data(psi)
     st = transform(s, t)
     point_data = _point_data(s, t)
 

@@ -1,5 +1,4 @@
-"""Closed-form coordinate expressions: parsing, printing and jet
-evaluation.  Derivatives come from evaluating an expression on coordinate
+"""Closed-form coordinate expressions: parsing and jet evaluation.  Derivatives come from evaluating an expression on coordinate
 jets (:mod:`semiweyl.jets`); :func:`finite_difference` is the independent
 central-difference oracle for them.
 
@@ -48,26 +47,16 @@ class ExpressionSyntaxError(ValueError):
 
 
 class UnknownSymbolError(ValueError):
-    def __init__(self, name, position=None):
-        where = "" if position is None else f" (at offset {position})"
-        super().__init__(f"unknown symbol {name!r}{where}")
+    def __init__(self, name, position):
+        super().__init__(f"unknown symbol {name!r} (at offset {position})")
         self.name = name
 
 
 class Expression:
-    """Immutable AST node; subclasses implement jet evaluation and printing."""
+    """Immutable AST node; subclasses implement jet evaluation."""
 
     def jet(self, coord_jets):
         raise NotImplementedError
-
-    def __str__(self):
-        return self._print(0)
-
-    def _print(self, prec):
-        raise NotImplementedError
-
-    def __repr__(self):
-        return f"{type(self).__name__}({self})"
 
 
 @dataclass(frozen=True, eq=False)
@@ -78,16 +67,6 @@ class Num(Expression):
         probe = coord_jets[0]
         return Jet.constant(self.value, probe.n, probe.order)
 
-    def _print(self, prec):
-        v = self.value
-        if v == int(v) and abs(v) < 1e15:
-            s = str(int(v))
-        else:
-            s = repr(v)
-        if v < 0 and prec > 0:
-            return f"({s})"
-        return s
-
 
 @dataclass(frozen=True, eq=False)
 class Var(Expression):
@@ -96,9 +75,6 @@ class Var(Expression):
 
     def jet(self, coord_jets):
         return coord_jets[self.index]
-
-    def _print(self, prec):
-        return self.name
 
 
 @dataclass(frozen=True, eq=False)
@@ -109,10 +85,6 @@ class Add(Expression):
     def jet(self, coord_jets):
         return self.a.jet(coord_jets) + self.b.jet(coord_jets)
 
-    def _print(self, prec):
-        s = f"{self.a._print(1)} + {self.b._print(1)}"
-        return f"({s})" if prec > 1 else s
-
 
 @dataclass(frozen=True, eq=False)
 class Sub(Expression):
@@ -121,10 +93,6 @@ class Sub(Expression):
 
     def jet(self, coord_jets):
         return self.a.jet(coord_jets) - self.b.jet(coord_jets)
-
-    def _print(self, prec):
-        s = f"{self.a._print(1)} - {self.b._print(2)}"
-        return f"({s})" if prec > 1 else s
 
 
 @dataclass(frozen=True, eq=False)
@@ -135,10 +103,6 @@ class Mul(Expression):
     def jet(self, coord_jets):
         return self.a.jet(coord_jets) * self.b.jet(coord_jets)
 
-    def _print(self, prec):
-        s = f"{self.a._print(2)}*{self.b._print(2)}"
-        return f"({s})" if prec > 2 else s
-
 
 @dataclass(frozen=True, eq=False)
 class Div(Expression):
@@ -148,10 +112,6 @@ class Div(Expression):
     def jet(self, coord_jets):
         return self.a.jet(coord_jets) / self.b.jet(coord_jets)
 
-    def _print(self, prec):
-        s = f"{self.a._print(2)}/{self.b._print(3)}"
-        return f"({s})" if prec > 2 else s
-
 
 @dataclass(frozen=True, eq=False)
 class Neg(Expression):
@@ -159,10 +119,6 @@ class Neg(Expression):
 
     def jet(self, coord_jets):
         return -self.a.jet(coord_jets)
-
-    def _print(self, prec):
-        s = f"-{self.a._print(3)}"
-        return f"({s})" if prec > 1 else s
 
 
 @dataclass(frozen=True, eq=False)
@@ -173,12 +129,6 @@ class Pow(Expression):
     def jet(self, coord_jets):
         return self.base.jet(coord_jets) ** self.exponent
 
-    def _print(self, prec):
-        e = self.exponent
-        es = str(e) if e >= 0 else f"({e})"
-        s = f"{self.base._print(4)}^{es}"
-        return f"({s})" if prec > 3 else s
-
 
 @dataclass(frozen=True, eq=False)
 class Func(Expression):
@@ -188,9 +138,6 @@ class Func(Expression):
     def jet(self, coord_jets):
         j = self.arg.jet(coord_jets)
         return getattr(j, self.name)()
-
-    def _print(self, prec):
-        return f"{self.name}({self.arg._print(0)})"
 
 
 # -- parser -------------------------------------------------------------------

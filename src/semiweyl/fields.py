@@ -83,8 +83,9 @@ def kept(build):
     by the owner.
 
     The owner and the arguments are compared as dictionary keys: fields,
-    structures, maps and transforms by identity, a ``RunConfig`` or a
-    string by value.  A build that raises keeps nothing."""
+    structures and maps by identity, a ``TransformData`` by its two fields,
+    a ``RunConfig`` or a string by value.  A build that raises keeps
+    nothing."""
 
     @wraps(build)
     def get(owner, *args):
@@ -111,8 +112,8 @@ class _Field:
     def jet(self, p, order):
         """The jet of order ``order`` at ``p``.  The results at the most
         recent point (by its float bytes) are kept per order and shared by
-        every caller, so the layers of a jet, an array or a tuple of them
-        are read-only.  Nothing is kept when ``fn`` raises."""
+        every caller, so the layers of a jet, an array, or a tuple or dict
+        of them are read-only.  Nothing is kept when ``fn`` raises."""
         p = np.asarray(p, dtype=float)
         key = p.tobytes()
         if key != self._point:
@@ -121,7 +122,8 @@ class _Field:
         out = by_order.get(order)
         if out is None:
             out = self._fn(p, order)
-            for a in out if isinstance(out, tuple) else (out,):
+            items = out.values() if isinstance(out, dict) else out if isinstance(out, tuple) else (out,)
+            for a in items:
                 for L in a.layers if isinstance(a, Jet) else (a,):
                     if isinstance(L, np.ndarray):
                         L.flags.writeable = False
@@ -199,19 +201,19 @@ class MetricField(_Field):
         es = [[None] * n for _ in range(n)]
         for i in range(n):
             for j in range(i, n):
-                e = _expr_of(grid[i][j], chart)
-                upper = _expr_of(grid[j][i], chart)
-                if str(upper) != str(e):
+                # the same text, the same number or the same node
+                if grid[j][i] != grid[i][j]:
                     raise ValueError(f"metric components ({i},{j}) and ({j},{i}) differ")
                 # one shared node, evaluated once, keeps g symmetric bitwise
-                es[i][j] = es[j][i] = e
+                es[i][j] = es[j][i] = _expr_of(grid[i][j], chart)
 
         return cls(chart, _components([e for row in es for e in row], (n, n)), expressions=es)
 
     @classmethod
     def from_diagonal(cls, chart, diag):
         n = chart.dim
-        grid = [[diag[i] if i == j else Num(0.0) for j in range(n)] for i in range(n)]
+        zero = Num(0.0)
+        grid = [[diag[i] if i == j else zero for j in range(n)] for i in range(n)]
         return cls.from_expressions(chart, grid)
 
     @classmethod

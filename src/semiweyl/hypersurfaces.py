@@ -31,6 +31,7 @@ from .jets import jet_compose, jet_cross, jet_einsum, jet_solve, partials
 from .structures import Structure, is_swmt, semi_dual, swmt_residual
 from .tensor import (
     codazzi_defect,
+    covariant_derivative_of_form,
     curvature_values,
     degeneracy_threshold,
     nabla_g_values,
@@ -140,10 +141,10 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
     )
 
 
-@kept
 def _restricted(emb: EmbeddingMap, t):
-    """The transformation driven by the pullbacks of ``t``'s functions."""
-    return type(t)(emb.domain, emb.compose(t.phi), emb.compose(t.psi))
+    """The transformation driven by the pullbacks of ``t``'s functions (the
+    map keeps the pullbacks, so a transform of the same fields is equal)."""
+    return type(t)(emb.compose(t.phi), emb.compose(t.psi))
 
 
 def _ambient_derivative_of_frame(emb, conn, p, order):
@@ -413,13 +414,12 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
         lhs = np.einsum("lkij,kc,ia,jb->lcab", R_amb, dF, dF, dF)
 
         Rp = curvature_values(ind.conn, p)
-        gam_p = ind.conn.value(p)
         Tp = torsion_values(ind.conn, p)
         alpha_j, eps = frame.second_fundamental_form(p, 1)
         alpha = alpha_j.value
         dalpha = alpha_j.grad.transpose(2, 0, 1)  # [a, b, c] = d_a alpha_bc
         # (nabla'_a alpha)(b, c)
-        nalpha = dalpha - np.einsum("mab,mc->abc", gam_p, alpha) - np.einsum("mac,bm->abc", gam_p, alpha)
+        nalpha = covariant_derivative_of_form(dalpha, ind.conn.value(p), alpha)
         beta_j, tau_j, B_j, _ = frame.weingarten(p)
         tau = tau_j.value
         B = B_j.value  # B[d, a]

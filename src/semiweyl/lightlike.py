@@ -15,9 +15,9 @@ import numpy as np
 
 from .fields import Chart, DegeneratePointError, VectorField, _Field, kept
 from .hypersurfaces import EmbeddingMap
-from .jets import jet_einsum, jet_solve, jet_stack, partials
+from .jets import Jet, jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, is_swmt
-from .tensor import codazzi_defect, degeneracy_threshold
+from .tensor import codazzi_defect, covariant_derivative_of_form, degeneracy_threshold
 from .verdicts import RunConfig, gated, run_pointwise_check
 
 __all__ = [
@@ -32,14 +32,13 @@ __all__ = [
 
 
 def _coordinate_screen(chart: Chart, drop_index):
-    fields = []
-    for a in range(chart.dim):
-        if a == drop_index:
-            continue
-        comps = ["0"] * chart.dim
-        comps[a] = "1"
-        fields.append(VectorField.from_expressions(chart, comps))
-    return tuple(fields)
+    """The coordinate vector fields of ``chart`` but the one at ``drop_index``."""
+    n = chart.dim
+
+    def unit(e):
+        return VectorField(chart, lambda p, order: Jet.constant(e, n, order))
+
+    return tuple(unit(e) for a, e in enumerate(np.eye(n)) if a != drop_index)
 
 
 class LightlikeFrame:
@@ -140,9 +139,10 @@ class LightlikeFrame:
     def screen_data(self, p, order):
         """Returns a dict with the pointwise screen geometry: the Gram
         matrix of the screen fields, the screen connection coefficients,
-        the forms ``alpha``, ``beta`` and ``tau_null``, the screen brackets,
-        and the transversal, radical and screen fields they came from.  The
-        result at the most recent point is kept per order."""
+        the forms ``alpha`` and ``beta``, the screen brackets, and the
+        transversal, radical and screen fields they came from.  The result
+        at the most recent point is kept per order, and its jets are
+        read-only."""
         return self._screen_data.jet(p, order)
 
     def _build_screen_data(self, p, order):
@@ -167,17 +167,14 @@ class LightlikeFrame:
         W_dW = jet_einsum("ad,bkd->abk", Wdom, partials(Wdom))
         bracket = W_dW - W_dW.transpose(1, 0, 2)
 
-        # beta and tau from the derivative of N along screen fields
-        DN = along_screen(N)
-        tau_null = jet_einsum("ij,ai,j->a", Gc, DN, N)
-        beta = -jet_einsum("ij,ai,bj->ab", Gc, DN, W_amb)
+        # beta from the derivative of N along screen fields
+        beta = -jet_einsum("ij,ai,bj->ab", Gc, along_screen(N), W_amb)
 
         return {
             "gram": gram,
             "nabla_bar": coeff[:r],
             "alpha": alpha,
             "beta": beta,
-            "tau_null": tau_null,
             "bracket": bracket,
             "N": N,
             "xi": xi,
@@ -275,7 +272,7 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
         dgram = np.einsum("bcd,ad->abc", gram.grad, Wdom)
         # (nabla_a g)(W_b, W_c), and the screen torsion, whose bracket part
         # is the screen component of [W_a, W_b]
-        ng = dgram - np.einsum("mab,mc->abc", nbv, gv) - np.einsum("mac,bm->abc", nbv, gv)
+        ng = covariant_derivative_of_form(dgram, nbv, gv)
         tors = nbv - nbv.transpose(0, 2, 1) - _bracket_coefficients(data)[0][:-1]
         res = codazzi_defect(ng, gv, tors, eta_W)
         scale = 1.0 + np.max(np.abs(gv)) * (1.0 + np.max(np.abs(nbv)) + np.max(np.abs(eta_W))) + np.max(np.abs(dgram))

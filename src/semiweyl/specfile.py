@@ -498,9 +498,7 @@ def load_spec(path):
                 phi = _parse_expr(chart, pe, col, "transform phi", sources)
                 psi = _parse_expr(chart, se, col, "transform psi", sources)
                 if phi is not None and psi is not None:
-                    transform = TransformData(
-                        chart, ScalarField.from_expression(chart, phi), ScalarField.from_expression(chart, psi)
-                    )
+                    transform = TransformData(ScalarField.from_expression(chart, phi), ScalarField.from_expression(chart, psi))
         if "submanifold" in sections:
             embedding = _build_embedding(chart, sections["submanifold"], col, "submanifold", sources)
         if "lightlike" in sections:

@@ -25,6 +25,7 @@ __all__ = [
     "frame_ricci_values",
     "scalar_curvature",
     "nabla_g_values",
+    "covariant_derivative_of_form",
     "wedge_g",
     "codazzi_defect",
     "gradient",
@@ -125,11 +126,15 @@ def scalar_curvature(conn: ConnectionField, g: MetricField, p, R=None):
 
 def nabla_g_values(conn: ConnectionField, g: MetricField, p):
     """``(nabla_{d_a} g)(d_i, d_j)`` as an ``[a, i, j]`` array."""
-    G = g.jet(p, 1)
-    gvals = G.value
-    dg = G.grad  # dg[i, j, a] = d_a g_ij
-    gam = conn.value(p)
-    return dg.transpose(2, 0, 1) - np.einsum("mai,mj->aij", gam, gvals) - np.einsum("maj,im->aij", gam, gvals)
+    G = g.jet(p, 1)  # G.grad[i, j, a] = d_a g_ij
+    return covariant_derivative_of_form(G.grad.transpose(2, 0, 1), conn.value(p), G.value)
+
+
+def covariant_derivative_of_form(dT, gam, T):
+    """``(nabla_{d_a} T)(d_i, d_j) = d_a T_ij - gam^m_{ai} T_mj - gam^m_{aj}
+    T_im`` as an ``[a, i, j]`` array, for a (0,2) tensor ``T`` with
+    ``dT[a, i, j] = d_a T_ij`` and connection coefficients ``gam``."""
+    return dT - np.einsum("mai,mj->aij", gam, T) - np.einsum("maj,im->aij", gam, T)
 
 
 def wedge_g(a, g):

@@ -2,6 +2,7 @@
 
 import pytest
 
+from semiweyl.conformal import TransformData
 from semiweyl.fields import (
     Chart,
     ConnectionField,
@@ -47,6 +48,12 @@ def conformally_flat_structure(chart=None, psi_expr="0.3*x + 0.2*x*y + 0.1*y"):
     conn = ConnectionField.flat(chart).add_tensor(g_tensor_vector(g, gradient(g, psi)))
     minus_dpsi = OneFormField(chart, lambda p, order: -partials(psi.jet(p, order + 1)))
     return Structure(chart, g, minus_dpsi, conn), psi
+
+
+def potentials(chart, phi, psi):
+    """The conformal-projective transformation driven by the expressions
+    ``phi`` and ``psi`` over ``chart``."""
+    return TransformData(ScalarField.from_expression(chart, phi), ScalarField.from_expression(chart, psi))
 
 
 def euclidean3_chart():

@@ -17,6 +17,7 @@ from conftest import (
     ambient_swmt_3d,
     minkowski_structure,
     plane_chart,
+    potentials,
     smt_structure,
     sphere_embedding,
     swmt_structure,
@@ -33,7 +34,6 @@ from semiweyl.affine import (
     realized_structure,
 )
 from semiweyl.conformal import (
-    TransformData,
     check_conformal_corollaries,
     check_ricci_antisymmetry,
     check_semi_dual_transform_law,
@@ -230,7 +230,7 @@ class TestRescalingTransformSuite:
         cfg = RunConfig(samples=30, seed=0, tol=1e-8, min_valid_points=15)
         for s in self._families():
             for idx, (phi, psi) in enumerate(_potential_pairs(s.chart)):
-                t = TransformData(s.chart, phi, psi)
+                t = potentials(s.chart, phi, psi)
                 # torsion is unchanged at machine precision
                 assert_all_pass(
                     check_torsion_invariance(s, t, cfg.with_(tol=1e-12)), "torsion"
@@ -262,7 +262,7 @@ class TestRescalingTransformSuite:
             broken.conn,
         )
         assert not is_swmt(broken, cfg).passed
-        t = TransformData(broken.chart, *_potential_pairs(broken.chart)[0])
+        t = potentials(broken.chart, *_potential_pairs(broken.chart)[0])
         assert_all_pass(check_structure_invariance(broken, t, cfg), "broken agreement")
         assert time.monotonic() - start < 30.0
 
@@ -295,7 +295,7 @@ class TestHypersurfaceSuite:
             assert dev >= 0.1
 
         # transformed second-fundamental form law and umbilicity preservation
-        t = TransformData(s.chart, "0.2*x + 0.1*z", "0.1*y + 0.05*z")
+        t = potentials(s.chart, "0.2*x + 0.1*z", "0.1*y + 0.05*z")
         assert_all_pass(
             check_umbilic_preservation(frame, t, cfg.with_(tol=1e-9)), "umbilic"
         )
@@ -417,7 +417,7 @@ class TestNegativeControls:
     def test_semi_dual_transform_law_fails_without_potential_swap(self):
         cfg = RunConfig(samples=60, seed=0, tol=1e-8, min_valid_points=30)
         s = swmt_structure()
-        t = TransformData(s.chart, "0.2*x + 0.1*sin(y)", "0.15*y + 0.1*x*y")
+        t = potentials(s.chart, "0.2*x + 0.1*sin(y)", "0.15*y + 0.1*x*y")
         out = check_semi_dual_transform_law(s, t, cfg, swap_roles=False)
         assert any((not v.passed) and v.max_residual >= 1e-3 for v in out)
 

@@ -7,11 +7,11 @@ from conftest import (
     ambient_swmt_3d,
     conformally_flat_structure,
     plane_chart,
+    potentials,
     smt_structure,
     swmt_structure,
 )
 from semiweyl.conformal import (
-    TransformData,
     check_codazzi_scaling,
     check_conformal_corollaries,
     check_conformally_flat,
@@ -38,7 +38,7 @@ from semiweyl.verdicts import RunConfig
 
 
 def generic_transform(chart):
-    return TransformData(chart, "0.2*x + 0.1*sin(y)", "0.15*y + 0.1*x*y")
+    return potentials(chart, "0.2*x + 0.1*sin(y)", "0.15*y + 0.1*x*y")
 
 
 class TestTransform:
@@ -49,7 +49,7 @@ class TestTransform:
         g = MetricField.euclidean(chart)
         s = Structure(chart, g, OneFormField.from_expressions(chart, ["0", "0"]),
                       ConnectionField.flat(chart))
-        t = TransformData(chart, "0", "x")
+        t = potentials(chart, "0", "x")
         s_t = transform(s, t)
         expected = np.zeros((2, 2, 2))
         expected[0, 0, 0] = -1.0
@@ -67,7 +67,7 @@ class TestTransform:
 
     def test_identity_transform_is_noop(self):
         s = swmt_structure()
-        t = TransformData(s.chart, "0", "0")
+        t = potentials(s.chart, "0", "0")
         s_t = transform(s, t)
         for p in halton_points(s.chart, 5):
             assert np.allclose(s_t.g.value(p), s.g.value(p))
@@ -152,9 +152,9 @@ class TestTransformComposition:
         # applying (phi1, psi1) then (phi2, psi2) equals applying the sums
         s = swmt_structure()
         chart = s.chart
-        one = transform(transform(s, TransformData(chart, "0.1*x", "0.05*y")),
-                        TransformData(chart, "0.07*y", "0.12*x"))
-        both = transform(s, TransformData(chart, "0.1*x + 0.07*y", "0.05*y + 0.12*x"))
+        one = transform(transform(s, potentials(chart, "0.1*x", "0.05*y")),
+                        potentials(chart, "0.07*y", "0.12*x"))
+        both = transform(s, potentials(chart, "0.1*x + 0.07*y", "0.05*y + 0.12*x"))
         for p in halton_points(chart, 10):
             assert np.allclose(one.g.value(p), both.g.value(p), rtol=1e-12)
             assert np.allclose(one.conn.value(p), both.conn.value(p), atol=1e-10)
@@ -221,10 +221,10 @@ class TestChangeLawArrays:
     def test_array_laws_equal_the_index_loops(self, dim):
         if dim == 2:
             s = swmt_structure()
-            t = TransformData(s.chart, "0.2*x + 0.1*sin(y)", "0.15*y + 0.1*x*y")
+            t = potentials(s.chart, "0.2*x + 0.1*sin(y)", "0.15*y + 0.1*x*y")
         else:
             s = ambient_swmt_3d()
-            t = TransformData(s.chart, "0.2*x + 0.1*y*z", "0.1*z + 0.05*x*y")
+            t = potentials(s.chart, "0.2*x + 0.1*y*z", "0.1*z + 0.05*x*y")
         for p in halton_points(s.chart, 10):
             d = conformal._PointData(s, t, p)
             assert np.array_equal(conformal._rhs_curvature(d), _loop_rhs_curvature(d))

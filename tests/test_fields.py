@@ -1,17 +1,23 @@
 """Fields remember their jets at the most recent point: interleaved points,
 separate orders, read-only results and uncached errors (the evaluation
-count of one structure check is in ``test_structures.py``)."""
+count of one structure check is in ``test_structures.py``).  A metric's
+entries must be symmetric as given."""
 
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from conftest import euclidean3_chart, plane_chart, sphere_embedding, swmt_structure
-from semiweyl.fields import ScalarField, _Field
-from semiweyl.jets import EvaluationDomainError
+from semiweyl.fields import MetricField, ScalarField, _Field
+from semiweyl.jets import EvaluationDomainError, Jet
+from semiweyl.lightlike import LightlikeFrame
 from semiweyl.sampling import halton_points
+from semiweyl.specfile import load_spec
 from semiweyl.structures import semi_dual_connection
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def count_orders(field):
@@ -86,6 +92,21 @@ class TestReadOnly:
             with pytest.raises(ValueError):
                 a[0] = 5.0
 
+    def test_dict_results_are_read_only(self):
+        field = _Field(plane_chart(), lambda p, order: {"a": np.zeros(2), "j": Jet.constant(np.ones(2), 2, order)})
+        out = field.jet(np.zeros(2), 1)
+        for a in (out["a"], *out["j"].layers):
+            with pytest.raises(ValueError):
+                a[0] = 5.0
+
+    def test_screen_data_is_read_only(self):
+        # every layer was writeable when only tuples were frozen
+        spec = load_spec(FIXTURES / "null_cone.spec")
+        frame = LightlikeFrame(spec.lightlike_embedding, spec.structure)
+        data = frame.screen_data(halton_points(spec.lightlike_embedding.domain, 1)[0], 0)
+        layers = [layer for jet in data.values() for layer in jet.layers]
+        assert layers and not any(layer.flags.writeable for layer in layers)
+
 
 class TestErrors:
     def test_errors_are_not_cached(self):
@@ -102,3 +123,48 @@ class TestErrors:
         with pytest.raises(EvaluationDomainError):
             f.jet(bad, 1)
         assert calls[1] == 4
+
+
+class TestMetricSymmetry:
+    """``g_ij`` and ``g_ji`` are accepted when they are the same text, the
+    same number or the same node, and become one shared node."""
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            lambda chart: ("0.1*x*y", "0.1*x*y"),
+            lambda chart: (0.5, 0.5),
+            lambda chart: (chart.parse("0.1*x*y"),) * 2,
+        ],
+        ids=["same text", "equal numbers", "shared node"],
+    )
+    def test_symmetric_entries_are_accepted(self, entries):
+        chart = plane_chart()
+        upper, lower = entries(chart)
+        g = MetricField.from_expressions(chart, [["1", upper], [lower, "x*x"]])
+        assert g.expressions[0][1] is g.expressions[1][0]
+        gv = g.value(halton_points(chart, 1)[0])
+        assert gv[0, 1] == gv[1, 0]
+
+    def test_a_diagonal_metric_is_accepted(self):
+        chart = euclidean3_chart()
+        g = MetricField.from_diagonal(chart, ["1", "2", "x*x + 1"])
+        off = {id(g.expressions[i][j]) for i in range(3) for j in range(3) if i != j}
+        assert len(off) == 1
+        assert np.array_equal(g.value(np.zeros(3)), np.diag([1.0, 2.0, 1.0]))
+
+    @pytest.mark.parametrize(
+        "entries",
+        [
+            lambda chart: ("0.1*x*y", "0.1*y*x"),
+            lambda chart: ("x", "y"),
+            lambda chart: (0.5, 0.25),
+            lambda chart: (chart.parse("x"), chart.parse("x")),
+        ],
+        ids=["different text", "different names", "different numbers", "two nodes"],
+    )
+    def test_different_entries_are_rejected(self, entries):
+        chart = plane_chart()
+        upper, lower = entries(chart)
+        with pytest.raises(ValueError, match=r"metric components \(0,1\) and \(1,0\) differ"):
+            MetricField.from_expressions(chart, [["1", upper], [lower, "1"]])

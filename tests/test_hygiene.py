@@ -1,6 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
-every name in its ``__all__`` exists, none builds a numpy object array, and
-none edits the name or detail of a verdict after a check returned it.
+every name in its ``__all__`` exists, none builds a numpy object array,
+none edits the name or detail of a verdict after a check returned it, and
+only the spec loader and the field constructors turn text into
+expressions.
 
 AST checks, so they need no linter.  Names re-exported through ``__all__``
 and ``from __future__ import annotations`` are exempt from the first, so
@@ -8,7 +10,8 @@ the second keeps a deleted function from lingering as a stale export.  The
 third keeps jets in their dense storage (``semiweyl.jets.Jet``): an object
 array of per-scalar jets is the format that type replaced.  The fourth keeps
 a check's laws carrying their own names and details into
-``semiweyl.verdicts.run_laws``.
+``semiweyl.verdicts.run_laws``.  The fifth keeps checks, transforms and
+rescalings taking fields only: text is parsed where a spec is read.
 """
 
 import ast
@@ -142,3 +145,74 @@ def test_the_check_sees_an_edited_verdict():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_edits_no_returned_verdict(path):
     assert edited_verdicts(path.read_text()) == []
+
+
+# the modules that turn text into expressions: the parser, the field
+# constructors and the spec loader
+PARSING_MODULES = {"expressions.py", "fields.py", "specfile.py"}
+
+
+def _has_text(node, texty):
+    """Whether ``node`` holds a string constant, an f-string or a name
+    bound to one."""
+    return any(
+        (isinstance(n, ast.Constant) and isinstance(n.value, str))
+        or isinstance(n, ast.JoinedStr)
+        or (isinstance(n, ast.Name) and n.id in texty)
+        for n in ast.walk(node)
+    )
+
+
+def _called_name(call):
+    f = call.func
+    return f.attr if isinstance(f, ast.Attribute) else f.id if isinstance(f, ast.Name) else None
+
+
+def text_operands(source):
+    """Lines that parse expression text (``parse_expression``, ``.parse``),
+    pass text to ``from_expression``/``from_expressions`` (directly or
+    through a name bound to text), or test ``isinstance(..., ScalarField)``,
+    the test that lets a function take either text or a field."""
+    tree = ast.parse(source)
+    texty = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Assign) and _has_text(node.value, ()):
+            for t in node.targets:
+                base = t.value if isinstance(t, ast.Subscript) else t
+                if isinstance(base, ast.Name):
+                    texty.add(base.id)
+    lines = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call):
+            continue
+        name = _called_name(node)
+        if (
+            name in ("parse_expression", "parse")
+            or (name in ("from_expression", "from_expressions") and any(_has_text(a, texty) for a in node.args))
+            or (name == "isinstance" and len(node.args) == 2 and any(
+                isinstance(n, (ast.Name, ast.Attribute)) and "ScalarField" in (getattr(n, "id", None), getattr(n, "attr", None))
+                for n in ast.walk(node.args[1])
+            ))
+        ):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+def test_the_check_sees_text_operands():
+    source = (
+        "from .fields import ScalarField, VectorField\n"
+        "a = parse_expression('x', names)\n"
+        "b = chart.parse(text)\n"
+        "c = ScalarField.from_expression(chart, 'x')\n"
+        "comps = ['0'] * 2\n"
+        "d = VectorField.from_expressions(chart, comps)\n"
+        "e = f if isinstance(f, (ScalarField, int)) else g\n"
+        "h = VectorField.from_expressions(chart, components)\n"
+        "k = isinstance(v, Jet) and parser.parse_args(argv)\n"
+    )
+    assert text_operands(source) == [2, 3, 4, 6, 7]
+
+
+@pytest.mark.parametrize("path", [p for p in MODULES if p.name not in PARSING_MODULES], ids=lambda p: p.name)
+def test_module_takes_no_text_operands(path):
+    assert text_operands(path.read_text()) == []

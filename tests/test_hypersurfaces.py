@@ -1,9 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import ambient_swmt_3d, euclidean3_chart, minkowski_structure, sphere_embedding
+from conftest import ambient_swmt_3d, euclidean3_chart, minkowski_structure, potentials, sphere_embedding
 from semiweyl import hypersurfaces
-from semiweyl.conformal import TransformData
 from semiweyl.fields import (
     Chart,
     ConnectionField,
@@ -50,7 +49,7 @@ def cylinder_embedding(ambient_chart):
 
 
 def ambient_transform(chart):
-    return TransformData(chart, "0.2*x + 0.1*y", "0.1*z + 0.05*x*y")
+    return potentials(chart, "0.2*x + 0.1*y", "0.1*z + 0.05*x*y")
 
 
 def spacelike_hyperboloid(ambient_chart):
@@ -238,7 +237,7 @@ class TestTimelikeNormal:
     def test_fundamental_form_checks_hold(self):
         s = minkowski_structure(3)
         frame = HypersurfaceFrame(spacelike_hyperboloid(s.chart), s)
-        t = TransformData(s.chart, "0.2*t + 0.1*y", "0.1*x + 0.05*y")
+        t = potentials(s.chart, "0.2*t + 0.1*y", "0.1*x + 0.05*y")
         cfg = RunConfig(samples=60, seed=0, tol=1e-10, min_valid_points=30)
         out = (
             check_beta_symmetry(frame, cfg)

@@ -1,7 +1,8 @@
 """Each derived object of a spec is built once and kept by its owner
 (``fields.kept``): running a spec again builds nothing new, the fields a
-run builds do not depend on the sample count, and a predicate verdict is
-computed once per structure and config."""
+run builds do not depend on the sample count, a predicate verdict is
+computed once per structure and config, and a transform of the same two
+fields is one key."""
 
 from pathlib import Path
 
@@ -9,7 +10,8 @@ import pytest
 
 from conftest import swmt_structure
 from semiweyl import fields, structures
-from semiweyl.fields import kept
+from semiweyl.conformal import TransformData, check_conformal_corollaries, check_curvature_transform, transform
+from semiweyl.fields import ScalarField, kept
 from semiweyl.hypersurfaces import EmbeddingMap
 from semiweyl.report import run_spec
 from semiweyl.specfile import load_spec
@@ -130,3 +132,33 @@ class TestPredicateVerdicts:
         other = is_swmt(s, config.with_(samples=70))
         assert other is not v and (v.points_tested, other.points_tested) == (60, 70)
         assert is_swmt(swmt_structure(), config) is not v
+
+
+class TestTransformKeys:
+    def test_a_transform_is_the_value_of_its_two_fields(self):
+        s = swmt_structure()
+        phi = ScalarField.from_expression(s.chart, "0.2*x")
+        psi = ScalarField.from_expression(s.chart, "0.1*x*y")
+        t = TransformData(phi, psi)
+        assert TransformData(phi, psi) == t and hash(TransformData(phi, psi)) == hash(t)
+        assert TransformData(psi, phi) != t
+        assert transform(s, TransformData(phi, psi)) is transform(s, t)
+
+    def test_repeated_checks_keep_nothing_new(self):
+        # with text operands and identity keys: 3, 5, 7 and 2, 4, 6 entries
+        config = RunConfig(samples=20, seed=0, tol=1e-8, min_valid_points=10)
+        s = swmt_structure()
+        psi = ScalarField.from_expression(s.chart, "0.1*x*y")
+        counts = []
+        for _ in range(3):
+            check_conformal_corollaries(s, psi, config)
+            counts.append(len(s._kept))
+        assert counts == [counts[0]] * 3
+
+        s = swmt_structure()
+        phi = ScalarField.from_expression(s.chart, "0.2*x")
+        counts = []
+        for _ in range(3):
+            check_curvature_transform(s, TransformData(phi, psi), config)
+            counts.append(len(s._kept))
+        assert counts == [counts[0]] * 3

@@ -1,8 +1,7 @@
 import numpy as np
 import pytest
 
-from conftest import minkowski_structure, null_cone_embedding
-from semiweyl.conformal import TransformData
+from conftest import minkowski_structure, null_cone_embedding, potentials
 from semiweyl.fields import Chart
 from semiweyl.hypersurfaces import (
     EmbeddingMap,
@@ -43,7 +42,7 @@ def hyperplane_frame():
 
 def ambient_transform(chart):
     names = chart.coord_names
-    return TransformData(chart, f"0.2*{names[0]} + 0.1*{names[2]}", f"0.1*{names[1]} + 0.05*{names[2]}")
+    return potentials(chart, f"0.2*{names[0]} + 0.1*{names[2]}", f"0.1*{names[1]} + 0.05*{names[2]}")
 
 
 class TestRadicalAndTransversal:

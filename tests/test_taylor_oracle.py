@@ -36,7 +36,7 @@ def _structure_fields(prefix, s):
 
 
 def _screen_fields(prefix, frame):
-    keys = ("gram", "nabla_bar", "alpha", "beta", "tau_null")
+    keys = ("gram", "nabla_bar", "alpha", "beta")
     out = [(f"{prefix}.transversal", lambda p, order: frame.transversal(p, order)[0])]
     out += [(f"{prefix}.screen.{key}", lambda p, order, key=key: frame.screen_data(p, order)[key]) for key in keys]
     return out
