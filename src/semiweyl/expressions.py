@@ -282,10 +282,12 @@ def parse_expression(text, coord_names):
     return _Parser(text, coord_names).parse()
 
 
-def _coordinate_jets(point, order):
-    point = np.asarray(point, dtype=float)
-    n = point.shape[0]
-    return [Jet.coordinate(point[i], i, n, order) for i in range(n)]
+def _coordinate_jets(points, order):
+    """The coordinate jets at a point ``(n,)``, or at a point set ``(P, n)``
+    with the points on a leading batch axis."""
+    points = np.asarray(points, dtype=float)
+    n = points.shape[-1]
+    return [Jet.coordinate(x, i, n, order) for i, x in enumerate(points.T)]
 
 
 def _checked(j):
@@ -305,17 +307,25 @@ def eval_jet(e, point, order):
         return _checked(e.jet(_coordinate_jets(point, order)))
 
 
-def eval_jets(exprs, point, order):
-    """Jets of the expressions ``exprs`` at ``point``, stacked on a new
-    first axis; an expression object listed more than once is evaluated
-    once."""
-    coords = _coordinate_jets(point, order)
+def eval_jets(exprs, points, order):
+    """Jets of the expressions ``exprs`` at a point ``(n,)``, stacked on a
+    new first axis, or on a point set ``(P, n)``, of tensor shape ``(P,
+    len(exprs))`` with constants broadcast; an expression object listed
+    more than once is evaluated once.  A set raises only from a domain
+    check; a row that is not finite is for its reader to raise."""
+    coords = _coordinate_jets(points, order)
+    batch = np.shape(points)[:-1]
     done = {}
     with np.errstate(**_QUIET):
         for e in exprs:
             if id(e) not in done:
-                done[id(e)] = _checked(e.jet(coords))
-    return jet_stack([done[id(e)] for e in exprs])
+                j = e.jet(coords)
+                if not batch:
+                    j = _checked(j)
+                elif j.shape != batch:
+                    j = Jet(j.n, [np.broadcast_to(L, batch + np.shape(L)) for L in j.layers])
+                done[id(e)] = j
+    return jet_stack([done[id(e)] for e in exprs], axis=len(batch))
 
 
 def eval_value(e, point):

@@ -12,28 +12,34 @@ without symbolic matrix algebra.  Derived fields combine jets with
 :func:`~semiweyl.jets.partials` (coordinate derivatives) and jet
 arithmetic (``G + K``, ``-K``, ``G * f``).
 
-Two rules share work.  Each field keeps its results at the most recent
+Three rules share work.  Each field keeps its results at the most recent
 point, one per order, so the laws asking a field for one point build its
 chain once; they are shared, hence read-only, and a field's ``fn`` may
-depend on nothing but ``(p, order)``.  And an owner keeps what is derived
+depend on nothing but ``(p, order)``.  An owner keeps what is derived
 from it (:func:`kept`), so each derived structure, frame and predicate
-verdict of a spec is one Python object, built once.
+verdict of a spec is one Python object, built once.  And an expression
+field asked at a point of the sample set of a running pass
+(:func:`sample_set`) evaluates on the whole set at once; the set keeps
+that batch for the pass, at the highest order asked.
 """
 
 from __future__ import annotations
 
+from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import wraps
 
 import numpy as np
 
-from .expressions import Expression, Num, eval_jet, eval_jets, parse_expression
-from .jets import Jet, jet_einsum, partials
+from .expressions import Expression, Num, _checked, eval_jets, parse_expression
+from .jets import EvaluationDomainError, Jet, jet_einsum, partials
 
 __all__ = [
     "Chart",
     "DegeneratePointError",
     "kept",
+    "sample_set",
     "ScalarField",
     "OneFormField",
     "VectorField",
@@ -142,17 +148,66 @@ def _expr_of(item, chart):
     return Num(float(item))
 
 
+# the running pass's points, {point bytes: row} and batches (per thread)
+_samples = ContextVar("samples", default=None)
+
+
+@contextmanager
+def sample_set(pts):
+    """Hold the points ``pts`` of a pass over them until the pass ends or
+    raises: an expression field asked at one of them evaluates on all of
+    them at once, and the set keeps that batch until then."""
+    token = _samples.set((pts, {p.tobytes(): row for row, p in enumerate(pts)}, {}))
+    try:
+        yield
+    finally:
+        _samples.reset(token)
+
+
 def _components(exprs, shape):
     """``fn(p, order)`` evaluating the flat list ``exprs`` into a jet of
-    tensor shape ``shape``."""
-    return lambda p, order: eval_jets(exprs, p, order).reshape(shape)
+    tensor shape ``shape``: at a point of the sample set, the point's row
+    of the set's batch, truncated to ``order``."""
+
+    def fn(p, order):
+        samples = _samples.get()
+        row = samples and samples[1].get(p.tobytes())
+        batch = row is not None and _batch(samples, fn, exprs, order, shape)
+        if not batch:
+            return eval_jets(exprs, p, order).reshape(shape)
+        jet, finite = batch
+        out = Jet(jet.n, [L[row] for L in jet.layers[: order + 1]])
+        return out if finite else _checked(out)
+
+    return fn
+
+
+def _batch(samples, key, exprs, order, shape):
+    """``(jet, finite)``: the read-only jet of ``exprs`` on the sample set
+    ``samples``, kept by it under ``key`` at the highest order asked, and
+    whether all of it is finite.  False when a domain check fails on the
+    set, which is then evaluated point by point, so each point raises as
+    alone."""
+    pts, _, batches = samples
+    batch = batches.get(key)
+    if batch is None or batch and batch[0].order < order:
+        try:
+            jet = eval_jets(exprs, pts, order).reshape((len(pts),) + shape)
+        except EvaluationDomainError:
+            batch = False
+        else:
+            for L in jet.layers:
+                L.flags.writeable = False
+            batch = jet, jet.is_finite()
+        batches[key] = batch
+    return batch
 
 
 class ScalarField(_Field):
     @classmethod
     def from_expression(cls, chart, expr):
         e = _expr_of(expr, chart)
-        return cls(chart, lambda p, order: eval_jet(e, p, order), expressions=e)
+        return cls(chart, _components([e], ()), expressions=e)
 
     @classmethod
     def zero(cls, chart):

@@ -97,6 +97,18 @@ def _cross12(u, v):
     return u[..., :, None, None] * v[..., None, :, :]
 
 
+def _pow(v, k):
+    """``v ** k``, elementwise as for each float alone: numpy's vector
+    ``power`` rounds up to a few percent of its results otherwise than the
+    C library's ``pow`` that a float's ``**`` calls."""
+    if isinstance(v, float):
+        return v ** k
+    try:
+        return np.array([x ** k for x in v.ravel().tolist()]).reshape(v.shape)
+    except OverflowError as exc:
+        raise EvaluationDomainError("overflow in a power") from exc
+
+
 def _falling_factorials(a, order):
     """``(r, a (a-1) ... (a-r+1))`` for ``r = 0 .. order``: the coefficients
     of the derivatives of ``v ** a``."""
@@ -137,7 +149,7 @@ class Jet:
     def coordinate(value, index, n, order):
         j = Jet.constant(value, n, order)
         if order >= 1:
-            j.layers[1][index] = 1.0
+            j.layers[1][..., index] = 1.0
         return j
 
     # -- layers and tensor axes ---------------------------------------------
@@ -288,7 +300,7 @@ class Jet:
         v = self.layers[0]
         if _any(v == 0.0) or not _finite(v):
             raise EvaluationDomainError("division by zero")
-        return self._chain([c / v ** (r + 1) for r, c in _falling_factorials(-1, self.order)])
+        return self._chain([c / _pow(v, r + 1) for r, c in _falling_factorials(-1, self.order)])
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
@@ -306,7 +318,7 @@ class Jet:
         if k < 0 and _any(v == 0.0):
             raise EvaluationDomainError("zero raised to a negative power")
         # the falling factorial vanishes once r > k >= 0
-        return self._chain([c * v ** (k - r) if c else 0.0 for r, c in _falling_factorials(k, self.order)])
+        return self._chain([c * _pow(v, k - r) if c else 0.0 for r, c in _falling_factorials(k, self.order)])
 
     # -- elementary functions -------------------------------------------------
 
@@ -319,7 +331,7 @@ class Jet:
         if _any(v <= 0.0):
             raise EvaluationDomainError("log of a non-positive value")
         # d^r log v = (d^(r-1) of v^-1) = (-1)_(r-1) / v^r
-        return self._chain([np.log(v)] + [c / v ** (r + 1) for r, c in _falling_factorials(-1, self.order - 1)])
+        return self._chain([np.log(v)] + [c / _pow(v, r + 1) for r, c in _falling_factorials(-1, self.order - 1)])
 
     def sin(self):
         v = self.layers[0]
@@ -339,7 +351,7 @@ class Jet:
             raise EvaluationDomainError("sqrt of a negative value")
         rt = np.sqrt(v)
         # d^r v^(1/2) = (1/2)_r v^(1/2 - r) = (1/2)_r / rt^(2r - 1)
-        return self._chain([rt] + [c / rt ** (2 * r - 1) for r, c in _falling_factorials(0.5, self.order) if r])
+        return self._chain([rt] + [c / _pow(rt, 2 * r - 1) for r, c in _falling_factorials(0.5, self.order) if r])
 
 
 # -- contractions, solves and composition on the layers ----------------------------

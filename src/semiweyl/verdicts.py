@@ -2,7 +2,10 @@
 
 A check makes one pass over its points: :func:`run_laws` evaluates all the
 check's laws at a point before the next, so they share the jets each field
-keeps for the most recent point, then reduces each law to its verdict."""
+keeps for the most recent point, then reduces each law to its verdict.
+During the pass it holds its points as the sample set of
+:func:`~semiweyl.fields.sample_set`, so each expression field evaluates on
+all of them at once."""
 
 from __future__ import annotations
 
@@ -10,7 +13,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .fields import DegeneratePointError
+from .fields import DegeneratePointError, sample_set
 from .jets import EvaluationDomainError
 from .sampling import halton_points
 
@@ -90,7 +93,8 @@ def run_laws(chart, config: RunConfig, laws):
     """
     laws = [law + (None, "")[len(law) - 2:] for law in laws]
     pts = halton_points(chart, config.samples, seed=config.seed)
-    outcomes = [[_evaluate(fn, p) for _, fn, _, _ in laws] for p in pts]
+    with sample_set(pts):
+        outcomes = [[_evaluate(fn, p) for _, fn, _, _ in laws] for p in pts]
     return [
         _reduce(name, pts, [row[i] for row in outcomes], config, config.tol if tol is None else tol, detail)
         for i, (name, _, tol, detail) in enumerate(laws)

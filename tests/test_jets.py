@@ -169,6 +169,13 @@ class TestDenseJet:
         assert scalar.shape == () and isinstance(scalar.value, float)
         assert np.array_equal(scalar.third, J.layers[3][1, 2])
 
+    def test_a_batch_of_coordinates_has_its_unit_derivative_on_the_last_axis(self):
+        # indexing the first axis made point 1's whole gradient one
+        values = np.array([0.1, 0.2, 0.3])
+        J = Jet.coordinate(values, 1, 2, 2)
+        assert J.shape == (3,) and np.array_equal(J.value, values)
+        assert np.array_equal(J.grad, [[0.0, 1.0]] * 3) and not J.hess.any()
+
     def test_transpose_reshape_and_iteration(self):
         J = random_jets(np.random.default_rng(2), (2, 3, 4), 2)
         for r, L in enumerate(J.transpose(2, 0, 1).layers):

@@ -1,11 +1,13 @@
 """Each derived object of a spec is built once and kept by its owner
 (``fields.kept``): running a spec again builds nothing new, the fields a
 run builds do not depend on the sample count, a predicate verdict is
-computed once per structure and config, and a transform of the same two
-fields is one key."""
+computed once per structure and config, a transform of the same two
+fields is one key, and an expression field evaluates once per sample set."""
 
+from collections import Counter
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from conftest import swmt_structure
@@ -162,3 +164,41 @@ class TestTransformKeys:
             check_curvature_transform(s, TransformData(phi, psi), config)
             counts.append(len(s._kept))
         assert counts == [counts[0]] * 3
+
+
+def expression_evaluations(monkeypatch, name, samples):
+    """``(per point, per sample set)`` expression evaluations of one fresh
+    ``run_spec`` of a fixture."""
+    spec = load_spec(FIXTURES / name)
+    counts = Counter()
+    evaluate = fields.eval_jets
+
+    def counting(exprs, points, order):
+        counts[np.ndim(points)] += 1
+        return evaluate(exprs, points, order)
+
+    monkeypatch.setattr(fields, "eval_jets", counting)
+    run_spec(spec, spec.config.with_(samples=samples))
+    monkeypatch.undo()
+    return counts[1], counts[2]
+
+
+class TestOneBatchPerSampleSet:
+    @pytest.mark.parametrize(
+        "names,batches",
+        [
+            # evaluated point by point: 21,900 and 8,250 at the specs' own samples
+            (["swmt_eta_shift", "smt_conformal_gradient", "conformally_flat", "conformal_projective_suite",
+              "negative_controls"], 120),
+            (["centroaffine_sphere"], 48),
+        ],
+        ids=["intrinsic", "affine"],
+    )
+    def test_expressions_evaluate_once_per_field_and_pass(self, monkeypatch, names, batches):
+        total = 0
+        for name in names:
+            at_60 = expression_evaluations(monkeypatch, f"{name}.spec", 60)
+            assert at_60 == expression_evaluations(monkeypatch, f"{name}.spec", 120)
+            assert at_60[0] == 0
+            total += at_60[1]
+        assert total == batches
