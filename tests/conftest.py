@@ -1,6 +1,9 @@
-"""Shared fixture builders for the test suite."""
+"""Shared fixture builders for the test suite, and one hypothesis profile:
+every run draws the same examples and saves none, so a failure found once
+does not replay into later runs."""
 
 import pytest
+from hypothesis import settings
 
 from semiweyl.conformal import TransformData
 from semiweyl.fields import (
@@ -16,6 +19,9 @@ from semiweyl.jets import partials
 from semiweyl.structures import Structure
 from semiweyl.tensor import gradient, levi_civita
 from semiweyl.verdicts import RunConfig
+
+settings.register_profile("deterministic", derandomize=True, database=None)
+settings.load_profile("deterministic")
 
 
 def plane_chart(lo=0.3, hi=1.2):

@@ -97,6 +97,7 @@ class TestFiniteDifferenceOracle:
     @settings(max_examples=100, deadline=None)
     @given(_expr_strategy(), st.floats(0.3, 1.1), st.floats(0.3, 1.1))
     @example("exp(exp(exp(2)))", 1.0, 1.0)
+    @example("sin(exp(exp(x)))", 1.1, 1.1)  # one central difference: off by 1.0e-7
     def test_symbolic_matches_central_difference(self, text, x, y):
         e = parse2(text)
         p = np.array([x, y])
@@ -112,7 +113,9 @@ class TestFiniteDifferenceOracle:
         for a in range(2):
             exact = grad[a]
             scale = 1.0 + abs(exact)
-            approx = finite_difference(e, p, a, 1e-5)
+            # Richardson extrapolation cancels the h^2 term of the truncation
+            # error, which alone exceeds the bound on steep draws
+            approx = (4.0 * finite_difference(e, p, a, 0.5e-5) - finite_difference(e, p, a, 1e-5)) / 3.0
             assert abs(exact - approx) / scale < 1e-7
 
     @pytest.mark.parametrize("order", [0, 1, 2])
