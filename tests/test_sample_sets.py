@@ -110,8 +110,9 @@ class TestDomain:
             lambda chart: MetricField.from_diagonal(chart, ["1", "1 + sqrt(x)"]),
             lambda chart: ScalarField.from_expression(chart, "exp(exp(exp(3*x)))"),
             lambda chart: ScalarField.from_expression(chart, "y/exp(exp(exp(3*x)))"),
+            lambda chart: ScalarField.from_expression(chart, "exp(3*x)^300"),
         ],
-        ids=["sqrt", "sqrt_metric", "overflow", "reciprocal_of_overflow"],
+        ids=["sqrt", "sqrt_metric", "overflow", "reciprocal_of_overflow", "power_overflow"],
     )
     def test_each_point_raises_as_alone(self, make):
         chart = Chart(("x", "y"), (-1.0, -1.0), (1.0, 1.0))
