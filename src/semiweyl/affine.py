@@ -55,8 +55,8 @@ class AffineDistribution:
     def __init__(self, chart: Chart, omega_fn, xi_fn):
         self.chart = chart
         # (p, order) -> (n+1, n) and (n+1,) jets; the expression-backed ones
-        # read fields, which keep their jets at the most recent point, so a
-        # distribution and its rescalings share one evaluation of omega
+        # read fields, which keep their jets, so a distribution and its
+        # rescalings share one evaluation of omega
         self.omega_fn = omega_fn
         self.xi_fn = xi_fn
         self._solved = _Field(chart, self._solve)
@@ -90,8 +90,8 @@ class AffineDistribution:
         ``d_i(omega e_j) = omega(gamma^._ij) + g_ij xi`` and
         ``d_i xi = -omega(B e_i) + eta_i xi``.
 
-        The solves at the most recent point are kept, one per order, so the
-        metric, one-form, connection and shape operator of
+        The solves are kept like any field's results, per point and order,
+        so the metric, one-form, connection and shape operator of
         :func:`realized_structure` share them; the arrays are read-only."""
         return self._solved.jet(p, order)
 

@@ -89,8 +89,8 @@ def _conformal_data(psi: ScalarField) -> TransformData:
 
 # -- pointwise data shared by the laws of a check -----------------------------
 #
-# The laws of one check are evaluated together at each point (run_laws), so
-# one _PointData, kept for the most recent point, serves all of them.
+# One _PointData per structure, transform and sample point, kept like any
+# field's results, serves all the laws of every check that reads it.
 
 
 @kept

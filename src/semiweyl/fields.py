@@ -12,15 +12,20 @@ without symbolic matrix algebra.  Derived fields combine jets with
 :func:`~semiweyl.jets.partials` (coordinate derivatives) and jet
 arithmetic (``G + K``, ``-K``, ``G * f``).
 
-Three rules share work.  Each field keeps its results at the most recent
-point, one per order, so the laws asking a field for one point build its
-chain once; they are shared, hence read-only, and a field's ``fn`` may
-depend on nothing but ``(p, order)``.  An owner keeps what is derived
-from it (:func:`kept`), so each derived structure, frame and predicate
-verdict of a spec is one Python object, built once.  And an expression
-field asked at a point of the sample set of a running pass
-(:func:`sample_set`) evaluates on the whole set at once; the set keeps
-that batch for the pass, at the highest order asked.
+Three rules share work.  A field's results are shared, hence read-only,
+and a field's ``fn`` may depend on nothing but ``(p, order)``.  At a point
+of the running pass's sample set (:func:`sample_set`) they are kept by the
+result store of the run (:func:`result_store`, which ``report.run_spec``
+opens for one spec and frees when it returns) per (field, set, order), as
+one ``(P, ...)`` array per leaf of the result plus a filled-row mask, so
+every later pass over the same points reads rows instead of rebuilding the
+chain; an expression field fills all rows at once with one evaluation on
+the whole set, and an embedding adds the images of the set's points to the
+pass (:func:`join_images`), so ambient fields evaluate on those at once
+too.  Elsewhere a field keeps its results at the most recent point, one
+per order.  An owner keeps what is derived from it (:func:`kept`), so each
+derived structure, frame and predicate verdict of a spec is one Python
+object, built once, and so one key of the store.
 """
 
 from __future__ import annotations
@@ -32,14 +37,16 @@ from functools import wraps
 
 import numpy as np
 
-from .expressions import Expression, Num, _checked, eval_jets, parse_expression
+from .expressions import Expression, Num, eval_jets, parse_expression
 from .jets import EvaluationDomainError, Jet, jet_einsum, partials
 
 __all__ = [
     "Chart",
     "DegeneratePointError",
     "kept",
+    "result_store",
     "sample_set",
+    "join_images",
     "ScalarField",
     "OneFormField",
     "VectorField",
@@ -116,23 +123,27 @@ class _Field:
         self.expressions = expressions  # AST grid when expression-backed
 
     def jet(self, p, order):
-        """The jet of order ``order`` at ``p``.  The results at the most
-        recent point (by its float bytes) are kept per order and shared by
-        every caller, so the layers of a jet, an array, or a tuple or dict
-        of them are read-only.  Nothing is kept when ``fn`` raises."""
+        """The jet of order ``order`` at ``p``, shared by every caller, so
+        the layers of a jet, an array, or a tuple or dict of them are
+        read-only.  At a point of the running pass's sample set it is the
+        point's row of the result store (:func:`result_store`); elsewhere
+        the results at the most recent point (by its float bytes) are kept
+        per order.  Nothing is kept when ``fn`` raises."""
         p = np.asarray(p, dtype=float)
         key = p.tobytes()
+        running = _samples.get()
+        at = running and running[1].get(key)
+        if at:
+            return at[0].result(self, at[1], p, order)
         if key != self._point:
             self._point, self._by_order = key, {}
         by_order = self._by_order
         out = by_order.get(order)
         if out is None:
             out = self._fn(p, order)
-            items = out.values() if isinstance(out, dict) else out if isinstance(out, tuple) else (out,)
-            for a in items:
-                for L in a.layers if isinstance(a, Jet) else (a,):
-                    if isinstance(L, np.ndarray):
-                        L.flags.writeable = False
+            for L in _leaves(out):
+                if isinstance(L, np.ndarray):
+                    L.flags.writeable = False
             by_order[order] = out
         return out
 
@@ -148,59 +159,177 @@ def _expr_of(item, chart):
     return Num(float(item))
 
 
-# the running pass's points, {point bytes: row} and batches (per thread)
+# -- the result store -----------------------------------------------------------
+
+
+def _leaves(out):
+    """The leaves of a result of a field's ``fn``: the layers of a jet, the
+    leaves of the items of a tuple or dict, or the result itself."""
+    if isinstance(out, Jet):
+        return out.layers
+    if isinstance(out, (tuple, dict)):
+        return [L for item in (out.values() if isinstance(out, dict) else out) for L in _leaves(item)]
+    return [out]
+
+
+def _reader(out, columns):
+    """``row -> result``: a result shaped like ``out`` whose leaves are the
+    rows ``row`` of ``columns`` (an iterator, taken in the order of
+    :func:`_leaves`)."""
+    if isinstance(out, Jet):
+        n, cs = out.n, [next(columns) for _ in out.layers]
+        return lambda row: Jet(n, [c[row] for c in cs])
+    if isinstance(out, tuple):
+        parts = [_reader(item, columns) for item in out]
+        return lambda row: tuple(f(row) for f in parts)
+    if isinstance(out, dict):
+        parts = [(k, _reader(item, columns)) for k, item in out.items()]
+        return lambda row: {k: f(row) for k, f in parts}
+    return next(columns).__getitem__
+
+
+def _read_only(column):
+    if isinstance(column, list):
+        return column
+    view = column.view()
+    view.flags.writeable = False
+    return view
+
+
+class _Entry:
+    """One field's results at one order on a point set of ``size`` points:
+    one ``(size, ...)`` array per leaf of the result that is an array or a
+    float, one list per other leaf (such as a point-data object), and which
+    rows are filled.  A row is read as read-only views."""
+
+    def __init__(self, size):
+        self.filled = [False] * size
+        self.columns = None
+        self.read = None
+
+    def fill(self, jet):
+        """Keep the rows of ``jet``, evaluated on the whole set at once, but
+        those that are not finite."""
+        for L in jet.layers:
+            L.flags.writeable = False
+        finite = [np.isfinite(L).reshape(len(L), -1).all(axis=1) for L in jet.layers]
+        self.filled = np.logical_and.reduce(finite).tolist()
+        self.columns = jet.layers
+        self.read = _reader(jet, iter(jet.layers))
+
+    def put(self, row, out):
+        leaves = _leaves(out)
+        if self.columns is None:
+            size = len(self.filled)
+            self.columns = [
+                np.empty((size,) + np.shape(L), dtype=np.result_type(L))
+                if isinstance(L, (np.ndarray, float)) else [None] * size
+                for L in leaves
+            ]
+            self.read = _reader(out, map(_read_only, self.columns))
+        for column, L in zip(self.columns, leaves, strict=True):
+            column[row] = L
+        self.filled[row] = True
+
+
+class _Set:
+    """A point set ``pts`` and, per (field, order), the :class:`_Entry` of
+    the field's results on it."""
+
+    def __init__(self, pts):
+        self.pts = pts
+        self.rows = {p.tobytes(): row for row, p in enumerate(pts)}
+        self.entries = {}
+
+    def result(self, field, row, p, order):
+        """``field``'s result at order ``order`` at the point ``p``, which is
+        row ``row`` of the set: an expression field evaluates on the whole
+        set at once, unless a domain check fails on it; a point where
+        ``fn`` raises keeps nothing, so it raises again as alone."""
+        entry = self.entries.get((field, order))
+        if entry is None:
+            entry = self.entries[field, order] = _Entry(len(self.pts))
+            if field.expressions is not None:
+                try:
+                    entry.fill(field._fn(self.pts, order))
+                except EvaluationDomainError:
+                    pass
+        if not entry.filled[row]:
+            entry.put(row, field._fn(p, order))
+        return entry.read(row)
+
+
+class _Store:
+    """The results of one run: a :class:`_Set` per point set, by its bytes."""
+
+    def __init__(self):
+        self.sets = {}
+
+    def set_of(self, pts):
+        key = (pts.shape, pts.tobytes())
+        s = self.sets.get(key)
+        if s is None:
+            s = self.sets[key] = _Set(pts)
+        return s
+
+
+# the running run's store, and the running pass's points and {point bytes:
+# (set, row)} (per thread)
+_store = ContextVar("store", default=None)
 _samples = ContextVar("samples", default=None)
+
+
+@contextmanager
+def result_store():
+    """Keep, until the block ends or raises, each field's results on every
+    sample set a pass holds in it (:func:`sample_set`), per (field, set,
+    order): a later pass of any check over the same points reads them."""
+    token = _store.set(_Store())
+    try:
+        yield
+    finally:
+        _store.reset(token)
 
 
 @contextmanager
 def sample_set(pts):
     """Hold the points ``pts`` of a pass over them until the pass ends or
-    raises: an expression field asked at one of them evaluates on all of
-    them at once, and the set keeps that batch until then."""
-    token = _samples.set((pts, {p.tobytes(): row for row, p in enumerate(pts)}, {}))
+    raises: a field asked at one of them reads its result from the running
+    :func:`result_store`, or from a store of its own that lasts the pass
+    when none is running."""
+    store = _store.get()
+    if store is None:
+        with result_store(), sample_set(pts):
+            yield
+        return
+    s = store.set_of(pts)
+    token = _samples.set((pts, {key: (s, row) for key, row in s.rows.items()}))
     try:
         yield
     finally:
         _samples.reset(token)
 
 
+def join_images(field, p, order):
+    """When ``p`` is a point of the running pass and the store holds
+    ``field`` at order ``order`` at every point of ``p``'s set, add the
+    values of ``field`` there to the pass as a point set of their own, so a
+    field asked at one of these images evaluates on all of them at once."""
+    running = _samples.get()
+    rows = running and running[1]
+    at = rows and rows.get(p.tobytes())
+    entry = at and at[0].entries.get((field, order))
+    if entry and entry.filled[at[1]] and entry.columns[0][at[1]].tobytes() not in rows and all(entry.filled):
+        s = _store.get().set_of(entry.columns[0])
+        for key, row in s.rows.items():
+            rows.setdefault(key, (s, row))
+
+
 def _components(exprs, shape):
     """``fn(p, order)`` evaluating the flat list ``exprs`` into a jet of
-    tensor shape ``shape``: at a point of the sample set, the point's row
-    of the set's batch, truncated to ``order``."""
-
-    def fn(p, order):
-        samples = _samples.get()
-        row = samples and samples[1].get(p.tobytes())
-        batch = row is not None and _batch(samples, fn, exprs, order, shape)
-        if not batch:
-            return eval_jets(exprs, p, order).reshape(shape)
-        jet, finite = batch
-        out = Jet(jet.n, [L[row] for L in jet.layers[: order + 1]])
-        return out if finite else _checked(out)
-
-    return fn
-
-
-def _batch(samples, key, exprs, order, shape):
-    """``(jet, finite)``: the read-only jet of ``exprs`` on the sample set
-    ``samples``, kept by it under ``key`` at the highest order asked, and
-    whether all of it is finite.  False when a domain check fails on the
-    set, which is then evaluated point by point, so each point raises as
-    alone."""
-    pts, _, batches = samples
-    batch = batches.get(key)
-    if batch is None or batch and batch[0].order < order:
-        try:
-            jet = eval_jets(exprs, pts, order).reshape((len(pts),) + shape)
-        except EvaluationDomainError:
-            batch = False
-        else:
-            for L in jet.layers:
-                L.flags.writeable = False
-            batch = jet, jet.is_finite()
-        batches[key] = batch
-    return batch
+    tensor shape ``shape`` at a point ``p``, or with a leading axis over a
+    point set ``p``."""
+    return lambda p, order: eval_jets(exprs, p, order).reshape(p.shape[:-1] + shape)
 
 
 class ScalarField(_Field):

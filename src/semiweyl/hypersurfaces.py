@@ -25,6 +25,7 @@ from .fields import (
     OneFormField,
     VectorField,
     _Field,
+    join_images,
     kept,
 )
 from .jets import jet_compose, jet_cross, jet_einsum, jet_solve, partials
@@ -67,7 +68,7 @@ class EmbeddingMap:
     domain, and the pullback of an ambient field is a field on the domain.
     The map keeps one pullback per ambient field (and one induced metric
     per ambient metric, see :func:`~semiweyl.fields.kept`), so every frame
-    and check on the map shares its jets at the most recent point."""
+    and check on the map shares its jets."""
 
     def __init__(self, domain: Chart, ambient: Chart, components):
         if len(components) != ambient.dim:
@@ -82,11 +83,15 @@ class EmbeddingMap:
 
     def jet(self, p, order):
         """Jets of the ambient coordinates at ``p`` (shared and read-only,
-        like any field's)."""
-        return self.coords.jet(p, order)
+        like any field's).  At a point of a running pass, the images of the
+        pass's points join it, so ambient fields evaluate on all of them at
+        once (:func:`~semiweyl.fields.join_images`)."""
+        F = self.coords.jet(p, order)
+        join_images(self.coords, p, order)
+        return F
 
     def value(self, p):
-        return self.coords.value(p)
+        return self.jet(p, 0).value
 
     @kept
     def compose(self, field):

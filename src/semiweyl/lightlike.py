@@ -141,7 +141,7 @@ class LightlikeFrame:
         matrix of the screen fields, the screen connection coefficients,
         the forms ``alpha`` and ``beta``, the screen brackets, and the
         transversal, radical and screen fields they came from.  The result
-        at the most recent point is kept per order, and its jets are
+        is kept like any field's, per point and order, and its jets are
         read-only."""
         return self._screen_data.jet(p, order)
 

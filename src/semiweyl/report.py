@@ -6,6 +6,7 @@ import json
 import time
 from dataclasses import dataclass, field
 
+from .fields import result_store
 from .registry import REGISTRY, run_check
 
 __all__ = ["CheckResult", "CheckReport", "run_spec", "emit_report"]
@@ -82,14 +83,18 @@ def _outcome(verdicts):
 
 
 def run_spec(spec, config=None):
-    """Run every check listed in the spec; failures become report entries."""
+    """Run every check listed in the spec; failures become report entries.
+    The checks share one result store (:func:`~semiweyl.fields.result_store`),
+    which is freed when the run returns."""
     config = config or spec.config
     t0 = time.perf_counter()
     results = []
-    for name, expectation in spec.checks:
-        verdicts = run_check(name, spec, config)
-        outcome = _outcome(verdicts)
-        results.append(CheckResult(name, REGISTRY[name].anchor, expectation, outcome, outcome == expectation, verdicts))
+    with result_store():
+        for name, expectation in spec.checks:
+            verdicts = run_check(name, spec, config)
+            outcome = _outcome(verdicts)
+            anchor = REGISTRY[name].anchor
+            results.append(CheckResult(name, anchor, expectation, outcome, outcome == expectation, verdicts))
     return CheckReport(
         spec_path=spec.path,
         samples=config.samples,

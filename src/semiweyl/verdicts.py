@@ -1,11 +1,11 @@
 """Residual checks over sampled chart points and their verdicts.
 
 A check makes one pass over its points: :func:`run_laws` evaluates all the
-check's laws at a point before the next, so they share the jets each field
-keeps for the most recent point, then reduces each law to its verdict.
-During the pass it holds its points as the sample set of
-:func:`~semiweyl.fields.sample_set`, so each expression field evaluates on
-all of them at once."""
+check's laws at a point before the next, then reduces each law to its
+verdict.  During the pass it holds its points as the sample set of
+:func:`~semiweyl.fields.sample_set`, so the laws, and every later pass over
+the same points in the same result store, read each field's results there
+(:func:`~semiweyl.fields.result_store`)."""
 
 from __future__ import annotations
 

@@ -233,9 +233,11 @@ class TestChangeLawArrays:
 
 class TestPointData:
     def test_each_check_builds_the_point_data_once_per_point(self, monkeypatch):
-        # cp_curvature_laws, cp_ricci_antisymmetry (two laws) and
-        # conformal_corollaries (three laws and the cyclic identity) build one
-        # _PointData per point each; cp_codazzi_scaling builds none
+        # cp_curvature_laws and cp_ricci_antisymmetry (two laws) read one
+        # _PointData per point of the spec's transform from the run's result
+        # store, conformal_corollaries (three laws and the cyclic identity)
+        # one of its phi = 0 transform; cp_codazzi_scaling builds none.  With
+        # one per check: 3 x 150
         spec = load_spec(Path(__file__).resolve().parents[1] / "fixtures" / "conformal_projective_suite.spec")
         builds = []
         init = conformal._PointData.__init__
@@ -247,7 +249,7 @@ class TestPointData:
         monkeypatch.setattr(conformal._PointData, "__init__", counted)
         run_spec(spec)
         assert spec.config.samples == 150
-        assert len(builds) == 3 * 150 and len(set(builds)) == 150
+        assert len(builds) == 2 * 150 and len(set(builds)) == 150
 
     def test_torsion_invariance_builds_no_point_data(self, monkeypatch):
         # cp_torsion_term_symmetry reads the coefficient tensor that

@@ -2,7 +2,8 @@
 (``fields.kept``): running a spec again builds nothing new, the fields a
 run builds do not depend on the sample count, a predicate verdict is
 computed once per structure and config, a transform of the same two
-fields is one key, and an expression field evaluates once per sample set."""
+fields is one key, and an expression field evaluates once per sample set
+and order in a run."""
 
 from collections import Counter
 from pathlib import Path
@@ -183,22 +184,29 @@ def expression_evaluations(monkeypatch, name, samples):
     return counts[1], counts[2]
 
 
+EMBEDDED = ["sphere_hypersurface", "flat_dual_sphere", "minkowski_null_hyperplane"]
+
+
 class TestOneBatchPerSampleSet:
     @pytest.mark.parametrize(
-        "names,batches",
+        "names,per_point,batches",
         [
-            # evaluated point by point: 21,900 and 8,250 at the specs' own samples
+            # evaluated point by point: 21,900 and 8,250 at the specs' own
+            # samples; with one batch per field and pass: 120 and 48
             (["swmt_eta_shift", "smt_conformal_gradient", "conformally_flat", "conformal_projective_suite",
-              "negative_controls"], 120),
-            (["centroaffine_sphere"], 48),
+              "negative_controls"], 0, 42),
+            (["centroaffine_sphere"], 0, 9),
+            # the ambient fields at the images F(pts) join the set; the 13
+            # points left are the chart centres of the frames' pins (10,227
+            # per point and 38 batches with the images evaluated point by point)
+            (EMBEDDED, 13, 42),
         ],
-        ids=["intrinsic", "affine"],
+        ids=["intrinsic", "affine", "embedded"],
     )
-    def test_expressions_evaluate_once_per_field_and_pass(self, monkeypatch, names, batches):
-        total = 0
+    def test_expressions_evaluate_once_per_field_and_pass(self, monkeypatch, names, per_point, batches):
+        total = [0, 0]
         for name in names:
             at_60 = expression_evaluations(monkeypatch, f"{name}.spec", 60)
             assert at_60 == expression_evaluations(monkeypatch, f"{name}.spec", 120)
-            assert at_60[0] == 0
-            total += at_60[1]
-        assert total == batches
+            total = [a + b for a, b in zip(total, at_60)]
+        assert total == [per_point, batches]

@@ -1,0 +1,267 @@
+"""One result store per spec run: a field asked at a point of a running
+pass's sample set keeps its result per (field, set, order) as compact
+per-set arrays, so a later pass of any check over the same points reads
+rows instead of rebuilding the chain; the images of an embedding join the
+set; a point where the field raises keeps nothing; and the store dies with
+its run."""
+
+import gc
+import json
+import weakref
+from collections import defaultdict
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from conftest import plane_chart, swmt_structure
+from semiweyl import fields, hypersurfaces, lightlike, report, verdicts
+from semiweyl.fields import _Field, result_store, sample_set
+from semiweyl.jets import EvaluationDomainError, Jet
+from semiweyl.report import run_spec
+from semiweyl.sampling import halton_points
+from semiweyl.specfile import load_spec
+from semiweyl.structures import semi_dual_connection
+
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
+
+
+def counted_fn(field):
+    """Wrap ``field``'s own function; returns the list of its calls."""
+    calls = []
+    fn = field._fn
+
+    def counted(p, order):
+        calls.append(order)
+        return fn(p, order)
+
+    field._fn = counted
+    return calls
+
+
+class TestRows:
+    def test_a_held_row_is_read_only_and_read_again_without_fn(self, monkeypatch):
+        s = swmt_structure()
+        field = semi_dual_connection(s.g, s.eta, s.conn)
+        calls = counted_fn(field)
+        pts = halton_points(s.chart, 8)
+        with result_store():
+            with sample_set(pts):
+                held = field.jet(pts[3], 2)
+            assert calls == [2]
+            walks = []
+            leaves = fields._leaves
+            monkeypatch.setattr(fields, "_leaves", lambda out: walks.append(1) or leaves(out))
+            with sample_set(pts.copy()):  # another pass over the same points
+                again = field.jet(pts[3], 2)
+        # no fn call, no freeze walk and no one-point memory for a stored row
+        assert calls == [2] and walks == [] and field._point is None
+        for J in (held, again):
+            assert not any(L.flags.writeable for L in J.layers)
+        assert [L.tobytes() for L in again.layers] == [L.tobytes() for L in held.layers]
+        alone = semi_dual_connection(s.g, s.eta, s.conn).jet(pts[3], 2)
+        assert [L.tobytes() for L in held.layers] == [np.asarray(L).tobytes() for L in alone.layers]
+
+    def test_without_a_store_a_set_lasts_one_pass(self):
+        s = swmt_structure()
+        field = semi_dual_connection(s.g, s.eta, s.conn)
+        calls = counted_fn(field)
+        pts = halton_points(s.chart, 6)
+        for _ in range(2):
+            with sample_set(pts):
+                for p in pts:
+                    field.jet(p, 1)
+        assert calls == [1] * 12
+        assert fields._store.get() is None
+
+    def test_every_kind_of_leaf_reads_back(self):
+        marker = object()
+
+        def fn(p, order):
+            j = Jet.constant(np.outer(p, p), 2, order)
+            return {"jet": j, "float": float(p[0]), "array": p * 2.0, "pair": (j, order), "object": marker}
+
+        field = _Field(plane_chart(), fn)
+        pts = halton_points(plane_chart(), 5)
+        with result_store():
+            with sample_set(pts):
+                first = [field.jet(p, 1) for p in pts]
+            with sample_set(pts):
+                second = [field.jet(p, 1) for p in pts]
+        for p, a, b in zip(pts, first, second):
+            want = fn(p, 1)
+            for got in (a, b):
+                assert got["float"] == want["float"] and isinstance(got["float"], float)
+                assert got["object"] is marker and got["pair"][1] == 1
+                arrays = [got["array"], *got["jet"].layers, *got["pair"][0].layers]
+                wanted = [want["array"], *want["jet"].layers, *want["pair"][0].layers]
+                assert [np.asarray(x).tobytes() for x in arrays] == [np.asarray(x).tobytes() for x in wanted]
+                assert not any(x.flags.writeable for x in arrays if isinstance(x, np.ndarray))
+
+    def test_a_point_that_raises_keeps_nothing(self):
+        chart = plane_chart(-1.0, 1.0)
+        f = fields.ScalarField.from_expression(chart, "1 + sqrt(x)")
+        g = _Field(chart, lambda p, order: f.jet(p, order) * 2.0)
+        calls = counted_fn(g)
+        pts = halton_points(chart, 12)
+        bad = [row for row, p in enumerate(pts) if p[0] <= 0]  # order 1 fails at x = 0 too
+        assert bad and len(bad) < len(pts)
+        with result_store():
+            for _ in range(2):
+                with sample_set(pts):
+                    for row, p in enumerate(pts):
+                        if row in bad:
+                            with pytest.raises(EvaluationDomainError, match="sqrt"):
+                                g.jet(p, 1)
+                        else:
+                            g.jet(p, 1)
+            (s,) = fields._store.get().sets.values()
+            entry = s.entries[g, 1]
+            assert [not kept for kept in entry.filled] == [row in bad for row in range(len(pts))]
+        # the good points once, the bad points once per pass
+        assert len(calls) == len(pts) + len(bad)
+
+
+def count_per_point(monkeypatch, path, samples=None, runs=1):
+    """``[(at sample points, elsewhere)]`` for ``_build_screen_data`` and
+    for ``jet_compose`` in ``EmbeddingMap.compose``, one entry per
+    ``run_spec`` of one loaded spec."""
+    spec = load_spec(path)
+    config = spec.config if samples is None else spec.config.with_(samples=samples)
+    emb = spec.embedding or spec.lightlike_embedding
+    seen = {"screen": [], "compose": []}
+    build = lightlike.LightlikeFrame._build_screen_data
+    compose = hypersurfaces.jet_compose
+
+    def counted_build(frame, p, order):
+        seen["screen"].append(p.tobytes())
+        return build(frame, p, order)
+
+    def counted_compose(f, F):
+        seen["compose"].append(F.value.tobytes())
+        return compose(f, F)
+
+    monkeypatch.setattr(lightlike.LightlikeFrame, "_build_screen_data", counted_build)
+    monkeypatch.setattr(hypersurfaces, "jet_compose", counted_compose)
+    counts = []
+    for _ in range(runs):
+        for calls in seen.values():
+            calls.clear()
+        run_spec(spec, config)
+        pts = halton_points(emb.domain, config.samples, config.seed)
+        at = {"screen": {p.tobytes() for p in pts}, "compose": {emb.value(p).tobytes() for p in pts}}
+        counts.append({k: (sum(b in at[k] for b in calls), sum(b not in at[k] for b in calls))
+                       for k, calls in seen.items()})
+    monkeypatch.undo()
+    return counts
+
+
+class TestOneBuildPerPoint:
+    """With the store, each derived field is built once per sample point and
+    order in a run, however many checks read it."""
+
+    @pytest.mark.parametrize(
+        "name,screen,compose",
+        [
+            # parent: 1,500 screen-data builds and 3,155 compositions
+            ("minkowski_null_hyperplane", 600, 1202),
+            # parent: 5,102 compositions
+            ("sphere_hypersurface", 0, 1952),
+        ],
+    )
+    def test_a_fresh_run(self, monkeypatch, name, screen, compose):
+        (counts,) = count_per_point(monkeypatch, FIXTURES / f"{name}.spec")
+        assert sum(counts["screen"]) == screen and sum(counts["compose"]) == compose
+        # the rest are the pins of the frames at the chart centre
+        assert counts["screen"][1] == 0 and counts["compose"][1] == 2
+
+    @pytest.mark.parametrize(
+        "name,screen,compose", [("minkowski_null_hyperplane", 4, 8), ("sphere_hypersurface", 0, 13)]
+    )
+    def test_the_same_per_sample_point_at_60_and_120_samples(self, monkeypatch, name, screen, compose):
+        for samples in (60, 120):
+            (counts,) = count_per_point(monkeypatch, FIXTURES / f"{name}.spec", samples)
+            assert counts == {"screen": (screen * samples, 0), "compose": (compose * samples, 2)}
+
+    def test_a_second_run_rebuilds_every_point(self, monkeypatch):
+        # the store does not outlive a run; the pins are kept by the frames
+        first, second = count_per_point(monkeypatch, FIXTURES / "minkowski_null_hyperplane.spec", 60, runs=2)
+        assert first["screen"] == second["screen"] == (240, 0)
+        assert first["compose"] == (480, 2) and second["compose"] == (480, 0)
+
+
+class TestRelease:
+    @pytest.mark.parametrize("name", ["minkowski_null_hyperplane", "conformal_projective_suite"])
+    def test_the_store_dies_when_its_run_returns(self, monkeypatch, name):
+        spec = load_spec(FIXTURES / f"{name}.spec")
+        refs = []
+        put = fields._Entry.put
+
+        def recording(entry, row, out):
+            put(entry, row, out)
+            if not refs:
+                refs.append(weakref.ref(fields._store.get()))
+                refs.extend(weakref.ref(c) for c in entry.columns if isinstance(c, np.ndarray))
+
+        monkeypatch.setattr(fields._Entry, "put", recording)
+        gc.disable()  # only reference counting may free the store
+        try:
+            run_spec(spec, spec.config.with_(samples=30, min_valid_points=10))
+            assert len(refs) > 1 and all(ref() is None for ref in refs)
+        finally:
+            gc.enable()
+        assert fields._store.get() is None and fields._samples.get() is None
+
+
+class TestSkipPath:
+    def test_each_point_outside_the_domain_raises_alike_in_every_check(self, monkeypatch):
+        # domain_edge.spec: g_2_2 = 1 + sqrt(x) on a box that crosses x = 0
+        spec = load_spec(ROOT / "perfbench" / "specs" / "domain_edge.spec")
+        raised = defaultdict(set)  # point -> {(type, message)}
+        checks = defaultdict(set)  # point -> checks in which it raised
+        current = []
+        evaluate = verdicts._evaluate
+
+        def recording(residual_fn, p):
+            def fn(q):
+                try:
+                    return residual_fn(q)
+                except Exception as exc:
+                    raised[q.tobytes()].add((type(exc), str(exc)))
+                    checks[q.tobytes()].add(current[-1])
+                    raise
+
+            return evaluate(fn, p)
+
+        run_check = report.run_check
+        kept_outside = []
+
+        def checked(name, spec, config):
+            current.append(name)
+            out = run_check(name, spec, config)
+            # a row kept at a point outside the domain is one its field
+            # computes there alone
+            for s in fields._store.get().sets.values():
+                for (field, order), entry in s.entries.items():
+                    for row, p in enumerate(s.pts):
+                        if p[0] <= 0 and entry.filled[row]:
+                            field._fn(p, order)
+                            kept_outside.append(field)
+            return out
+
+        monkeypatch.setattr(verdicts, "_evaluate", recording)
+        monkeypatch.setattr(report, "run_check", checked)
+        result = run_spec(spec)
+        pts = halton_points(spec.chart, spec.config.samples, spec.config.seed)
+        outside = {p.tobytes() for p in pts if p[0] <= 0}
+        assert len(outside) == 50 and set(raised) == outside and kept_outside
+        for p in outside:
+            ((kind, message),) = raised[p]
+            assert kind is EvaluationDomainError and "sqrt" in message
+            assert checks[p] == {name for name, _ in spec.checks}
+
+        reference = json.loads((ROOT / "perfbench" / "reference.json").read_text())["domain_edge"]["checks"]
+        assert {r.name: [[v.points_tested, v.points_skipped] for v in r.verdicts] for r in result.results} == {
+            name: ref["verdicts"] for name, ref in reference.items()
+        }

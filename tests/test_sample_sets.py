@@ -130,7 +130,7 @@ class TestDomain:
         pts = halton_points(chart, 5)
         g = MetricField.from_expressions(chart, [["1 + x*y", "x"], ["x", "exp(y)"]])
         with sample_set(pts):
-            for J in (g._fn(pts[2], 2), g._fn(pts[3], 1), g.jet(pts[1], 2)):
+            for J in (g.jet(pts[2], 2), g.jet(pts[3], 1), g.jet(pts[1], 2)):
                 assert not any(L.flags.writeable for L in J.layers)
 
 
