@@ -77,12 +77,13 @@ class AffineDistribution:
             raise ValueError("omega must be (n+1) x n")
         rows = VectorField.from_expressions(chart, [e for row in omega for e in row])
         xi = _ambient_vector(chart, xi_components, "xi")
-        return cls(chart, lambda p, order: rows.jet(p, order).reshape(n + 1, n), xi.jet)
+        return cls(chart, lambda p, order: rows.jet(p, order).reshape(p.shape[:-1] + (n + 1, n)), xi.jet)
 
     def frame(self, p, order):
         """The (n+1) x (n+1) jet matrix whose columns are the omega images
         of the coordinate vectors followed by xi."""
-        return jet_stack([*self.omega_fn(p, order).T, self.xi_fn(p, order)], axis=1)
+        omega = self.omega_fn(p, order)
+        return jet_stack([*(omega[..., j] for j in range(self.chart.dim)), self.xi_fn(p, order)], axis=-1)
 
     def decompose(self, p, order):
         """Solve the frame equations at a point: returns jets
@@ -101,8 +102,8 @@ class AffineDistribution:
         # d_i of the frame columns as [l, i, j]: omega e_j for j < n, xi for
         # j = n; one solve for both
         sol = jet_solve(A, partials(A).transpose(0, 2, 1))
-        conn_part, xi_part = sol[:, :, :n], sol[:, :, n]
-        return conn_part[:n], conn_part[n], -xi_part[:n], xi_part[n]
+        conn_part, xi_part = sol[..., :n], sol[..., n]
+        return conn_part[..., :n, :, :], conn_part[..., n, :, :], -xi_part[..., :n, :], xi_part[..., n, :]
 
 
 @kept
@@ -240,9 +241,9 @@ def xi_rescaled(dist: AffineDistribution, psi: ScalarField, variant):
     grad_psi = gradient(s.g, psi)
 
     def xi_fn(p, order):
-        om_grad = jet_einsum("ia,a->i", dist.omega_fn(p, order), grad_psi.jet(p, order))
+        om_grad = jet_einsum("...ia,...a->...i", dist.omega_fn(p, order), grad_psi.jet(p, order))
         xi = dist.xi_fn(p, order)
-        e = psi.jet(p, order).exp()
+        e = psi.jet(p, order).exp()[..., None]
         return (om_grad + xi) / e if variant == "inner" else om_grad + xi / e
 
     return AffineDistribution(chart, dist.omega_fn, xi_fn)

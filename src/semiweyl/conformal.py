@@ -89,20 +89,28 @@ def _conformal_data(psi: ScalarField) -> TransformData:
 
 # -- pointwise data shared by the laws of a check -----------------------------
 #
-# One _PointData per structure, transform and sample point, kept like any
+# One _PointData per structure, transform and sample set, kept like any
 # field's results, serves all the laws of every check that reads it.
 
 
 @kept
 def _point_data(s, t):
-    """The field ``p -> _PointData(s, t, p)``."""
-    return _Field(s.chart, lambda p, _order: _PointData(s, t, p))
+    """The field ``p -> vars(_PointData(s, t, p))``, read by :func:`_data`."""
+    return _Field(s.chart, lambda p, _order: vars(_PointData(s, t, p)))
+
+
+def _data(point_data, p):
+    """The :class:`_PointData` of ``point_data`` at ``p``."""
+    d = _PointData.__new__(_PointData)
+    vars(d).update(point_data.jet(p, 0))
+    return d
 
 
 class _PointData:
+    """The values the curvature-change laws read, at a point or, with a
+    leading axis over its points, on a point set."""
+
     def __init__(self, s: Structure, t: TransformData, p):
-        n = s.chart.dim
-        self.n = n
         self.g = s.g.value(p)
         require_nondegenerate(self.g)
         self.ginv = np.linalg.inv(self.g)
@@ -122,17 +130,21 @@ class _PointData:
         self.dphi = phi_j.grad
         self.dpsi = psi_j.grad
         self.hess_phi = phi_j.hess
-        self.grad_phi = self.ginv @ self.dphi
-        self.grad_psi = self.ginv @ self.dpsi
+        self.grad_phi = np.matvec(self.ginv, self.dphi)
+        self.grad_psi = np.matvec(self.ginv, self.dpsi)
         self.dVphi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.phi), p)
         self.dVpsi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.psi), p)
-        self.lap_phi = float(np.einsum("ab,ak,kb->", self.ginv, self.dVphi, self.g))
-        self.lap_psi = float(np.einsum("ab,ak,kb->", self.ginv, self.dVpsi, self.g))
+        self.lap_phi = np.einsum("...ab,...ak,...kb->...", self.ginv, self.dVphi, self.g)
+        self.lap_psi = np.einsum("...ab,...ak,...kb->...", self.ginv, self.dVpsi, self.g)
         # trace of X -> T(X, d_j)
-        self.trT = np.einsum("ab,maj,mb->j", self.ginv, self.T, self.g)
-        self.norm_phi2 = float(self.dphi @ self.grad_phi)
-        self.norm_psi2 = float(self.dpsi @ self.grad_psi)
-        self.g_phi_psi = float(self.dphi @ self.grad_psi)
+        self.trT = np.einsum("...ab,...maj,...mb->...j", self.ginv, self.T, self.g)
+        self.norm_phi2 = np.vecdot(self.dphi, self.grad_phi)
+        self.norm_psi2 = np.vecdot(self.dpsi, self.grad_psi)
+        self.g_phi_psi = np.vecdot(self.dphi, self.grad_psi)
+
+    @property
+    def n(self):
+        return self.g.shape[-1]
 
 
 def check_torsion_invariance(s: Structure, t: TransformData, config: RunConfig):
@@ -290,19 +302,19 @@ def _curvature_laws(st: Structure, point_data, names):
     ``(s, t)``."""
 
     def r_fn(p):
-        d = point_data.jet(p, 0)
+        d = _data(point_data, p)
         lhs = curvature_values(st.conn, p)
         rhs = _rhs_curvature(d)
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def ric_fn(p):
-        d = point_data.jet(p, 0)
+        d = _data(point_data, p)
         lhs = ricci_values(st.conn, st.g, p)
         rhs = _rhs_ricci(d)
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def scal_fn(p):
-        d = point_data.jet(p, 0)
+        d = _data(point_data, p)
         lhs = scalar_curvature(st.conn, st.g, p)
         rhs = _rhs_scal(d)
         return float(abs(lhs - rhs)), 1.0 + abs(lhs) + abs(rhs)
@@ -331,12 +343,12 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
     def full_fn(p):
         lhs = ricci_values(st.conn, st.g, p)
         lhs = lhs - lhs.T
-        rhs = _rhs_ricci(point_data.jet(p, 0))
+        rhs = _rhs_ricci(_data(point_data, p))
         rhs = rhs - rhs.T
         return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def torsion_form_fn(p):
-        d = point_data.jet(p, 0)
+        d = _data(point_data, p)
         lhs = ricci_values(st.conn, st.g, p)
         lhs = lhs - lhs.T
         gT_df = np.einsum("mjk,m->jk", d.T, d.dphi)  # g(T(d_j, d_k), grad phi)
@@ -405,7 +417,7 @@ def check_conformal_corollaries(s: Structure, psi: ScalarField, config: RunConfi
         return float(res), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
 
     def cyclic_fn(p):
-        d = point_data.jet(p, 0)
+        d = _data(point_data, p)
         term = (
             np.einsum("mjk,m->jk", d.T, d.dpsi)
             + np.einsum("mka,a,mj->jk", d.T, d.grad_psi, d.g)
@@ -441,7 +453,7 @@ def check_conformally_flat(s: Structure, psi: ScalarField, config: RunConfig):
         return [gated("conformally_flat_closed_forms", "structure condition fails", config.tol)]
 
     def fn(p):
-        d = point_data.jet(p, 0)
+        d = _data(point_data, p)
         n = d.n
         hpsi = d.dVpsi @ d.g  # g(nabla_{d_j} grad psi, d_k)
         eta_gradpsi = float(d.eta @ d.grad_psi)

@@ -2,7 +2,9 @@
 
 Every field is a function from a chart point to a dense
 :class:`~semiweyl.jets.Jet` of a requested order, whose tensor shape is the
-field's components (``()`` for a scalar field, ``(n, n)`` for a metric).
+field's components (``()`` for a scalar field, ``(n, n)`` for a metric),
+and from a point set ``(P, n)`` to the same with a leading ``P`` axis on
+every leaf of the result, each row bitwise the result at its point alone.
 Expression-backed fields evaluate their component expressions into one
 jet (:func:`~semiweyl.expressions.eval_jets`); derived fields (duals,
 induced connections, transformed structures) are closures over other
@@ -13,27 +15,31 @@ without symbolic matrix algebra.  Derived fields combine jets with
 arithmetic (``G + K``, ``-K``, ``G * f``).
 
 Three rules share work.  A field's results are shared, hence read-only,
-and a field's ``fn`` may depend on nothing but ``(p, order)``.  At a point
-of the running pass's sample set (:func:`sample_set`) they are kept by the
-result store of the run (:func:`result_store`, which ``report.run_spec``
-opens for one spec and frees when it returns) per (field, set, order), as
-one ``(P, ...)`` array per leaf of the result plus a filled-row mask, so
-every later pass over the same points reads rows instead of rebuilding the
-chain; an expression field fills all rows at once with one evaluation on
-the whole set, and an embedding adds the images of the set's points to the
-pass (:func:`join_images`), so ambient fields evaluate on those at once
-too.  Elsewhere a field keeps its results at the most recent point, one
-per order.  An owner keeps what is derived from it (:func:`kept`), so each
+and a field's ``fn`` may depend on nothing but ``(p, order)``.  On the
+points of the running pass's sample set (:func:`sample_set`) they are kept
+by the result store of the run (:func:`result_store`, which
+``report.run_spec`` opens for one spec and frees when it returns) per
+(field, set, order), as one ``(P, ...)`` array per leaf of the result plus
+a filled-row mask.  A miss fills the whole entry with one ``fn`` call on
+the set, in which a derived field asks its operands for the whole set
+too, so each link of a chain is one call per set; a set on which some
+point raises is evaluated point by point instead, and each row that raised
+keeps its exception.  Every later pass over the same points reads rows,
+and an embedding adds the images of the set's points to the pass
+(:func:`join_images`), so ambient fields evaluate on those at once too.
+Elsewhere a field keeps its results at the most recent point, one per
+order.  An owner keeps what is derived from it (:func:`kept`), so each
 derived structure, frame and predicate verdict of a spec is one Python
 object, built once, and so one key of the store.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import wraps
+from typing import NamedTuple
 
 import numpy as np
 
@@ -112,8 +118,10 @@ def kept(build):
 
 
 class _Field:
-    """Base: wraps ``fn(point, order) -> Jet`` (or other per-point data
-    built from jets, such as a frame solve)."""
+    """Base: wraps ``fn(p, order)``, which returns a :class:`Jet` (or other
+    data built from jets, such as a frame solve: a tuple or dict of jets,
+    arrays and floats) at a point ``p`` of shape ``(n,)``, and the same
+    with a leading ``P`` axis on every leaf at a point set ``(P, n)``."""
 
     def __init__(self, chart, fn, expressions=None):
         self.chart = chart
@@ -123,18 +131,27 @@ class _Field:
         self.expressions = expressions  # AST grid when expression-backed
 
     def jet(self, p, order):
-        """The jet of order ``order`` at ``p``, shared by every caller, so
-        the layers of a jet, an array, or a tuple or dict of them are
-        read-only.  At a point of the running pass's sample set it is the
-        point's row of the result store (:func:`result_store`); elsewhere
-        the results at the most recent point (by its float bytes) are kept
-        per order.  Nothing is kept when ``fn`` raises."""
+        """The jet of order ``order`` at the point or point set ``p``,
+        shared by every caller, so the layers of a jet, an array, or a
+        tuple or dict of them are read-only.  At a point of the running
+        pass (:func:`sample_set`) it is the point's row of the result store
+        (:func:`result_store`), and at one of the pass's sets the whole
+        entry; elsewhere the results at the most recent point or set (by
+        its float bytes) are kept per order.  Nothing is kept when ``fn``
+        raises."""
         p = np.asarray(p, dtype=float)
         key = p.tobytes()
         running = _samples.get()
-        at = running and running[1].get(key)
-        if at:
-            return at[0].result(self, at[1], p, order)
+        if running:
+            if p.ndim == 1:
+                at = running.rows.get(key)
+                if at:
+                    return at[0].result(self, at[1], order)
+            else:
+                s = running.sets.get(key)
+                if s:
+                    return s.whole(self, order)
+        key = (p.shape, key)
         if key != self._point:
             self._point, self._by_order = key, {}
         by_order = self._by_order
@@ -161,6 +178,9 @@ def _expr_of(item, chart):
 
 # -- the result store -----------------------------------------------------------
 
+# what a point may raise for a skip, kept by the store per row
+_POINT_ERRORS = (EvaluationDomainError, DegeneratePointError)
+
 
 def _leaves(out):
     """The leaves of a result of a field's ``fn``: the layers of a jet, the
@@ -175,7 +195,7 @@ def _leaves(out):
 def _reader(out, columns):
     """``row -> result``: a result shaped like ``out`` whose leaves are the
     rows ``row`` of ``columns`` (an iterator, taken in the order of
-    :func:`_leaves`)."""
+    :func:`_leaves`); ``row`` may be a slice."""
     if isinstance(out, Jet):
         n, cs = out.n, [next(columns) for _ in out.layers]
         return lambda row: Jet(n, [c[row] for c in cs])
@@ -189,8 +209,6 @@ def _reader(out, columns):
 
 
 def _read_only(column):
-    if isinstance(column, list):
-        return column
     view = column.view()
     view.flags.writeable = False
     return view
@@ -198,34 +216,35 @@ def _read_only(column):
 
 class _Entry:
     """One field's results at one order on a point set of ``size`` points:
-    one ``(size, ...)`` array per leaf of the result that is an array or a
-    float, one list per other leaf (such as a point-data object), and which
-    rows are filled.  A row is read as read-only views."""
+    one ``(size, ...)`` array per leaf of the result, which rows are
+    filled, and the ``(type, args)`` of the exception of each row whose
+    ``fn`` raised alone (``raised``) or of the whole set's ``fn`` call
+    (``failed``), without a traceback.  Rows are read as read-only views."""
 
     def __init__(self, size):
         self.filled = [False] * size
+        self.raised = {}
+        self.failed = None
         self.columns = None
         self.read = None
+        self.whole = None
 
-    def fill(self, jet):
-        """Keep the rows of ``jet``, evaluated on the whole set at once, but
-        those that are not finite."""
-        for L in jet.layers:
-            L.flags.writeable = False
-        finite = [np.isfinite(L).reshape(len(L), -1).all(axis=1) for L in jet.layers]
-        self.filled = np.logical_and.reduce(finite).tolist()
-        self.columns = jet.layers
-        self.read = _reader(jet, iter(jet.layers))
+    def fill(self, out):
+        """Keep ``out``, the result on the whole set, as the columns; rows
+        that are not finite stay unfilled (see :meth:`_Set.entry`)."""
+        leaves = _leaves(out)
+        size = len(self.filled)
+        finite = np.logical_and.reduce([np.isfinite(L).reshape(size, -1).all(axis=1) for L in leaves])
+        self.filled = finite.tolist()
+        # unfinished rows are written one by one, so into copies
+        self.columns = leaves if finite.all() else [np.array(L) for L in leaves]
+        self.read = _reader(out, map(_read_only, self.columns))
 
     def put(self, row, out):
         leaves = _leaves(out)
         if self.columns is None:
             size = len(self.filled)
-            self.columns = [
-                np.empty((size,) + np.shape(L), dtype=np.result_type(L))
-                if isinstance(L, (np.ndarray, float)) else [None] * size
-                for L in leaves
-            ]
+            self.columns = [np.empty((size,) + np.shape(L), dtype=np.result_type(L)) for L in leaves]
             self.read = _reader(out, map(_read_only, self.columns))
         for column, L in zip(self.columns, leaves, strict=True):
             column[row] = L
@@ -241,22 +260,57 @@ class _Set:
         self.rows = {p.tobytes(): row for row, p in enumerate(pts)}
         self.entries = {}
 
-    def result(self, field, row, p, order):
-        """``field``'s result at order ``order`` at the point ``p``, which is
-        row ``row`` of the set: an expression field evaluates on the whole
-        set at once, unless a domain check fails on it; a point where
-        ``fn`` raises keeps nothing, so it raises again as alone."""
+    def entry(self, field, order):
+        """``field``'s entry at order ``order``, filled on a miss by one
+        ``fn`` call on the whole set.  When that call raises for a point,
+        the rows are evaluated one by one as they are read; a row that is
+        not finite is evaluated alone at once."""
         entry = self.entries.get((field, order))
         if entry is None:
             entry = self.entries[field, order] = _Entry(len(self.pts))
-            if field.expressions is not None:
-                try:
-                    entry.fill(field._fn(self.pts, order))
-                except EvaluationDomainError:
-                    pass
+            try:
+                out = field._fn(self.pts, order)
+            except _POINT_ERRORS as exc:
+                entry.failed = (type(exc), exc.args)
+                return entry
+            entry.fill(out)
+            for row in [row for row, filled in enumerate(entry.filled) if not filled]:
+                with suppress(*_POINT_ERRORS):
+                    self._alone(entry, field, row, order)
+        return entry
+
+    def _alone(self, entry, field, row, order):
+        """Fill row ``row`` of ``entry`` by ``fn`` at its point alone, or
+        raise what it raised there, kept from its first call."""
+        kind = entry.raised.get(row)
+        if kind:
+            raise kind[0](*kind[1])
+        try:
+            out = field._fn(self.pts[row], order)
+        except _POINT_ERRORS as exc:
+            entry.raised[row] = (type(exc), exc.args)
+            raise
+        entry.put(row, out)
+
+    def result(self, field, row, order):
+        """``field``'s result at order ``order`` at the point of row
+        ``row``; a point where ``fn`` raises raises again as alone."""
+        entry = self.entries.get((field, order)) or self.entry(field, order)
         if not entry.filled[row]:
-            entry.put(row, field._fn(p, order))
+            self._alone(entry, field, row, order)
         return entry.read(row)
+
+    def whole(self, field, order):
+        """``field``'s result at order ``order`` on the whole set, with a
+        leading axis over its points.  When a point of the set raises, it
+        raises, so a field that asks for it falls back to its points."""
+        entry = self.entry(field, order)
+        kind = entry.failed or next(iter(entry.raised.values()), None)
+        if kind:
+            raise kind[0](*kind[1])
+        if entry.whole is None:
+            entry.whole = entry.read(slice(None))
+        return entry.whole
 
 
 class _Store:
@@ -273,8 +327,22 @@ class _Store:
         return s
 
 
-# the running run's store, and the running pass's points and {point bytes:
-# (set, row)} (per thread)
+class _Pass(NamedTuple):
+    """A running pass: its points, and the sets of them and of the images
+    that joined them (by their bytes) and each of their points as ``(set,
+    row)`` (by its bytes)."""
+
+    pts: np.ndarray
+    sets: dict
+    rows: dict
+
+    def add(self, s):
+        self.sets.setdefault(s.pts.tobytes(), s)
+        for key, row in s.rows.items():
+            self.rows.setdefault(key, (s, row))
+
+
+# the running run's store, and the running pass (per thread)
 _store = ContextVar("store", default=None)
 _samples = ContextVar("samples", default=None)
 
@@ -294,16 +362,17 @@ def result_store():
 @contextmanager
 def sample_set(pts):
     """Hold the points ``pts`` of a pass over them until the pass ends or
-    raises: a field asked at one of them reads its result from the running
-    :func:`result_store`, or from a store of its own that lasts the pass
-    when none is running."""
+    raises: a field asked at one of them, or at all of them, reads its
+    result from the running :func:`result_store`, or from a store of its
+    own that lasts the pass when none is running."""
     store = _store.get()
     if store is None:
         with result_store(), sample_set(pts):
             yield
         return
-    s = store.set_of(pts)
-    token = _samples.set((pts, {key: (s, row) for key, row in s.rows.items()}))
+    running = _Pass(pts, {}, {})
+    running.add(store.set_of(pts))
+    token = _samples.set(running)
     try:
         yield
     finally:
@@ -311,18 +380,22 @@ def sample_set(pts):
 
 
 def join_images(field, p, order):
-    """When ``p`` is a point of the running pass and the store holds
-    ``field`` at order ``order`` at every point of ``p``'s set, add the
+    """When ``p`` is a point or a set of the running pass and the store
+    holds ``field`` at order ``order`` at every point of its set, add the
     values of ``field`` there to the pass as a point set of their own, so a
-    field asked at one of these images evaluates on all of them at once."""
+    field asked at these images evaluates on all of them at once."""
     running = _samples.get()
-    rows = running and running[1]
-    at = rows and rows.get(p.tobytes())
-    entry = at and at[0].entries.get((field, order))
-    if entry and entry.filled[at[1]] and entry.columns[0][at[1]].tobytes() not in rows and all(entry.filled):
-        s = _store.get().set_of(entry.columns[0])
-        for key, row in s.rows.items():
-            rows.setdefault(key, (s, row))
+    if not running:
+        return
+    if p.ndim == 1:
+        s, row = running.rows.get(p.tobytes()) or (None, None)
+    else:
+        s, row = running.sets.get(p.tobytes()), slice(None)
+    entry = s and s.entries.get((field, order))
+    if entry and all(entry.filled):
+        images = entry.columns[0]
+        if images[row].tobytes() not in (running.rows if p.ndim == 1 else running.sets):
+            running.add(_store.get().set_of(images))
 
 
 def _components(exprs, shape):
@@ -407,7 +480,7 @@ class MetricField(_Field):
     def scaled(self, factor: ScalarField):
         """Pointwise conformal scaling ``e -> factor * g`` (factor a scalar field)."""
 
-        return MetricField(self.chart, lambda p, order: self.jet(p, order) * factor.jet(p, order))
+        return MetricField(self.chart, lambda p, order: self.jet(p, order) * factor.jet(p, order)[..., None, None])
 
 
 class ConnectionField(_Field):
@@ -423,7 +496,7 @@ class ConnectionField(_Field):
     @classmethod
     def flat(cls, chart):
         n = chart.dim
-        return cls(chart, lambda p, order: Jet.constant(np.zeros((n, n, n)), n, order))
+        return cls(chart, lambda p, order: Jet.constant(np.zeros(p.shape[:-1] + (n, n, n)), n, order))
 
     @kept
     def add_tensor(self, tensor_fn):
@@ -444,18 +517,18 @@ class ConnectionField(_Field):
 def eta_tensor_id(chart, eta: OneFormField):
     """``K^k_{ij} = eta_i delta^k_j`` (the ``eta (x) I`` shape)."""
     eye = np.eye(chart.dim)
-    return lambda p, order: jet_einsum("i,kj->kij", eta.jet(p, order), eye)
+    return lambda p, order: jet_einsum("...i,kj->...kij", eta.jet(p, order), eye)
 
 
 def id_tensor_eta(chart, eta: OneFormField):
     """``K^k_{ij} = delta^k_i eta_j`` (the ``I (x) d phi`` shape)."""
     eye = np.eye(chart.dim)
-    return lambda p, order: jet_einsum("j,ki->kij", eta.jet(p, order), eye)
+    return lambda p, order: jet_einsum("...j,ki->...kij", eta.jet(p, order), eye)
 
 
 def g_tensor_vector(g: MetricField, V: VectorField):
     """``K^k_{ij} = g_ij V^k`` (the ``g (x) V`` shape)."""
-    return lambda p, order: jet_einsum("ij,k->kij", g.jet(p, order), V.jet(p, order))
+    return lambda p, order: jet_einsum("...ij,...k->...kij", g.jet(p, order), V.jet(p, order))
 
 
 def negate_tensor(tensor_fn):

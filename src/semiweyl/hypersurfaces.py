@@ -28,7 +28,7 @@ from .fields import (
     join_images,
     kept,
 )
-from .jets import jet_compose, jet_cross, jet_einsum, jet_solve, partials
+from .jets import Jet, jet_compose, jet_cross, jet_einsum, jet_solve, partials
 from .structures import Structure, is_swmt, semi_dual, swmt_residual
 from .tensor import (
     codazzi_defect,
@@ -112,7 +112,7 @@ class EmbeddingMap:
 
         def fn(p, order):
             dF = partials(self.jet(p, order + 1))
-            return jet_einsum("ia,jb,ij->ab", dF, dF, Gc.jet(p, order))
+            return jet_einsum("...ia,...jb,...ij->...ab", dF, dF, Gc.jet(p, order))
 
         return MetricField(self.domain, fn)
 
@@ -128,7 +128,7 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
 
     def eta_fn(p, order):
         dF = partials(emb.jet(p, order + 1))
-        return jet_einsum("i,ia->a", eta_c.jet(p, order), dF)
+        return jet_einsum("...i,...ia->...a", eta_c.jet(p, order), dF)
 
     def conn_fn(p, order):
         G = gp.jet(p, order)
@@ -136,7 +136,7 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
         dF = partials(emb.jet(p, order + 1))
         W = _ambient_derivative_of_frame(emb, s.conn, p, order)
         # g'_{kd} gamma^k_{ab} = g(dF e_d, W_ab)
-        return jet_solve(G, jet_einsum("id,ij,jab->dab", dF, Gc.jet(p, order), W))
+        return jet_solve(G, jet_einsum("...id,...ij,...jab->...dab", dF, Gc.jet(p, order), W))
 
     return Structure(
         emb.domain,
@@ -157,7 +157,7 @@ def _ambient_derivative_of_frame(emb, conn, p, order):
     derivative of the coordinate frame, ``nabla_{dF e_a} (dF e_b)``."""
     dF = partials(emb.jet(p, order + 2))
     Gamc = emb.compose(conn).jet(p, order)
-    return partials(dF).transpose(0, 2, 1) + jet_einsum("ijk,ja,kb->iab", Gamc, dF, dF)
+    return partials(dF).transpose(0, 2, 1) + jet_einsum("...ijk,...ja,...kb->...iab", Gamc, dF, dF)
 
 
 @kept
@@ -180,16 +180,22 @@ def unit_normal(emb: EmbeddingMap, g: MetricField) -> _Field:
 
     def fn(p, order):
         N_raw, nu, Gc = raw(p, order)
-        norm2 = jet_einsum("i,i->", nu, N_raw)
+        norm2 = jet_einsum("...i,...i->...", nu, N_raw)
         v = norm2.value
-        if abs(v) <= degeneracy_threshold(Gc.value):
+        if np.any(np.abs(v) <= degeneracy_threshold(Gc.value)):
             raise DegeneratePointError("normal direction is null at this point")
-        eps = 1.0 if v > 0 else -1.0
-        length = (norm2 if eps > 0 else -norm2).sqrt()
-        N = N_raw / length
+        eps = np.where(v > 0, 1.0, -1.0)
+        length = _signed(norm2, eps).sqrt()
+        N = N_raw / length[..., None]
         return (N if sign > 0 else -N), eps
 
     return _Field(emb.domain, fn)
+
+
+def _signed(J, eps):
+    """``J`` times the sign ``eps`` (one per point of a set), layer by
+    layer, so that each row is exactly ``J`` or ``-J``."""
+    return Jet(J.n, [L * np.reshape(eps, np.shape(eps) + (1,) * (np.ndim(L) - np.ndim(eps))) for L in J.layers])
 
 
 class HypersurfaceFrame:
@@ -212,6 +218,8 @@ class HypersurfaceFrame:
             raise ValueError("a hypersurface has codimension one")
         self.emb = emb
         self.s = s
+        self._alpha = _Field(emb.domain, self._second_fundamental_form)
+        self._weingarten = _Field(emb.domain, self._weingarten_map)
 
     def with_structure(self, s: Structure):
         """The frame of the same hypersurface in another ambient structure."""
@@ -223,25 +231,33 @@ class HypersurfaceFrame:
         return unit_normal(self.emb, self.s.g).jet(p, order)
 
     def second_fundamental_form(self, p, order):
-        """``alpha[a, b] = eps * g(nabla_{dF e_a}(dF e_b), N)`` as jets."""
+        """``alpha[a, b] = eps * g(nabla_{dF e_a}(dF e_b), N)`` as jets, and
+        ``eps``; kept like any field's results."""
+        return self._alpha.jet(p, order)
+
+    def _second_fundamental_form(self, p, order):
         W = _ambient_derivative_of_frame(self.emb, self.s.conn, p, order)
         Gc = self.emb.compose(self.s.g).jet(p, order)
         N, eps = self.normal(p, order)
-        alpha = jet_einsum("ij,iab,j->ab", Gc, W, N)
-        return (-alpha if eps < 0 else alpha), eps
+        alpha = jet_einsum("...ij,...iab,...j->...ab", Gc, W, N)
+        return _signed(alpha, eps), eps
 
     def weingarten(self, p, order=0):
         """Returns ``(beta, tau, B, eps)`` as jets: ``beta[a,b] =
         -g(nabla_a N, dF e_b)``, ``tau[a] = eps g(nabla_a N, N)`` and the
-        shape operator ``B[d, a]`` with ``beta(X, Y) = g'(B X, Y)``."""
+        shape operator ``B[d, a]`` with ``beta(X, Y) = g'(B X, Y)``; kept
+        like any field's results."""
+        return self._weingarten.jet(p, order)
+
+    def _weingarten_map(self, p, order):
         emb = self.emb
         N, eps = self.normal(p, order + 1)
         dF = partials(emb.jet(p, order + 1))
-        DN = partials(N) + jet_einsum("ijk,ja,k->ia", emb.compose(self.s.conn).jet(p, order), dF, N)  # nabla_a N
+        Gamc = emb.compose(self.s.conn).jet(p, order)
+        DN = partials(N) + jet_einsum("...ijk,...ja,...k->...ia", Gamc, dF, N)  # nabla_a N
         Gc = emb.compose(self.s.g).jet(p, order)
-        tau = jet_einsum("ij,ia,j->a", Gc, DN, N)
-        tau = -tau if eps < 0 else tau
-        beta = -jet_einsum("ij,ia,jb->ab", Gc, DN, dF)
+        tau = _signed(jet_einsum("...ij,...ia,...j->...a", Gc, DN, N), eps)
+        beta = -jet_einsum("...ij,...ia,...jb->...ab", Gc, DN, dF)
         gp = emb.induced_metric(self.s.g).jet(p, order)
         require_nondegenerate(gp.value)
         B = jet_solve(gp, beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}

@@ -19,11 +19,16 @@ sums are generic in ``r``; their einsum terms are built once per order and
 operand layout and cached.  Products and elementwise functions spell out
 orders 1 to 3 by hand, as a fast path.
 
-Jets index, transpose, reshape and iterate over their tensor axes, and
-``+ - * /`` broadcast between jets, float arrays and floats as numpy
-arrays do.  The helpers work on the layers: :func:`jet_einsum` contracts
-jets by the Leibniz rule, :func:`partials` turns the first derivative axis
-into a tensor axis, :func:`jet_solve` solves linear systems
+A jet of a point set has a leading batch axis, one row per point, ahead
+of the tensor axes; tensor code indexes from the end (``J[..., i, :]``),
+so the same code serves a point and a set, and each row of a set's jet is
+bitwise the jet of its point alone.  Jets index and reshape their tensor
+axes, :meth:`Jet.transpose` permutes the trailing ones (``.T`` swaps the
+last two), and ``+ - * /`` broadcast between jets, float arrays and floats
+as numpy arrays do; a jet has no length and no iteration, which would walk
+the batch axis.  The helpers work on the layers: :func:`jet_einsum`
+contracts jets by the Leibniz rule, :func:`partials` turns the first
+derivative axis into a tensor axis, :func:`jet_solve` solves linear systems
 (differentiating ``A(x) s(x) = b(x)`` order by order), :func:`jet_compose`
 applies the chain rule, :func:`jet_stack` stacks jets on a new axis, and
 :func:`jet_cross` is the generalized cross product, which gives normals.
@@ -124,6 +129,7 @@ class Jet:
 
     __slots__ = ("n", "layers")
     __array_ufunc__ = None  # numpy operators defer to the jet's own
+    __iter__ = None  # not iterable, not even by indexing: it would walk a set's points
 
     def __init__(self, n, layers):
         if not layers:
@@ -185,32 +191,28 @@ class Jet:
     def __bool__(self):
         raise TypeError("a Jet has no truth value: compare its .value")
 
-    def __len__(self):
-        if not self.shape:
-            raise TypeError("len() of a scalar jet")
-        return self.shape[0]
-
-    def __iter__(self):
-        return (self[i] for i in range(len(self)))
-
     def __getitem__(self, idx):
-        """Index the tensor axes; the derivative axes are kept."""
+        """Index the tensor axes; the derivative axes are kept.  With an
+        ``...``, ``None`` adds unit axes, also to a scalar jet."""
         idx = idx if isinstance(idx, tuple) else (idx,)
         if any(i is Ellipsis for i in idx):
-            return Jet(self.n, [_scalar(L[idx + (slice(None),) * r]) for r, L in enumerate(self.layers)])
+            return Jet(self.n, [_scalar(np.asarray(L)[idx + (slice(None),) * r]) for r, L in enumerate(self.layers)])
         L0, *rest = self.layers
         return Jet(self.n, [L0[idx]] + [L[idx + (Ellipsis,)] for L in rest])
 
     def transpose(self, *axes):
-        k = self.ndim
+        """Permute the last ``len(axes)`` tensor axes, numbered from 0 among
+        themselves; the axes before them (a batch axis) stay in place."""
         if len(axes) == 1 and not isinstance(axes[0], int):
             axes = tuple(axes[0])
-        axes = tuple(a % k for a in axes) if axes else tuple(reversed(range(k)))
+        k, m = self.ndim, len(axes)
+        axes = tuple(range(k - m)) + tuple(k - m + a % m for a in axes)
         return Jet(self.n, [np.transpose(L, axes + tuple(range(k, k + r))) for r, L in enumerate(self.layers)])
 
     @property
     def T(self):
-        return self.transpose()
+        """The last two tensor axes swapped."""
+        return self.transpose(1, 0)
 
     def reshape(self, *shape):
         if len(shape) == 1 and not isinstance(shape[0], int):
@@ -416,17 +418,22 @@ def _faa_di_bruno_terms(kind, r):
 
     ``kind`` "chain" is an elementwise function (every operand shares the
     tensor axes ``...``); "compose" is a function of m variables, whose
-    layer ``k`` contracts ``k`` image axes with the blocks' leading axes."""
+    layer ``k`` contracts ``k`` image axes with the blocks' leading axes;
+    "batch" is "compose" with one leading batch axis on every operand."""
     slots = string.ascii_lowercase[:r]
     terms = []
     for part in _set_partitions(tuple(range(r))):
         blocks = ["".join(slots[i] for i in block) for block in part]
         if kind == "chain":
             specs = ["..."] + ["..." + b for b in blocks]
+            out = "..."
         else:
+            # "compose", or "batch" with a leading batch axis z on both
+            z = "z" if kind == "batch" else ""
             images = string.ascii_uppercase[: len(blocks)]
-            specs = ["..." + images] + [a + b for a, b in zip(images, blocks)]
-        terms.append((",".join(specs) + "->..." + slots, len(blocks), tuple(len(b) for b in blocks)))
+            specs = [z + "..." + images] + [z + a + b for a, b in zip(images, blocks)]
+            out = z + "..."
+        terms.append((",".join(specs) + "->" + out + slots, len(blocks), tuple(len(b) for b in blocks)))
     return tuple(terms)
 
 
@@ -466,32 +473,41 @@ def partials(J):
 
 
 def jet_stack(items, axis=0):
-    """``np.stack`` for jets: ``items`` share one tensor shape, and floats or
-    float arrays among them are constants.  The result has the lowest order
+    """``np.stack`` for jets: the jets among ``items`` share one shape, and
+    floats or float arrays among them are constants, broadcast to it (a
+    constant row of every point of a set).  A negative ``axis`` counts from
+    the end of the result's tensor axes.  The result has the lowest order
     of the jets."""
     jets = [x for x in items if isinstance(x, Jet)]
     n, order = _shared(jets)
+    shape = jets[0].shape
     if axis < 0:
-        axis += jets[0].ndim + 1
-    items = [x if isinstance(x, Jet) else Jet.constant(x, n, order) for x in items]
+        axis += len(shape) + 1
+    items = [x if isinstance(x, Jet) else Jet.constant(np.broadcast_to(x, shape), n, order) for x in items]
     return Jet(n, [np.stack([x.layers[r] for x in items], axis=axis) for r in range(order + 1)])
 
 
 def jet_solve(A, b):
     """Solve ``A s = b`` with jet entries, propagating derivatives.
 
-    ``A`` is a (k, k) jet; ``b`` has shape ``(k, ...)`` and is a jet in the
-    same variables or a float array.  The solution has the shape of ``b``
-    and the lower order of the two.  Raises :class:`EvaluationDomainError`
-    when the value-level matrix is singular.
+    ``A`` is a (k, k) jet, or a ``(P, k, k)`` jet of a point set; ``b`` has
+    shape ``A.shape[:-1] + (...)`` and is a jet in the same variables, or a
+    float array of shape ``(k, ...)``, the same at every point of a set.
+    The solution has the shape of ``b`` (with ``A``'s leading axes) and the
+    lower order of the two.  Raises :class:`EvaluationDomainError` when the
+    value-level matrix is singular (at any point of a set).
     """
     b_is_jet = isinstance(b, Jet)
     n, order = _shared([A, b] if b_is_jet else [A])
     a = A.layers[: order + 1]
-    shape = b.shape if b_is_jet else np.shape(b)
-    k = shape[0]
-    b_layers = b.layers[: order + 1] if b_is_jet else [np.asarray(b, dtype=float)]
-    rhs = [L.reshape((k, -1) + L.shape[len(shape):]) for L in b_layers]
+    batch, k = A.shape[:-2], A.shape[-1]
+    if b_is_jet:
+        b_layers = b.layers[: order + 1]
+    else:
+        b_layers = [np.broadcast_to(np.asarray(b, dtype=float), batch + np.shape(b))]
+    shape = np.shape(b_layers[0])
+    m = len(batch)
+    rhs = [L.reshape(batch + (k, -1) + L.shape[len(shape):]) for L in b_layers]
     try:
         inv = np.linalg.inv(a[0])
     except np.linalg.LinAlgError as exc:
@@ -500,9 +516,10 @@ def jet_solve(A, b):
     for r in range(1, order + 1):
         # order r of A s = b: every Leibniz term but A s_r (not yet in s)
         # moves to the right; a constant b has no layer r
-        rest = _leibniz(("ij", "jm"), "im", [a, s], r)
-        s.append(np.einsum("ij,jm...->im...", inv, (rhs[r] if r < len(rhs) else 0.0) - rest))
-    return Jet(n, [x.reshape(shape + x.shape[2:]) for x in s])
+        rest = _leibniz(("...ij", "...jm"), "...im", [a, s], r)
+        slots = string.ascii_uppercase[:r]
+        s.append(np.einsum(f"...ij,...jm{slots}->...im{slots}", inv, (rhs[r] if r < len(rhs) else 0.0) - rest))
+    return Jet(n, [x.reshape(shape + x.shape[m + 2:]) for x in s])
 
 
 @functools.lru_cache(maxsize=None)
@@ -518,19 +535,26 @@ def _permutation_signs(k):
 
 
 def jet_cross(rows):
-    """Generalized cross product of the rows of a ``(k - 1, k)`` jet: the
-    covector ``c_i = eps_{i a b ...} rows[0, a] rows[1, b] ...``, whose
-    entries are the cofactors of a first row placed above ``rows``."""
-    k = rows.shape[1]
+    """Generalized cross product of the rows of a ``(k - 1, k)`` jet (with a
+    leading batch axis on a point set): the covector ``c_i = eps_{i a b ...}
+    rows[..., 0, a] rows[..., 1, b] ...``, whose entries are the cofactors
+    of a first row placed above ``rows``."""
+    k = rows.shape[-1]
     i, *idx = string.ascii_letters[:k]
-    return jet_einsum(f"{i}{''.join(idx)},{','.join(idx)}->{i}", _permutation_signs(k), *rows)
+    return jet_einsum(
+        f"{i}{''.join(idx)},{','.join('...' + a for a in idx)}->...{i}",
+        _permutation_signs(k),
+        *(rows[..., a, :] for a in range(k - 1)),
+    )
 
 
 def jet_compose(outer, inner):
     """Chain rule: ``outer`` is a jet (of any shape) in the m image
-    variables, ``inner`` a shape-``(m,)`` jet in the source variables.
+    variables, ``inner`` a shape-``(m,)`` jet in the source variables, or
+    ``(P, m)`` on a point set, where ``outer`` has the same leading axis.
     Returns the jet of the composition in the source variables, at the
     lower order of the two."""
     order = min(outer.order, inner.order)
     o, F = outer.layers, inner.layers
-    return Jet(inner.n, [o[0]] + [_faa_di_bruno("compose", o, F, r) for r in range(1, order + 1)])
+    kind = "compose" if inner.ndim == 1 else "batch"
+    return Jet(inner.n, [o[0]] + [_faa_di_bruno(kind, o, F, r) for r in range(1, order + 1)])

@@ -36,7 +36,7 @@ def _coordinate_screen(chart: Chart, drop_index):
     n = chart.dim
 
     def unit(e):
-        return VectorField(chart, lambda p, order: Jet.constant(e, n, order))
+        return VectorField(chart, lambda p, order: Jet.constant(np.broadcast_to(e, p.shape[:-1] + (n,)), n, order))
 
     return tuple(unit(e) for a, e in enumerate(np.eye(n)) if a != drop_index)
 
@@ -92,13 +92,15 @@ class LightlikeFrame:
         Gc = emb.compose(self.s.g).jet(p, order)
         gv = gp.value
         thr = degeneracy_threshold(gv)
-        # the metric must be degenerate of corank exactly one
+        # the metric must be degenerate of corank exactly one (at each point)
         w = np.linalg.eigvalsh(gv)
-        if np.sum(np.abs(w) <= max(thr, 1e-7 * (1 + np.max(np.abs(gv))))) != 1:
+        small = np.abs(w) <= np.maximum(thr, 1e-7 * (1 + np.max(np.abs(gv), axis=(-2, -1))))[..., None]
+        if np.any(np.sum(small, axis=-1) != 1):
             raise DegeneratePointError("induced metric does not have corank one")
         # rows of g' except row k, which pins the k-th component to one
-        e_k = np.eye(len(gp))[k]
-        A = jet_stack([e_k if i == k else row for i, row in enumerate(gp)])
+        d = gv.shape[-1]
+        e_k = np.eye(d)[k]
+        A = jet_stack([e_k if i == k else gp[..., i, :] for i in range(d)], axis=-2)
         xi = jet_solve(A, e_k)
         return xi, gp, dF, Gc
 
@@ -117,16 +119,18 @@ class LightlikeFrame:
         n = self.emb.ambient.dim
         pin = np.eye(n)[self._transversal_index()]  # before p's jets, which it would evict
         xi, gp, dF, Gc = self.radical(p, order)
-        Wdom = jet_stack([field.jet(p, order) for field in self.screen_fields()])  # [screen index, domain component]
+        # [screen index, domain component]
+        Wdom = jet_stack([field.jet(p, order) for field in self.screen_fields()], axis=-2)
         # ambient pushforwards
-        xi_amb = jet_einsum("ia,a->i", dF, xi)
-        W_amb = jet_einsum("ia,ra->ri", dF, Wdom)
-        r = len(W_amb)
+        xi_amb = jet_einsum("...ia,...a->...i", dF, xi)
+        W_amb = jet_einsum("...ia,...ra->...ri", dF, Wdom)
+        r = W_amb.shape[-2]
         # rows: g(., W_i) = 0, g(., xi) = 1, pinned component = 0
-        A = jet_stack([*jet_einsum("ij,ri->rj", Gc, W_amb), jet_einsum("ij,i->j", Gc, xi_amb), pin])
+        GW = jet_einsum("...ij,...ri->...rj", Gc, W_amb)
+        A = jet_stack([*(GW[..., a, :] for a in range(r)), jet_einsum("...ij,...i->...j", Gc, xi_amb), pin], axis=-2)
         U = jet_solve(A, np.eye(n)[r])
         # shift along the radical to make N null
-        N = U - xi_amb * (jet_einsum("ij,i,j->", Gc, U, U) * 0.5)
+        N = U - xi_amb * (jet_einsum("...ij,...i,...j->...", Gc, U, U) * 0.5)[..., None]
         return N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc
 
     @kept
@@ -147,32 +151,37 @@ class LightlikeFrame:
 
     def _build_screen_data(self, p, order):
         N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc = self.transversal(p, order + 1)
-        r = len(W_amb)
+        r = W_amb.shape[-2]
         Gamc = self.emb.compose(self.s.conn).jet(p, order)
 
-        def along_screen(t):
-            """``[a, ..., i]``: ambient covariant derivative of the ambient
-            vectors ``t[..., i]`` along the screen field ``W_a``."""
-            return jet_einsum("ad,...id->a...i", Wdom, partials(t)) + jet_einsum("ijk,aj,...k->a...i", Gamc, W_amb, t)
+        def along_screen(t, b):
+            """``[a, b, i]``: ambient covariant derivative of the ambient
+            vectors ``t[b, i]`` (``t[i]`` when ``b`` is empty) along the
+            screen field ``W_a``."""
+            return (
+                jet_einsum(f"...ad,...{b}id->...a{b}i", Wdom, partials(t))
+                + jet_einsum(f"...ijk,...aj,...{b}k->...a{b}i", Gamc, W_amb, t)
+            )
 
-        gram = jet_einsum("ij,ai,bj->ab", gp, Wdom, Wdom)
+        gram = jet_einsum("...ij,...ai,...bj->...ab", gp, Wdom, Wdom)
 
         # derivatives of screen fields along screen fields, D[a, b] = nabla_{W_a} W_b,
         # in the frame W_1 .. W_r, xi, N
-        D = along_screen(W_amb)
-        coeff = jet_solve(jet_stack([*W_amb, xi_amb, N], axis=1), D.transpose(2, 0, 1))  # [c, a, b]
-        alpha = jet_einsum("ij,abi,j->ab", Gc, D, N)  # the pairing g(nabla_a W_b, N)
+        D = along_screen(W_amb, "b")
+        frame = jet_stack([*(W_amb[..., a, :] for a in range(r)), xi_amb, N], axis=-1)
+        coeff = jet_solve(frame, D.transpose(2, 0, 1))  # [c, a, b]
+        alpha = jet_einsum("...ij,...abi,...j->...ab", Gc, D, N)  # the pairing g(nabla_a W_b, N)
 
         # brackets of the screen fields (domain components)
-        W_dW = jet_einsum("ad,bkd->abk", Wdom, partials(Wdom))
+        W_dW = jet_einsum("...ad,...bkd->...abk", Wdom, partials(Wdom))
         bracket = W_dW - W_dW.transpose(1, 0, 2)
 
         # beta from the derivative of N along screen fields
-        beta = -jet_einsum("ij,ai,bj->ab", Gc, along_screen(N), W_amb)
+        beta = -jet_einsum("...ij,...ai,...bj->...ab", Gc, along_screen(N, ""), W_amb)
 
         return {
             "gram": gram,
-            "nabla_bar": coeff[:r],
+            "nabla_bar": coeff[..., :r, :, :],
             "alpha": alpha,
             "beta": beta,
             "bracket": bracket,

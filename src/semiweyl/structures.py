@@ -112,8 +112,8 @@ def semi_dual_connection(g: MetricField, eta: OneFormField, conn: ConnectionFiel
         # lower[j, i, k] = d_i g_jk + eta_i g_jk - gamma^m_ij g_mk
         lower = (
             partials(G).transpose(0, 2, 1)
-            + jet_einsum("i,jk->jik", eta.jet(p, order), G)
-            - jet_einsum("mij,mk->jik", conn.jet(p, order), G)
+            + jet_einsum("...i,...jk->...jik", eta.jet(p, order), G)
+            - jet_einsum("...mij,...mk->...jik", conn.jet(p, order), G)
         )
         return _raise_index(G, lower)
 

@@ -1,6 +1,8 @@
 """Pointwise tensor operators: Levi-Civita connection, torsion, curvature,
 Ricci and scalar curvature, covariant derivative of the metric, gradients
-and orthonormal frames.
+and orthonormal frames.  The ``*_values`` functions, the threshold tests
+and the array helpers take a point or a point set, whose arrays carry a
+leading axis over its points; the frame functions take a point.
 
 Ricci and scalar curvature are defined by metric contraction; the
 frame-based sums (over an orthonormal frame with signs ``eps_i``) are kept
@@ -12,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField, kept
-from .jets import jet_einsum, jet_solve, partials
+from .jets import _pow, jet_einsum, jet_solve, partials
 
 __all__ = [
     "degeneracy_threshold",
@@ -36,15 +38,19 @@ __all__ = [
 
 
 def degeneracy_threshold(gvals):
-    scale = max(np.max(np.abs(gvals)), 1e-300)
-    return 1e-10 * scale ** gvals.shape[0]
+    """The |det| below which the (k, k) matrix ``gvals`` counts as
+    degenerate, per matrix of a stack ``(P, k, k)``; its power goes through
+    a float's ``**``, as at a point alone (see ``jets._pow``)."""
+    scale = np.maximum(np.abs(gvals).max(axis=(-2, -1)), 1e-300)
+    return 1e-10 * _pow(scale, gvals.shape[-1])
 
 
 def require_nondegenerate(gvals):
-    det = np.linalg.det(gvals)
-    if abs(det) <= degeneracy_threshold(gvals):
-        raise DegeneratePointError(f"metric degenerate (|det g| = {abs(det):.3e})")
-    return det
+    """Raise :class:`DegeneratePointError` when ``gvals``, or any matrix of a
+    stack of them, is degenerate."""
+    det = np.abs(np.linalg.det(gvals))
+    if (det <= degeneracy_threshold(gvals)).any():
+        raise DegeneratePointError(f"metric degenerate (|det g| = {np.min(det):.3e})")
 
 
 def inverse_metric_values(g: MetricField, p):
@@ -54,7 +60,8 @@ def inverse_metric_values(g: MetricField, p):
 
 
 def _raise_index(G, lower):
-    """``g^{kl} lower[l, ...]``, with ``G`` the metric jets."""
+    """``g^{kl} lower[l, ...]``, with ``G`` the metric jets (of a point or
+    a set)."""
     require_nondegenerate(G.value)
     return jet_solve(G, lower)
 
@@ -75,7 +82,7 @@ def levi_civita(g: MetricField) -> ConnectionField:
 def torsion_values(conn: ConnectionField, p):
     """Coordinate-frame torsion ``T^k_{ij} = gamma^k_{ij} - gamma^k_{ji}``."""
     G = conn.value(p)
-    return G - np.transpose(G, (0, 2, 1))
+    return G - G.swapaxes(-1, -2)
 
 
 def curvature_values(conn: ConnectionField, p):
@@ -84,10 +91,10 @@ def curvature_values(conn: ConnectionField, p):
     gam = G.value
     dgam = G.grad  # dgam[k, i, j, a] = d_a gamma^k_{ij}
     return (
-        np.einsum("ljki->lkij", dgam)
-        - np.einsum("likj->lkij", dgam)
-        + np.einsum("lim,mjk->lkij", gam, gam)
-        - np.einsum("ljm,mik->lkij", gam, gam)
+        np.einsum("...ljki->...lkij", dgam)
+        - np.einsum("...likj->...lkij", dgam)
+        + np.einsum("...lim,...mjk->...lkij", gam, gam)
+        - np.einsum("...ljm,...mik->...lkij", gam, gam)
     )
 
 
@@ -96,7 +103,7 @@ def ricci_values(conn: ConnectionField, g: MetricField, p, R=None):
     if R is None:
         R = curvature_values(conn, p)
     require_nondegenerate(g.value(p))
-    return np.einsum("ajai->ij", R)
+    return np.einsum("...ajai->...ij", R)
 
 
 def frame_ricci_values(conn: ConnectionField, g: MetricField, p, R=None):
@@ -121,27 +128,27 @@ def frame_ricci_values(conn: ConnectionField, g: MetricField, p, R=None):
 def scalar_curvature(conn: ConnectionField, g: MetricField, p, R=None):
     ric = ricci_values(conn, g, p, R=R)
     ginv = inverse_metric_values(g, p)
-    return float(np.einsum("ij,ij->", ginv, ric))
+    return np.einsum("...ij,...ij->...", ginv, ric)
 
 
 def nabla_g_values(conn: ConnectionField, g: MetricField, p):
     """``(nabla_{d_a} g)(d_i, d_j)`` as an ``[a, i, j]`` array."""
     G = g.jet(p, 1)  # G.grad[i, j, a] = d_a g_ij
-    return covariant_derivative_of_form(G.grad.transpose(2, 0, 1), conn.value(p), G.value)
+    return covariant_derivative_of_form(G.grad.transpose(*range(G.ndim - 2), -1, -3, -2), conn.value(p), G.value)
 
 
 def covariant_derivative_of_form(dT, gam, T):
     """``(nabla_{d_a} T)(d_i, d_j) = d_a T_ij - gam^m_{ai} T_mj - gam^m_{aj}
     T_im`` as an ``[a, i, j]`` array, for a (0,2) tensor ``T`` with
     ``dT[a, i, j] = d_a T_ij`` and connection coefficients ``gam``."""
-    return dT - np.einsum("mai,mj->aij", gam, T) - np.einsum("maj,im->aij", gam, T)
+    return dT - np.einsum("...mai,...mj->...aij", gam, T) - np.einsum("...maj,...im->...aij", gam, T)
 
 
 def wedge_g(a, g):
     """``(a wedge g)(X, Y, Z) = a(X) g(Y,Z) - a(Y) g(X,Z)`` as an ``[X, Y, Z]``
     array."""
-    w = np.einsum("i,jk->ijk", a, g)
-    return w - w.transpose(1, 0, 2)
+    w = np.einsum("...i,...jk->...ijk", a, g)
+    return w - w.swapaxes(-3, -2)
 
 
 def codazzi_defect(ng, g, T=None, eta=None):
@@ -150,9 +157,9 @@ def codazzi_defect(ng, g, T=None, eta=None):
     g)(d_i, d_j)``; no torsion or one-form term when ``T`` or ``eta`` is
     ``None``.  It vanishes exactly when the (eta-weighted) torsion-Codazzi
     condition holds."""
-    out = ng - ng.transpose(1, 0, 2)
+    out = ng - ng.swapaxes(-3, -2)
     if T is not None:
-        out = out + np.einsum("mij,mk->ijk", T, g)
+        out = out + np.einsum("...mij,...mk->...ijk", T, g)
     if eta is not None:
         out = out + wedge_g(eta, g)
     return out
@@ -171,7 +178,7 @@ def gradient(g: MetricField, f) -> VectorField:
 def covariant_derivative_of_vector(conn: ConnectionField, V: VectorField, p, order=0):
     """``(nabla_{d_a} V)^k`` as an ``[a, k]`` array (a jet when order > 0)."""
     Vj = V.jet(p, order + 1)
-    out = partials(Vj).T + jet_einsum("kam,m->ak", conn.jet(p, order), Vj)
+    out = partials(Vj).T + jet_einsum("...kam,...m->...ak", conn.jet(p, order), Vj)
     return out.value if order == 0 else out
 
 

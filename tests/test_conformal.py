@@ -234,10 +234,10 @@ class TestChangeLawArrays:
 class TestPointData:
     def test_each_check_builds_the_point_data_once_per_point(self, monkeypatch):
         # cp_curvature_laws and cp_ricci_antisymmetry (two laws) read one
-        # _PointData per point of the spec's transform from the run's result
-        # store, conformal_corollaries (three laws and the cyclic identity)
-        # one of its phi = 0 transform; cp_codazzi_scaling builds none.  With
-        # one per check: 3 x 150
+        # _PointData of the spec's transform, built on the whole sample set,
+        # from the run's result store, conformal_corollaries (three laws and
+        # the cyclic identity) one of its phi = 0 transform; cp_codazzi_scaling
+        # builds none.  One per point: 2 x 150; one per check: 3 x 150
         spec = load_spec(Path(__file__).resolve().parents[1] / "fixtures" / "conformal_projective_suite.spec")
         builds = []
         init = conformal._PointData.__init__
@@ -245,11 +245,13 @@ class TestPointData:
         def counted(self, s, t, p):
             builds.append(p.tobytes())
             init(self, s, t, p)
+            assert self.g.shape == p.shape[:-1] + (2, 2) and self.scal.shape == p.shape[:-1]
 
         monkeypatch.setattr(conformal._PointData, "__init__", counted)
         run_spec(spec)
         assert spec.config.samples == 150
-        assert len(builds) == 2 * 150 and len(set(builds)) == 150
+        pts = halton_points(spec.chart, 150, spec.config.seed)
+        assert builds == [pts.tobytes()] * 2
 
     def test_torsion_invariance_builds_no_point_data(self, monkeypatch):
         # cp_torsion_term_symmetry reads the coefficient tensor that

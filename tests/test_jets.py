@@ -176,7 +176,7 @@ class TestDenseJet:
         assert J.shape == (3,) and np.array_equal(J.value, values)
         assert np.array_equal(J.grad, [[0.0, 1.0]] * 3) and not J.hess.any()
 
-    def test_transpose_reshape_and_iteration(self):
+    def test_transpose_reshape_and_no_iteration(self):
         J = random_jets(np.random.default_rng(2), (2, 3, 4), 2)
         for r, L in enumerate(J.transpose(2, 0, 1).layers):
             assert np.array_equal(L, np.transpose(J.layers[r], (2, 0, 1) + tuple(range(3, 3 + r))))
@@ -184,9 +184,11 @@ class TestDenseJet:
             assert np.array_equal(L, np.swapaxes(J.layers[r][0], 0, 1))
         for r, L in enumerate(J.reshape(6, 4).layers):
             assert np.array_equal(L, J.layers[r].reshape((6, 4) + (2,) * r))
-        rows = list(J)
-        assert len(rows) == len(J) == 2
-        assert all(np.array_equal(row.hess, J.hess[i]) for i, row in enumerate(rows))
+        # no length and no iteration: over a set they would walk its points
+        with pytest.raises(TypeError):
+            list(J)
+        with pytest.raises(TypeError):
+            len(J)
 
     @pytest.mark.parametrize("order", [0, 1, 2, 3])
     def test_products_broadcast(self, order):
@@ -287,6 +289,83 @@ class TestLinearAlgebra:
         rhs = Jet.constant(np.ones(2), 2, 2)
         with pytest.raises(EvaluationDomainError):
             jet_solve(ones, rhs)
+
+
+class TestBatch:
+    """A jet of a point set carries its points on a leading axis; each row of
+    a helper's result on the set is bitwise its result at the point alone."""
+
+    P = 7
+
+    def batch(self, rng, shape, order, n=2):
+        return random_jets(rng, (self.P,) + shape, order, n)
+
+    def assert_rows(self, got, alone):
+        for r in range(self.P):
+            want = alone(r)
+            assert got[r].shape == want.shape and got[r].order == want.order
+            assert [np.asarray(L).tobytes() for L in got[r].layers] == [np.asarray(L).tobytes() for L in want.layers]
+
+    def frames(self, rng, order, k=3):
+        """A batch of well-conditioned ``(k, k)`` matrix jets."""
+        A = self.batch(rng, (k, k), order)
+        return A + np.eye(k) * 4.0
+
+    @pytest.mark.parametrize("order", [1, 2, 4])
+    def test_solve_with_a_jet_right_hand_side(self, order):
+        rng = np.random.default_rng(20 + order)
+        A, b = self.frames(rng, order), self.batch(rng, (3, 2), order)
+        self.assert_rows(jet_solve(A, b), lambda r: jet_solve(A[r], b[r]))
+
+    @pytest.mark.parametrize("order", [1, 3])
+    def test_solve_with_a_constant_right_hand_side(self, order):
+        rng = np.random.default_rng(30 + order)
+        A, b = self.frames(rng, order), rng.normal(size=(3, 2))
+        S = jet_solve(A, b)
+        assert S.shape == (self.P, 3, 2)
+        self.assert_rows(S, lambda r: jet_solve(A[r], b))
+
+    def test_a_singular_member_raises_for_the_set(self):
+        rng = np.random.default_rng(40)
+        A = self.frames(rng, 1)
+        value = np.array(A.value)
+        value[3] = 1.0  # all ones: singular
+        A = Jet(2, [value, A.grad])
+        with pytest.raises(EvaluationDomainError, match="singular"):
+            jet_solve(A, np.eye(3))
+        with pytest.raises(EvaluationDomainError, match="singular"):
+            jet_solve(A[3], np.eye(3))
+        for r in (0, 6):
+            jet_solve(A[r], np.eye(3))
+
+    @pytest.mark.parametrize("axis", [-2, -1])
+    def test_stack_broadcasts_its_constants(self, axis):
+        rng = np.random.default_rng(50)
+        a, b, c = self.batch(rng, (3,), 2), self.batch(rng, (3,), 3), np.arange(3.0)
+        S = jet_stack([a, c, b], axis=axis)
+        assert S.shape == (self.P, 3, 3) and S.order == 2
+        self.assert_rows(S, lambda r: jet_stack([a[r], c, b[r]], axis=axis + 2))
+
+    @pytest.mark.parametrize("order", [1, 2, 3, 4])
+    def test_compose(self, order):
+        rng = np.random.default_rng(60 + order)
+        outer, inner = self.batch(rng, (2,), order, n=3), self.batch(rng, (3,), order)
+        got = jet_compose(outer, inner)
+        assert got.shape == (self.P, 2) and got.n == 2
+        self.assert_rows(got, lambda r: jet_compose(outer[r], inner[r]))
+
+    def test_cross(self):
+        rng = np.random.default_rng(70)
+        rows = self.batch(rng, (2, 3), 2)
+        self.assert_rows(jet_cross(rows), lambda r: jet_cross(rows[r]))
+
+    def test_transpose_acts_on_the_trailing_axes(self):
+        J = self.batch(np.random.default_rng(80), (2, 3, 4), 2)
+        assert J.transpose(2, 0, 1).shape == (self.P, 4, 2, 3) and J.T.shape == (self.P, 2, 4, 3)
+        self.assert_rows(J.transpose(2, 0, 1), lambda r: J[r].transpose(2, 0, 1))
+        self.assert_rows(J.transpose(-1, 0, 1), lambda r: J[r].transpose(2, 0, 1))
+        self.assert_rows(J.T, lambda r: J[r].T)
+        self.assert_rows(J[..., 0, :, :].T, lambda r: J[r][0].T)
 
 
 class TestComposition:

@@ -2,8 +2,8 @@
 (``fields.kept``): running a spec again builds nothing new, the fields a
 run builds do not depend on the sample count, a predicate verdict is
 computed once per structure and config, a transform of the same two
-fields is one key, and an expression field evaluates once per sample set
-and order in a run."""
+fields is one key, and every field evaluates once per sample set and
+order in a run, in one call on the whole set."""
 
 from collections import Counter
 from pathlib import Path
@@ -184,7 +184,29 @@ def expression_evaluations(monkeypatch, name, samples):
     return counts[1], counts[2]
 
 
+def field_calls(monkeypatch, name, samples):
+    """``(at a point, on a set)`` calls of the ``fn`` of every field of one
+    fresh ``run_spec`` of a fixture."""
+    counts = Counter()
+    init = fields._Field.__init__
+
+    def counting(field, chart, fn, expressions=None):
+        def counted(p, order):
+            counts[np.ndim(p)] += 1
+            return fn(p, order)
+
+        init(field, chart, counted, expressions)
+
+    monkeypatch.setattr(fields._Field, "__init__", counting)
+    spec = load_spec(FIXTURES / name)
+    run_spec(spec, spec.config.with_(samples=samples))
+    monkeypatch.undo()
+    return counts[1], counts[2]
+
+
 EMBEDDED = ["sphere_hypersurface", "flat_dual_sphere", "minkowski_null_hyperplane"]
+INTRINSIC = ["swmt_eta_shift", "smt_conformal_gradient", "conformally_flat", "conformal_projective_suite",
+             "negative_controls"]
 
 
 class TestOneBatchPerSampleSet:
@@ -193,8 +215,7 @@ class TestOneBatchPerSampleSet:
         [
             # evaluated point by point: 21,900 and 8,250 at the specs' own
             # samples; with one batch per field and pass: 120 and 48
-            (["swmt_eta_shift", "smt_conformal_gradient", "conformally_flat", "conformal_projective_suite",
-              "negative_controls"], 0, 42),
+            (INTRINSIC, 0, 42),
             (["centroaffine_sphere"], 0, 9),
             # the ambient fields at the images F(pts) join the set; the 13
             # points left are the chart centres of the frames' pins (10,227
@@ -210,3 +231,25 @@ class TestOneBatchPerSampleSet:
             assert at_60 == expression_evaluations(monkeypatch, f"{name}.spec", 120)
             total = [a + b for a, b in zip(total, at_60)]
         assert total == [per_point, batches]
+
+    @pytest.mark.parametrize(
+        "names,per_point,sets",
+        [
+            # with only expression fields filling a set in one call: 10,600
+            # calls at a point and 42 on a set at the specs' own samples
+            (INTRINSIC, 0, 108),
+            # 3,600 and 9
+            (["centroaffine_sphere"], 0, 33),
+            # 15,024 and 42; the 24 points left are the chart centres of the
+            # frames' pins
+            (EMBEDDED, 24, 153),
+        ],
+        ids=["intrinsic", "affine", "embedded"],
+    )
+    def test_every_field_fills_a_set_in_one_call(self, monkeypatch, names, per_point, sets):
+        total = [0, 0]
+        for name in names:
+            at_60 = field_calls(monkeypatch, f"{name}.spec", 60)
+            assert at_60 == field_calls(monkeypatch, f"{name}.spec", 120)
+            total = [a + b for a, b in zip(total, at_60)]
+        assert total == [per_point, sets]

@@ -1,10 +1,11 @@
 """One result store per spec run: a field asked at a point of a running
 pass's sample set keeps its result per (field, set, order) as compact
-per-set arrays, so a later pass of any check over the same points reads
-rows instead of rebuilding the chain; the images of an embedding join the
-set; a point where the field raises keeps nothing; and the store dies with
-its run."""
+per-set arrays, filled by one call on the whole set, so a later pass of any
+check over the same points reads rows instead of rebuilding the chain; the
+images of an embedding join the set; a point where the field raises keeps
+its reason and is not evaluated again; and the store dies with its run."""
 
+import contextlib
 import gc
 import json
 import weakref
@@ -72,15 +73,14 @@ class TestRows:
             with sample_set(pts):
                 for p in pts:
                     field.jet(p, 1)
-        assert calls == [1] * 12
+        # one call on the whole set per pass (one per point: 12)
+        assert calls == [1, 1]
         assert fields._store.get() is None
 
     def test_every_kind_of_leaf_reads_back(self):
-        marker = object()
-
         def fn(p, order):
-            j = Jet.constant(np.outer(p, p), 2, order)
-            return {"jet": j, "float": float(p[0]), "array": p * 2.0, "pair": (j, order), "object": marker}
+            j = Jet.constant(p[..., :, None] * p[..., None, :], 2, order)
+            return {"jet": j, "float": p[..., 0] * 1.0, "array": p * 2.0, "pair": (j, p[..., 1] + order)}
 
         field = _Field(plane_chart(), fn)
         pts = halton_points(plane_chart(), 5)
@@ -93,40 +93,66 @@ class TestRows:
             want = fn(p, 1)
             for got in (a, b):
                 assert got["float"] == want["float"] and isinstance(got["float"], float)
-                assert got["object"] is marker and got["pair"][1] == 1
-                arrays = [got["array"], *got["jet"].layers, *got["pair"][0].layers]
-                wanted = [want["array"], *want["jet"].layers, *want["pair"][0].layers]
+                arrays = [got["array"], got["pair"][1], *got["jet"].layers, *got["pair"][0].layers]
+                wanted = [want["array"], want["pair"][1], *want["jet"].layers, *want["pair"][0].layers]
                 assert [np.asarray(x).tobytes() for x in arrays] == [np.asarray(x).tobytes() for x in wanted]
                 assert not any(x.flags.writeable for x in arrays if isinstance(x, np.ndarray))
 
-    def test_a_point_that_raises_keeps_nothing(self):
+    def raising(self):
+        """A field on a chart across ``x = 0`` whose rows with ``x <= 0``
+        raise, with its counted calls, its points and those rows."""
         chart = plane_chart(-1.0, 1.0)
         f = fields.ScalarField.from_expression(chart, "1 + sqrt(x)")
         g = _Field(chart, lambda p, order: f.jet(p, order) * 2.0)
-        calls = counted_fn(g)
+        calls = []
+        fn = g._fn
+
+        def counted(p, order):
+            calls.append(np.shape(p))
+            return fn(p, order)
+
+        g._fn = counted
         pts = halton_points(chart, 12)
         bad = [row for row, p in enumerate(pts) if p[0] <= 0]  # order 1 fails at x = 0 too
         assert bad and len(bad) < len(pts)
+        return g, calls, pts, bad
+
+    def test_a_point_that_raises_keeps_its_reason(self):
+        g, _, pts, bad = self.raising()
         with result_store():
             for _ in range(2):
                 with sample_set(pts):
                     for row, p in enumerate(pts):
                         if row in bad:
-                            with pytest.raises(EvaluationDomainError, match="sqrt"):
+                            with pytest.raises(EvaluationDomainError, match="^sqrt of a negative value$"):
                                 g.jet(p, 1)
                         else:
                             g.jet(p, 1)
             (s,) = fields._store.get().sets.values()
             entry = s.entries[g, 1]
             assert [not kept for kept in entry.filled] == [row in bad for row in range(len(pts))]
-        # the good points once, the bad points once per pass
-        assert len(calls) == len(pts) + len(bad)
+            assert entry.raised == {row: (EvaluationDomainError, ("sqrt of a negative value",)) for row in bad}
+
+    def test_a_point_that_raised_is_not_evaluated_again(self):
+        g, calls, pts, bad = self.raising()
+        with result_store():
+            for _ in range(2):
+                with sample_set(pts):
+                    for p in pts:
+                        with contextlib.suppress(EvaluationDomainError):
+                            g.jet(p, 1)
+                    # a kept reason makes a read of the whole set raise at once
+                    with pytest.raises(EvaluationDomainError):
+                        g.jet(pts, 1)
+        # the set once, which raised, then each point once
+        assert calls == [pts.shape] + [pts[0].shape] * len(pts)
 
 
 def count_per_point(monkeypatch, path, samples=None, runs=1):
-    """``[(at sample points, elsewhere)]`` for ``_build_screen_data`` and
-    for ``jet_compose`` in ``EmbeddingMap.compose``, one entry per
-    ``run_spec`` of one loaded spec."""
+    """``(on the whole set, at sample points, elsewhere)`` for
+    ``_build_screen_data`` and for ``jet_compose`` in
+    ``EmbeddingMap.compose``, one entry per ``run_spec`` of one loaded
+    spec."""
     spec = load_spec(path)
     config = spec.config if samples is None else spec.config.with_(samples=samples)
     emb = spec.embedding or spec.lightlike_embedding
@@ -135,11 +161,11 @@ def count_per_point(monkeypatch, path, samples=None, runs=1):
     compose = hypersurfaces.jet_compose
 
     def counted_build(frame, p, order):
-        seen["screen"].append(p.tobytes())
+        seen["screen"].append(p)
         return build(frame, p, order)
 
     def counted_compose(f, F):
-        seen["compose"].append(F.value.tobytes())
+        seen["compose"].append(F.value)
         return compose(f, F)
 
     monkeypatch.setattr(lightlike.LightlikeFrame, "_build_screen_data", counted_build)
@@ -150,45 +176,54 @@ def count_per_point(monkeypatch, path, samples=None, runs=1):
             calls.clear()
         run_spec(spec, config)
         pts = halton_points(emb.domain, config.samples, config.seed)
-        at = {"screen": {p.tobytes() for p in pts}, "compose": {emb.value(p).tobytes() for p in pts}}
-        counts.append({k: (sum(b in at[k] for b in calls), sum(b not in at[k] for b in calls))
-                       for k, calls in seen.items()})
+        images = np.array([emb.value(p) for p in pts])
+        whole = {"screen": pts.tobytes(), "compose": images.tobytes()}
+        at = {"screen": {p.tobytes() for p in pts}, "compose": {q.tobytes() for q in images}}
+        counts.append({
+            k: (
+                sum(x.tobytes() == whole[k] for x in calls),
+                sum(x.tobytes() in at[k] for x in calls),
+                sum(x.tobytes() != whole[k] and x.tobytes() not in at[k] for x in calls),
+            )
+            for k, calls in seen.items()
+        })
     monkeypatch.undo()
     return counts
 
 
 class TestOneBuildPerPoint:
-    """With the store, each derived field is built once per sample point and
-    order in a run, however many checks read it."""
+    """With the store, each derived field is built once per sample set and
+    order in a run, in one call on all its points, however many checks
+    read it."""
 
     @pytest.mark.parametrize(
         "name,screen,compose",
         [
-            # parent: 1,500 screen-data builds and 3,155 compositions
-            ("minkowski_null_hyperplane", 600, 1202),
-            # parent: 5,102 compositions
-            ("sphere_hypersurface", 0, 1952),
+            # one per point: 600 screen-data builds and 1,202 compositions;
+            # one per point and check: 1,500 and 3,155
+            ("minkowski_null_hyperplane", 4, 8),
+            # one per point: 1,952 compositions; per check: 5,102
+            ("sphere_hypersurface", 0, 13),
         ],
     )
     def test_a_fresh_run(self, monkeypatch, name, screen, compose):
         (counts,) = count_per_point(monkeypatch, FIXTURES / f"{name}.spec")
-        assert sum(counts["screen"]) == screen and sum(counts["compose"]) == compose
-        # the rest are the pins of the frames at the chart centre
-        assert counts["screen"][1] == 0 and counts["compose"][1] == 2
+        # the points elsewhere are the pins of the frames at the chart centre
+        assert counts == {"screen": (screen, 0, 0), "compose": (compose, 0, 2)}
 
     @pytest.mark.parametrize(
         "name,screen,compose", [("minkowski_null_hyperplane", 4, 8), ("sphere_hypersurface", 0, 13)]
     )
-    def test_the_same_per_sample_point_at_60_and_120_samples(self, monkeypatch, name, screen, compose):
+    def test_the_same_at_60_and_120_samples(self, monkeypatch, name, screen, compose):
         for samples in (60, 120):
             (counts,) = count_per_point(monkeypatch, FIXTURES / f"{name}.spec", samples)
-            assert counts == {"screen": (screen * samples, 0), "compose": (compose * samples, 2)}
+            assert counts == {"screen": (screen, 0, 0), "compose": (compose, 0, 2)}
 
-    def test_a_second_run_rebuilds_every_point(self, monkeypatch):
+    def test_a_second_run_rebuilds_every_set(self, monkeypatch):
         # the store does not outlive a run; the pins are kept by the frames
         first, second = count_per_point(monkeypatch, FIXTURES / "minkowski_null_hyperplane.spec", 60, runs=2)
-        assert first["screen"] == second["screen"] == (240, 0)
-        assert first["compose"] == (480, 2) and second["compose"] == (480, 0)
+        assert first["screen"] == second["screen"] == (4, 0, 0)
+        assert first["compose"] == (8, 0, 2) and second["compose"] == (8, 0, 0)
 
 
 class TestRelease:
@@ -196,15 +231,23 @@ class TestRelease:
     def test_the_store_dies_when_its_run_returns(self, monkeypatch, name):
         spec = load_spec(FIXTURES / f"{name}.spec")
         refs = []
-        put = fields._Entry.put
+        fill, put = fields._Entry.fill, fields._Entry.put
 
-        def recording(entry, row, out):
-            put(entry, row, out)
+        def record(entry):
             if not refs:
                 refs.append(weakref.ref(fields._store.get()))
-                refs.extend(weakref.ref(c) for c in entry.columns if isinstance(c, np.ndarray))
+                refs.extend(weakref.ref(c) for c in entry.columns)
 
-        monkeypatch.setattr(fields._Entry, "put", recording)
+        def recording_fill(entry, out):
+            fill(entry, out)
+            record(entry)
+
+        def recording_put(entry, row, out):
+            put(entry, row, out)
+            record(entry)
+
+        monkeypatch.setattr(fields._Entry, "fill", recording_fill)
+        monkeypatch.setattr(fields._Entry, "put", recording_put)
         gc.disable()  # only reference counting may free the store
         try:
             run_spec(spec, spec.config.with_(samples=30, min_valid_points=10))

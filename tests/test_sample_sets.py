@@ -1,10 +1,11 @@
-"""Expression fields evaluate once per sample set: ``eval_jets`` on a point
-set gives each point the bits it gets alone, a field reads its rows from
-the set's batch, a set with points outside the domain raises at each point
-as that point alone does, batches are read-only, and a pass leaves no
-sample set behind."""
+"""Fields evaluate once per sample set: ``eval_jets`` on a point set gives
+each point the bits it gets alone, and so does every field a spec's run
+builds; a field reads its rows from the set's batch, a set with points
+outside the domain raises at each point as that point alone does, batches
+are read-only, and a pass leaves no sample set behind."""
 
 from pathlib import Path
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -13,6 +14,8 @@ from conftest import plane_chart
 from semiweyl import fields
 from semiweyl.expressions import eval_jets
 from semiweyl.fields import Chart, MetricField, ScalarField, sample_set
+from semiweyl.jets import EvaluationDomainError
+from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
 from semiweyl.specfile import load_spec
 from semiweyl.verdicts import RunConfig, run_laws
@@ -165,3 +168,81 @@ class TestPasses:
                 run_laws(chart, self.CONFIG, [("law", law)])
             assert fields._samples.get() is outer
         assert fields._samples.get() is None
+
+
+# -- every field -------------------------------------------------------------------
+
+SPECS = FIXTURES + [Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "domain_edge.spec"]
+
+
+def fields_of_a_run(monkeypatch, path):
+    """The loaded spec and ``{field: orders asked}`` of every field that
+    loading it and one ``run_spec`` build."""
+    asked = {}
+    init = fields._Field.__init__
+
+    def recording(field, chart, fn, expressions=None):
+        orders = asked.setdefault(field, set())
+
+        def recorded(p, order):
+            orders.add(order)
+            return fn(p, order)
+
+        init(field, chart, recorded, expressions)
+
+    monkeypatch.setattr(fields._Field, "__init__", recording)
+    spec = load_spec(path)
+    run_spec(spec)
+    monkeypatch.undo()
+    return spec, {field: sorted(orders) for field, orders in asked.items()}
+
+
+class Raised(NamedTuple):
+    kind: type
+    message: str
+
+
+def outcome(call, *args):
+    """``call(*args)``, or the :class:`Raised` of a point's exception."""
+    try:
+        return call(*args)
+    except (EvaluationDomainError, fields.DegeneratePointError) as exc:
+        return Raised(type(exc), str(exc))
+
+
+def leaf_bytes(out):
+    return [np.asarray(L).tobytes() for L in fields._leaves(out)]
+
+
+class TestEveryField:
+    """Each field that a spec's run builds gives each point of a set, asked
+    for all of them at once, the bits it gives that point alone; a point
+    that raises alone raises alike in the set."""
+
+    @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+    def test_a_set_gives_each_point_its_bits_alone(self, monkeypatch, path):
+        spec, asked = fields_of_a_run(monkeypatch, path)
+        assert any(field.expressions is None for field in asked)
+        by_chart = {}
+        for field, orders in asked.items():
+            by_chart.setdefault(field.chart, []).extend((field, order) for order in orders)
+        for chart, items in by_chart.items():
+            pts = halton_points(chart, spec.config.samples, spec.config.seed)
+            # outside any pass, so each point is evaluated alone
+            alone = [[outcome(field._fn, p, order) for field, order in items] for p in pts]
+            with sample_set(pts):
+                for i, (field, order) in enumerate(items):
+                    want = [row[i] for row in alone]
+                    if any(isinstance(w, Raised) for w in want):
+                        with pytest.raises((EvaluationDomainError, fields.DegeneratePointError)):
+                            field.jet(pts, order)
+                        got = [outcome(field.jet, p, order) for p in pts]
+                    else:
+                        whole = field.jet(pts, order)
+                        read = fields._reader(whole, iter(fields._leaves(whole)))
+                        got = [read(row) for row in range(len(pts))]
+                    for g, w in zip(got, want):
+                        if isinstance(w, Raised):
+                            assert g == w, (field, order)
+                        else:
+                            assert leaf_bytes(g) == leaf_bytes(w), (field, order)

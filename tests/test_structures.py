@@ -66,7 +66,7 @@ class TestPredicates:
 
         def counting_init(field, chart, fn, expressions=None):
             def counted(p, order):
-                calls[type(field).__name__, id(field), order] += 1
+                calls[type(field).__name__, id(field), np.shape(p), order] += 1
                 return fn(p, order)
 
             init(field, chart, counted, expressions)
@@ -77,13 +77,15 @@ class TestPredicates:
         v = is_swmt(s, RunConfig(samples=1, seed=0, tol=1e-8, min_valid_points=1))
         assert v.points_tested == 1
         totals = Counter()
-        for (kind, _, _), c in calls.items():
+        for (kind, _, _, _), c in calls.items():
             totals[kind] += c
         # without the per-point jet cache this point costs 6 evaluations of
         # the connections (the shifted one and its Levi-Civita base) and 6
         # of the metric
         assert max(calls.values()) == 1, f"evaluations by field kind: {dict(totals)}"
         assert totals["ConnectionField"] == 2 and totals["MetricField"] == 2
+        # each a call on the pass's one-point set, none at the point alone
+        assert {shape for _, _, shape, _ in calls} == {(1, 2)}
 
 
 class TestDuality:

@@ -3,6 +3,7 @@ and each law keeps its own verdict."""
 
 from pathlib import Path
 
+import numpy as np
 from conftest import plane_chart
 from semiweyl import conformal, lightlike, structures
 from semiweyl.registry import run_check
@@ -80,11 +81,12 @@ class TestRunLaws:
 
 
 def count_calls(field, calls):
-    """Count the calls of ``field``'s own function (its jet-cache misses)."""
+    """Record ``(shape of p, order)`` of each call of ``field``'s own
+    function (its jet-cache misses)."""
     fn = field._fn
 
     def counted(p, order):
-        calls.append(order)
+        calls.append((np.shape(p), order))
         return fn(p, order)
 
     field._fn = counted
@@ -92,7 +94,8 @@ def count_calls(field, calls):
 
 class TestOnePassPerCheck:
     """Each check evaluates all its laws at a point before the next point,
-    so a derived field is built once per point and order, not once per law."""
+    so a derived field is built once per point and order, not once per law;
+    and it is built for all the points of the pass in one call."""
 
     def test_curvature_laws_build_the_transformed_connection_once_per_point(self, monkeypatch):
         spec = load_spec(FIXTURES / "conformal_projective_suite.spec")
@@ -110,11 +113,13 @@ class TestOnePassPerCheck:
         monkeypatch.setattr(conformal, "transform", counted_transform)
         verdicts = run_check("cp_curvature_laws", spec, spec.config)
         assert [v.points_tested for v in verdicts] == [150] * 3
-        assert len(calls) == 150  # one pass per law: 450
+        # one call on the pass's 150 points; one per point: 150 calls, and
+        # one pass per law: 450
+        assert calls == [((150, 2), 1)]
         calls.clear()
         verdicts = run_check("cp_ricci_antisymmetry", spec, spec.config)
         assert [v.points_tested for v in verdicts] == [150] * 2
-        assert len(calls) == 150  # one pass per law: 300
+        assert calls == [((150, 2), 1)]  # one per point: 150; one pass per law: 300
 
     def test_dual_structure_builds_the_dual_connection_once_per_point(self, monkeypatch):
         spec = load_spec(FIXTURES / "swmt_eta_shift.spec")
@@ -129,7 +134,7 @@ class TestOnePassPerCheck:
         monkeypatch.setattr(structures, "dual_connection", counted_dual)
         (v,) = run_check("dual_structure", spec, spec.config)
         assert v.passed and v.points_tested == 4 * 200
-        assert len(calls) == 200  # one pass per law: 400
+        assert calls == [((200, 2), 0)]  # one per point: 200; one pass per law: 400
 
     def test_umbilic_preservation_builds_the_screen_data_once_per_point(self, monkeypatch):
         spec = load_spec(FIXTURES / "null_cone.spec")
@@ -137,13 +142,13 @@ class TestOnePassPerCheck:
         build = lightlike.LightlikeFrame._build_screen_data
 
         def counted(frame, p, order):
-            builds.append(order)
+            builds.append((np.shape(p), order))
             return build(frame, p, order)
 
         monkeypatch.setattr(lightlike.LightlikeFrame, "_build_screen_data", counted)
         law, _ = run_check("lightlike_umbilic_preservation", spec, spec.config)
         assert law.points_tested + law.points_skipped == 150
-        # the frames before and after the transformation, once each per point;
-        # one pass per law: 600
-        assert len(builds) == 300
+        # the frames before and after the transformation, once each on the
+        # pass's points; once each per point: 300; one pass per law: 600
+        assert builds == [((150, 2), 0)] * 2
 
