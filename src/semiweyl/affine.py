@@ -23,7 +23,7 @@ from .tensor import (
     torsion_values,
     wedge_g,
 )
-from .verdicts import RunConfig, SkipPoint, run_laws, run_pointwise_check
+from .verdicts import RunConfig, row_max, run_laws, run_pointwise_check
 
 __all__ = [
     "AffineDistribution",
@@ -141,7 +141,7 @@ def check_realization(dist: AffineDistribution, config: RunConfig):
     def symm_fn(p):
         _, g, _, _ = dist.decompose(p, 0)
         gv = g.value
-        return float(np.max(np.abs(gv - gv.T))), 1.0 + np.max(np.abs(gv))
+        return row_max(gv - gv.swapaxes(-1, -2), p), 1.0 + row_max(gv, p)
 
     return run_laws(dist.chart, config, [
         ("realization_metric_symmetry", symm_fn, None, "frame-equation metric is symmetric"),
@@ -159,8 +159,8 @@ def check_realization_curvature_law(dist: AffineDistribution, config: RunConfig)
         R = curvature_values(s.conn, p)
         gv = s.g.value(p)
         Bv = B_fn(p, 0).value
-        rhs = np.einsum("jk,li->lkij", gv, Bv) - np.einsum("ik,lj->lkij", gv, Bv)
-        return float(np.max(np.abs(R - rhs))), 1.0 + np.max(np.abs(R)) + np.max(np.abs(rhs))
+        rhs = np.einsum("...jk,...li->...lkij", gv, Bv) - np.einsum("...ik,...lj->...lkij", gv, Bv)
+        return row_max(R - rhs, p), 1.0 + row_max(R, p) + row_max(rhs, p)
 
     return [run_pointwise_check("realization_curvature_law", dist.chart, fn, config,
                                 detail="curvature of the realized connection is the metric/shape bilinear combination")]
@@ -180,22 +180,22 @@ def check_realization_ricci_scalar(dist: AffineDistribution, config: RunConfig):
         E, eps = orthonormal_frame(gv)
         # gBE[i] = g(B(E_i), E_i)
         BE = Bv @ E
-        gBEE = np.einsum("li,lm,mi->i", BE, gv, E)
-        trB = float(eps @ gBEE)
+        gBEE = np.einsum("...li,...lm,...mi->...i", BE, gv, E)
+        trB = np.vecdot(eps, gBEE)
         ric = ricci_values(s.conn, s.g, p)
         # Ric(Y,Z) = g(Y,Z) trB - sum_i eps_i g(E_i, Z) g(B(Y), E_i)
         gE = gv @ E  # gE[m, i] = g(e_m, E_i)
-        gBY = (gv @ Bv).T  # gBY[j, m] = g(B(e_j), e_m)
-        second = np.einsum("i,ki,ji->jk", eps, gE, gBY @ E)
-        ric_rhs = gv * trB - second
-        r1 = np.max(np.abs(ric - ric_rhs))
+        gBY = (gv @ Bv).swapaxes(-1, -2)  # gBY[j, m] = g(B(e_j), e_m)
+        second = np.einsum("...i,...ki,...ji->...jk", eps, gE, gBY @ E)
+        ric_rhs = gv * trB[..., None, None] - second
+        r1 = row_max(ric - ric_rhs, p)
         scal = scalar_curvature(s.conn, s.g, p)
         r2 = abs(scal - (n - 1) * trB)
         # antisymmetric part: Ric(Y,Z) - Ric(Z,Y) = g(B(Z),Y) - g(B(Y),Z)
         gB = gv @ Bv  # gB[m, j] = g(B(e_j), e_m)
-        r3 = np.max(np.abs((ric - ric.T) - (gB - gB.T)))
-        scale = 1.0 + np.max(np.abs(ric)) + abs(scal) + np.max(np.abs(ric_rhs))
-        return float(max(r1, r2, r3)), scale
+        r3 = row_max((ric - ric.swapaxes(-1, -2)) - (gB - gB.swapaxes(-1, -2)), p)
+        scale = 1.0 + row_max(ric, p) + abs(scal) + row_max(ric_rhs, p)
+        return np.maximum.reduce([r1, r2, r3]), scale
 
     return [run_pointwise_check("realization_ricci_scalar", dist.chart, fn, config,
                                 detail="Ricci/scalar of the realized structure from frame traces of the shape operator")]
@@ -213,13 +213,13 @@ def check_shape_proportional_scalar(dist: AffineDistribution, config: RunConfig)
         gv = s.g.value(p)
         require_nondegenerate(gv)
         Bv = B_fn(p, 0).value
-        c = float(np.trace(Bv)) / n
-        if np.max(np.abs(Bv - c * np.eye(n))) > config.tol * (1.0 + np.max(np.abs(Bv))):
-            raise SkipPoint("shape operator is not proportional to the identity here")
+        c = np.trace(Bv, axis1=-2, axis2=-1) / n
+        off = row_max(Bv - c[..., None, None] * np.eye(n), p) > config.tol * (1.0 + row_max(Bv, p))
         scal = scalar_curvature(s.conn, s.g, p)
         ric = ricci_values(s.conn, s.g, p)
-        res = max(abs(scal - c * n * (n - 1)), np.max(np.abs(ric - ric.T)))
-        return float(res), 1.0 + abs(scal) + np.max(np.abs(ric))
+        res = np.maximum(abs(scal - c * n * (n - 1)), row_max(ric - ric.swapaxes(-1, -2), p))
+        reason = np.where(off, "shape operator is not proportional to the identity here", "")
+        return res, 1.0 + abs(scal) + row_max(ric, p), reason
 
     return [run_pointwise_check("shape_proportional_scalar", dist.chart, fn, config,
                                 detail="identity-proportional shape operator gives symmetric Ricci and scal = c n (n-1)")]
@@ -276,19 +276,22 @@ def check_xi_rescale_laws(dist: AffineDistribution, psi: ScalarField, variant, c
         gam_t = s_t.conn.value(p)
         B_t = B_t_fn(p, 0).value
 
-        r_g = np.max(np.abs(g_t - e * gv))
+        e1, e2, e3 = e[..., None], e[..., None, None], e[..., None, None, None]
+        r_g = row_max(g_t - e2 * gv, p)
         if variant == "inner":
-            r_eta = np.max(np.abs(eta_t - etav))
-            conn_rhs = gamv - np.einsum("ij,k->kij", gv, gp)
-            B_rhs = (Bv - hess.T + np.einsum("k,i->ki", gp, dpsi) + np.einsum("k,i->ki", gp, etav)) / e
+            r_eta = row_max(eta_t - etav, p)
+            conn_rhs = gamv - np.einsum("...ij,...k->...kij", gv, gp)
+            B_rhs = (Bv - hess.swapaxes(-1, -2) + np.einsum("...k,...i->...ki", gp, dpsi)
+                     + np.einsum("...k,...i->...ki", gp, etav)) / e2
         else:
-            r_eta = np.max(np.abs(eta_t - (etav + (e - 1.0) * dpsi)))
-            conn_rhs = gamv - e * np.einsum("ij,k->kij", gv, gp)
-            B_rhs = Bv / e - hess.T + (e - 1.0) * np.einsum("k,i->ki", gp, dpsi) + np.einsum("k,i->ki", gp, etav)
-        r_conn = np.max(np.abs(gam_t - conn_rhs))
-        r_B = np.max(np.abs(B_t - B_rhs))
-        scale = 1.0 + np.max(np.abs(g_t)) + np.max(np.abs(gam_t)) + np.max(np.abs(B_t)) + np.max(np.abs(B_rhs))
-        return float(max(r_g, r_eta, r_conn, r_B)), scale
+            r_eta = row_max(eta_t - (etav + (e1 - 1.0) * dpsi), p)
+            conn_rhs = gamv - e3 * np.einsum("...ij,...k->...kij", gv, gp)
+            B_rhs = (Bv / e2 - hess.swapaxes(-1, -2) + (e2 - 1.0) * np.einsum("...k,...i->...ki", gp, dpsi)
+                     + np.einsum("...k,...i->...ki", gp, etav))
+        r_conn = row_max(gam_t - conn_rhs, p)
+        r_B = row_max(B_t - B_rhs, p)
+        scale = 1.0 + row_max(g_t, p) + row_max(gam_t, p) + row_max(B_t, p) + row_max(B_rhs, p)
+        return np.maximum.reduce([r_g, r_eta, r_conn, r_B]), scale
 
     name = "xi_rescale_laws_inner" if variant == "inner" else "xi_rescale_laws_outer"
     return [run_pointwise_check(name, chart, fn, config,
@@ -319,14 +322,14 @@ def check_xi_rescale_codazzi(dist: AffineDistribution, psi: ScalarField, config:
         require_nondegenerate(gv)
         T0 = torsion_values(s.conn, p)
         T1 = torsion_values(s_t.conn, p)
-        r_t = np.max(np.abs(T1 - T0))
+        r_t = row_max(T1 - T0, p)
         psi_j = psi.jet(p, 1)
-        e = np.exp(psi_j.value)
+        e = np.exp(psi_j.value)[..., None, None, None]
         lhs = codazzi_defect(nabla_g_values(s_t.conn, s_t.g, p), gv)
         base = codazzi_defect(nabla_g_values(s.conn, s.g, p), gv)
         rhs = e * base + (e - e * e) * wedge_g(psi_j.grad, gv)
-        r_c = np.max(np.abs(lhs - rhs))
-        return float(max(r_t, r_c)), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs)) + np.max(np.abs(T0))
+        r_c = row_max(lhs - rhs, p)
+        return np.maximum(r_t, r_c), 1.0 + row_max(lhs, p) + row_max(rhs, p) + row_max(T0, p)
 
     return [run_pointwise_check("xi_rescale_codazzi", chart, fn, config,
                                 detail="outer rescaling keeps torsion and scales the antisymmetrized metric derivative")]

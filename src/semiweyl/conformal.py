@@ -20,6 +20,7 @@ from .fields import (
     negate_tensor,
     sum_tensors,
 )
+from .jets import _pow
 from .structures import Structure, is_smt, is_swmt, semi_dual, smt_residual, swmt_residual
 from .tensor import (
     codazzi_defect,
@@ -33,7 +34,7 @@ from .tensor import (
     torsion_values,
     wedge_g,
 )
-from .verdicts import RunConfig, agreement, gated, outcome, run_laws, run_pointwise_check
+from .verdicts import RunConfig, agreement, gated, outcome, row_max, run_laws, run_pointwise_check
 
 __all__ = [
     "TransformData",
@@ -155,13 +156,13 @@ def check_torsion_invariance(s: Structure, t: TransformData, config: RunConfig):
 
     def symm_fn(p):
         K = K_fn(p, 0).value
-        return float(np.max(np.abs(K - np.transpose(K, (0, 2, 1))))), 1.0
+        return row_max(K - K.swapaxes(-1, -2), p), 1.0
 
     def torsion_fn(p):
         require_nondegenerate(s.g.value(p))
         T0 = torsion_values(s.conn, p)
         T1 = torsion_values(st.conn, p)
-        return float(np.max(np.abs(T1 - T0))), 1.0 + np.max(np.abs(s.conn.value(p)))
+        return row_max(T1 - T0, p), 1.0 + row_max(s.conn.value(p), p)
 
     return run_laws(s.chart, config, [
         ("cp_torsion_term_symmetry", symm_fn, 0.0, "added coefficient tensor symmetric in lower indices, exactly"),
@@ -177,8 +178,9 @@ def check_codazzi_scaling(s: Structure, t: TransformData, config: RunConfig):
         gv = s.g.value(p)
         require_nondegenerate(gv)
         lhs = codazzi_defect(nabla_g_values(st.conn, st.g, p), gv)
-        rhs = np.exp(t.phi.value(p) + t.psi.value(p)) * codazzi_defect(nabla_g_values(s.conn, s.g, p), gv)
-        return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        e = np.exp(t.phi.value(p) + t.psi.value(p))
+        rhs = e[..., None, None, None] * codazzi_defect(nabla_g_values(s.conn, s.g, p), gv)
+        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     return [run_pointwise_check("cp_codazzi_scaling", s.chart, fn, config,
                                 detail="antisymmetrized nabla g scales by the conformal factor")]
@@ -231,7 +233,7 @@ def check_semi_dual_transform_law(s: Structure, t: TransformData, config: RunCon
         require_nondegenerate(s.g.value(p))
         L = lhs.value(p)
         Rv = rhs.value(p)
-        return float(np.max(np.abs(L - Rv))), 1.0 + max(np.max(np.abs(L)), np.max(np.abs(Rv)))
+        return row_max(L - Rv, p), 1.0 + np.maximum(row_max(L, p), row_max(Rv, p))
 
     name = "cp_semi_dual_law" if swap_roles else "cp_semi_dual_law_unswapped"
     return [run_pointwise_check(name, chart, fn, config,
@@ -244,34 +246,39 @@ def check_semi_dual_transform_law(s: Structure, t: TransformData, config: RunCon
 def _rhs_curvature(d: _PointData):
     # the scalar coefficient of Y (and X) in the transformation law:
     # X(Z(phi)) - g(nabla_X Z, grad phi) - X(phi) Z(phi) + g(X,Z) g(grad phi, grad psi)
-    phi2 = d.hess_phi - d.gam.transpose(1, 2, 0) @ d.dphi - np.outer(d.dphi, d.dphi) + d.g * d.g_phi_psi
+    phi2 = (
+        d.hess_phi
+        - np.vecdot(np.moveaxis(d.gam, -3, -1), d.dphi[..., None, None, :])
+        - np.einsum("...i,...j->...ij", d.dphi, d.dphi)
+        + d.g * d.g_phi_psi[..., None, None]
+    )
     eye = np.eye(d.n)
     return (
         d.R
-        + np.einsum("k,lij->lkij", d.dphi, d.T)
-        + np.einsum("ijk,l->lkij", wedge_g(d.dpsi, d.g), d.grad_psi)
-        - np.einsum("ijk,l->lkij", d.dng, d.grad_psi)
-        + np.einsum("ik,jl->lkij", d.g, d.dVpsi)
-        - np.einsum("jk,il->lkij", d.g, d.dVpsi)
-        + np.einsum("lj,ik->lkij", eye, phi2)
-        - np.einsum("li,jk->lkij", eye, phi2)
+        + np.einsum("...k,...lij->...lkij", d.dphi, d.T)
+        + np.einsum("...ijk,...l->...lkij", wedge_g(d.dpsi, d.g), d.grad_psi)
+        - np.einsum("...ijk,...l->...lkij", d.dng, d.grad_psi)
+        + np.einsum("...ik,...jl->...lkij", d.g, d.dVpsi)
+        - np.einsum("...jk,...il->...lkij", d.g, d.dVpsi)
+        + np.einsum("lj,...ik->...lkij", eye, phi2)
+        - np.einsum("li,...jk->...lkij", eye, phi2)
     )
 
 
 def _rhs_ricci(d: _PointData):
-    gT_psi_Y_Z = np.einsum("maj,a,mk->jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
-    ngradphi = np.einsum("jmk,m->jk", d.ng, d.grad_phi)  # (nabla_{d_j} g)(grad phi, d_k)
-    ngradpsi = np.einsum("jmk,m->jk", d.ng, d.grad_psi)
+    gT_psi_Y_Z = np.einsum("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
+    ngradphi = np.einsum("...jmk,...m->...jk", d.ng, d.grad_phi)  # (nabla_{d_j} g)(grad phi, d_k)
+    ngradpsi = np.einsum("...jmk,...m->...jk", d.ng, d.grad_psi)
     hess_phi_g = d.dVphi @ d.g  # g(nabla_{d_j} grad phi, d_k)
     hess_psi_g = d.dVpsi @ d.g
-    n_gradpsi_g = np.einsum("ajk,a->jk", d.ng, d.grad_psi)  # (nabla_{grad psi} g)(d_j, d_k)
+    n_gradpsi_g = np.einsum("...ajk,...a->...jk", d.ng, d.grad_psi)  # (nabla_{grad psi} g)(d_j, d_k)
     bracket = d.norm_psi2 - d.lap_psi - (d.n - 1) * d.g_phi_psi
     return (
         d.ric
-        + np.outer(d.trT, d.dphi)
-        + d.g * bracket
-        + np.outer((d.n - 1) * d.dphi, d.dphi)
-        - np.outer(d.dpsi, d.dpsi)
+        + np.einsum("...j,...k->...jk", d.trT, d.dphi)
+        + d.g * bracket[..., None, None]
+        + np.einsum("...j,...k->...jk", (d.n - 1) * d.dphi, d.dphi)
+        - np.einsum("...j,...k->...jk", d.dpsi, d.dpsi)
         - gT_psi_Y_Z
         - (d.n - 1) * (ngradphi + hess_phi_g)
         + ngradpsi
@@ -283,11 +290,12 @@ def _rhs_ricci(d: _PointData):
 def _rhs_scal(d: _PointData):
     n = d.n
     e = np.exp(-(d.phi + d.psi))
-    trT_gradphi = float(d.trT @ d.grad_phi)
-    trT_gradpsi = float(d.trT @ d.grad_psi)
-    tr_ng_phi = float(np.einsum("ab,amb,m->", d.ginv, d.ng, d.grad_phi))
-    tr_ng_psi = float(np.einsum("ab,amb,m->", d.ginv, d.ng, d.grad_psi))
-    tr_n_psi_g = float(np.einsum("ab,mab,m->", d.ginv, d.ng, d.grad_psi))
+    trT_gradphi = np.vecdot(d.trT, d.grad_phi)
+    trT_gradpsi = np.vecdot(d.trT, d.grad_psi)
+    tr_ng_phi = np.einsum("...ab,...amb,...m->...", d.ginv, d.ng, d.grad_phi)
+    tr_ng_psi = np.einsum("...ab,...amb,...m->...", d.ginv, d.ng, d.grad_psi)
+    # over a and b, then over m: the order of a one-point einsum, so each row keeps a point's bits
+    tr_n_psi_g = np.einsum("...ab,...mab,...m->...m", d.ginv, d.ng, d.grad_psi).sum(-1)
     return (
         e * (d.scal + trT_gradphi + trT_gradpsi)
         + (n - 1) * e * (d.norm_phi2 + d.norm_psi2 - d.lap_phi - d.lap_psi - n * d.g_phi_psi)
@@ -305,19 +313,19 @@ def _curvature_laws(st: Structure, point_data, names):
         d = _data(point_data, p)
         lhs = curvature_values(st.conn, p)
         rhs = _rhs_curvature(d)
-        return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     def ric_fn(p):
         d = _data(point_data, p)
         lhs = ricci_values(st.conn, st.g, p)
         rhs = _rhs_ricci(d)
-        return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     def scal_fn(p):
         d = _data(point_data, p)
         lhs = scalar_curvature(st.conn, st.g, p)
         rhs = _rhs_scal(d)
-        return float(abs(lhs - rhs)), 1.0 + abs(lhs) + abs(rhs)
+        return abs(lhs - rhs), 1.0 + abs(lhs) + abs(rhs)
 
     details = (
         "curvature of the transformed connection matches the change formula",
@@ -342,26 +350,26 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
 
     def full_fn(p):
         lhs = ricci_values(st.conn, st.g, p)
-        lhs = lhs - lhs.T
+        lhs = lhs - lhs.swapaxes(-1, -2)
         rhs = _rhs_ricci(_data(point_data, p))
-        rhs = rhs - rhs.T
-        return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        rhs = rhs - rhs.swapaxes(-1, -2)
+        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     def torsion_form_fn(p):
         d = _data(point_data, p)
         lhs = ricci_values(st.conn, st.g, p)
-        lhs = lhs - lhs.T
-        gT_df = np.einsum("mjk,m->jk", d.T, d.dphi)  # g(T(d_j, d_k), grad phi)
-        gT_dpsi = np.einsum("mjk,m->jk", d.T, d.dpsi)
-        gT_Z_psi = np.einsum("mka,a,mj->jk", d.T, d.grad_psi, d.g)  # g(T(d_k, grad psi), d_j)
-        gT_psi_Y = np.einsum("maj,a,mk->jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
+        lhs = lhs - lhs.swapaxes(-1, -2)
+        gT_df = np.einsum("...mjk,...m->...jk", d.T, d.dphi)  # g(T(d_j, d_k), grad phi)
+        gT_dpsi = np.einsum("...mjk,...m->...jk", d.T, d.dpsi)
+        gT_Z_psi = np.einsum("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)  # g(T(d_k, grad psi), d_j)
+        gT_psi_Y = np.einsum("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
         rhs = (
-            d.ric - d.ric.T
-            + np.einsum("k,j->jk", d.dphi, d.trT) - np.einsum("j,k->jk", d.dphi, d.trT)
+            d.ric - d.ric.swapaxes(-1, -2)
+            + np.einsum("...k,...j->...jk", d.dphi, d.trT) - np.einsum("...j,...k->...jk", d.dphi, d.trT)
             + (d.n - 1) * gT_df
             - gT_dpsi - gT_Z_psi - gT_psi_Y
         )
-        return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     return run_laws(s.chart, config, [
         ("cp_ricci_antisymmetry", full_fn, None, "antisymmetrized Ricci change, covariant-derivative form"),
@@ -381,12 +389,12 @@ def check_gradient_codazzi_identity(s: Structure, f: ScalarField, config: RunCon
         ng = nabla_g_values(s.conn, s.g, p)
         T = torsion_values(s.conn, p)
         fj = f.jet(p, 1)
-        gradf = np.linalg.inv(gvals) @ fj.grad
+        gradf = np.matvec(np.linalg.inv(gvals), fj.grad)
         dVf = covariant_derivative_of_vector(s.conn, gradient(s.g, f), p)
         hf = dVf @ gvals  # g(nabla_{d_a} grad f, d_k)
-        lhs = np.einsum("jkm,m->jk", ng, gradf) - np.einsum("kjm,m->jk", ng, gradf)
-        rhs = -np.einsum("mjk,m->jk", T, fj.grad) + hf.T - hf
-        return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        lhs = np.einsum("...jkm,...m->...jk", ng, gradf) - np.einsum("...kjm,...m->...jk", ng, gradf)
+        rhs = -np.einsum("...mjk,...m->...jk", T, fj.grad) + hf.swapaxes(-1, -2) - hf
+        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     return [run_pointwise_check("gradient_codazzi_identity", s.chart, fn, config,
                                 detail="gradient form of the antisymmetrized nabla g identity")]
@@ -413,18 +421,18 @@ def check_conformal_corollaries(s: Structure, psi: ScalarField, config: RunConfi
         require_nondegenerate(s.g.value(p))
         lhs = ricci_values(st.conn, st.g, p)
         rhs = ricci_values(s.conn, s.g, p)
-        res = np.max(np.abs((lhs - lhs.T) - (rhs - rhs.T)))
-        return float(res), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        res = row_max((lhs - lhs.swapaxes(-1, -2)) - (rhs - rhs.swapaxes(-1, -2)), p)
+        return res, 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     def cyclic_fn(p):
         d = _data(point_data, p)
         term = (
-            np.einsum("mjk,m->jk", d.T, d.dpsi)
-            + np.einsum("mka,a,mj->jk", d.T, d.grad_psi, d.g)
-            + np.einsum("maj,a,mk->jk", d.T, d.grad_psi, d.g)
+            np.einsum("...mjk,...m->...jk", d.T, d.dpsi)
+            + np.einsum("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)
+            + np.einsum("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)
         )
-        scale = 1.0 + np.max(np.abs(d.T)) * (np.max(np.abs(d.dpsi)) + 1.0) * (1.0 + np.max(np.abs(d.g)))
-        return float(np.max(np.abs(term))), scale
+        scale = 1.0 + row_max(d.T, p) * (row_max(d.dpsi, p) + 1.0) * (1.0 + row_max(d.g, p))
+        return row_max(term, p), scale
 
     return run_laws(chart, config, laws + [
         ("conformal_ricci_antisymmetry_preserved", antisym_fn, None,
@@ -444,7 +452,7 @@ def check_conformally_flat(s: Structure, psi: ScalarField, config: RunConfig):
     def flat_fn(p):
         require_nondegenerate(s.g.value(p))
         R = curvature_values(st.conn, p)
-        return float(np.max(np.abs(R))), 1.0 + np.max(np.abs(st.conn.value(p))) ** 2
+        return row_max(R, p), 1.0 + _pow(row_max(st.conn.value(p), p), 2)
 
     gate = run_pointwise_check("conformally_flat/hypothesis", chart, flat_fn, config)
     if not gate.passed:
@@ -456,29 +464,29 @@ def check_conformally_flat(s: Structure, psi: ScalarField, config: RunConfig):
         d = _data(point_data, p)
         n = d.n
         hpsi = d.dVpsi @ d.g  # g(nabla_{d_j} grad psi, d_k)
-        eta_gradpsi = float(d.eta @ d.grad_psi)
+        eta_gradpsi = np.vecdot(d.eta, d.grad_psi)
         bracket = d.norm_psi2 - d.lap_psi + eta_gradpsi
         # curvature closed form
         R_rhs = (
-            -np.einsum("ijk,l->lkij", wedge_g(d.dpsi, d.g), d.grad_psi)
-            - np.einsum("ik,jl->lkij", d.g, d.dVpsi)
-            + np.einsum("jk,il->lkij", d.g, d.dVpsi)
-            - np.einsum("ijk,l->lkij", wedge_g(d.eta, d.g), d.grad_psi)
+            -np.einsum("...ijk,...l->...lkij", wedge_g(d.dpsi, d.g), d.grad_psi)
+            - np.einsum("...ik,...jl->...lkij", d.g, d.dVpsi)
+            + np.einsum("...jk,...il->...lkij", d.g, d.dVpsi)
+            - np.einsum("...ijk,...l->...lkij", wedge_g(d.eta, d.g), d.grad_psi)
         )
         ric_rhs = (
-            -d.g * bracket
-            + np.einsum("j,k->jk", d.dpsi + d.eta, d.dpsi)
+            -d.g * bracket[..., None, None]
+            + np.einsum("...j,...k->...jk", d.dpsi + d.eta, d.dpsi)
             - hpsi
         )
         scal_rhs = -(n - 1) * bracket
-        res = max(
-            np.max(np.abs(d.R - R_rhs)),
-            np.max(np.abs(d.ric - ric_rhs)),
+        res = np.maximum.reduce([
+            row_max(d.R - R_rhs, p),
+            row_max(d.ric - ric_rhs, p),
             abs(d.scal - scal_rhs),
-            np.max(np.abs(d.ric - d.ric.T)),
-        )
-        scale = 1.0 + np.max(np.abs(d.R)) + np.max(np.abs(R_rhs)) + abs(d.scal)
-        return float(res), scale
+            row_max(d.ric - d.ric.swapaxes(-1, -2), p),
+        ])
+        scale = 1.0 + row_max(d.R, p) + row_max(R_rhs, p) + abs(d.scal)
+        return res, scale
 
     return [run_pointwise_check("conformally_flat_closed_forms", chart, fn, config,
                                 detail="closed-form curvature/Ricci/scalar and Ricci symmetry under conformal flatness")]

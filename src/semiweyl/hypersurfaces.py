@@ -5,12 +5,12 @@ curvature decomposition, umbilic behaviour under the conformal-projective
 transformation).
 
 Beta symmetry, the duality pairing and the umbilic laws are written once,
-against the fundamental-form data a frame gives at a point (the forms
-``alpha`` and ``beta`` of a connection, the sign ``eps = g(N, N)``, the
-metric of the tangent frame and the transversal ``N``).  They serve the
-unit normal of a :class:`HypersurfaceFrame` here and the null transversal
-of a :class:`~semiweyl.lightlike.LightlikeFrame`.  A frame reads only its
-own structure: the semi-dual's forms are those of
+against the fundamental-form data a frame gives at a point or on a point
+set (the forms ``alpha`` and ``beta`` of a connection, the sign ``eps =
+g(N, N)``, the metric of the tangent frame and the transversal ``N``).
+They serve the unit normal of a :class:`HypersurfaceFrame` here and the
+null transversal of a :class:`~semiweyl.lightlike.LightlikeFrame`.  A frame
+reads only its own structure: the semi-dual's forms are those of
 ``frame.with_structure(semi_dual(frame.s))``."""
 
 from __future__ import annotations
@@ -40,7 +40,7 @@ from .tensor import (
     torsion_values,
     wedge_g,
 )
-from .verdicts import RunConfig, SkipPoint, gated, run_laws, run_pointwise_check
+from .verdicts import RunConfig, SkipPoint, gated, row_max, run_laws, run_pointwise_check
 
 __all__ = [
     "EmbeddingMap",
@@ -307,7 +307,7 @@ def check_induced_duality_commutes(emb: EmbeddingMap, s: Structure, config: RunC
     def fn(p):
         L = lhs.value(p)
         R = rhs.value(p)
-        return float(np.max(np.abs(L - R))), 1.0 + np.max(np.abs(L)) + np.max(np.abs(R))
+        return row_max(L - R, p), 1.0 + row_max(L, p) + row_max(R, p)
 
     return [run_pointwise_check("induced_duality_commutes", emb.domain, fn, config,
                                 detail="semi-dual of the induced structure = induced semi-dual")]
@@ -328,8 +328,8 @@ def check_induced_cp_equivalence(emb: EmbeddingMap, s: Structure, t, config: Run
         require_nondegenerate(Rg)
         Lc = lhs.conn.value(p)
         Rc = rhs.conn.value(p)
-        res = max(np.max(np.abs(Lg - Rg)), np.max(np.abs(Lc - Rc)))
-        return float(res), 1.0 + np.max(np.abs(Lg)) + np.max(np.abs(Lc)) + np.max(np.abs(Rc))
+        res = np.maximum(row_max(Lg - Rg, p), row_max(Lc - Rc, p))
+        return res, 1.0 + row_max(Lg, p) + row_max(Lc, p) + row_max(Rc, p)
 
     return [run_pointwise_check("induced_cp_equivalence", emb.domain, fn, config,
                                 detail="transforming then inducing = inducing then transforming")]
@@ -344,7 +344,7 @@ def check_beta_symmetry(frame, config: RunConfig):
 
     def fn(p):
         b = frame.beta(p)
-        return float(np.max(np.abs(b - b.T))), 1.0 + np.max(np.abs(b))
+        return row_max(b - b.swapaxes(-1, -2), p), 1.0 + row_max(b, p)
 
     return [run_pointwise_check(name, frame.emb.domain, fn, config, detail=detail)]
 
@@ -357,30 +357,30 @@ def check_duality_pairing(frame, config: RunConfig):
     name, detail = frame.VERDICTS["duality_pairing"]
 
     def fn(p):
-        eps = frame.eps(p)
+        eps = frame.eps(p)[..., None, None]
         beta, alpha = frame.beta(p), frame.alpha(p)
-        r1 = np.max(np.abs(beta - eps * dual.alpha(p)))
-        r2 = np.max(np.abs(dual.beta(p) - eps * alpha))
-        scale = 1.0 + np.max(np.abs(beta)) + np.max(np.abs(alpha))
-        return float(max(r1, r2)), scale
+        r1 = row_max(beta - eps * dual.alpha(p), p)
+        r2 = row_max(dual.beta(p) - eps * alpha, p)
+        scale = 1.0 + row_max(beta, p) + row_max(alpha, p)
+        return np.maximum(r1, r2), scale
 
     return [run_pointwise_check(name, frame.emb.domain, fn, config, detail=detail)]
 
 
 def umbilic_deviation(frame: HypersurfaceFrame, p, order=0):
     """Least-squares proportionality factor ``f`` with ``beta ~ f g'`` and
-    the residual ``|beta - f g'|`` (jets when order > 0)."""
+    the residual ``|beta - f g'|`` (jets when order > 0), at a point or at
+    each point of a set."""
     beta, _, _, _ = frame.weingarten(p, order)
     gp = frame.emb.induced_metric(frame.s.g).jet(p, order)
-    f = jet_einsum("ab,ab->", beta, gp) / jet_einsum("ab,ab->", gp, gp)
-    dev = np.max(np.abs(beta.value - f.value * gp.value))
-    return f, float(dev), beta, gp
+    f = jet_einsum("...ab,...ab->...", beta, gp) / jet_einsum("...ab,...ab->...", gp, gp)
+    return f, row_max(beta.value - f.value[..., None, None] * gp.value, p), beta, gp
 
 
-def _off_umbilic(beta, G):
+def _off_umbilic(beta, G, p):
     """``|beta - f G|`` for the least-squares factor ``f``."""
-    f = np.einsum("ab,ab->", beta, G) / np.einsum("ab,ab->", G, G)
-    return float(np.max(np.abs(beta - f * G)))
+    f = np.einsum("...ab,...ab->...", beta, G) / np.einsum("...ab,...ab->...", G, G)
+    return row_max(beta - f[..., None, None] * G, p)
 
 
 def check_umbilic_preservation(frame, t, config: RunConfig):
@@ -397,6 +397,7 @@ def check_umbilic_preservation(frame, t, config: RunConfig):
 
     frame_t = frame.with_structure(transform(frame.s, t))
     emb = frame.emb
+    not_umbilic = "point is not umbilic before the transformation"
     law_name, law_detail = frame.VERDICTS["beta_law"]
     name, detail = frame.VERDICTS["umbilic"]
 
@@ -406,17 +407,18 @@ def check_umbilic_preservation(frame, t, config: RunConfig):
         G = frame.tangent_metric(p)
         q = emb.value(p)
         phi_j = t.phi.jet(q, 1)
-        dphi_N = float(phi_j.grad @ frame.transversal_value(p))
-        factor = np.exp(frame.BETA_LAW_WEIGHT * (phi_j.value + t.psi.value(q)))
+        dphi_N = np.vecdot(phi_j.grad, frame.transversal_value(p))[..., None, None]
+        factor = np.exp(frame.BETA_LAW_WEIGHT * (phi_j.value + t.psi.value(q)))[..., None, None]
         rhs = factor * (beta - dphi_N * G)
-        return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     def umbilic_fn(p):
         beta, G = frame.beta(p), frame.tangent_metric(p)
-        if _off_umbilic(beta, G) > config.tol * (1.0 + np.max(np.abs(G))):
-            raise SkipPoint("point is not umbilic before the transformation")
+        off = _off_umbilic(beta, G, p) > config.tol * (1.0 + row_max(G, p))
+        if off.all():  # a point that is not umbilic is not transformed
+            raise SkipPoint(not_umbilic)
         beta_t, G_t = frame_t.beta(p), frame_t.tangent_metric(p)
-        return _off_umbilic(beta_t, G_t), 1.0 + np.max(np.abs(G_t))
+        return _off_umbilic(beta_t, G_t, p), 1.0 + row_max(G_t, p), np.where(off, not_umbilic, "")
 
     return run_laws(emb.domain, config, [(law_name, law_fn, None, law_detail), (name, umbilic_fn, None, detail)])
 
@@ -432,13 +434,13 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
         q = emb.value(p)
         R_amb = curvature_values(s.conn, q)
         dF = emb.jet(p, 1).grad
-        lhs = np.einsum("lkij,kc,ia,jb->lcab", R_amb, dF, dF, dF)
+        lhs = np.einsum("...lkij,...kc,...ia,...jb->...lcab", R_amb, dF, dF, dF)
 
         Rp = curvature_values(ind.conn, p)
         Tp = torsion_values(ind.conn, p)
         alpha_j, eps = frame.second_fundamental_form(p, 1)
         alpha = alpha_j.value
-        dalpha = alpha_j.grad.transpose(2, 0, 1)  # [a, b, c] = d_a alpha_bc
+        dalpha = np.moveaxis(alpha_j.grad, -1, -3)  # [a, b, c] = d_a alpha_bc
         # (nabla'_a alpha)(b, c)
         nalpha = covariant_derivative_of_form(dalpha, ind.conn.value(p), alpha)
         beta_j, tau_j, B_j, _ = frame.weingarten(p)
@@ -447,13 +449,13 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
         N, _ = frame.normal(p, 0)
         Nv = N.value
 
-        rhs = np.einsum("dcab,ld->lcab", Rp, dF)
-        shape_term = np.einsum("bc,da->dcab", alpha, B) - np.einsum("ac,db->dcab", alpha, B)
-        rhs -= np.einsum("dcab,ld->lcab", shape_term, dF)
+        rhs = np.einsum("...dcab,...ld->...lcab", Rp, dF)
+        shape_term = np.einsum("...bc,...da->...dcab", alpha, B) - np.einsum("...ac,...db->...dcab", alpha, B)
+        rhs -= np.einsum("...dcab,...ld->...lcab", shape_term, dF)
         # the normal component, as [a, b, c]: the Codazzi defect of alpha
         normal = codazzi_defect(nalpha, alpha, Tp, tau)
-        rhs += np.einsum("abc,l->lcab", normal, Nv)
-        return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        rhs += np.einsum("...abc,...l->...lcab", normal, Nv)
+        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     return [run_pointwise_check("gauss_equation", emb.domain, fn, config,
                                 detail="ambient curvature on tangent vectors = induced curvature + shape terms + normal part")]
@@ -475,8 +477,7 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
         q = emb.value(p)
         R_star = curvature_values(frame_dual.s.conn, q)
         _, dev, _, gp = umbilic_deviation(frame, p)
-        res = max(np.max(np.abs(R_star)), dev)
-        return float(res), 1.0 + np.max(np.abs(gp.value))
+        return np.maximum(row_max(R_star, q), dev), 1.0 + row_max(gp.value, p)
 
     gate = run_pointwise_check("flat_dual/hypothesis", emb.domain, gate_fn, config)
     if not gate.passed:
@@ -490,18 +491,19 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
         B_star = B_star_j.value
         tau_star = tau_star_j.value
         f = f_jet.value
-        rhs = eps * f * (
-            np.einsum("bc,da->dcab", gpv, B_star) - np.einsum("ac,db->dcab", gpv, B_star)
+        rhs = (eps * f)[..., None, None, None, None] * (
+            np.einsum("...bc,...da->...dcab", gpv, B_star) - np.einsum("...ac,...db->...dcab", gpv, B_star)
         )
-        r1 = np.max(np.abs(Rp - rhs))
+        r1 = row_max(Rp - rhs, p)
         # the vanishing normal component of the ambient semi-dual curvature,
         # written out exactly (no substitution of a one-form for the induced
         # semi-dual metric-derivative antisymmetry)
         ngs = nabla_g_values(ind_dual, ind.g, p)
-        law = wedge_g(f_jet.grad, gpv) + f * codazzi_defect(ngs, gpv, torsion_values(ind_dual, p), tau_star)
-        r2 = np.max(np.abs(law))
-        scale = 1.0 + np.max(np.abs(Rp)) + np.max(np.abs(rhs)) + abs(f) * (1 + np.max(np.abs(tau_star)))
-        return float(max(r1, r2)), scale
+        defect = codazzi_defect(ngs, gpv, torsion_values(ind_dual, p), tau_star)
+        law = wedge_g(f_jet.grad, gpv) + f[..., None, None, None] * defect
+        r2 = row_max(law, p)
+        scale = 1.0 + row_max(Rp, p) + row_max(rhs, p) + abs(f) * (1 + row_max(tau_star, p))
+        return np.maximum(r1, r2), scale
 
     return [run_pointwise_check("flat_dual_hypersurface", emb.domain, fn, config,
                                 detail="induced semi-dual curvature wedge form and the first-order law for f")]

@@ -18,7 +18,7 @@ from .hypersurfaces import EmbeddingMap
 from .jets import Jet, jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, is_swmt
 from .tensor import codazzi_defect, covariant_derivative_of_form, degeneracy_threshold
-from .verdicts import RunConfig, gated, run_pointwise_check
+from .verdicts import RunConfig, gated, row_max, run_pointwise_check
 
 __all__ = [
     "LightlikeFrame",
@@ -199,7 +199,7 @@ class LightlikeFrame:
         return self.screen_data(p, 0)["beta"].value
 
     def eps(self, p):
-        return 1.0
+        return np.ones(np.shape(p)[:-1])
 
     def tangent_metric(self, p):
         """The Gram matrix of the screen fields."""
@@ -222,8 +222,7 @@ def check_radical_quality(frame: LightlikeFrame, config: RunConfig):
     def fn(p):
         xi, gp, _, _ = frame.radical(p, 0)
         gv = gp.value
-        res = np.max(np.abs(gv @ xi.value))
-        return float(res), 1.0 + np.max(np.abs(gv))
+        return row_max(np.matvec(gv, xi.value), p), 1.0 + row_max(gv, p)
 
     return [run_pointwise_check("radical_quality", frame.emb.domain, fn, config,
                                 detail="radical direction annihilates the degenerate induced metric")]
@@ -236,11 +235,10 @@ def check_transversal_conditions(frame: LightlikeFrame, config: RunConfig):
         N, xi, xi_amb, W_amb, _, _, _, Gc = frame.transversal(p, 0)
         gv = Gc.value
         Nv = N.value
-        res = abs(float(Nv @ gv @ xi_amb.value) - 1.0)
-        res = max(res, abs(float(Nv @ gv @ Nv)))
-        for w in W_amb.value:
-            res = max(res, abs(float(Nv @ gv @ w)))
-        return float(res), 1.0 + np.max(np.abs(Nv)) * (1.0 + np.max(np.abs(gv)))
+        Ng = np.vecmat(Nv, gv)
+        res = np.maximum(abs(np.vecdot(Ng, xi_amb.value) - 1.0), abs(np.vecdot(Ng, Nv)))
+        res = np.maximum(res, row_max(np.vecdot(Ng[..., None, :], W_amb.value), p))
+        return res, 1.0 + row_max(Nv, p) * (1.0 + row_max(gv, p))
 
     return [run_pointwise_check("transversal_conditions", frame.emb.domain, fn, config,
                                 detail="transversal field satisfies its defining pairings")]
@@ -253,7 +251,7 @@ def check_screen_integrability(frame: LightlikeFrame, config: RunConfig):
 
     def fn(p):
         coeff, err = _bracket_coefficients(frame.screen_data(p, 0))
-        return max(err, float(np.max(np.abs(coeff[-1])))), 1.0
+        return np.maximum(err, row_max(coeff[..., -1, :, :], p)), 1.0
 
     return [run_pointwise_check("screen_integrability", frame.emb.domain, fn, config,
                                 detail="screen brackets have no radical component")]
@@ -276,16 +274,16 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
         gram = data["gram"]
         Wdom = data["Wdom"].value
         gv, nbv = gram.value, data["nabla_bar"].value
-        eta_W = Wdom @ (frame.s.eta.value(emb.value(p)) @ emb.jet(p, 1).grad)
+        eta_W = np.matvec(Wdom, np.vecmat(frame.s.eta.value(emb.value(p)), emb.jet(p, 1).grad))
         # directional derivatives of the Gram matrix along screen fields
-        dgram = np.einsum("bcd,ad->abc", gram.grad, Wdom)
+        dgram = np.einsum("...bcd,...ad->...abc", gram.grad, Wdom)
         # (nabla_a g)(W_b, W_c), and the screen torsion, whose bracket part
         # is the screen component of [W_a, W_b]
         ng = covariant_derivative_of_form(dgram, nbv, gv)
-        tors = nbv - nbv.transpose(0, 2, 1) - _bracket_coefficients(data)[0][:-1]
+        tors = nbv - nbv.swapaxes(-1, -2) - _bracket_coefficients(data)[0][..., :-1, :, :]
         res = codazzi_defect(ng, gv, tors, eta_W)
-        scale = 1.0 + np.max(np.abs(gv)) * (1.0 + np.max(np.abs(nbv)) + np.max(np.abs(eta_W))) + np.max(np.abs(dgram))
-        return float(np.max(np.abs(res))), scale
+        scale = 1.0 + row_max(gv, p) * (1.0 + row_max(nbv, p) + row_max(eta_W, p)) + row_max(dgram, p)
+        return row_max(res, p), scale
 
     v = run_pointwise_check("screen_structure_swmt", emb.domain, fn, config,
                             detail="induced screen structure satisfies the eta-weighted torsion-Codazzi condition")
@@ -295,13 +293,21 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
 def _bracket_coefficients(data):
     """Least-squares coefficients ``[c, a, b]`` of the screen brackets
     ``[W_a, W_b]`` (domain vectors) in the frame ``W_1 .. W_r, xi``, and
-    the largest reconstruction error."""
-    A = np.column_stack([*data["Wdom"].value, data["xi"].value])
-    brackets = data["bracket"].value  # [a, b, domain component]
-    r = len(brackets)
+    the largest reconstruction error, at a point or at each point of a set
+    (``lstsq`` has no batch form, so one point at a time)."""
+    Wdom, xi, brackets = (data[key].value for key in ("Wdom", "xi", "bracket"))
+    if xi.ndim == 1:
+        return _bracket_fit(Wdom, xi, brackets)
+    coeff, err = zip(*map(_bracket_fit, Wdom, xi, brackets))
+    return np.array(coeff), np.array(err)
+
+
+def _bracket_fit(Wdom, xi, brackets):
+    A = np.column_stack([*Wdom, xi])
+    r = len(brackets)  # brackets[a, b, domain component]
     V = brackets.reshape(r * r, -1).T
     coeff = np.linalg.lstsq(A, V, rcond=None)[0]
-    return coeff.reshape(-1, r, r), float(np.max(np.abs(V - A @ coeff)))
+    return coeff.reshape(-1, r, r), np.max(np.abs(V - A @ coeff))
 
 
 def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
@@ -319,20 +325,20 @@ def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
         gram = data["gram"].value
         q = emb.value(p)
         # ambient images of the screen fields, and phi, psi derived along them
-        push = data["Wdom"].value @ emb.jet(p, 1).grad.T
-        dphi_W = push @ t.phi.jet(q, 1).grad
-        dpsi_W = push @ t.psi.jet(q, 1).grad
+        push = data["Wdom"].value @ emb.jet(p, 1).grad.swapaxes(-1, -2)
+        dphi_W = np.matvec(push, t.phi.jet(q, 1).grad)
+        dpsi_W = np.matvec(push, t.psi.jet(q, 1).grad)
         # screen gradient of the restricted psi: gram s = dpsi_W
-        sgrad = np.linalg.solve(gram, dpsi_W)
-        eye = np.eye(len(gram))
+        sgrad = np.linalg.solve(gram, dpsi_W[..., None])[..., 0]
+        eye = np.eye(gram.shape[-1])
         lhs = data_t["nabla_bar"].value
         rhs = (
             data["nabla_bar"].value
-            + np.einsum("a,cb->cab", dphi_W, eye)
-            + np.einsum("b,ca->cab", dphi_W, eye)
-            - np.einsum("ab,c->cab", gram, sgrad)
+            + np.einsum("...a,cb->...cab", dphi_W, eye)
+            + np.einsum("...b,ca->...cab", dphi_W, eye)
+            - np.einsum("...ab,...c->...cab", gram, sgrad)
         )
-        return float(np.max(np.abs(lhs - rhs))), 1.0 + np.max(np.abs(lhs)) + np.max(np.abs(rhs))
+        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     return [run_pointwise_check("screen_cp_equivalence", emb.domain, fn, config,
                                 detail="screen connections of transformed and original structures differ by the restricted transformation")]

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from functools import cache
+
 import numpy as np
 
 __all__ = ["halton_points", "PRIMES"]
@@ -20,10 +22,13 @@ def _radical_inverse(i, base):
     return r
 
 
+@cache
 def halton_points(chart, count, seed=0):
     """``count`` Halton points inside the chart box, offset by ``seed``.
 
     A small relative margin keeps samples strictly inside the open box.
+    The set is computed once per chart, count and seed and shared by every
+    caller, so it is read-only.
     """
     lo = np.asarray(chart.lo, dtype=float)
     hi = np.asarray(chart.hi, dtype=float)
@@ -39,4 +44,6 @@ def halton_points(chart, count, seed=0):
         i = start + k
         for d in range(dim):
             pts[k, d] = _radical_inverse(i, PRIMES[d])
-    return lo + pts * span
+    pts = lo + pts * span
+    pts.flags.writeable = False
+    return pts

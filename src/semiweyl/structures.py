@@ -8,7 +8,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import Chart, ConnectionField, MetricField, OneFormField, kept
-from .jets import jet_einsum, partials
+from .jets import _pow, jet_einsum, partials
 from .tensor import (
     _raise_index,
     codazzi_defect,
@@ -17,7 +17,7 @@ from .tensor import (
     require_nondegenerate,
     torsion_values,
 )
-from .verdicts import RunConfig, agreement, run_laws, run_pointwise_check
+from .verdicts import RunConfig, agreement, row_max, run_laws, run_pointwise_check
 
 __all__ = [
     "Structure",
@@ -45,21 +45,20 @@ class Structure:
     conn: ConnectionField
 
 
-def _structure_scale(gvals, gam, etavals, dg):
-    return 1.0 + np.max(np.abs(gvals)) * (1.0 + np.max(np.abs(gam)) + np.max(np.abs(etavals))) + np.max(np.abs(dg))
+def _structure_scale(p, gvals, gam, etavals, dg):
+    return 1.0 + row_max(gvals, p) * (1.0 + row_max(gam, p) + row_max(etavals, p)) + row_max(dg, p)
 
 
 def _swmt_residual_at(s: Structure, p, use_eta=True):
-    n = s.chart.dim
     gvals = s.g.value(p)
     require_nondegenerate(gvals)
     ng = nabla_g_values(s.conn, s.g, p)
     gam = s.conn.value(p)
     T = torsion_values(s.conn, p)
-    eta = s.eta.value(p) if use_eta else np.zeros(n)
+    eta = s.eta.value(p) if use_eta else np.zeros(p.shape)
     dg = s.g.jet(p, 1).grad
     res = codazzi_defect(ng, gvals, T, eta)
-    return np.max(np.abs(res)), _structure_scale(gvals, gam, eta, dg)
+    return row_max(res, p), _structure_scale(p, gvals, gam, eta, dg)
 
 
 @kept
@@ -67,15 +66,14 @@ def is_statistical(s: Structure, config: RunConfig):
     """Torsion-free plus the Codazzi symmetry of ``nabla g``."""
 
     def fn(p):
-        n = s.chart.dim
         gvals = s.g.value(p)
         require_nondegenerate(gvals)
         ng = nabla_g_values(s.conn, s.g, p)
         gam = s.conn.value(p)
         T = torsion_values(s.conn, p)
         dg = s.g.jet(p, 1).grad
-        res = max(np.max(np.abs(codazzi_defect(ng, gvals))), np.max(np.abs(T)))
-        return res, _structure_scale(gvals, gam, np.zeros(n), dg)
+        res = np.maximum(row_max(codazzi_defect(ng, gvals), p), row_max(T, p))
+        return res, _structure_scale(p, gvals, gam, np.zeros(p.shape), dg)
 
     return run_pointwise_check("is_statistical", s.chart, fn, config)
 
@@ -136,7 +134,7 @@ def _torsion_res(g: MetricField, conn):
         require_nondegenerate(g.value(p))
         T = torsion_values(conn, p)
         gam = conn.value(p)
-        return np.max(np.abs(T)), 1.0 + np.max(np.abs(gam))
+        return row_max(T, p), 1.0 + row_max(gam, p)
 
     return fn
 
@@ -146,7 +144,7 @@ def _curv_res(g: MetricField, conn):
         require_nondegenerate(g.value(p))
         R = curvature_values(conn, p)
         gam = conn.value(p)
-        return np.max(np.abs(R)), 1.0 + np.max(np.abs(gam)) ** 2
+        return row_max(R, p), 1.0 + _pow(row_max(gam, p), 2)
 
     return fn
 

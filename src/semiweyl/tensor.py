@@ -1,8 +1,9 @@
 """Pointwise tensor operators: Levi-Civita connection, torsion, curvature,
 Ricci and scalar curvature, covariant derivative of the metric, gradients
-and orthonormal frames.  The ``*_values`` functions, the threshold tests
-and the array helpers take a point or a point set, whose arrays carry a
-leading axis over its points; the frame functions take a point.
+and orthonormal frames.  The ``*_values`` functions, the threshold tests,
+the array helpers and :func:`orthonormal_frame` take a point or a point
+set, whose arrays carry a leading axis over its points; the other frame
+functions take a point.
 
 Ricci and scalar curvature are defined by metric contraction; the
 frame-based sums (over an orthonormal frame with signs ``eps_i``) are kept
@@ -192,7 +193,7 @@ def orthonormal_frame(gvals):
     gvals = np.asarray(gvals, dtype=float)
     require_nondegenerate(gvals)
     lam, V = np.linalg.eigh(gvals)
-    E = V / np.sqrt(np.abs(lam))
+    E = V / np.sqrt(np.abs(lam))[..., None, :]
     eps = np.sign(lam)
     return E, eps
 

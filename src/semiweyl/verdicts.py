@@ -1,8 +1,9 @@
 """Residual checks over sampled chart points and their verdicts.
 
-A check makes one pass over its points: :func:`run_laws` evaluates all the
-check's laws at a point before the next, then reduces each law to its
-verdict.  During the pass it holds its points as the sample set of
+A check makes one pass over its points: :func:`run_laws` calls each of the
+check's laws once on the whole point set, each returning a residual, a
+scale and a skip reason per point, then reduces each law to its verdict.
+During the pass it holds its points as the sample set of
 :func:`~semiweyl.fields.sample_set`, so the laws, and every later pass over
 the same points in the same result store, read each field's results there
 (:func:`~semiweyl.fields.result_store`)."""
@@ -23,6 +24,7 @@ __all__ = [
     "SkipPoint",
     "run_laws",
     "run_pointwise_check",
+    "row_max",
     "outcome",
     "gated",
     "agreement",
@@ -83,21 +85,29 @@ class Verdict:
 
 def run_laws(chart, config: RunConfig, laws):
     """One verdict per law ``(name, residual_fn, tol, detail)``, where
-    ``tol`` (default ``config.tol``) and ``detail`` may be left off and
-    ``residual_fn(p) -> (residual, scale)``.
+    ``tol`` (default ``config.tol``) and ``detail`` may be left off.
+
+    ``residual_fn`` is called once, on the pass's point set ``(P, n)``, and
+    returns ``(residual, scale)`` or ``(residual, scale, reason)`` with one
+    entry per point (a scalar stands for every point); ``reason`` is why a
+    point is skipped, ``""`` where it is kept.  At a point ``(n,)`` it
+    returns the same for that point alone.  When the call on the set raises
+    a skip (:class:`SkipPoint`, a degenerate point or a domain error), the
+    law is called at each point alone, and a point that raises is skipped
+    with the exception's message; a point with a non-finite residual is
+    skipped too.
 
     A law passes when ``residual <= tol * scale`` at every point it tested
-    and at least ``min_valid_points`` of its points survived the degeneracy
-    and domain-error skipping.  A point one law skips is not skipped for
-    the others.
+    and at least ``min_valid_points`` of its points were kept.  A point one
+    law skips is not skipped for the others.
     """
     laws = [law + (None, "")[len(law) - 2:] for law in laws]
     pts = halton_points(chart, config.samples, seed=config.seed)
     with sample_set(pts):
-        outcomes = [[_evaluate(fn, p) for _, fn, _, _ in laws] for p in pts]
+        outcomes = [_outcomes(fn, pts) for _, fn, _, _ in laws]
     return [
-        _reduce(name, pts, [row[i] for row in outcomes], config, config.tol if tol is None else tol, detail)
-        for i, (name, _, tol, detail) in enumerate(laws)
+        _reduce(name, pts, *out, config, config.tol if tol is None else tol, detail)
+        for (name, _, tol, detail), out in zip(laws, outcomes)
     ]
 
 
@@ -106,38 +116,54 @@ def run_pointwise_check(name, chart, residual_fn, config: RunConfig, tol=None, d
     return run_laws(chart, config, [(name, residual_fn, tol, detail)])[0]
 
 
+def row_max(x, p):
+    """The largest ``|x|`` at each point of ``p`` (a point or a point set):
+    the maximum over the axes of ``x`` after the leading axis of a set."""
+    return np.abs(x).max(axis=tuple(range(np.ndim(p) - 1, np.ndim(x))))
+
+
+_SKIPS = (DegeneratePointError, EvaluationDomainError, SkipPoint)
+
+
+def _triple(out):
+    res, scale, *reason = out
+    return res, scale, reason[0] if reason else ""
+
+
 def _evaluate(residual_fn, p):
-    """``(residual, scale)`` at ``p``, or the reason the point is skipped."""
+    """``(residual, scale, reason)`` at the point ``p`` alone."""
     try:
-        res, scale = residual_fn(p)
-    except (DegeneratePointError, EvaluationDomainError, SkipPoint) as exc:
-        return str(exc)
-    if not np.isfinite(res):
-        return "non-finite residual"
-    return res, scale
+        return _triple(residual_fn(p))
+    except _SKIPS as exc:
+        return np.nan, np.nan, str(exc)
 
 
-def _reduce(name, pts, outcomes, config: RunConfig, tol, detail):
+def _outcomes(residual_fn, pts):
+    """The ``(P,)`` arrays ``(residual, scale, reason)`` of a law on
+    ``pts``: the reason a law gives a point comes first, then a non-finite
+    residual."""
+    try:
+        out = _triple(residual_fn(pts))
+    except _SKIPS:
+        out = zip(*[_evaluate(residual_fn, p) for p in pts])
+    res, scale, reason = (np.broadcast_to(x, len(pts)) for x in out)
+    return res, scale, np.where((reason == "") & ~np.isfinite(res), "non-finite residual", reason)
+
+
+def _reduce(name, pts, res, scale, reason, config: RunConfig, tol, detail):
     """The verdict of one law from its outcome at each point."""
-    worst = -1.0
-    worst_rel = -1.0
+    kept = reason == ""
+    tested = int(np.count_nonzero(kept))
+    skipped = len(pts) - tested
+    worst = worst_rel = -1.0
     worst_point = None
-    tested = 0
-    skipped = 0
-    skip_reason = ""
-    for p, out in zip(pts, outcomes):
-        if isinstance(out, str):
-            skipped += 1
-            skip_reason = out
-            continue
-        res, scale = out
-        tested += 1
-        rel = res / max(scale, 1e-300)
-        if rel > worst_rel:
-            worst_rel = rel
-            worst = res
-            worst_point = tuple(float(x) for x in p)
+    if tested:
+        rel = np.divide(res, np.maximum(scale, 1e-300), out=np.full(len(pts), -np.inf), where=kept)
+        row = int(np.argmax(rel))  # the first of equal maxima
+        worst, worst_rel = float(res[row]), float(rel[row])
+        worst_point = tuple(float(x) for x in pts[row])
     if tested < config.min_valid_points:
+        skip_reason = reason[~kept][-1] if skipped else ""
         too_few = f"too few valid points ({tested} < {config.min_valid_points}): {skip_reason}"
         detail = f"{detail}; {too_few}" if detail else too_few
         return Verdict(name, float("nan") if tested == 0 else worst, tested, skipped, tol, False, worst_point,

@@ -152,6 +152,15 @@ class TestCurvature:
         # B = 0 is proportional to the identity with c = 0, so this one runs
         assert all(v.passed for v in out)
 
+    def test_shape_proportional_skips_where_the_shape_operator_is_not(self, aconfig):
+        # transversal (u/2, 0, 1) along the graph: B = diag(b, 0) with b < 0
+        dist = AffineDistribution.from_immersion(
+            graph_distribution().chart, ("u", "v", "u*u + v*v + 0.3*u*v + 0.1*u*u*v"), ("0.5*u", "0", "1")
+        )
+        (v,) = check_shape_proportional_scalar(dist, aconfig)
+        assert v.skipped and (v.points_tested, v.points_skipped) == (0, aconfig.samples)
+        assert v.detail.endswith("shape operator is not proportional to the identity here")
+
 
 class TestRescaling:
     @pytest.mark.parametrize("variant", ["inner", "outer"])

@@ -2,8 +2,8 @@
 (``fields.kept``): running a spec again builds nothing new, the fields a
 run builds do not depend on the sample count, a predicate verdict is
 computed once per structure and config, a transform of the same two
-fields is one key, and every field evaluates once per sample set and
-order in a run, in one call on the whole set."""
+fields is one key, every field evaluates once per sample set and order in
+a run, in one call on the whole set, and so does every law of a check."""
 
 from collections import Counter
 from pathlib import Path
@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 from conftest import swmt_structure
-from semiweyl import fields, structures
+from semiweyl import fields, structures, verdicts
 from semiweyl.conformal import TransformData, check_conformal_corollaries, check_curvature_transform, transform
 from semiweyl.fields import ScalarField, kept
 from semiweyl.hypersurfaces import EmbeddingMap
@@ -21,7 +21,8 @@ from semiweyl.specfile import load_spec
 from semiweyl.structures import is_swmt
 from semiweyl.verdicts import RunConfig
 
-FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = ROOT / "fixtures"
 
 
 class Owner:
@@ -106,24 +107,26 @@ class TestOneBuildPerSpec:
         # with new derived fields on every run: 11, 17 and 23
         assert counts[0] > 0 and counts == [counts[0]] * 3
 
-    @pytest.mark.parametrize("name,runs", [("swmt_eta_shift.spec", 1200), ("conformally_flat.spec", 150)])
-    def test_the_structure_residual_runs_once_per_structure_and_point(self, monkeypatch, name, runs):
-        # swmt_eta_shift, 200 points: is_swmt and is_smt, the semi-dual, the
-        # plain dual in two checks, and the transformed structure; the base
-        # laws of the equivalence checks read the predicates' verdicts.
-        # conformally_flat, 150 points: its gate reads is_swmt
+    @pytest.mark.parametrize("name,runs", [("swmt_eta_shift.spec", 6), ("conformally_flat.spec", 1)])
+    def test_the_structure_residual_runs_once_per_structure(self, monkeypatch, name, runs):
+        # swmt_eta_shift: is_swmt and is_smt, the semi-dual, the plain dual
+        # in two checks, and the transformed structure; the base laws of the
+        # equivalence checks read the predicates' verdicts.
+        # conformally_flat: its gate reads is_swmt
         spec = load_spec(FIXTURES / name)
         calls = []
         residual = structures._swmt_residual_at
 
         def counted(s, p, use_eta=True):
-            calls.append(1)
+            calls.append(np.ndim(p))
             return residual(s, p, use_eta)
 
         monkeypatch.setattr(structures, "_swmt_residual_at", counted)
         report = run_spec(spec)
         assert report.all_expectations_met
-        assert len(calls) == runs  # once per law and check: 1,800 and 300
+        # once on each pass's set; point by point: 1,200 and 150, and once
+        # per law and check: 1,800 and 300
+        assert calls == [2] * runs
 
 
 class TestPredicateVerdicts:
@@ -253,3 +256,40 @@ class TestOneBatchPerSampleSet:
             assert at_60 == field_calls(monkeypatch, f"{name}.spec", 120)
             total = [a + b for a, b in zip(total, at_60)]
         assert total == [per_point, sets]
+
+
+def law_calls(monkeypatch, path):
+    """For each law evaluation of one fresh ``run_spec`` of ``path``, the
+    ``ndim`` of the point or point set of each call of its residual
+    function."""
+    calls = []
+    outcomes = verdicts._outcomes
+
+    def counting(residual_fn, pts):
+        asked = []
+        calls.append(asked)
+
+        def counted(p):
+            asked.append(np.ndim(p))
+            return residual_fn(p)
+
+        return outcomes(counted, pts)
+
+    monkeypatch.setattr(verdicts, "_outcomes", counting)
+    spec = load_spec(path)
+    run_spec(spec)
+    monkeypatch.undo()
+    return calls
+
+
+class TestOneCallPerLaw:
+    def test_every_law_is_called_once_on_its_set(self, monkeypatch):
+        # one call per law and point before: 13,750 calls on the fixtures
+        calls = [c for path in sorted(FIXTURES.glob("*.spec")) for c in law_calls(monkeypatch, path)]
+        assert len(calls) == 86 and calls == [[2]] * 86
+
+    def test_only_a_set_that_raises_runs_point_by_point(self, monkeypatch):
+        # domain_edge: 50 of 150 points outside the domain of sqrt, so every
+        # law's set call raises and it runs again at each of its points
+        calls = law_calls(monkeypatch, ROOT / "perfbench" / "specs" / "domain_edge.spec")
+        assert calls == [[2] + [1] * 150] * 7

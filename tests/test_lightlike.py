@@ -116,6 +116,27 @@ class TestScreen:
         )
         assert all(v.passed for v in out)
 
+    def test_bracket_coefficients_of_a_set_are_those_of_its_points(self):
+        # lstsq has no batch form, so each point of a set is fitted alone;
+        # the bracket 0.6 v d_v of this screen varies from point to point
+        from semiweyl.fields import VectorField
+        from semiweyl.lightlike import _bracket_coefficients
+
+        frame, s = cone4_frame()
+        dom = frame.emb.domain
+        fields = (
+            VectorField.from_expressions(dom, ["0", "1", "0"]),
+            VectorField.from_expressions(dom, ["0", "0.3*v*v", "1"]),
+        )
+        skew = LightlikeFrame(frame.emb, s, screen=fields)
+        pts = halton_points(dom, 7)
+        coeff, err = _bracket_coefficients(skew.screen_data(pts, 0))
+        assert coeff.shape == (7, 3, 2, 2) and err.shape == (7,)
+        for row, p in enumerate(pts):
+            c, e = _bracket_coefficients(skew.screen_data(p, 0))
+            assert coeff[row].tobytes() == c.tobytes() and err[row] == e
+        assert np.allclose(coeff[:, 0, 0, 1], 0.6 * pts[:, 1])
+
     def test_screen_structure_is_swmt(self, config):
         frame, _s = cone4_frame()
         out = check_screen_structure(frame, config)

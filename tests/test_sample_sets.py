@@ -11,14 +11,14 @@ import numpy as np
 import pytest
 
 from conftest import plane_chart
-from semiweyl import fields
+from semiweyl import fields, verdicts
 from semiweyl.expressions import eval_jets
 from semiweyl.fields import Chart, MetricField, ScalarField, sample_set
 from semiweyl.jets import EvaluationDomainError
 from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
 from semiweyl.specfile import load_spec
-from semiweyl.verdicts import RunConfig, run_laws
+from semiweyl.verdicts import RunConfig, SkipPoint, run_laws
 
 FIXTURES = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.spec"))
 
@@ -145,13 +145,31 @@ class TestPasses:
         seen = []
 
         def law(p):
-            seen.append(fields._samples.get()[0])
+            seen.append((fields._samples.get()[0], p))
             return 0.0, 1.0
 
         run_laws(chart, self.CONFIG, [("law", law)])
         pts = halton_points(chart, self.CONFIG.samples, self.CONFIG.seed)
-        assert len(seen) == len(pts) and all(s is seen[0] for s in seen)
-        assert np.array_equal(seen[0], pts) and fields._samples.get() is None
+        ((held, asked),) = seen  # one call, on the points the pass holds
+        assert held is asked and np.array_equal(held, pts) and fields._samples.get() is None
+
+    def test_a_halton_set_is_computed_once_and_read_only(self, monkeypatch):
+        from semiweyl import sampling
+
+        calls = []
+        radical_inverse = sampling._radical_inverse
+
+        def counted(i, base):
+            calls.append(1)
+            return radical_inverse(i, base)
+
+        monkeypatch.setattr(sampling, "_radical_inverse", counted)
+        chart = Chart(("x", "y"), (0.25, -1.0), (1.5, 1.0))  # a box no other test samples
+        pts = halton_points(chart, 17, 5)
+        assert len(calls) == 2 * 17 and not pts.flags.writeable
+        # an equal chart is the same key
+        assert halton_points(Chart(("x", "y"), (0.25, -1.0), (1.5, 1.0)), 17, 5) is pts and len(calls) == 34
+        assert not np.array_equal(halton_points(chart, 17, 6), pts) and len(calls) == 68
 
     def test_a_pass_that_raises_leaves_no_sample_set(self):
         chart = plane_chart()
@@ -175,11 +193,14 @@ class TestPasses:
 SPECS = FIXTURES + [Path(__file__).resolve().parents[1] / "perfbench" / "specs" / "domain_edge.spec"]
 
 
-def fields_of_a_run(monkeypatch, path):
-    """The loaded spec and ``{field: orders asked}`` of every field that
-    loading it and one ``run_spec`` build."""
+def a_recorded_run(monkeypatch, path):
+    """The loaded spec, ``{field: orders asked}`` of every field that
+    loading it and one ``run_spec`` build, and ``(residual_fn, points)``
+    of every law that run evaluates."""
     asked = {}
+    laws = []
     init = fields._Field.__init__
+    outcomes = verdicts._outcomes
 
     def recording(field, chart, fn, expressions=None):
         orders = asked.setdefault(field, set())
@@ -190,11 +211,16 @@ def fields_of_a_run(monkeypatch, path):
 
         init(field, chart, recorded, expressions)
 
+    def recording_outcomes(residual_fn, pts):
+        laws.append((residual_fn, pts))
+        return outcomes(residual_fn, pts)
+
     monkeypatch.setattr(fields._Field, "__init__", recording)
+    monkeypatch.setattr(verdicts, "_outcomes", recording_outcomes)
     spec = load_spec(path)
     run_spec(spec)
     monkeypatch.undo()
-    return spec, {field: sorted(orders) for field, orders in asked.items()}
+    return spec, {field: sorted(orders) for field, orders in asked.items()}, laws
 
 
 class Raised(NamedTuple):
@@ -206,7 +232,7 @@ def outcome(call, *args):
     """``call(*args)``, or the :class:`Raised` of a point's exception."""
     try:
         return call(*args)
-    except (EvaluationDomainError, fields.DegeneratePointError) as exc:
+    except (EvaluationDomainError, fields.DegeneratePointError, SkipPoint) as exc:
         return Raised(type(exc), str(exc))
 
 
@@ -221,7 +247,7 @@ class TestEveryField:
 
     @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
     def test_a_set_gives_each_point_its_bits_alone(self, monkeypatch, path):
-        spec, asked = fields_of_a_run(monkeypatch, path)
+        spec, asked, _ = a_recorded_run(monkeypatch, path)
         assert any(field.expressions is None for field in asked)
         by_chart = {}
         for field, orders in asked.items():
@@ -246,3 +272,41 @@ class TestEveryField:
                             assert g == w, (field, order)
                         else:
                             assert leaf_bytes(g) == leaf_bytes(w), (field, order)
+
+
+def point_outcome(out):
+    """``(reason,)`` of a skipped point, or the bytes ``(residual, scale)``
+    of a kept one, from a law's result at that point alone."""
+    if isinstance(out, Raised):
+        return (out.message,)
+    res, scale, *reason = out
+    reason = str(reason[0]) if reason else ""
+    return (reason,) if reason else (np.float64(res).tobytes(), np.float64(scale).tobytes())
+
+
+def row_outcomes(out, size):
+    """:func:`point_outcome` of each row of a law's result on ``size``
+    points; a scalar stands for every point."""
+    res, scale, *reason = out
+    columns = [np.broadcast_to(x, size) for x in (res, scale, reason[0] if reason else "")]
+    return [point_outcome(row) for row in zip(*columns)]
+
+
+class TestEveryLaw:
+    """Each law that a spec's run evaluates gives each point of its set,
+    asked for all of them at once, the residual, scale and skip reason it
+    gives that point alone, bit for bit; when the set call raises, some
+    point raises the same alone."""
+
+    @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+    def test_a_set_gives_each_point_its_law_alone(self, monkeypatch, path):
+        _, _, laws = a_recorded_run(monkeypatch, path)
+        assert laws
+        for fn, pts in laws:
+            with sample_set(pts):
+                whole = outcome(fn, pts)
+                alone = [outcome(fn, p) for p in pts]
+            if isinstance(whole, Raised):
+                assert whole in [a for a in alone if isinstance(a, Raised)], fn
+            else:
+                assert row_outcomes(whole, len(pts)) == [point_outcome(a) for a in alone], fn

@@ -1,12 +1,14 @@
 """``run_laws``: the laws of a check share one pass over the sample points,
-and each law keeps its own verdict."""
+each law is called once on the whole point set, and each law keeps its own
+verdict."""
 
 from pathlib import Path
 
 import numpy as np
 from conftest import plane_chart
-from semiweyl import conformal, lightlike, structures
+from semiweyl import conformal, lightlike, structures, verdicts
 from semiweyl.registry import run_check
+from semiweyl.sampling import halton_points
 from semiweyl.specfile import load_spec
 from semiweyl.verdicts import RunConfig, SkipPoint, run_laws, run_pointwise_check
 
@@ -15,39 +17,40 @@ CONFIG = RunConfig(samples=30, seed=3, tol=1e-8, min_valid_points=12)
 
 
 def smooth_law(p):
-    return abs(p[0] * p[1]) * 1e-10, 1.0 + abs(p[0])
+    return abs(p[..., 0] * p[..., 1]) * 1e-10, 1.0 + abs(p[..., 0])
 
 
-def skip_every_third(calls):
-    """A law that fails loudly and skips every third point it is asked."""
-
-    def fn(p):
-        calls.append(1)
-        if len(calls) % 3 == 0:
-            raise SkipPoint("every third point")
-        return 1e-3 * (1.0 + p[1] ** 2), 1.0
-
-    return fn
+def skip_every_third(p):
+    """A law on a point set that fails loudly and skips every third point."""
+    third = np.arange(len(p)) % 3 == 2
+    return 1e-3 * (1.0 + p[:, 1] * p[:, 1]), 1.0, np.where(third, "every third point", "")
 
 
 class TestRunLaws:
-    def test_laws_are_evaluated_point_by_point(self):
+    def test_each_law_is_called_once_on_the_whole_set(self):
         seen = []
 
         def law(tag):
             def fn(p):
-                seen.append((tag, tuple(p)))
-                return 0.0, 1.0
+                seen.append((tag, p))
+                return np.zeros(len(p)), 1.0
 
             return fn
 
         run_laws(plane_chart(), CONFIG, [("a", law("a")), ("b", law("b"))])
         points = [p for tag, p in seen if tag == "a"]
-        assert len(points) == CONFIG.samples
-        assert seen == [(tag, p) for p in points for tag in ("a", "b")]
+        assert len(points) == 1 and len(points[0]) == CONFIG.samples
+        assert np.array_equal(points[0], halton_points(plane_chart(), CONFIG.samples, CONFIG.seed))
+        assert seen == [(tag, points[0]) for tag in ("a", "b")]
+
+    def test_a_scalar_stands_for_every_point(self):
+        (v,) = run_laws(plane_chart(), CONFIG, [("constant", lambda p: (0.0, 1.0))])
+        pts = halton_points(plane_chart(), CONFIG.samples, CONFIG.seed)
+        assert (v.points_tested, v.points_skipped, v.max_residual) == (30, 0, 0.0)
+        assert v.passed and v.worst_point == tuple(pts[0])
 
     def test_a_skip_in_one_law_leaves_the_other_laws_points(self):
-        smooth, skipping = run_laws(plane_chart(), CONFIG, [("smooth", smooth_law), ("skipping", skip_every_third([]))])
+        smooth, skipping = run_laws(plane_chart(), CONFIG, [("smooth", smooth_law), ("skipping", skip_every_third)])
         assert (smooth.points_tested, smooth.points_skipped) == (30, 0)
         assert smooth.passed and not smooth.skipped
         assert (skipping.points_tested, skipping.points_skipped) == (20, 10)
@@ -55,21 +58,21 @@ class TestRunLaws:
 
     def test_each_verdict_is_the_verdict_of_its_law_alone(self):
         def too_few(p):
-            if p[0] > 0.6:
+            if np.any(p[..., 0] > 0.6):
                 raise SkipPoint("right two thirds")
             return 0.0, 1.0
 
         laws = [
             ("smooth", smooth_law),
             ("tight", smooth_law, 1e-12),
-            ("skipping", skip_every_third([]), 1e-2, "fails at the default tolerance only"),
+            ("skipping", skip_every_third, 1e-2, "fails at the default tolerance only"),
             ("too_few", too_few, None, "skips most points"),
         ]
         together = run_laws(plane_chart(), CONFIG, laws)
         alone = [
             run_pointwise_check("smooth", plane_chart(), smooth_law, CONFIG),
             run_pointwise_check("tight", plane_chart(), smooth_law, CONFIG, tol=1e-12),
-            run_pointwise_check("skipping", plane_chart(), skip_every_third([]), CONFIG, tol=1e-2,
+            run_pointwise_check("skipping", plane_chart(), skip_every_third, CONFIG, tol=1e-2,
                                 detail="fails at the default tolerance only"),
             run_pointwise_check("too_few", plane_chart(), too_few, CONFIG, detail="skips most points"),
         ]
@@ -78,6 +81,34 @@ class TestRunLaws:
         assert together[2].passed and together[2].tol == 1e-2
         assert together[3].skipped and 0 < together[3].points_tested < CONFIG.min_valid_points
         assert together[3].detail.startswith("skips most points; too few valid points")
+
+    def test_a_set_that_raises_falls_back_to_its_points_in_order(self):
+        pts = halton_points(plane_chart(), CONFIG.samples, CONFIG.seed)
+        asked = []
+
+        def law(p):
+            asked.append(p)
+            if np.any(p[..., 0] > 0.6):
+                raise SkipPoint(f"x = {np.max(p[..., 0]):.4f}")
+            return p[..., 1], 1.0
+
+        res, _, reason = verdicts._outcomes(law, pts)
+        assert asked[0] is pts and [tuple(p) for p in asked[1:]] == [tuple(p) for p in pts]
+        assert list(reason) == [f"x = {x:.4f}" if x > 0.6 else "" for x in pts[:, 0]]
+        assert np.array_equal(res[reason == ""], pts[pts[:, 0] <= 0.6, 1])
+        (v,) = run_laws(plane_chart(), CONFIG.with_(min_valid_points=30), [("law", law)])
+        assert v.skipped and v.detail.endswith(f"x = {pts[pts[:, 0] > 0.6, 0][-1]:.4f}")
+
+    def test_the_first_of_equal_maxima_is_the_worst_point(self):
+        pts = halton_points(plane_chart(), CONFIG.samples, CONFIG.seed)
+
+        def law(p):
+            return np.where(p[..., 0] > 0.9, 1.0, 0.5), 1.0
+
+        (v,) = run_laws(plane_chart(), CONFIG, [("law", law)])
+        first, second = np.flatnonzero(pts[:, 0] > 0.9)[:2]
+        assert first < second and v.max_residual == 1.0
+        assert v.worst_point == tuple(pts[first])
 
 
 def count_calls(field, calls):
@@ -93,9 +124,9 @@ def count_calls(field, calls):
 
 
 class TestOnePassPerCheck:
-    """Each check evaluates all its laws at a point before the next point,
-    so a derived field is built once per point and order, not once per law;
-    and it is built for all the points of the pass in one call."""
+    """Each check evaluates all its laws on one pass over its points, so a
+    derived field is built once per point and order, not once per law; and
+    it is built for all the points of the pass in one call."""
 
     def test_curvature_laws_build_the_transformed_connection_once_per_point(self, monkeypatch):
         spec = load_spec(FIXTURES / "conformal_projective_suite.spec")
