@@ -249,7 +249,7 @@ def xi_rescaled(dist: AffineDistribution, psi: ScalarField, variant):
     return AffineDistribution(chart, dist.omega_fn, xi_fn)
 
 
-def check_xi_rescale_laws(dist: AffineDistribution, psi: ScalarField, variant, config: RunConfig):
+def check_xi_rescale_laws(dist: AffineDistribution, psi: ScalarField, config: RunConfig, variant):
     """Decomposing the rescaled distribution reproduces the closed-form
     transformed data: a conformal metric, the stated one-form shift, a
     gradient-type connection change, and the stated shape-operator law."""
@@ -298,7 +298,7 @@ def check_xi_rescale_laws(dist: AffineDistribution, psi: ScalarField, variant, c
                                 detail="rescaled-transversal decomposition matches the closed-form transformed data")]
 
 
-def check_xi_rescale_structure(dist: AffineDistribution, psi: ScalarField, variant, config: RunConfig):
+def check_xi_rescale_structure(dist: AffineDistribution, psi: ScalarField, config: RunConfig, variant):
     """The rescaled distribution still realizes a structure satisfying the
     condition, with the one-form read off directly from the frame
     decomposition (no extra correction is needed for either variant)."""

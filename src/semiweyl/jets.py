@@ -472,7 +472,7 @@ def partials(J):
     return Jet(J.n, J.layers[1:])
 
 
-def jet_stack(items, axis=0):
+def jet_stack(items, axis):
     """``np.stack`` for jets: the jets among ``items`` share one shape, and
     floats or float arrays among them are constants, broadcast to it (a
     constant row of every point of a set).  A negative ``axis`` counts from

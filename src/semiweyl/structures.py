@@ -8,11 +8,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import Chart, ConnectionField, MetricField, OneFormField, kept
-from .jets import _pow, jet_einsum, partials
+from .jets import jet_einsum, partials
 from .tensor import (
     _raise_index,
     codazzi_defect,
-    curvature_values,
     nabla_g_values,
     require_nondegenerate,
     torsion_values,
@@ -49,7 +48,7 @@ def _structure_scale(p, gvals, gam, etavals, dg):
     return 1.0 + row_max(gvals, p) * (1.0 + row_max(gam, p) + row_max(etavals, p)) + row_max(dg, p)
 
 
-def _swmt_residual_at(s: Structure, p, use_eta=True):
+def _swmt_residual_at(s: Structure, p, use_eta):
     gvals = s.g.value(p)
     require_nondegenerate(gvals)
     ng = nabla_g_values(s.conn, s.g, p)
@@ -139,24 +138,12 @@ def _torsion_res(g: MetricField, conn):
     return fn
 
 
-def _curv_res(g: MetricField, conn):
-    def fn(p):
-        require_nondegenerate(g.value(p))
-        R = curvature_values(conn, p)
-        gam = conn.value(p)
-        return row_max(R, p), 1.0 + _pow(row_max(gam, p), 2)
-
-    return fn
-
-
-def check_dual_structure(s: Structure, config: RunConfig, check_flatness=False):
+def check_dual_structure(s: Structure, config: RunConfig):
     """Equivalences tying a structure to its dual:
 
     - torsion of the dual vanishes exactly when the torsion-corrected
       Codazzi condition holds for ``conn``;
-    - torsion of ``conn`` vanishes exactly when the dual satisfies it;
-    - optionally, co-vanishing of the curvatures (only meaningful when one
-      side is flat by construction).
+    - torsion of ``conn`` vanishes exactly when the dual satisfies it.
     """
     star = dual_connection(s.g, s.conn)
     smt_self = replace(is_smt(s, config), name="dual_equiv/base_smt")
@@ -165,10 +152,8 @@ def check_dual_structure(s: Structure, config: RunConfig, check_flatness=False):
         ("dual_equiv/torsion_base", _torsion_res(s.g, s.conn)),
         ("dual_equiv/torsion_dual", _torsion_res(s.g, star)),
     ]
-    if check_flatness:
-        laws += [("dual_equiv/flat_base", _curv_res(s.g, s.conn)), ("dual_equiv/flat_dual", _curv_res(s.g, star))]
-    smt_star, t_self, t_star, *flat = run_laws(s.chart, config, laws)
-    out = [
+    smt_star, t_self, t_star = run_laws(s.chart, config, laws)
+    return [
         agreement(
             "dual_equivalences",
             [(t_star, smt_self), (t_self, smt_star)],
@@ -176,19 +161,9 @@ def check_dual_structure(s: Structure, config: RunConfig, check_flatness=False):
             detail="dual torsion vanishes iff base satisfies the torsion-Codazzi condition, and conversely",
         )
     ]
-    if check_flatness:
-        out.append(
-            agreement(
-                "dual_flatness_covanishing",
-                [flat],
-                config.tol,
-                detail="flatness of a connection co-vanishes with flatness of its dual",
-            )
-        )
-    return out
 
 
-def check_semi_dual_structure(s: Structure, config: RunConfig, check_flatness=False):
+def check_semi_dual_structure(s: Structure, config: RunConfig):
     """Equivalences for the semi-dual connection, including: the semi-dual
     structure satisfies the eta-weighted condition iff the plain dual
     satisfies the torsion-Codazzi condition."""
@@ -201,13 +176,8 @@ def check_semi_dual_structure(s: Structure, config: RunConfig, check_flatness=Fa
         ("semi_dual_equiv/torsion_base", _torsion_res(s.g, s.conn)),
         ("semi_dual_equiv/torsion_semi_dual", _torsion_res(s.g, star_eta)),
     ]
-    if check_flatness:
-        laws += [
-            (f"semi_dual_equiv/flat_{tag}", _curv_res(s.g, c))
-            for tag, c in (("base", s.conn), ("semi_dual", star_eta), ("dual", star_g))
-        ]
-    swmt_star, smt_star_g, t_self, t_star, *flat = run_laws(s.chart, config, laws)
-    out = [
+    swmt_star, smt_star_g, t_self, t_star = run_laws(s.chart, config, laws)
+    return [
         agreement(
             "semi_dual_equivalences",
             [(t_star, swmt_self), (t_self, swmt_star), (swmt_star, smt_star_g)],
@@ -215,13 +185,3 @@ def check_semi_dual_structure(s: Structure, config: RunConfig, check_flatness=Fa
             detail="semi-dual torsion/structure equivalences, incl. semi-dual vs plain-dual verdict agreement",
         )
     ]
-    if check_flatness:
-        out.append(
-            agreement(
-                "semi_dual_flatness_covanishing",
-                [flat],
-                config.tol,
-                detail="flatness co-vanishes across the connection, its semi-dual and its dual",
-            )
-        )
-    return out

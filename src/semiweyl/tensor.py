@@ -107,11 +107,10 @@ def ricci_values(conn: ConnectionField, g: MetricField, p, R=None):
     return np.einsum("...ajai->...ij", R)
 
 
-def frame_ricci_values(conn: ConnectionField, g: MetricField, p, R=None):
+def frame_ricci_values(conn: ConnectionField, g: MetricField, p):
     """Frame-based Ricci: ``sum_i eps_i g(R(E_i, Y) Z, E_i)`` — test oracle."""
     n = conn.chart.dim
-    if R is None:
-        R = curvature_values(conn, p)
+    R = curvature_values(conn, p)
     gvals = g.value(p)
     E, eps = orthonormal_frame(gvals)
     ric = np.zeros((n, n))
@@ -176,11 +175,10 @@ def gradient(g: MetricField, f) -> VectorField:
     return VectorField(g.chart, fn)
 
 
-def covariant_derivative_of_vector(conn: ConnectionField, V: VectorField, p, order=0):
-    """``(nabla_{d_a} V)^k`` as an ``[a, k]`` array (a jet when order > 0)."""
-    Vj = V.jet(p, order + 1)
-    out = partials(Vj).T + jet_einsum("...kam,...m->...ak", conn.jet(p, order), Vj)
-    return out.value if order == 0 else out
+def covariant_derivative_of_vector(conn: ConnectionField, V: VectorField, p):
+    """``(nabla_{d_a} V)^k`` as an ``[a, k]`` array."""
+    Vj = V.jet(p, 1)
+    return (partials(Vj).T + jet_einsum("...kam,...m->...ak", conn.jet(p, 0), Vj)).value
 
 
 def orthonormal_frame(gvals):

@@ -362,11 +362,11 @@ class TestAffineRealizationSuite:
         psi = ScalarField.from_expression(chart, "0.2*u + 0.1*v*v")
         for variant in ("inner", "outer"):
             assert_all_pass(
-                check_xi_rescale_laws(dist, psi, variant, cfg.with_(tol=1e-9)),
+                check_xi_rescale_laws(dist, psi, cfg.with_(tol=1e-9), variant),
                 f"rescale laws {variant}",
             )
             assert_all_pass(
-                check_xi_rescale_structure(dist, psi, variant, cfg.with_(tol=1e-9)),
+                check_xi_rescale_structure(dist, psi, cfg.with_(tol=1e-9), variant),
                 f"rescale structure {variant}",
             )
         assert_all_pass(

@@ -166,13 +166,13 @@ class TestRescaling:
     @pytest.mark.parametrize("variant", ["inner", "outer"])
     def test_rescale_laws(self, aconfig, variant):
         for dist in (graph_distribution(), scaled_sphere_distribution()):
-            out = check_xi_rescale_laws(dist, psi_field(dist.chart), variant, aconfig)
+            out = check_xi_rescale_laws(dist, psi_field(dist.chart), aconfig, variant)
             assert all(v.passed for v in out)
 
     @pytest.mark.parametrize("variant", ["inner", "outer"])
     def test_rescaled_structure_still_swmt(self, aconfig, variant):
         for dist in (graph_distribution(), scaled_sphere_distribution()):
-            out = check_xi_rescale_structure(dist, psi_field(dist.chart), variant, aconfig)
+            out = check_xi_rescale_structure(dist, psi_field(dist.chart), aconfig, variant)
             assert all(v.passed for v in out)
 
     def test_outer_codazzi_law(self, aconfig):

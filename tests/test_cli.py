@@ -107,6 +107,23 @@ class TestListChecks:
             assert name in out
             assert entry.anchor in out
 
+    @pytest.mark.parametrize(
+        "name,needs",
+        [
+            ("is_swmt", "structure"),
+            ("gradient_codazzi_identity", "structure, transform"),
+            # takes (embedding, structure, transform): blocks keep their order
+            ("induced_cp_equivalence", "structure, submanifold, transform"),
+            ("umbilic_preservation", "structure, submanifold, transform"),
+            ("screen_cp_equivalence", "structure, lightlike, transform"),
+            ("xi_rescale_laws_inner", "affine, affine_psi"),
+        ],
+    )
+    def test_needs_follow_from_the_check_arguments(self, capsys, name, needs):
+        assert main(["list-checks"]) == 0
+        (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(name + " ")]
+        assert line.endswith(f"[needs: {needs}]")
+
 
 class TestOracle:
     def test_oracle_agrees_on_fixture(self, capsys):

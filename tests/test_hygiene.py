@@ -1,8 +1,8 @@
 """Source hygiene: no module of the package imports a name it never uses,
 every name in its ``__all__`` exists, none builds a numpy object array,
-none edits the name or detail of a verdict after a check returned it, and
+none edits the name or detail of a verdict after a check returned it,
 only the spec loader and the field constructors turn text into
-expressions.
+expressions, and the package keeps few parameters with a default.
 
 AST checks, so they need no linter.  Names re-exported through ``__all__``
 and ``from __future__ import annotations`` are exempt from the first, so
@@ -11,7 +11,8 @@ third keeps jets in their dense storage (``semiweyl.jets.Jet``): an object
 array of per-scalar jets is the format that type replaced.  The fourth keeps
 a check's laws carrying their own names and details into
 ``semiweyl.verdicts.run_laws``.  The fifth keeps checks, transforms and
-rescalings taking fields only: text is parsed where a spec is read.
+rescalings taking fields only: text is parsed where a spec is read.  The
+sixth is a ratchet against options that every caller sets or none does.
 """
 
 import ast
@@ -216,3 +217,33 @@ def test_the_check_sees_text_operands():
 @pytest.mark.parametrize("path", [p for p in MODULES if p.name not in PARSING_MODULES], ids=lambda p: p.name)
 def test_module_takes_no_text_operands(path):
     assert text_operands(path.read_text()) == []
+
+
+# parameters with a default across ``src/``; lower it when one goes, never
+# raise it
+MAX_DEFAULTED_PARAMETERS = 15
+
+
+def defaulted_parameters(source):
+    """``(function, parameter)`` of every parameter with a default, of
+    functions and lambdas, positional or keyword-only."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+            a = node.args
+            positional = a.posonlyargs + a.args
+            named = positional[len(positional) - len(a.defaults):] + [
+                arg for arg, default in zip(a.kwonlyargs, a.kw_defaults) if default is not None
+            ]
+            out += [(getattr(node, "name", "<lambda>"), arg.arg) for arg in named]
+    return out
+
+
+def test_the_check_sees_a_defaulted_parameter():
+    source = "def f(a, b=1, *c, d, e=2):\n    pass\ng = lambda x, y=0: x\ndef h(p, q):\n    pass\n"
+    assert defaulted_parameters(source) == [("f", "b"), ("f", "e"), ("<lambda>", "y")]
+
+
+def test_src_has_few_parameters_with_a_default():
+    found = [(path.name, *d) for path in MODULES for d in defaulted_parameters(path.read_text())]
+    assert len(found) <= MAX_DEFAULTED_PARAMETERS, found

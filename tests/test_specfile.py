@@ -70,6 +70,16 @@ class TestLoading:
             """))
         assert any("submanifold" in m for m in exc.value.errors)
 
+    def test_missing_blocks_are_named_in_block_order(self, tmp_path):
+        # umbilic_preservation takes the hypersurface frame and the
+        # transform: the frame needs [submanifold], named before [transform]
+        with pytest.raises(SpecError) as exc:
+            load_spec(write(tmp_path, MINIMAL.replace("is_statistical", "umbilic_preservation")))
+        assert exc.value.errors == [
+            "check 'umbilic_preservation' requires a [submanifold] block",
+            "check 'umbilic_preservation' requires a [transform] block",
+        ]
+
     def test_unknown_check(self, tmp_path):
         with pytest.raises(SpecError) as exc:
             load_spec(write(tmp_path, MINIMAL.replace("is_statistical", "no_such_check")))
