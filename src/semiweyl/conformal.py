@@ -20,7 +20,7 @@ from .fields import (
     negate_tensor,
     sum_tensors,
 )
-from .jets import _pow
+from .jets import _pow, contract
 from .structures import Structure, is_smt, is_swmt, semi_dual, smt_residual, swmt_residual
 from .tensor import (
     codazzi_defect,
@@ -135,10 +135,10 @@ class _PointData:
         self.grad_psi = np.matvec(self.ginv, self.dpsi)
         self.dVphi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.phi), p)
         self.dVpsi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.psi), p)
-        self.lap_phi = np.einsum("...ab,...ak,...kb->...", self.ginv, self.dVphi, self.g)
-        self.lap_psi = np.einsum("...ab,...ak,...kb->...", self.ginv, self.dVpsi, self.g)
+        self.lap_phi = contract("...ab,...ak,...kb->...", self.ginv, self.dVphi, self.g)
+        self.lap_psi = contract("...ab,...ak,...kb->...", self.ginv, self.dVpsi, self.g)
         # trace of X -> T(X, d_j)
-        self.trT = np.einsum("...ab,...maj,...mb->...j", self.ginv, self.T, self.g)
+        self.trT = contract("...ab,...maj,...mb->...j", self.ginv, self.T, self.g)
         self.norm_phi2 = np.vecdot(self.dphi, self.grad_phi)
         self.norm_psi2 = np.vecdot(self.dpsi, self.grad_psi)
         self.g_phi_psi = np.vecdot(self.dphi, self.grad_psi)
@@ -266,7 +266,7 @@ def _rhs_curvature(d: _PointData):
 
 
 def _rhs_ricci(d: _PointData):
-    gT_psi_Y_Z = np.einsum("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
+    gT_psi_Y_Z = contract("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
     ngradphi = np.einsum("...jmk,...m->...jk", d.ng, d.grad_phi)  # (nabla_{d_j} g)(grad phi, d_k)
     ngradpsi = np.einsum("...jmk,...m->...jk", d.ng, d.grad_psi)
     hess_phi_g = d.dVphi @ d.g  # g(nabla_{d_j} grad phi, d_k)
@@ -292,10 +292,9 @@ def _rhs_scal(d: _PointData):
     e = np.exp(-(d.phi + d.psi))
     trT_gradphi = np.vecdot(d.trT, d.grad_phi)
     trT_gradpsi = np.vecdot(d.trT, d.grad_psi)
-    tr_ng_phi = np.einsum("...ab,...amb,...m->...", d.ginv, d.ng, d.grad_phi)
-    tr_ng_psi = np.einsum("...ab,...amb,...m->...", d.ginv, d.ng, d.grad_psi)
-    # over a and b, then over m: the order of a one-point einsum, so each row keeps a point's bits
-    tr_n_psi_g = np.einsum("...ab,...mab,...m->...m", d.ginv, d.ng, d.grad_psi).sum(-1)
+    tr_ng_phi = contract("...ab,...amb,...m->...", d.ginv, d.ng, d.grad_phi)
+    tr_ng_psi = contract("...ab,...amb,...m->...", d.ginv, d.ng, d.grad_psi)
+    tr_n_psi_g = contract("...ab,...mab,...m->...", d.ginv, d.ng, d.grad_psi)
     return (
         e * (d.scal + trT_gradphi + trT_gradpsi)
         + (n - 1) * e * (d.norm_phi2 + d.norm_psi2 - d.lap_phi - d.lap_psi - n * d.g_phi_psi)
@@ -361,8 +360,8 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
         lhs = lhs - lhs.swapaxes(-1, -2)
         gT_df = np.einsum("...mjk,...m->...jk", d.T, d.dphi)  # g(T(d_j, d_k), grad phi)
         gT_dpsi = np.einsum("...mjk,...m->...jk", d.T, d.dpsi)
-        gT_Z_psi = np.einsum("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)  # g(T(d_k, grad psi), d_j)
-        gT_psi_Y = np.einsum("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
+        gT_Z_psi = contract("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)  # g(T(d_k, grad psi), d_j)
+        gT_psi_Y = contract("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
         rhs = (
             d.ric - d.ric.swapaxes(-1, -2)
             + np.einsum("...k,...j->...jk", d.dphi, d.trT) - np.einsum("...j,...k->...jk", d.dphi, d.trT)
@@ -428,8 +427,8 @@ def check_conformal_corollaries(s: Structure, psi: ScalarField, config: RunConfi
         d = _data(point_data, p)
         term = (
             np.einsum("...mjk,...m->...jk", d.T, d.dpsi)
-            + np.einsum("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)
-            + np.einsum("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)
+            + contract("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)
+            + contract("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)
         )
         scale = 1.0 + row_max(d.T, p) * (row_max(d.dpsi, p) + 1.0) * (1.0 + row_max(d.g, p))
         return row_max(term, p), scale

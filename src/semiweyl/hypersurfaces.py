@@ -28,7 +28,7 @@ from .fields import (
     join_images,
     kept,
 )
-from .jets import Jet, jet_compose, jet_cross, jet_einsum, jet_solve, partials
+from .jets import Jet, contract, jet_compose, jet_cross, jet_einsum, jet_solve, partials
 from .structures import Structure, is_swmt, semi_dual, swmt_residual
 from .tensor import (
     codazzi_defect,
@@ -434,7 +434,7 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
         q = emb.value(p)
         R_amb = curvature_values(s.conn, q)
         dF = emb.jet(p, 1).grad
-        lhs = np.einsum("...lkij,...kc,...ia,...jb->...lcab", R_amb, dF, dF, dF)
+        lhs = contract("...lkij,...kc,...ia,...jb->...lcab", R_amb, dF, dF, dF)
 
         Rp = curvature_values(ind.conn, p)
         Tp = torsion_values(ind.conn, p)

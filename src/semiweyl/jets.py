@@ -17,7 +17,11 @@ composition is a Faa di Bruno sum over the set partitions of the slots
 propagation of univariate Taylor series", *Math. Comp.* 69, 2000).  Both
 sums are generic in ``r``; their einsum terms are built once per order and
 operand layout and cached.  Products and elementwise functions spell out
-orders 1 to 3 by hand, as a fast path.
+orders 1 to 3 by hand, as a fast path.  The terms are evaluated by
+:func:`contract`: an einsum with three or more operands and a summed label
+is contracted pairwise, each pair one batched matrix product, in an order
+chosen from the operands' shapes without their batch axes (after Smith &
+Gray, "opt_einsum", *JOSS* 3(26), 2018); any other goes to ``np.einsum``.
 
 A jet of a point set has a leading batch axis, one row per point, ahead
 of the tensor axes; tensor code indexes from the end (``J[..., i, :]``),
@@ -54,6 +58,7 @@ __all__ = [
     "jet_compose",
     "jet_einsum",
     "jet_stack",
+    "contract",
     "partials",
 ]
 
@@ -369,6 +374,74 @@ def _shared(jets):
 
 
 @functools.lru_cache(maxsize=None)
+def _pairwise(subscripts):
+    """``(labels of each operand, batch prefix, output labels)`` if :func:`contract`
+    takes ``subscripts`` pairwise, else None; the batch block of an operand
+    spelled ``prefix[...]labels`` is its prefix and its ``...`` axes."""
+    inputs, arrow, output = subscripts.replace(" ", "").partition("->")
+    prefix, dots, rest = output.rpartition("...")
+    bodies = tuple(s[len(prefix):].removeprefix(dots) if s.startswith(prefix) else "." for s in inputs.split(","))
+    labels = "".join(bodies)
+    summed = set(labels) - set(rest)
+    plain = "." not in labels and all(len(set(b)) == len(b) for b in bodies)  # no stray ``...``, no diagonal
+    if len(bodies) > 2 and arrow and summed and plain and all(labels.count(c) > 1 for c in summed):
+        return bodies, prefix, rest
+
+
+@functools.lru_cache(maxsize=None)
+def _plan(subscripts, shapes):
+    """Pair steps of :func:`contract` on operands whose non-batch axes have
+    ``shapes``: the order of fewest multiplications, and for each pair its
+    axis permutations (from the end) and matrix sizes."""
+    bodies, _, rest = _pairwise(subscripts)
+    size = {c: k for b, shape in zip(bodies, shapes) for c, k in zip(b, shape)}.get
+
+    def cheapest(items):
+        if len(items) == 1:
+            return 0, [tuple(items[0].index(c) - len(items[0]) for c in rest)]
+        options = []
+        for i, j in itertools.combinations(range(len(items)), 2):
+            a, b = items[i], items[j]
+            others = [x for t, x in enumerate(items) if t not in (i, j)]
+            keep = set(rest).union(*others)
+            batch, k = [c for c in a if c in b and c in keep], [c for c in a if c in b and c not in keep]
+            m, n = [c for c in a if c not in b], [c for c in b if c not in a]
+            cost, steps = cheapest(others + ["".join(batch + m + n)])
+            step = (i, j, tuple(a.index(c) - len(a) for c in batch + m + k), tuple(b.index(c) - len(b) for c in batch + k + n),
+                    len(batch), *(math.prod(map(size, g)) for g in (m, k, n)), tuple(map(size, m + n)))
+            options.append((cost + math.prod(map(size, batch + m + k + n)), [step] + steps))
+        return min(options, key=lambda o: o[0])
+
+    return cheapest(list(bodies))[1]
+
+
+def contract(subscripts, *operands):
+    """``np.einsum(subscripts, *operands)``.  Three or more operands with a
+    summed label go pairwise, each pair one ``@`` of ``(batch..., M, K)`` by
+    ``(batch..., K, N)`` matrices in the order :func:`_plan` picks without
+    the batch axes, so each row of a set is bitwise its point alone."""
+    form = _pairwise(subscripts)
+    if form is None:
+        return np.einsum(subscripts, *operands)
+    bodies, prefix, _ = form
+    ops = [np.asarray(x) for x in operands]
+    k = len(prefix)
+    ells = [x.ndim - k - len(b) for x, b in zip(ops, bodies)]
+    e = max(ells)
+    # batch axes that an operand lacks become unit axes, for ``@`` to broadcast
+    ops = [x if ell == e else x.reshape(x.shape[:k] + (1,) * (e - ell) + x.shape[k:]) for x, ell in zip(ops, ells)]
+    block = tuple(range(k + e))
+    *steps, last = _plan(subscripts, tuple(x.shape[k + e:] for x in ops))
+    for i, j, pa, pb, lead, m, s, n, mn in steps:
+        a = np.ascontiguousarray(ops[i].transpose(block + pa))
+        b = np.ascontiguousarray(ops[j].transpose(block + pb))
+        c = a.reshape(a.shape[: k + e + lead] + (m, s)) @ b.reshape(b.shape[: k + e + lead] + (s, n))
+        ops = [x for t, x in enumerate(ops) if t not in (i, j)] + [c.reshape(c.shape[:-2] + mn)]
+    out = ops[0].transpose(block + last)
+    return out[()] if out.ndim == 0 else out
+
+
+@functools.lru_cache(maxsize=None)
 def _leibniz_terms(inputs, output, depths, r):
     """``(einsum spec, layer index per operand)`` of each order-``r`` term
     of the Leibniz rule: one per assignment of the ``r`` derivative slots to
@@ -389,7 +462,7 @@ def _leibniz(inputs, output, layers, r):
     """Order-``r`` layer of the einsum product ``inputs -> output`` of
     operands given by their dense layers (a constant has one layer)."""
     parts = [
-        np.einsum(spec, *(L[c] for L, c in zip(layers, counts)))
+        contract(spec, *(L[c] for L, c in zip(layers, counts)))
         for spec, counts in _leibniz_terms(tuple(inputs), output, tuple(len(L) for L in layers), r)
     ]
     return sum(parts[1:], parts[0])
@@ -441,7 +514,7 @@ def _faa_di_bruno(kind, outer, inner, r):
     """Order-``r`` layer of the composition of the outer function's
     derivative layers ``outer`` with the inner layers ``inner``."""
     parts = [
-        np.einsum(spec, outer[k], *(inner[s] for s in sizes)) for spec, k, sizes in _faa_di_bruno_terms(kind, r)
+        contract(spec, outer[k], *(inner[s] for s in sizes)) for spec, k, sizes in _faa_di_bruno_terms(kind, r)
     ]
     return sum(parts[1:], parts[0])
 
@@ -451,11 +524,11 @@ def jet_einsum(subscripts, *operands):
 
     Float arrays count as constants.  The product rule is applied up to the
     lowest jet order.  Subscripts must be in explicit ``...->...`` form.
-    With no jet operand it is plain ``np.einsum``.
+    With no jet operand it is :func:`contract`, the einsum of floats.
     """
     jets = [op for op in operands if isinstance(op, Jet)]
     if not jets:
-        return np.einsum(subscripts, *operands)
+        return contract(subscripts, *operands)
     inputs, output = subscripts.replace(" ", "").split("->")
     n, order = _shared(jets)
     layers = [op.layers[: order + 1] if isinstance(op, Jet) else [np.asarray(op, dtype=float)] for op in operands]

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import Chart, DegeneratePointError, VectorField, _Field, kept
 from .hypersurfaces import EmbeddingMap
-from .jets import Jet, jet_einsum, jet_solve, jet_stack, partials
+from .jets import EvaluationDomainError, Jet, jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, is_swmt
 from .tensor import codazzi_defect, covariant_derivative_of_form, degeneracy_threshold
 from .verdicts import RunConfig, gated, row_max, run_pointwise_check
@@ -63,6 +63,8 @@ class LightlikeFrame:
     def __init__(self, emb: EmbeddingMap, s: Structure, screen=None):
         if emb.codim != 1:
             raise ValueError("a hypersurface has codimension one")
+        if screen is not None and len(screen) != emb.domain.dim - 1:
+            raise ValueError(f"a screen has {emb.domain.dim - 1} fields, got {len(screen)}")
         self.emb = emb
         self.s = s
         self._screen = screen  # tuple of VectorFields on the domain chart, or None
@@ -291,23 +293,19 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
 
 
 def _bracket_coefficients(data):
-    """Least-squares coefficients ``[c, a, b]`` of the screen brackets
-    ``[W_a, W_b]`` (domain vectors) in the frame ``W_1 .. W_r, xi``, and
-    the largest reconstruction error, at a point or at each point of a set
-    (``lstsq`` has no batch form, so one point at a time)."""
+    """Coefficients ``[c, a, b]`` of the screen brackets ``[W_a, W_b]``
+    (domain vectors) in the frame ``W_1 .. W_r, xi``, which is square, and
+    the largest reconstruction error, at a point or at each point of a set.
+    Raises :class:`EvaluationDomainError` where the frame is singular."""
     Wdom, xi, brackets = (data[key].value for key in ("Wdom", "xi", "bracket"))
-    if xi.ndim == 1:
-        return _bracket_fit(Wdom, xi, brackets)
-    coeff, err = zip(*map(_bracket_fit, Wdom, xi, brackets))
-    return np.array(coeff), np.array(err)
-
-
-def _bracket_fit(Wdom, xi, brackets):
-    A = np.column_stack([*Wdom, xi])
-    r = len(brackets)  # brackets[a, b, domain component]
-    V = brackets.reshape(r * r, -1).T
-    coeff = np.linalg.lstsq(A, V, rcond=None)[0]
-    return coeff.reshape(-1, r, r), np.max(np.abs(V - A @ coeff))
+    A = np.concatenate([Wdom, xi[..., None, :]], axis=-2).swapaxes(-1, -2)
+    r = Wdom.shape[-2]  # brackets[..., a, b, domain component]
+    V = brackets.reshape(brackets.shape[:-3] + (r * r, -1)).swapaxes(-1, -2)
+    try:
+        coeff = np.linalg.solve(A, V)
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationDomainError("singular screen frame") from exc
+    return coeff.reshape(coeff.shape[:-1] + (r, r)), np.abs(V - A @ coeff).max(axis=(-2, -1))
 
 
 def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):

@@ -30,6 +30,7 @@ from semiweyl.fields import (
     ScalarField,
 )
 from semiweyl import conformal
+from semiweyl.jets import contract
 from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
 from semiweyl.specfile import load_spec
@@ -192,7 +193,8 @@ def _loop_rhs_ricci(d):
     """The Ricci change law written out index by index."""
     n = d.n
     ric = np.empty((n, n))
-    gT_psi_Y_Z = np.einsum("maj,a,mk->jk", d.T, d.grad_psi, d.g)
+    # contracted as the law contracts it, so the sums below compare bitwise
+    gT_psi_Y_Z = contract("maj,a,mk->jk", d.T, d.grad_psi, d.g)
     ngradphi = np.einsum("jmk,m->jk", d.ng, d.grad_phi)
     ngradpsi = np.einsum("jmk,m->jk", d.ng, d.grad_psi)
     hess_phi_g = d.dVphi @ d.g

@@ -13,6 +13,9 @@ from semiweyl.jets import (
     JetOrderError,
     _faa_di_bruno,
     _leibniz,
+    _pairwise,
+    _plan,
+    contract,
     jet_compose,
     jet_cross,
     jet_einsum,
@@ -495,6 +498,67 @@ class TestJetEinsum:
     def test_no_jet_operand_is_plain_einsum(self):
         a = np.arange(6.0).reshape(2, 3)
         assert np.array_equal(jet_einsum("ij->ji", a), a.T)
+
+
+# spec on a set, and each operand's shape after the batch axis; the operands
+# spelled with ``...`` or ``z`` carry the batch axis, and at a point the spec
+# drops ``z``
+CONTRACTIONS = {
+    "leading": ("...ijk,...ja,...kb->...iab", [(3, 3, 3), (3, 2), (3, 2)]),
+    "mid-subscript": ("z...AB,zAa,zBb->z...ab", [(2, 3, 3), (3, 2), (3, 2)]),
+    "constant": ("abc,...b,...c->...a", [(3, 3, 3), (3,), (3,)]),
+    "constants-first": ("ab,bc,...c->...a", [(4, 4), (4, 4), (4,)]),
+    "four-operands": ("...lkij,...kc,...ia,...jb->...lcab", [(3, 3, 3, 3), (3, 2), (3, 2), (3, 2)]),
+    "long-sums": ("...i,...ij,...j->...", [(16,), (16, 16), (16,)]),
+    "dot-first": ("...i,...i,...j->...j", [(16,), (16,), (3,)]),
+    "outer-product": ("...i,...j,...k->...ijk", [(2,), (3,), (4,)]),
+}
+
+
+class TestContract:
+    """``contract`` is ``np.einsum``, summed pairwise by batched ``@``; the
+    pair order comes from the non-batch shapes, so each row of a set is
+    bitwise its point alone."""
+
+    P = 7
+
+    def operands(self, case):
+        """Operands of a set, with entries spread over six decades, so that
+        another summation order shows in the bits."""
+        spec, shapes = CONTRACTIONS[case]
+        rng = np.random.default_rng(sorted(CONTRACTIONS).index(case))
+        batched = ["..." in s or s.startswith("z") for s in spec.split("->")[0].split(",")]
+        shapes = [(self.P,) * b + shape for b, shape in zip(batched, shapes)]
+        return spec, [rng.normal(size=s) * 10.0 ** rng.integers(-3, 4, size=s) for s in shapes], batched
+
+    @pytest.mark.parametrize("case", CONTRACTIONS)
+    def test_matches_einsum(self, case):
+        spec, ops, _ = self.operands(case)
+        got, want = contract(spec, *ops), np.einsum(spec, *ops)
+        assert got.shape == want.shape
+        assert np.all(np.abs(got - want) <= 1e-14 * np.einsum(spec, *map(np.abs, ops)))
+
+    @pytest.mark.parametrize("case", CONTRACTIONS)
+    def test_each_row_is_its_point_and_a_batch_of_one(self, case):
+        spec, ops, batched = self.operands(case)
+        got = contract(spec, *ops)
+        for r in range(self.P):
+            point = contract(spec.replace("z", ""), *(op[r] if b else op for op, b in zip(ops, batched)))
+            one = contract(spec, *(op[r : r + 1] if b else op for op, b in zip(ops, batched)))
+            assert got[r].tobytes() == np.asarray(point).tobytes() == one[0].tobytes()
+
+    def test_pairs_and_outer_products_go_to_einsum(self):
+        for spec in ("...i,...j,...k->...ijk", "...ij,...jk->...ik", "...ij,...j,...k->...ijk", "...ij,...k,...l->...ikl"):
+            assert _pairwise(spec) is None
+        spec, ops, _ = self.operands("outer-product")
+        assert contract(spec, *ops).tobytes() == np.einsum(spec, *ops).tobytes()
+
+    def test_a_point_and_a_set_share_one_plan(self):
+        spec, ops, _ = self.operands("leading")
+        _plan.cache_clear()
+        contract(spec, *ops)
+        contract(spec, *(op[0] for op in ops))
+        assert _plan.cache_info().currsize == 1 and _plan.cache_info().hits == 1
 
 
 class TestPartials:

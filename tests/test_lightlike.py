@@ -3,6 +3,7 @@ import pytest
 
 from conftest import minkowski_structure, null_cone_embedding, potentials
 from semiweyl.fields import Chart
+from semiweyl.jets import EvaluationDomainError, Jet
 from semiweyl.hypersurfaces import (
     EmbeddingMap,
     check_beta_symmetry,
@@ -117,7 +118,6 @@ class TestScreen:
         assert all(v.passed for v in out)
 
     def test_bracket_coefficients_of_a_set_are_those_of_its_points(self):
-        # lstsq has no batch form, so each point of a set is fitted alone;
         # the bracket 0.6 v d_v of this screen varies from point to point
         from semiweyl.fields import VectorField
         from semiweyl.lightlike import _bracket_coefficients
@@ -136,6 +136,35 @@ class TestScreen:
             c, e = _bracket_coefficients(skew.screen_data(p, 0))
             assert coeff[row].tobytes() == c.tobytes() and err[row] == e
         assert np.allclose(coeff[:, 0, 0, 1], 0.6 * pts[:, 1])
+
+    def test_a_singular_frame_skips_only_its_row(self):
+        # a screen field that vanishes at one point of a set makes the frame
+        # W_1, W_2, xi singular there: the fit raises for the set, and a law
+        # that fits keeps a reason for that row alone
+        from semiweyl.lightlike import _bracket_coefficients
+        from semiweyl.verdicts import _outcomes
+
+        frame, _s = cone4_frame()
+        pts = halton_points(frame.emb.domain, 7)
+        data = {key: np.array(frame.screen_data(pts, 0)[key].value) for key in ("Wdom", "xi", "bracket")}
+        data["Wdom"][3, 1] = 0.0
+
+        def at(p):
+            rows = slice(None) if p.ndim == 2 else int(np.flatnonzero((pts == p).all(axis=-1))[0])
+            return {key: Jet.constant(value[rows], 3, 0) for key, value in data.items()}
+
+        with pytest.raises(EvaluationDomainError, match="singular screen frame"):
+            _bracket_coefficients(at(pts))
+        _res, _scale, reason = _outcomes(lambda p: (_bracket_coefficients(at(p))[1], 1.0), pts)
+        assert list(reason) == [""] * 3 + ["singular screen frame"] + [""] * 3
+
+    def test_a_screen_has_one_field_fewer_than_the_domain_dimension(self):
+        from semiweyl.fields import VectorField
+
+        frame, s = cone4_frame()
+        one = (VectorField.from_expressions(frame.emb.domain, ["0", "1", "0"]),)
+        with pytest.raises(ValueError, match="a screen has 2 fields, got 1"):
+            LightlikeFrame(frame.emb, s, screen=one)
 
     def test_screen_structure_is_swmt(self, config):
         frame, _s = cone4_frame()
