@@ -15,22 +15,20 @@ without symbolic matrix algebra.  Derived fields combine jets with
 arithmetic (``G + K``, ``-K``, ``G * f``).
 
 Three rules share work.  A field's results are shared, hence read-only,
-and a field's ``fn`` may depend on nothing but ``(p, order)``.  On the
-points of the running pass's sample set (:func:`sample_set`) they are kept
-by the result store of the run (:func:`result_store`, which
-``report.run_spec`` opens for one spec and frees when it returns) per
-(field, set, order), as one ``(P, ...)`` array per leaf of the result plus
-a filled-row mask.  A miss fills the whole entry with one ``fn`` call on
-the set, in which a derived field asks its operands for the whole set
-too, so each link of a chain is one call per set; a set on which some
-point raises is evaluated point by point instead, and each row that raised
-keeps its exception.  Every later pass over the same points reads rows,
-and an embedding adds the images of the set's points to the pass
-(:func:`join_images`), so ambient fields evaluate on those at once too.
-Elsewhere a field keeps its results at the most recent point, one per
-order.  An owner keeps what is derived from it (:func:`kept`), so each
-derived structure, frame and predicate verdict of a spec is one Python
-object, built once, and so one key of the store.
+and a field's ``fn`` may depend on nothing but ``(p, order)``.  The result
+store of a run (:func:`result_store`, which ``report.run_spec`` opens for
+one spec, and a call outside any run for itself) is the only cache of
+field results.  On a point set, such as the running pass's sample set
+(:func:`sample_set`) or its images under an embedding, it keeps per
+(field, set, order) one ``(P, ...)`` array per leaf of the result plus a
+filled-row mask, filled by one ``fn`` call on the set, in which a derived
+field asks its operands for the whole set too; a set on which some point
+raises is evaluated point by point instead, and each row that raised keeps
+its exception.  A point of the running pass reads its row, and any other
+point keeps its result per (field, order).  An owner keeps what is derived
+from it (:func:`kept`), so each derived structure, frame and predicate
+verdict of a spec is one Python object, built once, and so one key of the
+store.
 """
 
 from __future__ import annotations
@@ -52,7 +50,6 @@ __all__ = [
     "kept",
     "result_store",
     "sample_set",
-    "join_images",
     "ScalarField",
     "OneFormField",
     "VectorField",
@@ -126,19 +123,16 @@ class _Field:
     def __init__(self, chart, fn, expressions=None):
         self.chart = chart
         self._fn = fn
-        self._point = None
-        self._by_order = {}
         self.expressions = expressions  # AST grid when expression-backed
 
     def jet(self, p, order):
         """The jet of order ``order`` at the point or point set ``p``,
         shared by every caller, so the layers of a jet, an array, or a
-        tuple or dict of them are read-only.  At a point of the running
-        pass (:func:`sample_set`) it is the point's row of the result store
-        (:func:`result_store`), and at one of the pass's sets the whole
-        entry; elsewhere the results at the most recent point or set (by
-        its float bytes) are kept per order.  Nothing is kept when ``fn``
-        raises."""
+        tuple or dict of them are read-only.  It is what the running
+        :func:`result_store` keeps at the set, or at the point (a row when
+        the running pass holds it, see :func:`sample_set`); a call outside
+        any run keeps it in a store of its own.  A point outside the pass
+        where ``fn`` raises keeps nothing."""
         p = np.asarray(p, dtype=float)
         key = p.tobytes()
         running = _samples.get()
@@ -151,17 +145,19 @@ class _Field:
                 s = running.sets.get(key)
                 if s:
                     return s.whole(self, order)
-        key = (p.shape, key)
-        if key != self._point:
-            self._point, self._by_order = key, {}
-        by_order = self._by_order
-        out = by_order.get(order)
+        store = _store.get()
+        if store is None:
+            with result_store():
+                return self.jet(p, order)
+        if p.ndim != 1:
+            return store.set_of(p).whole(self, order)
+        out = store.points.get((self, order, key))
         if out is None:
             out = self._fn(p, order)
             for L in _leaves(out):
                 if isinstance(L, np.ndarray):
                     L.flags.writeable = False
-            by_order[order] = out
+            store.points[self, order, key] = out
         return out
 
     def value(self, p):
@@ -314,10 +310,12 @@ class _Set:
 
 
 class _Store:
-    """The results of one run: a :class:`_Set` per point set, by its bytes."""
+    """The results of one run: a :class:`_Set` per point set, and the
+    result of each (field, order) at each other point, by their bytes."""
 
     def __init__(self):
         self.sets = {}
+        self.points = {}
 
     def set_of(self, pts):
         key = (pts.shape, pts.tobytes())
@@ -328,9 +326,8 @@ class _Store:
 
 
 class _Pass(NamedTuple):
-    """A running pass: its points, and the sets of them and of the images
-    that joined them (by their bytes) and each of their points as ``(set,
-    row)`` (by its bytes)."""
+    """A running pass: its points, their set (by its bytes) and each of
+    its points as ``(set, row)`` (by its bytes)."""
 
     pts: np.ndarray
     sets: dict
@@ -349,9 +346,9 @@ _samples = ContextVar("samples", default=None)
 
 @contextmanager
 def result_store():
-    """Keep, until the block ends or raises, each field's results on every
-    sample set a pass holds in it (:func:`sample_set`), per (field, set,
-    order): a later pass of any check over the same points reads them."""
+    """Keep, until the block ends or raises, each field's results asked in
+    it, per (field, set, order) on a point set and per (field, order) at
+    any other point: a later pass or call at the same points reads them."""
     token = _store.set(_Store())
     try:
         yield
@@ -377,25 +374,6 @@ def sample_set(pts):
         yield
     finally:
         _samples.reset(token)
-
-
-def join_images(field, p, order):
-    """When ``p`` is a point or a set of the running pass and the store
-    holds ``field`` at order ``order`` at every point of its set, add the
-    values of ``field`` there to the pass as a point set of their own, so a
-    field asked at these images evaluates on all of them at once."""
-    running = _samples.get()
-    if not running:
-        return
-    if p.ndim == 1:
-        s, row = running.rows.get(p.tobytes()) or (None, None)
-    else:
-        s, row = running.sets.get(p.tobytes()), slice(None)
-    entry = s and s.entries.get((field, order))
-    if entry and all(entry.filled):
-        images = entry.columns[0]
-        if images[row].tobytes() not in (running.rows if p.ndim == 1 else running.sets):
-            running.add(_store.get().set_of(images))
 
 
 def _components(exprs, shape):

@@ -17,17 +17,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import (
-    Chart,
-    ConnectionField,
-    DegeneratePointError,
-    MetricField,
-    OneFormField,
-    VectorField,
-    _Field,
-    join_images,
-    kept,
-)
+from .fields import Chart, ConnectionField, DegeneratePointError, MetricField, OneFormField, VectorField, _Field, kept
 from .jets import Jet, contract, jet_compose, jet_cross, jet_einsum, jet_solve, partials
 from .structures import Structure, is_swmt, semi_dual, swmt_residual
 from .tensor import (
@@ -81,25 +71,13 @@ class EmbeddingMap:
     def codim(self):
         return self.ambient.dim - self.domain.dim
 
-    def jet(self, p, order):
-        """Jets of the ambient coordinates at ``p`` (shared and read-only,
-        like any field's).  At a point of a running pass, the images of the
-        pass's points join it, so ambient fields evaluate on all of them at
-        once (:func:`~semiweyl.fields.join_images`)."""
-        F = self.coords.jet(p, order)
-        join_images(self.coords, p, order)
-        return F
-
-    def value(self, p):
-        return self.jet(p, 0).value
-
     @kept
     def compose(self, field):
         """The pullback of an ambient field: a field of the same kind on the
         domain, whose jets are those of ``field`` along the map."""
 
         def fn(p, order):
-            F = self.jet(p, order)
+            F = self.coords.jet(p, order)
             return jet_compose(field.jet(F.value, order), F)
 
         return type(field)(self.domain, fn)
@@ -111,7 +89,7 @@ class EmbeddingMap:
         Gc = self.compose(g)
 
         def fn(p, order):
-            dF = partials(self.jet(p, order + 1))
+            dF = partials(self.coords.jet(p, order + 1))
             return jet_einsum("...ia,...jb,...ij->...ab", dF, dF, Gc.jet(p, order))
 
         return MetricField(self.domain, fn)
@@ -127,13 +105,13 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
     eta_c = emb.compose(s.eta)
 
     def eta_fn(p, order):
-        dF = partials(emb.jet(p, order + 1))
+        dF = partials(emb.coords.jet(p, order + 1))
         return jet_einsum("...i,...ia->...a", eta_c.jet(p, order), dF)
 
     def conn_fn(p, order):
         G = gp.jet(p, order)
         require_nondegenerate(G.value)
-        dF = partials(emb.jet(p, order + 1))
+        dF = partials(emb.coords.jet(p, order + 1))
         W = _ambient_derivative_of_frame(emb, s.conn, p, order)
         # g'_{kd} gamma^k_{ab} = g(dF e_d, W_ab)
         return jet_solve(G, jet_einsum("...id,...ij,...jab->...dab", dF, Gc.jet(p, order), W))
@@ -155,7 +133,7 @@ def _restricted(emb: EmbeddingMap, t):
 def _ambient_derivative_of_frame(emb, conn, p, order):
     """``W[i, a, b]``: ambient components of the ambient covariant
     derivative of the coordinate frame, ``nabla_{dF e_a} (dF e_b)``."""
-    dF = partials(emb.jet(p, order + 2))
+    dF = partials(emb.coords.jet(p, order + 2))
     Gamc = emb.compose(conn).jet(p, order)
     return partials(dF).transpose(0, 2, 1) + jet_einsum("...ijk,...ja,...kb->...iab", Gamc, dF, dF)
 
@@ -170,7 +148,7 @@ def unit_normal(emb: EmbeddingMap, g: MetricField) -> _Field:
     def raw(p, order):
         """``(N_raw, nu, G)``: the conormal ``nu_i = eps_{i j k ...} dF[j, 0]
         dF[k, 1] ...`` (cofactors of the differential) raised by ``g``."""
-        dF = partials(emb.jet(p, order + 1))
+        dF = partials(emb.coords.jet(p, order + 1))
         Gc = emb.compose(g).jet(p, order)
         nu = jet_cross(dF.T)
         return jet_solve(Gc, nu), nu, Gc
@@ -242,7 +220,7 @@ class HypersurfaceFrame:
         alpha = jet_einsum("...ij,...iab,...j->...ab", Gc, W, N)
         return _signed(alpha, eps), eps
 
-    def weingarten(self, p, order=0):
+    def weingarten(self, p, order):
         """Returns ``(beta, tau, B, eps)`` as jets: ``beta[a,b] =
         -g(nabla_a N, dF e_b)``, ``tau[a] = eps g(nabla_a N, N)`` and the
         shape operator ``B[d, a]`` with ``beta(X, Y) = g'(B X, Y)``; kept
@@ -252,7 +230,7 @@ class HypersurfaceFrame:
     def _weingarten_map(self, p, order):
         emb = self.emb
         N, eps = self.normal(p, order + 1)
-        dF = partials(emb.jet(p, order + 1))
+        dF = partials(emb.coords.jet(p, order + 1))
         Gamc = emb.compose(self.s.conn).jet(p, order)
         DN = partials(N) + jet_einsum("...ijk,...ja,...k->...ia", Gamc, dF, N)  # nabla_a N
         Gc = emb.compose(self.s.g).jet(p, order)
@@ -367,7 +345,7 @@ def check_duality_pairing(frame, config: RunConfig):
     return [run_pointwise_check(name, frame.emb.domain, fn, config, detail=detail)]
 
 
-def umbilic_deviation(frame: HypersurfaceFrame, p, order=0):
+def umbilic_deviation(frame: HypersurfaceFrame, p, order):
     """Least-squares proportionality factor ``f`` with ``beta ~ f g'`` and
     the residual ``|beta - f g'|`` (jets when order > 0), at a point or at
     each point of a set."""
@@ -405,7 +383,7 @@ def check_umbilic_preservation(frame, t, config: RunConfig):
         lhs = frame_t.beta(p)
         beta = frame.beta(p)
         G = frame.tangent_metric(p)
-        q = emb.value(p)
+        q = emb.coords.value(p)
         phi_j = t.phi.jet(q, 1)
         dphi_N = np.vecdot(phi_j.grad, frame.transversal_value(p))[..., None, None]
         factor = np.exp(frame.BETA_LAW_WEIGHT * (phi_j.value + t.psi.value(q)))[..., None, None]
@@ -431,9 +409,9 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
     ind = induced_structure(emb, s)
 
     def fn(p):
-        q = emb.value(p)
+        q = emb.coords.value(p)
         R_amb = curvature_values(s.conn, q)
-        dF = emb.jet(p, 1).grad
+        dF = emb.coords.jet(p, 1).grad
         lhs = contract("...lkij,...kc,...ia,...jb->...lcab", R_amb, dF, dF, dF)
 
         Rp = curvature_values(ind.conn, p)
@@ -443,7 +421,7 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
         dalpha = np.moveaxis(alpha_j.grad, -1, -3)  # [a, b, c] = d_a alpha_bc
         # (nabla'_a alpha)(b, c)
         nalpha = covariant_derivative_of_form(dalpha, ind.conn.value(p), alpha)
-        beta_j, tau_j, B_j, _ = frame.weingarten(p)
+        beta_j, tau_j, B_j, _ = frame.weingarten(p, 0)
         tau = tau_j.value
         B = B_j.value  # B[d, a]
         N, _ = frame.normal(p, 0)
@@ -474,9 +452,9 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
     ind_dual = semi_dual(ind).conn
 
     def gate_fn(p):
-        q = emb.value(p)
+        q = emb.coords.value(p)
         R_star = curvature_values(frame_dual.s.conn, q)
-        _, dev, _, gp = umbilic_deviation(frame, p)
+        _, dev, _, gp = umbilic_deviation(frame, p, 0)
         return np.maximum(row_max(R_star, q), dev), 1.0 + row_max(gp.value, p)
 
     gate = run_pointwise_check("flat_dual/hypothesis", emb.domain, gate_fn, config)
@@ -484,10 +462,10 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
         return [gated("flat_dual_hypersurface", "not umbilic or ambient semi-dual not flat", config.tol)]
 
     def fn(p):
-        f_jet, _, _, gp = umbilic_deviation(frame, p, order=1)
+        f_jet, _, _, gp = umbilic_deviation(frame, p, 1)
         gpv = gp.value
         Rp = curvature_values(ind_dual, p)
-        _, tau_star_j, B_star_j, eps = frame_dual.weingarten(p)
+        _, tau_star_j, B_star_j, eps = frame_dual.weingarten(p, 0)
         B_star = B_star_j.value
         tau_star = tau_star_j.value
         f = f_jet.value

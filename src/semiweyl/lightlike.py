@@ -90,7 +90,7 @@ class LightlikeFrame:
         k = self._radical_index()
         emb = self.emb
         gp = emb.induced_metric(self.s.g).jet(p, order)
-        dF = partials(emb.jet(p, order + 1))
+        dF = partials(emb.coords.jet(p, order + 1))
         Gc = emb.compose(self.s.g).jet(p, order)
         gv = gp.value
         thr = degeneracy_threshold(gv)
@@ -119,7 +119,7 @@ class LightlikeFrame:
         """Jets of the transversal ``N`` (ambient components), together
         with the pushed-forward radical and screen vectors."""
         n = self.emb.ambient.dim
-        pin = np.eye(n)[self._transversal_index()]  # before p's jets, which it would evict
+        pin = np.eye(n)[self._transversal_index()]
         xi, gp, dF, Gc = self.radical(p, order)
         # [screen index, domain component]
         Wdom = jet_stack([field.jet(p, order) for field in self.screen_fields()], axis=-2)
@@ -145,10 +145,10 @@ class LightlikeFrame:
     def screen_data(self, p, order):
         """Returns a dict with the pointwise screen geometry: the Gram
         matrix of the screen fields, the screen connection coefficients,
-        the forms ``alpha`` and ``beta``, the screen brackets, and the
-        transversal, radical and screen fields they came from.  The result
-        is kept like any field's, per point and order, and its jets are
-        read-only."""
+        the forms ``alpha`` and ``beta``, the screen brackets, and what
+        they came from: the transversal, the radical and screen fields and
+        their ambient pushforwards, and the induced and ambient metrics.
+        The result is kept like any field's; its jets are read-only."""
         return self._screen_data.jet(p, order)
 
     def _build_screen_data(self, p, order):
@@ -190,6 +190,10 @@ class LightlikeFrame:
             "N": N,
             "xi": xi,
             "Wdom": Wdom,
+            "gp": gp,
+            "Gc": Gc,
+            "xi_amb": xi_amb,
+            "W_amb": W_amb,
         }
 
     # -- the values the shared fundamental-form checks read ----------------
@@ -222,9 +226,9 @@ def check_radical_quality(frame: LightlikeFrame, config: RunConfig):
     and the metric has corank exactly one."""
 
     def fn(p):
-        xi, gp, _, _ = frame.radical(p, 0)
-        gv = gp.value
-        return row_max(np.matvec(gv, xi.value), p), 1.0 + row_max(gv, p)
+        data = frame.screen_data(p, 0)
+        gv = data["gp"].value
+        return row_max(np.matvec(gv, data["xi"].value), p), 1.0 + row_max(gv, p)
 
     return [run_pointwise_check("radical_quality", frame.emb.domain, fn, config,
                                 detail="radical direction annihilates the degenerate induced metric")]
@@ -234,12 +238,12 @@ def check_transversal_conditions(frame: LightlikeFrame, config: RunConfig):
     """``g(N, xi) = 1``, ``g(N, N) = 0``, ``g(N, W) = 0`` for the screen."""
 
     def fn(p):
-        N, xi, xi_amb, W_amb, _, _, _, Gc = frame.transversal(p, 0)
-        gv = Gc.value
-        Nv = N.value
+        data = frame.screen_data(p, 0)
+        gv = data["Gc"].value
+        Nv = data["N"].value
         Ng = np.vecmat(Nv, gv)
-        res = np.maximum(abs(np.vecdot(Ng, xi_amb.value) - 1.0), abs(np.vecdot(Ng, Nv)))
-        res = np.maximum(res, row_max(np.vecdot(Ng[..., None, :], W_amb.value), p))
+        res = np.maximum(abs(np.vecdot(Ng, data["xi_amb"].value) - 1.0), abs(np.vecdot(Ng, Nv)))
+        res = np.maximum(res, row_max(np.vecdot(Ng[..., None, :], data["W_amb"].value), p))
         return res, 1.0 + row_max(Nv, p) * (1.0 + row_max(gv, p))
 
     return [run_pointwise_check("transversal_conditions", frame.emb.domain, fn, config,
@@ -276,7 +280,7 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
         gram = data["gram"]
         Wdom = data["Wdom"].value
         gv, nbv = gram.value, data["nabla_bar"].value
-        eta_W = np.matvec(Wdom, np.vecmat(frame.s.eta.value(emb.value(p)), emb.jet(p, 1).grad))
+        eta_W = np.matvec(Wdom, np.vecmat(frame.s.eta.value(emb.coords.value(p)), emb.coords.jet(p, 1).grad))
         # directional derivatives of the Gram matrix along screen fields
         dgram = np.einsum("...bcd,...ad->...abc", gram.grad, Wdom)
         # (nabla_a g)(W_b, W_c), and the screen torsion, whose bracket part
@@ -321,9 +325,9 @@ def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
         data = frame.screen_data(p, 0)
         data_t = frame_t.screen_data(p, 0)
         gram = data["gram"].value
-        q = emb.value(p)
+        q = emb.coords.value(p)
         # ambient images of the screen fields, and phi, psi derived along them
-        push = data["Wdom"].value @ emb.jet(p, 1).grad.swapaxes(-1, -2)
+        push = data["Wdom"].value @ emb.coords.jet(p, 1).grad.swapaxes(-1, -2)
         dphi_W = np.matvec(push, t.phi.jet(q, 1).grad)
         dpsi_W = np.matvec(push, t.psi.jet(q, 1).grad)
         # screen gradient of the restricted psi: gram s = dpsi_W

@@ -278,7 +278,7 @@ class TestHypersurfaceSuite:
         frame = HypersurfaceFrame(emb, s)
         factors = []
         for p in halton_points(emb.domain, 25):
-            f, dev, _beta, _gp = umbilic_deviation(frame, p)
+            f, dev, _beta, _gp = umbilic_deviation(frame, p, 0)
             assert dev < 1e-10
             factors.append(f.value)
         assert max(factors) - min(factors) <= 1e-8
@@ -291,7 +291,7 @@ class TestHypersurfaceSuite:
         )
         cyl_frame = HypersurfaceFrame(cyl, s)
         for p in halton_points(cyl.domain, 15):
-            _f, dev, _beta, _gp = umbilic_deviation(cyl_frame, p)
+            _f, dev, _beta, _gp = umbilic_deviation(cyl_frame, p, 0)
             assert dev >= 0.1
 
         # transformed second-fundamental form law and umbilicity preservation
@@ -430,7 +430,7 @@ class TestNegativeControls:
         )
         frame = HypersurfaceFrame(cyl, s)
         for p in halton_points(cyl.domain, 10):
-            _f, dev, _beta, _gp = umbilic_deviation(frame, p)
+            _f, dev, _beta, _gp = umbilic_deviation(frame, p, 0)
             assert dev >= 1e-3
 
     def test_screen_integrability_fails_on_twisted_screen(self):

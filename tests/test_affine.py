@@ -15,7 +15,7 @@ from semiweyl.affine import (
     realized_structure,
     xi_rescaled,
 )
-from semiweyl.fields import Chart, ScalarField
+from semiweyl.fields import Chart, ScalarField, result_store
 from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
 from semiweyl.specfile import load_spec
@@ -89,16 +89,18 @@ class TestDecomposition:
     def test_solves_are_shared_per_point_and_read_only(self):
         dist = centroaffine_sphere()
         p, q = halton_points(dist.chart, 2)
-        first = dist.decompose(p, 1)
-        assert dist.decompose(p.copy(), 1) is first
-        assert dist.decompose(p, 0) is not first
-        for layer in first[1].layers:
-            with pytest.raises(ValueError):
-                layer[0, 0] = layer[1, 1]
-        fresh = centroaffine_sphere().decompose(q, 1)
-        for got, want in zip(dist.decompose(q, 1), fresh):
-            assert np.array_equal(got.value, want.value)
-        assert dist.decompose(p, 1) is not first  # only the latest point is kept
+        with result_store():
+            first = dist.decompose(p, 1)
+            assert dist.decompose(p.copy(), 1) is first
+            assert dist.decompose(p, 0) is not first
+            for layer in first[1].layers:
+                with pytest.raises(ValueError):
+                    layer[0, 0] = layer[1, 1]
+            fresh = centroaffine_sphere().decompose(q, 1)
+            for got, want in zip(dist.decompose(q, 1), fresh):
+                assert np.array_equal(got.value, want.value)
+            assert dist.decompose(p, 1) is first  # every point is kept
+        assert dist.decompose(p, 1) is not first  # until the run ends
 
     def test_realization_is_swmt(self, aconfig):
         for dist in (graph_distribution(), centroaffine_sphere(), scaled_sphere_distribution()):

@@ -67,3 +67,13 @@ def test_the_microbenchmarks_run(monkeypatch):
     names = {name for name, *_ in layers.FIXED if name.endswith(".pts_per_s")}
     assert set(out) == names
     assert all(v > 0 for v in out.values())
+
+
+# FOUND 24 in CHANGES.md: with no slice taken yet, ``normalize`` reads
+# ``self.starts[-1]`` of an empty list; the benchmark change that mends the
+# probe drops this marker
+@pytest.mark.xfail(strict=True, raises=IndexError, reason="SpeedProbe.normalize before the probe's first slice")
+def test_normalize_before_the_first_slice():
+    with hostspeed.SpeedProbe() as probe:
+        t = time.perf_counter()
+        probe.normalize(t, t + 1e-4)

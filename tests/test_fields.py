@@ -1,7 +1,10 @@
-"""Fields remember their jets at the most recent point: interleaved points,
-separate orders, read-only results and uncached errors (the evaluation
-count of one structure check is in ``test_structures.py``).  A metric's
-entries must be symmetric as given."""
+"""The run's result store is the only cache of field results: inside a
+store a field asked again at a point, set apart per order, calls its
+``fn`` once, a new store calls it again, and a call outside any run opens a
+store for itself, so each field of its chain is evaluated once.  Results
+at interleaved points match fresh fields, are read-only, and errors are
+not kept (the evaluation count of one structure check is in
+``test_structures.py``).  A metric's entries must be symmetric as given."""
 
 from collections import Counter
 from pathlib import Path
@@ -10,7 +13,7 @@ import numpy as np
 import pytest
 
 from conftest import euclidean3_chart, plane_chart, sphere_embedding, swmt_structure
-from semiweyl.fields import MetricField, ScalarField, _Field
+from semiweyl.fields import MetricField, ScalarField, _Field, result_store
 from semiweyl.jets import EvaluationDomainError, Jet
 from semiweyl.lightlike import LightlikeFrame
 from semiweyl.sampling import halton_points
@@ -51,7 +54,7 @@ def field_getters():
         "metric": lambda: swmt_structure().g,
         "connection": lambda: swmt_structure().conn,
         "semi_dual": fresh_semi_dual,
-        "embedding": lambda: sphere_embedding(euclidean3_chart()),
+        "embedding": lambda: sphere_embedding(euclidean3_chart()).coords,
     }
 
 
@@ -60,24 +63,57 @@ class TestInterleaving:
     def test_points_a_b_a_match_fresh_fields(self, name):
         make = field_getters()[name]
         field = make()
-        a, b = halton_points(field.domain if name == "embedding" else field.chart, 2)
+        a, b = halton_points(field.chart, 2)
         for p in (a, b, a):
             assert_same_jets(field.jet(p, 2), make().jet(p, 2))
 
     def test_orders_are_kept_apart_at_one_point(self):
         field = swmt_structure().conn
+        calls = count_orders(field)
         p = halton_points(plane_chart(), 1)[0]
-        high = field.jet(p, 2)
-        low = field.jet(p, 0)
-        assert field.jet(p.copy(), 2) is high and field.jet(p, 0) is low
+        with result_store():
+            high = field.jet(p, 2)
+            low = field.jet(p, 0)
+            assert field.jet(p.copy(), 2) is high and field.jet(p, 0) is low
         assert low.order == 0 and high.order == 2
+        assert calls == {0: 1, 2: 1}
+
+
+class TestOneCache:
+    def test_a_lone_point_calls_fn_once_per_run(self):
+        field = fresh_semi_dual()
+        calls = count_orders(field)
+        p = halton_points(plane_chart(), 1)[0]
+        with result_store():
+            first = field.jet(p, 1)
+            assert field.jet(p.copy(), 1) is first and calls[1] == 1
+        with result_store():  # a new run
+            again = field.jet(p, 1)
+        assert again is not first and calls[1] == 2
+        assert [L.tobytes() for L in again.layers] == [L.tobytes() for L in first.layers]
+
+    def test_a_call_outside_any_run_evaluates_each_link_once(self):
+        # the semi-dual connection and the Levi-Civita part of the connection
+        # it dualizes both ask the metric at order 1
+        s = swmt_structure()
+        links = {"g": s.g, "eta": s.eta, "conn": s.conn}
+        counts = {name: count_orders(field) for name, field in links.items()}
+        field = semi_dual_connection(s.g, s.eta, s.conn)
+        outer = count_orders(field)
+        p = halton_points(plane_chart(), 1)[0]
+        field.jet(p, 0)
+        assert outer == {0: 1}
+        for name, calls in counts.items():
+            assert calls and max(calls.values()) == 1, (name, calls)
+        field.jet(p, 0)  # its store is gone with the call
+        assert outer == {0: 2}
 
 
 class TestReadOnly:
     @pytest.mark.parametrize("name", sorted(field_getters()))
     def test_item_assignment_raises(self, name):
         field = field_getters()[name]()
-        p = halton_points(field.domain if name == "embedding" else field.chart, 1)[0]
+        p = halton_points(field.chart, 1)[0]
         J = field.jet(p, 1)
         with pytest.raises(TypeError):
             J[0] = J[-1]  # a jet has no item assignment

@@ -104,7 +104,7 @@ class TestPullbacks:
         assert isinstance(emb.compose(s.conn), ConnectionField)
         assert emb.compose(phi) is pb and emb.induced_metric(s.g) is emb.induced_metric(s.g)
         for p in halton_points(emb.domain, 5):
-            x, y, z = emb.value(p)
+            x, y, z = emb.coords.value(p)
             assert pb.value(p) == pytest.approx(x * y + np.exp(z), abs=1e-14)
 
     def test_a_duality_point_composes_each_ambient_field_once(self, monkeypatch):
@@ -131,7 +131,7 @@ class TestFundamentalForms:
         ind = induced_structure(emb, s)
         signs = set()
         for p in halton_points(emb.domain, 10):
-            beta, tau, B, eps = (a.value if hasattr(a, "value") else a for a in frame.weingarten(p))
+            beta, tau, B, eps = (a.value if hasattr(a, "value") else a for a in frame.weingarten(p, 0))
             gp = ind.g.value(p)
             ratio = beta[0, 0] / gp[0, 0]
             assert abs(abs(ratio) - 1.0) < 1e-10
@@ -146,7 +146,7 @@ class TestFundamentalForms:
         emb = sphere_embedding(s.chart)
         frame = HypersurfaceFrame(emb, s)
         for p in halton_points(emb.domain, 10):
-            f, dev, beta, gp = umbilic_deviation(frame, p)
+            f, dev, beta, gp = umbilic_deviation(frame, p, 0)
             assert dev < 1e-10
             assert abs(abs(f.value) - 1.0) < 1e-10
 
@@ -155,7 +155,7 @@ class TestFundamentalForms:
         emb = cylinder_embedding(s.chart)
         frame = HypersurfaceFrame(emb, s)
         for p in halton_points(emb.domain, 10):
-            _f, dev, _beta, _gp = umbilic_deviation(frame, p)
+            _f, dev, _beta, _gp = umbilic_deviation(frame, p, 0)
             assert dev >= 0.4  # principal curvatures 1 and 0
 
     def test_beta_symmetry_on_swmt_ambient(self, config):
@@ -232,7 +232,7 @@ class TestTimelikeNormal:
         for p in halton_points(frame.emb.domain, 10):
             N, eps = frame.normal(p, 0)
             assert eps == -1.0
-            assert N.value @ s.g.value(frame.emb.value(p)) @ N.value == pytest.approx(-1.0, abs=1e-12)
+            assert N.value @ s.g.value(frame.emb.coords.value(p)) @ N.value == pytest.approx(-1.0, abs=1e-12)
 
     def test_fundamental_form_checks_hold(self):
         s = minkowski_structure(3)

@@ -13,7 +13,7 @@ import pytest
 from conftest import plane_chart
 from semiweyl import fields, verdicts
 from semiweyl.expressions import eval_jets
-from semiweyl.fields import Chart, MetricField, ScalarField, sample_set
+from semiweyl.fields import Chart, MetricField, ScalarField, result_store, sample_set
 from semiweyl.jets import EvaluationDomainError
 from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
@@ -254,8 +254,12 @@ class TestEveryField:
             by_chart.setdefault(field.chart, []).extend((field, order) for order in orders)
         for chart, items in by_chart.items():
             pts = halton_points(chart, spec.config.samples, spec.config.seed)
-            # outside any pass, so each point is evaluated alone
-            alone = [[outcome(field._fn, p, order) for field, order in items] for p in pts]
+            # outside any pass, so each point is evaluated alone, with one
+            # store per point, so each field of the chains there is evaluated once
+            alone = []
+            for p in pts:
+                with result_store():
+                    alone.append([outcome(field._fn, p, order) for field, order in items])
             with sample_set(pts):
                 for i, (field, order) in enumerate(items):
                     want = [row[i] for row in alone]
