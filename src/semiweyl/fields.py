@@ -18,22 +18,21 @@ Three rules share work.  A field's results are shared, hence read-only,
 and a field's ``fn`` may depend on nothing but ``(p, order)``.  The result
 store of a run (:func:`result_store`, which ``report.run_spec`` opens for
 one spec, and a call outside any run for itself) is the only cache of
-field results.  On a point set, such as the running pass's sample set
-(:func:`sample_set`) or its images under an embedding, it keeps per
-(field, set, order) one ``(P, ...)`` array per leaf of the result plus a
-filled-row mask, filled by one ``fn`` call on the set, in which a derived
-field asks its operands for the whole set too; a set on which some point
-raises is evaluated point by point instead, and each row that raised keeps
-its exception.  A point of the running pass reads its row, and any other
-point keeps its result per (field, order).  An owner keeps what is derived
-from it (:func:`kept`), so each derived structure, frame and predicate
-verdict of a spec is one Python object, built once, and so one key of the
-store.
+field results, and writes each once.  On a point set, such as the running
+pass's sample set (:func:`sample_set`) or its images under an embedding,
+it keeps per (field, set, order) the result of one ``fn`` call on the set,
+in which a derived field asks its operands for the whole set too, or the
+set's failure: a point error of that call, or a row that is not finite.
+A point of the running pass reads its row of a set that did not fail;
+every point evaluated alone keeps its result, or its point error, per
+(field, order).  An owner keeps what is derived from it (:func:`kept`), so
+each derived structure, frame and predicate verdict of a spec is one
+Python object, built once, and so one key of the store.
 """
 
 from __future__ import annotations
 
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 from functools import wraps
@@ -129,10 +128,11 @@ class _Field:
         """The jet of order ``order`` at the point or point set ``p``,
         shared by every caller, so the layers of a jet, an array, or a
         tuple or dict of them are read-only.  It is what the running
-        :func:`result_store` keeps at the set, or at the point (a row when
-        the running pass holds it, see :func:`sample_set`); a call outside
-        any run keeps it in a store of its own.  A point outside the pass
-        where ``fn`` raises keeps nothing."""
+        :func:`result_store` keeps at the set, or at the point: its row of a
+        set the running pass holds (see :func:`sample_set`) unless that set
+        failed, else the point evaluated alone, whose point error is kept
+        and raised at each read.  A call outside any run keeps it in a store
+        of its own."""
         p = np.asarray(p, dtype=float)
         key = p.tobytes()
         running = _samples.get()
@@ -140,7 +140,9 @@ class _Field:
             if p.ndim == 1:
                 at = running.rows.get(key)
                 if at:
-                    return at[0].result(self, at[1], order)
+                    out = at[0].result(self, at[1], order)
+                    if out is not None:
+                        return out
             else:
                 s = running.sets.get(key)
                 if s:
@@ -153,11 +155,17 @@ class _Field:
             return store.set_of(p).whole(self, order)
         out = store.points.get((self, order, key))
         if out is None:
-            out = self._fn(p, order)
+            try:
+                out = self._fn(p, order)
+            except _POINT_ERRORS as exc:
+                store.points[self, order, key] = _Raised(type(exc), exc.args)
+                raise
             for L in _leaves(out):
                 if isinstance(L, np.ndarray):
                     L.flags.writeable = False
             store.points[self, order, key] = out
+        elif type(out) is _Raised:
+            raise out.kind(*out.args)
         return out
 
     def value(self, p):
@@ -174,7 +182,7 @@ def _expr_of(item, chart):
 
 # -- the result store -----------------------------------------------------------
 
-# what a point may raise for a skip, kept by the store per row
+# what a point may raise for a skip, kept by the store
 _POINT_ERRORS = (EvaluationDomainError, DegeneratePointError)
 
 
@@ -210,46 +218,30 @@ def _read_only(column):
     return view
 
 
+class _Raised(NamedTuple):
+    """A point error's type and arguments, kept without its traceback."""
+
+    kind: type
+    args: tuple
+
+
 class _Entry:
-    """One field's results at one order on a point set of ``size`` points:
-    one ``(size, ...)`` array per leaf of the result, which rows are
-    filled, and the ``(type, args)`` of the exception of each row whose
-    ``fn`` raised alone (``raised``) or of the whole set's ``fn`` call
-    (``failed``), without a traceback.  Rows are read as read-only views."""
+    """One field's result at one order on a point set of ``size`` points,
+    from one ``fn`` call on the whole set, its rows read as read-only
+    views; a result with a row that is not finite raises instead."""
 
-    def __init__(self, size):
-        self.filled = [False] * size
-        self.raised = {}
-        self.failed = None
-        self.columns = None
-        self.read = None
-        self.whole = None
-
-    def fill(self, out):
-        """Keep ``out``, the result on the whole set, as the columns; rows
-        that are not finite stay unfilled (see :meth:`_Set.entry`)."""
+    def __init__(self, out, size):
         leaves = _leaves(out)
-        size = len(self.filled)
         finite = np.logical_and.reduce([np.isfinite(L).reshape(size, -1).all(axis=1) for L in leaves])
-        self.filled = finite.tolist()
-        # unfinished rows are written one by one, so into copies
-        self.columns = leaves if finite.all() else [np.array(L) for L in leaves]
-        self.read = _reader(out, map(_read_only, self.columns))
-
-    def put(self, row, out):
-        leaves = _leaves(out)
-        if self.columns is None:
-            size = len(self.filled)
-            self.columns = [np.empty((size,) + np.shape(L), dtype=np.result_type(L)) for L in leaves]
-            self.read = _reader(out, map(_read_only, self.columns))
-        for column, L in zip(self.columns, leaves, strict=True):
-            column[row] = L
-        self.filled[row] = True
+        if not finite.all():
+            raise EvaluationDomainError("non-finite value in a result on a point set")
+        self.read = _reader(out, map(_read_only, leaves))
+        self.whole = None
 
 
 class _Set:
     """A point set ``pts`` and, per (field, order), the :class:`_Entry` of
-    the field's results on it."""
+    the field's result on it or the :class:`_Raised` of its failure."""
 
     def __init__(self, pts):
         self.pts = pts
@@ -257,53 +249,33 @@ class _Set:
         self.entries = {}
 
     def entry(self, field, order):
-        """``field``'s entry at order ``order``, filled on a miss by one
-        ``fn`` call on the whole set.  When that call raises for a point,
-        the rows are evaluated one by one as they are read; a row that is
-        not finite is evaluated alone at once."""
+        """``field``'s entry at order ``order``, or the :class:`_Raised` of
+        the set's failure: a point error of the one ``fn`` call on the
+        whole set made on a miss, or a row of its result that is not
+        finite.  A call that raises anything else keeps nothing."""
         entry = self.entries.get((field, order))
         if entry is None:
-            entry = self.entries[field, order] = _Entry(len(self.pts))
             try:
-                out = field._fn(self.pts, order)
+                entry = _Entry(field._fn(self.pts, order), len(self.pts))
             except _POINT_ERRORS as exc:
-                entry.failed = (type(exc), exc.args)
-                return entry
-            entry.fill(out)
-            for row in [row for row, filled in enumerate(entry.filled) if not filled]:
-                with suppress(*_POINT_ERRORS):
-                    self._alone(entry, field, row, order)
+                entry = _Raised(type(exc), exc.args)
+            self.entries[field, order] = entry
         return entry
-
-    def _alone(self, entry, field, row, order):
-        """Fill row ``row`` of ``entry`` by ``fn`` at its point alone, or
-        raise what it raised there, kept from its first call."""
-        kind = entry.raised.get(row)
-        if kind:
-            raise kind[0](*kind[1])
-        try:
-            out = field._fn(self.pts[row], order)
-        except _POINT_ERRORS as exc:
-            entry.raised[row] = (type(exc), exc.args)
-            raise
-        entry.put(row, out)
 
     def result(self, field, row, order):
         """``field``'s result at order ``order`` at the point of row
-        ``row``; a point where ``fn`` raises raises again as alone."""
+        ``row``, or ``None`` when the set failed: the point is then
+        evaluated alone."""
         entry = self.entries.get((field, order)) or self.entry(field, order)
-        if not entry.filled[row]:
-            self._alone(entry, field, row, order)
-        return entry.read(row)
+        return None if type(entry) is _Raised else entry.read(row)
 
     def whole(self, field, order):
         """``field``'s result at order ``order`` on the whole set, with a
-        leading axis over its points.  When a point of the set raises, it
-        raises, so a field that asks for it falls back to its points."""
+        leading axis over its points.  When the set failed, it raises, so a
+        field that asks for it falls back to its points."""
         entry = self.entry(field, order)
-        kind = entry.failed or next(iter(entry.raised.values()), None)
-        if kind:
-            raise kind[0](*kind[1])
+        if type(entry) is _Raised:
+            raise entry.kind(*entry.args)
         if entry.whole is None:
             entry.whole = entry.read(slice(None))
         return entry.whole
@@ -311,7 +283,8 @@ class _Set:
 
 class _Store:
     """The results of one run: a :class:`_Set` per point set, and the
-    result of each (field, order) at each other point, by their bytes."""
+    result of each (field, order) at each point evaluated alone, by its
+    bytes, or the :class:`_Raised` of its point error."""
 
     def __init__(self):
         self.sets = {}

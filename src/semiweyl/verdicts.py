@@ -111,9 +111,10 @@ def run_laws(chart, config: RunConfig, laws):
     ]
 
 
-def run_pointwise_check(name, chart, residual_fn, config: RunConfig, tol=None, detail=""):
-    """:func:`run_laws` for the one law ``(name, residual_fn, tol, detail)``."""
-    return run_laws(chart, config, [(name, residual_fn, tol, detail)])[0]
+def run_pointwise_check(name, chart, residual_fn, config: RunConfig, detail=""):
+    """:func:`run_laws` for the one law ``(name, residual_fn, config.tol,
+    detail)``."""
+    return run_laws(chart, config, [(name, residual_fn, config.tol, detail)])[0]
 
 
 def row_max(x, p):
@@ -183,7 +184,7 @@ def gated(name, reason, tol):
     return Verdict(name, float("nan"), 0, 0, tol, False, skipped=True, detail=f"hypothesis not met: {reason}")
 
 
-def agreement(name, groups, tol, detail=""):
+def agreement(name, groups, tol, detail):
     """Verdict that the verdicts within each group share one outcome.
 
     An equivalence cannot be decided from a verdict that skipped, so when

@@ -1,10 +1,12 @@
 """The run's result store is the only cache of field results: inside a
 store a field asked again at a point, set apart per order, calls its
 ``fn`` once, a new store calls it again, and a call outside any run opens a
-store for itself, so each field of its chain is evaluated once.  Results
-at interleaved points match fresh fields, are read-only, and errors are
-not kept (the evaluation count of one structure check is in
-``test_structures.py``).  A metric's entries must be symmetric as given."""
+store for itself, so each field of its chain is evaluated once.  A point
+error is kept by its store, which raises it again without a new call.
+Results at interleaved points match fresh fields, are read-only, and
+errors do not outlive their store (the evaluation count of one structure
+check is in ``test_structures.py``).  A metric's entries must be symmetric
+as given."""
 
 from collections import Counter
 from pathlib import Path
@@ -91,6 +93,20 @@ class TestOneCache:
             again = field.jet(p, 1)
         assert again is not first and calls[1] == 2
         assert [L.tobytes() for L in again.layers] == [L.tobytes() for L in first.layers]
+
+    def test_a_lone_point_keeps_its_reason(self):
+        f = ScalarField.from_expression(plane_chart(-1.0, 1.0), "1 + sqrt(x)")
+        calls = count_orders(f)
+        p = np.array([-0.5, 0.2])
+        with result_store():
+            for _ in range(2):
+                with pytest.raises(EvaluationDomainError, match="^sqrt of a negative value$"):
+                    f.jet(p, 1)
+            assert calls[1] == 1
+        with result_store():  # a new run
+            with pytest.raises(EvaluationDomainError, match="^sqrt of a negative value$"):
+                f.jet(p, 1)
+        assert calls[1] == 2
 
     def test_a_call_outside_any_run_evaluates_each_link_once(self):
         # the semi-dual connection and the Levi-Civita part of the connection

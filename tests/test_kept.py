@@ -187,9 +187,10 @@ def expression_evaluations(monkeypatch, name, samples):
     return counts[1], counts[2]
 
 
-def field_calls(monkeypatch, name, samples):
+def field_calls(monkeypatch, path, samples=None):
     """``(at a point, on a set)`` calls of the ``fn`` of every field of one
-    fresh ``run_spec`` of a fixture."""
+    fresh ``run_spec`` of the spec at ``path``, at its own samples unless
+    ``samples`` is given."""
     counts = Counter()
     init = fields._Field.__init__
 
@@ -201,8 +202,8 @@ def field_calls(monkeypatch, name, samples):
         init(field, chart, counted, expressions)
 
     monkeypatch.setattr(fields._Field, "__init__", counting)
-    spec = load_spec(FIXTURES / name)
-    run_spec(spec, spec.config.with_(samples=samples))
+    spec = load_spec(path)
+    run_spec(spec, spec.config if samples is None else spec.config.with_(samples=samples))
     monkeypatch.undo()
     return counts[1], counts[2]
 
@@ -254,10 +255,16 @@ class TestOneBatchPerSampleSet:
     def test_every_field_fills_a_set_in_one_call(self, monkeypatch, names, per_point, sets):
         total = [0, 0]
         for name in names:
-            at_60 = field_calls(monkeypatch, f"{name}.spec", 60)
-            assert at_60 == field_calls(monkeypatch, f"{name}.spec", 120)
+            at_60 = field_calls(monkeypatch, FIXTURES / f"{name}.spec", 60)
+            assert at_60 == field_calls(monkeypatch, FIXTURES / f"{name}.spec", 120)
             total = [a + b for a, b in zip(total, at_60)]
         assert total == [per_point, sets]
+
+    def test_a_set_that_fails_evaluates_its_points_alone_once(self, monkeypatch):
+        # domain_edge at its own 150 samples, 50 of them outside the domain
+        # of sqrt: each set of a field that asks g there fails, and each of
+        # its points asked is evaluated alone, once per run
+        assert field_calls(monkeypatch, ROOT / "perfbench" / "specs" / "domain_edge.spec") == (1100, 19)
 
 
 def law_calls(monkeypatch, path):

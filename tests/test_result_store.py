@@ -1,16 +1,17 @@
 """One result store per spec run: a field asked at a point of a running
-pass's sample set keeps its result per (field, set, order) as compact
-per-set arrays, filled by one call on the whole set, so a later pass of any
-check over the same points reads rows instead of rebuilding the chain; a
-pullback evaluates its ambient field on the whole image set; a point where
-the field raises keeps its reason and is not evaluated again; and the
-store dies with its run."""
+pass's sample set keeps its result per (field, set, order), from one call
+on the whole set, so a later pass of any check over the same points reads
+rows instead of rebuilding the chain; a pullback evaluates its ambient
+field on the whole image set; a set whose call raises a point error fails,
+and each of its points is evaluated alone, once, keeping its reason; a
+call that raises anything else keeps nothing; and the store dies with its
+run."""
 
 import contextlib
 import gc
 import json
 import weakref
-from collections import defaultdict
+from collections import Counter, defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -129,10 +130,13 @@ class TestRows:
                                 g.jet(p, 1)
                         else:
                             g.jet(p, 1)
-            (s,) = fields._store.get().sets.values()
-            entry = s.entries[g, 1]
-            assert [not kept for kept in entry.filled] == [row in bad for row in range(len(pts))]
-            assert entry.raised == {row: (EvaluationDomainError, ("sqrt of a negative value",)) for row in bad}
+            store = fields._store.get()
+            (s,) = store.sets.values()
+            reason = (EvaluationDomainError, ("sqrt of a negative value",))
+            # the set failed, so each of its points was evaluated alone
+            assert s.entries[g, 1] == reason
+            kept = [store.points[g, 1, p.tobytes()] for p in pts]
+            assert [k == reason for k in kept] == [row in bad for row in range(len(pts))]
 
     def test_a_point_that_raised_is_not_evaluated_again(self):
         g, calls, pts, bad = self.raising()
@@ -147,6 +151,23 @@ class TestRows:
                         g.jet(pts, 1)
         # the set once, which raised, then each point once
         assert calls == [pts.shape] + [pts[0].shape] * len(pts)
+
+    def test_a_set_call_that_raises_another_error_keeps_nothing(self):
+        calls = []
+
+        def fn(p, order):
+            calls.append(np.shape(p))
+            raise ValueError("not a point error")
+
+        f = _Field(plane_chart(), fn)
+        pts = halton_points(plane_chart(), 4)
+        with result_store():
+            with sample_set(pts):
+                for _ in range(2):
+                    with pytest.raises(ValueError, match="^not a point error$"):
+                        f.jet(pts, 0)
+            assert not any((f, 0) in s.entries for s in fields._store.get().sets.values())
+        assert calls == [pts.shape] * 2
 
 
 def count_per_point(monkeypatch, path, samples=None, runs=1):
@@ -233,31 +254,43 @@ class TestRelease:
     @pytest.mark.parametrize("name", ["minkowski_null_hyperplane", "conformal_projective_suite"])
     def test_the_store_dies_when_its_run_returns(self, monkeypatch, name):
         spec = load_spec(FIXTURES / f"{name}.spec")
-        refs = []
-        fill, put = fields._Entry.fill, fields._Entry.put
+        refs = {"store": [], "entry": [], "point": []}
+        run_check = report.run_check
 
-        def record(entry):
-            if not refs:
-                refs.append(weakref.ref(fields._store.get()))
-                refs.extend(weakref.ref(c) for c in entry.columns)
+        def recording(*args):
+            out = run_check(*args)
+            store = fields._store.get()
+            refs["store"].append(weakref.ref(store))
+            refs["entry"] += [weakref.ref(e) for s in store.sets.values() for e in s.entries.values()
+                              if isinstance(e, fields._Entry)]
+            refs["point"] += [weakref.ref(L) for kept in store.points.values() for L in fields._leaves(kept)
+                              if isinstance(L, np.ndarray)]
+            return out
 
-        def recording_fill(entry, out):
-            fill(entry, out)
-            record(entry)
-
-        def recording_put(entry, row, out):
-            put(entry, row, out)
-            record(entry)
-
-        monkeypatch.setattr(fields._Entry, "fill", recording_fill)
-        monkeypatch.setattr(fields._Entry, "put", recording_put)
+        monkeypatch.setattr(report, "run_check", recording)
         gc.disable()  # only reference counting may free the store
         try:
             run_spec(spec, spec.config.with_(samples=30, min_valid_points=10))
-            assert len(refs) > 1 and all(ref() is None for ref in refs)
+            # the frames' pins at the chart centre are points evaluated alone
+            assert refs["store"] and refs["entry"] and bool(refs["point"]) == (name == "minkowski_null_hyperplane")
+            assert all(ref() is None for kind in refs.values() for ref in kind)
         finally:
             gc.enable()
         assert fields._store.get() is None and fields._samples.get() is None
+
+
+def computed_alone(field, p, order):
+    """``field``'s ``fn`` at the point ``p`` in a store of its own, or the
+    ``(type, args)`` of the point error it raised there."""
+    with result_store():
+        try:
+            return field._fn(p, order)
+        except (EvaluationDomainError, fields.DegeneratePointError) as exc:
+            return type(exc), exc.args
+
+
+def leaf_bytes(out):
+    return [np.asarray(L).tobytes() for L in fields._leaves(out)]
 
 
 class TestSkipPath:
@@ -281,19 +314,24 @@ class TestSkipPath:
             return evaluate(fn, p)
 
         run_check = report.run_check
-        kept_outside = []
+        kept_outside = {}
 
         def checked(name, spec, config):
             current.append(name)
             out = run_check(name, spec, config)
-            # a row kept at a point outside the domain is one its field
+            # a row of a set, or a result or reason kept at a point
+            # evaluated alone, outside the domain is what its field
             # computes there alone
-            for s in fields._store.get().sets.values():
+            store = fields._store.get()
+            for s in store.sets.values():
                 for (field, order), entry in s.entries.items():
-                    for row, p in enumerate(s.pts):
-                        if p[0] <= 0 and entry.filled[row]:
-                            field._fn(p, order)
-                            kept_outside.append(field)
+                    if isinstance(entry, fields._Entry):
+                        for row, p in enumerate(s.pts):
+                            if p[0] <= 0:
+                                kept_outside[field, order, p.tobytes()] = entry.read(row)
+            for (field, order, key), kept in store.points.items():
+                if np.frombuffer(key)[0] <= 0:
+                    kept_outside[field, order, key] = kept
             return out
 
         monkeypatch.setattr(verdicts, "_evaluate", recording)
@@ -301,7 +339,15 @@ class TestSkipPath:
         result = run_spec(spec)
         pts = halton_points(spec.chart, spec.config.samples, spec.config.seed)
         outside = {p.tobytes() for p in pts if p[0] <= 0}
-        assert len(outside) == 50 and set(raised) == outside and kept_outside
+        assert len(outside) == 50 and set(raised) == outside
+        kinds = Counter(type(kept) for kept in kept_outside.values())
+        assert kinds[fields._Raised] and len(kinds) > 1
+        for (field, order, key), kept in kept_outside.items():
+            alone = computed_alone(field, np.frombuffer(key), order)
+            if isinstance(kept, fields._Raised):
+                assert kept == alone, (field, order)
+            else:
+                assert leaf_bytes(kept) == leaf_bytes(alone), (field, order)
         for p in outside:
             ((kind, message),) = raised[p]
             assert kind is EvaluationDomainError and "sqrt" in message

@@ -114,8 +114,11 @@ class TestDomain:
             lambda chart: ScalarField.from_expression(chart, "exp(exp(exp(3*x)))"),
             lambda chart: ScalarField.from_expression(chart, "y/exp(exp(exp(3*x)))"),
             lambda chart: ScalarField.from_expression(chart, "exp(3*x)^300"),
+            # a derived field whose operand's set has rows that are not
+            # finite: the set fails, so the field falls back to its points
+            lambda chart: MetricField.euclidean(chart).scaled(ScalarField.from_expression(chart, "exp(exp(exp(3*x)))")),
         ],
-        ids=["sqrt", "sqrt_metric", "overflow", "reciprocal_of_overflow", "power_overflow"],
+        ids=["sqrt", "sqrt_metric", "overflow", "reciprocal_of_overflow", "power_overflow", "scaled_by_overflow"],
     )
     def test_each_point_raises_as_alone(self, make):
         chart = Chart(("x", "y"), (-1.0, -1.0), (1.0, 1.0))

@@ -188,7 +188,7 @@ class TestVerdictHelpers:
         assert v.detail == "iff"
 
     def test_agreement_fails_on_differing_outcomes(self):
-        v = agreement("law", [(verdict("a"), verdict("b")), (verdict("c"), verdict("d", passed=False))], 1e-8)
+        v = agreement("law", [(verdict("a"), verdict("b")), (verdict("c"), verdict("d", passed=False))], 1e-8, "")
         assert not v.passed and not v.skipped
 
     @pytest.mark.parametrize("other_skipped", [True, False])

@@ -71,9 +71,9 @@ class TestRunLaws:
         together = run_laws(plane_chart(), CONFIG, laws)
         alone = [
             run_pointwise_check("smooth", plane_chart(), smooth_law, CONFIG),
-            run_pointwise_check("tight", plane_chart(), smooth_law, CONFIG, tol=1e-12),
-            run_pointwise_check("skipping", plane_chart(), skip_every_third, CONFIG, tol=1e-2,
-                                detail="fails at the default tolerance only"),
+            run_laws(plane_chart(), CONFIG, [("tight", smooth_law, 1e-12)])[0],
+            run_laws(plane_chart(), CONFIG, [("skipping", skip_every_third, 1e-2,
+                                              "fails at the default tolerance only")])[0],
             run_pointwise_check("too_few", plane_chart(), too_few, CONFIG, detail="skips most points"),
         ]
         assert [v.as_dict() for v in together] == [v.as_dict() for v in alone]
