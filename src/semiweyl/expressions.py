@@ -1,13 +1,22 @@
-"""Closed-form coordinate expressions: parsing and jet evaluation.  Derivatives come from evaluating an expression on coordinate
-jets (:mod:`semiweyl.jets`); :func:`finite_difference` is the independent
-central-difference oracle for them.
+"""Closed-form coordinate expressions: parsing and jet evaluation.
+
+An expression is a tree of :class:`Expression` nodes: ``Expression(op,
+*args)`` evaluates to ``op`` applied to the jets of its operands, so each
+derivative rule is the one :class:`~semiweyl.jets.Jet` operator ``op``
+already implements.  The leaves are a constant :class:`Num` and a
+coordinate :class:`Var`.  The parser takes each ``op`` from two tables:
+:data:`BINARY` for ``+ - * /`` and :data:`FUNCTIONS` for the function
+names; ``-x`` is :func:`operator.neg` and ``x^k`` raises its base to the
+integer ``k``.  Derivatives come from evaluating an expression on
+coordinate jets (:mod:`semiweyl.jets`); :func:`finite_difference` is the
+independent central-difference oracle for them.
 
 Grammar (EBNF)::
 
     expr    = term { ("+" | "-") term } ;
     term    = unary { ("*" | "/") unary } ;
     unary   = "-" unary | power ;
-    power   = atom [ "^" [ "-" ] integer ] ;
+    power   = atom [ "^" [ "-" ] ( integer | "(" [ "-" ] integer ")" ) ] ;
     atom    = number | identifier | identifier "(" expr ")" | "(" expr ")" ;
 
 Identifiers are coordinate names; the recognized functions are ``exp``,
@@ -16,8 +25,8 @@ Identifiers are coordinate names; the recognized functions are ``exp``,
 
 from __future__ import annotations
 
+import operator
 import re
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,10 +43,12 @@ __all__ = [
     "eval_jets",
     "eval_value",
     "finite_difference",
+    "BINARY",
     "FUNCTIONS",
 ]
 
-FUNCTIONS = ("exp", "log", "sin", "cos", "sqrt")
+BINARY = {"+": operator.add, "-": operator.sub, "*": operator.mul, "/": operator.truediv}
+FUNCTIONS = {name: getattr(Jet, name) for name in ("exp", "log", "sin", "cos", "sqrt")}
 
 
 class ExpressionSyntaxError(ValueError):
@@ -53,96 +64,45 @@ class UnknownSymbolError(ValueError):
 
 
 class Expression:
-    """Immutable AST node; subclasses implement jet evaluation."""
+    """A node: ``op`` of the jets of the operand nodes ``args``.  Nodes are
+    never changed after they are built, and compare by identity."""
+
+    def __init__(self, op, *args):
+        self.op = op
+        self.args = args
 
     def jet(self, coord_jets):
-        raise NotImplementedError
+        return self.op(*[a.jet(coord_jets) for a in self.args])
 
 
-@dataclass(frozen=True, eq=False)
 class Num(Expression):
-    value: float
+    """The constant ``value``."""
+
+    def __init__(self, value):
+        self.value = value
 
     def jet(self, coord_jets):
         probe = coord_jets[0]
         return Jet.constant(self.value, probe.n, probe.order)
 
 
-@dataclass(frozen=True, eq=False)
 class Var(Expression):
-    index: int
-    name: str
+    """The coordinate of index ``index``."""
+
+    def __init__(self, index):
+        self.index = index
 
     def jet(self, coord_jets):
         return coord_jets[self.index]
 
 
-@dataclass(frozen=True, eq=False)
-class Add(Expression):
-    a: Expression
-    b: Expression
-
-    def jet(self, coord_jets):
-        return self.a.jet(coord_jets) + self.b.jet(coord_jets)
-
-
-@dataclass(frozen=True, eq=False)
-class Sub(Expression):
-    a: Expression
-    b: Expression
-
-    def jet(self, coord_jets):
-        return self.a.jet(coord_jets) - self.b.jet(coord_jets)
-
-
-@dataclass(frozen=True, eq=False)
-class Mul(Expression):
-    a: Expression
-    b: Expression
-
-    def jet(self, coord_jets):
-        return self.a.jet(coord_jets) * self.b.jet(coord_jets)
-
-
-@dataclass(frozen=True, eq=False)
-class Div(Expression):
-    a: Expression
-    b: Expression
-
-    def jet(self, coord_jets):
-        return self.a.jet(coord_jets) / self.b.jet(coord_jets)
-
-
-@dataclass(frozen=True, eq=False)
-class Neg(Expression):
-    a: Expression
-
-    def jet(self, coord_jets):
-        return -self.a.jet(coord_jets)
-
-
-@dataclass(frozen=True, eq=False)
-class Pow(Expression):
-    base: Expression
-    exponent: int
-
-    def jet(self, coord_jets):
-        return self.base.jet(coord_jets) ** self.exponent
-
-
-@dataclass(frozen=True, eq=False)
-class Func(Expression):
-    name: str
-    arg: Expression
-
-    def jet(self, coord_jets):
-        j = self.arg.jet(coord_jets)
-        return getattr(j, self.name)()
-
-
 # -- parser -------------------------------------------------------------------
 
-_NUM_RE = re.compile(r"(\d+\.\d*|\.\d+|\d+)([eE][+-]?\d+)?")
+# one token: a number, a name, an operator, or any other character (an error)
+_TOKEN_RE = re.compile(
+    r"\s*(?:(?P<num>(?:\d+\.\d*|\.\d+|\d+)(?:[eE][+-]?\d+)?)"
+    r"|(?P<name>[A-Za-z_][A-Za-z_0-9]*)|(?P<op>[-+*/^()])|(?P<bad>\S))"
+)
 
 
 class _Parser:
@@ -151,25 +111,12 @@ class _Parser:
         self.coord_names = list(coord_names)
         self.tokens = []
         pos = 0
-        while pos < len(text):
-            if text[pos].isspace():
-                pos += 1
-                continue
-            m = _NUM_RE.match(text, pos)
-            if m:
-                self.tokens.append(("num", m.group(0), pos))
-                pos = m.end()
-                continue
-            m = re.match(r"[A-Za-z_][A-Za-z_0-9]*", text[pos:])
-            if m:
-                self.tokens.append(("name", m.group(0), pos))
-                pos += m.end()
-                continue
-            if text[pos] in "+-*/^()":
-                self.tokens.append(("op", text[pos], pos))
-                pos += 1
-                continue
-            raise ExpressionSyntaxError(f"unexpected character {text[pos]!r}", pos)
+        while m := _TOKEN_RE.match(text, pos):
+            kind = m.lastgroup
+            if kind == "bad":
+                raise ExpressionSyntaxError(f"unexpected character {m[kind]!r}", m.start(kind))
+            self.tokens.append((kind, m[kind], m.start(kind)))
+            pos = m.end()
         self.i = 0
 
     def peek(self):
@@ -180,11 +127,18 @@ class _Parser:
         self.i += 1
         return tok
 
+    def take(self, ops):
+        """The next token if it is one of the operators ``ops``, taken; else
+        ``None``, taking nothing."""
+        kind, val, _ = self.peek()
+        if kind == "op" and val in ops:
+            self.i += 1
+            return val
+        return None
+
     def expect_op(self, op):
-        kind, val, pos = self.peek()
-        if kind != "op" or val != op:
-            raise ExpressionSyntaxError(f"expected {op!r}", pos)
-        self.next()
+        if not self.take(op):
+            raise ExpressionSyntaxError(f"expected {op!r}", self.peek()[2])
 
     def parse(self):
         e = self.expr()
@@ -195,83 +149,55 @@ class _Parser:
 
     def expr(self):
         e = self.term()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "+-":
-                self.next()
-                rhs = self.term()
-                e = Add(e, rhs) if val == "+" else Sub(e, rhs)
-            else:
-                return e
+        while op := self.take("+-"):
+            e = Expression(BINARY[op], e, self.term())
+        return e
 
     def term(self):
         e = self.unary()
-        while True:
-            kind, val, pos = self.peek()
-            if kind == "op" and val in "*/":
-                self.next()
-                rhs = self.unary()
-                e = Mul(e, rhs) if val == "*" else Div(e, rhs)
-            else:
-                return e
+        while op := self.take("*/"):
+            e = Expression(BINARY[op], e, self.unary())
+        return e
 
     def unary(self):
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "-":
-            self.next()
-            return Neg(self.unary())
+        if self.take("-"):
+            return Expression(operator.neg, self.unary())
         return self.power()
 
     def power(self):
         base = self.atom()
-        kind, val, pos = self.peek()
-        if kind == "op" and val == "^":
-            self.next()
-            sign = 1
-            kind, val, pos = self.peek()
-            if kind == "op" and val == "-":
-                self.next()
-                sign = -1
-                kind, val, pos = self.peek()
-            if kind == "op" and val == "(":
-                self.next()
-                kind, val, pos = self.peek()
-                if kind == "op" and val == "-":
-                    self.next()
-                    sign = -sign
-                    kind, val, pos = self.peek()
-                if kind != "num" or "." in val or "e" in val.lower():
-                    raise ExpressionSyntaxError("integer exponent expected", pos)
-                self.next()
-                k = sign * int(val)
-                self.expect_op(")")
-                return Pow(base, k)
-            if kind != "num" or "." in val or "e" in val.lower():
-                raise ExpressionSyntaxError("integer exponent expected", pos)
-            self.next()
-            return Pow(base, sign * int(val))
-        return base
+        if not self.take("^"):
+            return base
+        sign = -1 if self.take("-") else 1
+        paren = self.take("(")
+        if paren and self.take("-"):
+            sign = -sign
+        kind, val, pos = self.next()
+        if kind != "num" or not val.isdigit():
+            raise ExpressionSyntaxError("integer exponent expected", pos)
+        if paren:
+            self.expect_op(")")
+        k = sign * int(val)
+        return Expression(lambda j: j**k, base)
 
     def atom(self):
+        if self.take("("):
+            e = self.expr()
+            self.expect_op(")")
+            return e
         kind, val, pos = self.next()
         if kind == "num":
             return Num(float(val))
         if kind == "name":
-            nkind, nval, npos = self.peek()
-            if nkind == "op" and nval == "(":
+            if self.take("("):
                 if val not in FUNCTIONS:
                     raise UnknownSymbolError(val, pos)
-                self.next()
                 arg = self.expr()
                 self.expect_op(")")
-                return Func(val, arg)
+                return Expression(FUNCTIONS[val], arg)
             if val in self.coord_names:
-                return Var(self.coord_names.index(val), val)
+                return Var(self.coord_names.index(val))
             raise UnknownSymbolError(val, pos)
-        if kind == "op" and val == "(":
-            e = self.expr()
-            self.expect_op(")")
-            return e
         raise ExpressionSyntaxError(
             "unexpected end of input" if kind is None else f"unexpected token {val!r}", pos
         )

@@ -134,25 +134,19 @@ class _Field:
         and raised at each read.  A call outside any run keeps it in a store
         of its own."""
         p = np.asarray(p, dtype=float)
-        key = p.tobytes()
-        running = _samples.get()
-        if running:
-            if p.ndim == 1:
-                at = running.rows.get(key)
-                if at:
-                    out = at[0].result(self, at[1], order)
-                    if out is not None:
-                        return out
-            else:
-                s = running.sets.get(key)
-                if s:
-                    return s.whole(self, order)
         store = _store.get()
         if store is None:
             with result_store():
                 return self.jet(p, order)
         if p.ndim != 1:
             return store.set_of(p).whole(self, order)
+        key = p.tobytes()
+        running = _samples.get()
+        row = None if running is None else running.rows.get(key)
+        if row is not None:
+            out = running.result(self, row, order)
+            if out is not None:
+                return out
         out = store.points.get((self, order, key))
         if out is None:
             try:
@@ -298,21 +292,7 @@ class _Store:
         return s
 
 
-class _Pass(NamedTuple):
-    """A running pass: its points, their set (by its bytes) and each of
-    its points as ``(set, row)`` (by its bytes)."""
-
-    pts: np.ndarray
-    sets: dict
-    rows: dict
-
-    def add(self, s):
-        self.sets.setdefault(s.pts.tobytes(), s)
-        for key, row in s.rows.items():
-            self.rows.setdefault(key, (s, row))
-
-
-# the running run's store, and the running pass (per thread)
+# the running run's store, and the running pass's set (per thread)
 _store = ContextVar("store", default=None)
 _samples = ContextVar("samples", default=None)
 
@@ -340,9 +320,7 @@ def sample_set(pts):
         with result_store(), sample_set(pts):
             yield
         return
-    running = _Pass(pts, {}, {})
-    running.add(store.set_of(pts))
-    token = _samples.set(running)
+    token = _samples.set(store.set_of(pts))
     try:
         yield
     finally:

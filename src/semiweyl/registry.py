@@ -17,8 +17,16 @@ from .verdicts import Verdict
 
 __all__ = ["REGISTRY", "CheckEntry", "run_check"]
 
-# the spec blocks, in the order a check lists those it requires
-BLOCKS = ("structure", "submanifold", "lightlike", "transform", "affine", "affine_psi")
+# the spec blocks, in the order a check lists those it requires, and what
+# a spec writes to declare each
+BLOCKS = {
+    "structure": "[metric] (with [manifold])",
+    "submanifold": "[submanifold]",
+    "lightlike": "[lightlike]",
+    "transform": "[transform]",
+    "affine": "[affine]",
+    "affine_psi": "[affine] with a 'psi' entry",
+}
 
 # each spec argument of a check: the blocks it needs, and how it is read
 # from a VerificationSpec
@@ -198,7 +206,7 @@ def _build_registry():
     )
     add(
         "screen_integrability",
-        "Lie brackets of the screen fields stay inside the screen-plus-radical span",
+        "Lie brackets of the screen fields stay in the screen: they have no radical component",
         lightlike.check_screen_integrability, "lightlike_frame",
     )
     add(

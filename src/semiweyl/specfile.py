@@ -458,7 +458,7 @@ def load_spec(path):
     missing) rather than stopping at the first.
     """
     from .conformal import TransformData
-    from .registry import REGISTRY
+    from .registry import BLOCKS, REGISTRY
 
     with open(path, "r", encoding="utf-8") as fh:
         text = fh.read()
@@ -517,18 +517,10 @@ def load_spec(path):
         "affine": "affine" in sections,
         "affine_psi": affine_psi is not None,
     }
-    _block_hint = {
-        "structure": "[metric] (with [manifold])",
-        "transform": "[transform]",
-        "submanifold": "[submanifold]",
-        "lightlike": "[lightlike]",
-        "affine": "[affine]",
-        "affine_psi": "[affine] with a 'psi' entry",
-    }
     for name, _expectation in checks:
         for need in REGISTRY[name].requires:
             if not blocks.get(need, False):
-                col.err(None, f"check {name!r} requires a {_block_hint[need]} block")
+                col.err(None, f"check {name!r} requires a {BLOCKS[need]} block")
 
     if col.errors:
         raise SpecError(col.errors)

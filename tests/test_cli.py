@@ -126,8 +126,9 @@ class TestListChecks:
 
 
 class TestOracle:
-    def test_oracle_agrees_on_fixture(self, capsys):
-        assert main(["oracle", fixture("conformal_projective_suite.spec")]) == 0
+    @pytest.mark.parametrize("name", sorted(n.removesuffix(".spec") for n in os.listdir(FIXTURES) if n.endswith(".spec")))
+    def test_oracle_agrees_on_fixture(self, capsys, name):
+        assert main(["oracle", fixture(name + ".spec")]) == 0
         out = capsys.readouterr().out
         assert "agrees" in out
 

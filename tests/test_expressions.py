@@ -48,6 +48,48 @@ class TestParsing:
         with pytest.raises(ExpressionSyntaxError):
             parse2("sin(x")
 
+    @pytest.mark.parametrize(
+        "text, kind, message, position",
+        [
+            ("x + * y", ExpressionSyntaxError, "unexpected token '*'", 4),
+            ("sin(x", ExpressionSyntaxError, "expected ')'", 5),
+            ("(x", ExpressionSyntaxError, "expected ')'", 2),
+            (")", ExpressionSyntaxError, "unexpected token ')'", 0),
+            ("x ^ 1.5", ExpressionSyntaxError, "integer exponent expected", 4),
+            ("x^1e2", ExpressionSyntaxError, "integer exponent expected", 2),
+            ("x^(y)", ExpressionSyntaxError, "integer exponent expected", 3),
+            ("x^", ExpressionSyntaxError, "integer exponent expected", 2),
+            ("x^-", ExpressionSyntaxError, "integer exponent expected", 3),
+            ("x^(-", ExpressionSyntaxError, "integer exponent expected", 4),
+            ("x^(--2)", ExpressionSyntaxError, "integer exponent expected", 4),
+            ("x^(2", ExpressionSyntaxError, "expected ')'", 4),
+            ("x^-(2", ExpressionSyntaxError, "expected ')'", 5),
+            ("x^(2)(", ExpressionSyntaxError, "unexpected token '('", 5),
+            ("2 $ x", ExpressionSyntaxError, "unexpected character '$'", 2),
+            ("", ExpressionSyntaxError, "unexpected end of input", 0),
+            ("x y", ExpressionSyntaxError, "unexpected token 'y'", 2),
+            ("x + zeta", UnknownSymbolError, "unknown symbol 'zeta'", 4),
+            ("foo(x)", UnknownSymbolError, "unknown symbol 'foo'", 0),
+        ],
+    )
+    def test_malformed_input_message_and_offset(self, text, kind, message, position):
+        with pytest.raises(kind) as caught:
+            parse2(text)
+        assert type(caught.value) is kind
+        assert str(caught.value) == f"{message} (at offset {position})"
+        if kind is ExpressionSyntaxError:
+            assert caught.value.position == position
+
+    @pytest.mark.parametrize(
+        "text, k",
+        [("x^2", 2), ("x^-2", -2), ("x^(2)", 2), ("x^(-2)", -2), ("x^-(2)", -2), ("x^-(-2)", 2)],
+    )
+    def test_exponent_spellings(self, text, k):
+        x = 1.5
+        j = eval_jet(parse2(text), (x, 0.5), 1)
+        assert j.value == pytest.approx(x**k, rel=1e-15)
+        assert np.allclose(j.grad, [k * x ** (k - 1), 0.0], rtol=1e-15, atol=0.0)
+
 
 class TestJetEvaluation:
     def test_polynomial_jet_golden(self):

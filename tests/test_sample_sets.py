@@ -148,7 +148,7 @@ class TestPasses:
         seen = []
 
         def law(p):
-            seen.append((fields._samples.get()[0], p))
+            seen.append((fields._samples.get().pts, p))
             return 0.0, 1.0
 
         run_laws(chart, self.CONFIG, [("law", law)])
