@@ -61,16 +61,12 @@ def _cmd_verify(args):
     spec = _load(args.spec)
     if spec is None:
         return 2
-    config = spec.config
-    overrides = {}
-    if args.samples is not None:
-        overrides["samples"] = args.samples
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    if args.tol is not None:
-        overrides["tol"] = args.tol
-    if overrides:
-        config = config.with_(**overrides)
+    overrides = {k: v for k in ("samples", "seed", "tol") if (v := vars(args)[k]) is not None}
+    try:
+        config = spec.config.with_(**overrides)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     report = run_spec(spec, config)
     text = emit_report(report, args.report)
     if args.out:

@@ -120,8 +120,8 @@ class _PointData:
         self.ng = nabla_g_values(s.conn, s.g, p)
         self.dng = codazzi_defect(self.ng, self.g, self.T)
         self.R = curvature_values(s.conn, p)
-        self.ric = ricci_values(s.conn, s.g, p, R=self.R)
-        self.scal = scalar_curvature(s.conn, s.g, p, R=self.R)
+        self.ric = ricci_values(s.conn, s.g, p)
+        self.scal = scalar_curvature(s.conn, s.g, p)
         self.eta = s.eta.value(p)
 
         phi_j = t.phi.jet(p, 2)
@@ -217,7 +217,7 @@ def check_structure_invariance(s: Structure, t: TransformData, config: RunConfig
     return out
 
 
-def check_semi_dual_transform_law(s: Structure, t: TransformData, config: RunConfig, swap_roles=True):
+def check_semi_dual_transform_law(s: Structure, t: TransformData, config: RunConfig, swap_roles):
     """The semi-dual of the transformed structure equals the semi-dual of
     the original plus the transformation tensor with ``phi`` and ``psi``
     exchanged.  ``swap_roles=False`` is the negative control (the unswapped

@@ -18,16 +18,17 @@ Three rules share work.  A field's results are shared, hence read-only,
 and a field's ``fn`` may depend on nothing but ``(p, order)``.  The result
 store of a run (:func:`result_store`, which ``report.run_spec`` opens for
 one spec, and a call outside any run for itself) is the only cache of
-field results, and writes each once.  On a point set, such as the running
-pass's sample set (:func:`sample_set`) or its images under an embedding,
-it keeps per (field, set, order) the result of one ``fn`` call on the set,
-in which a derived field asks its operands for the whole set too, or the
-set's failure: a point error of that call, or a row that is not finite.
-A point of the running pass reads its row of a set that did not fail;
-every point evaluated alone keeps its result, or its point error, per
-(field, order).  An owner keeps what is derived from it (:func:`kept`), so
-each derived structure, frame and predicate verdict of a spec is one
-Python object, built once, and so one key of the store.
+field results: one dict, whose entry per (field, order, points) is written
+once, from one ``fn`` call at those points (:func:`_kept`), whether they
+are one point or a point set, such as the running pass's sample set
+(:func:`sample_set`) or its images under an embedding.  A derived field
+asks its operands at the same points.  An entry is the result or its
+failure: a point error of that call or, on a set, a row that is not
+finite.  A point of the running pass reads its row of a set that did not
+fail, and is otherwise evaluated alone.  An owner keeps what is derived
+from it (:func:`kept`), so each derived structure, frame and predicate
+verdict of a spec is one Python object, built once, and so one key of the
+store.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import wraps
+from functools import cached_property, wraps
 from typing import NamedTuple
 
 import numpy as np
@@ -128,37 +129,25 @@ class _Field:
         """The jet of order ``order`` at the point or point set ``p``,
         shared by every caller, so the layers of a jet, an array, or a
         tuple or dict of them are read-only.  It is what the running
-        :func:`result_store` keeps at the set, or at the point: its row of a
-        set the running pass holds (see :func:`sample_set`) unless that set
-        failed, else the point evaluated alone, whose point error is kept
-        and raised at each read.  A call outside any run keeps it in a store
-        of its own."""
+        :func:`result_store` keeps at ``p`` (see :func:`_kept`), whose point
+        error is raised at each read; a point of the set the running pass
+        holds (see :func:`sample_set`) reads its row of the set's result
+        instead, unless the set failed.  A call outside any run keeps it in
+        a store of its own."""
         p = np.asarray(p, dtype=float)
         store = _store.get()
         if store is None:
             with result_store():
                 return self.jet(p, order)
-        if p.ndim != 1:
-            return store.set_of(p).whole(self, order)
         key = p.tobytes()
-        running = _samples.get()
-        row = None if running is None else running.rows.get(key)
+        held = _samples.get()
+        row = None if held is None or p.ndim != 1 else held.rows.get(key)
         if row is not None:
-            out = running.result(self, row, order)
-            if out is not None:
-                return out
-        out = store.points.get((self, order, key))
-        if out is None:
-            try:
-                out = self._fn(p, order)
-            except _POINT_ERRORS as exc:
-                store.points[self, order, key] = _Raised(type(exc), exc.args)
-                raise
-            for L in _leaves(out):
-                if isinstance(L, np.ndarray):
-                    L.flags.writeable = False
-            store.points[self, order, key] = out
-        elif type(out) is _Raised:
+            out = _kept(store, self, order, held.pts, held.where)
+            if type(out) is not _Raised:
+                return _row(out, row)
+        out = _kept(store, self, order, p, (p.shape, key))
+        if type(out) is _Raised:
             raise out.kind(*out.args)
         return out
 
@@ -190,26 +179,16 @@ def _leaves(out):
     return [out]
 
 
-def _reader(out, columns):
-    """``row -> result``: a result shaped like ``out`` whose leaves are the
-    rows ``row`` of ``columns`` (an iterator, taken in the order of
-    :func:`_leaves`); ``row`` may be a slice."""
+def _row(out, row):
+    """The result at the point of row ``row`` of a result ``out`` on a point
+    set: each of its leaves indexed by ``row``."""
     if isinstance(out, Jet):
-        n, cs = out.n, [next(columns) for _ in out.layers]
-        return lambda row: Jet(n, [c[row] for c in cs])
+        return Jet(out.n, [L[row] for L in out.layers])
     if isinstance(out, tuple):
-        parts = [_reader(item, columns) for item in out]
-        return lambda row: tuple(f(row) for f in parts)
+        return tuple(_row(item, row) for item in out)
     if isinstance(out, dict):
-        parts = [(k, _reader(item, columns)) for k, item in out.items()]
-        return lambda row: {k: f(row) for k, f in parts}
-    return next(columns).__getitem__
-
-
-def _read_only(column):
-    view = column.view()
-    view.flags.writeable = False
-    return view
+        return {k: _row(item, row) for k, item in out.items()}
+    return out[row]
 
 
 class _Raised(NamedTuple):
@@ -219,80 +198,45 @@ class _Raised(NamedTuple):
     args: tuple
 
 
-class _Entry:
-    """One field's result at one order on a point set of ``size`` points,
-    from one ``fn`` call on the whole set, its rows read as read-only
-    views; a result with a row that is not finite raises instead."""
+def _kept(store, field, order, p, where):
+    """The entry of ``store`` for ``field`` at order ``order`` at the point
+    or point set ``p``, whose key ``where`` is ``(p.shape, p.tobytes())``.
+    On a miss it is made from one ``fn`` call: the result, its leaves made
+    read-only in place, or the :class:`_Raised` of a point error of that
+    call or, on a point set, of a row of its result that is not finite.  A
+    call that raises anything else keeps nothing."""
+    key = (field, order, where)
+    out = store.get(key)
+    if out is None:
+        try:
+            out = field._fn(p, order)
+            leaves = _leaves(out)
+            if p.ndim > 1 and not all(np.isfinite(L).all() for L in leaves):
+                raise EvaluationDomainError("non-finite value in a result on a point set")
+        except _POINT_ERRORS as exc:
+            out = _Raised(type(exc), exc.args)
+        else:
+            for L in leaves:
+                if isinstance(L, np.ndarray):
+                    L.flags.writeable = False
+        store[key] = out
+    return out
 
-    def __init__(self, out, size):
-        leaves = _leaves(out)
-        finite = np.logical_and.reduce([np.isfinite(L).reshape(size, -1).all(axis=1) for L in leaves])
-        if not finite.all():
-            raise EvaluationDomainError("non-finite value in a result on a point set")
-        self.read = _reader(out, map(_read_only, leaves))
-        self.whole = None
 
-
-class _Set:
-    """A point set ``pts`` and, per (field, order), the :class:`_Entry` of
-    the field's result on it or the :class:`_Raised` of its failure."""
+class _Held:
+    """The points of the running pass, their key in the store and, once a
+    point is asked alone in the pass, the row of each point by its bytes."""
 
     def __init__(self, pts):
         self.pts = pts
-        self.rows = {p.tobytes(): row for row, p in enumerate(pts)}
-        self.entries = {}
+        self.where = (pts.shape, pts.tobytes())
 
-    def entry(self, field, order):
-        """``field``'s entry at order ``order``, or the :class:`_Raised` of
-        the set's failure: a point error of the one ``fn`` call on the
-        whole set made on a miss, or a row of its result that is not
-        finite.  A call that raises anything else keeps nothing."""
-        entry = self.entries.get((field, order))
-        if entry is None:
-            try:
-                entry = _Entry(field._fn(self.pts, order), len(self.pts))
-            except _POINT_ERRORS as exc:
-                entry = _Raised(type(exc), exc.args)
-            self.entries[field, order] = entry
-        return entry
-
-    def result(self, field, row, order):
-        """``field``'s result at order ``order`` at the point of row
-        ``row``, or ``None`` when the set failed: the point is then
-        evaluated alone."""
-        entry = self.entries.get((field, order)) or self.entry(field, order)
-        return None if type(entry) is _Raised else entry.read(row)
-
-    def whole(self, field, order):
-        """``field``'s result at order ``order`` on the whole set, with a
-        leading axis over its points.  When the set failed, it raises, so a
-        field that asks for it falls back to its points."""
-        entry = self.entry(field, order)
-        if type(entry) is _Raised:
-            raise entry.kind(*entry.args)
-        if entry.whole is None:
-            entry.whole = entry.read(slice(None))
-        return entry.whole
+    @cached_property
+    def rows(self):
+        return {p.tobytes(): row for row, p in enumerate(self.pts)}
 
 
-class _Store:
-    """The results of one run: a :class:`_Set` per point set, and the
-    result of each (field, order) at each point evaluated alone, by its
-    bytes, or the :class:`_Raised` of its point error."""
-
-    def __init__(self):
-        self.sets = {}
-        self.points = {}
-
-    def set_of(self, pts):
-        key = (pts.shape, pts.tobytes())
-        s = self.sets.get(key)
-        if s is None:
-            s = self.sets[key] = _Set(pts)
-        return s
-
-
-# the running run's store, and the running pass's set (per thread)
+# the running run's store, and the running pass's points (per thread)
 _store = ContextVar("store", default=None)
 _samples = ContextVar("samples", default=None)
 
@@ -300,9 +244,9 @@ _samples = ContextVar("samples", default=None)
 @contextmanager
 def result_store():
     """Keep, until the block ends or raises, each field's results asked in
-    it, per (field, set, order) on a point set and per (field, order) at
-    any other point: a later pass or call at the same points reads them."""
-    token = _store.set(_Store())
+    it, per (field, order, points), whether the points are one point or a
+    set: a later pass or call at the same points reads them."""
+    token = _store.set({})
     try:
         yield
     finally:
@@ -315,12 +259,11 @@ def sample_set(pts):
     raises: a field asked at one of them, or at all of them, reads its
     result from the running :func:`result_store`, or from a store of its
     own that lasts the pass when none is running."""
-    store = _store.get()
-    if store is None:
+    if _store.get() is None:
         with result_store(), sample_set(pts):
             yield
         return
-    token = _samples.set(store.set_of(pts))
+    token = _samples.set(_Held(pts))
     try:
         yield
     finally:

@@ -118,7 +118,7 @@ def _build_registry():
     add(
         "cp_semi_dual_law",
         "semi-dual of the transformed structure equals the transform (with swapped potentials) of the semi-dual",
-        conformal.check_semi_dual_transform_law, "structure", "transform",
+        conformal.check_semi_dual_transform_law, "structure", "transform", swap_roles=True,
     )
     add(
         "cp_semi_dual_law_unswapped",

@@ -427,7 +427,11 @@ def _build_config(entries, col):
             kw[e.key] = caster(e.value)
         except ValueError:
             col.err(e, f"run option {e.key!r} needs a {caster.__name__} value, got {e.value!r}")
-    return RunConfig(**kw)
+    try:
+        return RunConfig(**kw)
+    except ValueError as exc:
+        col.err(None, f"[run] {exc}")
+        return RunConfig()
 
 
 def _build_checks(entries, col):

@@ -99,10 +99,9 @@ def curvature_values(conn: ConnectionField, p):
     )
 
 
-def ricci_values(conn: ConnectionField, g: MetricField, p, R=None):
+def ricci_values(conn: ConnectionField, g: MetricField, p):
     """``Ric[i, j] = Ric(d_i, d_j)``, by contraction of the curvature."""
-    if R is None:
-        R = curvature_values(conn, p)
+    R = curvature_values(conn, p)
     require_nondegenerate(g.value(p))
     return np.einsum("...ajai->...ij", R)
 
@@ -125,8 +124,8 @@ def frame_ricci_values(conn: ConnectionField, g: MetricField, p):
     return ric
 
 
-def scalar_curvature(conn: ConnectionField, g: MetricField, p, R=None):
-    ric = ricci_values(conn, g, p, R=R)
+def scalar_curvature(conn: ConnectionField, g: MetricField, p):
+    ric = ricci_values(conn, g, p)
     ginv = inverse_metric_values(g, p)
     return np.einsum("...ij,...ij->...", ginv, ric)
 

@@ -46,6 +46,18 @@ class RunConfig:
     tol: float = 1e-8
     min_valid_points: int = 50
 
+    def __post_init__(self):
+        # below these bounds a run tests no point, or one corner point over
+        # and over (seed < 0), or cannot compare a residual with tol
+        if self.samples < 1:
+            raise ValueError(f"samples must be at least 1, got {self.samples}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be at least 0, got {self.seed}")
+        if self.min_valid_points < 1:
+            raise ValueError(f"min_valid_points must be at least 1, got {self.min_valid_points}")
+        if not 0.0 <= self.tol < np.inf:
+            raise ValueError(f"tol must be finite and at least 0, got {self.tol}")
+
     def with_(self, **kw):
         return replace(self, **kw)
 

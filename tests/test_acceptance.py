@@ -239,7 +239,7 @@ class TestRescalingTransformSuite:
                 assert_all_pass(check_structure_invariance(s, t, cfg), "invariance")
                 # the semi-dual connection transforms with swapped potentials
                 assert_all_pass(
-                    check_semi_dual_transform_law(s, t, cfg), "semi-dual law"
+                    check_semi_dual_transform_law(s, t, cfg, swap_roles=True), "semi-dual law"
                 )
                 assert_all_pass(
                     check_ricci_antisymmetry(s, t, cfg.with_(tol=1e-9)), "ricci"

@@ -60,6 +60,18 @@ class TestExitCodes:
     def test_tiny_tolerance_flips_to_one(self, tmp_path, capsys):
         assert main(["verify", write(tmp_path, MINI_PASS), "--tol", "1e-30"]) == 1
 
+    @pytest.mark.parametrize("option,value", [("--seed", "-1"), ("--samples", "0"), ("--samples", "-1"), ("--tol", "nan")])
+    def test_an_override_that_tests_nothing_exits_two(self, tmp_path, capsys, option, value):
+        # seed -1 samples one corner point over again; 0 samples test none
+        assert main(["verify", write(tmp_path, MINI_PASS), option, value]) == 2
+        assert capsys.readouterr().err.startswith(f"error: {option[2:]} must be")
+
+    @pytest.mark.parametrize("line", ["min_valid_points = 0", "tol = nan"])
+    def test_a_run_option_that_tests_nothing_exits_two(self, tmp_path, capsys, line):
+        # min_valid_points = 0 passes a law that tested no point
+        assert main(["verify", write(tmp_path, MINI_PASS.replace("min_valid_points = 40", line))]) == 2
+        assert f"error: [run] {line.split()[0]} must be" in capsys.readouterr().err
+
     def test_missing_file_exits_two(self, capsys):
         assert main(["verify", "does-not-exist.spec"]) == 2
 

@@ -102,7 +102,7 @@ class TestInvarianceLaws:
     def test_semi_dual_law_requires_swap(self, config):
         s = swmt_structure()
         t = generic_transform(s.chart)
-        assert all(v.passed for v in check_semi_dual_transform_law(s, t, config))
+        assert all(v.passed for v in check_semi_dual_transform_law(s, t, config, swap_roles=True))
         unswapped = check_semi_dual_transform_law(s, t, config, swap_roles=False)
         assert any(not v.passed and v.max_residual > 1e-3 for v in unswapped)
 

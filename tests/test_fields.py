@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import euclidean3_chart, plane_chart, sphere_embedding, swmt_structure
-from semiweyl.fields import MetricField, ScalarField, _Field, result_store
+from semiweyl.fields import MetricField, ScalarField, _Field, result_store, sample_set
 from semiweyl.jets import EvaluationDomainError, Jet
 from semiweyl.lightlike import LightlikeFrame
 from semiweyl.sampling import halton_points
@@ -150,6 +150,22 @@ class TestReadOnly:
         for a in (out["a"], *out["j"].layers):
             with pytest.raises(ValueError):
                 a[0] = 5.0
+
+    def test_the_points_asked_stay_writable(self):
+        # a result is made read-only in place; the points it was asked at
+        # stay as they were given, at a point and on a set
+        s = swmt_structure()
+        fields = [ScalarField.from_expression(s.chart, "x"), s.g, semi_dual_connection(s.g, s.eta, s.conn)]
+        pts = np.array(halton_points(s.chart, 4))
+        p = pts[2].copy()
+        with result_store():
+            for field in fields:
+                field.jet(p, 1)
+            with sample_set(pts):
+                for field in fields:
+                    for q in (pts, pts[1], p):
+                        field.jet(q, 1)
+        assert pts.flags.writeable and p.flags.writeable
 
     def test_screen_data_is_read_only(self):
         # every layer was writeable when only tuples were frozen

@@ -255,7 +255,7 @@ def test_module_sums_no_many_operand_einsum(path):
 
 # parameters with a default across ``src/``; lower it when one goes, never
 # raise it
-MAX_DEFAULTED_PARAMETERS = 11
+MAX_DEFAULTED_PARAMETERS = 8
 
 
 def defaulted_parameters(source):

@@ -1,7 +1,7 @@
 """One result store per spec run: a field asked at a point of a running
-pass's sample set keeps its result per (field, set, order), from one call
-on the whole set, so a later pass of any check over the same points reads
-rows instead of rebuilding the chain; a pullback evaluates its ambient
+pass's sample set keeps its result per (field, order, points), from one
+call on the whole set, so a later pass of any check over the same points
+reads rows instead of rebuilding the chain; a pullback evaluates its ambient
 field on the whole image set; a set whose call raises a point error fails,
 and each of its points is evaluated alone, once, keeping its reason; a
 call that raises anything else keeps nothing; and the store dies with its
@@ -59,7 +59,8 @@ class TestRows:
             with sample_set(pts.copy()):  # another pass over the same points
                 again = field.jet(pts[3], 2)
             # no fn call, no freeze walk and no kept lone point for a stored row
-            assert calls == [2] and walks == [] and fields._store.get().points == {}
+            assert calls == [2] and walks == []
+            assert all(shape == pts.shape for _, _, (shape, _) in fields._store.get())
         for J in (held, again):
             assert not any(L.flags.writeable for L in J.layers)
         assert [L.tobytes() for L in again.layers] == [L.tobytes() for L in held.layers]
@@ -131,11 +132,10 @@ class TestRows:
                         else:
                             g.jet(p, 1)
             store = fields._store.get()
-            (s,) = store.sets.values()
             reason = (EvaluationDomainError, ("sqrt of a negative value",))
             # the set failed, so each of its points was evaluated alone
-            assert s.entries[g, 1] == reason
-            kept = [store.points[g, 1, p.tobytes()] for p in pts]
+            assert store[g, 1, (pts.shape, pts.tobytes())] == reason
+            kept = [store[g, 1, (p.shape, p.tobytes())] for p in pts]
             assert [k == reason for k in kept] == [row in bad for row in range(len(pts))]
 
     def test_a_point_that_raised_is_not_evaluated_again(self):
@@ -166,7 +166,7 @@ class TestRows:
                 for _ in range(2):
                     with pytest.raises(ValueError, match="^not a point error$"):
                         f.jet(pts, 0)
-            assert not any((f, 0) in s.entries for s in fields._store.get().sets.values())
+            assert not any(field is f for field, _, _ in fields._store.get())
         assert calls == [pts.shape] * 2
 
 
@@ -254,17 +254,17 @@ class TestRelease:
     @pytest.mark.parametrize("name", ["minkowski_null_hyperplane", "conformal_projective_suite"])
     def test_the_store_dies_when_its_run_returns(self, monkeypatch, name):
         spec = load_spec(FIXTURES / f"{name}.spec")
-        refs = {"store": [], "entry": [], "point": []}
+        # a dict cannot be weakly referenced, so the store's leaves are
+        # followed, on point sets and at points evaluated alone
+        refs = {"set": [], "point": []}
         run_check = report.run_check
 
         def recording(*args):
             out = run_check(*args)
-            store = fields._store.get()
-            refs["store"].append(weakref.ref(store))
-            refs["entry"] += [weakref.ref(e) for s in store.sets.values() for e in s.entries.values()
-                              if isinstance(e, fields._Entry)]
-            refs["point"] += [weakref.ref(L) for kept in store.points.values() for L in fields._leaves(kept)
-                              if isinstance(L, np.ndarray)]
+            for (_, _, (shape, _)), kept in fields._store.get().items():
+                refs["set" if len(shape) > 1 else "point"] += [
+                    weakref.ref(L) for L in fields._leaves(kept) if isinstance(L, np.ndarray)
+                ]
             return out
 
         monkeypatch.setattr(report, "run_check", recording)
@@ -272,7 +272,7 @@ class TestRelease:
         try:
             run_spec(spec, spec.config.with_(samples=30, min_valid_points=10))
             # the frames' pins at the chart centre are points evaluated alone
-            assert refs["store"] and refs["entry"] and bool(refs["point"]) == (name == "minkowski_null_hyperplane")
+            assert refs["set"] and bool(refs["point"]) == (name == "minkowski_null_hyperplane")
             assert all(ref() is None for kind in refs.values() for ref in kind)
         finally:
             gc.enable()
@@ -322,16 +322,14 @@ class TestSkipPath:
             # a row of a set, or a result or reason kept at a point
             # evaluated alone, outside the domain is what its field
             # computes there alone
-            store = fields._store.get()
-            for s in store.sets.values():
-                for (field, order), entry in s.entries.items():
-                    if isinstance(entry, fields._Entry):
-                        for row, p in enumerate(s.pts):
-                            if p[0] <= 0:
-                                kept_outside[field, order, p.tobytes()] = entry.read(row)
-            for (field, order, key), kept in store.points.items():
-                if np.frombuffer(key)[0] <= 0:
-                    kept_outside[field, order, key] = kept
+            for (field, order, (shape, key)), kept in fields._store.get().items():
+                if len(shape) == 1:
+                    if np.frombuffer(key)[0] <= 0:
+                        kept_outside[field, order, key] = kept
+                elif not isinstance(kept, fields._Raised):
+                    for row, p in enumerate(np.frombuffer(key).reshape(shape)):
+                        if p[0] <= 0:
+                            kept_outside[field, order, p.tobytes()] = fields._row(kept, row)
             return out
 
         monkeypatch.setattr(verdicts, "_evaluate", recording)

@@ -55,6 +55,15 @@ class TestLoading:
             load_spec(write(tmp_path, MINIMAL + "\n[run]\njet_order = 3\n"))
         assert any("unknown run option 'jet_order'" in m for m in exc.value.errors)
 
+    @pytest.mark.parametrize(
+        "line", ["samples = 0", "samples = -3", "seed = -1", "min_valid_points = 0", "tol = nan", "tol = inf", "tol = -1e-8"]
+    )
+    def test_a_run_option_that_tests_nothing_is_an_error(self, tmp_path, line):
+        name = line.split()[0]
+        with pytest.raises(SpecError) as exc:
+            load_spec(write(tmp_path, MINIMAL + f"\n[run]\n{line}\n"))
+        assert any(m.startswith(f"[run] {name} must be") for m in exc.value.errors)
+
     def test_missing_block_error_names_the_block(self, tmp_path):
         with pytest.raises(SpecError) as exc:
             load_spec(write(tmp_path, """
