@@ -17,7 +17,7 @@ from .tensor import (
     gradient,
     nabla_g_values,
     orthonormal_frame,
-    require_nondegenerate,
+    require_nondegenerate_metric,
     ricci_values,
     scalar_curvature,
     torsion_values,
@@ -155,7 +155,7 @@ def check_realization_curvature_law(dist: AffineDistribution, config: RunConfig)
     s, B_fn = realized_structure(dist)
 
     def fn(p):
-        require_nondegenerate(s.g.value(p))
+        require_nondegenerate_metric(s.g, p)
         R = curvature_values(s.conn, p)
         gv = s.g.value(p)
         Bv = B_fn(p, 0).value
@@ -175,7 +175,7 @@ def check_realization_ricci_scalar(dist: AffineDistribution, config: RunConfig):
 
     def fn(p):
         gv = s.g.value(p)
-        require_nondegenerate(gv)
+        require_nondegenerate_metric(s.g, p)
         Bv = B_fn(p, 0).value
         E, eps = orthonormal_frame(gv)
         # gBE[i] = g(B(E_i), E_i)
@@ -211,7 +211,7 @@ def check_shape_proportional_scalar(dist: AffineDistribution, config: RunConfig)
 
     def fn(p):
         gv = s.g.value(p)
-        require_nondegenerate(gv)
+        require_nondegenerate_metric(s.g, p)
         Bv = B_fn(p, 0).value
         c = np.trace(Bv, axis1=-2, axis2=-1) / n
         off = row_max(Bv - c[..., None, None] * np.eye(n), p) > config.tol * (1.0 + row_max(Bv, p))
@@ -261,7 +261,7 @@ def check_xi_rescale_laws(dist: AffineDistribution, psi: ScalarField, config: Ru
 
     def fn(p):
         gv = s.g.value(p)
-        require_nondegenerate(gv)
+        require_nondegenerate_metric(s.g, p)
         psi_j = psi.jet(p, 2)
         e = np.exp(psi_j.value)
         dpsi = psi_j.grad
@@ -319,7 +319,7 @@ def check_xi_rescale_codazzi(dist: AffineDistribution, psi: ScalarField, config:
 
     def fn(p):
         gv = s.g.value(p)
-        require_nondegenerate(gv)
+        require_nondegenerate_metric(s.g, p)
         T0 = torsion_values(s.conn, p)
         T1 = torsion_values(s_t.conn, p)
         r_t = row_max(T1 - T0, p)

@@ -87,6 +87,9 @@ def _cmd_list_checks():
 
 
 def _cmd_oracle(args):
+    if args.points < 1:  # with no point there is nothing to compare, and so no agreement
+        print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
+        return 2
     spec = _load(args.spec)
     if spec is None:
         return 2

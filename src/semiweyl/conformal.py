@@ -27,8 +27,9 @@ from .tensor import (
     covariant_derivative_of_vector,
     curvature_values,
     gradient,
+    inverse_metric_values,
     nabla_g_values,
-    require_nondegenerate,
+    require_nondegenerate_metric,
     ricci_values,
     scalar_curvature,
     torsion_values,
@@ -113,8 +114,7 @@ class _PointData:
 
     def __init__(self, s: Structure, t: TransformData, p):
         self.g = s.g.value(p)
-        require_nondegenerate(self.g)
-        self.ginv = np.linalg.inv(self.g)
+        self.ginv = inverse_metric_values(s.g, p)
         self.gam = s.conn.value(p)
         self.T = torsion_values(s.conn, p)
         self.ng = nabla_g_values(s.conn, s.g, p)
@@ -159,7 +159,7 @@ def check_torsion_invariance(s: Structure, t: TransformData, config: RunConfig):
         return row_max(K - K.swapaxes(-1, -2), p), 1.0
 
     def torsion_fn(p):
-        require_nondegenerate(s.g.value(p))
+        require_nondegenerate_metric(s.g, p)
         T0 = torsion_values(s.conn, p)
         T1 = torsion_values(st.conn, p)
         return row_max(T1 - T0, p), 1.0 + row_max(s.conn.value(p), p)
@@ -176,7 +176,7 @@ def check_codazzi_scaling(s: Structure, t: TransformData, config: RunConfig):
 
     def fn(p):
         gv = s.g.value(p)
-        require_nondegenerate(gv)
+        require_nondegenerate_metric(s.g, p)
         lhs = codazzi_defect(nabla_g_values(st.conn, st.g, p), gv)
         e = np.exp(t.phi.value(p) + t.psi.value(p))
         rhs = e[..., None, None, None] * codazzi_defect(nabla_g_values(s.conn, s.g, p), gv)
@@ -230,7 +230,7 @@ def check_semi_dual_transform_law(s: Structure, t: TransformData, config: RunCon
     rhs = base.add_tensor(_coefficient_tensor(s.g, a, b))
 
     def fn(p):
-        require_nondegenerate(s.g.value(p))
+        require_nondegenerate_metric(s.g, p)
         L = lhs.value(p)
         Rv = rhs.value(p)
         return row_max(L - Rv, p), 1.0 + np.maximum(row_max(L, p), row_max(Rv, p))
@@ -384,11 +384,11 @@ def check_gradient_codazzi_identity(s: Structure, f: ScalarField, config: RunCon
 
     def fn(p):
         gvals = s.g.value(p)
-        require_nondegenerate(gvals)
+        ginv = inverse_metric_values(s.g, p)
         ng = nabla_g_values(s.conn, s.g, p)
         T = torsion_values(s.conn, p)
         fj = f.jet(p, 1)
-        gradf = np.matvec(np.linalg.inv(gvals), fj.grad)
+        gradf = np.matvec(ginv, fj.grad)
         dVf = covariant_derivative_of_vector(s.conn, gradient(s.g, f), p)
         hf = dVf @ gvals  # g(nabla_{d_a} grad f, d_k)
         lhs = np.einsum("...jkm,...m->...jk", ng, gradf) - np.einsum("...kjm,...m->...jk", ng, gradf)
@@ -417,7 +417,7 @@ def check_conformal_corollaries(s: Structure, psi: ScalarField, config: RunConfi
         ]
 
     def antisym_fn(p):
-        require_nondegenerate(s.g.value(p))
+        require_nondegenerate_metric(s.g, p)
         lhs = ricci_values(st.conn, st.g, p)
         rhs = ricci_values(s.conn, s.g, p)
         res = row_max((lhs - lhs.swapaxes(-1, -2)) - (rhs - rhs.swapaxes(-1, -2)), p)
@@ -449,7 +449,7 @@ def check_conformally_flat(s: Structure, psi: ScalarField, config: RunConfig):
     point_data = _point_data(s, t)
 
     def flat_fn(p):
-        require_nondegenerate(s.g.value(p))
+        require_nondegenerate_metric(s.g, p)
         R = curvature_values(st.conn, p)
         return row_max(R, p), 1.0 + _pow(row_max(st.conn.value(p), p), 2)
 

@@ -26,7 +26,7 @@ from .tensor import (
     curvature_values,
     degeneracy_threshold,
     nabla_g_values,
-    require_nondegenerate,
+    require_nondegenerate_metric,
     torsion_values,
     wedge_g,
 )
@@ -110,7 +110,7 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
 
     def conn_fn(p, order):
         G = gp.jet(p, order)
-        require_nondegenerate(G.value)
+        require_nondegenerate_metric(gp, p)
         dF = partials(emb.coords.jet(p, order + 1))
         W = _ambient_derivative_of_frame(emb, s.conn, p, order)
         # g'_{kd} gamma^k_{ab} = g(dF e_d, W_ab)
@@ -236,9 +236,10 @@ class HypersurfaceFrame:
         Gc = emb.compose(self.s.g).jet(p, order)
         tau = _signed(jet_einsum("...ij,...ia,...j->...a", Gc, DN, N), eps)
         beta = -jet_einsum("...ij,...ia,...jb->...ab", Gc, DN, dF)
-        gp = emb.induced_metric(self.s.g).jet(p, order)
-        require_nondegenerate(gp.value)
-        B = jet_solve(gp, beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}
+        gp = emb.induced_metric(self.s.g)
+        G = gp.jet(p, order)
+        require_nondegenerate_metric(gp, p)
+        B = jet_solve(G, beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}
         return beta, tau, B, eps
 
     # -- the values the shared fundamental-form checks read ----------------
@@ -303,7 +304,7 @@ def check_induced_cp_equivalence(emb: EmbeddingMap, s: Structure, t, config: Run
     def fn(p):
         Lg = lhs.g.value(p)
         Rg = rhs.g.value(p)
-        require_nondegenerate(Rg)
+        require_nondegenerate_metric(rhs.g, p)
         Lc = lhs.conn.value(p)
         Rc = rhs.conn.value(p)
         res = np.maximum(row_max(Lg - Rg, p), row_max(Lc - Rc, p))

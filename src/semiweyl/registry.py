@@ -6,13 +6,17 @@ arguments it takes before ``config`` and any options after ``config``.
 :data:`ARGUMENTS` says how each argument is read from a loaded spec and
 which spec blocks it needs, so the blocks a check requires follow from its
 arguments.
+
+An entry names its function by module and attribute, and
+:func:`run_check` imports the module when the check first runs, so a
+process imports only the check families its specs use.
 """
 
 from __future__ import annotations
 
+import importlib
 from dataclasses import dataclass
 
-from . import affine, conformal, hypersurfaces, lightlike, structures
 from .verdicts import Verdict
 
 __all__ = ["REGISTRY", "CheckEntry", "run_check"]
@@ -28,6 +32,19 @@ BLOCKS = {
     "affine_psi": "[affine] with a 'psi' entry",
 }
 
+
+def _hypersurface_frame(spec):
+    from .hypersurfaces import hypersurface_frame
+
+    return hypersurface_frame(spec.embedding, spec.structure)
+
+
+def _lightlike_frame(spec):
+    from .lightlike import lightlike_frame
+
+    return lightlike_frame(spec.lightlike_embedding, spec.structure, None)
+
+
 # each spec argument of a check: the blocks it needs, and how it is read
 # from a VerificationSpec
 ARGUMENTS = {
@@ -36,14 +53,8 @@ ARGUMENTS = {
     "phi": (("transform",), lambda spec: spec.transform.phi),
     "psi": (("transform",), lambda spec: spec.transform.psi),
     "embedding": (("submanifold",), lambda spec: spec.embedding),
-    "hypersurface_frame": (
-        ("structure", "submanifold"),
-        lambda spec: hypersurfaces.hypersurface_frame(spec.embedding, spec.structure),
-    ),
-    "lightlike_frame": (
-        ("structure", "lightlike"),
-        lambda spec: lightlike.lightlike_frame(spec.lightlike_embedding, spec.structure, None),
-    ),
+    "hypersurface_frame": (("structure", "submanifold"), _hypersurface_frame),
+    "lightlike_frame": (("structure", "lightlike"), _lightlike_frame),
     "affine": (("affine",), lambda spec: spec.affine),
     "affine_psi": (("affine_psi",), lambda spec: spec.affine_psi),
 }
@@ -52,10 +63,11 @@ ARGUMENTS = {
 @dataclass(frozen=True)
 class CheckEntry:
     """A check, run as ``fn(*args, config, **options)`` with its spec
-    arguments ``args`` (names in :data:`ARGUMENTS`) read from the spec."""
+    arguments ``args`` (names in :data:`ARGUMENTS`) read from the spec;
+    ``fn`` is ``"module.attribute"`` of a module of this package."""
 
     anchor: str
-    fn: object
+    fn: str
     args: tuple
     options: dict
 
@@ -76,210 +88,210 @@ def _build_registry():
     add(
         "is_statistical",
         "torsion-free connection with the symmetric metric-derivative (Codazzi) property",
-        structures.is_statistical, "structure",
+        "structures.is_statistical", "structure",
     )
     add(
         "is_smt",
         "Codazzi property corrected by the torsion pairing (statistical structure admitting torsion)",
-        structures.is_smt, "structure",
+        "structures.is_smt", "structure",
     )
     add(
         "is_swmt",
         "torsion-corrected Codazzi property weighted by a one-form (semi-Weyl structure admitting torsion)",
-        structures.is_swmt, "structure",
+        "structures.is_swmt", "structure",
     )
     add(
         "dual_structure",
         "metric duality pairing defines the dual connection; double dual returns the original",
-        structures.check_dual_structure, "structure",
+        "structures.check_dual_structure", "structure",
     )
     add(
         "semi_dual_structure",
         "one-form-weighted duality pairing; semi-dual differs from the metric dual by the one-form times identity",
-        structures.check_semi_dual_structure, "structure",
+        "structures.check_semi_dual_structure", "structure",
     )
 
     # --- two-potential (conformal-projective) transformation --------------
     add(
         "cp_torsion_invariance",
         "transformed connection keeps the torsion coefficients exactly",
-        conformal.check_torsion_invariance, "structure", "transform",
+        "conformal.check_torsion_invariance", "structure", "transform",
     )
     add(
         "cp_codazzi_scaling",
         "the structure-defining residual scales by the conformal factor under the transformation",
-        conformal.check_codazzi_scaling, "structure", "transform",
+        "conformal.check_codazzi_scaling", "structure", "transform",
     )
     add(
         "cp_structure_invariance",
         "semi-Weyl-with-torsion verdicts agree before and after the transformation",
-        conformal.check_structure_invariance, "structure", "transform",
+        "conformal.check_structure_invariance", "structure", "transform",
     )
     add(
         "cp_semi_dual_law",
         "semi-dual of the transformed structure equals the transform (with swapped potentials) of the semi-dual",
-        conformal.check_semi_dual_transform_law, "structure", "transform", swap_roles=True,
+        "conformal.check_semi_dual_transform_law", "structure", "transform", swap_roles=True,
     )
     add(
         "cp_semi_dual_law_unswapped",
         "negative control: the semi-dual law WITHOUT swapping the potentials (expected to fail generically)",
-        conformal.check_semi_dual_transform_law, "structure", "transform", swap_roles=False,
+        "conformal.check_semi_dual_transform_law", "structure", "transform", swap_roles=False,
     )
     add(
         "cp_curvature_laws",
         "closed-form change of curvature, Ricci and scalar curvature under the transformation",
-        conformal.check_curvature_transform, "structure", "transform",
+        "conformal.check_curvature_transform", "structure", "transform",
     )
     add(
         "cp_ricci_antisymmetry",
         "antisymmetric part of the transformed Ricci tensor matches its derivative/torsion expression",
-        conformal.check_ricci_antisymmetry, "structure", "transform",
+        "conformal.check_ricci_antisymmetry", "structure", "transform",
     )
     add(
         "gradient_codazzi_identity",
         "second-derivative symmetry of a scalar against the torsion pairing on semi-Weyl structures",
-        conformal.check_gradient_codazzi_identity, "structure", "phi",
+        "conformal.check_gradient_codazzi_identity", "structure", "phi",
     )
     add(
         "conformal_corollaries",
         "single-potential (conformal) special case: invariance, antisymmetry preservation, cyclic torsion identity",
-        conformal.check_conformal_corollaries, "structure", "psi",
+        "conformal.check_conformal_corollaries", "structure", "psi",
     )
     add(
         "conformally_flat",
         "gradient-shifted flat connection: closed-form curvature, Ricci and scalar curvature",
-        conformal.check_conformally_flat, "structure", "psi",
+        "conformal.check_conformally_flat", "structure", "psi",
     )
 
     # --- non-degenerate hypersurfaces --------------------------------------
     add(
         "induced_structure",
         "pullback metric, restricted one-form and tangential connection inherit the semi-Weyl property",
-        hypersurfaces.check_induced_structure, "embedding", "structure",
+        "hypersurfaces.check_induced_structure", "embedding", "structure",
     )
     add(
         "induced_duality_commutes",
         "inducing to the hypersurface commutes with taking the semi-dual structure",
-        hypersurfaces.check_induced_duality_commutes, "embedding", "structure",
+        "hypersurfaces.check_induced_duality_commutes", "embedding", "structure",
     )
     add(
         "induced_cp_equivalence",
         "transforming then inducing equals inducing then transforming with the pulled-back potentials",
-        hypersurfaces.check_induced_cp_equivalence, "embedding", "structure", "transform",
+        "hypersurfaces.check_induced_cp_equivalence", "embedding", "structure", "transform",
     )
     add(
         "beta_symmetry",
         "the dual second-fundamental form is symmetric on semi-Weyl ambients",
-        hypersurfaces.check_beta_symmetry, "hypersurface_frame",
+        "hypersurfaces.check_beta_symmetry", "hypersurface_frame",
     )
     add(
         "duality_pairing",
         "second-fundamental data of the structure and its semi-dual pair up through the normal sign",
-        hypersurfaces.check_duality_pairing, "hypersurface_frame",
+        "hypersurfaces.check_duality_pairing", "hypersurface_frame",
     )
     add(
         "umbilic_preservation",
         "transformation law of the dual second-fundamental form; umbilic points stay umbilic",
-        hypersurfaces.check_umbilic_preservation, "hypersurface_frame", "transform",
+        "hypersurfaces.check_umbilic_preservation", "hypersurface_frame", "transform",
     )
     add(
         "gauss_equation",
         "ambient curvature along the hypersurface splits into tangential curvature plus fundamental-form terms",
-        hypersurfaces.check_gauss_equation, "embedding", "structure",
+        "hypersurfaces.check_gauss_equation", "embedding", "structure",
     )
     add(
         "flat_dual_hypersurface",
         "flat dual ambient: induced dual curvature is the metric wedge with the shape operator; df + f(tau - eta) = 0",
-        hypersurfaces.check_flat_dual_hypersurface, "embedding", "structure",
+        "hypersurfaces.check_flat_dual_hypersurface", "embedding", "structure",
     )
 
     # --- lightlike hypersurfaces -------------------------------------------
     add(
         "radical_quality",
         "the degenerate induced metric has a one-dimensional kernel spanned by the computed radical field",
-        lightlike.check_radical_quality, "lightlike_frame",
+        "lightlike.check_radical_quality", "lightlike_frame",
     )
     add(
         "transversal_conditions",
         "the null transversal satisfies: unit pairing with the radical, self-orthogonal, orthogonal to the screen",
-        lightlike.check_transversal_conditions, "lightlike_frame",
+        "lightlike.check_transversal_conditions", "lightlike_frame",
     )
     add(
         "screen_integrability",
         "Lie brackets of the screen fields stay in the screen: they have no radical component",
-        lightlike.check_screen_integrability, "lightlike_frame",
+        "lightlike.check_screen_integrability", "lightlike_frame",
     )
     add(
         "screen_structure",
         "the screen metric, restricted one-form and screen connection inherit the semi-Weyl property",
-        lightlike.check_screen_structure, "lightlike_frame",
+        "lightlike.check_screen_structure", "lightlike_frame",
     )
     add(
         "screen_cp_equivalence",
         "transforming then restricting to the screen equals restricting then transforming",
-        lightlike.check_screen_cp_equivalence, "lightlike_frame", "transform",
+        "lightlike.check_screen_cp_equivalence", "lightlike_frame", "transform",
     )
     add(
         "lightlike_beta_symmetry",
         "the screen dual second-fundamental form is symmetric on semi-Weyl ambients",
-        hypersurfaces.check_beta_symmetry, "lightlike_frame",
+        "hypersurfaces.check_beta_symmetry", "lightlike_frame",
     )
     add(
         "lightlike_duality_pairing",
         "screen fundamental data of the structure and its semi-dual pair up",
-        hypersurfaces.check_duality_pairing, "lightlike_frame",
+        "hypersurfaces.check_duality_pairing", "lightlike_frame",
     )
     add(
         "lightlike_umbilic_preservation",
         "transformation law of the screen dual fundamental form; umbilic screens stay umbilic",
-        hypersurfaces.check_umbilic_preservation, "lightlike_frame", "transform",
+        "hypersurfaces.check_umbilic_preservation", "lightlike_frame", "transform",
     )
 
     # --- affine distributions ------------------------------------------------
     add(
         "affine_realization",
         "the frame structure equations realize a symmetric metric and a semi-Weyl structure",
-        affine.check_realization, "affine",
+        "affine.check_realization", "affine",
     )
     add(
         "affine_curvature_law",
         "realized curvature equals the metric wedge with the shape operator",
-        affine.check_realization_curvature_law, "affine",
+        "affine.check_realization_curvature_law", "affine",
     )
     add(
         "affine_ricci_scalar",
         "frame Ricci formula, scalar curvature as (n-1) times the frame trace of the shape operator, antisymmetry identity",
-        affine.check_realization_ricci_scalar, "affine",
+        "affine.check_realization_ricci_scalar", "affine",
     )
     add(
         "shape_proportional_scalar",
         "identity-proportional shape operator forces symmetric Ricci and scalar curvature c*n*(n-1)",
-        affine.check_shape_proportional_scalar, "affine",
+        "affine.check_shape_proportional_scalar", "affine",
     )
     add(
         "xi_rescale_laws_inner",
         "closed-form transformed data for the tangential-shift-inside rescaling of the transversal",
-        affine.check_xi_rescale_laws, "affine", "affine_psi", variant="inner",
+        "affine.check_xi_rescale_laws", "affine", "affine_psi", variant="inner",
     )
     add(
         "xi_rescale_laws_outer",
         "closed-form transformed data for the tangential-shift-outside rescaling of the transversal",
-        affine.check_xi_rescale_laws, "affine", "affine_psi", variant="outer",
+        "affine.check_xi_rescale_laws", "affine", "affine_psi", variant="outer",
     )
     add(
         "xi_rescale_structure_inner",
         "the inner-rescaled distribution still realizes a semi-Weyl structure",
-        affine.check_xi_rescale_structure, "affine", "affine_psi", variant="inner",
+        "affine.check_xi_rescale_structure", "affine", "affine_psi", variant="inner",
     )
     add(
         "xi_rescale_structure_outer",
         "the outer-rescaled distribution still realizes a semi-Weyl structure",
-        affine.check_xi_rescale_structure, "affine", "affine_psi", variant="outer",
+        "affine.check_xi_rescale_structure", "affine", "affine_psi", variant="outer",
     )
     add(
         "xi_rescale_codazzi",
         "outer rescaling: torsion unchanged; metric-derivative antisymmetry scales with an extra wedge correction",
-        affine.check_xi_rescale_codazzi, "affine", "affine_psi",
+        "affine.check_xi_rescale_codazzi", "affine", "affine_psi",
     )
 
     return r
@@ -291,5 +303,7 @@ REGISTRY = _build_registry()
 def run_check(name, spec, config):
     """Run one named check against a loaded spec; returns its verdicts."""
     entry = REGISTRY[name]
-    out = entry.fn(*(ARGUMENTS[arg][1](spec) for arg in entry.args), config, **entry.options)
+    module, attribute = entry.fn.split(".")
+    fn = getattr(importlib.import_module(f".{module}", __package__), attribute)
+    out = fn(*(ARGUMENTS[arg][1](spec) for arg in entry.args), config, **entry.options)
     return [out] if isinstance(out, Verdict) else out

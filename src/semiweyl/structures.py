@@ -13,7 +13,7 @@ from .tensor import (
     _raise_index,
     codazzi_defect,
     nabla_g_values,
-    require_nondegenerate,
+    require_nondegenerate_metric,
     torsion_values,
 )
 from .verdicts import RunConfig, agreement, row_max, run_laws, run_pointwise_check
@@ -50,7 +50,7 @@ def _structure_scale(p, gvals, gam, etavals, dg):
 
 def _swmt_residual_at(s: Structure, p, use_eta):
     gvals = s.g.value(p)
-    require_nondegenerate(gvals)
+    require_nondegenerate_metric(s.g, p)
     ng = nabla_g_values(s.conn, s.g, p)
     gam = s.conn.value(p)
     T = torsion_values(s.conn, p)
@@ -66,7 +66,7 @@ def is_statistical(s: Structure, config: RunConfig):
 
     def fn(p):
         gvals = s.g.value(p)
-        require_nondegenerate(gvals)
+        require_nondegenerate_metric(s.g, p)
         ng = nabla_g_values(s.conn, s.g, p)
         gam = s.conn.value(p)
         T = torsion_values(s.conn, p)
@@ -112,7 +112,7 @@ def semi_dual_connection(g: MetricField, eta: OneFormField, conn: ConnectionFiel
             + jet_einsum("...i,...jk->...jik", eta.jet(p, order), G)
             - jet_einsum("...mij,...mk->...jik", conn.jet(p, order), G)
         )
-        return _raise_index(G, lower)
+        return _raise_index(g, p, G, lower)
 
     return ConnectionField(g.chart, fn)
 
@@ -130,7 +130,7 @@ def semi_dual(s: Structure) -> Structure:
 
 def _torsion_res(g: MetricField, conn):
     def fn(p):
-        require_nondegenerate(g.value(p))
+        require_nondegenerate_metric(g, p)
         T = torsion_values(conn, p)
         gam = conn.value(p)
         return row_max(T, p), 1.0 + row_max(gam, p)

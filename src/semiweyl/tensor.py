@@ -5,6 +5,16 @@ the array helpers and :func:`orthonormal_frame` take a point or a point
 set, whose arrays carry a leading axis over its points; the other frame
 functions take a point.
 
+Torsion, curvature, Ricci, scalar curvature, ``nabla g`` and the inverse
+metric are fields of their connection (and metric), kept by it
+(:func:`_values_field`), so each is computed once per points in the
+running result store, like any field's results.  The inverse metric is the
+non-degeneracy test of a metric field: it raises
+:class:`~semiweyl.fields.DegeneratePointError` where the metric is
+degenerate (:func:`require_nondegenerate_metric`).  The array form,
+:func:`require_nondegenerate`, serves matrices that are no field's values,
+such as those of :func:`orthonormal_frame`.
+
 Ricci and scalar curvature are defined by metric contraction; the
 frame-based sums (over an orthonormal frame with signs ``eps_i``) are kept
 as independent oracles, see :func:`frame_ricci_values`.
@@ -12,14 +22,17 @@ as independent oracles, see :func:`frame_ricci_values`.
 
 from __future__ import annotations
 
+from functools import wraps
+
 import numpy as np
 
-from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField, kept
+from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField, _Field, kept
 from .jets import _pow, jet_einsum, jet_solve, partials
 
 __all__ = [
     "degeneracy_threshold",
     "require_nondegenerate",
+    "require_nondegenerate_metric",
     "inverse_metric_values",
     "levi_civita",
     "torsion_values",
@@ -54,16 +67,43 @@ def require_nondegenerate(gvals):
         raise DegeneratePointError(f"metric degenerate (|det g| = {np.min(det):.3e})")
 
 
+def _values_field(compute):
+    """``compute(owner, *args, p)`` read through a field of ``owner`` and
+    ``args``, kept by ``owner``: evaluated once per points in the running
+    result store, a point error kept with it, and a point of a set that
+    failed evaluated alone."""
+
+    @kept
+    def field(owner, *args):
+        return _Field(owner.chart, lambda p, _order: compute(owner, *args, p))
+
+    @wraps(compute)
+    def values(owner, *args_and_p):
+        *args, p = args_and_p
+        return field(owner, *args).jet(p, 0)
+
+    return values
+
+
+@_values_field
 def inverse_metric_values(g: MetricField, p):
+    """``g^{kl}``, which raises :class:`DegeneratePointError` where ``g`` is
+    degenerate: the one non-degeneracy test of a metric field."""
     gvals = g.value(p)
     require_nondegenerate(gvals)
     return np.linalg.inv(gvals)
 
 
-def _raise_index(G, lower):
-    """``g^{kl} lower[l, ...]``, with ``G`` the metric jets (of a point or
-    a set)."""
-    require_nondegenerate(G.value)
+def require_nondegenerate_metric(g: MetricField, p):
+    """Raise :class:`DegeneratePointError` where the metric field ``g`` is
+    degenerate at ``p``: the test of :func:`inverse_metric_values`."""
+    inverse_metric_values(g, p)
+
+
+def _raise_index(g, p, G, lower):
+    """``g^{kl} lower[l, ...]``, with ``G`` the jets of the metric field
+    ``g`` at the point or point set ``p``."""
+    require_nondegenerate_metric(g, p)
     return jet_solve(G, lower)
 
 
@@ -75,17 +115,19 @@ def levi_civita(g: MetricField) -> ConnectionField:
         dG = partials(G)  # dG[i, j, l] = d_l g_ij
         # first kind: (d_i g_jl + d_j g_il - d_l g_ij) / 2 as [l, i, j]
         lower = (dG.transpose(1, 2, 0) + dG.transpose(1, 0, 2) - dG.transpose(2, 0, 1)) * 0.5
-        return _raise_index(G, lower)
+        return _raise_index(g, p, G, lower)
 
     return ConnectionField(g.chart, fn)
 
 
+@_values_field
 def torsion_values(conn: ConnectionField, p):
     """Coordinate-frame torsion ``T^k_{ij} = gamma^k_{ij} - gamma^k_{ji}``."""
     G = conn.value(p)
     return G - G.swapaxes(-1, -2)
 
 
+@_values_field
 def curvature_values(conn: ConnectionField, p):
     """``R[l, k, i, j]``: coefficient of ``d_l`` in ``R(d_i, d_j) d_k``."""
     G = conn.jet(p, 1)
@@ -99,10 +141,11 @@ def curvature_values(conn: ConnectionField, p):
     )
 
 
+@_values_field
 def ricci_values(conn: ConnectionField, g: MetricField, p):
     """``Ric[i, j] = Ric(d_i, d_j)``, by contraction of the curvature."""
     R = curvature_values(conn, p)
-    require_nondegenerate(g.value(p))
+    require_nondegenerate_metric(g, p)
     return np.einsum("...ajai->...ij", R)
 
 
@@ -124,12 +167,14 @@ def frame_ricci_values(conn: ConnectionField, g: MetricField, p):
     return ric
 
 
+@_values_field
 def scalar_curvature(conn: ConnectionField, g: MetricField, p):
     ric = ricci_values(conn, g, p)
     ginv = inverse_metric_values(g, p)
     return np.einsum("...ij,...ij->...", ginv, ric)
 
 
+@_values_field
 def nabla_g_values(conn: ConnectionField, g: MetricField, p):
     """``(nabla_{d_a} g)(d_i, d_j)`` as an ``[a, i, j]`` array."""
     G = g.jet(p, 1)  # G.grad[i, j, a] = d_a g_ij
@@ -169,7 +214,7 @@ def gradient(g: MetricField, f) -> VectorField:
     """Metric gradient ``(grad f)^k = g^{kl} d_l f`` as a vector field."""
 
     def fn(p, order):
-        return _raise_index(g.jet(p, order), partials(f.jet(p, order + 1)))
+        return _raise_index(g, p, g.jet(p, order), partials(f.jet(p, order + 1)))
 
     return VectorField(g.chart, fn)
 

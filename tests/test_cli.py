@@ -1,5 +1,7 @@
 import json
 import os
+import subprocess
+import sys
 import textwrap
 
 import pytest
@@ -136,6 +138,39 @@ class TestListChecks:
         (line,) = [ln for ln in capsys.readouterr().out.splitlines() if ln.startswith(name + " ")]
         assert line.endswith(f"[needs: {needs}]")
 
+    def test_output_is_unchanged(self, capsys):
+        # the listing as it was while the registry imported every check
+        # family up front
+        assert main(["list-checks"]) == 0
+        with open(os.path.join(os.path.dirname(__file__), "list_checks.txt"), encoding="utf-8") as fh:
+            assert capsys.readouterr().out == fh.read()
+
+
+# run in a fresh interpreter: the intrinsic fixtures, then the names of the
+# check-family modules it imported
+INTRINSIC_RUN = """
+import sys
+from semiweyl.report import run_spec
+from semiweyl.specfile import load_spec
+for name in sys.argv[1:]:
+    spec = load_spec(name)
+    assert run_spec(spec).all_expectations_met, name
+print(sorted({"affine", "hypersurfaces", "lightlike"} & {m.rpartition(".")[2] for m in sys.modules}))
+"""
+INTRINSIC = ["swmt_eta_shift", "smt_conformal_gradient", "conformally_flat", "conformal_projective_suite",
+             "negative_controls"]
+
+
+def test_an_intrinsic_run_imports_no_other_check_family():
+    src = os.path.join(os.path.dirname(__file__), "..", "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run(
+        [sys.executable, "-c", INTRINSIC_RUN, *(fixture(f"{name}.spec") for name in INTRINSIC)],
+        capture_output=True, text=True, env=env, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.splitlines()[-1] == "[]"
+
 
 class TestOracle:
     @pytest.mark.parametrize("name", sorted(n.removesuffix(".spec") for n in os.listdir(FIXTURES) if n.endswith(".spec")))
@@ -146,6 +181,13 @@ class TestOracle:
 
     def test_oracle_bad_spec_exits_two(self, capsys):
         assert main(["oracle", "missing.spec"]) == 2
+
+    @pytest.mark.parametrize("points", [0, -1])
+    def test_oracle_rejects_fewer_than_one_point(self, capsys, points):
+        # 0 compared nothing and reported agreement; -1 raised in halton_points
+        assert main(["oracle", fixture("swmt_eta_shift.spec"), "--points", str(points)]) == 2
+        out, err = capsys.readouterr()
+        assert out == "" and err == f"error: --points must be at least 1, got {points}\n"
 
 
 class TestFixtureSuite:

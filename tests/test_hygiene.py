@@ -2,8 +2,9 @@
 every name in its ``__all__`` exists, none builds a numpy object array,
 none edits the name or detail of a verdict after a check returned it,
 only the spec loader and the field constructors turn text into
-expressions, no literal ``np.einsum`` sums over three or more operands, and
-the package keeps few parameters with a default.
+expressions, no literal ``np.einsum`` sums over three or more operands,
+the package keeps few parameters with a default, and no module tests a
+field's values for degeneracy with the array form of the test.
 
 AST checks, so they need no linter.  Names re-exported through ``__all__``
 and ``from __future__ import annotations`` are exempt from the first, so
@@ -17,6 +18,10 @@ sixth keeps such sums on ``semiweyl.jets.contract``, whose batched
 matmuls keep each row of a set bitwise its point and, on a 150-point
 pullback, run 4-6 times faster than numpy's many-operand einsum loop.  The
 seventh is a ratchet against options that every caller sets or none does.
+The eighth keeps the non-degeneracy test of a metric field in the result
+store (``semiweyl.tensor.require_nondegenerate_metric``), which runs it
+once per field and points; ``require_nondegenerate`` on a field's values
+would run it again at every call, unseen.
 """
 
 import ast
@@ -281,3 +286,61 @@ def test_the_check_sees_a_defaulted_parameter():
 def test_src_has_few_parameters_with_a_default():
     found = [(path.name, *d) for path in MODULES for d in defaulted_parameters(path.read_text())]
     assert len(found) <= MAX_DEFAULTED_PARAMETERS, found
+
+
+def _is_field_value(node):
+    """Whether ``node`` reads a field's values, ``field.value(p)``, or a
+    jet's, ``jet.value``."""
+    if isinstance(node, ast.Call):
+        node = node.func
+    return isinstance(node, ast.Attribute) and node.attr == "value"
+
+
+def array_degeneracy_tests(source):
+    """``(function, line)`` of every call of ``require_nondegenerate`` on a
+    field's or jet's values, directly or through a name or attribute that
+    a function holding the call binds to them."""
+    found = {}
+    for fn in ast.walk(ast.parse(source)):
+        if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        bound = {
+            ast.unparse(t)
+            for node in ast.walk(fn)
+            if isinstance(node, ast.Assign) and _is_field_value(node.value)
+            for t in node.targets
+        }
+        for node in ast.walk(fn):
+            if (
+                isinstance(node, ast.Call)
+                and _called_name(node) == "require_nondegenerate"
+                and node.args
+                and (_is_field_value(node.args[0]) or ast.unparse(node.args[0]) in bound)
+            ):
+                found[node.lineno] = fn.name
+    return sorted((name, line) for line, name in found.items())
+
+
+def test_the_check_sees_an_array_degeneracy_test():
+    source = (
+        "def a(g, p):\n"
+        "    require_nondegenerate(g.value(p))\n"
+        "def b(G):\n"
+        "    require_nondegenerate(G.value)\n"
+        "def c(s, p):\n"
+        "    gv = s.g.value(p)\n"
+        "    require_nondegenerate(gv)\n"
+        "def d(m):\n"
+        "    require_nondegenerate(np.asarray(m))\n"
+        "    require_nondegenerate_metric(g, p)\n"
+        "def e(self, s, p):\n"
+        "    self.g = s.g.value(p)\n"
+        "    def inner():\n"
+        "        require_nondegenerate(self.g)\n"
+    )
+    assert array_degeneracy_tests(source) == [("a", 2), ("b", 4), ("c", 7), ("e", 14)]
+
+
+def test_only_the_kept_inverse_metric_tests_a_field_with_the_array_form():
+    found = [(path.name, name) for path in MODULES for name, _ in array_degeneracy_tests(path.read_text())]
+    assert found == [("tensor.py", "inverse_metric_values")]

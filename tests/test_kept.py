@@ -3,8 +3,11 @@
 run builds do not depend on the sample count, a predicate verdict is
 computed once per structure and config, a transform of the same two
 fields is one key, every field evaluates once per sample set and order in
-a run, in one call on the whole set, and so does every law of a check."""
+a run, in one call on the whole set, and so does every law of a check, and
+the metric's non-degeneracy test, curvature and nabla g run once per
+(field, points) in a run."""
 
+import inspect
 from collections import Counter
 from pathlib import Path
 
@@ -12,7 +15,7 @@ import numpy as np
 import pytest
 
 from conftest import swmt_structure
-from semiweyl import fields, structures, verdicts
+from semiweyl import fields, structures, tensor, verdicts
 from semiweyl.conformal import TransformData, check_conformal_corollaries, check_curvature_transform, transform
 from semiweyl.fields import ScalarField, kept
 from semiweyl.hypersurfaces import EmbeddingMap
@@ -240,15 +243,18 @@ class TestOneBatchPerSampleSet:
         "names,per_point,sets",
         [
             # with only expression fields filling a set in one call: 10,600
-            # calls at a point and 42 on a set at the specs' own samples
-            (INTRINSIC, 0, 108),
-            # 3,600 and 9
-            (["centroaffine_sphere"], 0, 33),
+            # calls at a point and 42 on a set at the specs' own samples;
+            # 108 before torsion, curvature, Ricci, scalar curvature, nabla g
+            # and the inverse metric were fields (44 of these calls)
+            (INTRINSIC, 0, 152),
+            # 3,600 and 9; 33 before those fields (12 of these)
+            (["centroaffine_sphere"], 0, 45),
             # 15,024 and 42; the 24 points left are the chart centres of the
             # frames' pins; the lightlike checks read the screen data, so no
             # order-0 pullback, induced metric or screen field is asked on
-            # minkowski_null_hyperplane's set (153 when they did)
-            (EMBEDDED, 24, 150),
+            # minkowski_null_hyperplane's set (153 when they did); 150 before
+            # those fields (26 of these)
+            (EMBEDDED, 24, 176),
         ],
         ids=["intrinsic", "affine", "embedded"],
     )
@@ -263,8 +269,10 @@ class TestOneBatchPerSampleSet:
     def test_a_set_that_fails_evaluates_its_points_alone_once(self, monkeypatch):
         # domain_edge at its own 150 samples, 50 of them outside the domain
         # of sqrt: each set of a field that asks g there fails, and each of
-        # its points asked is evaluated alone, once per run
-        assert field_calls(monkeypatch, ROOT / "perfbench" / "specs" / "domain_edge.spec") == (1100, 19)
+        # its points asked is evaluated alone, once per run; (1100, 19)
+        # before the tensor values were fields: the inverse metric, torsion
+        # and nabla g add 10 sets that fail and 1,050 points asked alone
+        assert field_calls(monkeypatch, ROOT / "perfbench" / "specs" / "domain_edge.spec") == (2150, 29)
 
 
 def law_calls(monkeypatch, path):
@@ -302,3 +310,60 @@ class TestOneCallPerLaw:
         # law's set call raises and it runs again at each of its points
         calls = law_calls(monkeypatch, ROOT / "perfbench" / "specs" / "domain_edge.spec")
         assert calls == [[2] + [1] * 150] * 7
+
+
+# the tensor values whose raw computation a run should make once per
+# (field, points): the metric's non-degeneracy test, curvature and nabla g
+RAW = ("inverse_metric_values", "curvature_values", "nabla_g_values")
+
+
+def raw_computations(monkeypatch, path):
+    """``(computations, dets)`` of one fresh ``run_spec`` of ``path``: how
+    often each tensor value of :data:`RAW` was computed, per (value, owner,
+    arguments, points), and the number of ``np.linalg.det`` calls."""
+    computes = {getattr(tensor, name).__wrapped__: name for name in RAW}
+    counts = Counter()
+    dets = [0]
+    init = fields._Field.__init__
+    det = np.linalg.det
+
+    def counting(field, chart, fn, expressions=None):
+        closure = inspect.getclosurevars(fn).nonlocals
+        name = computes.get(closure.get("compute"))
+        if name is None:
+            init(field, chart, fn, expressions)
+            return
+
+        def counted(p, order):
+            counts[name, closure["owner"], closure["args"], np.shape(p), np.asarray(p).tobytes()] += 1
+            return fn(p, order)
+
+        init(field, chart, counted, expressions)
+
+    def counting_det(a):
+        dets[0] += 1
+        return det(a)
+
+    monkeypatch.setattr(fields._Field, "__init__", counting)
+    monkeypatch.setattr(np.linalg, "det", counting_det)
+    spec = load_spec(path)
+    run_spec(spec)
+    monkeypatch.undo()
+    return counts, dets[0]
+
+
+class TestTensorValuesOncePerPoints:
+    @pytest.mark.parametrize("name", INTRINSIC + ["sphere_hypersurface"])
+    def test_the_raw_tensor_values_run_once_per_field_and_points(self, monkeypatch, name):
+        counts, dets = raw_computations(monkeypatch, FIXTURES / f"{name}.spec")
+        assert {"inverse_metric_values", "nabla_g_values"} <= {key[0] for key in counts}
+        assert max(counts.values()) == 1
+        # every det is the test of the kept inverse metric
+        assert dets == sum(n for key, n in counts.items() if key[0] == "inverse_metric_values")
+
+    def test_an_intrinsic_pass_makes_nine_determinant_tests(self, monkeypatch):
+        # 73 when each law tested the metric at its points itself: one per
+        # metric and sample set now, on the 5 specs' 9 such pairs
+        runs = [raw_computations(monkeypatch, FIXTURES / f"{name}.spec") for name in INTRINSIC]
+        assert {key[0] for counts, _ in runs for key in counts} == set(RAW)
+        assert sum(dets for _, dets in runs) == 9
