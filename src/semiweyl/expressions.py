@@ -218,7 +218,7 @@ def _coordinate_jets(points, order):
 
 def _checked(j):
     if not j.is_finite():
-        raise EvaluationDomainError("non-finite value in expression evaluation")
+        raise EvaluationDomainError("non-finite value in expression evaluation", None)
     return j
 
 

@@ -22,10 +22,13 @@ field results: one dict, whose entry per (field, order, points) is written
 once, from one ``fn`` call at those points (:func:`_kept`), whether they
 are one point or a point set, such as the running pass's sample set
 (:func:`sample_set`) or its images under an embedding.  A derived field
-asks its operands at the same points.  An entry is the result or its
-failure: a point error of that call or, on a set, a row that is not
-finite.  A point of the running pass reads its row of a set that did not
-fail, and is otherwise evaluated alone.  An owner keeps what is derived
+asks its operands at the same points.  An entry is the result, its
+failure (a point error of that call or, on a set, a row that is not
+finite), or a sub-set fill with per-row failures: each row a set's point
+error names keeps its own, and the other rows fill one sub-set entry,
+which a derived field reuses.  A point of the running pass reads its row
+of a set or sub-set, or its kept error, and is otherwise evaluated alone.
+An owner keeps what is derived
 from it (:func:`kept`), so each derived structure, frame and predicate
 verdict of a spec is one Python object, built once, and so one key of the
 store.
@@ -42,7 +45,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expressions import Expression, Num, eval_jets, parse_expression
-from .jets import EvaluationDomainError, Jet, jet_einsum, partials
+from .jets import EvaluationDomainError, Jet, PointError, jet_einsum, partials
 
 __all__ = [
     "Chart",
@@ -63,7 +66,7 @@ __all__ = [
 ]
 
 
-class DegeneratePointError(ArithmeticError):
+class DegeneratePointError(PointError):
     """Metric (or frame) degenerate at the sample point."""
 
 
@@ -131,9 +134,9 @@ class _Field:
         tuple or dict of them are read-only.  It is what the running
         :func:`result_store` keeps at ``p`` (see :func:`_kept`), whose point
         error is raised at each read; a point of the set the running pass
-        holds (see :func:`sample_set`) reads its row of the set's result
-        instead, unless the set failed.  A call outside any run keeps it in
-        a store of its own."""
+        holds (see :func:`sample_set`) reads its row of the set's result or
+        sub-set, or raises its kept error, unless the set failed naming no
+        rows.  A call outside any run keeps it in a store of its own."""
         p = np.asarray(p, dtype=float)
         store = _store.get()
         if store is None:
@@ -144,11 +147,17 @@ class _Field:
         row = None if held is None or p.ndim != 1 else held.rows.get(key)
         if row is not None:
             out = _kept(store, self, order, held.pts, held.where)
+            if type(out) is _Split:
+                if out.named[row]:
+                    raise out.named[row][0](*out.named[row][1], None)
+                out, row = out.rest, out.at[row]
             if type(out) is not _Raised:
                 return _row(out, row)
         out = _kept(store, self, order, p, (p.shape, key))
+        if type(out) is _Split:
+            raise out.raised.kind(*out.raised.args, out.named)
         if type(out) is _Raised:
-            raise out.kind(*out.args)
+            raise out.kind(*out.args, None)
         return out
 
     def value(self, p):
@@ -164,10 +173,6 @@ def _expr_of(item, chart):
 
 
 # -- the result store -----------------------------------------------------------
-
-# what a point may raise for a skip, kept by the store
-_POINT_ERRORS = (EvaluationDomainError, DegeneratePointError)
-
 
 def _leaves(out):
     """The leaves of a result of a field's ``fn``: the layers of a jet, the
@@ -198,13 +203,24 @@ class _Raised(NamedTuple):
     args: tuple
 
 
+class _Split(NamedTuple):
+    """A set whose call raised a point error that named rows: the error, the
+    ``(type, args)`` of each named row, and for the others their row ``at``
+    in ``rest``, their entry as one sub-set, whose failure names no rows."""
+
+    raised: _Raised
+    named: list
+    at: np.ndarray
+    rest: object
+
+
 def _kept(store, field, order, p, where):
     """The entry of ``store`` for ``field`` at order ``order`` at the point
     or point set ``p``, whose key ``where`` is ``(p.shape, p.tobytes())``.
     On a miss it is made from one ``fn`` call: the result, its leaves made
     read-only in place, or the :class:`_Raised` of a point error of that
-    call or, on a point set, of a row of its result that is not finite.  A
-    call that raises anything else keeps nothing."""
+    call or, on a point set, of a row of its result that is not finite, or
+    a :class:`_Split`.  A call that raises anything else keeps nothing."""
     key = (field, order, where)
     out = store.get(key)
     if out is None:
@@ -212,15 +228,31 @@ def _kept(store, field, order, p, where):
             out = field._fn(p, order)
             leaves = _leaves(out)
             if p.ndim > 1 and not all(np.isfinite(L).all() for L in leaves):
-                raise EvaluationDomainError("non-finite value in a result on a point set")
-        except _POINT_ERRORS as exc:
-            out = _Raised(type(exc), exc.args)
+                raise EvaluationDomainError("non-finite value in a result on a point set", None)
+        except PointError as exc:
+            out, named = _Raised(type(exc), exc.args), exc.rows or []
+            if p.ndim > 1 and len(named) == len(p) and any(named):
+                out = _split(store, field, order, p, out, named)
         else:
             for L in leaves:
                 if isinstance(L, np.ndarray):
                     L.flags.writeable = False
         store[key] = out
     return out
+
+
+def _split(store, field, order, p, raised, named):
+    """The :class:`_Split` of the set ``p`` whose call raised ``raised``
+    naming the rows ``named``: the others fill one entry, and the rows its
+    call names in turn are named too."""
+    keep = np.array([r is None for r in named])
+    at = np.cumsum(keep) - 1
+    sub = p[keep]
+    rest = _kept(store, field, order, sub, (sub.shape, sub.tobytes())) if len(sub) else None
+    if type(rest) is _Split:
+        named = [r or rest.named[a] for r, a in zip(named, at)]
+        at, rest = rest.at[at], rest.rest
+    return _Split(raised, named, at, rest)
 
 
 class _Held:

@@ -160,8 +160,8 @@ def unit_normal(emb: EmbeddingMap, g: MetricField) -> _Field:
         N_raw, nu, Gc = raw(p, order)
         norm2 = jet_einsum("...i,...i->...", nu, N_raw)
         v = norm2.value
-        if np.any(np.abs(v) <= degeneracy_threshold(Gc.value)):
-            raise DegeneratePointError("normal direction is null at this point")
+        if np.any(null := np.abs(v) <= degeneracy_threshold(Gc.value)):
+            raise DegeneratePointError.where(null, "normal direction is null at this point")
         eps = np.where(v > 0, 1.0, -1.0)
         length = _signed(norm2, eps).sqrt()
         N = N_raw / length[..., None]

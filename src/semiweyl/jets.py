@@ -52,8 +52,10 @@ import numpy as np
 __all__ = [
     "Jet",
     "JetOrderError",
+    "PointError",
     "EvaluationDomainError",
     "jet_solve",
+    "singular",
     "jet_cross",
     "jet_compose",
     "jet_einsum",
@@ -67,7 +69,26 @@ class JetOrderError(ValueError):
     """Requested derivative order not carried by the operand."""
 
 
-class EvaluationDomainError(ArithmeticError):
+class PointError(ArithmeticError):
+    """An error of a point, which skips it.  Raised on a point set, it may
+    name the rows of the set's leading axis it applies to: ``rows`` holds
+    per row the ``(type, args)`` that row raises alone, or ``None``."""
+
+    def __init__(self, message, rows):
+        super().__init__(message)
+        self.rows = rows
+
+    @classmethod
+    def where(cls, bad, message):
+        """The error where ``bad`` holds, naming each row of its leading axis
+        where it holds anywhere (no rows at a point alone, where ``bad`` has
+        no axis), with ``message``, or ``message(row)`` (``...`` for all)."""
+        text = (lambda at: message) if isinstance(message, str) else message
+        rows = None if np.ndim(bad) == 0 else np.reshape(bad, (len(bad), -1)).any(axis=1).tolist()
+        return cls(text(...), rows and [(cls, (text(at),)) if b else None for at, b in enumerate(rows)])
+
+
+class EvaluationDomainError(PointError):
     """Evaluation hit a point outside the domain of a primitive
     (division by zero, log/sqrt of a non-positive value)."""
 
@@ -116,7 +137,7 @@ def _pow(v, k):
     try:
         return np.array([x ** k for x in v.ravel().tolist()]).reshape(v.shape)
     except OverflowError as exc:
-        raise EvaluationDomainError("overflow in a power") from exc
+        raise EvaluationDomainError("overflow in a power", None) from exc
 
 
 def _falling_factorials(a, order):
@@ -306,7 +327,7 @@ class Jet:
     def reciprocal(self):
         v = self.layers[0]
         if _any(v == 0.0) or not _finite(v):
-            raise EvaluationDomainError("division by zero")
+            raise EvaluationDomainError.where((v == 0.0) | ~np.isfinite(v), "division by zero")
         return self._chain([c / _pow(v, r + 1) for r, c in _falling_factorials(-1, self.order)])
 
     def __truediv__(self, other):
@@ -323,7 +344,7 @@ class Jet:
         if k == 0:
             return Jet.constant(np.ones(self.shape), self.n, self.order)
         if k < 0 and _any(v == 0.0):
-            raise EvaluationDomainError("zero raised to a negative power")
+            raise EvaluationDomainError.where(v == 0.0, "zero raised to a negative power")
         # the falling factorial vanishes once r > k >= 0
         return self._chain([c * _pow(v, k - r) if c else 0.0 for r, c in _falling_factorials(k, self.order)])
 
@@ -336,7 +357,7 @@ class Jet:
     def log(self):
         v = self.layers[0]
         if _any(v <= 0.0):
-            raise EvaluationDomainError("log of a non-positive value")
+            raise EvaluationDomainError.where(v <= 0.0, "log of a non-positive value")
         # d^r log v = (d^(r-1) of v^-1) = (-1)_(r-1) / v^r
         return self._chain([np.log(v)] + [c / _pow(v, r + 1) for r, c in _falling_factorials(-1, self.order - 1)])
 
@@ -355,7 +376,7 @@ class Jet:
     def sqrt(self):
         v = self.layers[0]
         if _any(v < 0.0) or (self.order >= 1 and _any(v == 0.0)):
-            raise EvaluationDomainError("sqrt of a negative value")
+            raise EvaluationDomainError.where((v < 0.0) | ((v == 0.0) & (self.order >= 1)), "sqrt of a negative value")
         rt = np.sqrt(v)
         # d^r v^(1/2) = (1/2)_r v^(1/2 - r) = (1/2)_r / rt^(2r - 1)
         return self._chain([rt] + [c / _pow(rt, 2 * r - 1) for r, c in _falling_factorials(0.5, self.order) if r])
@@ -560,6 +581,20 @@ def jet_stack(items, axis):
     return Jet(n, [np.stack([x.layers[r] for x in items], axis=axis) for r in range(order + 1)])
 
 
+def _singular_alone(m):
+    try:
+        np.linalg.inv(m)
+    except np.linalg.LinAlgError:
+        return True
+    return False
+
+
+def singular(a):
+    """Whether ``np.linalg.inv`` finds each matrix of the stack ``a``
+    singular, as it finds that matrix alone."""
+    return np.reshape([_singular_alone(m) for m in a.reshape((-1,) + a.shape[-2:])], a.shape[:-2])
+
+
 def jet_solve(A, b):
     """Solve ``A s = b`` with jet entries, propagating derivatives.
 
@@ -568,7 +603,7 @@ def jet_solve(A, b):
     float array of shape ``(k, ...)``, the same at every point of a set.
     The solution has the shape of ``b`` (with ``A``'s leading axes) and the
     lower order of the two.  Raises :class:`EvaluationDomainError` when the
-    value-level matrix is singular (at any point of a set).
+    value-level matrix is singular (at any point of a set, naming its rows).
     """
     b_is_jet = isinstance(b, Jet)
     n, order = _shared([A, b] if b_is_jet else [A])
@@ -584,7 +619,7 @@ def jet_solve(A, b):
     try:
         inv = np.linalg.inv(a[0])
     except np.linalg.LinAlgError as exc:
-        raise EvaluationDomainError("singular frame in jet solve") from exc
+        raise EvaluationDomainError.where(singular(a[0]), "singular frame in jet solve") from exc
     s = [inv @ rhs[0]]
     for r in range(1, order + 1):
         # order r of A s = b: every Leibniz term but A s_r (not yet in s)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import Chart, DegeneratePointError, VectorField, _Field, kept
 from .hypersurfaces import EmbeddingMap
-from .jets import EvaluationDomainError, Jet, jet_einsum, jet_solve, jet_stack, partials
+from .jets import EvaluationDomainError, Jet, jet_einsum, jet_solve, jet_stack, partials, singular
 from .structures import Structure, is_swmt
 from .tensor import codazzi_defect, covariant_derivative_of_form, degeneracy_threshold
 from .verdicts import RunConfig, gated, row_max, run_pointwise_check
@@ -97,8 +97,8 @@ class LightlikeFrame:
         # the metric must be degenerate of corank exactly one (at each point)
         w = np.linalg.eigvalsh(gv)
         small = np.abs(w) <= np.maximum(thr, 1e-7 * (1 + np.max(np.abs(gv), axis=(-2, -1))))[..., None]
-        if np.any(np.sum(small, axis=-1) != 1):
-            raise DegeneratePointError("induced metric does not have corank one")
+        if np.any(bad := np.sum(small, axis=-1) != 1):
+            raise DegeneratePointError.where(bad, "induced metric does not have corank one")
         # rows of g' except row k, which pins the k-th component to one
         d = gv.shape[-1]
         e_k = np.eye(d)[k]
@@ -308,7 +308,7 @@ def _bracket_coefficients(data):
     try:
         coeff = np.linalg.solve(A, V)
     except np.linalg.LinAlgError as exc:
-        raise EvaluationDomainError("singular screen frame") from exc
+        raise EvaluationDomainError.where(singular(A), "singular screen frame") from exc
     return coeff.reshape(coeff.shape[:-1] + (r, r)), np.abs(V - A @ coeff).max(axis=(-2, -1))
 
 

@@ -2,8 +2,8 @@
 Ricci and scalar curvature, covariant derivative of the metric, gradients
 and orthonormal frames.  The ``*_values`` functions, the threshold tests,
 the array helpers and :func:`orthonormal_frame` take a point or a point
-set, whose arrays carry a leading axis over its points; the other frame
-functions take a point.
+set, whose arrays carry a leading axis over its points; :func:`signature`
+takes a point.
 
 Torsion, curvature, Ricci, scalar curvature, ``nabla g`` and the inverse
 metric are fields of their connection (and metric), kept by it
@@ -13,11 +13,10 @@ non-degeneracy test of a metric field: it raises
 :class:`~semiweyl.fields.DegeneratePointError` where the metric is
 degenerate (:func:`require_nondegenerate_metric`).  The array form,
 :func:`require_nondegenerate`, serves matrices that are no field's values,
-such as those of :func:`orthonormal_frame`.
+such as those of :func:`signature`; :func:`orthonormal_frame` takes a
+matrix that its caller has tested.
 
-Ricci and scalar curvature are defined by metric contraction; the
-frame-based sums (over an orthonormal frame with signs ``eps_i``) are kept
-as independent oracles, see :func:`frame_ricci_values`.
+Ricci and scalar curvature are defined by metric contraction.
 """
 
 from __future__ import annotations
@@ -38,7 +37,6 @@ __all__ = [
     "torsion_values",
     "curvature_values",
     "ricci_values",
-    "frame_ricci_values",
     "scalar_curvature",
     "nabla_g_values",
     "covariant_derivative_of_form",
@@ -63,8 +61,8 @@ def require_nondegenerate(gvals):
     """Raise :class:`DegeneratePointError` when ``gvals``, or any matrix of a
     stack of them, is degenerate."""
     det = np.abs(np.linalg.det(gvals))
-    if (det <= degeneracy_threshold(gvals)).any():
-        raise DegeneratePointError(f"metric degenerate (|det g| = {np.min(det):.3e})")
+    if (bad := det <= degeneracy_threshold(gvals)).any():
+        raise DegeneratePointError.where(bad, lambda at: f"metric degenerate (|det g| = {np.min(det[at]):.3e})")
 
 
 def _values_field(compute):
@@ -149,24 +147,6 @@ def ricci_values(conn: ConnectionField, g: MetricField, p):
     return np.einsum("...ajai->...ij", R)
 
 
-def frame_ricci_values(conn: ConnectionField, g: MetricField, p):
-    """Frame-based Ricci: ``sum_i eps_i g(R(E_i, Y) Z, E_i)`` — test oracle."""
-    n = conn.chart.dim
-    R = curvature_values(conn, p)
-    gvals = g.value(p)
-    E, eps = orthonormal_frame(gvals)
-    ric = np.zeros((n, n))
-    for yi in range(n):
-        for zi in range(n):
-            total = 0.0
-            for a in range(n):
-                # R(E_a, d_yi) d_zi = E_a^i R^l_{zi, i, yi} d_l
-                vec = np.einsum("i,li->l", E[:, a], R[:, zi, :, yi])
-                total += eps[a] * float(vec @ gvals @ E[:, a])
-            ric[yi, zi] = total
-    return ric
-
-
 @_values_field
 def scalar_curvature(conn: ConnectionField, g: MetricField, p):
     ric = ricci_values(conn, g, p)
@@ -226,14 +206,13 @@ def covariant_derivative_of_vector(conn: ConnectionField, V: VectorField, p):
 
 
 def orthonormal_frame(gvals):
-    """Orthonormal frame for a symmetric matrix via eigendecomposition.
+    """Orthonormal frame for a non-degenerate symmetric matrix via
+    eigendecomposition.
 
     Returns ``(E, eps)`` with frame vectors in the columns of ``E`` and
     ``gvals @ E`` satisfying ``E_i . g . E_j = eps_i delta_ij``.  Eigenvalues
     are sorted ascending, so the negative signs come first.
     """
-    gvals = np.asarray(gvals, dtype=float)
-    require_nondegenerate(gvals)
     lam, V = np.linalg.eigh(gvals)
     E = V / np.sqrt(np.abs(lam))[..., None, :]
     eps = np.sign(lam)
@@ -241,7 +220,10 @@ def orthonormal_frame(gvals):
 
 
 def signature(gvals):
-    """Positivity and negativity indices ``(i_p, i_n)``."""
+    """Positivity and negativity indices ``(i_p, i_n)`` of a matrix, which
+    raises :class:`DegeneratePointError` where it is degenerate."""
+    gvals = np.asarray(gvals, dtype=float)
+    require_nondegenerate(gvals)
     _, eps = orthonormal_frame(gvals)
     i_n = int(np.sum(eps < 0))
     return len(eps) - i_n, i_n

@@ -15,7 +15,7 @@ from semiweyl.fields import (
     eta_tensor_id,
     g_tensor_vector,
 )
-from semiweyl.jets import partials
+from semiweyl.jets import PointError, partials
 from semiweyl.structures import Structure
 from semiweyl.tensor import gradient, levi_civita
 from semiweyl.verdicts import RunConfig
@@ -89,6 +89,33 @@ def sphere_embedding(ambient_chart):
 
     dom = Chart(("u", "v"), (0.4, 0.4), (1.2, 1.2))
     return EmbeddingMap(dom, ambient_chart, ["cos(u)*sin(v)", "sin(u)*sin(v)", "cos(v)"])
+
+
+def half_null_plane():
+    """The plane ``t = x`` in the metric ``diag(-1, 1 + sqrt(x*x) - x, 1)``
+    with a flat connection, over a domain that crosses ``x = 0``: lightlike
+    where ``x > 0``, where ``sqrt(x*x) - x`` is exactly 0, and spacelike
+    where ``x < 0``.  Returns the structure and the embedding."""
+    from semiweyl.hypersurfaces import EmbeddingMap
+
+    chart = Chart(("t", "x", "y"), (-2.0,) * 3, (2.0,) * 3)
+    g = MetricField.from_diagonal(chart, ["0 - 1", "1 + sqrt(x*x) - x", "1"])
+    s = Structure(chart, g, OneFormField.zero(chart), ConnectionField.flat(chart))
+    return s, EmbeddingMap(Chart(("u", "v"), (-1.0, -1.0), (1.0, 1.0)), chart, ["u", "u", "v"])
+
+
+def rows_alone(call, pts):
+    """The ``rows`` that a point error of ``call(pts)`` names: per point of
+    ``pts``, the ``(type, args)`` that ``call`` raises there alone, or
+    ``None``."""
+    rows = []
+    for p in pts:
+        try:
+            call(p)
+            rows.append(None)
+        except PointError as exc:
+            rows.append((type(exc), exc.args))
+    return rows
 
 
 def null_cone_embedding(ambient_chart):

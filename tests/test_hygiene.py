@@ -3,8 +3,9 @@ every name in its ``__all__`` exists, none builds a numpy object array,
 none edits the name or detail of a verdict after a check returned it,
 only the spec loader and the field constructors turn text into
 expressions, no literal ``np.einsum`` sums over three or more operands,
-the package keeps few parameters with a default, and no module tests a
-field's values for degeneracy with the array form of the test.
+the package keeps few parameters with a default, no module tests a
+field's values for degeneracy with the array form of the test, and every
+point error raised names its rows or says why it cannot.
 
 AST checks, so they need no linter.  Names re-exported through ``__all__``
 and ``from __future__ import annotations`` are exempt from the first, so
@@ -21,7 +22,10 @@ seventh is a ratchet against options that every caller sets or none does.
 The eighth keeps the non-degeneracy test of a metric field in the result
 store (``semiweyl.tensor.require_nondegenerate_metric``), which runs it
 once per field and points; ``require_nondegenerate`` on a field's values
-would run it again at every call, unseen.
+would run it again at every call, unseen.  The ninth keeps a point set
+whose call raises a point error filling its other rows as one sub-set
+(``semiweyl.fields._kept``): an error that names no rows sends each of the
+set's points through the per-point path.
 """
 
 import ast
@@ -344,3 +348,57 @@ def test_the_check_sees_an_array_degeneracy_test():
 def test_only_the_kept_inverse_metric_tests_a_field_with_the_array_form():
     found = [(path.name, name) for path in MODULES for name, _ in array_degeneracy_tests(path.read_text())]
     assert found == [("tensor.py", "inverse_metric_values")]
+
+
+POINT_ERRORS = {"EvaluationDomainError", "DegeneratePointError"}
+
+# the point errors raised without naming their rows, by module and message,
+# and why they cannot name them
+UNNAMED_POINT_ERRORS = {
+    ("fields.py", "non-finite value in a result on a point set"):
+        "the set's own test of its whole result: alone, a row that is not finite fails an earlier test, "
+        "with that test's message, so those rows take the per-point path",
+    ("expressions.py", "non-finite value in expression evaluation"):
+        "raised only at a point alone: on a set, a row that is not finite is left to its reader",
+    ("jets.py", "overflow in a power"):
+        "raised by a Python float's ** on a set's values; alone, a row's value is a float whose ** "
+        "overflows to inf (a numpy float) or raises a bare OverflowError, so the set's message is not its rows'",
+}
+
+
+def unnamed_point_errors(source):
+    """``(line, message)`` of every ``raise`` of a point error that names no
+    rows: a bare class, or a call of it whose ``rows`` argument is missing
+    or ``None``; ``where(bad, message)`` names them."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.Raise) or node.exc is None:
+            continue
+        exc = node.exc
+        func = exc.func if isinstance(exc, ast.Call) else exc
+        if isinstance(func, ast.Attribute) and isinstance(func.value, ast.Name) and func.value.id in POINT_ERRORS:
+            if func.attr != "where":
+                found.append((node.lineno, None))
+        elif isinstance(func, ast.Name) and func.id in POINT_ERRORS:
+            args = exc.args if isinstance(exc, ast.Call) else []
+            if len(args) < 2 or (isinstance(args[1], ast.Constant) and args[1].value is None):
+                found.append((node.lineno, args[0].value if args and isinstance(args[0], ast.Constant) else None))
+    return found
+
+
+def test_the_check_sees_a_point_error_that_names_no_rows():
+    source = (
+        "raise EvaluationDomainError('a', None)\n"
+        "raise EvaluationDomainError.where(bad, 'b')\n"
+        "raise DegeneratePointError('c')\n"
+        "raise DegeneratePointError(text, rows)\n"
+        "raise ValueError('d')\n"
+        "raise DegeneratePointError\n"
+        "raise DegeneratePointError.other(bad, 'e')\n"
+    )
+    assert unnamed_point_errors(source) == [(1, "a"), (3, "c"), (6, None), (7, None)]
+
+
+def test_every_point_error_names_its_rows_or_says_why_not():
+    found = {(path.name, message) for path in MODULES for _, message in unnamed_point_errors(path.read_text())}
+    assert found == set(UNNAMED_POINT_ERRORS)

@@ -1,11 +1,20 @@
 import numpy as np
 import pytest
 
-from conftest import ambient_swmt_3d, euclidean3_chart, minkowski_structure, potentials, sphere_embedding
+from conftest import (
+    ambient_swmt_3d,
+    euclidean3_chart,
+    half_null_plane,
+    minkowski_structure,
+    potentials,
+    rows_alone,
+    sphere_embedding,
+)
 from semiweyl import hypersurfaces
 from semiweyl.fields import (
     Chart,
     ConnectionField,
+    DegeneratePointError,
     MetricField,
     OneFormField,
     ScalarField,
@@ -248,3 +257,13 @@ class TestTimelikeNormal:
         for v in out:
             assert v.passed and not v.skipped, v
             assert (v.points_tested, v.points_skipped) == (60, 0), v  # every point is umbilic
+
+
+def test_a_null_normal_names_its_rows():
+    s, emb = half_null_plane()
+    normal = hypersurfaces.unit_normal(emb, s.g)
+    pts = halton_points(emb.domain, 12)
+    with pytest.raises(DegeneratePointError, match="^normal direction is null at this point$") as raised:
+        normal._fn(pts, 0)
+    rows = rows_alone(lambda p: normal._fn(p, 0), pts)
+    assert raised.value.rows == rows and any(rows) and not all(rows)

@@ -334,12 +334,39 @@ class TestBatch:
         value = np.array(A.value)
         value[3] = 1.0  # all ones: singular
         A = Jet(2, [value, A.grad])
-        with pytest.raises(EvaluationDomainError, match="singular"):
+        with pytest.raises(EvaluationDomainError, match="singular") as raised:
             jet_solve(A, np.eye(3))
-        with pytest.raises(EvaluationDomainError, match="singular"):
+        # the set's error names the singular row; a point names no rows
+        assert [r is not None for r in raised.value.rows] == [r == 3 for r in range(self.P)]
+        with pytest.raises(EvaluationDomainError, match="singular") as raised:
             jet_solve(A[3], np.eye(3))
+        assert raised.value.rows is None
         for r in (0, 6):
             jet_solve(A[r], np.eye(3))
+
+    @pytest.mark.parametrize(
+        "op,message",
+        [
+            (Jet.sqrt, "sqrt of a negative value"),
+            (Jet.log, "log of a non-positive value"),
+            (Jet.reciprocal, "division by zero"),
+            (lambda J: J ** -2, "zero raised to a negative power"),
+        ],
+        ids=["sqrt", "log", "reciprocal", "power"],
+    )
+    def test_a_domain_error_on_a_set_names_the_rows_that_raise_alone(self, op, message):
+        values = np.array([[1.0, 2.0], [0.0, 1.0], [-1.0, 1.0], [3.0, np.inf]])
+        J = Jet(1, [values, np.ones(values.shape + (1,))])
+        alone = []
+        for r in range(len(values)):
+            try:
+                op(J[r])
+                alone.append(None)
+            except EvaluationDomainError as exc:
+                alone.append((EvaluationDomainError, exc.args))
+        with pytest.raises(EvaluationDomainError, match=f"^{message}$") as raised:
+            op(J)
+        assert raised.value.rows == alone and any(alone) and not all(alone)
 
     @pytest.mark.parametrize("axis", [-2, -1])
     def test_stack_broadcasts_its_constants(self, axis):

@@ -266,13 +266,14 @@ class TestOneBatchPerSampleSet:
             total = [a + b for a, b in zip(total, at_60)]
         assert total == [per_point, sets]
 
-    def test_a_set_that_fails_evaluates_its_points_alone_once(self, monkeypatch):
+    def test_a_set_that_fails_fills_its_other_rows_as_one_set(self, monkeypatch):
         # domain_edge at its own 150 samples, 50 of them outside the domain
-        # of sqrt: each set of a field that asks g there fails, and each of
-        # its points asked is evaluated alone, once per run; (1100, 19)
-        # before the tensor values were fields: the inverse metric, torsion
-        # and nabla g add 10 sets that fail and 1,050 points asked alone
-        assert field_calls(monkeypatch, ROOT / "perfbench" / "specs" / "domain_edge.spec") == (2150, 29)
+        # of sqrt: the 19 sets that fail name those 50 rows, 29 calls fill
+        # the other 100 rows as one set (a field that reads a failed operand
+        # reuses its entry there), 1 set does not fail, and no point is
+        # evaluated alone; (2150, 29) when each point of a failed set was
+        # evaluated alone, and (1100, 19) before the tensor values were fields
+        assert field_calls(monkeypatch, ROOT / "perfbench" / "specs" / "domain_edge.spec") == (0, 49)
 
 
 def law_calls(monkeypatch, path):
@@ -353,12 +354,14 @@ def raw_computations(monkeypatch, path):
 
 
 class TestTensorValuesOncePerPoints:
-    @pytest.mark.parametrize("name", INTRINSIC + ["sphere_hypersurface"])
+    @pytest.mark.parametrize("name", INTRINSIC + ["sphere_hypersurface", "centroaffine_sphere"])
     def test_the_raw_tensor_values_run_once_per_field_and_points(self, monkeypatch, name):
         counts, dets = raw_computations(monkeypatch, FIXTURES / f"{name}.spec")
         assert {"inverse_metric_values", "nabla_g_values"} <= {key[0] for key in counts}
         assert max(counts.values()) == 1
-        # every det is the test of the kept inverse metric
+        # every det is the test of the kept inverse metric (on
+        # centroaffine_sphere 3 of 4 when the orthonormal frame of the
+        # realized metric tested it again)
         assert dets == sum(n for key, n in counts.items() if key[0] == "inverse_metric_values")
 
     def test_an_intrinsic_pass_makes_nine_determinant_tests(self, monkeypatch):

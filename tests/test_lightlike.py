@@ -1,8 +1,8 @@
 import numpy as np
 import pytest
 
-from conftest import minkowski_structure, null_cone_embedding, potentials
-from semiweyl.fields import Chart
+from conftest import half_null_plane, minkowski_structure, null_cone_embedding, potentials, rows_alone
+from semiweyl.fields import Chart, DegeneratePointError
 from semiweyl.jets import EvaluationDomainError, Jet
 from semiweyl.hypersurfaces import (
     EmbeddingMap,
@@ -153,8 +153,9 @@ class TestScreen:
             rows = slice(None) if p.ndim == 2 else int(np.flatnonzero((pts == p).all(axis=-1))[0])
             return {key: Jet.constant(value[rows], 3, 0) for key, value in data.items()}
 
-        with pytest.raises(EvaluationDomainError, match="singular screen frame"):
+        with pytest.raises(EvaluationDomainError, match="singular screen frame") as raised:
             _bracket_coefficients(at(pts))
+        assert raised.value.rows == rows_alone(lambda p: _bracket_coefficients(at(p)), pts)
         _res, _scale, reason = _outcomes(lambda p: (_bracket_coefficients(at(p))[1], 1.0), pts)
         assert list(reason) == [""] * 3 + ["singular screen frame"] + [""] * 3
 
@@ -197,3 +198,13 @@ class TestFundamentalData:
         frame, s = cone4_frame()
         out = check_umbilic_preservation(frame, ambient_transform(s.chart), config)
         assert all(v.passed for v in out)
+
+
+def test_a_corank_that_is_not_one_names_its_rows():
+    s, emb = half_null_plane()
+    frame = LightlikeFrame(emb, s)
+    pts = halton_points(emb.domain, 12)
+    with pytest.raises(DegeneratePointError, match="^induced metric does not have corank one$") as raised:
+        frame.radical(pts, 0)
+    rows = rows_alone(lambda p: frame.radical(p, 0), pts)
+    assert raised.value.rows == rows and any(rows) and not all(rows)

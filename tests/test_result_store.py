@@ -2,10 +2,10 @@
 pass's sample set keeps its result per (field, order, points), from one
 call on the whole set, so a later pass of any check over the same points
 reads rows instead of rebuilding the chain; a pullback evaluates its ambient
-field on the whole image set; a set whose call raises a point error fails,
-and each of its points is evaluated alone, once, keeping its reason; a
-call that raises anything else keeps nothing; and the store dies with its
-run."""
+field on the whole image set; a set whose call raises a point error that
+names its rows keeps each named row's reason and fills the other rows as
+one sub-set, which a derived field reuses; a call that raises anything
+else keeps nothing; and the store dies with its run."""
 
 import contextlib
 import gc
@@ -25,6 +25,7 @@ from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
 from semiweyl.specfile import load_spec
 from semiweyl.structures import semi_dual_connection
+from semiweyl.tensor import levi_civita
 
 ROOT = Path(__file__).resolve().parents[1]
 FIXTURES = ROOT / "fixtures"
@@ -133,10 +134,12 @@ class TestRows:
                             g.jet(p, 1)
             store = fields._store.get()
             reason = (EvaluationDomainError, ("sqrt of a negative value",))
-            # the set failed, so each of its points was evaluated alone
-            assert store[g, 1, (pts.shape, pts.tobytes())] == reason
-            kept = [store[g, 1, (p.shape, p.tobytes())] for p in pts]
-            assert [k == reason for k in kept] == [row in bad for row in range(len(pts))]
+            # the set failed and named its failing rows, each with its reason
+            split = store[g, 1, (pts.shape, pts.tobytes())]
+            assert split.raised == reason
+            assert [k == reason for k in split.named] == [row in bad for row in range(len(pts))]
+            # no point was evaluated alone
+            assert all(len(shape) == 2 for _, _, (shape, _) in store)
 
     def test_a_point_that_raised_is_not_evaluated_again(self):
         g, calls, pts, bad = self.raising()
@@ -149,8 +152,56 @@ class TestRows:
                     # a kept reason makes a read of the whole set raise at once
                     with pytest.raises(EvaluationDomainError):
                         g.jet(pts, 1)
-        # the set once, which raised, then each point once
-        assert calls == [pts.shape] + [pts[0].shape] * len(pts)
+        # the set once, which raised, then its other points once as one set
+        # (each point alone once, 12 calls, when a set that raised named no rows)
+        assert calls == [pts.shape, (len(pts) - len(bad), 2)]
+
+    def test_a_chain_across_its_domain_fills_its_other_rows_as_one_set(self):
+        g, calls, pts, bad = self.raising()
+        f_calls = []  # the operand's, 1 + sqrt(x), through the expression engine
+        eval_jets = fields.eval_jets
+        with result_store():
+            with sample_set(pts):
+                with pytest.MonkeyPatch.context() as mp:
+                    mp.setattr(fields, "eval_jets", lambda e, p, order: f_calls.append(p.shape) or eval_jets(e, p, order))
+                    # a read of the whole set raises, as when the set named no rows
+                    with pytest.raises(EvaluationDomainError, match="^sqrt of a negative value$") as raised:
+                        g.jet(pts, 1)
+                    held = [g.jet(p, 1) for row, p in enumerate(pts) if row not in bad]
+            store = fields._store.get()
+        good = np.delete(pts, bad, axis=0)
+        # one raising set call and one sub-set call each; the chain reuses
+        # its operand's sub-set entry, and no point is evaluated alone
+        assert calls == [pts.shape, good.shape] and f_calls == [pts.shape, good.shape]
+        assert [r is not None for r in raised.value.rows] == [row in bad for row in range(len(pts))]
+        sub = store[g, 1, (good.shape, good.tobytes())]
+        assert store[g, 1, (pts.shape, pts.tobytes())].rest is sub
+        # a good held row is bitwise its row of the sub-set
+        for row, J in enumerate(held):
+            assert [L.tobytes() for L in J.layers] == [L[row].tobytes() for L in sub.layers]
+
+    def test_each_failed_row_keeps_what_it_raises_alone(self):
+        # 1 + sqrt(x + 0.5) is outside its domain where x < -0.5, and |det g|
+        # falls under the degeneracy threshold where x > 0.77: the set's call
+        # names the first rows, and its sub-set's call the others
+        chart = plane_chart(-1.0, 1.0)
+        g = fields.MetricField.from_diagonal(chart, ["1 + sqrt(x + 0.5)", "exp(-30*x)"])
+        conn = levi_civita(g)
+        pts = halton_points(chart, 40)
+        with result_store():
+            with sample_set(pts):
+                with pytest.raises(EvaluationDomainError):
+                    conn.jet(pts, 1)
+                split = fields._store.get()[conn, 1, (pts.shape, pts.tobytes())]
+        alone = [computed_alone(levi_civita(g), p, 1) for p in pts]
+        failed = [a for a in alone if is_failure(a)]
+        kinds = Counter(kind for kind, _ in failed)
+        assert kinds[EvaluationDomainError] and kinds[fields.DegeneratePointError]
+        # each degenerate row carries its own |det g|, not the set's minimum
+        degenerate = {args for kind, args in failed if kind is fields.DegeneratePointError}
+        assert len(degenerate) == kinds[fields.DegeneratePointError] > 1
+        kept = [named or leaf_bytes(fields._row(split.rest, split.at[row])) for row, named in enumerate(split.named)]
+        assert kept == [a if is_failure(a) else leaf_bytes(a) for a in alone]
 
     def test_a_set_call_that_raises_another_error_keeps_nothing(self):
         calls = []
@@ -293,6 +344,11 @@ def leaf_bytes(out):
     return [np.asarray(L).tobytes() for L in fields._leaves(out)]
 
 
+def is_failure(kept):
+    """Whether an entry, or a named row of one, is a kept ``(type, args)``."""
+    return isinstance(kept, tuple) and isinstance(kept[0], type)
+
+
 class TestSkipPath:
     def test_each_point_outside_the_domain_raises_alike_in_every_check(self, monkeypatch):
         # domain_edge.spec: g_2_2 = 1 + sqrt(x) on a box that crosses x = 0
@@ -319,17 +375,23 @@ class TestSkipPath:
         def checked(name, spec, config):
             current.append(name)
             out = run_check(name, spec, config)
-            # a row of a set, or a result or reason kept at a point
-            # evaluated alone, outside the domain is what its field
-            # computes there alone
+            # a row of a set, the reason a set keeps for a row it named, or
+            # a result or reason kept at a point evaluated alone, outside the
+            # domain is what its field computes there alone
             for (field, order, (shape, key)), kept in fields._store.get().items():
                 if len(shape) == 1:
                     if np.frombuffer(key)[0] <= 0:
                         kept_outside[field, order, key] = kept
                 elif not isinstance(kept, fields._Raised):
                     for row, p in enumerate(np.frombuffer(key).reshape(shape)):
-                        if p[0] <= 0:
+                        if p[0] > 0:
+                            continue
+                        if type(kept) is not fields._Split:
                             kept_outside[field, order, p.tobytes()] = fields._row(kept, row)
+                        elif kept.named[row]:
+                            kept_outside[field, order, p.tobytes()] = kept.named[row]
+                        elif type(kept.rest) is not fields._Raised:
+                            kept_outside[field, order, p.tobytes()] = fields._row(kept.rest, kept.at[row])
             return out
 
         monkeypatch.setattr(verdicts, "_evaluate", recording)
@@ -338,11 +400,11 @@ class TestSkipPath:
         pts = halton_points(spec.chart, spec.config.samples, spec.config.seed)
         outside = {p.tobytes() for p in pts if p[0] <= 0}
         assert len(outside) == 50 and set(raised) == outside
-        kinds = Counter(type(kept) for kept in kept_outside.values())
-        assert kinds[fields._Raised] and len(kinds) > 1
+        kinds = Counter(is_failure(kept) for kept in kept_outside.values())
+        assert kinds[True] and kinds[False]
         for (field, order, key), kept in kept_outside.items():
             alone = computed_alone(field, np.frombuffer(key), order)
-            if isinstance(kept, fields._Raised):
+            if is_failure(kept):
                 assert kept == alone, (field, order)
             else:
                 assert leaf_bytes(kept) == leaf_bytes(alone), (field, order)

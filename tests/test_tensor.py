@@ -6,7 +6,6 @@ from semiweyl.sampling import halton_points
 from semiweyl.tensor import (
     curvature_values,
     covariant_derivative_of_vector,
-    frame_ricci_values,
     gradient,
     inverse_metric_values,
     levi_civita,
@@ -135,12 +134,44 @@ class TestFrames:
     def test_degenerate_metric_rejected(self):
         with pytest.raises(DegeneratePointError):
             require_nondegenerate(np.array([[1.0, 0.0], [0.0, 0.0]]))
+        with pytest.raises(DegeneratePointError, match=r"^metric degenerate \(\|det g\| = 0.000e\+00\)$"):
+            signature(np.diag([1.0, 0.0, -1.0]))
+
+    def test_each_degenerate_matrix_of_a_stack_is_named_with_its_own_det(self):
+        stack = np.array([np.eye(2), np.diag([1.0, 1e-12]), np.diag([2.0, 1e-13])])
+        with pytest.raises(DegeneratePointError, match=r"\(\|det g\| = 2.000e-13\)$") as raised:
+            require_nondegenerate(stack)
+        assert raised.value.rows == [
+            None,
+            (DegeneratePointError, ("metric degenerate (|det g| = 1.000e-12)",)),
+            (DegeneratePointError, ("metric degenerate (|det g| = 2.000e-13)",)),
+        ]
 
     def test_inverse_metric(self):
         chart = half_plane()
         g = MetricField.from_expressions(chart, [["1 + x", "0.3"], ["0.3", "2"]])
         for p in halton_points(chart, 5):
             assert np.allclose(inverse_metric_values(g, p) @ g.value(p), np.eye(2), atol=1e-12)
+
+
+def frame_ricci_values(conn, g, p):
+    """Frame-based Ricci at the point ``p``: ``sum_i eps_i g(R(E_i, Y) Z,
+    E_i)`` over an orthonormal frame with signs ``eps_i``, an oracle for the
+    contraction in ``ricci_values``."""
+    n = conn.chart.dim
+    R = curvature_values(conn, p)
+    gvals = g.value(p)
+    E, eps = orthonormal_frame(gvals)
+    ric = np.zeros((n, n))
+    for yi in range(n):
+        for zi in range(n):
+            total = 0.0
+            for a in range(n):
+                # R(E_a, d_yi) d_zi = E_a^i R^l_{zi, i, yi} d_l
+                vec = np.einsum("i,li->l", E[:, a], R[:, zi, :, yi])
+                total += eps[a] * float(vec @ gvals @ E[:, a])
+            ric[yi, zi] = total
+    return ric
 
 
 class TestFrameOracle:
