@@ -132,9 +132,9 @@ def _pow(v, k):
     """``v ** k``, elementwise as for each float alone: numpy's vector
     ``power`` rounds up to a few percent of its results otherwise than the
     C library's ``pow`` that a float's ``**`` calls."""
-    if isinstance(v, float):
-        return v ** k
     try:
+        if isinstance(v, float):
+            return v ** k
         return np.array([x ** k for x in v.ravel().tolist()]).reshape(v.shape)
     except OverflowError as exc:
         raise EvaluationDomainError("overflow in a power", None) from exc

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .fields import Chart, DegeneratePointError, VectorField, _Field, kept
+from .fields import DegeneratePointError, VectorField, _Field, kept
 from .hypersurfaces import EmbeddingMap
 from .jets import EvaluationDomainError, Jet, jet_einsum, jet_solve, jet_stack, partials, singular
 from .structures import Structure, is_swmt
@@ -31,14 +31,70 @@ __all__ = [
 ]
 
 
-def _coordinate_screen(chart: Chart, drop_index):
-    """The coordinate vector fields of ``chart`` but the one at ``drop_index``."""
-    n = chart.dim
+@kept
+def _radical_index(emb: EmbeddingMap, g):
+    """The component pinned to one in the radical of the metric induced by
+    ``g``: the largest of the kernel direction at the centre of the domain."""
+    w, V = np.linalg.eigh(emb.induced_metric(g).value(emb.domain.center()))
+    return int(np.argmax(np.abs(V[:, int(np.argmin(np.abs(w)))])))
+
+
+def _radical(emb: EmbeddingMap, g, p, order):
+    """:meth:`LightlikeFrame.radical` of the metric ``g``."""
+    k = _radical_index(emb, g)
+    gp = emb.induced_metric(g).jet(p, order)
+    dF = partials(emb.coords.jet(p, order + 1))
+    Gc = emb.compose(g).jet(p, order)
+    gv = gp.value
+    thr = degeneracy_threshold(gv)
+    # the metric must be degenerate of corank exactly one (at each point)
+    w = np.linalg.eigvalsh(gv)
+    small = np.abs(w) <= np.maximum(thr, 1e-7 * (1 + np.max(np.abs(gv), axis=(-2, -1))))[..., None]
+    if np.any(bad := np.sum(small, axis=-1) != 1):
+        raise DegeneratePointError.where(bad, "induced metric does not have corank one")
+    # rows of g' except row k, which pins the k-th component to one
+    d = gv.shape[-1]
+    e_k = np.eye(d)[k]
+    A = jet_stack([e_k if i == k else gp[..., i, :] for i in range(d)], axis=-2)
+    return jet_solve(A, e_k), gp, dF, Gc
+
+
+@kept
+def _coordinate_screen(emb: EmbeddingMap, g):
+    """The coordinate vector fields but the one of the radical's pin."""
+    n, drop = emb.domain.dim, _radical_index(emb, g)
 
     def unit(e):
-        return VectorField(chart, lambda p, order: Jet.constant(np.broadcast_to(e, p.shape[:-1] + (n,)), n, order))
+        return VectorField(emb.domain, lambda p, order: Jet.constant(np.broadcast_to(e, p.shape[:-1] + (n,)), n, order))
 
-    return tuple(unit(e) for a, e in enumerate(np.eye(n)) if a != drop_index)
+    return tuple(unit(e) for a, e in enumerate(np.eye(n)) if a != drop)
+
+
+@kept
+def _null_frame(emb: EmbeddingMap, g, screen) -> _Field:
+    """:meth:`LightlikeFrame.transversal` of the metric ``g`` and the
+    ``screen``, a field; ``N`` has a zero component at the largest of
+    ``xi``'s pushforward at the centre of the domain."""
+    n = emb.ambient.dim
+    xi, _, dF, _ = _radical(emb, g, emb.domain.center(), 0)
+    pin = np.eye(n)[int(np.argmax(np.abs(dF.value @ xi.value)))]
+
+    def fn(p, order):
+        xi, gp, dF, Gc = _radical(emb, g, p, order)
+        Wdom = jet_stack([field.jet(p, order) for field in screen], axis=-2)
+        # ambient pushforwards
+        xi_amb = jet_einsum("...ia,...a->...i", dF, xi)
+        W_amb = jet_einsum("...ia,...ra->...ri", dF, Wdom)
+        r = W_amb.shape[-2]
+        # rows: g(., W_i) = 0, g(., xi) = 1, pinned component = 0
+        GW = jet_einsum("...ij,...ri->...rj", Gc, W_amb)
+        A = jet_stack([*(GW[..., a, :] for a in range(r)), jet_einsum("...ij,...i->...j", Gc, xi_amb), pin], axis=-2)
+        U = jet_solve(A, np.eye(n)[r])
+        # shift along the radical to make N null
+        N = U - xi_amb * (jet_einsum("...ij,...i,...j->...", Gc, U, U) * 0.5)[..., None]
+        return N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc
+
+    return _Field(emb.domain, fn)
 
 
 class LightlikeFrame:
@@ -46,7 +102,9 @@ class LightlikeFrame:
     degenerate of rank ``dim - 1``: the radical direction ``xi`` (pinned to
     have unit component at a fixed index), the unique transversal ``N``
     with ``g(N, xi) = 1``, ``g(N, N) = 0``, ``g(N, W) = 0`` for screen
-    fields ``W``, and the screen-projected connection."""
+    fields ``W``, and the screen-projected connection.  The radical, the
+    transversal and the coordinate screen are kept per (map, metric,
+    screen), so the frame of the semi-dual structure shares them."""
 
     # verdict names and details of the checks shared with hypersurface frames
     VERDICTS = {
@@ -75,70 +133,21 @@ class LightlikeFrame:
         structure."""
         return lightlike_frame(self.emb, s, self.screen_fields())
 
-    # -- radical ---------------------------------------------------------
-
-    @kept
-    def _radical_index(self):
-        gp = self.emb.induced_metric(self.s.g).value(self.emb.domain.center())
-        w, V = np.linalg.eigh(gp)
-        xi0 = V[:, int(np.argmin(np.abs(w)))]
-        return int(np.argmax(np.abs(xi0)))
-
     def radical(self, p, order):
         """Jets of the radical direction ``xi`` (domain components),
-        normalized so that its pinned component is exactly one."""
-        k = self._radical_index()
-        emb = self.emb
-        gp = emb.induced_metric(self.s.g).jet(p, order)
-        dF = partials(emb.coords.jet(p, order + 1))
-        Gc = emb.compose(self.s.g).jet(p, order)
-        gv = gp.value
-        thr = degeneracy_threshold(gv)
-        # the metric must be degenerate of corank exactly one (at each point)
-        w = np.linalg.eigvalsh(gv)
-        small = np.abs(w) <= np.maximum(thr, 1e-7 * (1 + np.max(np.abs(gv), axis=(-2, -1))))[..., None]
-        if np.any(bad := np.sum(small, axis=-1) != 1):
-            raise DegeneratePointError.where(bad, "induced metric does not have corank one")
-        # rows of g' except row k, which pins the k-th component to one
-        d = gv.shape[-1]
-        e_k = np.eye(d)[k]
-        A = jet_stack([e_k if i == k else gp[..., i, :] for i in range(d)], axis=-2)
-        xi = jet_solve(A, e_k)
-        return xi, gp, dF, Gc
-
-    # -- screen ----------------------------------------------------------
+        normalized so that its pinned component is exactly one, with the
+        induced metric, the differential and the pulled back metric."""
+        return _radical(self.emb, self.s.g, p, order)
 
     def screen_fields(self):
-        if self._screen is None:
-            self._screen = _coordinate_screen(self.emb.domain, self._radical_index())
-        return self._screen
-
-    # -- transversal -------------------------------------------------------
+        """The screen fields: those given, or the coordinate screen."""
+        return self._screen or _coordinate_screen(self.emb, self.s.g)
 
     def transversal(self, p, order):
-        """Jets of the transversal ``N`` (ambient components), together
-        with the pushed-forward radical and screen vectors."""
-        n = self.emb.ambient.dim
-        pin = np.eye(n)[self._transversal_index()]
-        xi, gp, dF, Gc = self.radical(p, order)
-        # [screen index, domain component]
-        Wdom = jet_stack([field.jet(p, order) for field in self.screen_fields()], axis=-2)
-        # ambient pushforwards
-        xi_amb = jet_einsum("...ia,...a->...i", dF, xi)
-        W_amb = jet_einsum("...ia,...ra->...ri", dF, Wdom)
-        r = W_amb.shape[-2]
-        # rows: g(., W_i) = 0, g(., xi) = 1, pinned component = 0
-        GW = jet_einsum("...ij,...ri->...rj", Gc, W_amb)
-        A = jet_stack([*(GW[..., a, :] for a in range(r)), jet_einsum("...ij,...i->...j", Gc, xi_amb), pin], axis=-2)
-        U = jet_solve(A, np.eye(n)[r])
-        # shift along the radical to make N null
-        N = U - xi_amb * (jet_einsum("...ij,...i,...j->...", Gc, U, U) * 0.5)[..., None]
-        return N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc
-
-    @kept
-    def _transversal_index(self):
-        xi, _, dF, _ = self.radical(self.emb.domain.center(), 0)
-        return int(np.argmax(np.abs(dF.value @ xi.value)))
+        """Jets of the transversal ``N`` (ambient components), the radical,
+        the screen fields ``Wdom[screen index, domain component]``, their
+        ambient pushforwards, and the rest of :meth:`radical`'s result."""
+        return _null_frame(self.emb, self.s.g, self.screen_fields()).jet(p, order)
 
     # -- screen connection -------------------------------------------------
 
@@ -148,7 +157,13 @@ class LightlikeFrame:
         the forms ``alpha`` and ``beta``, the screen brackets, and what
         they came from: the transversal, the radical and screen fields and
         their ambient pushforwards, and the induced and ambient metrics.
-        The result is kept like any field's; its jets are read-only."""
+        The result is kept like any field's; its jets are read-only.
+
+        At order ``k``, ``gram``, ``N``, ``xi``, ``Wdom``, ``gp``, ``Gc``,
+        ``xi_amb`` and ``W_amb`` are jets of order ``k + 1``, and
+        ``nabla_bar``, ``alpha``, ``beta`` and ``bracket`` of order ``k``;
+        so order 0 holds the first derivatives of the Gram matrix that
+        :func:`check_screen_structure` reads."""
         return self._screen_data.jet(p, order)
 
     def _build_screen_data(self, p, order):
@@ -276,7 +291,7 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
     emb = frame.emb
 
     def fn(p):
-        data = frame.screen_data(p, 1)
+        data = frame.screen_data(p, 0)
         gram = data["gram"]
         Wdom = data["Wdom"].value
         gv, nbv = gram.value, data["nabla_bar"].value

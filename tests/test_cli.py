@@ -213,6 +213,22 @@ class TestSkipReasons:
         assert v["skipped"]
         assert v["detail"].startswith("antisymmetrized nabla g scales by the conformal factor; too few valid points (10 < 50)")
 
+    def test_a_power_that_overflows_at_every_point_skips_each_point(self, tmp_path, capsys):
+        # the domain_edge benchmark spec with a metric whose power overflows
+        # at each point of a domain where x > 0: each point is skipped with
+        # the reason, where a point alone raised a bare OverflowError
+        with open(os.path.join(FIXTURES, "..", "perfbench", "specs", "domain_edge.spec"), encoding="utf-8") as fh:
+            text = fh.read()
+        variant = text.replace("\ng_2_2 = 1 + sqrt(x)\n", "\ng_2_2 = 1 + 1e-300*(1e200*x)^2\n")
+        variant = variant.replace("domain = -0.6 .. 1.2,", "domain = 0.1 .. 1.2,")
+        assert variant.count("1e200") == 1 and "domain = 0.1 .. 1.2," in variant
+        assert main(["verify", write(tmp_path, variant), "--report", "json"]) == 1
+        checks = json.loads(capsys.readouterr().out)["checks"]
+        assert [c["outcome"] for c in checks] == ["skip"] * 4
+        verdicts = [v for c in checks for v in c["verdicts"]]
+        assert all(v["points_tested"] == 0 and v["points_skipped"] >= 150 for v in verdicts)
+        assert [v["detail"] for v in verdicts[:2]] == ["too few valid points (0 < 50): overflow in a power"] * 2
+
 
 class TestSkipsAreNotAgreement:
     def test_skips_do_not_meet_pass_or_fail_expectations(self, capsys):

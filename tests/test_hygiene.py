@@ -361,8 +361,8 @@ UNNAMED_POINT_ERRORS = {
     ("expressions.py", "non-finite value in expression evaluation"):
         "raised only at a point alone: on a set, a row that is not finite is left to its reader",
     ("jets.py", "overflow in a power"):
-        "raised by a Python float's ** on a set's values; alone, a row's value is a float whose ** "
-        "overflows to inf (a numpy float) or raises a bare OverflowError, so the set's message is not its rows'",
+        "raised where a Python float's ** overflows, on a set's values or at a point alone; alone, a row's "
+        "value may be a numpy float, whose ** gives inf, so the set's message is not always its rows'",
 }
 
 

@@ -1,8 +1,10 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
 from conftest import half_null_plane, minkowski_structure, null_cone_embedding, potentials, rows_alone
-from semiweyl.fields import Chart, DegeneratePointError
+from semiweyl.fields import Chart, DegeneratePointError, result_store, sample_set
 from semiweyl.jets import EvaluationDomainError, Jet
 from semiweyl.hypersurfaces import (
     EmbeddingMap,
@@ -12,14 +14,19 @@ from semiweyl.hypersurfaces import (
 )
 from semiweyl.lightlike import (
     LightlikeFrame,
+    lightlike_frame,
     check_radical_quality,
     check_screen_cp_equivalence,
     check_screen_integrability,
     check_screen_structure,
     check_transversal_conditions,
 )
+from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
+from semiweyl.specfile import load_spec
 from semiweyl.verdicts import RunConfig
+
+FIXTURES = Path(__file__).resolve().parents[1] / "fixtures"
 
 
 def cone_frame(eta_comps=None):
@@ -39,6 +46,20 @@ def hyperplane_frame():
     dom = Chart(("u", "v"), (0.3, 0.3), (1.4, 1.4))
     emb = EmbeddingMap(dom, s.chart, ["u", "u", "v"])
     return LightlikeFrame(emb, s), s
+
+
+def skew_frame():
+    """The 4-D cone with the screen {d_v, d_w + 0.3 v d_v}: its bracket
+    0.3 d_v stays in the screen, so the screen is integrable."""
+    from semiweyl.fields import VectorField
+
+    frame, s = cone4_frame()
+    dom = frame.emb.domain
+    fields = (
+        VectorField.from_expressions(dom, ["0", "1", "0"]),
+        VectorField.from_expressions(dom, ["0", "0.3*v", "1"]),
+    )
+    return LightlikeFrame(frame.emb, s, screen=fields), s
 
 
 def ambient_transform(chart):
@@ -96,19 +117,9 @@ class TestScreen:
         assert any((not v.passed) and v.max_residual > 1e-2 for v in out)
 
     def test_screen_checks_pass_on_a_non_coordinate_screen(self, config):
-        # screen {d_v, d_w + 0.3 v d_v}: its bracket 0.3 d_v stays in the
-        # screen, so the screen is integrable, and the bracket enters the
-        # screen torsion
-        from semiweyl.fields import VectorField
-
-        frame, s = cone4_frame()
-        dom = frame.emb.domain
-        fields = (
-            VectorField.from_expressions(dom, ["0", "1", "0"]),
-            VectorField.from_expressions(dom, ["0", "0.3*v", "1"]),
-        )
-        skew = LightlikeFrame(frame.emb, s, screen=fields)
-        p = halton_points(dom, 1)[0]
+        # the bracket of the skew screen enters the screen torsion
+        skew, s = skew_frame()
+        p = halton_points(skew.emb.domain, 1)[0]
         assert np.allclose(skew.screen_data(p, 0)["bracket"].value[0, 1], [0.0, 0.3, 0.0])
         out = (
             check_screen_integrability(skew, config)
@@ -176,6 +187,74 @@ class TestScreen:
         frame, s = cone4_frame()
         out = check_screen_cp_equivalence(frame, ambient_transform(s.chart), config)
         assert all(v.passed for v in out)
+
+
+def fixture_frame(name):
+    spec = load_spec(FIXTURES / f"{name}.spec")
+    return lightlike_frame(spec.lightlike_embedding, spec.structure, None)
+
+
+FRAMES = {
+    "hyperplane": lambda: fixture_frame("minkowski_null_hyperplane"),
+    "null_cone": lambda: fixture_frame("null_cone"),
+    "skew_screen": lambda: skew_frame()[0],
+}
+
+
+class TestScreenDataOrders:
+    """``screen_data(p, k)`` holds what the transversal solve gives at
+    order ``k + 1`` and the screen connection at order ``k``, so order 0
+    holds the first derivatives of the Gram matrix that
+    ``check_screen_structure`` reads."""
+
+    # the jet order of each key at k = 0
+    ORDERS = {
+        "gram": 1, "N": 1, "xi": 1, "Wdom": 1, "gp": 1, "Gc": 1, "xi_amb": 1, "W_amb": 1,
+        "nabla_bar": 0, "alpha": 0, "beta": 0, "bracket": 0,
+    }
+
+    @pytest.mark.parametrize("k", [0, 1])
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_the_order_of_each_key(self, name, k):
+        frame = FRAMES[name]()
+        for p in (halton_points(frame.emb.domain, 5), frame.emb.domain.center()):
+            data = frame.screen_data(p, k)
+            assert {key: jet.order for key, jet in data.items()} == {key: k + r for key, r in self.ORDERS.items()}
+
+    @pytest.mark.parametrize("name", FRAMES)
+    def test_order_0_holds_the_gram_layers_of_order_1(self, name):
+        # each call outside a run has a store of its own, so the two orders
+        # are built apart, on the set and at each of its points alone
+        frame = FRAMES[name]()
+        pts = halton_points(frame.emb.domain, 7)
+        for p in (pts, *pts):
+            low = frame.screen_data(p, 0)["gram"].layers
+            high = frame.screen_data(p, 1)["gram"].layers
+            assert len(low) == 2 and all(a.tobytes() == b.tobytes() for a, b in zip(low, high))
+
+    @pytest.mark.parametrize("name", ["minkowski_null_hyperplane", "null_cone"])
+    def test_no_check_builds_screen_data_above_order_0(self, monkeypatch, name):
+        orders = []
+        build = LightlikeFrame._build_screen_data
+
+        def counted(frame, p, order):
+            orders.append(order)
+            return build(frame, p, order)
+
+        monkeypatch.setattr(LightlikeFrame, "_build_screen_data", counted)
+        assert run_spec(load_spec(FIXTURES / f"{name}.spec")).all_expectations_met
+        # screen_structure asked order 1 before, for the Gram matrix's grad
+        assert orders and set(orders) == {0}
+
+    def test_a_structure_and_its_semi_dual_share_the_transversal(self):
+        from semiweyl.structures import semi_dual
+
+        frame = fixture_frame("null_cone")
+        dual = frame.with_structure(semi_dual(frame.s))
+        pts = halton_points(frame.emb.domain, 5)
+        with result_store(), sample_set(pts):
+            assert dual.transversal(pts, 1) is frame.transversal(pts, 1)
+            assert dual.screen_data(pts, 0) is not frame.screen_data(pts, 0)
 
 
 class TestFundamentalData:

@@ -275,8 +275,10 @@ class TestOneBuildPerPoint:
             # one per point: 600 screen-data builds and 1,202 compositions;
             # one per point and check: 1,500 and 3,155; the lightlike checks
             # read the screen data, so the metric is not pulled back at
-            # order 0 (8 when it was)
-            ("minkowski_null_hyperplane", 4, 7),
+            # order 0 (8 when it was); every check reads it at order 0, so
+            # neither the metric at order 2 nor the connection at order 1 is
+            # pulled back (4 and 7 when screen_structure read it at order 1)
+            ("minkowski_null_hyperplane", 3, 5),
             # one per point: 1,952 compositions; per check: 5,102
             ("sphere_hypersurface", 0, 13),
         ],
@@ -287,7 +289,7 @@ class TestOneBuildPerPoint:
         assert counts == {"screen": (screen, 0, 0), "compose": (compose, 0, 2)}
 
     @pytest.mark.parametrize(
-        "name,screen,compose", [("minkowski_null_hyperplane", 4, 7), ("sphere_hypersurface", 0, 13)]
+        "name,screen,compose", [("minkowski_null_hyperplane", 3, 5), ("sphere_hypersurface", 0, 13)]
     )
     def test_the_same_at_60_and_120_samples(self, monkeypatch, name, screen, compose):
         for samples in (60, 120):
@@ -295,10 +297,10 @@ class TestOneBuildPerPoint:
             assert counts == {"screen": (screen, 0, 0), "compose": (compose, 0, 2)}
 
     def test_a_second_run_rebuilds_every_set(self, monkeypatch):
-        # the store does not outlive a run; the pins are kept by the frames
+        # the store does not outlive a run; the pins are kept per (map, metric)
         first, second = count_per_point(monkeypatch, FIXTURES / "minkowski_null_hyperplane.spec", 60, runs=2)
-        assert first["screen"] == second["screen"] == (4, 0, 0)
-        assert first["compose"] == (7, 0, 2) and second["compose"] == (7, 0, 0)
+        assert first["screen"] == second["screen"] == (3, 0, 0)
+        assert first["compose"] == (5, 0, 2) and second["compose"] == (5, 0, 0)
 
 
 class TestRelease:

@@ -131,6 +131,14 @@ class TestDomain:
             assert got == want
             assert any(isinstance(o[0], type) for o in want) and any(isinstance(o[0], bytes) for o in want)
 
+    def test_a_power_that_overflows_at_a_point_alone_raises_the_sets_error(self):
+        # a Python float's ** raises OverflowError, which no skip catches
+        chart = plane_chart()
+        field = ScalarField.from_expression(chart, "(1e200*x)^2")
+        for p in ((0.5, 0.5), halton_points(chart, 5)):
+            with pytest.raises(EvaluationDomainError, match="^overflow in a power$"):
+                field.jet(p, 0)
+
     def test_batch_rows_are_read_only(self):
         chart = plane_chart()
         pts = halton_points(chart, 5)
