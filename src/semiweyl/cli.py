@@ -2,8 +2,9 @@
 
 ``verify <spec-file>``   load a spec, run its checks, print/write a report
 ``list-checks``          print every known check with the law it tests
-``oracle <spec-file>``   cross-check the jet gradients of every expression
-                         in the spec against central finite differences
+``oracle <spec-file>``   Taylor oracle: on ``--points`` Halton points per
+                         chart, layer k + 1 of every field the spec builds
+                         against central differences of layer k, k = 0..3
 
 Exit codes: 0 all expectations met, 1 at least one violated, 2 input error.
 """
@@ -13,11 +14,15 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .expressions import eval_jet, finite_difference
-from .registry import REGISTRY
+import numpy as np
+
+from .fields import result_store
+from .jets import Jet, PointError
+from .registry import ARGUMENTS, REGISTRY
 from .report import emit_report, run_spec
 from .sampling import halton_points
 from .specfile import SpecError, load_spec
+from .verdicts import row_max
 
 __all__ = ["main"]
 
@@ -39,9 +44,9 @@ def _build_parser():
 
     sub.add_parser("list-checks", help="print every check name with the law it verifies")
 
-    o = sub.add_parser("oracle", help="finite-difference cross-check of the spec's expressions")
+    o = sub.add_parser("oracle", help="check each jet layer of every field against differences of the layer below")
     o.add_argument("spec", help="path to the spec file")
-    o.add_argument("--points", type=int, default=20, help="sample points per expression")
+    o.add_argument("--points", type=int, default=50, help="Halton points per chart")
     return parser
 
 
@@ -86,6 +91,58 @@ def _cmd_list_checks():
     return 0
 
 
+H = 1e-4  # the central-difference step
+BOUND = 2e-6  # on a point's defect, relative to 1 + max |layer k + 1| there
+
+
+def _jets(out):
+    """The jets of a field's result: the result, or those among its items."""
+    items = out.values() if isinstance(out, dict) else out if isinstance(out, tuple) else [out]
+    return [J for J in items if isinstance(J, Jet)]
+
+
+def taylor_defects(fn, pts, k, h):
+    """Per point of the set ``pts``, the largest gap between layer ``k + 1``
+    of a jet of ``fn(pts, k + 1)`` and central differences (step ``h``) of
+    layer ``k`` of the same jet of ``fn(pts +- h e_a, k)``, relative to ``1 +
+    max |layer k + 1|`` there; ``nan`` at each point a point error names
+    (every point, if it names none), which is left out."""
+    keep, out = np.ones(len(pts), dtype=bool), np.full(len(pts), np.nan)
+    while keep.any():
+        try:
+            q = pts[keep]
+            shifted = [(_jets(fn(q + step, k)), _jets(fn(q - step, k))) for step in np.eye(q.shape[1]) * h]
+            gaps = []
+            for j, J in enumerate(_jets(fn(q, k + 1))):
+                fd = np.stack([(plus[j].layers[k] - minus[j].layers[k]) / (2.0 * h) for plus, minus in shifted], -1)
+                gaps.append(row_max(fd - J.layers[k + 1], q) / (1.0 + row_max(J.layers[k + 1], q)))
+            out[keep] = np.max(gaps, axis=0)
+            return out
+        except PointError as exc:
+            named = [row is not None for row in exc.rows or ()]
+            keep[keep] = np.logical_not(named) if any(named) else False
+    return out
+
+
+def taylor_oracle(spec, points):
+    """``(label, pts, defects, failing)`` per field of ``spec`` (see
+    :data:`~semiweyl.registry.ARGUMENTS`) on ``points`` Halton points of its
+    chart, in one result store: ``defects[k]`` per point for k = 0..3, and
+    ``failing[k]`` where a defect over :data:`BOUND` did not fall at least
+    3x at step ``H / 2`` (an O(h^2) truncation error falls 4x)."""
+    out = []
+    with result_store():
+        for blocks, read, fields in ARGUMENTS.values():
+            for label, chart, fn in fields(read(spec), spec) if spec.blocks.issuperset(blocks) else ():
+                pts = halton_points(chart, points, spec.config.seed)
+                defects = np.array([taylor_defects(fn, pts, k, H) for k in range(4)])
+                failing = defects > BOUND
+                for k, over in enumerate(failing):
+                    over[over] = ~(3.0 * taylor_defects(fn, pts[over], k, H / 2) <= defects[k, over])
+                out.append((label, pts, defects, failing))
+    return out
+
+
 def _cmd_oracle(args):
     if args.points < 1:  # with no point there is nothing to compare, and so no agreement
         print(f"error: --points must be at least 1, got {args.points}", file=sys.stderr)
@@ -93,36 +150,16 @@ def _cmd_oracle(args):
     spec = _load(args.spec)
     if spec is None:
         return 2
-    if not spec.expression_sources:
-        print("spec contains no symbolic expressions to cross-check")
-        return 0
-    worst = 0.0
-    worst_label = ""
-    count = 0
-    for label, chart, expr in spec.expression_sources:
-        pts = halton_points(chart, args.points, seed=spec.config.seed)
-        for p in pts:
-            try:
-                jet = eval_jet(expr, p, 1)
-                scale = 1.0 + abs(jet.value)
-                for a in range(chart.dim):
-                    exact = jet.grad[a]
-                    approx = finite_difference(expr, p, a, 1e-5)
-                    dev = abs(exact - approx) / scale
-                    count += 1
-                    if dev > worst:
-                        worst = dev
-                        worst_label = (
-                            f"{label} d/d{chart.coord_names[a]} at "
-                            f"({', '.join(f'{float(x):.6g}' for x in p)})"
-                        )
-            except (ArithmeticError, ValueError):
-                continue
-    print(f"{count} derivative comparisons, worst relative deviation {worst:.3e}")
-    if worst_label:
-        print(f"worst case: {worst_label}")
-    ok = worst < 1e-6
-    print("oracle " + ("agrees (O(h^2) regime)" if ok else "DISAGREES"))
+    ok = True
+    for label, pts, defects, failing in taylor_oracle(spec, args.points):
+        left = np.isnan(defects).any(axis=0)
+        k, row = np.unravel_index(np.argmax(np.nan_to_num(defects, nan=-1.0)), defects.shape)
+        fails = failing.any() or left.all()  # a wrong layer, or no point compared
+        ok &= not fails
+        print(f"{label}: {len(pts) - left.sum()} points, {left.sum()} left out, worst defect {defects[k, row]:.3e} at "
+              f"k={k} ({', '.join(f'{x:.6g}' for x in pts[row])}), {np.sum(defects > BOUND)} over the bound at H, "
+              f"{failing.sum()} not 3x lower at H/2" + (": FAILS" if fails else ""))
+    print(f"k = 0..3, H = {H:g}, bound {BOUND:g}: oracle " + ("agrees" if ok else "DISAGREES"))
     return 0 if ok else 1
 
 

@@ -8,8 +8,7 @@ coordinate :class:`Var`.  The parser takes each ``op`` from two tables:
 :data:`BINARY` for ``+ - * /`` and :data:`FUNCTIONS` for the function
 names; ``-x`` is :func:`operator.neg` and ``x^k`` raises its base to the
 integer ``k``.  Derivatives come from evaluating an expression on
-coordinate jets (:mod:`semiweyl.jets`); :func:`finite_difference` is the
-independent central-difference oracle for them.
+coordinate jets (:mod:`semiweyl.jets`).
 
 Grammar (EBNF)::
 
@@ -41,8 +40,6 @@ __all__ = [
     "parse_expression",
     "eval_jet",
     "eval_jets",
-    "eval_value",
-    "finite_difference",
     "BINARY",
     "FUNCTIONS",
 ]
@@ -253,16 +250,3 @@ def eval_jets(exprs, points, order):
                 done[id(e)] = j
     return jet_stack([done[id(e)] for e in exprs], axis=len(batch))
 
-
-def eval_value(e, point):
-    return eval_jet(e, point, 0).value
-
-
-def finite_difference(e, point, coord, h):
-    """Central difference ``(e(p + h e_i) - e(p - h e_i)) / 2h``."""
-    point = np.asarray(point, dtype=float)
-    pp = point.copy()
-    pm = point.copy()
-    pp[coord] += h
-    pm[coord] -= h
-    return (eval_value(e, pp) - eval_value(e, pm)) / (2.0 * h)

@@ -30,7 +30,7 @@ from .tensor import (
     torsion_values,
     wedge_g,
 )
-from .verdicts import RunConfig, SkipPoint, gated, row_max, run_laws, run_pointwise_check
+from .verdicts import RunConfig, gated, row_max, run_laws, run_pointwise_check
 
 __all__ = [
     "EmbeddingMap",
@@ -394,10 +394,11 @@ def check_umbilic_preservation(frame, t, config: RunConfig):
     def umbilic_fn(p):
         beta, G = frame.beta(p), frame.tangent_metric(p)
         off = _off_umbilic(beta, G, p) > config.tol * (1.0 + row_max(G, p))
+        reason = np.where(off, not_umbilic, "")
         if off.all():  # a point that is not umbilic is not transformed
-            raise SkipPoint(not_umbilic)
+            return np.nan, np.nan, reason
         beta_t, G_t = frame_t.beta(p), frame_t.tangent_metric(p)
-        return _off_umbilic(beta_t, G_t, p), 1.0 + row_max(G_t, p), np.where(off, not_umbilic, "")
+        return _off_umbilic(beta_t, G_t, p), 1.0 + row_max(G_t, p), reason
 
     return run_laws(emb.domain, config, [(law_name, law_fn, None, law_detail), (name, umbilic_fn, None, detail)])
 

@@ -3,9 +3,10 @@
 Each entry is one declaration: the user-facing check name, the geometric
 law it tests (the ``anchor`` string), the check's function, the spec
 arguments it takes before ``config`` and any options after ``config``.
-:data:`ARGUMENTS` says how each argument is read from a loaded spec and
+:data:`ARGUMENTS` says how each argument is read from a loaded spec,
 which spec blocks it needs, so the blocks a check requires follow from its
-arguments.
+arguments, and which fields it gives the Taylor oracle of ``semiweyl
+oracle``.
 
 An entry names its function by module and attribute, and
 :func:`run_check` imports the module when the check first runs, so a
@@ -33,30 +34,64 @@ BLOCKS = {
 }
 
 
-def _hypersurface_frame(spec):
-    from .hypersurfaces import hypersurface_frame
-
-    return hypersurface_frame(spec.embedding, spec.structure)
-
-
-def _lightlike_frame(spec):
-    from .lightlike import lightlike_frame
-
-    return lightlike_frame(spec.lightlike_embedding, spec.structure, None)
+def _attr(path):
+    """``"module.attribute"`` of this package, importing the module on first use."""
+    module, attribute = path.split(".")
+    return getattr(importlib.import_module(f".{module}", __package__), attribute)
 
 
-# each spec argument of a check: the blocks it needs, and how it is read
-# from a VerificationSpec
+def _fields(prefix, chart, owner, *keys):
+    """``(label, chart, fn(p, order))`` of the fields (by their ``jet``) or
+    the methods of ``owner`` named ``keys``."""
+    return [(f"{prefix}.{key}", chart, getattr(getattr(owner, key), "jet", getattr(owner, key))) for key in keys]
+
+
+def _embedding_fields(emb, spec):
+    induced = _attr("hypersurfaces.induced_structure")(emb, spec.structure)
+    return _fields("embedding", emb.domain, emb, "coords") + _fields("induced", emb.domain, induced, "g", "eta", "conn")
+
+
+def _realized(prefix, dist):
+    s, B = _attr("affine.realized_structure")(dist)
+    return _fields(prefix, dist.chart, s, "g", "eta", "conn") + [(f"{prefix}.B", dist.chart, B)]
+
+
+def _rescaled_fields(psi, spec):
+    rescaled = _attr("affine.xi_rescaled")
+    return [f for v in ("inner", "outer") for f in _realized(f"rescaled_{v}", rescaled(spec.affine, psi, v))]
+
+
+# each spec argument of a check: the blocks it needs, how it is read from a
+# VerificationSpec, and the fields it gives the Taylor oracle of ``semiweyl
+# oracle``: from the argument and the spec, ``[(label, chart, fn(p, order))]``
+# with ``fn`` giving a jet, or a tuple or dict of jets and arrays
 ARGUMENTS = {
-    "structure": (("structure",), lambda spec: spec.structure),
-    "transform": (("transform",), lambda spec: spec.transform),
-    "phi": (("transform",), lambda spec: spec.transform.phi),
-    "psi": (("transform",), lambda spec: spec.transform.psi),
-    "embedding": (("submanifold",), lambda spec: spec.embedding),
-    "hypersurface_frame": (("structure", "submanifold"), _hypersurface_frame),
-    "lightlike_frame": (("structure", "lightlike"), _lightlike_frame),
-    "affine": (("affine",), lambda spec: spec.affine),
-    "affine_psi": (("affine_psi",), lambda spec: spec.affine_psi),
+    "structure": (
+        ("structure",),
+        lambda spec: spec.structure,
+        lambda s, spec: _fields("structure", s.chart, s, "g", "eta", "conn")
+        + _fields("semi_dual", s.chart, _attr("structures.semi_dual")(s), "conn"),
+    ),
+    "transform": (
+        ("transform",),
+        lambda spec: spec.transform,
+        lambda t, spec: _fields("transformed", spec.chart, _attr("conformal.transform")(spec.structure, t), "g", "conn"),
+    ),
+    "phi": (("transform",), lambda spec: spec.transform.phi, lambda phi, spec: [("phi", phi.chart, phi.jet)]),
+    "psi": (("transform",), lambda spec: spec.transform.psi, lambda psi, spec: [("psi", psi.chart, psi.jet)]),
+    "embedding": (("submanifold",), lambda spec: spec.embedding, _embedding_fields),
+    "hypersurface_frame": (
+        ("structure", "submanifold"),
+        lambda spec: _attr("hypersurfaces.hypersurface_frame")(spec.embedding, spec.structure),
+        lambda f, spec: _fields("hypersurface", f.emb.domain, f, "normal", "second_fundamental_form", "weingarten"),
+    ),
+    "lightlike_frame": (
+        ("structure", "lightlike"),
+        lambda spec: _attr("lightlike.lightlike_frame")(spec.lightlike_embedding, spec.structure, None),
+        lambda f, spec: _fields("lightlike", f.emb.domain, f, "transversal", "screen_data"),
+    ),
+    "affine": (("affine",), lambda spec: spec.affine, lambda dist, spec: _realized("realized", dist)),
+    "affine_psi": (("affine_psi",), lambda spec: spec.affine_psi, _rescaled_fields),
 }
 
 
@@ -303,7 +338,5 @@ REGISTRY = _build_registry()
 def run_check(name, spec, config):
     """Run one named check against a loaded spec; returns its verdicts."""
     entry = REGISTRY[name]
-    module, attribute = entry.fn.split(".")
-    fn = getattr(importlib.import_module(f".{module}", __package__), attribute)
-    out = fn(*(ARGUMENTS[arg][1](spec) for arg in entry.args), config, **entry.options)
+    out = _attr(entry.fn)(*(ARGUMENTS[arg][1](spec) for arg in entry.args), config, **entry.options)
     return [out] if isinstance(out, Verdict) else out

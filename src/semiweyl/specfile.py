@@ -109,18 +109,9 @@ def parse_sections(text):
     return sections
 
 
-_KNOWN_SECTIONS = {
-    "manifold",
-    "metric",
-    "eta",
-    "connection",
-    "transform",
-    "submanifold",
-    "lightlike",
-    "affine",
-    "run",
-    "checks",
-}
+# the sections that need a [manifold], and every section
+_AMBIENT_SECTIONS = ("metric", "eta", "connection", "transform", "submanifold", "lightlike")
+_KNOWN_SECTIONS = {"manifold", *_AMBIENT_SECTIONS, "affine", "run", "checks"}
 
 _EXPECTATIONS = ("pass", "fail", "skip")
 
@@ -138,8 +129,8 @@ class VerificationSpec:
     affine: object | None
     affine_psi: ScalarField | None
     config: RunConfig
+    blocks: frozenset  # the blocks it declares, by their names in registry.BLOCKS
     checks: list = field(default_factory=list)  # [(name, expectation)]
-    expression_sources: list = field(default_factory=list)  # [(label, Chart, Expression)]
 
 
 class _Collector:
@@ -147,10 +138,7 @@ class _Collector:
         self.errors = []
 
     def err(self, entry, msg):
-        if entry is None:
-            self.errors.append(msg)
-        else:
-            self.errors.append(f"line {entry.line}: {msg}")
+        self.errors.append(msg if entry is None else f"line {entry.line}: {msg}")
 
 
 def _single(entries, key):
@@ -200,34 +188,24 @@ def _parse_chart(entries, col, section):
         col.err(ce, "coordinate names must be distinct")
         return None
     box = _parse_domain(de, names, col)
-    if box is None:
-        return None
-    return Chart(names, box[0], box[1])
+    return None if box is None else Chart(names, *box)
 
 
-def _parse_expr(chart, entry, col, label, sources):
+def _parse_expr(chart, entry, col, label):
     try:
-        e = chart.parse(entry.value)
+        return chart.parse(entry.value)
     except (ExpressionSyntaxError, UnknownSymbolError) as exc:
         col.err(entry, f"{label}: {exc}")
         return None
-    sources.append((label, chart, e))
-    return e
 
 
-def _parse_expr_list(chart, entry, col, label, count, sources):
+def _parse_expr_list(chart, entry, col, label, count):
     parts = _split_list(entry.value)
     if len(parts) != count:
         col.err(entry, f"{label} needs {count} comma-separated expressions, got {len(parts)}")
         return None
-    out = []
-    ok = True
-    for i, part in enumerate(parts):
-        e = _parse_expr(chart, _Entry(entry.key, part, entry.line), col, f"{label}[{i}]", sources)
-        if e is None:
-            ok = False
-        out.append(e)
-    return out if ok else None
+    out = [_parse_expr(chart, _Entry(entry.key, part, entry.line), col, f"{label}[{i}]") for i, part in enumerate(parts)]
+    return None if None in out else out
 
 
 def _parse_indexed(entries, prefix, rank, n, col):
@@ -248,7 +226,7 @@ def _parse_indexed(entries, prefix, rank, n, col):
     return out
 
 
-def _build_metric(chart, entries, col, sources):
+def _build_metric(chart, entries, col):
     n = chart.dim
     te = _single(entries, "type")
     de = _single(entries, "diag")
@@ -263,39 +241,34 @@ def _build_metric(chart, entries, col, sources):
             return None
         return MetricField.euclidean(chart)
     if de is not None:
-        es = _parse_expr_list(chart, de, col, "metric diag", n, sources)
+        es = _parse_expr_list(chart, de, col, "metric diag", n)
         return None if es is None else MetricField.from_diagonal(chart, es)
     grid = [["0"] * n for _ in range(n)]
     seen = {}
     ok = True
     for (i, j), e in grid_entries.items():
-        expr = _parse_expr(chart, e, col, f"g_{i + 1}_{j + 1}", sources)
-        if expr is None:
+        if _parse_expr(chart, e, col, f"g_{i + 1}_{j + 1}") is None:
             ok = False
-            continue
-        seen[(i, j)] = e.value
-        grid[i][j] = e.value
-        if (j, i) in seen and seen[(j, i)] != e.value:
+        elif seen.get((j, i), e.value) != e.value:
             col.err(e, f"g_{i + 1}_{j + 1} conflicts with g_{j + 1}_{i + 1}; the metric must be symmetric")
             ok = False
-        grid[j][i] = grid[i][j] if (j, i) not in seen else grid[j][i]
-    if not ok:
-        return None
-    return MetricField.from_expressions(chart, grid)
+        else:
+            seen[(i, j)] = grid[i][j] = grid[j][i] = e.value
+    return MetricField.from_expressions(chart, grid) if ok else None
 
 
-def _build_eta(chart, entries, col, sources):
+def _build_eta(chart, entries, col):
     if not entries:
         return OneFormField.from_expressions(chart, ["0"] * chart.dim)
     ce = _single(entries, "components")
     if ce is None:
         col.err(None, "[eta] needs 'components = e1, ..., en'")
         return None
-    es = _parse_expr_list(chart, ce, col, "eta components", chart.dim, sources)
-    return None if es is None else OneFormField.from_expressions(chart, [e for e in es])
+    es = _parse_expr_list(chart, ce, col, "eta components", chart.dim)
+    return None if es is None else OneFormField.from_expressions(chart, es)
 
 
-def _build_connection(chart, entries, g, eta, col, sources):
+def _build_connection(chart, entries, g, eta, col):
     n = chart.dim
     be = _single(entries, "base")
     base_name = be.value if be is not None else "levi_civita"
@@ -308,13 +281,9 @@ def _build_connection(chart, entries, g, eta, col, sources):
     elif base_name == "expressions":
         grid_entries = _parse_indexed(entries, "gamma", 3, n, col)
         grid = [[["0"] * n for _ in range(n)] for _ in range(n)]
-        ok = True
         for (k, i, j), e in grid_entries.items():
-            expr = _parse_expr(chart, e, col, f"gamma_{k + 1}_{i + 1}_{j + 1}", sources)
-            if expr is None:
-                ok = False
-            grid[k][i][j] = e.value
-        if not ok:
+            grid[k][i][j] = _parse_expr(chart, e, col, f"gamma_{k + 1}_{i + 1}_{j + 1}")
+        if any(None in row for plane in grid for row in plane):
             return None
         conn = ConnectionField.from_expressions(chart, grid)
     else:
@@ -333,12 +302,12 @@ def _build_connection(chart, entries, g, eta, col, sources):
             tensors.append(eta_tensor_id(chart, eta))
         elif spec.startswith("I_tensor_dphi(") and spec.endswith(")"):
             inner = spec[len("I_tensor_dphi(") : -1]
-            expr = _parse_expr(chart, _Entry(e.key, inner, e.line), col, "I_tensor_dphi argument", sources)
+            expr = _parse_expr(chart, _Entry(e.key, inner, e.line), col, "I_tensor_dphi argument")
             if expr is not None:
                 tensors.append(id_tensor_eta(chart, OneFormField.d(chart, ScalarField.from_expression(chart, expr))))
         elif spec.startswith("g_tensor_gradient(") and spec.endswith(")"):
             inner = spec[len("g_tensor_gradient(") : -1]
-            expr = _parse_expr(chart, _Entry(e.key, inner, e.line), col, "g_tensor_gradient argument", sources)
+            expr = _parse_expr(chart, _Entry(e.key, inner, e.line), col, "g_tensor_gradient argument")
             if expr is not None and g is not None:
                 tensors.append(g_tensor_vector(g, gradient(g, ScalarField.from_expression(chart, expr))))
         else:
@@ -348,7 +317,7 @@ def _build_connection(chart, entries, g, eta, col, sources):
     return conn
 
 
-def _build_embedding(chart, entries, col, section, sources):
+def _build_embedding(chart, entries, col, section):
     from .hypersurfaces import EmbeddingMap
 
     sub = _parse_chart(entries, col, section)
@@ -361,13 +330,11 @@ def _build_embedding(chart, entries, col, section, sources):
     if me is None:
         col.err(None, f"[{section}] needs 'map = c1, ..., c{chart.dim}'")
         return None
-    es = _parse_expr_list(sub, me, col, f"{section} map", chart.dim, sources)
-    if es is None:
-        return None
-    return EmbeddingMap(sub, chart, es)
+    es = _parse_expr_list(sub, me, col, f"{section} map", chart.dim)
+    return None if es is None else EmbeddingMap(sub, chart, es)
 
 
-def _build_affine(entries, col, sources):
+def _build_affine(entries, col):
     from .affine import AffineDistribution
 
     sub = _parse_chart(entries, col, "affine")
@@ -379,10 +346,10 @@ def _build_affine(entries, col, sources):
     if xe is None:
         col.err(None, "[affine] needs 'xi = c1, ..., c_{n+1}'")
         return None, None
-    xi = _parse_expr_list(sub, xe, col, "affine xi", n + 1, sources)
+    xi = _parse_expr_list(sub, xe, col, "affine xi", n + 1)
     dist = None
     if ie is not None:
-        comps = _parse_expr_list(sub, ie, col, "affine immersion", n + 1, sources)
+        comps = _parse_expr_list(sub, ie, col, "affine immersion", n + 1)
         if comps is not None and xi is not None:
             dist = AffineDistribution.from_immersion(sub, comps, xi)
     else:
@@ -391,21 +358,13 @@ def _build_affine(entries, col, sources):
             col.err(None, f"[affine] needs either 'immersion' or all omega_row_1..omega_row_{n + 1} entries")
             return None, None
         omega = [None] * (n + 1)
-        ok = xi is not None
         for (i,), e in rows.items():
-            es = _parse_expr_list(sub, e, col, f"omega_row_{i + 1}", n, sources)
-            if es is None:
-                ok = False
-            omega[i] = es
-        if ok:
+            omega[i] = _parse_expr_list(sub, e, col, f"omega_row_{i + 1}", n)
+        if xi is not None and None not in omega:
             dist = AffineDistribution.from_expressions(sub, omega, xi)
-    psi = None
     pe = _single(entries, "psi")
-    if pe is not None:
-        expr = _parse_expr(sub, pe, col, "affine psi", sources)
-        if expr is not None:
-            psi = ScalarField.from_expression(sub, expr)
-    return dist, psi
+    psi = None if pe is None else _parse_expr(sub, pe, col, "affine psi")
+    return dist, None if psi is None else ScalarField.from_expression(sub, psi)
 
 
 _RUN_FIELDS = {
@@ -442,8 +401,7 @@ def _build_checks(entries, col):
         name = e.key
         expectation = e.value or "pass"
         if name not in REGISTRY:
-            known = ", ".join(sorted(REGISTRY))
-            col.err(e, f"unknown check {name!r}; known checks: {known}")
+            col.err(e, f"unknown check {name!r}; known checks: {', '.join(sorted(REGISTRY))}")
             continue
         if expectation not in _EXPECTATIONS:
             col.err(e, f"expectation for {name!r} must be one of {_EXPECTATIONS}, got {expectation!r}")
@@ -464,18 +422,15 @@ def load_spec(path):
     from .conformal import TransformData
     from .registry import BLOCKS, REGISTRY
 
-    with open(path, "r", encoding="utf-8") as fh:
-        text = fh.read()
-    sections = parse_sections(text)
+    with open(path, encoding="utf-8") as fh:
+        sections = parse_sections(fh.read())
     col = _Collector()
     for name in sections:
         if name not in _KNOWN_SECTIONS:
             col.err(None, f"unknown section [{name}]")
 
-    sources = []
     chart = None
-    ambient_sections = ("metric", "eta", "connection", "transform", "submanifold", "lightlike")
-    needs_manifold = any(name in sections for name in ambient_sections)
+    needs_manifold = any(name in sections for name in _AMBIENT_SECTIONS)
     if "manifold" not in sections:
         if needs_manifold or "affine" not in sections:
             col.err(None, "a [manifold] section is required")
@@ -488,9 +443,9 @@ def load_spec(path):
             col.err(None, "a [metric] section is required")
             g = None
         else:
-            g = _build_metric(chart, sections["metric"], col, sources)
-        eta = _build_eta(chart, sections.get("eta", []), col, sources)
-        conn = _build_connection(chart, sections.get("connection", []), g, eta, col, sources)
+            g = _build_metric(chart, sections["metric"], col)
+        eta = _build_eta(chart, sections.get("eta", []), col)
+        conn = _build_connection(chart, sections.get("connection", []), g, eta, col)
         if g is not None and eta is not None and conn is not None:
             structure = Structure(chart, g, eta, conn)
         if "transform" in sections:
@@ -499,16 +454,16 @@ def load_spec(path):
             if pe is None or se is None:
                 col.err(None, "[transform] needs both 'phi' and 'psi'")
             else:
-                phi = _parse_expr(chart, pe, col, "transform phi", sources)
-                psi = _parse_expr(chart, se, col, "transform psi", sources)
+                phi = _parse_expr(chart, pe, col, "transform phi")
+                psi = _parse_expr(chart, se, col, "transform psi")
                 if phi is not None and psi is not None:
                     transform = TransformData(ScalarField.from_expression(chart, phi), ScalarField.from_expression(chart, psi))
         if "submanifold" in sections:
-            embedding = _build_embedding(chart, sections["submanifold"], col, "submanifold", sources)
+            embedding = _build_embedding(chart, sections["submanifold"], col, "submanifold")
         if "lightlike" in sections:
-            lightlike_embedding = _build_embedding(chart, sections["lightlike"], col, "lightlike", sources)
+            lightlike_embedding = _build_embedding(chart, sections["lightlike"], col, "lightlike")
     if "affine" in sections:
-        affine, affine_psi = _build_affine(sections["affine"], col, sources)
+        affine, affine_psi = _build_affine(sections["affine"], col)
 
     config = _build_config(sections.get("run", []), col)
     checks = _build_checks(sections.get("checks", []), col)
@@ -539,6 +494,6 @@ def load_spec(path):
         affine=affine,
         affine_psi=affine_psi,
         config=config,
+        blocks=frozenset(name for name, declared in blocks.items() if declared),
         checks=checks,
-        expression_sources=sources,
     )

@@ -2,10 +2,12 @@
 every run draws the same examples and saves none, so a failure found once
 does not replay into later runs."""
 
+import numpy as np
 import pytest
 from hypothesis import settings
 
 from semiweyl.conformal import TransformData
+from semiweyl.expressions import eval_jet
 from semiweyl.fields import (
     Chart,
     ConnectionField,
@@ -22,6 +24,13 @@ from semiweyl.verdicts import RunConfig
 
 settings.register_profile("deterministic", derandomize=True, database=None)
 settings.load_profile("deterministic")
+
+
+def central_difference(e, point, coord, h):
+    """``(e(p + h e_i) - e(p - h e_i)) / 2h``: an oracle for the gradient of ``e`` from its values."""
+    point = np.asarray(point, dtype=float)
+    step = h * np.eye(len(point))[coord]
+    return (eval_jet(e, point + step, 0).value - eval_jet(e, point - step, 0).value) / (2.0 * h)
 
 
 def plane_chart(lo=0.3, hi=1.2):

@@ -15,6 +15,7 @@ import pytest
 
 from conftest import (
     ambient_swmt_3d,
+    central_difference,
     minkowski_structure,
     plane_chart,
     potentials,
@@ -40,11 +41,7 @@ from semiweyl.conformal import (
     check_structure_invariance,
     check_torsion_invariance,
 )
-from semiweyl.expressions import (
-    eval_jet,
-    finite_difference,
-    parse_expression,
-)
+from semiweyl.expressions import eval_jet, parse_expression
 from semiweyl.fields import (
     Chart,
     MetricField,
@@ -134,7 +131,7 @@ class TestDerivativeOracle:
                     # allow a generous prefactor plus a rounding floor
                     bound_scale = abs(jet.third[i, i, i]) / 6.0 * 4.0 + 1.0
                     for h in (1e-3, 1e-4):
-                        dev = abs(finite_difference(e, p, i, h) - exact)
+                        dev = abs(central_difference(e, p, i, h) - exact)
                         assert dev <= bound_scale * h * h + 2e-9, (
                             f"h={h} dev={dev} bound_scale={bound_scale}"
                         )
@@ -150,7 +147,7 @@ class TestDerivativeOracle:
             for e in exprs:
                 grad = eval_jet(e, p, 1).grad
                 for i in range(2):
-                    worst = max(worst, abs(finite_difference(e, p, i, h) - grad[i]))
+                    worst = max(worst, abs(central_difference(e, p, i, h) - grad[i]))
             consts[h] = worst / (h * h)
         ratio = consts[1e-4] / max(consts[1e-3], 1e-30)
         assert 0.05 < ratio < 20.0

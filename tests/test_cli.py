@@ -1,5 +1,6 @@
 import json
 import os
+import re
 import subprocess
 import sys
 import textwrap
@@ -173,11 +174,27 @@ def test_an_intrinsic_run_imports_no_other_check_family():
 
 
 class TestOracle:
-    @pytest.mark.parametrize("name", sorted(n.removesuffix(".spec") for n in os.listdir(FIXTURES) if n.endswith(".spec")))
+    # output and exit codes; tests/test_taylor_oracle.py sweeps the fixtures
+    @pytest.mark.parametrize("name", ["swmt_eta_shift", "conformally_flat"])
     def test_oracle_agrees_on_fixture(self, capsys, name):
-        assert main(["oracle", fixture(name + ".spec")]) == 0
-        out = capsys.readouterr().out
-        assert "agrees" in out
+        assert main(["oracle", fixture(name + ".spec"), "--points", "12"]) == 0
+        *lines, last = capsys.readouterr().out.splitlines()
+        assert [line.split(":")[0] for line in lines] == [
+            "structure.g", "structure.eta", "structure.conn", "semi_dual.conn",
+            "transformed.g", "transformed.conn", "phi", "psi",
+        ]
+        pattern = r"[\w.]+: 12 points, 0 left out, worst defect \S+ at k=[0-3] \([^)]*\), 0 over the bound at H, 0 not 3x lower at H/2"
+        assert all(re.fullmatch(pattern, line) for line in lines), lines
+        assert last == "k = 0..3, H = 0.0001, bound 2e-06: oracle agrees"
+
+    def test_a_field_that_compares_no_point_fails(self, tmp_path, capsys):
+        # the metric overflows at every point, so the fields built on it
+        # compare none, and the potentials compare all
+        text = MINI_PASS.replace("g_2_2 = x*x", "g_2_2 = 1 + 1e-300*(1e200*x)^2")
+        assert main(["oracle", write(tmp_path, text), "--points", "5"]) == 1
+        first, second, *_, last = capsys.readouterr().out.splitlines()
+        assert first.startswith("structure.g: 0 points, 5 left out, worst defect nan") and first.endswith(": FAILS")
+        assert second.startswith("structure.eta: 5 points, 0 left out,") and last.endswith("oracle DISAGREES")
 
     def test_oracle_bad_spec_exits_two(self, capsys):
         assert main(["oracle", "missing.spec"]) == 2

@@ -6,13 +6,12 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from conftest import central_difference
 from semiweyl.expressions import (
     ExpressionSyntaxError,
     UnknownSymbolError,
     eval_jet,
     eval_jets,
-    eval_value,
-    finite_difference,
     parse_expression,
 )
 from semiweyl.jets import EvaluationDomainError
@@ -25,16 +24,16 @@ def parse2(text):
 class TestParsing:
     def test_arithmetic_and_precedence(self):
         e = parse2("1 + 2*x^2 - y/4")
-        assert eval_value(e, (3.0, 8.0)) == pytest.approx(1 + 18 - 2)
+        assert eval_jet(e, (3.0, 8.0), 0).value == pytest.approx(1 + 18 - 2)
 
     def test_functions_and_nesting(self):
         e = parse2("exp(sin(x) + log(y)) * sqrt(y)")
         x, y = 0.7, 2.0
-        assert eval_value(e, (x, y)) == pytest.approx(math.exp(math.sin(x) + math.log(y)) * math.sqrt(y))
+        assert eval_jet(e, (x, y), 0).value == pytest.approx(math.exp(math.sin(x) + math.log(y)) * math.sqrt(y))
 
     def test_unary_minus(self):
         e = parse2("-x + -(y*2)")
-        assert eval_value(e, (1.0, 3.0)) == pytest.approx(-7.0)
+        assert eval_jet(e, (1.0, 3.0), 0).value == pytest.approx(-7.0)
 
     def test_syntax_error(self):
         with pytest.raises(ExpressionSyntaxError):
@@ -149,7 +148,7 @@ class TestFiniteDifferenceOracle:
             with pytest.raises(EvaluationDomainError):
                 eval_jet(e, p, 1)
             with pytest.raises(EvaluationDomainError):
-                finite_difference(e, p, 0, 1e-5)
+                central_difference(e, p, 0, 1e-5)
             return
         grad = eval_jet(e, p, 1).grad
         for a in range(2):
@@ -157,7 +156,7 @@ class TestFiniteDifferenceOracle:
             scale = 1.0 + abs(exact)
             # Richardson extrapolation cancels the h^2 term of the truncation
             # error, which alone exceeds the bound on steep draws
-            approx = (4.0 * finite_difference(e, p, a, 0.5e-5) - finite_difference(e, p, a, 1e-5)) / 3.0
+            approx = (4.0 * central_difference(e, p, a, 0.5e-5) - central_difference(e, p, a, 1e-5)) / 3.0
             assert abs(exact - approx) / scale < 1e-7
 
     @pytest.mark.parametrize("order", [0, 1, 2])
@@ -179,6 +178,6 @@ class TestFiniteDifferenceOracle:
         cs = []
         for h in (1e-3, 1e-4):
             exact = eval_jet(e, p, 1).grad[0]
-            dev = abs(finite_difference(e, p, 0, h) - exact)
+            dev = abs(central_difference(e, p, 0, h) - exact)
             cs.append(dev / h**2)
         assert cs[1] == pytest.approx(cs[0], rel=0.05)

@@ -4,8 +4,9 @@ none edits the name or detail of a verdict after a check returned it,
 only the spec loader and the field constructors turn text into
 expressions, no literal ``np.einsum`` sums over three or more operands,
 the package keeps few parameters with a default, no module tests a
-field's values for degeneracy with the array form of the test, and every
-point error raised names its rows or says why it cannot.
+field's values for degeneracy with the array form of the test, every
+point error raised names its rows or says why it cannot, and every spec
+argument gives the Taylor oracle of ``semiweyl oracle`` fields to check.
 
 AST checks, so they need no linter.  Names re-exported through ``__all__``
 and ``from __future__ import annotations`` are exempt from the first, so
@@ -25,7 +26,8 @@ once per field and points; ``require_nondegenerate`` on a field's values
 would run it again at every call, unseen.  The ninth keeps a point set
 whose call raises a point error filling its other rows as one sub-set
 (``semiweyl.fields._kept``): an error that names no rows sends each of the
-set's points through the per-point path.
+set's points through the per-point path.  The tenth, which loads the
+fixtures, keeps what a new spec argument builds inside the oracle's sweep.
 """
 
 import ast
@@ -402,3 +404,13 @@ def test_the_check_sees_a_point_error_that_names_no_rows():
 def test_every_point_error_names_its_rows_or_says_why_not():
     found = {(path.name, message) for path in MODULES for _, message in unnamed_point_errors(path.read_text())}
     assert found == set(UNNAMED_POINT_ERRORS)
+
+
+def test_every_spec_argument_gives_the_taylor_oracle_fields():
+    from semiweyl.registry import ARGUMENTS
+    from semiweyl.specfile import load_spec
+
+    specs = [load_spec(path) for path in sorted((PACKAGE.parents[1] / "fixtures").glob("*.spec"))]
+    for name, (blocks, read, fields) in ARGUMENTS.items():
+        spec = next(spec for spec in specs if spec.blocks.issuperset(blocks))
+        assert fields(read(spec), spec), name

@@ -1,3 +1,5 @@
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -10,7 +12,7 @@ from conftest import (
     rows_alone,
     sphere_embedding,
 )
-from semiweyl import hypersurfaces
+from semiweyl import hypersurfaces, verdicts
 from semiweyl.fields import (
     Chart,
     ConnectionField,
@@ -33,7 +35,9 @@ from semiweyl.hypersurfaces import (
     induced_structure,
     umbilic_deviation,
 )
+from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
+from semiweyl.specfile import load_spec
 from semiweyl.structures import Structure
 from semiweyl.tensor import curvature_values, scalar_curvature
 from semiweyl.verdicts import RunConfig
@@ -166,6 +170,26 @@ class TestFundamentalForms:
         for p in halton_points(emb.domain, 10):
             _f, dev, _beta, _gp = umbilic_deviation(frame, p, 0)
             assert dev >= 0.4  # principal curvatures 1 and 0
+
+    def test_a_set_with_no_umbilic_point_gives_each_point_its_reason(self, tmp_path, monkeypatch):
+        # umbilic nowhere, the cylinder skips each point of the umbilic law
+        # with the reason, from the law's one call on the set: the sphere
+        # fixture with the cylinder's map in flat Euclidean 3-space
+        text = (Path(__file__).resolve().parents[1] / "fixtures" / "sphere_hypersurface.spec").read_text()
+        text = text.replace("cos(u)*sin(v), sin(u)*sin(v), cos(v)", "cos(u), sin(u), v").replace("add = eta_tensor_I\n", "")
+        path = tmp_path / "cylinder.spec"
+        path.write_text(text[: text.index("[checks]")] + "[checks]\numbilic_preservation = pass\n")
+
+        def alone(residual_fn, p):
+            raise AssertionError("a law was evaluated at a point alone")
+
+        monkeypatch.setattr(verdicts, "_evaluate", alone)
+        law, umbilic = run_spec(load_spec(path)).results[0].verdicts
+        assert (law.name, law.points_tested, law.passed) == ("cp_beta_law", 150, True)
+        assert (umbilic.name, umbilic.points_tested, umbilic.points_skipped, umbilic.skipped) == (
+            "umbilic_preservation", 0, 150, True
+        )
+        assert umbilic.detail.endswith("; too few valid points (0 < 50): point is not umbilic before the transformation")
 
     def test_beta_symmetry_on_swmt_ambient(self, config):
         s = ambient_swmt_3d()

@@ -282,6 +282,7 @@ class TestOneBuildPerPoint:
             # one per point: 1,952 compositions; per check: 5,102
             ("sphere_hypersurface", 0, 13),
         ],
+        ids=["minkowski_null_hyperplane", "sphere_hypersurface"],
     )
     def test_a_fresh_run(self, monkeypatch, name, screen, compose):
         (counts,) = count_per_point(monkeypatch, FIXTURES / f"{name}.spec")
@@ -289,7 +290,9 @@ class TestOneBuildPerPoint:
         assert counts == {"screen": (screen, 0, 0), "compose": (compose, 0, 2)}
 
     @pytest.mark.parametrize(
-        "name,screen,compose", [("minkowski_null_hyperplane", 3, 5), ("sphere_hypersurface", 0, 13)]
+        "name,screen,compose",
+        [("minkowski_null_hyperplane", 3, 5), ("sphere_hypersurface", 0, 13)],
+        ids=["minkowski_null_hyperplane", "sphere_hypersurface"],
     )
     def test_the_same_at_60_and_120_samples(self, monkeypatch, name, screen, compose):
         for samples in (60, 120):

@@ -137,22 +137,3 @@ class TestLoading:
             is_statistical
             """))
         assert any("symmetric" in m for m in exc.value.errors)
-
-    def test_expression_sources_collected(self, tmp_path):
-        spec = load_spec(write(tmp_path, """
-        [manifold]
-        coords = x, y
-        domain = 0.2 .. 1.0, 0.2 .. 1.0
-
-        [metric]
-        diag = 1 + x*x, exp(y)
-
-        [eta]
-        components = y, x
-
-        [checks]
-        is_swmt
-        """))
-        labels = [label for label, _c, _e in spec.expression_sources]
-        assert any("diag" in l for l in labels)
-        assert any("eta" in l for l in labels)

@@ -1,130 +1,47 @@
-"""Taylor consistency of every field the fixture specs build.
-
-Layer ``k + 1`` of a jet is the derivative of layer ``k``.  So for each
-field, central differences (step ``H``) of the top layer of its order-``k``
-jet must match the layer ``k + 1`` of its order-``k + 1`` jet, at points
-drawn by hypothesis inside the chart box.  The oracle needs no sympy and
-shares no derivative rule with the engine: a wrong term in a product,
+"""Taylor consistency of every field the fixture specs build, as ``semiweyl
+oracle`` checks it (``semiweyl.cli.taylor_oracle``): layer ``k + 1`` of a
+jet is the derivative of layer ``k``, so a wrong term in a product,
 chain-rule, composition or solve layer shows up at O(1), far above the
-O(h^2) truncation error.
-"""
+O(h^2) truncation error of central differences."""
 
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, assume, given, settings
-from hypothesis import strategies as st
 
-from semiweyl.affine import realized_structure, xi_rescaled
-from semiweyl.conformal import transform
+from semiweyl import hypersurfaces
+from semiweyl.cli import BOUND, H, main, taylor_defects, taylor_oracle
 from semiweyl.expressions import eval_jet, parse_expression
-from semiweyl.hypersurfaces import induced_structure
 from semiweyl.jets import Jet
-from semiweyl.lightlike import LightlikeFrame
 from semiweyl.specfile import load_spec
-from semiweyl.structures import semi_dual_connection
 
-FIXTURES = sorted((Path(__file__).resolve().parents[1] / "fixtures").glob("*.spec"))
-H = 1e-4
-ORDERS = (0, 1, 2, 3)  # k: the order-k jet is differenced against layer k + 1
-TOL = 2e-6  # relative to 1 + max |layer k + 1|
+ROOT = Path(__file__).resolve().parents[1]
+FIXTURES = sorted((ROOT / "fixtures").glob("*.spec"))
 
-
-def _structure_fields(prefix, s):
-    return [(f"{prefix}.g", s.g.jet), (f"{prefix}.eta", s.eta.jet), (f"{prefix}.conn", s.conn.jet)]
-
-
-def _screen_fields(prefix, frame):
-    keys = ("gram", "nabla_bar", "alpha", "beta")
-    out = [(f"{prefix}.transversal", lambda p, order: frame.transversal(p, order)[0])]
-    out += [(f"{prefix}.screen.{key}", lambda p, order, key=key: frame.screen_data(p, order)[key]) for key in keys]
-    return out
-
-
-def spec_fields(spec):
-    """``(chart, [(label, fn(p, order) -> Jet), ...])`` per chart of the
-    spec: the structure, its semi-dual and transformed connections, and the
-    induced, screen, transversal and realized fields."""
-    charts = []
-    s = spec.structure
-    if s is not None:
-        fields = _structure_fields("structure", s)
-        fields.append(("semi_dual.conn", semi_dual_connection(s.g, s.eta, s.conn).jet))
-        if spec.transform is not None:
-            st_ = transform(s, spec.transform)
-            fields += [("transformed.g", st_.g.jet), ("transformed.conn", st_.conn.jet)]
-        charts.append((spec.chart, fields))
-        if spec.embedding is not None:
-            charts.append((spec.embedding.domain, _structure_fields("induced", induced_structure(spec.embedding, s))))
-        if spec.lightlike_embedding is not None:
-            charts.append((spec.lightlike_embedding.domain, _screen_fields("lightlike", LightlikeFrame(spec.lightlike_embedding, s))))
-    if spec.affine is not None:
-        dist = spec.affine
-        realized, B_fn = realized_structure(dist)
-        fields = _structure_fields("realized", realized) + [("realized.B", B_fn)]
-        if spec.affine_psi is not None:
-            for variant in ("inner", "outer"):
-                rescaled, B_t = realized_structure(xi_rescaled(dist, spec.affine_psi, variant))
-                fields += _structure_fields(f"rescaled_{variant}", rescaled) + [(f"rescaled_{variant}.B", B_t)]
-        charts.append((dist.chart, fields))
-    return charts
-
-
-def _points(chart):
-    """Points of the chart box, kept ``H`` plus 5 % of each side away from
-    its faces."""
-    coords = []
-    for lo, hi in zip(chart.lo, chart.hi):
-        margin = H + 0.05 * (hi - lo)
-        coords.append(st.floats(lo + margin, hi - margin))
-    return st.tuples(*coords).map(np.array)
-
-
-def taylor_defects(fn, p, k):
-    """Largest relative gap between central differences of layer ``k`` of
-    the order-``k`` jet and layer ``k + 1`` of the order-``k + 1`` jet."""
-    top = fn(p, k + 1).layers[k + 1]
-    worst = 0.0
-    for a in range(len(p)):
-        step = np.zeros(len(p))
-        step[a] = H
-        fd = (fn(p + step, k).layers[k] - fn(p - step, k).layers[k]) / (2.0 * H)
-        worst = max(worst, float(np.max(np.abs(fd - top[..., a]))) / (1.0 + float(np.max(np.abs(top)))))
-    return worst
-
-
-def _evaluable(fields, p):
-    try:
-        for _, fn in fields:
-            fn(p, 0)
-    except ArithmeticError:
-        return False
-    return True
+# the fields the oracle compares, by the spec block that brings them
+LABELS = {
+    "structure": ["structure.g", "structure.eta", "structure.conn", "semi_dual.conn"],
+    "transform": ["transformed.g", "transformed.conn", "phi", "psi"],
+    "submanifold": ["embedding.coords", "induced.g", "induced.eta", "induced.conn", "hypersurface.normal",
+                    "hypersurface.second_fundamental_form", "hypersurface.weingarten"],
+    "lightlike": ["lightlike.transversal", "lightlike.screen_data"],
+    "affine": ["realized.g", "realized.eta", "realized.conn", "realized.B"],
+    "affine_psi": [f"rescaled_{v}.{key}" for v in ("inner", "outer") for key in ("g", "eta", "conn", "B")],
+}
 
 
 @pytest.mark.parametrize("path", FIXTURES, ids=lambda p: p.stem)
 def test_jet_layers_are_derivatives_of_the_layer_below(path):
-    for chart, fields in spec_fields(load_spec(path)):
-
-        # one point per chart keeps the test near 8 s; a failure names its
-        # point, and is not shrunk (each evaluation takes up to a second)
-        @settings(
-            max_examples=1,
-            deadline=None,
-            database=None,
-            phases=(Phase.generate,),
-            suppress_health_check=[HealthCheck.filter_too_much],
-        )
-        @given(_points(chart))
-        def check(p):
-            assume(_evaluable(fields, p))
-            for label, fn in fields:
-                for k in ORDERS:
-                    defect = taylor_defects(fn, p, k)
-                    assert defect <= TOL, f"{label} at k={k}, p={p}: {defect:.3e}"
-
-        check()
+    spec = load_spec(path)
+    rows = taylor_oracle(spec, 50)
+    assert sorted(label for label, *_ in rows) == sorted(
+        label for block, labels in LABELS.items() if block in spec.blocks for label in labels
+    )
+    for label, pts, defects, failing in rows:
+        # every point of every fixture is compared at k = 0..3, and each is
+        # within the bound at H: none needs the H/2 rule
+        assert defects.shape == (4, 50) and not np.isnan(defects).any(), label
+        assert defects.max() <= BOUND and not failing.any(), f"{label}: {defects.max():.3e}"
 
 
 def test_the_oracle_sees_a_wrong_layer():
@@ -135,6 +52,36 @@ def test_the_oracle_sees_a_wrong_layer():
         J = eval_jet(e, p, order)
         return Jet(J.n, J.layers[:2] + [L + 0.01 for L in J.layers[2:]])
 
-    p = np.array([0.4, 0.7])
-    assert taylor_defects(lambda q, order: eval_jet(e, q, order), p, 1) <= TOL
-    assert taylor_defects(wrong, p, 1) > 1e-3
+    pts = np.array([[0.4, 0.7], [0.9, 0.3]])
+    assert (taylor_defects(lambda q, order: eval_jet(e, q, order), pts, 1, H) <= BOUND).all()
+    assert (taylor_defects(wrong, pts, 1, H) > 1e-3).all()
+
+
+def test_a_wrong_pullback_layer_fails_the_induced_fields(monkeypatch, capsys):
+    # layer 2 of every pullback off by 0.01: the fields built on the
+    # embedding fail, and those of the ambient structure do not
+    compose = hypersurfaces.jet_compose
+
+    def wrong(*args):
+        J = compose(*args)
+        return Jet(J.n, [L + 0.01 if i == 2 else L for i, L in enumerate(J.layers)])
+
+    monkeypatch.setattr(hypersurfaces, "jet_compose", wrong)
+    assert main(["oracle", str(ROOT / "fixtures" / "sphere_hypersurface.spec")]) == 1
+    *lines, last = capsys.readouterr().out.splitlines()
+    failing = {line.split(":")[0] for line in lines if line.endswith(": FAILS")}
+    assert {"induced.g", "induced.eta", "induced.conn", "hypersurface.weingarten"} <= failing
+    assert not {"structure.g", "structure.conn", "transformed.conn", "embedding.coords"} & failing
+    assert last.endswith("oracle DISAGREES")
+
+
+def test_points_outside_the_domain_are_left_out(capsys):
+    # sqrt(x) in the metric: the 17 of 50 points with x < 0 are left out of
+    # every field built on it; near x = 0, where the derivatives of sqrt
+    # grow, the truncation error exceeds the bound at H and falls 4x at H/2
+    assert main(["oracle", str(ROOT / "perfbench" / "specs" / "domain_edge.spec")]) == 0
+    lines = {line.split(": ", 1)[0]: line.split(": ", 1)[1] for line in capsys.readouterr().out.splitlines()}
+    assert lines["structure.g"].startswith("33 points, 17 left out,")
+    assert lines["structure.g"].endswith(", 6 over the bound at H, 0 not 3x lower at H/2")
+    assert lines["structure.eta"].startswith("50 points, 0 left out,")
+    assert lines["k = 0..3, H = 0.0001, bound 2e-06"] == "oracle agrees"
