@@ -12,7 +12,7 @@ import pytest
 from semiweyl import hypersurfaces
 from semiweyl.cli import BOUND, H, main, taylor_defects, taylor_oracle
 from semiweyl.expressions import eval_jet, parse_expression
-from semiweyl.jets import Jet
+from semiweyl.jets import Jet, PointError
 from semiweyl.specfile import load_spec
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -55,6 +55,53 @@ def test_the_oracle_sees_a_wrong_layer():
     pts = np.array([[0.4, 0.7], [0.9, 0.3]])
     assert (taylor_defects(lambda q, order: eval_jet(e, q, order), pts, 1, H) <= BOUND).all()
     assert (taylor_defects(wrong, pts, 1, H) > 1e-3).all()
+
+
+@pytest.mark.parametrize("layer", [1, 2, 3, 4])
+def test_a_wrong_layer_shows_only_at_the_k_below_it(layer):
+    # a constant off in one layer is the derivative of nothing below it, and
+    # its own differences cancel it, so of k = 0..3 only k = layer - 1 fails
+    e = parse_expression("sin(x)*exp(y)", ("x", "y"))
+
+    def wrong(p, order):
+        J = eval_jet(e, p, order)
+        return Jet(J.n, [L + 0.01 if i == layer else L for i, L in enumerate(J.layers)])
+
+    pts = np.array([[0.4, 0.7], [0.9, 0.3], [0.6, 0.5]])
+    defects = np.array([taylor_defects(wrong, pts, k, H) for k in range(4)])
+    assert (defects[layer - 1] > 1e-3).all()
+    assert (np.delete(defects, layer - 1, axis=0) <= BOUND).all()
+
+
+def test_a_point_error_leaves_out_the_rows_it_names():
+    # sqrt is outside its domain at the two points with x < 0 only
+    e = parse_expression("sqrt(x)*y", ("x", "y"))
+    pts = np.array([[0.4, 0.7], [-0.5, 0.3], [0.9, 0.5], [-0.2, 0.6]])
+    defects = taylor_defects(lambda q, order: eval_jet(e, q, order), pts, 1, H)
+    assert np.isnan(defects).tolist() == [False, True, False, True]
+    assert (defects[[0, 2]] <= BOUND).all()
+
+
+def test_a_point_error_that_names_no_row_leaves_out_the_set():
+    def fails(p, order):
+        raise PointError("no row named", None)
+
+    assert np.isnan(taylor_defects(fails, np.array([[0.4, 0.7], [0.9, 0.3]]), 0, H)).all()
+
+
+def test_each_jet_of_a_tuple_or_dict_result_is_compared():
+    # a result holds jets and arrays; the arrays are not compared, and the
+    # worst jet gives the defect
+    e = parse_expression("x*x*y", ("x", "y"))
+
+    def bundle(p, order):
+        J = eval_jet(e, p, order)
+        off = Jet(J.n, J.layers[:1] + [L + 0.01 for L in J.layers[1:]])
+        return {"right": J, "note": np.zeros(len(p)), "wrong": off}
+
+    pts = np.array([[0.4, 0.7], [0.9, 0.3]])
+    assert (taylor_defects(bundle, pts, 0, H) > 1e-3).all()
+    assert (taylor_defects(lambda q, order: (eval_jet(e, q, order), np.ones(len(q))), pts, 0, H) <= BOUND).all()
 
 
 def test_a_wrong_pullback_layer_fails_the_induced_fields(monkeypatch, capsys):
