@@ -21,17 +21,18 @@ one spec, and a call outside any run for itself) is the only cache of
 field results: one dict, whose entry per (field, order, points) is written
 once, from one ``fn`` call at those points (:func:`_kept`), whether they
 are one point or a point set, such as the running pass's sample set
-(:func:`sample_set`) or its images under an embedding.  A derived field
-asks its operands at the same points.  An entry is the result, its
-failure (a point error of that call or, on a set, a row that is not
-finite), or a sub-set fill with per-row failures: each row a set's point
-error names keeps its own, and the other rows fill one sub-set entry,
-which a derived field reuses.  A point of the running pass reads its row
-of a set or sub-set, or its kept error, and is otherwise evaluated alone.
-An owner keeps what is derived
-from it (:func:`kept`), so each derived structure, frame and predicate
-verdict of a spec is one Python object, built once, and so one key of the
-store.
+(:func:`sample_set`) or its images under an embedding, or truncated from a
+result at a higher order: an entry at order k answers every lower order,
+as layer r of a jet depends only on layers up to r.  A derived field asks
+its operands at the same points.  An entry is the result, its failure (a
+point error of that call or, on a set, a row that is not finite), or a
+sub-set fill with per-row failures: each row a set's point error names
+keeps its own, and the other rows fill one sub-set entry, which a derived
+field reuses.  A point of the running pass reads its row of a set or
+sub-set, or its kept error, and is otherwise evaluated alone.  An owner
+keeps what is derived from it (:func:`kept`), so each derived structure,
+frame and predicate verdict of a spec is one Python object, built once,
+and so one key of the store.
 """
 
 from __future__ import annotations
@@ -217,12 +218,16 @@ class _Split(NamedTuple):
 def _kept(store, field, order, p, where):
     """The entry of ``store`` for ``field`` at order ``order`` at the point
     or point set ``p``, whose key ``where`` is ``(p.shape, p.tobytes())``.
-    On a miss it is made from one ``fn`` call: the result, its leaves made
-    read-only in place, or the :class:`_Raised` of a point error of that
-    call or, on a point set, of a row of its result that is not finite, or
-    a :class:`_Split`.  A call that raises anything else keeps nothing."""
+    On a miss it is truncated from a result at a higher order
+    (:func:`_truncated`) or made from one ``fn`` call: the result, its leaves
+    made read-only in place, or the :class:`_Raised` of a point error of that
+    call or, on a point set, of a row of its result that is not finite, or a
+    :class:`_Split`.  A call that raises anything else keeps nothing."""
     key = (field, order, where)
     out = store.get(key)
+    if out is not None:
+        return out
+    out = _truncated(store, field, order, where)
     if out is None:
         try:
             out = field._fn(p, order)
@@ -237,7 +242,28 @@ def _kept(store, field, order, p, where):
             for L in leaves:
                 if isinstance(L, np.ndarray):
                     L.flags.writeable = False
-        store[key] = out
+    store[key] = out
+    return out
+
+
+def _truncated(store, field, order, where):
+    """``field`` at ``order`` truncated from its nearest result at the same
+    points at an order up to 6, or ``None``: a kept failure answers no lower
+    order (``sqrt`` of 0 fails only above order 0)."""
+    for k in range(order + 1, 7):
+        out = store.get((field, k, where))
+        if out is not None and type(out) is not _Raised and type(out) is not _Split:
+            return _less(out, k - order)
+
+
+def _less(out, drop):
+    """A field's result with each of its jets less its top ``drop`` layers."""
+    if isinstance(out, Jet):
+        return Jet(out.n, out.layers[: len(out.layers) - drop])
+    if isinstance(out, tuple):
+        return tuple(_less(item, drop) for item in out)
+    if isinstance(out, dict):
+        return {k: _less(item, drop) for k, item in out.items()}
     return out
 
 

@@ -18,13 +18,14 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Chart, ConnectionField, DegeneratePointError, MetricField, OneFormField, VectorField, _Field, kept
-from .jets import Jet, contract, jet_compose, jet_cross, jet_einsum, jet_solve, partials
+from .jets import Jet, contract, jet_compose, jet_cross, jet_einsum, jet_solve_with, partials
 from .structures import Structure, is_swmt, semi_dual, swmt_residual
 from .tensor import (
     codazzi_defect,
     covariant_derivative_of_form,
     curvature_values,
     degeneracy_threshold,
+    inverse_metric_values,
     nabla_g_values,
     require_nondegenerate_metric,
     torsion_values,
@@ -110,11 +111,11 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
 
     def conn_fn(p, order):
         G = gp.jet(p, order)
-        require_nondegenerate_metric(gp, p)
+        ginv = inverse_metric_values(gp, p)
         dF = partials(emb.coords.jet(p, order + 1))
         W = _ambient_derivative_of_frame(emb, s.conn, p, order)
         # g'_{kd} gamma^k_{ab} = g(dF e_d, W_ab)
-        return jet_solve(G, jet_einsum("...id,...ij,...jab->...dab", dF, Gc.jet(p, order), W))
+        return jet_solve_with(G, ginv, jet_einsum("...id,...ij,...jab->...dab", dF, Gc.jet(p, order), W))
 
     return Structure(
         emb.domain,
@@ -148,10 +149,10 @@ def unit_normal(emb: EmbeddingMap, g: MetricField) -> _Field:
     def raw(p, order):
         """``(N_raw, nu, G)``: the conormal ``nu_i = eps_{i j k ...} dF[j, 0]
         dF[k, 1] ...`` (cofactors of the differential) raised by ``g``."""
-        dF = partials(emb.coords.jet(p, order + 1))
+        F = emb.coords.jet(p, order + 1)
         Gc = emb.compose(g).jet(p, order)
-        nu = jet_cross(dF.T)
-        return jet_solve(Gc, nu), nu, Gc
+        nu = jet_cross(partials(F).T)
+        return jet_solve_with(Gc, inverse_metric_values(g, F.value), nu), nu, Gc
 
     centre = raw(emb.domain.center(), 0)[0].value
     sign = 1.0 if centre[int(np.argmax(np.abs(centre)))] > 0 else -1.0
@@ -238,8 +239,7 @@ class HypersurfaceFrame:
         beta = -jet_einsum("...ij,...ia,...jb->...ab", Gc, DN, dF)
         gp = emb.induced_metric(self.s.g)
         G = gp.jet(p, order)
-        require_nondegenerate_metric(gp, p)
-        B = jet_solve(G, beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}
+        B = jet_solve_with(G, inverse_metric_values(gp, p), beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}
         return beta, tau, B, eps
 
     # -- the values the shared fundamental-form checks read ----------------

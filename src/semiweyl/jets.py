@@ -55,6 +55,7 @@ __all__ = [
     "PointError",
     "EvaluationDomainError",
     "jet_solve",
+    "jet_solve_with",
     "singular",
     "jet_cross",
     "jet_compose",
@@ -604,7 +605,18 @@ def jet_solve(A, b):
     The solution has the shape of ``b`` (with ``A``'s leading axes) and the
     lower order of the two.  Raises :class:`EvaluationDomainError` when the
     value-level matrix is singular (at any point of a set, naming its rows).
+    A metric's jet is solved with its kept inverse by :func:`jet_solve_with`.
     """
+    try:
+        inv = np.linalg.inv(A.value)
+    except np.linalg.LinAlgError as exc:
+        raise EvaluationDomainError.where(singular(A.value), "singular frame in jet solve") from exc
+    return jet_solve_with(A, inv, b)
+
+
+def jet_solve_with(A, inv, b):
+    """:func:`jet_solve` of ``A s = b`` given ``inv``, the inverse of ``A``'s
+    value layer (of each point of a set)."""
     b_is_jet = isinstance(b, Jet)
     n, order = _shared([A, b] if b_is_jet else [A])
     a = A.layers[: order + 1]
@@ -616,10 +628,6 @@ def jet_solve(A, b):
     shape = np.shape(b_layers[0])
     m = len(batch)
     rhs = [L.reshape(batch + (k, -1) + L.shape[len(shape):]) for L in b_layers]
-    try:
-        inv = np.linalg.inv(a[0])
-    except np.linalg.LinAlgError as exc:
-        raise EvaluationDomainError.where(singular(a[0]), "singular frame in jet solve") from exc
     s = [inv @ rhs[0]]
     for r in range(1, order + 1):
         # order r of A s = b: every Leibniz term but A s_r (not yet in s)

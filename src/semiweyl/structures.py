@@ -8,10 +8,10 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .fields import Chart, ConnectionField, MetricField, OneFormField, kept
-from .jets import jet_einsum, partials
+from .jets import jet_einsum, jet_solve_with, partials
 from .tensor import (
-    _raise_index,
     codazzi_defect,
+    inverse_metric_values,
     nabla_g_values,
     require_nondegenerate_metric,
     torsion_values,
@@ -112,7 +112,7 @@ def semi_dual_connection(g: MetricField, eta: OneFormField, conn: ConnectionFiel
             + jet_einsum("...i,...jk->...jik", eta.jet(p, order), G)
             - jet_einsum("...mij,...mk->...jik", conn.jet(p, order), G)
         )
-        return _raise_index(g, p, G, lower)
+        return jet_solve_with(G, inverse_metric_values(g, p), lower)
 
     return ConnectionField(g.chart, fn)
 

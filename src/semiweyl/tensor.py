@@ -11,7 +11,9 @@ metric are fields of their connection (and metric), kept by it
 running result store, like any field's results.  The inverse metric is the
 non-degeneracy test of a metric field: it raises
 :class:`~semiweyl.fields.DegeneratePointError` where the metric is
-degenerate (:func:`require_nondegenerate_metric`).  The array form,
+degenerate (:func:`require_nondegenerate_metric`), and the one inversion of
+its values, which every solve against a metric's jet reads
+(:func:`~semiweyl.jets.jet_solve_with`).  The array form,
 :func:`require_nondegenerate`, serves matrices that are no field's values,
 such as those of :func:`signature`; :func:`orthonormal_frame` takes a
 matrix that its caller has tested.
@@ -26,7 +28,7 @@ from functools import wraps
 import numpy as np
 
 from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField, _Field, kept
-from .jets import _pow, jet_einsum, jet_solve, partials
+from .jets import _pow, jet_einsum, jet_solve_with, partials
 
 __all__ = [
     "degeneracy_threshold",
@@ -98,13 +100,6 @@ def require_nondegenerate_metric(g: MetricField, p):
     inverse_metric_values(g, p)
 
 
-def _raise_index(g, p, G, lower):
-    """``g^{kl} lower[l, ...]``, with ``G`` the jets of the metric field
-    ``g`` at the point or point set ``p``."""
-    require_nondegenerate_metric(g, p)
-    return jet_solve(G, lower)
-
-
 def levi_civita(g: MetricField) -> ConnectionField:
     """Christoffel coefficients of ``g`` as a jet-evaluable connection."""
 
@@ -113,7 +108,7 @@ def levi_civita(g: MetricField) -> ConnectionField:
         dG = partials(G)  # dG[i, j, l] = d_l g_ij
         # first kind: (d_i g_jl + d_j g_il - d_l g_ij) / 2 as [l, i, j]
         lower = (dG.transpose(1, 2, 0) + dG.transpose(1, 0, 2) - dG.transpose(2, 0, 1)) * 0.5
-        return _raise_index(g, p, G, lower)
+        return jet_solve_with(G, inverse_metric_values(g, p), lower)  # g^{kl} lower[l, i, j]
 
     return ConnectionField(g.chart, fn)
 
@@ -194,7 +189,8 @@ def gradient(g: MetricField, f) -> VectorField:
     """Metric gradient ``(grad f)^k = g^{kl} d_l f`` as a vector field."""
 
     def fn(p, order):
-        return _raise_index(g, p, g.jet(p, order), partials(f.jet(p, order + 1)))
+        G, df = g.jet(p, order), partials(f.jet(p, order + 1))
+        return jet_solve_with(G, inverse_metric_values(g, p), df)
 
     return VectorField(g.chart, fn)
 

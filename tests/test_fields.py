@@ -1,6 +1,7 @@
 """The run's result store is the only cache of field results: inside a
-store a field asked again at a point, set apart per order, calls its
-``fn`` once, a new store calls it again, and a call outside any run opens a
+store a field asked again at a point calls its ``fn`` once, a lower order
+read after a higher one is the higher one truncated, a new store calls it
+again, and a call outside any run opens a
 store for itself, so each field of its chain is evaluated once.  A point
 error is kept by its store, which raises it again without a new call.
 Results at interleaved points match fresh fields, are read-only, and
@@ -15,6 +16,7 @@ import numpy as np
 import pytest
 
 from conftest import euclidean3_chart, plane_chart, sphere_embedding, swmt_structure
+from semiweyl import hypersurfaces
 from semiweyl.fields import MetricField, ScalarField, _Field, result_store, sample_set
 from semiweyl.jets import EvaluationDomainError, Jet
 from semiweyl.lightlike import LightlikeFrame
@@ -69,16 +71,57 @@ class TestInterleaving:
         for p in (a, b, a):
             assert_same_jets(field.jet(p, 2), make().jet(p, 2))
 
-    def test_orders_are_kept_apart_at_one_point(self):
+
+class TestLowerOrders:
+    """A result kept at a higher order answers every lower order of its
+    field and points; a kept failure answers none."""
+
+    def test_a_lower_order_after_a_higher_is_its_truncation(self):
         field = swmt_structure().conn
         calls = count_orders(field)
         p = halton_points(plane_chart(), 1)[0]
         with result_store():
             high = field.jet(p, 2)
+            low, mid = field.jet(p, 0), field.jet(p, 1)
+            assert field.jet(p.copy(), 0) is low and field.jet(p, 1) is mid
+        assert calls == {2: 1}
+        assert [L.tobytes() for L in low.layers] == [L.tobytes() for L in high.layers[:1]]
+        assert [L.tobytes() for L in mid.layers] == [L.tobytes() for L in high.layers[:2]]
+        for order, got in ((0, low), (1, mid)):
+            fresh = swmt_structure().conn.jet(p, order)
+            assert [L.tobytes() for L in got.layers] == [L.tobytes() for L in fresh.layers]
+
+    def test_the_arrays_of_a_result_stay_as_they_are(self):
+        # the unit normal's result is (N, eps): N a jet, eps an array
+        normal = hypersurfaces.unit_normal(sphere_embedding(euclidean3_chart()), MetricField.euclidean(euclidean3_chart()))
+        calls = count_orders(normal)
+        pts = halton_points(normal.chart, 5)
+        with result_store():
+            N2, eps2 = normal.jet(pts, 2)
+            N0, eps0 = normal.jet(pts, 0)
+        assert calls == {2: 1} and eps0 is eps2
+        assert N0.order == 0 and N0.value is N2.value
+
+    def test_a_higher_order_after_a_lower_is_its_own_fill(self):
+        field = swmt_structure().conn
+        calls = count_orders(field)
+        p = halton_points(plane_chart(), 1)[0]
+        with result_store():
             low = field.jet(p, 0)
-            assert field.jet(p.copy(), 2) is high and field.jet(p, 0) is low
-        assert low.order == 0 and high.order == 2
-        assert calls == {0: 1, 2: 1}
+            high = field.jet(p, 2)
+            assert field.jet(p, 0) is low and field.jet(p, 2) is high
+        assert calls == {0: 1, 2: 1} and (low.order, high.order) == (0, 2)
+
+    def test_a_kept_failure_answers_no_lower_order(self):
+        # sqrt at 0 has a value but no derivative
+        f = ScalarField.from_expression(plane_chart(-1.0, 1.0), "sqrt(x)")
+        calls = count_orders(f)
+        p = np.array([0.0, 0.5])
+        with result_store():
+            with pytest.raises(EvaluationDomainError, match="^sqrt of a negative value$"):
+                f.jet(p, 1)
+            assert f.jet(p, 0).value == 0.0
+        assert calls == {1: 1, 0: 1}
 
 
 class TestOneCache:

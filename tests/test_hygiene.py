@@ -5,8 +5,9 @@ only the spec loader and the field constructors turn text into
 expressions, no literal ``np.einsum`` sums over three or more operands,
 the package keeps few parameters with a default, no module tests a
 field's values for degeneracy with the array form of the test, every
-point error raised names its rows or says why it cannot, and every spec
-argument gives the Taylor oracle of ``semiweyl oracle`` fields to check.
+point error raised names its rows or says why it cannot, every spec
+argument gives the Taylor oracle of ``semiweyl oracle`` fields to check,
+and only the kept inverse metric and the jet solve invert a matrix.
 
 AST checks, so they need no linter.  Names re-exported through ``__all__``
 and ``from __future__ import annotations`` are exempt from the first, so
@@ -28,6 +29,10 @@ whose call raises a point error filling its other rows as one sub-set
 (``semiweyl.fields._kept``): an error that names no rows sends each of the
 set's points through the per-point path.  The tenth, which loads the
 fixtures, keeps what a new spec argument builds inside the oracle's sweep.
+The eleventh keeps every solve against a metric field's jet on the kept
+inverse (``semiweyl.tensor.inverse_metric_values`` read through
+``semiweyl.jets.jet_solve_with``), computed once per field and points;
+``jet_solve`` inverts only frames that are no metric's values.
 """
 
 import ast
@@ -414,3 +419,48 @@ def test_every_spec_argument_gives_the_taylor_oracle_fields():
     for name, (blocks, read, fields) in ARGUMENTS.items():
         spec = next(spec for spec in specs if spec.blocks.issuperset(blocks))
         assert fields(read(spec), spec), name
+
+
+# the functions that call ``np.linalg.inv``: the kept inverse metric, the one
+# inversion of a metric field's values, and the jet solve of the frames that
+# are no metric (lightlike and affine) with its test of each singular member
+INVERTING = {("tensor.py", "inverse_metric_values"), ("jets.py", "jet_solve"), ("jets.py", "_singular_alone")}
+
+
+def inversions(source):
+    """``(function, line)`` of every call of ``inv`` (``np.linalg.inv``, or
+    ``inv`` imported alone), with the innermost function holding it
+    (``None`` at module level)."""
+    found = []
+
+    def visit(node, function):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Call) and _called_name(child) == "inv":
+                found.append((function, child.lineno))
+            visit(child, function)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_the_check_sees_an_inversion():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import inv\n"
+        "def f(a):\n"
+        "    return np.linalg.inv(a)\n"
+        "def g(a):\n"
+        "    def h(b):\n"
+        "        return inv(b)\n"
+        "    return np.linalg.solve(a, a) + h(a)\n"
+        "x = np.linalg.inv(m)\n"
+    )
+    assert inversions(source) == [("f", 4), ("h", 7), (None, 9)]
+
+
+def test_only_the_kept_inverse_metric_and_the_jet_solve_invert():
+    found = {(path.name, function) for path in MODULES for function, _ in inversions(path.read_text())}
+    assert found == INVERTING

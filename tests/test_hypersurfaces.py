@@ -1,3 +1,4 @@
+import re
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from semiweyl.fields import (
     MetricField,
     OneFormField,
     ScalarField,
+    sample_set,
 )
 from semiweyl.hypersurfaces import (
     EmbeddingMap,
@@ -291,3 +293,28 @@ def test_a_null_normal_names_its_rows():
         normal._fn(pts, 0)
     rows = rows_alone(lambda p: normal._fn(p, 0), pts)
     assert raised.value.rows == rows and any(rows) and not all(rows)
+
+
+def test_a_degenerate_ambient_metric_skips_its_rows_as_alone():
+    # g_zz = sqrt(x*x) - x is exactly 0 where x > 0; the unit normal raises
+    # the ambient metric with its kept inverse at the image points, so those
+    # rows fail its non-degeneracy test ("singular frame in jet solve" when
+    # the normal inverted the metric's jet itself)
+    chart = Chart(("x", "y", "z"), (-2.0,) * 3, (2.0,) * 3)
+    g = MetricField.from_diagonal(chart, ["1", "1", "sqrt(x*x) - x"])
+    emb = EmbeddingMap(Chart(("u", "v"), (-1.0, -1.0), (0.5, 1.0)), chart, ["u", "v", "0.5*u + 0.3*v"])
+    normal = hypersurfaces.unit_normal(emb, g)
+    pts = halton_points(emb.domain, 12)
+    message = "metric degenerate (|det g| = 0.000e+00)"
+    with pytest.raises(DegeneratePointError, match=f"^{re.escape(message)}$") as raised:
+        normal._fn(pts, 0)
+    rows = rows_alone(lambda p: normal._fn(p, 0), pts)
+    assert raised.value.rows == rows and any(rows) and not all(rows)
+    assert {row for row in rows if row} == {(DegeneratePointError, (message,))}
+    with sample_set(pts):
+        for p, row in zip(pts, rows):
+            if row:
+                with pytest.raises(DegeneratePointError, match=f"^{re.escape(message)}$"):
+                    normal.jet(p, 0)
+            else:
+                assert np.isfinite(normal.jet(p, 0)[0].value).all()

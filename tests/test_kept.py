@@ -5,9 +5,11 @@ computed once per structure and config, a transform of the same two
 fields is one key, every field evaluates once per sample set and order in
 a run, in one call on the whole set, and so does every law of a check, and
 the metric's non-degeneracy test, curvature and nabla g run once per
-(field, points) in a run."""
+(field, points) in a run, where the kept inverse metric is the only
+inversion of a metric's values."""
 
 import inspect
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -221,14 +223,17 @@ class TestOneBatchPerSampleSet:
         "names,per_point,batches",
         [
             # evaluated point by point: 21,900 and 8,250 at the specs' own
-            # samples; with one batch per field and pass: 120 and 48
-            (INTRINSIC, 0, 42),
-            (["centroaffine_sphere"], 0, 9),
-            # the ambient fields evaluate on the image set F(pts); the 13
+            # samples; with one batch per field and pass: 120 and 48; 42 and
+            # 9 when a lower order read after a higher one was evaluated
+            # again, not truncated from the kept higher order
+            (INTRINSIC, 0, 35),
+            (["centroaffine_sphere"], 0, 8),
+            # the ambient fields evaluate on the image set F(pts); the 10
             # points left are the chart centres of the frames' pins (10,227
             # per point and 38 batches with the images evaluated point by point;
-            # 42 batches when screen_structure read the screen data at order 1)
-            (EMBEDDED, 13, 39),
+            # 42 batches when screen_structure read the screen data at order 1;
+            # 13 and 39 before the truncation of kept higher orders)
+            (EMBEDDED, 10, 33),
         ],
         ids=["intrinsic", "affine", "embedded"],
     )
@@ -246,10 +251,12 @@ class TestOneBatchPerSampleSet:
             # with only expression fields filling a set in one call: 10,600
             # calls at a point and 42 on a set at the specs' own samples;
             # 108 before torsion, curvature, Ricci, scalar curvature, nabla g
-            # and the inverse metric were fields (44 of these calls)
-            (INTRINSIC, 0, 152),
-            # 3,600 and 9; 33 before those fields (12 of these)
-            (["centroaffine_sphere"], 0, 45),
+            # and the inverse metric were fields (44 of these calls); 152
+            # before a lower order was truncated from a kept higher one
+            (INTRINSIC, 0, 140),
+            # 3,600 and 9; 33 before those fields (12 of these); 45 before
+            # the truncation
+            (["centroaffine_sphere"], 0, 44),
             # 15,024 and 42; the 24 points left are the chart centres of the
             # frames' pins; the lightlike checks read the screen data, so no
             # order-0 pullback, induced metric or screen field is asked on
@@ -257,8 +264,10 @@ class TestOneBatchPerSampleSet:
             # those fields (26 of these); 176 when screen_structure read the
             # screen data at order 1, and with the transversal a field of each
             # (map, metric, screen), which the semi-dual frame reads, not built
-            # by each frame
-            (EMBEDDED, 24, 168),
+            # by each frame; the unit normal's kept ambient inverse adds 3
+            # calls at a centre and 1 on a set, and truncating lower orders
+            # from kept higher ones takes out 3 and 10 (24 and 168 before both)
+            (EMBEDDED, 24, 159),
         ],
         ids=["intrinsic", "affine", "embedded"],
     )
@@ -357,6 +366,24 @@ def raw_computations(monkeypatch, path):
     return counts, dets[0]
 
 
+def inversions(monkeypatch, paths):
+    """``(function, bytes)`` of each ``np.linalg.inv`` call of one fresh
+    ``run_spec`` of each spec of ``paths`` (one benchmark pass): the
+    function that called it and the stack it inverted."""
+    made = []
+    inv = np.linalg.inv
+
+    def counting(a):
+        made.append((sys._getframe(1).f_code.co_name, np.asarray(a).tobytes()))
+        return inv(a)
+
+    monkeypatch.setattr(np.linalg, "inv", counting)
+    for path in paths:
+        run_spec(load_spec(path))
+    monkeypatch.undo()
+    return made
+
+
 class TestTensorValuesOncePerPoints:
     @pytest.mark.parametrize("name", INTRINSIC + ["sphere_hypersurface", "centroaffine_sphere"])
     def test_the_raw_tensor_values_run_once_per_field_and_points(self, monkeypatch, name):
@@ -374,3 +401,25 @@ class TestTensorValuesOncePerPoints:
         runs = [raw_computations(monkeypatch, FIXTURES / f"{name}.spec") for name in INTRINSIC]
         assert {key[0] for counts, _ in runs for key in counts} == set(RAW)
         assert sum(dets for _, dets in runs) == 9
+
+    @pytest.mark.parametrize(
+        "paths,calls",
+        [
+            # 31, 50, 13 and 6 when each solve against a metric's jet
+            # inverted its value layer again
+            ([FIXTURES / f"{name}.spec" for name in INTRINSIC], 9),
+            ([FIXTURES / f"{name}.spec" for name in EMBEDDED], 23),
+            ([FIXTURES / "centroaffine_sphere.spec"], 10),
+            ([ROOT / "perfbench" / "specs" / "domain_edge.spec"], 2),
+        ],
+        ids=["intrinsic", "embedded", "affine", "domain_edge"],
+    )
+    def test_a_pass_inverts_each_metric_once_per_points(self, monkeypatch, paths, calls):
+        made = inversions(monkeypatch, paths)
+        by_function = Counter(name for name, _ in made)
+        assert len(made) == calls, by_function
+        # the other inversions are of frames that are no metric's values
+        # (lightlike and affine), and their singular-member tests
+        assert set(by_function) <= {"inverse_metric_values", "jet_solve", "_singular_alone"}
+        metrics = {a for name, a in made if name == "inverse_metric_values"}
+        assert metrics and not [name for name, a in made if name != "inverse_metric_values" and a in metrics]

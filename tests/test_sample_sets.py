@@ -2,7 +2,8 @@
 each point the bits it gets alone, and so does every field a spec's run
 builds; a field reads its rows from the set's batch, a set with points
 outside the domain raises at each point as that point alone does, batches
-are read-only, and a pass leaves no sample set behind."""
+are read-only, a pass leaves no sample set behind, and orders 0 and 1
+of every such field read after order 2 are its fresh fills bit for bit."""
 
 from pathlib import Path
 from typing import NamedTuple
@@ -286,6 +287,25 @@ class TestEveryField:
                             assert g == w, (field, order)
                         else:
                             assert leaf_bytes(g) == leaf_bytes(w), (field, order)
+
+    @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+    def test_lower_orders_after_order_two_are_their_fresh_fills(self, monkeypatch, path):
+        # in one store, orders 0 and 1 read after order 2 are truncations
+        # of it (see fields._truncated); each fresh fill has a store of its own
+        spec, asked, _ = a_recorded_run(monkeypatch, path)
+        for field in asked:
+            pts = halton_points(field.chart, spec.config.samples, spec.config.seed)
+            for p in (pts, pts[0]):
+                with result_store():
+                    outcome(field.jet, p, 2)
+                    after = [outcome(field.jet, p, order) for order in (0, 1)]
+                for order, got in enumerate(after):
+                    with result_store():
+                        want = outcome(field.jet, p, order)
+                    if isinstance(want, Raised):
+                        assert got == want, (field, order)
+                    else:
+                        assert leaf_bytes(got) == leaf_bytes(want), (field, order)
 
 
 def point_outcome(out):
