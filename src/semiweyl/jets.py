@@ -10,18 +10,22 @@ Taylor arithmetic of Griewank & Walther, *Evaluating Derivatives*, 2nd ed.,
 ch. 13), so any quantity assembled from jets carries exact derivatives of
 the assembly.
 
-Layer ``r`` of a product is a Leibniz sum over the ways of sharing the
-``r`` derivative slots between the factors, and layer ``r`` of a
-composition is a Faa di Bruno sum over the set partitions of the slots
-(Griewank, Utke & Walther, "Evaluating higher derivative tensors by forward
-propagation of univariate Taylor series", *Math. Comp.* 69, 2000).  Both
-sums are generic in ``r``; their einsum terms are built once per order and
-operand layout and cached.  Products and elementwise functions spell out
-orders 1 to 3 by hand, as a fast path.  The terms are evaluated by
-:func:`contract`: an einsum with three or more operands and a summed label
-is contracted pairwise, each pair one batched matrix product, in an order
-chosen from the operands' shapes without their batch axes (after Smith &
-Gray, "opt_einsum", *JOSS* 3(26), 2018); any other goes to ``np.einsum``.
+Products and elementwise functions spell out layers 1 to 3 by hand.  Above
+order 3 one rule builds on these closed forms: layer ``r`` of ``a b`` is
+layer ``r - 1`` of ``da b + a db``, and layer ``r`` of ``f(g)`` is layer
+``r - 1`` of ``f'(g) dg``, both products of jets one order lower (above
+order 4, by the same rule again).  So a layer does not depend on the order
+it is computed to.  Contractions take layer ``r`` as a Leibniz sum over the
+ways of sharing the ``r`` derivative slots between the operands, and
+:func:`jet_compose` as a Faa di Bruno sum over the set partitions of the
+slots (Griewank, Utke & Walther, "Evaluating higher derivative tensors by
+forward propagation of univariate Taylor series", *Math. Comp.* 69, 2000).
+Both sums are generic in ``r``; their einsum terms are built once per order
+and operand layout and cached, and evaluated by :func:`contract`: an einsum
+with three or more operands and a summed label is contracted pairwise, each
+pair one batched matrix product, in an order chosen from the operands'
+shapes without their batch axes (after Smith & Gray, "opt_einsum", *JOSS*
+3(26), 2018); any other goes to ``np.einsum``.
 
 A jet of a point set has a leading batch axis, one row per point, ahead
 of the tensor axes; tensor code indexes from the end (``J[..., i, :]``),
@@ -298,9 +302,9 @@ class Jet:
         if o >= 3:
             out.append(_up(a0, 3) * b[3] + _up(b0, 3) * a[3] + _sym3(_cross12(a[1], b[2]) + _cross12(b[1], a[2])))
         if o >= 4:
-            # orders 1 to 3 above are the closed forms of this generic sum,
-            # kept as a fast path
-            out += [_leibniz(("...", "..."), "...", [a, b], r) for r in range(4, o + 1)]
+            # layer r is layer r - 1 of d(ab) = da b + a db, one order down
+            A, B = Jet(self.n, a[:o])[..., None], Jet(self.n, b[:o])[..., None]
+            out += (Jet(self.n, a[1:]) * B + A * Jet(self.n, b[1:])).layers[3:]
         return Jet(self.n, out)
 
     __rmul__ = __mul__
@@ -321,8 +325,8 @@ class Jet:
             ggg = gg[..., None] * g[..., None, None, :]
             out.append(_up(f[1], 3) * L[3] + _up(f[2], 3) * _sym3(_cross12(g, L[2])) + _up(f[3], 3) * ggg)
         if o >= 4:
-            # as in __mul__, orders 1 to 3 are closed forms of the generic sum
-            out += [_faa_di_bruno("chain", f, L, r) for r in range(4, o + 1)]
+            # layer r is layer r - 1 of d f(g) = f'(g) dg, one order down
+            out += (Jet(self.n, L[:o])._chain(f[1:])[..., None] * Jet(self.n, L[1:])).layers[3:]
         return Jet(self.n, out)
 
     def reciprocal(self):
@@ -506,29 +510,21 @@ def _set_partitions(slots):
 @functools.lru_cache(maxsize=None)
 def _faa_di_bruno_terms(kind, r):
     """``(einsum spec, outer layer, inner layer per block)`` of each
-    order-``r`` term of the Faa di Bruno formula, one per set partition of
-    the ``r`` derivative slots: layer ``k`` of the outer function (``k`` the
-    block count) times, for each block, the inner layer with as many
-    derivative axes as the block has slots, placed on the block's slots.
-
-    ``kind`` "chain" is an elementwise function (every operand shares the
-    tensor axes ``...``); "compose" is a function of m variables, whose
-    layer ``k`` contracts ``k`` image axes with the blocks' leading axes;
-    "batch" is "compose" with one leading batch axis on every operand."""
+    order-``r`` term of the Faa di Bruno formula of :func:`jet_compose`, one
+    per set partition of the ``r`` derivative slots: layer ``k`` of the
+    outer function of m variables (``k`` the block count), whose ``k`` image
+    axes contract with the blocks' leading axes, times, for each block, the
+    inner layer with as many derivative axes as the block has slots, placed
+    on the block's slots.  ``kind`` "batch" has one leading batch axis on
+    every operand, "compose" none."""
     slots = string.ascii_lowercase[:r]
+    z = "z" if kind == "batch" else ""
     terms = []
     for part in _set_partitions(tuple(range(r))):
         blocks = ["".join(slots[i] for i in block) for block in part]
-        if kind == "chain":
-            specs = ["..."] + ["..." + b for b in blocks]
-            out = "..."
-        else:
-            # "compose", or "batch" with a leading batch axis z on both
-            z = "z" if kind == "batch" else ""
-            images = string.ascii_uppercase[: len(blocks)]
-            specs = [z + "..." + images] + [z + a + b for a, b in zip(images, blocks)]
-            out = z + "..."
-        terms.append((",".join(specs) + "->" + out + slots, len(blocks), tuple(len(b) for b in blocks)))
+        images = string.ascii_uppercase[: len(blocks)]
+        specs = [z + "..." + images] + [z + a + b for a, b in zip(images, blocks)]
+        terms.append((",".join(specs) + "->" + z + "..." + slots, len(blocks), tuple(len(b) for b in blocks)))
     return tuple(terms)
 
 

@@ -7,7 +7,8 @@ the package keeps few parameters with a default, no module tests a
 field's values for degeneracy with the array form of the test, every
 point error raised names its rows or says why it cannot, every spec
 argument gives the Taylor oracle of ``semiweyl oracle`` fields to check,
-and only the kept inverse metric and the jet solve invert a matrix.
+only the kept inverse metric and the jet solve invert a matrix, and no
+product or elementwise function of jets calls a generic derivative sum.
 
 AST checks, so they need no linter.  Names re-exported through ``__all__``
 and ``from __future__ import annotations`` are exempt from the first, so
@@ -32,7 +33,11 @@ fixtures, keeps what a new spec argument builds inside the oracle's sweep.
 The eleventh keeps every solve against a metric field's jet on the kept
 inverse (``semiweyl.tensor.inverse_metric_values`` read through
 ``semiweyl.jets.jet_solve_with``), computed once per field and points;
-``jet_solve`` inverts only frames that are no metric's values.
+``jet_solve`` inverts only frames that are no metric's values.  The
+twelfth keeps ``Jet.__mul__`` and ``Jet._chain`` taking their layers above
+order 3 from the first-order rule on their own closed forms, with no
+einsum, and the Faa di Bruno sum to ``jet_compose``: the generic sums make
+one einsum per slot placement or set partition.
 """
 
 import ast
@@ -427,22 +432,22 @@ def test_every_spec_argument_gives_the_taylor_oracle_fields():
 INVERTING = {("tensor.py", "inverse_metric_values"), ("jets.py", "jet_solve"), ("jets.py", "_singular_alone")}
 
 
-def inversions(source):
-    """``(function, line)`` of every call of ``inv`` (``np.linalg.inv``, or
-    ``inv`` imported alone), with the innermost function holding it
-    (``None`` at module level)."""
+def calls(source, names):
+    """``(scope, name, line)`` of every call of one of ``names`` (as a name
+    or an attribute), with the dotted path of the classes and functions
+    holding it (``Class.method.inner``; ``None`` at module level)."""
     found = []
 
-    def visit(node, function):
+    def visit(node, scope):
         for child in ast.iter_child_nodes(node):
-            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                visit(child, child.name)
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, scope + (child.name,))
                 continue
-            if isinstance(child, ast.Call) and _called_name(child) == "inv":
-                found.append((function, child.lineno))
-            visit(child, function)
+            if isinstance(child, ast.Call) and _called_name(child) in names:
+                found.append((".".join(scope) or None, _called_name(child), child.lineno))
+            visit(child, scope)
 
-    visit(ast.parse(source), None)
+    visit(ast.parse(source), ())
     return found
 
 
@@ -458,9 +463,66 @@ def test_the_check_sees_an_inversion():
         "    return np.linalg.solve(a, a) + h(a)\n"
         "x = np.linalg.inv(m)\n"
     )
-    assert inversions(source) == [("f", 4), ("h", 7), (None, 9)]
+    assert calls(source, {"inv"}) == [("f", "inv", 4), ("g.h", "inv", 7), (None, "inv", 9)]
 
 
 def test_only_the_kept_inverse_metric_and_the_jet_solve_invert():
-    found = {(path.name, function) for path in MODULES for function, _ in inversions(path.read_text())}
+    found = {(path.name, function) for path in MODULES for function, _, _ in calls(path.read_text(), {"inv"})}
     assert found == INVERTING
+
+
+# the generic Leibniz and Faa di Bruno sums: products and elementwise
+# functions take their layers above order 3 from the first-order rule on
+# their own closed forms, so only contractions sum over slot placements and
+# only a composition over set partitions
+GENERIC_SUMS = {"_leibniz", "_faa_di_bruno"}
+# scope prefixes of the product and the elementwise chain rule
+ELEMENTWISE = ("Jet.__mul__.", "Jet._chain.")
+
+
+def misplaced_generic_sums(source):
+    """``(scope, name, line)`` of every call of a generic sum inside a
+    product or elementwise function (functions nested in them included),
+    and of the Faa di Bruno sum anywhere but in ``jet_compose``."""
+    return [
+        (scope, name, line)
+        for scope, name, line in calls(source, GENERIC_SUMS)
+        if f"{scope}.".startswith(ELEMENTWISE) or (name == "_faa_di_bruno" and scope != "jet_compose")
+    ]
+
+
+def test_the_check_sees_a_misplaced_generic_sum():
+    source = (
+        "class Jet:\n"
+        "    def __mul__(self, other):\n"
+        "        return [_leibniz(spec, '...', [a, b], r) for r in rs]\n"
+        "    def _chain(self, f):\n"
+        "        def layer(r):\n"
+        "            return _faa_di_bruno('chain', f, L, r)\n"
+        "        return self.x._faa_di_bruno(f)\n"
+        "    def _chained(self, f):\n"
+        "        return _leibniz(spec, '...', [a, b], r)\n"
+        "def jet_compose(outer, inner):\n"
+        "    return _faa_di_bruno(kind, o, F, r)\n"
+        "def jet_solve_with(A, inv, b):\n"
+        "    return _leibniz(spec, '...im', [a, s], r) + _faa_di_bruno(kind, o, F, r)\n"
+        "x = _faa_di_bruno(kind, o, F, 1)\n"
+    )
+    assert misplaced_generic_sums(source) == [
+        ("Jet.__mul__", "_leibniz", 3),
+        ("Jet._chain.layer", "_faa_di_bruno", 6),
+        ("Jet._chain", "_faa_di_bruno", 7),
+        ("jet_solve_with", "_faa_di_bruno", 13),
+        (None, "_faa_di_bruno", 14),
+    ]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_products_and_elementwise_functions_call_no_generic_sum(path):
+    assert misplaced_generic_sums(path.read_text()) == []
+
+
+def test_the_generic_sums_keep_their_callers():
+    # the check above reads nothing if the sums or their callers are renamed
+    found = {(scope, name) for scope, name, _ in calls((PACKAGE / "jets.py").read_text(), GENERIC_SUMS)}
+    assert {("jet_compose", "_faa_di_bruno"), ("jet_einsum", "_leibniz"), ("jet_solve_with", "_leibniz")} <= found

@@ -11,7 +11,6 @@ from semiweyl.jets import (
     EvaluationDomainError,
     Jet,
     JetOrderError,
-    _faa_di_bruno,
     _leibniz,
     _pairwise,
     _plan,
@@ -431,10 +430,52 @@ class TestComposition:
         assert arr.grad.shape == (2, 3, 2) and not arr.grad.any()
 
 
+def _set_partitions(slots):
+    """Every partition of the string ``slots`` into blocks (strings)."""
+    if not slots:
+        yield []
+        return
+    first, rest = slots[0], slots[1:]
+    for part in _set_partitions(rest):
+        yield [first] + part
+        for i in range(len(part)):
+            yield part[:i] + [first + part[i]] + part[i + 1 :]
+
+
+def _falling(a, k):
+    return math.prod(a - i for i in range(k))
+
+
+# each elementwise function, and its k-th derivative at the values v
+ELEMENTWISE = {
+    "exp": (Jet.exp, lambda v, k: np.exp(v)),
+    "log": (Jet.log, lambda v, k: np.log(v) if k == 0 else _falling(-1, k - 1) / v**k),
+    "sin": (Jet.sin, lambda v, k: np.sin(v + k * np.pi / 2)),
+    "cos": (Jet.cos, lambda v, k: np.cos(v + k * np.pi / 2)),
+    "sqrt": (Jet.sqrt, lambda v, k: _falling(0.5, k) * v ** (0.5 - k)),
+    "reciprocal": (Jet.reciprocal, lambda v, k: _falling(-1, k) / v ** (k + 1)),
+    "**3": (lambda J: J**3, lambda v, k: _falling(3, k) * v ** (3 - k)),
+    "**-2": (lambda J: J**-2, lambda v, k: _falling(-2, k) / v ** (2 + k)),
+}
+OPERATIONS = {"product": lambda J, K: J * K} | {name: lambda J, K, f=f: f(J) for name, (f, _) in ELEMENTWISE.items()}
+
+
 class TestGenericOrders:
-    """Layers above order 3 come from the generic Leibniz and Faa di Bruno
-    sums.  At orders 1 to 3 the same sums must reproduce the hand-written
-    layers of products and elementwise functions."""
+    """Layers 1 to 3 of products and elementwise functions are written out
+    by hand; above order 3, layer ``r`` is layer ``r - 1`` of the first-order
+    rule (``da b + a db``, ``f'(g) dg``) on jets one order lower.  Checked
+    against the Leibniz sum over every slot placement and the Faa di Bruno
+    sum over every set partition, written out here; and a layer does not
+    depend on the order it is computed to, nor a row on its set."""
+
+    P = 3
+
+    def set_jets(self, seed, order):
+        """Two random jets of a set of ``P`` points; the first has values in
+        [0.5, 1.5), inside every function's domain."""
+        rng = np.random.default_rng(seed)
+        J, K = (random_jets(rng, (self.P,), order) for _ in range(2))
+        return Jet(2, [0.5 + rng.random(self.P)] + J.layers[1:]), K
 
     @pytest.mark.parametrize("r", [1, 2, 3])
     def test_generic_leibniz_sum_matches_the_closed_forms(self, r):
@@ -444,14 +485,51 @@ class TestGenericOrders:
         got = _leibniz(("...", "..."), "...", [T.layers, v.layers], r)
         assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
 
-    @pytest.mark.parametrize("r", [1, 2, 3])
-    def test_generic_chain_sum_matches_the_closed_forms(self, r):
-        rng = np.random.default_rng(90 + r)
-        J = random_jets(rng, (2, 3), 3)
-        f = [rng.normal(size=(2, 3)) for _ in range(4)]
-        want = J._chain(f).layers[r]
-        got = _faa_di_bruno("chain", f, J.layers, r)
-        assert np.max(np.abs(got - want)) <= 1e-13 * (1.0 + np.max(np.abs(want)))
+    @pytest.mark.parametrize("order", [4, 5, 6])
+    def test_product_against_every_placement(self, order):
+        J, K = self.set_jets(100 + order, order)
+        want = []
+        for r in range(order + 1):
+            slots = "abcdef"[:r]
+            want.append(0.0)
+            for owner in itertools.product((0, 1), repeat=r):
+                on_J = "".join(c for c, o in zip(slots, owner) if o == 0)
+                on_K = "".join(c for c, o in zip(slots, owner) if o == 1)
+                want[r] = want[r] + np.einsum(f"p{on_J},p{on_K}->p{slots}", J.layers[len(on_J)], K.layers[len(on_K)])
+        assert_layers_close(J * K, want, tol=1e-12)
+
+    @pytest.mark.parametrize("order", [4, 5, 6])
+    @pytest.mark.parametrize("name", ELEMENTWISE)
+    def test_function_against_every_set_partition(self, name, order):
+        J, _ = self.set_jets(110 + order, order)
+        f, derivative = ELEMENTWISE[name]
+        want = []
+        for r in range(order + 1):
+            slots = "abcdef"[:r]
+            want.append(0.0)
+            for blocks in _set_partitions(slots):
+                spec = ",".join(["p"] + ["p" + b for b in blocks]) + "->p" + slots
+                terms = [J.layers[len(b)] for b in blocks]
+                want[r] = want[r] + np.einsum(spec, derivative(J.value, len(blocks)), *terms)
+        assert_layers_close(f(J), want, tol=1e-12)
+
+    @pytest.mark.parametrize("name", OPERATIONS)
+    def test_order_six_truncated_is_each_fresh_lower_order(self, name):
+        J, K = self.set_jets(120, 6)
+        op = OPERATIONS[name]
+        six = op(J, K)
+        for o in range(6):
+            fresh = op(Jet(2, J.layers[: o + 1]), Jet(2, K.layers[: o + 1]))
+            assert [L.tobytes() for L in fresh.layers] == [L.tobytes() for L in six.layers[: o + 1]], o
+
+    @pytest.mark.parametrize("name", OPERATIONS)
+    def test_each_row_of_an_order_five_set_is_its_point_alone(self, name):
+        J, K = self.set_jets(130, 5)
+        op = OPERATIONS[name]
+        got = op(J, K)
+        for r in range(self.P):
+            alone = op(J[r], K[r])
+            assert [np.asarray(L).tobytes() for L in alone.layers] == [L[r].tobytes() for L in got.layers], r
 
     def test_order_four_product_against_every_placement(self):
         # reference: all 2^4 ways of sharing the slots x, y, z, w between the

@@ -6,7 +6,8 @@ fields is one key, every field evaluates once per sample set and order in
 a run, in one call on the whole set, and so does every law of a check, and
 the metric's non-degeneracy test, curvature and nabla g run once per
 (field, points) in a run, where the kept inverse metric is the only
-inversion of a metric's values."""
+inversion of a metric's values, and a pass makes a pinned number of
+einsums, none of them evaluating expressions."""
 
 import inspect
 import sys
@@ -19,6 +20,7 @@ import pytest
 from conftest import swmt_structure
 from semiweyl import fields, structures, tensor, verdicts
 from semiweyl.conformal import TransformData, check_conformal_corollaries, check_curvature_transform, transform
+from semiweyl.expressions import eval_jets, parse_expression
 from semiweyl.fields import ScalarField, kept
 from semiweyl.hypersurfaces import EmbeddingMap
 from semiweyl.report import run_spec
@@ -384,6 +386,23 @@ def inversions(monkeypatch, paths):
     return made
 
 
+def einsums(monkeypatch, paths):
+    """The number of ``np.einsum`` calls of one fresh ``run_spec`` of each
+    spec of ``paths`` (one benchmark pass)."""
+    made = [0]
+    einsum = np.einsum
+
+    def counting(*args, **kw):
+        made[0] += 1
+        return einsum(*args, **kw)
+
+    monkeypatch.setattr(np, "einsum", counting)
+    for path in paths:
+        run_spec(load_spec(path))
+    monkeypatch.undo()
+    return made[0]
+
+
 class TestTensorValuesOncePerPoints:
     @pytest.mark.parametrize("name", INTRINSIC + ["sphere_hypersurface", "centroaffine_sphere"])
     def test_the_raw_tensor_values_run_once_per_field_and_points(self, monkeypatch, name):
@@ -423,3 +442,30 @@ class TestTensorValuesOncePerPoints:
         assert set(by_function) <= {"inverse_metric_values", "jet_solve", "_singular_alone"}
         metrics = {a for name, a in made if name == "inverse_metric_values"}
         assert metrics and not [name for name, a in made if name != "inverse_metric_values" and a in metrics]
+
+    @pytest.mark.parametrize(
+        "paths,calls",
+        [
+            ([FIXTURES / f"{name}.spec" for name in INTRINSIC], 213),
+            ([FIXTURES / f"{name}.spec" for name in EMBEDDED], 205),
+            # 176 when products and elementwise functions above order 3
+            # summed every slot placement and set partition by einsum
+            ([FIXTURES / "centroaffine_sphere.spec"], 69),
+            ([ROOT / "perfbench" / "specs" / "domain_edge.spec"], 1016),
+        ],
+        ids=["intrinsic", "embedded", "affine", "domain_edge"],
+    )
+    def test_a_pass_makes_its_einsums(self, monkeypatch, paths, calls):
+        assert einsums(monkeypatch, paths) == calls
+
+    @pytest.mark.parametrize("order", range(7))
+    def test_expressions_evaluate_without_einsum(self, monkeypatch, order):
+        # the centroaffine immersion and transversal, and every elementary
+        # function and power: 447 einsums at order 4 and 5,934 at order 6
+        # when the generic sums took the layers above order 3
+        texts = ["cos(u)*sin(v)", "sin(u)*sin(v)", "cos(v)", "0 - cos(u)*sin(v)", "0 - sin(u)*sin(v)", "0 - cos(v)",
+                 "exp(u*v) * log(1 + u*v) / (2 + cos(u))", "sqrt(1 + u*u*v) * (u - v)^3 + (1 + u*v)^(-2)"]
+        exprs = [parse_expression(t, ("u", "v")) for t in texts]
+        monkeypatch.setattr(np, "einsum", None)
+        J = eval_jets(exprs, np.array([[0.5, 0.6], [0.7, 0.9], [1.0, 0.4]]), order)
+        assert J.shape == (3, len(texts)) and J.order == order
