@@ -179,20 +179,19 @@ def check_realization_ricci_scalar(dist: AffineDistribution, config: RunConfig):
         Bv = B_fn(p, 0).value
         E, eps = orthonormal_frame(gv)
         # gBE[i] = g(B(E_i), E_i)
-        BE = Bv @ E
+        BE = np.einsum("...lm,...mi->...li", Bv, E)
         gBEE = contract("...li,...lm,...mi->...i", BE, gv, E)
         trB = np.vecdot(eps, gBEE)
         ric = ricci_values(s.conn, s.g, p)
         # Ric(Y,Z) = g(Y,Z) trB - sum_i eps_i g(E_i, Z) g(B(Y), E_i)
-        gE = gv @ E  # gE[m, i] = g(e_m, E_i)
-        gBY = (gv @ Bv).swapaxes(-1, -2)  # gBY[j, m] = g(B(e_j), e_m)
-        second = contract("...i,...ki,...ji->...jk", eps, gE, gBY @ E)
+        gE = np.einsum("...ml,...li->...mi", gv, E)  # gE[m, i] = g(e_m, E_i)
+        gB = np.einsum("...ml,...lj->...mj", gv, Bv)  # gB[m, j] = g(B(e_j), e_m)
+        second = contract("...i,...ki,...mj,...mi->...jk", eps, gE, gB, E)
         ric_rhs = gv * trB[..., None, None] - second
         r1 = row_max(ric - ric_rhs, p)
         scal = scalar_curvature(s.conn, s.g, p)
         r2 = abs(scal - (n - 1) * trB)
         # antisymmetric part: Ric(Y,Z) - Ric(Z,Y) = g(B(Z),Y) - g(B(Y),Z)
-        gB = gv @ Bv  # gB[m, j] = g(B(e_j), e_m)
         r3 = row_max((ric - ric.swapaxes(-1, -2)) - (gB - gB.swapaxes(-1, -2)), p)
         scale = 1.0 + row_max(ric, p) + abs(scal) + row_max(ric_rhs, p)
         return np.maximum.reduce([r1, r2, r3]), scale

@@ -131,8 +131,8 @@ class _PointData:
         self.dphi = phi_j.grad
         self.dpsi = psi_j.grad
         self.hess_phi = phi_j.hess
-        self.grad_phi = np.matvec(self.ginv, self.dphi)
-        self.grad_psi = np.matvec(self.ginv, self.dpsi)
+        self.grad_phi = np.einsum("...ij,...j->...i", self.ginv, self.dphi)
+        self.grad_psi = np.einsum("...ij,...j->...i", self.ginv, self.dpsi)
         self.dVphi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.phi), p)
         self.dVpsi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.psi), p)
         self.lap_phi = contract("...ab,...ak,...kb->...", self.ginv, self.dVphi, self.g)
@@ -248,11 +248,11 @@ def _rhs_curvature(d: _PointData):
     # X(Z(phi)) - g(nabla_X Z, grad phi) - X(phi) Z(phi) + g(X,Z) g(grad phi, grad psi)
     phi2 = (
         d.hess_phi
-        - np.vecdot(np.moveaxis(d.gam, -3, -1), d.dphi[..., None, None, :])
+        - np.einsum("...kij,...k->...ij", d.gam, d.dphi)
         - np.einsum("...i,...j->...ij", d.dphi, d.dphi)
         + d.g * d.g_phi_psi[..., None, None]
     )
-    eye = np.eye(d.n)
+    eye = np.zeros_like(d.g) + np.eye(d.n)  # at d's points, laid out as they are
     return (
         d.R
         + np.einsum("...k,...lij->...lkij", d.dphi, d.T)
@@ -260,8 +260,8 @@ def _rhs_curvature(d: _PointData):
         - np.einsum("...ijk,...l->...lkij", d.dng, d.grad_psi)
         + np.einsum("...ik,...jl->...lkij", d.g, d.dVpsi)
         - np.einsum("...jk,...il->...lkij", d.g, d.dVpsi)
-        + np.einsum("lj,...ik->...lkij", eye, phi2)
-        - np.einsum("li,...jk->...lkij", eye, phi2)
+        + np.einsum("...lj,...ik->...lkij", eye, phi2)
+        - np.einsum("...li,...jk->...lkij", eye, phi2)
     )
 
 
@@ -269,8 +269,8 @@ def _rhs_ricci(d: _PointData):
     gT_psi_Y_Z = contract("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
     ngradphi = np.einsum("...jmk,...m->...jk", d.ng, d.grad_phi)  # (nabla_{d_j} g)(grad phi, d_k)
     ngradpsi = np.einsum("...jmk,...m->...jk", d.ng, d.grad_psi)
-    hess_phi_g = d.dVphi @ d.g  # g(nabla_{d_j} grad phi, d_k)
-    hess_psi_g = d.dVpsi @ d.g
+    hess_phi_g = np.einsum("...jm,...mk->...jk", d.dVphi, d.g)  # g(nabla_{d_j} grad phi, d_k)
+    hess_psi_g = np.einsum("...jm,...mk->...jk", d.dVpsi, d.g)
     n_gradpsi_g = np.einsum("...ajk,...a->...jk", d.ng, d.grad_psi)  # (nabla_{grad psi} g)(d_j, d_k)
     bracket = d.norm_psi2 - d.lap_psi - (d.n - 1) * d.g_phi_psi
     return (
@@ -388,9 +388,9 @@ def check_gradient_codazzi_identity(s: Structure, f: ScalarField, config: RunCon
         ng = nabla_g_values(s.conn, s.g, p)
         T = torsion_values(s.conn, p)
         fj = f.jet(p, 1)
-        gradf = np.matvec(ginv, fj.grad)
+        gradf = np.einsum("...ij,...j->...i", ginv, fj.grad)
         dVf = covariant_derivative_of_vector(s.conn, gradient(s.g, f), p)
-        hf = dVf @ gvals  # g(nabla_{d_a} grad f, d_k)
+        hf = np.einsum("...am,...mk->...ak", dVf, gvals)  # g(nabla_{d_a} grad f, d_k)
         lhs = np.einsum("...jkm,...m->...jk", ng, gradf) - np.einsum("...kjm,...m->...jk", ng, gradf)
         rhs = -np.einsum("...mjk,...m->...jk", T, fj.grad) + hf.swapaxes(-1, -2) - hf
         return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
@@ -462,7 +462,7 @@ def check_conformally_flat(s: Structure, psi: ScalarField, config: RunConfig):
     def fn(p):
         d = _data(point_data, p)
         n = d.n
-        hpsi = d.dVpsi @ d.g  # g(nabla_{d_j} grad psi, d_k)
+        hpsi = np.einsum("...jm,...mk->...jk", d.dVpsi, d.g)  # g(nabla_{d_j} grad psi, d_k)
         eta_gradpsi = np.vecdot(d.eta, d.grad_psi)
         bracket = d.norm_psi2 - d.lap_psi + eta_gradpsi
         # curvature closed form

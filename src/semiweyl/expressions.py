@@ -24,12 +24,13 @@ Identifiers are coordinate names; the recognized functions are ``exp``,
 
 from __future__ import annotations
 
+import math
 import operator
 import re
 
 import numpy as np
 
-from .jets import EvaluationDomainError, Jet, jet_stack
+from .jets import EvaluationDomainError, Jet, _stack
 
 __all__ = [
     "Expression",
@@ -69,18 +70,43 @@ class Expression:
         self.args = args
 
     def jet(self, coord_jets):
-        return self.op(*[a.jet(coord_jets) for a in self.args])
+        args = [a.jet(coord_jets) for a in self.args]
+        if not any(isinstance(a, Jet) for a in args):
+            # numbers that did not fold: evaluated as constant jets, to raise
+            probe = coord_jets[0]
+            args[0] = Jet.constant(args[0], probe.n, probe.order)
+        return self.op(*args)
 
 
 class Num(Expression):
-    """The constant ``value``."""
+    """The constant ``value``, whose jet is the float itself."""
 
     def __init__(self, value):
         self.value = value
 
     def jet(self, coord_jets):
-        probe = coord_jets[0]
-        return Jet.constant(self.value, probe.n, probe.order)
+        return self.value
+
+
+# the coordinate jets a constant subtree is folded at: one variable, to
+# order 6, the highest a result store keeps (sqrt(0) raises above order 0)
+_FOLD_AT = [Jet.constant(0.0, 1, 6)]
+
+
+def _node(op, *args):
+    """``Expression(op, *args)``, folded into a :class:`Num` when its
+    operands are numbers and its jet is finite; one that raises (or is
+    not finite) stays a node, and raises at each evaluation as it did."""
+    e = Expression(op, *args)
+    if all(type(a) is Num for a in args):
+        try:
+            with np.errstate(**_QUIET):
+                j = e.jet(_FOLD_AT)
+        except ArithmeticError:
+            return e
+        if j.is_finite():
+            return Num(float(j.value))
+    return e
 
 
 class Var(Expression):
@@ -147,18 +173,18 @@ class _Parser:
     def expr(self):
         e = self.term()
         while op := self.take("+-"):
-            e = Expression(BINARY[op], e, self.term())
+            e = _node(BINARY[op], e, self.term())
         return e
 
     def term(self):
         e = self.unary()
         while op := self.take("*/"):
-            e = Expression(BINARY[op], e, self.unary())
+            e = _node(BINARY[op], e, self.unary())
         return e
 
     def unary(self):
         if self.take("-"):
-            return Expression(operator.neg, self.unary())
+            return _node(operator.neg, self.unary())
         return self.power()
 
     def power(self):
@@ -175,7 +201,7 @@ class _Parser:
         if paren:
             self.expect_op(")")
         k = sign * int(val)
-        return Expression(lambda j: j**k, base)
+        return _node(lambda j: j**k, base)
 
     def atom(self):
         if self.take("("):
@@ -191,7 +217,7 @@ class _Parser:
                     raise UnknownSymbolError(val, pos)
                 arg = self.expr()
                 self.expect_op(")")
-                return Expression(FUNCTIONS[val], arg)
+                return _node(FUNCTIONS[val], arg)
             if val in self.coord_names:
                 return Var(self.coord_names.index(val))
             raise UnknownSymbolError(val, pos)
@@ -207,14 +233,14 @@ def parse_expression(text, coord_names):
 
 def _coordinate_jets(points, order):
     """The coordinate jets at a point ``(n,)``, or at a point set ``(P, n)``
-    with the points on a leading batch axis."""
-    points = np.asarray(points, dtype=float)
+    with the points on a leading batch axis, the innermost in memory."""
+    points = np.asfortranarray(points, dtype=float)
     n = points.shape[-1]
     return [Jet.coordinate(x, i, n, order) for i, x in enumerate(points.T)]
 
 
 def _checked(j):
-    if not j.is_finite():
+    if not (j.is_finite() if isinstance(j, Jet) else math.isfinite(j)):
         raise EvaluationDomainError("non-finite value in expression evaluation", None)
     return j
 
@@ -226,8 +252,10 @@ _QUIET = dict(over="ignore", invalid="ignore")
 
 def eval_jet(e, point, order):
     """Evaluate ``e`` and its partials up to ``order`` at ``point``."""
+    coords = _coordinate_jets(point, order)
     with np.errstate(**_QUIET):
-        return _checked(e.jet(_coordinate_jets(point, order)))
+        j = e.jet(coords)
+    return _checked(j if isinstance(j, Jet) else Jet.constant(j, coords[0].n, order))
 
 
 def eval_jets(exprs, points, order):
@@ -245,8 +273,8 @@ def eval_jets(exprs, points, order):
                 j = e.jet(coords)
                 if not batch:
                     j = _checked(j)
-                elif j.shape != batch:
-                    j = Jet(j.n, [np.broadcast_to(L, batch + np.shape(L)) for L in j.layers])
+                elif isinstance(j, Jet) and j.shape != batch:  # a constant that did not fold
+                    j = Jet(j.n, [np.zeros_like(C) + L for C, L in zip(coords[0].layers, j.layers)])
                 done[id(e)] = j
-    return jet_stack([done[id(e)] for e in exprs], axis=len(batch))
+    return _stack([done[id(e)] for e in exprs], len(batch), coords[0])
 

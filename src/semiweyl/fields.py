@@ -4,7 +4,9 @@ Every field is a function from a chart point to a dense
 :class:`~semiweyl.jets.Jet` of a requested order, whose tensor shape is the
 field's components (``()`` for a scalar field, ``(n, n)`` for a metric),
 and from a point set ``(P, n)`` to the same with a leading ``P`` axis on
-every leaf of the result, each row bitwise the result at its point alone.
+every leaf of the result, innermost in memory (see :mod:`semiweyl.jets`):
+each row is bitwise that point's row in any set of two or more points,
+and within rounding the result at that point alone.
 Expression-backed fields evaluate their component expressions into one
 jet (:func:`~semiweyl.expressions.eval_jets`); derived fields (duals,
 induced connections, transformed structures) are closures over other
@@ -46,7 +48,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .expressions import Expression, Num, eval_jets, parse_expression
-from .jets import EvaluationDomainError, Jet, PointError, jet_einsum, partials
+from .jets import EvaluationDomainError, Jet, PointError, at_points, jet_einsum, partials
 
 __all__ = [
     "Chart",
@@ -426,7 +428,7 @@ class ConnectionField(_Field):
     @classmethod
     def flat(cls, chart):
         n = chart.dim
-        return cls(chart, lambda p, order: Jet.constant(np.zeros(p.shape[:-1] + (n, n, n)), n, order))
+        return cls(chart, lambda p, order: Jet.constant(at_points(np.zeros((n, n, n)), p), n, order))
 
     @kept
     def add_tensor(self, tensor_fn):
@@ -447,13 +449,13 @@ class ConnectionField(_Field):
 def eta_tensor_id(chart, eta: OneFormField):
     """``K^k_{ij} = eta_i delta^k_j`` (the ``eta (x) I`` shape)."""
     eye = np.eye(chart.dim)
-    return lambda p, order: jet_einsum("...i,kj->...kij", eta.jet(p, order), eye)
+    return lambda p, order: jet_einsum("...i,...kj->...kij", eta.jet(p, order), at_points(eye, p))
 
 
 def id_tensor_eta(chart, eta: OneFormField):
     """``K^k_{ij} = delta^k_i eta_j`` (the ``I (x) d phi`` shape)."""
     eye = np.eye(chart.dim)
-    return lambda p, order: jet_einsum("...j,ki->...kij", eta.jet(p, order), eye)
+    return lambda p, order: jet_einsum("...j,...ki->...kij", eta.jet(p, order), at_points(eye, p))
 
 
 def g_tensor_vector(g: MetricField, V: VectorField):

@@ -21,25 +21,35 @@ ways of sharing the ``r`` derivative slots between the operands, and
 slots (Griewank, Utke & Walther, "Evaluating higher derivative tensors by
 forward propagation of univariate Taylor series", *Math. Comp.* 69, 2000).
 Both sums are generic in ``r``; their einsum terms are built once per order
-and operand layout and cached, and evaluated by :func:`contract`: an einsum
-with three or more operands and a summed label is contracted pairwise, each
-pair one batched matrix product, in an order chosen from the operands'
-shapes without their batch axes (after Smith & Gray, "opt_einsum", *JOSS*
-3(26), 2018); any other goes to ``np.einsum``.
+and operand layout and cached, and evaluated by :func:`contract`, which is
+``np.einsum``, pairwise along a cached order when three or more operands
+have many terms per point (after Smith & Gray, "opt_einsum", *JOSS* 3(26),
+2018).
 
 A jet of a point set has a leading batch axis, one row per point, ahead
 of the tensor axes; tensor code indexes from the end (``J[..., i, :]``),
-so the same code serves a point and a set, and each row of a set's jet is
-bitwise the jet of its point alone.  Jets index and reshape their tensor
-axes, :meth:`Jet.transpose` permutes the trailing ones (``.T`` swaps the
-last two), and ``+ - * /`` broadcast between jets, float arrays and floats
-as numpy arrays do; a jet has no length and no iteration, which would walk
-the batch axis.  The helpers work on the layers: :func:`jet_einsum`
-contracts jets by the Leibniz rule, :func:`partials` turns the first
-derivative axis into a tensor axis, :func:`jet_solve` solves linear systems
-(differentiating ``A(x) s(x) = b(x)`` order by order), :func:`jet_compose`
-applies the chain rule, :func:`jet_stack` stacks jets on a new axis, and
-:func:`jet_cross` is the generalized cross product, which gives normals.
+so the same code serves a point and a set.  In memory the batch axis is
+the innermost (a set's arrays are born in Fortran order: the coordinate
+jets, :meth:`Jet.constant` of a set's array, :func:`jet_stack`, the
+inverse in :func:`jet_solve`, :func:`at_points`), and numpy's default
+``order="K"`` carries that layout through ufuncs and einsums, so their
+inner loops run over the points rather than over a few tensor entries
+(memory layout decides the loop: Harris et al., "Array programming with
+NumPy", *Nature* 585, 2020).  Each sum of a contraction then runs in the
+same order for every row, so a row of a set has the same bits in every
+set of two or more points (a point alone, or a set of one, may take
+numpy's contiguous dot loop and differ by rounding).  Jets
+index and reshape their tensor axes, :meth:`Jet.transpose` permutes the
+trailing ones (``.T`` swaps the last two), and ``+ - * /`` broadcast
+between jets, float arrays and floats as numpy arrays do (a constant
+touches only the layers it changes); a jet has no length and no
+iteration, which would walk the batch axis.  The helpers work on the
+layers: :func:`jet_einsum` contracts jets by the Leibniz rule,
+:func:`partials` turns the first derivative axis into a tensor axis,
+:func:`jet_solve` solves linear systems (differentiating ``A(x) s(x) =
+b(x)`` order by order), :func:`jet_compose` applies the chain rule,
+:func:`jet_stack` stacks jets on a new axis, and :func:`jet_cross` is the
+generalized cross product, which gives normals.
 A jet is never modified in place, so results may share layers with their
 operands.
 """
@@ -67,6 +77,8 @@ __all__ = [
     "jet_stack",
     "contract",
     "partials",
+    "at_points",
+    "innermost",
 ]
 
 
@@ -133,6 +145,17 @@ def _cross12(u, v):
     return u[..., :, None, None] * v[..., None, :, :]
 
 
+def _const(c):
+    """A constant operand of a jet: a number as a float, else a float array."""
+    return float(c) if isinstance(c, (int, float)) else np.asarray(c, dtype=float)
+
+
+def _divisor(v):
+    """Raise where the value(s) ``v`` of a divisor are zero or not finite."""
+    if _any(v == 0.0) or not _finite(v):
+        raise EvaluationDomainError.where((v == 0.0) | ~np.isfinite(v), "division by zero")
+
+
 def _pow(v, k):
     """``v ** k``, elementwise as for each float alone: numpy's vector
     ``power`` rounds up to a few percent of its results otherwise than the
@@ -140,7 +163,8 @@ def _pow(v, k):
     try:
         if isinstance(v, float):
             return v ** k
-        return np.array([x ** k for x in v.ravel().tolist()]).reshape(v.shape)
+        layout = "F" if v.flags.f_contiguous else "C"  # a set's points stay innermost
+        return np.array([x ** k for x in v.ravel(layout).tolist()]).reshape(v.shape, order=layout)
     except OverflowError as exc:
         raise EvaluationDomainError("overflow in a power", None) from exc
 
@@ -180,14 +204,19 @@ class Jet:
         else:
             c = _scalar(np.asarray(c, dtype=float))
             shape = np.shape(c)
-        return Jet(n, [c] + [np.zeros(shape + (n,) * r) for r in range(1, order + 1)])
+        # a set's constant, in Fortran order, keeps its points innermost
+        layout = "F" if isinstance(c, np.ndarray) and np.isfortran(c) else "C"
+        return Jet(n, [c] + [np.zeros(shape + (n,) * r, order=layout) for r in range(1, order + 1)])
 
     @staticmethod
     def coordinate(value, index, n, order):
-        j = Jet.constant(value, n, order)
+        """Jet of the coordinate ``index`` at ``value``: a float at a point,
+        or one value per point of a set, whose point axis is innermost."""
+        shape = np.shape(value)
+        layers = [np.zeros(shape + (n,) * r, order="F" if shape else "C") for r in range(1, order + 1)]
         if order >= 1:
-            j.layers[1][..., index] = 1.0
-        return j
+            layers[0][..., index] = 1.0
+        return Jet(n, [value if shape else float(value)] + layers)
 
     # -- layers and tensor axes ---------------------------------------------
 
@@ -261,11 +290,8 @@ class Jet:
     # -- arithmetic ---------------------------------------------------------
 
     def _coerce(self, other):
-        """Layers of ``self`` and ``other`` at their lower order; a float
-        array is a constant."""
-        if not isinstance(other, Jet):
-            other = Jet.constant(other, self.n, self.order)
-        elif other.n != self.n:
+        """Layers of the jets ``self`` and ``other`` at their lower order."""
+        if other.n != self.n:
             raise ValueError("jet dimension mismatch")
         a, b = self.layers, other.layers
         if len(a) == len(b):
@@ -274,6 +300,11 @@ class Jet:
         return a[:o], b[:o]
 
     def __add__(self, other):
+        if not isinstance(other, Jet):
+            value = _scalar(self.layers[0] + _const(other))
+            if np.shape(value) == self.shape:  # a constant moves only the values
+                return Jet(self.n, [value] + self.layers[1:])
+            other = Jet.constant(other, self.n, self.order)
         a, b = self._coerce(other)
         return Jet(self.n, [x + y for x, y in zip(a, b)])
 
@@ -283,6 +314,8 @@ class Jet:
         return Jet(self.n, [-L for L in self.layers])
 
     def __sub__(self, other):
+        if not isinstance(other, Jet):
+            return self + -_const(other)
         a, b = self._coerce(other)
         return Jet(self.n, [x - y for x, y in zip(a, b)])
 
@@ -290,6 +323,10 @@ class Jet:
         return (-self) + other
 
     def __mul__(self, other):
+        if not isinstance(other, Jet):
+            # a constant has no derivatives: each layer is scaled
+            c = _const(other)
+            return Jet(self.n, [_scalar(self.layers[0] * c)] + [L * _up(c, r) for r, L in enumerate(self.layers) if r])
         a, b = self._coerce(other)
         a0, b0 = a[0], b[0]
         out = [a0 * b0]
@@ -331,13 +368,14 @@ class Jet:
 
     def reciprocal(self):
         v = self.layers[0]
-        if _any(v == 0.0) or not _finite(v):
-            raise EvaluationDomainError.where((v == 0.0) | ~np.isfinite(v), "division by zero")
+        _divisor(v)
         return self._chain([c / _pow(v, r + 1) for r, c in _falling_factorials(-1, self.order)])
 
     def __truediv__(self, other):
         if not isinstance(other, Jet):
-            other = Jet.constant(other, self.n, self.order)
+            c = _const(other)
+            _divisor(c)
+            return self * (1.0 / c)
         return self * other.reciprocal()
 
     def __rtruediv__(self, other):
@@ -347,7 +385,7 @@ class Jet:
         k = int(k)
         v = self.layers[0]
         if k == 0:
-            return Jet.constant(np.ones(self.shape), self.n, self.order)
+            return Jet(self.n, [_scalar(np.ones_like(v))] + [np.zeros_like(L) for L in self.layers[1:]])
         if k < 0 and _any(v == 0.0):
             raise EvaluationDomainError.where(v == 0.0, "zero raised to a negative power")
         # the falling factorial vanishes once r > k >= 0
@@ -399,72 +437,65 @@ def _shared(jets):
     return n, min(len(j.layers) for j in jets) - 1
 
 
-@functools.lru_cache(maxsize=None)
-def _pairwise(subscripts):
-    """``(labels of each operand, batch prefix, output labels)`` if :func:`contract`
-    takes ``subscripts`` pairwise, else None; the batch block of an operand
-    spelled ``prefix[...]labels`` is its prefix and its ``...`` axes."""
-    inputs, arrow, output = subscripts.replace(" ", "").partition("->")
-    prefix, dots, rest = output.rpartition("...")
-    bodies = tuple(s[len(prefix):].removeprefix(dots) if s.startswith(prefix) else "." for s in inputs.split(","))
-    labels = "".join(bodies)
-    summed = set(labels) - set(rest)
-    plain = "." not in labels and all(len(set(b)) == len(b) for b in bodies)  # no stray ``...``, no diagonal
-    if len(bodies) > 2 and arrow and summed and plain and all(labels.count(c) > 1 for c in summed):
-        return bodies, prefix, rest
+# above this many terms per point an einsum of three or more operands goes
+# pairwise; on 150 points one np.einsum of ...ijk,...ja,...kb->...iab (108
+# terms) took 12 us against 17 us pairwise, the four-operand Gauss equation
+# (648 terms) 366 us against 44 us
+_PAIRWISE_ABOVE = 128
 
 
 @functools.lru_cache(maxsize=None)
 def _plan(subscripts, shapes):
-    """Pair steps of :func:`contract` on operands whose non-batch axes have
-    ``shapes``: the order of fewest multiplications, and for each pair its
-    axis permutations (from the end) and matrix sizes."""
-    bodies, _, rest = _pairwise(subscripts)
-    size = {c: k for b, shape in zip(bodies, shapes) for c, k in zip(b, shape)}.get
+    """Pair steps of :func:`contract` on operands of ``shapes``, or ``None``
+    for one ``np.einsum``: each step ``(i, j, spec)`` takes operands ``i``
+    and ``j`` off the list and appends their ``np.einsum(spec)``, in the
+    order of fewest multiplications over the named labels.  The choice
+    counts the terms per point, leaving out the output's first axis, which
+    holds a set's points (a prefix label, or else the first ``...`` axis);
+    neither depends on the size of a set, so every set sums its rows alike."""
+    inputs, arrow, output = subscripts.replace(" ", "").partition("->")
+    prefix, dots, rest = output.rpartition("...")
+    specs = inputs.split(",")
+    bodies = [s[len(prefix):].removeprefix(dots) if s.startswith(prefix) else "." for s in specs]
+    labels = "".join(bodies)
+    summed = set(labels) - set(rest)
+    if not (arrow and summed and "." not in labels and all(labels.count(c) > 1 for c in summed)):
+        return None
+    size = {c: k for b, shape in zip(bodies, shapes) for c, k in zip(b, shape[len(shape) - len(b):])}.get
+    ells = np.broadcast_shapes(*(shape[len(prefix) : len(shape) - len(b)] for b, shape in zip(bodies, shapes)))
+    if math.prod(map(size, set(labels))) * math.prod(ells[0 if prefix else 1 :]) <= _PAIRWISE_ABOVE:
+        return None
 
     def cheapest(items):
         if len(items) == 1:
-            return 0, [tuple(items[0].index(c) - len(items[0]) for c in rest)]
+            return 0, []
         options = []
         for i, j in itertools.combinations(range(len(items)), 2):
-            a, b = items[i], items[j]
+            (da, a), (db, b) = items[i], items[j]
             others = [x for t, x in enumerate(items) if t not in (i, j)]
-            keep = set(rest).union(*others)
-            batch, k = [c for c in a if c in b and c in keep], [c for c in a if c in b and c not in keep]
-            m, n = [c for c in a if c not in b], [c for c in b if c not in a]
-            cost, steps = cheapest(others + ["".join(batch + m + n)])
-            step = (i, j, tuple(a.index(c) - len(a) for c in batch + m + k), tuple(b.index(c) - len(b) for c in batch + k + n),
-                    len(batch), *(math.prod(map(size, g)) for g in (m, k, n)), tuple(map(size, m + n)))
-            options.append((cost + math.prod(map(size, batch + m + k + n)), [step] + steps))
+            keep = set(rest).union(*(o for _, o in others))
+            out = "".join(dict.fromkeys(c for c in a + b if c in keep)) if others else rest
+            cost, steps = cheapest(others + [(da or db, out)])
+            spec = f"{prefix}{dots * da}{a},{prefix}{dots * db}{b}->{prefix}{dots * (da or db)}{out}"
+            options.append((cost + math.prod(map(size, set(a + b))), [(i, j, spec)] + steps))
         return min(options, key=lambda o: o[0])
 
-    return cheapest(list(bodies))[1]
+    return cheapest([(dots in s, b) for s, b in zip(specs, bodies)])[1]
 
 
 def contract(subscripts, *operands):
-    """``np.einsum(subscripts, *operands)``.  Three or more operands with a
-    summed label go pairwise, each pair one ``@`` of ``(batch..., M, K)`` by
-    ``(batch..., K, N)`` matrices in the order :func:`_plan` picks without
-    the batch axes, so each row of a set is bitwise its point alone."""
-    form = _pairwise(subscripts)
-    if form is None:
+    """``np.einsum(subscripts, *operands)``.  Three or more operands with
+    a summed label and many terms per point go pairwise, each pair one
+    ``np.einsum``, in the order :func:`_plan` picks.  With a set's points on
+    the innermost axis of every operand, each row of a set is summed in
+    the same order in every set of two or more points."""
+    steps = len(operands) > 2 and _plan(subscripts, tuple(map(np.shape, operands)))
+    if not steps:
         return np.einsum(subscripts, *operands)
-    bodies, prefix, _ = form
-    ops = [np.asarray(x) for x in operands]
-    k = len(prefix)
-    ells = [x.ndim - k - len(b) for x, b in zip(ops, bodies)]
-    e = max(ells)
-    # batch axes that an operand lacks become unit axes, for ``@`` to broadcast
-    ops = [x if ell == e else x.reshape(x.shape[:k] + (1,) * (e - ell) + x.shape[k:]) for x, ell in zip(ops, ells)]
-    block = tuple(range(k + e))
-    *steps, last = _plan(subscripts, tuple(x.shape[k + e:] for x in ops))
-    for i, j, pa, pb, lead, m, s, n, mn in steps:
-        a = np.ascontiguousarray(ops[i].transpose(block + pa))
-        b = np.ascontiguousarray(ops[j].transpose(block + pb))
-        c = a.reshape(a.shape[: k + e + lead] + (m, s)) @ b.reshape(b.shape[: k + e + lead] + (s, n))
-        ops = [x for t, x in enumerate(ops) if t not in (i, j)] + [c.reshape(c.shape[:-2] + mn)]
-    out = ops[0].transpose(block + last)
-    return out[()] if out.ndim == 0 else out
+    ops = list(operands)
+    for i, j, spec in steps:
+        ops = [x for t, x in enumerate(ops) if t not in (i, j)] + [np.einsum(spec, ops[i], ops[j])]
+    return ops[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -568,14 +599,36 @@ def jet_stack(items, axis):
     floats or float arrays among them are constants, broadcast to it (a
     constant row of every point of a set).  A negative ``axis`` counts from
     the end of the result's tensor axes.  The result has the lowest order
-    of the jets."""
-    jets = [x for x in items if isinstance(x, Jet)]
-    n, order = _shared(jets)
-    shape = jets[0].shape
+    of the jets, and the memory layout of the first."""
+    return _stack(items, axis, next(x for x in items if isinstance(x, Jet)))
+
+
+def _stack(items, axis, like):
+    """:func:`jet_stack` with the layout of the jet ``like``, which also
+    gives the constants their shape: their layers are zeros like its, plus
+    the constant in the value layer.  Stacked first, the new axis is the
+    slowest in memory, so a set's points stay innermost."""
+    n, order = _shared([x for x in items if isinstance(x, Jet)] or [like])
     if axis < 0:
-        axis += len(shape) + 1
-    items = [x if isinstance(x, Jet) else Jet.constant(np.broadcast_to(x, shape), n, order) for x in items]
-    return Jet(n, [np.stack([x.layers[r] for x in items], axis=axis) for r in range(order + 1)])
+        axis += like.ndim + 1
+    return Jet(n, [
+        np.moveaxis(np.stack([x.layers[r] if isinstance(x, Jet) else np.zeros_like(L) + (0.0 if r else x) for x in items]), 0, axis)
+        for r, L in enumerate(like.layers[: order + 1])
+    ])
+
+
+def at_points(c, p):
+    """The constant array ``c`` at the point ``p`` ``(n,)``: ``c`` itself; or
+    at each point of a set ``(P, n)``: ``(P,) + c.shape``, its points
+    innermost, as a set's arrays are."""
+    return c if np.ndim(p) == 1 else np.asfortranarray(np.broadcast_to(c, p.shape[:-1] + np.shape(c)))
+
+
+def innermost(m):
+    """``m``, a matrix at a point or a stack ``(P, k, l)`` of them on a
+    set, with a set's points innermost: numpy's linear algebra returns a
+    stack with them outermost."""
+    return np.asfortranarray(m) if m.ndim > 2 else m
 
 
 def _singular_alone(m):
@@ -607,7 +660,7 @@ def jet_solve(A, b):
         inv = np.linalg.inv(A.value)
     except np.linalg.LinAlgError as exc:
         raise EvaluationDomainError.where(singular(A.value), "singular frame in jet solve") from exc
-    return jet_solve_with(A, inv, b)
+    return jet_solve_with(A, innermost(inv), b)
 
 
 def jet_solve_with(A, inv, b):
@@ -616,22 +669,17 @@ def jet_solve_with(A, inv, b):
     b_is_jet = isinstance(b, Jet)
     n, order = _shared([A, b] if b_is_jet else [A])
     a = A.layers[: order + 1]
-    batch, k = A.shape[:-2], A.shape[-1]
-    if b_is_jet:
-        b_layers = b.layers[: order + 1]
-    else:
-        b_layers = [np.broadcast_to(np.asarray(b, dtype=float), batch + np.shape(b))]
-    shape = np.shape(b_layers[0])
-    m = len(batch)
-    rhs = [L.reshape(batch + (k, -1) + L.shape[len(shape):]) for L in b_layers]
-    s = [inv @ rhs[0]]
+    rhs = b.layers[: order + 1] if b_is_jet else [np.asarray(b, dtype=float)]
+    # labels of the axes of b after the one that A's rows contract
+    tail = "klmnopqrst"[: b.ndim - A.ndim + 1 if b_is_jet else np.ndim(b) - 1]
+    s = [np.einsum(f"...ij,...j{tail}->...i{tail}", inv, rhs[0])]
     for r in range(1, order + 1):
         # order r of A s = b: every Leibniz term but A s_r (not yet in s)
         # moves to the right; a constant b has no layer r
-        rest = _leibniz(("...ij", "...jm"), "...im", [a, s], r)
+        rest = _leibniz(("...ij", f"...j{tail}"), f"...i{tail}", [a, s], r)
         slots = string.ascii_uppercase[:r]
-        s.append(np.einsum(f"...ij,...jm{slots}->...im{slots}", inv, (rhs[r] if r < len(rhs) else 0.0) - rest))
-    return Jet(n, [x.reshape(shape + x.shape[m + 2:]) for x in s])
+        s.append(np.einsum(f"...ij,...j{tail}{slots}->...i{tail}{slots}", inv, (rhs[r] if r < len(rhs) else 0.0) - rest))
+    return Jet(n, s)
 
 
 @functools.lru_cache(maxsize=None)

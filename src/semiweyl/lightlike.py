@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import DegeneratePointError, VectorField, _Field, kept
 from .hypersurfaces import EmbeddingMap
-from .jets import EvaluationDomainError, Jet, jet_einsum, jet_solve, jet_stack, partials, singular
+from .jets import EvaluationDomainError, Jet, at_points, contract, innermost, jet_einsum, jet_solve, jet_stack, partials, singular
 from .structures import Structure, is_swmt
 from .tensor import codazzi_defect, covariant_derivative_of_form, degeneracy_threshold
 from .verdicts import RunConfig, gated, row_max, run_pointwise_check
@@ -65,7 +65,7 @@ def _coordinate_screen(emb: EmbeddingMap, g):
     n, drop = emb.domain.dim, _radical_index(emb, g)
 
     def unit(e):
-        return VectorField(emb.domain, lambda p, order: Jet.constant(np.broadcast_to(e, p.shape[:-1] + (n,)), n, order))
+        return VectorField(emb.domain, lambda p, order: Jet.constant(at_points(e, p), n, order))
 
     return tuple(unit(e) for a, e in enumerate(np.eye(n)) if a != drop)
 
@@ -295,7 +295,7 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
         gram = data["gram"]
         Wdom = data["Wdom"].value
         gv, nbv = gram.value, data["nabla_bar"].value
-        eta_W = np.matvec(Wdom, np.vecmat(frame.s.eta.value(emb.coords.value(p)), emb.coords.jet(p, 1).grad))
+        eta_W = contract("...ad,...i,...id->...a", Wdom, frame.s.eta.value(emb.coords.value(p)), emb.coords.jet(p, 1).grad)
         # directional derivatives of the Gram matrix along screen fields
         dgram = np.einsum("...bcd,...ad->...abc", gram.grad, Wdom)
         # (nabla_a g)(W_b, W_c), and the screen torsion, whose bracket part
@@ -324,7 +324,8 @@ def _bracket_coefficients(data):
         coeff = np.linalg.solve(A, V)
     except np.linalg.LinAlgError as exc:
         raise EvaluationDomainError.where(singular(A), "singular screen frame") from exc
-    return coeff.reshape(coeff.shape[:-1] + (r, r)), np.abs(V - A @ coeff).max(axis=(-2, -1))
+    coeff = innermost(coeff)
+    return coeff.reshape(coeff.shape[:-1] + (r, r)), np.abs(V - np.einsum("...ij,...jk->...ik", A, coeff)).max(axis=(-2, -1))
 
 
 def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
@@ -342,17 +343,17 @@ def check_screen_cp_equivalence(frame: LightlikeFrame, t, config: RunConfig):
         gram = data["gram"].value
         q = emb.coords.value(p)
         # ambient images of the screen fields, and phi, psi derived along them
-        push = data["Wdom"].value @ emb.coords.jet(p, 1).grad.swapaxes(-1, -2)
-        dphi_W = np.matvec(push, t.phi.jet(q, 1).grad)
-        dpsi_W = np.matvec(push, t.psi.jet(q, 1).grad)
+        push = np.einsum("...ad,...id->...ai", data["Wdom"].value, emb.coords.jet(p, 1).grad)
+        dphi_W = np.einsum("...ai,...i->...a", push, t.phi.jet(q, 1).grad)
+        dpsi_W = np.einsum("...ai,...i->...a", push, t.psi.jet(q, 1).grad)
         # screen gradient of the restricted psi: gram s = dpsi_W
         sgrad = np.linalg.solve(gram, dpsi_W[..., None])[..., 0]
-        eye = np.eye(gram.shape[-1])
+        eye = at_points(np.eye(gram.shape[-1]), p)
         lhs = data_t["nabla_bar"].value
         rhs = (
             data["nabla_bar"].value
-            + np.einsum("...a,cb->...cab", dphi_W, eye)
-            + np.einsum("...b,ca->...cab", dphi_W, eye)
+            + np.einsum("...a,...cb->...cab", dphi_W, eye)
+            + np.einsum("...b,...ca->...cab", dphi_W, eye)
             - np.einsum("...ab,...c->...cab", gram, sgrad)
         )
         return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)

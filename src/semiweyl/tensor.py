@@ -28,7 +28,7 @@ from functools import wraps
 import numpy as np
 
 from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField, _Field, kept
-from .jets import _pow, jet_einsum, jet_solve_with, partials
+from .jets import _pow, innermost, jet_einsum, jet_solve_with, partials
 
 __all__ = [
     "degeneracy_threshold",
@@ -91,7 +91,7 @@ def inverse_metric_values(g: MetricField, p):
     degenerate: the one non-degeneracy test of a metric field."""
     gvals = g.value(p)
     require_nondegenerate(gvals)
-    return np.linalg.inv(gvals)
+    return innermost(np.linalg.inv(gvals))
 
 
 def require_nondegenerate_metric(g: MetricField, p):
@@ -210,6 +210,8 @@ def orthonormal_frame(gvals):
     are sorted ascending, so the negative signs come first.
     """
     lam, V = np.linalg.eigh(gvals)
+    if V.ndim > 2:  # a set's points innermost, where numpy put them outermost
+        lam, V = np.asfortranarray(lam), np.asfortranarray(V)
     E = V / np.sqrt(np.abs(lam))[..., None, :]
     eps = np.sign(lam)
     return E, eps

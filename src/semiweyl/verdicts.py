@@ -132,7 +132,8 @@ def run_pointwise_check(name, chart, residual_fn, config: RunConfig, detail=""):
 def row_max(x, p):
     """The largest ``|x|`` at each point of ``p`` (a point or a point set):
     the maximum over the axes of ``x`` after the leading axis of a set."""
-    return np.abs(x).max(axis=tuple(range(np.ndim(p) - 1, np.ndim(x))))
+    a = np.abs(x)
+    return a.max() if np.ndim(p) == 1 else a.max(axis=tuple(range(1, a.ndim)))
 
 
 _SKIPS = (DegeneratePointError, EvaluationDomainError, SkipPoint)
@@ -199,20 +200,24 @@ def gated(name, reason, tol):
 def agreement(name, groups, tol, detail):
     """Verdict that the verdicts within each group share one outcome.
 
-    An equivalence cannot be decided from a verdict that skipped, so when
-    any input skipped the result skips too.  Residual and point counts are
+    Its residual is the number of groups whose outcomes differ, so 0 when
+    all agree, and its detail lists the outcome of each input.  An
+    equivalence cannot be decided from a verdict that skipped, so when any
+    input skipped the result skips too, with no residual.  Point counts are
     taken over the distinct input verdicts.
     """
     inputs = list({id(v): v for group in groups for v in group}.values())
-    residuals = [v.max_residual for v in inputs if v.max_residual == v.max_residual]
+    differ = sum(len({outcome(v) for v in group}) > 1 for group in groups)
     skipped = [v.name for v in inputs if v.skipped]
+    notes = [f"undecided, skipped: {', '.join(skipped)}"] if skipped else []
+    notes.append("inputs: " + ", ".join(f"{v.name} {outcome(v)}" for v in inputs))
     return Verdict(
         name,
-        max_residual=max(residuals, default=float("nan")),
+        max_residual=float("nan") if skipped else float(differ),
         points_tested=sum(v.points_tested for v in inputs),
         points_skipped=sum(v.points_skipped for v in inputs),
         tol=tol,
-        passed=not skipped and all(len({outcome(v) for v in group}) == 1 for group in groups),
+        passed=not skipped and differ == 0,
         skipped=bool(skipped),
-        detail=f"{detail}; undecided, skipped: {', '.join(skipped)}" if skipped else detail,
+        detail="; ".join([detail] + notes),
     )

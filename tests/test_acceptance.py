@@ -388,6 +388,16 @@ class TestReportDeterminism:
             assert payloads[0] == payloads[1], path
 
 
+class TestPassingResiduals:
+    def test_no_passing_verdict_shows_a_residual_above_its_tolerance(self):
+        # an agreement verdict showed its inputs' largest residual: 2.46 on
+        # smt_conformal_gradient's dual_structure, at tol 1e-10
+        for path in fixture_paths():
+            report = run_spec(load_spec(path))
+            for v in (v for r in report.results for v in r.verdicts if v.passed):
+                assert v.max_residual <= v.tol, (path, v.name, v.max_residual)
+
+
 class TestNegativeControls:
     """Every detector in the control set fails loudly (residual >= 1e-3) on
     its paired perturbed instance; no silent passes."""

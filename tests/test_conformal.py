@@ -168,7 +168,8 @@ def _loop_rhs_curvature(d):
     phi2 = np.empty((n, n))
     for i in range(n):
         for k in range(n):
-            phi2[i, k] = d.hess_phi[i, k] - float(d.gam[:, i, k] @ d.dphi) - d.dphi[i] * d.dphi[k] + d.g[i, k] * d.g_phi_psi
+            gam_dphi = sum(d.gam[m, i, k] * d.dphi[m] for m in range(n))  # in index order, as einsum sums
+            phi2[i, k] = d.hess_phi[i, k] - gam_dphi - d.dphi[i] * d.dphi[k] + d.g[i, k] * d.g_phi_psi
     for l in range(n):
         for k in range(n):
             for i in range(n):
@@ -197,8 +198,8 @@ def _loop_rhs_ricci(d):
     gT_psi_Y_Z = contract("maj,a,mk->jk", d.T, d.grad_psi, d.g)
     ngradphi = np.einsum("jmk,m->jk", d.ng, d.grad_phi)
     ngradpsi = np.einsum("jmk,m->jk", d.ng, d.grad_psi)
-    hess_phi_g = d.dVphi @ d.g
-    hess_psi_g = d.dVpsi @ d.g
+    hess_phi_g = np.einsum("jm,mk->jk", d.dVphi, d.g)
+    hess_psi_g = np.einsum("jm,mk->jk", d.dVpsi, d.g)
     n_gradpsi_g = np.einsum("ajk,a->jk", d.ng, d.grad_psi)
     bracket = d.norm_psi2 - d.lap_psi - (n - 1) * d.g_phi_psi
     for j in range(n):

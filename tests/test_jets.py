@@ -12,7 +12,6 @@ from semiweyl.jets import (
     Jet,
     JetOrderError,
     _leibniz,
-    _pairwise,
     _plan,
     contract,
     jet_compose,
@@ -377,11 +376,19 @@ class TestBatch:
 
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_compose(self, order):
+        # the points innermost, as a set's arrays are: a row has its bits in
+        # any set of two or more points, and alone its Faa di Bruno terms may
+        # be summed in another order
         rng = np.random.default_rng(60 + order)
         outer, inner = self.batch(rng, (2,), order, n=3), self.batch(rng, (3,), order)
-        got = jet_compose(outer, inner)
+        innermost = lambda J: Jet(J.n, [np.asfortranarray(L) for L in J.layers])  # noqa: E731
+        got = jet_compose(innermost(outer), innermost(inner))
         assert got.shape == (self.P, 2) and got.n == 2
-        self.assert_rows(got, lambda r: jet_compose(outer[r], inner[r]))
+        for r in range(self.P):
+            rows = [r, (r + 3) % self.P]
+            pair = jet_compose(innermost(outer[rows]), innermost(inner[rows]))
+            assert [L[r].tobytes() for L in got.layers] == [L[0].tobytes() for L in pair.layers]
+            assert_layers_close(got[r], jet_compose(outer[r], inner[r]).layers, tol=1e-14)
 
     def test_cross(self):
         rng = np.random.default_rng(70)
@@ -621,20 +628,23 @@ CONTRACTIONS = {
 
 
 class TestContract:
-    """``contract`` is ``np.einsum``, summed pairwise by batched ``@``; the
-    pair order comes from the non-batch shapes, so each row of a set is
-    bitwise its point alone."""
+    """``contract`` is ``np.einsum``, summed pairwise by ``np.einsum`` when
+    an einsum of three or more operands has many terms per point; with the
+    points innermost, a row of a set is summed alike in every set of two or
+    more points, and within rounding as at the point alone."""
 
     P = 7
 
     def operands(self, case):
-        """Operands of a set, with entries spread over six decades, so that
-        another summation order shows in the bits."""
+        """Operands of a set, each with its point axis innermost and entries
+        spread over six decades, so that another summation order shows in
+        the bits."""
         spec, shapes = CONTRACTIONS[case]
         rng = np.random.default_rng(sorted(CONTRACTIONS).index(case))
         batched = ["..." in s or s.startswith("z") for s in spec.split("->")[0].split(",")]
         shapes = [(self.P,) * b + shape for b, shape in zip(batched, shapes)]
-        return spec, [rng.normal(size=s) * 10.0 ** rng.integers(-3, 4, size=s) for s in shapes], batched
+        ops = [rng.normal(size=s) * 10.0 ** rng.integers(-3, 4, size=s) for s in shapes]
+        return spec, [np.asfortranarray(x) if b else x for x, b in zip(ops, batched)], batched
 
     @pytest.mark.parametrize("case", CONTRACTIONS)
     def test_matches_einsum(self, case):
@@ -644,26 +654,31 @@ class TestContract:
         assert np.all(np.abs(got - want) <= 1e-14 * np.einsum(spec, *map(np.abs, ops)))
 
     @pytest.mark.parametrize("case", CONTRACTIONS)
-    def test_each_row_is_its_point_and_a_batch_of_one(self, case):
+    def test_each_row_is_its_row_in_any_set_and_near_its_point(self, case):
         spec, ops, batched = self.operands(case)
         got = contract(spec, *ops)
+        assert got.strides[0] == got.itemsize
         for r in range(self.P):
+            rows = [r, (r + 3) % self.P]
+            pair = contract(spec, *(np.asfortranarray(op[rows]) if b else op for op, b in zip(ops, batched)))
+            assert got[r].tobytes() == pair[0].tobytes()
+            # alone, numpy may sum a row's terms in another order
             point = contract(spec.replace("z", ""), *(op[r] if b else op for op, b in zip(ops, batched)))
-            one = contract(spec, *(op[r : r + 1] if b else op for op, b in zip(ops, batched)))
-            assert got[r].tobytes() == np.asarray(point).tobytes() == one[0].tobytes()
+            bound = 1e-14 * np.einsum(spec, *(np.abs(op[r : r + 1]) if b else np.abs(op) for op, b in zip(ops, batched)))[0]
+            assert np.all(np.abs(got[r] - point) <= bound)
 
-    def test_pairs_and_outer_products_go_to_einsum(self):
-        for spec in ("...i,...j,...k->...ijk", "...ij,...jk->...ik", "...ij,...j,...k->...ijk", "...ij,...k,...l->...ikl"):
-            assert _pairwise(spec) is None
-        spec, ops, _ = self.operands("outer-product")
-        assert contract(spec, *ops).tobytes() == np.einsum(spec, *ops).tobytes()
+    def test_small_sums_and_outer_products_go_to_einsum(self):
+        for case in ("outer-product", "leading", "constant", "dot-first"):
+            spec, ops, _ = self.operands(case)
+            assert _plan(spec, tuple(op.shape for op in ops)) is None
+            assert contract(spec, *ops).tobytes() == np.einsum(spec, *ops).tobytes()
+        for spec in ("...i,...j,...k->...ijk", "...ij,...j,...k->...ijk", "...ij,...k,...l->...ikl"):
+            assert _plan(spec, ((self.P, 16, 16),) * 3) is None
 
-    def test_a_point_and_a_set_share_one_plan(self):
-        spec, ops, _ = self.operands("leading")
-        _plan.cache_clear()
-        contract(spec, *ops)
-        contract(spec, *(op[0] for op in ops))
-        assert _plan.cache_info().currsize == 1 and _plan.cache_info().hits == 1
+    def test_a_point_and_sets_of_any_size_take_one_plan(self):
+        spec, shapes = CONTRACTIONS["four-operands"]
+        plans = [_plan(spec, tuple((P,) + shape for shape in shapes)) for P in (2, 7, 150)]
+        assert len(plans[0]) == 3 and plans == [_plan(spec, tuple(shapes))] * 3
 
 
 class TestPartials:

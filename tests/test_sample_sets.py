@@ -1,9 +1,11 @@
 """Fields evaluate once per sample set: ``eval_jets`` on a point set gives
-each point the bits it gets alone, and so does every field a spec's run
-builds; a field reads its rows from the set's batch, a set with points
-outside the domain raises at each point as that point alone does, batches
-are read-only, a pass leaves no sample set behind, and orders 0 and 1
-of every such field read after order 2 are its fresh fills bit for bit."""
+each point the bits it gets alone, every field a spec's run builds gives
+it the bits of its row in any other set and within rounding its result
+alone, with the set's points innermost in memory; a field reads its rows
+from the set's batch, a set with points outside the domain raises at each
+point as that point alone does, batches are read-only, a pass leaves no
+sample set behind, and orders 0 and 1 of every such field read after
+order 2 are its fresh fills bit for bit."""
 
 from pathlib import Path
 from typing import NamedTuple
@@ -12,10 +14,10 @@ import numpy as np
 import pytest
 
 from conftest import plane_chart
-from semiweyl import fields, verdicts
+from semiweyl import expressions, fields, verdicts
 from semiweyl.expressions import eval_jets
 from semiweyl.fields import Chart, MetricField, ScalarField, result_store, sample_set
-from semiweyl.jets import EvaluationDomainError
+from semiweyl.jets import EvaluationDomainError, Jet
 from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
 from semiweyl.specfile import load_spec
@@ -252,13 +254,32 @@ def leaf_bytes(out):
     return [np.asarray(L).tobytes() for L in fields._leaves(out)]
 
 
+# alone, a point may have a contraction's terms summed in another order than
+# its row of a set: each entry of its row lies within ROUNDING times (one plus
+# the largest |entry| of that leaf alone) of its entry alone
+ROUNDING = 1e-14
+
+
+def assert_near(got, want, context):
+    for a, b in zip(fields._leaves(got), fields._leaves(want), strict=True):
+        a, b = np.asarray(a), np.asarray(b)
+        assert a.shape == b.shape and np.all(np.abs(a - b) <= ROUNDING * (1.0 + np.abs(b).max(initial=0.0))), context
+
+
+def halves(pts):
+    """Two other sets holding every point of ``pts``: each point in one of
+    them, with other neighbours, at another row."""
+    return [pts[0::2], pts[1::2]]
+
+
 class TestEveryField:
     """Each field that a spec's run builds gives each point of a set, asked
-    for all of them at once, the bits it gives that point alone; a point
-    that raises alone raises alike in the set."""
+    for all of them at once, the bits it gives that point in another set
+    of two or more points, and within rounding what it gives that point
+    alone; a point that raises alone raises alike in every set."""
 
     @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
-    def test_a_set_gives_each_point_its_bits_alone(self, monkeypatch, path):
+    def test_a_set_gives_each_point_its_bits_in_any_set_and_near_alone(self, monkeypatch, path):
         spec, asked, _ = a_recorded_run(monkeypatch, path)
         assert any(field.expressions is None for field in asked)
         by_chart = {}
@@ -272,6 +293,12 @@ class TestEveryField:
             for p in pts:
                 with result_store():
                     alone.append([outcome(field._fn, p, order) for field, order in items])
+            # each point read from its half, a set of its own store
+            other = [None] * len(pts)
+            for rows, half in zip(halves(np.arange(len(pts))), halves(pts)):
+                with result_store(), sample_set(half):
+                    for row, p in zip(rows, half):
+                        other[row] = [outcome(field.jet, p, order) for field, order in items]
             with sample_set(pts):
                 for i, (field, order) in enumerate(items):
                     want = [row[i] for row in alone]
@@ -282,11 +309,12 @@ class TestEveryField:
                     else:
                         whole = field.jet(pts, order)
                         got = [fields._row(whole, row) for row in range(len(pts))]
-                    for g, w in zip(got, want):
+                    for g, w, o in zip(got, want, (row[i] for row in other)):
                         if isinstance(w, Raised):
-                            assert g == w, (field, order)
+                            assert g == w == o, (field, order)
                         else:
-                            assert leaf_bytes(g) == leaf_bytes(w), (field, order)
+                            assert leaf_bytes(g) == leaf_bytes(o), (field, order)
+                            assert_near(g, w, (field, order))
 
     @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
     def test_lower_orders_after_order_two_are_their_fresh_fills(self, monkeypatch, path):
@@ -329,11 +357,12 @@ def row_outcomes(out, size):
 class TestEveryLaw:
     """Each law that a spec's run evaluates gives each point of its set,
     asked for all of them at once, the residual, scale and skip reason it
-    gives that point alone, bit for bit; when the set call raises, some
-    point raises the same alone."""
+    gives that point in another set of two or more points, bit for bit,
+    and within rounding alone; when the set call raises, some point raises
+    the same alone."""
 
     @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
-    def test_a_set_gives_each_point_its_law_alone(self, monkeypatch, path):
+    def test_a_set_gives_each_point_its_law_in_any_set_and_near_alone(self, monkeypatch, path):
         _, _, laws = a_recorded_run(monkeypatch, path)
         assert laws
         for fn, pts in laws:
@@ -342,5 +371,61 @@ class TestEveryLaw:
                 alone = [outcome(fn, p) for p in pts]
             if isinstance(whole, Raised):
                 assert whole in [a for a in alone if isinstance(a, Raised)], fn
-            else:
-                assert row_outcomes(whole, len(pts)) == [point_outcome(a) for a in alone], fn
+                continue
+            other = [None] * len(pts)
+            for rows, half in zip(halves(np.arange(len(pts))), halves(pts)):
+                with result_store(), sample_set(half):
+                    part = outcome(fn, half)
+                for row, got in zip(rows, row_outcomes(part, len(half))):
+                    other[row] = got
+            assert row_outcomes(whole, len(pts)) == other, fn
+            for got, point in zip(other, alone):
+                want = point_outcome(point)
+                assert len(got) == len(want), fn
+                if len(want) == 1:
+                    assert got == want, fn
+                else:
+                    (res, scale), (res_alone, scale_alone) = ([np.frombuffer(b)[0] for b in x] for x in (got, want))
+                    assert max(abs(res - res_alone), abs(scale - scale_alone)) <= ROUNDING * scale_alone, fn
+
+
+def set_leaves(monkeypatch, path):
+    """Each array leaf of each field result on a set of two or more points
+    that loading the spec at ``path`` and one ``run_spec`` keep, with the
+    field and order it belongs to."""
+    leaves = []
+    kept = fields._kept
+
+    def recording(store, field, order, p, where):
+        out = kept(store, field, order, p, where)
+        if p.ndim > 1 and len(p) > 1 and type(out) not in (fields._Raised, fields._Split):
+            leaves.extend((field, order, L) for L in fields._leaves(out) if isinstance(L, np.ndarray) and L.ndim)
+        return out
+
+    monkeypatch.setattr(fields, "_kept", recording)
+    run_spec(load_spec(path))
+    monkeypatch.undo()
+    return leaves
+
+
+class TestLayout:
+    """A set's arrays keep its points innermost in memory, so numpy's inner
+    loops run over the points, not over a few tensor entries."""
+
+    @pytest.mark.parametrize("path", SPECS, ids=lambda p: p.stem)
+    def test_every_set_result_has_its_points_innermost(self, monkeypatch, path):
+        leaves = set_leaves(monkeypatch, path)
+        assert leaves
+        outer = {(field._fn.__qualname__, order, L.shape, L.strides) for field, order, L in leaves if L.strides[0] != L.itemsize}
+        assert not outer
+
+    def test_a_birth_with_the_points_outermost_fails_it(self, monkeypatch):
+        # the coordinate jets of a set, laid out as numpy lays out a fresh array
+        coordinate_jets = expressions._coordinate_jets
+
+        def outermost(points, order):
+            return [Jet(j.n, [np.ascontiguousarray(L) for L in j.layers]) for j in coordinate_jets(points, order)]
+
+        monkeypatch.setattr(expressions, "_coordinate_jets", outermost)
+        leaves = set_leaves(monkeypatch, SPECS[0])
+        assert any(L.strides[0] != L.itemsize for _, _, L in leaves)

@@ -183,13 +183,16 @@ class TestVerdictHelpers:
         c, d = verdict("c", passed=False, residual=0.5), verdict("d", passed=False)
         v = agreement("law", [(a, b), (c, d), (d, c)], 1e-8, detail="iff")
         assert v.passed and not v.skipped
-        assert v.max_residual == 0.5
+        # its own residual: no group differs (0.5 when it showed the inputs' largest)
+        assert v.max_residual == 0.0
         assert (v.points_tested, v.points_skipped) == (37, 2)  # each input counted once
-        assert v.detail == "iff"
+        assert v.detail == "iff; inputs: a pass, b pass, c fail, d fail"
 
     def test_agreement_fails_on_differing_outcomes(self):
-        v = agreement("law", [(verdict("a"), verdict("b")), (verdict("c"), verdict("d", passed=False))], 1e-8, "")
+        groups = [(verdict("a"), verdict("b")), (verdict("c"), verdict("d", passed=False))]
+        v = agreement("law", groups + [groups[1]], 1e-8, "")
         assert not v.passed and not v.skipped
+        assert v.max_residual == 2.0  # the groups that differ
 
     @pytest.mark.parametrize("other_skipped", [True, False])
     def test_agreement_with_a_skipped_input_skips(self, other_skipped):
@@ -197,9 +200,10 @@ class TestVerdictHelpers:
         b = verdict("b", passed=False, skipped=other_skipped, residual=0.25)
         v = agreement("law", [(a, b)], 1e-8, detail="iff")
         assert v.skipped and not v.passed
-        assert v.max_residual == 0.25
+        assert v.max_residual != v.max_residual
         assert (v.points_tested, v.points_skipped) == (10, 5)
         assert v.detail.startswith("iff; undecided") and "a" in v.detail
+        assert v.detail.endswith(f"; inputs: a skip, b {'skip' if other_skipped else 'fail'}")
 
     def test_equivalences_skip_when_their_sides_skip(self):
         cfg = RunConfig(samples=10, seed=0, tol=1e-8, min_valid_points=50)
