@@ -35,7 +35,7 @@ from .tensor import (
     torsion_values,
     wedge_g,
 )
-from .verdicts import RunConfig, agreement, gated, outcome, row_max, run_laws, run_pointwise_check
+from .verdicts import RunConfig, agreement, gated, row_max, run_laws, run_pointwise_check
 
 __all__ = [
     "TransformData",
@@ -196,25 +196,10 @@ def check_structure_invariance(s: Structure, t: TransformData, config: RunConfig
     if s.eta.is_zero():
         laws += [("cp_invariance/after_smt", smt_residual(st))]
     after, *smt_after = run_laws(s.chart, config, laws)
-    out = [
-        agreement(
-            "cp_swmt_invariance",
-            [(before, after)],
-            config.tol,
-            detail=f"verdicts agree (before={outcome(before)}, after={outcome(after)})",
-        )
-    ]
+    pairs = [("cp_swmt_invariance", before, after)]
     if smt_after:
-        b2, a2 = replace(is_smt(s, config), name="cp_invariance/before_smt"), smt_after[0]
-        out.append(
-            agreement(
-                "cp_smt_invariance",
-                [(b2, a2)],
-                config.tol,
-                detail=f"verdicts agree (before={outcome(b2)}, after={outcome(a2)})",
-            )
-        )
-    return out
+        pairs.append(("cp_smt_invariance", replace(is_smt(s, config), name="cp_invariance/before_smt"), smt_after[0]))
+    return [agreement(name, [(b, a)], config.tol, detail="verdicts agree before and after") for name, b, a in pairs]
 
 
 def check_semi_dual_transform_law(s: Structure, t: TransformData, config: RunConfig, swap_roles):

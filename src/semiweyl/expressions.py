@@ -30,7 +30,7 @@ import re
 
 import numpy as np
 
-from .jets import EvaluationDomainError, Jet, _stack
+from .jets import EvaluationDomainError, Jet, jet_stack
 
 __all__ = [
     "Expression",
@@ -72,7 +72,8 @@ class Expression:
     def jet(self, coord_jets):
         args = [a.jet(coord_jets) for a in self.args]
         if not any(isinstance(a, Jet) for a in args):
-            # numbers that did not fold: evaluated as constant jets, to raise
+            # an operation on numbers alone takes them as constant jets, and
+            # raises (or not) as it does on jets
             probe = coord_jets[0]
             args[0] = Jet.constant(args[0], probe.n, probe.order)
         return self.op(*args)
@@ -86,27 +87,6 @@ class Num(Expression):
 
     def jet(self, coord_jets):
         return self.value
-
-
-# the coordinate jets a constant subtree is folded at: one variable, to
-# order 6, the highest a result store keeps (sqrt(0) raises above order 0)
-_FOLD_AT = [Jet.constant(0.0, 1, 6)]
-
-
-def _node(op, *args):
-    """``Expression(op, *args)``, folded into a :class:`Num` when its
-    operands are numbers and its jet is finite; one that raises (or is
-    not finite) stays a node, and raises at each evaluation as it did."""
-    e = Expression(op, *args)
-    if all(type(a) is Num for a in args):
-        try:
-            with np.errstate(**_QUIET):
-                j = e.jet(_FOLD_AT)
-        except ArithmeticError:
-            return e
-        if j.is_finite():
-            return Num(float(j.value))
-    return e
 
 
 class Var(Expression):
@@ -173,18 +153,18 @@ class _Parser:
     def expr(self):
         e = self.term()
         while op := self.take("+-"):
-            e = _node(BINARY[op], e, self.term())
+            e = Expression(BINARY[op], e, self.term())
         return e
 
     def term(self):
         e = self.unary()
         while op := self.take("*/"):
-            e = _node(BINARY[op], e, self.unary())
+            e = Expression(BINARY[op], e, self.unary())
         return e
 
     def unary(self):
         if self.take("-"):
-            return _node(operator.neg, self.unary())
+            return Expression(operator.neg, self.unary())
         return self.power()
 
     def power(self):
@@ -201,7 +181,7 @@ class _Parser:
         if paren:
             self.expect_op(")")
         k = sign * int(val)
-        return _node(lambda j: j**k, base)
+        return Expression(lambda j: j**k, base)
 
     def atom(self):
         if self.take("("):
@@ -217,7 +197,7 @@ class _Parser:
                     raise UnknownSymbolError(val, pos)
                 arg = self.expr()
                 self.expect_op(")")
-                return _node(FUNCTIONS[val], arg)
+                return Expression(FUNCTIONS[val], arg)
             if val in self.coord_names:
                 return Var(self.coord_names.index(val))
             raise UnknownSymbolError(val, pos)
@@ -254,8 +234,8 @@ def eval_jet(e, point, order):
     """Evaluate ``e`` and its partials up to ``order`` at ``point``."""
     coords = _coordinate_jets(point, order)
     with np.errstate(**_QUIET):
-        j = e.jet(coords)
-    return _checked(j if isinstance(j, Jet) else Jet.constant(j, coords[0].n, order))
+        j = _checked(e.jet(coords))
+    return j if isinstance(j, Jet) else Jet.constant(j, coords[0].n, order)
 
 
 def eval_jets(exprs, points, order):
@@ -265,7 +245,8 @@ def eval_jets(exprs, points, order):
     more than once is evaluated once.  A set raises only from a domain
     check; a row that is not finite is for its reader to raise."""
     coords = _coordinate_jets(points, order)
-    batch = np.shape(points)[:-1]
+    x = coords[0]  # a constant takes its shapes and layout
+    batch = x.shape
     done = {}
     with np.errstate(**_QUIET):
         for e in exprs:
@@ -273,8 +254,9 @@ def eval_jets(exprs, points, order):
                 j = e.jet(coords)
                 if not batch:
                     j = _checked(j)
-                elif isinstance(j, Jet) and j.shape != batch:  # a constant that did not fold
-                    j = Jet(j.n, [np.zeros_like(C) + L for C, L in zip(coords[0].layers, j.layers)])
+                if not isinstance(j, Jet) or j.shape != batch:  # a constant
+                    c = j.layers if isinstance(j, Jet) else [j]
+                    j = Jet(x.n, [np.zeros_like(L) + (c[r] if r < len(c) else 0.0) for r, L in enumerate(x.layers)])
                 done[id(e)] = j
-    return _stack([done[id(e)] for e in exprs], len(batch), coords[0])
+    return jet_stack([done[id(e)] for e in exprs], axis=len(batch))
 

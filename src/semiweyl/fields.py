@@ -428,7 +428,7 @@ class ConnectionField(_Field):
     @classmethod
     def flat(cls, chart):
         n = chart.dim
-        return cls(chart, lambda p, order: Jet.constant(at_points(np.zeros((n, n, n)), p), n, order))
+        return cls(chart, lambda p, order: at_points(Jet.constant(np.zeros((n, n, n)), n, order), p))
 
     @kept
     def add_tensor(self, tensor_fn):

@@ -26,30 +26,28 @@ and operand layout and cached, and evaluated by :func:`contract`, which is
 have many terms per point (after Smith & Gray, "opt_einsum", *JOSS* 3(26),
 2018).
 
-A jet of a point set has a leading batch axis, one row per point, ahead
-of the tensor axes; tensor code indexes from the end (``J[..., i, :]``),
-so the same code serves a point and a set.  In memory the batch axis is
-the innermost (a set's arrays are born in Fortran order: the coordinate
-jets, :meth:`Jet.constant` of a set's array, :func:`jet_stack`, the
-inverse in :func:`jet_solve`, :func:`at_points`), and numpy's default
-``order="K"`` carries that layout through ufuncs and einsums, so their
-inner loops run over the points rather than over a few tensor entries
-(memory layout decides the loop: Harris et al., "Array programming with
-NumPy", *Nature* 585, 2020).  Each sum of a contraction then runs in the
-same order for every row, so a row of a set has the same bits in every
-set of two or more points (a point alone, or a set of one, may take
-numpy's contiguous dot loop and differ by rounding).  Jets
-index and reshape their tensor axes, :meth:`Jet.transpose` permutes the
-trailing ones (``.T`` swaps the last two), and ``+ - * /`` broadcast
-between jets, float arrays and floats as numpy arrays do (a constant
-touches only the layers it changes); a jet has no length and no
-iteration, which would walk the batch axis.  The helpers work on the
-layers: :func:`jet_einsum` contracts jets by the Leibniz rule,
-:func:`partials` turns the first derivative axis into a tensor axis,
-:func:`jet_solve` solves linear systems (differentiating ``A(x) s(x) =
-b(x)`` order by order), :func:`jet_compose` applies the chain rule,
-:func:`jet_stack` stacks jets on a new axis, and :func:`jet_cross` is the
-generalized cross product, which gives normals.
+A jet of a point set has a leading batch axis, one row per point, ahead of
+the tensor axes; tensor code indexes from the end (``J[..., i, :]``), so
+the same code serves a point and a set.  In memory the batch axis is the
+innermost (a set's arrays are born in Fortran order: the coordinate jets,
+:func:`jet_stack`, the inverse in :func:`jet_solve`, :func:`at_points`),
+and numpy's default ``order="K"`` carries that layout through ufuncs and
+einsums, so their inner loops run over the points rather than over a few
+tensor entries (memory layout decides the loop: Harris et al., "Array
+programming with NumPy", *Nature* 585, 2020).  Each sum of a contraction
+then runs in the same order for every row, so a row of a set has the same
+bits in every set of two or more points (a point alone, or a set of one,
+may take numpy's contiguous dot loop and differ by rounding).  Jets index
+and reshape their tensor axes, :meth:`Jet.transpose` permutes the trailing
+ones (``.T`` swaps the last two), and ``+ - * /`` broadcast between jets,
+float arrays and floats as numpy arrays do (a constant touches only the
+layers it changes); a jet has no length and no iteration, which would walk
+the batch axis.  The helpers work on the layers: :func:`jet_einsum`
+contracts jets by the Leibniz rule, :func:`partials` turns the first
+derivative axis into a tensor axis, :func:`jet_solve` solves linear systems
+(differentiating ``A(x) s(x) = b(x)`` order by order), :func:`jet_compose`
+applies the chain rule, :func:`jet_stack` stacks jets on a new axis, and
+:func:`jet_cross` is the generalized cross product, which gives normals.
 A jet is never modified in place, so results may share layers with their
 operands.
 """
@@ -196,7 +194,9 @@ class Jet:
 
     @staticmethod
     def constant(c, n, order):
-        """Jet of the constant(s) ``c``: every derivative is zero."""
+        """Jet of the constant(s) ``c``: every derivative is zero.  Its
+        layers are laid out as at a point; :func:`at_points` of it gives a
+        set's constant."""
         if order < 0:
             raise JetOrderError(f"jet order must be >= 0, got {order}")
         if isinstance(c, (int, float)):
@@ -204,9 +204,7 @@ class Jet:
         else:
             c = _scalar(np.asarray(c, dtype=float))
             shape = np.shape(c)
-        # a set's constant, in Fortran order, keeps its points innermost
-        layout = "F" if isinstance(c, np.ndarray) and np.isfortran(c) else "C"
-        return Jet(n, [c] + [np.zeros(shape + (n,) * r, order=layout) for r in range(1, order + 1)])
+        return Jet(n, [c] + [np.zeros(shape + (n,) * r) for r in range(1, order + 1)])
 
     @staticmethod
     def coordinate(value, index, n, order):
@@ -450,9 +448,10 @@ def _plan(subscripts, shapes):
     for one ``np.einsum``: each step ``(i, j, spec)`` takes operands ``i``
     and ``j`` off the list and appends their ``np.einsum(spec)``, in the
     order of fewest multiplications over the named labels.  The choice
-    counts the terms per point, leaving out the output's first axis, which
-    holds a set's points (a prefix label, or else the first ``...`` axis);
-    neither depends on the size of a set, so every set sums its rows alike."""
+    counts the terms per point, leaving out the axis that holds a set's
+    points: a prefix label, or else the first ``...`` axis (every caller
+    spells a set so; a jet composed at a point is a set of one).  So a point
+    and sets of any size take one plan, and every set sums its rows alike."""
     inputs, arrow, output = subscripts.replace(" ", "").partition("->")
     prefix, dots, rest = output.rpartition("...")
     specs = inputs.split(",")
@@ -539,31 +538,29 @@ def _set_partitions(slots):
 
 
 @functools.lru_cache(maxsize=None)
-def _faa_di_bruno_terms(kind, r):
+def _faa_di_bruno_terms(r):
     """``(einsum spec, outer layer, inner layer per block)`` of each
     order-``r`` term of the Faa di Bruno formula of :func:`jet_compose`, one
     per set partition of the ``r`` derivative slots: layer ``k`` of the
     outer function of m variables (``k`` the block count), whose ``k`` image
     axes contract with the blocks' leading axes, times, for each block, the
     inner layer with as many derivative axes as the block has slots, placed
-    on the block's slots.  ``kind`` "batch" has one leading batch axis on
-    every operand, "compose" none."""
+    on the block's slots; every operand has a leading batch axis ``z``."""
     slots = string.ascii_lowercase[:r]
-    z = "z" if kind == "batch" else ""
     terms = []
     for part in _set_partitions(tuple(range(r))):
         blocks = ["".join(slots[i] for i in block) for block in part]
         images = string.ascii_uppercase[: len(blocks)]
-        specs = [z + "..." + images] + [z + a + b for a, b in zip(images, blocks)]
-        terms.append((",".join(specs) + "->" + z + "..." + slots, len(blocks), tuple(len(b) for b in blocks)))
+        specs = ["z..." + images] + ["z" + a + b for a, b in zip(images, blocks)]
+        terms.append((",".join(specs) + "->z..." + slots, len(blocks), tuple(len(b) for b in blocks)))
     return tuple(terms)
 
 
-def _faa_di_bruno(kind, outer, inner, r):
+def _faa_di_bruno(outer, inner, r):
     """Order-``r`` layer of the composition of the outer function's
     derivative layers ``outer`` with the inner layers ``inner``."""
     parts = [
-        contract(spec, outer[k], *(inner[s] for s in sizes)) for spec, k, sizes in _faa_di_bruno_terms(kind, r)
+        contract(spec, outer[k], *(inner[s] for s in sizes)) for spec, k, sizes in _faa_di_bruno_terms(r)
     ]
     return sum(parts[1:], parts[0])
 
@@ -599,36 +596,34 @@ def jet_stack(items, axis):
     floats or float arrays among them are constants, broadcast to it (a
     constant row of every point of a set).  A negative ``axis`` counts from
     the end of the result's tensor axes.  The result has the lowest order
-    of the jets, and the memory layout of the first."""
-    return _stack(items, axis, next(x for x in items if isinstance(x, Jet)))
-
-
-def _stack(items, axis, like):
-    """:func:`jet_stack` with the layout of the jet ``like``, which also
-    gives the constants their shape: their layers are zeros like its, plus
-    the constant in the value layer.  Stacked first, the new axis is the
-    slowest in memory, so a set's points stay innermost."""
-    n, order = _shared([x for x in items if isinstance(x, Jet)] or [like])
+    of the jets, and the memory layout of the first: its layers are
+    stacked on a new first axis, the slowest in memory, so a set's points
+    stay innermost."""
+    jets = [x for x in items if isinstance(x, Jet)]
+    n, order = _shared(jets)
     if axis < 0:
-        axis += like.ndim + 1
+        axis += jets[0].ndim + 1
     return Jet(n, [
         np.moveaxis(np.stack([x.layers[r] if isinstance(x, Jet) else np.zeros_like(L) + (0.0 if r else x) for x in items]), 0, axis)
-        for r, L in enumerate(like.layers[: order + 1])
+        for r, L in enumerate(jets[0].layers[: order + 1])
     ])
 
 
 def at_points(c, p):
-    """The constant array ``c`` at the point ``p`` ``(n,)``: ``c`` itself; or
-    at each point of a set ``(P, n)``: ``(P,) + c.shape``, its points
-    innermost, as a set's arrays are."""
+    """The constant array or jet ``c`` at the point ``p`` ``(n,)``: ``c``
+    itself; or at each point of a set ``(P, n)``: each array of ``c``
+    broadcast to ``(P,) + its shape``, its points innermost, as a set's
+    arrays are."""
+    if isinstance(c, Jet):
+        return Jet(c.n, [at_points(L, p) for L in c.layers])
     return c if np.ndim(p) == 1 else np.asfortranarray(np.broadcast_to(c, p.shape[:-1] + np.shape(c)))
 
 
-def innermost(m):
-    """``m``, a matrix at a point or a stack ``(P, k, l)`` of them on a
-    set, with a set's points innermost: numpy's linear algebra returns a
-    stack with them outermost."""
-    return np.asfortranarray(m) if m.ndim > 2 else m
+def innermost(m, ndim):
+    """``m``, an array of ``ndim`` axes at a point or a stack ``(P, ...)`` of
+    them on a set, with a set's points innermost: numpy's linear algebra
+    returns a stack with them outermost."""
+    return np.asfortranarray(m) if m.ndim > ndim else m
 
 
 def _singular_alone(m):
@@ -660,7 +655,7 @@ def jet_solve(A, b):
         inv = np.linalg.inv(A.value)
     except np.linalg.LinAlgError as exc:
         raise EvaluationDomainError.where(singular(A.value), "singular frame in jet solve") from exc
-    return jet_solve_with(A, innermost(inv), b)
+    return jet_solve_with(A, innermost(inv, 2), b)
 
 
 def jet_solve_with(A, inv, b):
@@ -713,8 +708,10 @@ def jet_compose(outer, inner):
     variables, ``inner`` a shape-``(m,)`` jet in the source variables, or
     ``(P, m)`` on a point set, where ``outer`` has the same leading axis.
     Returns the jet of the composition in the source variables, at the
-    lower order of the two."""
+    lower order of the two.  A point is composed as a set of one, so its
+    contractions take a set's plans."""
+    if inner.ndim == 1:
+        return jet_compose(outer[None, ...], inner[None, ...])[0]
     order = min(outer.order, inner.order)
     o, F = outer.layers, inner.layers
-    kind = "compose" if inner.ndim == 1 else "batch"
-    return Jet(inner.n, [o[0]] + [_faa_di_bruno(kind, o, F, r) for r in range(1, order + 1)])
+    return Jet(inner.n, [o[0]] + [_faa_di_bruno(o, F, r) for r in range(1, order + 1)])

@@ -65,7 +65,7 @@ def _coordinate_screen(emb: EmbeddingMap, g):
     n, drop = emb.domain.dim, _radical_index(emb, g)
 
     def unit(e):
-        return VectorField(emb.domain, lambda p, order: Jet.constant(at_points(e, p), n, order))
+        return VectorField(emb.domain, lambda p, order: at_points(Jet.constant(e, n, order), p))
 
     return tuple(unit(e) for a, e in enumerate(np.eye(n)) if a != drop)
 
@@ -324,7 +324,7 @@ def _bracket_coefficients(data):
         coeff = np.linalg.solve(A, V)
     except np.linalg.LinAlgError as exc:
         raise EvaluationDomainError.where(singular(A), "singular screen frame") from exc
-    coeff = innermost(coeff)
+    coeff = innermost(coeff, 2)
     return coeff.reshape(coeff.shape[:-1] + (r, r)), np.abs(V - np.einsum("...ij,...jk->...ik", A, coeff)).max(axis=(-2, -1))
 
 

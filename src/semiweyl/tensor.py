@@ -91,7 +91,7 @@ def inverse_metric_values(g: MetricField, p):
     degenerate: the one non-degeneracy test of a metric field."""
     gvals = g.value(p)
     require_nondegenerate(gvals)
-    return innermost(np.linalg.inv(gvals))
+    return innermost(np.linalg.inv(gvals), 2)
 
 
 def require_nondegenerate_metric(g: MetricField, p):
@@ -210,8 +210,7 @@ def orthonormal_frame(gvals):
     are sorted ascending, so the negative signs come first.
     """
     lam, V = np.linalg.eigh(gvals)
-    if V.ndim > 2:  # a set's points innermost, where numpy put them outermost
-        lam, V = np.asfortranarray(lam), np.asfortranarray(V)
+    lam, V = innermost(lam, 1), innermost(V, 2)
     E = V / np.sqrt(np.abs(lam))[..., None, :]
     eps = np.sign(lam)
     return E, eps

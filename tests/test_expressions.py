@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 from conftest import central_difference
 from semiweyl.expressions import (
     ExpressionSyntaxError,
-    Num,
     UnknownSymbolError,
     eval_jet,
     eval_jets,
@@ -114,9 +113,9 @@ class TestJetEvaluation:
 
 
 class TestConstants:
-    """A constant subtree folds into a number when it is parsed, the value
-    of the constant jets it evaluated on; one that raises stays a node and
-    raises at each evaluation, as it did."""
+    """A number's jet is the float itself; an operation on numbers alone
+    evaluates them as constant jets, to their value with zero derivatives,
+    or raises at each evaluation."""
 
     POINTS = [(0.3, 0.4), np.array([[0.3, 0.4], [0.5, 0.6], [0.7, 0.2]])]
 
@@ -125,10 +124,8 @@ class TestConstants:
         [("0 - 1", lambda: Jet.constant(0.0, 2, 3) - Jet.constant(1.0, 2, 3)), ("sin(2)", lambda: Jet.constant(2.0, 2, 3).sin())],
         ids=["difference", "sine"],
     )
-    def test_a_constant_folds_into_its_value(self, text, jet):
+    def test_a_constant_evaluates_to_its_constant_jet(self, text, jet):
         e, want = parse2(text), jet()
-        assert isinstance(e, Num) and np.float64(e.value).tobytes() == np.float64(want.value).tobytes()
-        # its derivatives are zeros, of either sign before
         alone = eval_jet(e, self.POINTS[0], 3)
         assert np.float64(alone.value).tobytes() == np.float64(want.value).tobytes()
         assert all(np.array_equal(L, W) for L, W in zip(alone.layers, want.layers, strict=True))
@@ -138,15 +135,14 @@ class TestConstants:
     @pytest.mark.parametrize(
         "text,message", [("1/0", "division by zero"), ("sqrt(0-1)", "sqrt of a negative value")], ids=["quotient", "root"]
     )
-    def test_a_constant_that_raises_stays_a_node_and_raises_each_time(self, text, message):
+    def test_a_constant_that_raises_raises_each_time(self, text, message):
         e = parse2(text)
-        assert not isinstance(e, Num)
         for p in self.POINTS * 2:
             for order in (0, 2):
                 with pytest.raises(EvaluationDomainError, match=f"^{message}$"):
                     eval_jets([e], p, order)
 
-    def test_a_constant_that_raises_above_order_zero_stays_a_node(self):
+    def test_a_constant_that_raises_above_order_zero_raises_there(self):
         # the root of zero has no first derivative
         e = parse2("sqrt(0) + x")
         assert eval_jet(e, self.POINTS[0], 0).value == 0.3

@@ -20,7 +20,7 @@ a check's laws carrying their own names and details into
 rescalings taking fields only: text is parsed where a spec is read.  The
 sixth keeps such sums on ``semiweyl.jets.contract``, which takes those
 with many terms per point pairwise: on a 150-point set the four-operand
-Gauss equation ran 8 times faster so than numpy's many-operand loop.  The
+Gauss equation ran 8 times faster than numpy's many-operand loop.  The
 seventh is a ratchet against options that every caller sets or none does.
 The eighth keeps the non-degeneracy test of a metric field in the result
 store (``semiweyl.tensor.require_nondegenerate_metric``), which runs it

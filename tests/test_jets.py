@@ -680,6 +680,19 @@ class TestContract:
         plans = [_plan(spec, tuple((P,) + shape for shape in shapes)) for P in (2, 7, 150)]
         assert len(plans[0]) == 3 and plans == [_plan(spec, tuple(shapes))] * 3
 
+    def test_a_jet_composed_at_a_point_and_on_sets_takes_one_plan(self, monkeypatch):
+        # a 3x3 tensor of 3 image variables pulled back to 2 at order 2: its
+        # two-block term has 324 terms per point and goes pairwise
+        plans = []
+        monkeypatch.setattr("semiweyl.jets._plan", lambda spec, shapes: plans.append(_plan(spec, shapes)) or plans[-1])
+        rng = np.random.default_rng(7)
+        taken = []
+        for batch in ((), (2,), (7,)):
+            del plans[:]
+            jet_compose(random_jets(rng, batch + (3, 3), 2, n=3), random_jets(rng, batch + (3,), 2))
+            taken.append(list(plans))
+        assert any(taken[0]) and taken == [taken[0]] * 3
+
 
 class TestPartials:
     @pytest.mark.parametrize("order", [1, 2, 3])

@@ -17,7 +17,7 @@ from conftest import plane_chart
 from semiweyl import expressions, fields, verdicts
 from semiweyl.expressions import eval_jets
 from semiweyl.fields import Chart, MetricField, ScalarField, result_store, sample_set
-from semiweyl.jets import EvaluationDomainError, Jet
+from semiweyl.jets import EvaluationDomainError, Jet, at_points
 from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
 from semiweyl.specfile import load_spec
@@ -429,3 +429,8 @@ class TestLayout:
         monkeypatch.setattr(expressions, "_coordinate_jets", outermost)
         leaves = set_leaves(monkeypatch, SPECS[0])
         assert any(L.strides[0] != L.itemsize for _, _, L in leaves)
+
+    @pytest.mark.parametrize("shape", [(), (3,), (3, 3)], ids=["scalar", "vector", "matrix"])
+    def test_a_set_constant_has_its_points_innermost(self, shape):
+        c = at_points(Jet.constant(np.full(shape, 2.0), 2, 2), np.zeros((5, 2)))
+        assert c.shape == (5,) + shape and all(L.strides[0] == L.itemsize for L in c.layers)

@@ -6,9 +6,8 @@ Each root is a checkout holding ``src/semiweyl``; the two are imported
 into one interpreter as the packages ``side_a`` and ``side_b``.  Their
 passes of the workload (the specs that ``perfbench/workloads.py`` lists,
 each run and emitted as ``semiweyl verify --report json`` does, the
-loading untimed) alternate,
-the side that goes first swapping every pass, so both meet the same
-drift of the host.  One warm-up pass each is not timed.  Prints each
+loading untimed) alternate, the side that goes first swapping every
+pass, so both meet the same drift of the host.  One warm-up pass each is not timed.  Prints each
 side's median and quartiles in seconds, and how many passes each won.
 """
 
