@@ -59,7 +59,6 @@ class AffineDistribution:
         # rescalings share one evaluation of omega
         self.omega_fn = omega_fn
         self.xi_fn = xi_fn
-        self._solved = _Field(chart, self._solve)
 
     @classmethod
     def from_immersion(cls, chart: Chart, components, xi_components):
@@ -94,16 +93,23 @@ class AffineDistribution:
         The solves are kept like any field's results, per point and order,
         so the metric, one-form, connection and shape operator of
         :func:`realized_structure` share them; the arrays are read-only."""
-        return self._solved.jet(p, order)
+        return _solved(self).jet(p, order)
 
-    def _solve(self, p, order):
-        n = self.chart.dim
-        A = self.frame(p, order + 1)
+
+@kept
+def _solved(dist: AffineDistribution) -> _Field:
+    """:meth:`AffineDistribution.decompose` of ``dist``, a field."""
+    n = dist.chart.dim
+
+    def fn(p, order):
+        A = dist.frame(p, order + 1)
         # d_i of the frame columns as [l, i, j]: omega e_j for j < n, xi for
         # j = n; one solve for both
         sol = jet_solve(A, partials(A).transpose(0, 2, 1))
         conn_part, xi_part = sol[..., :n], sol[..., n]
         return conn_part[..., :n, :, :], conn_part[..., n, :, :], -xi_part[..., :n, :], xi_part[..., n, :]
+
+    return _Field(dist.chart, fn)
 
 
 @kept

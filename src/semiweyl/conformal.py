@@ -12,7 +12,7 @@ import numpy as np
 from .fields import (
     OneFormField,
     ScalarField,
-    _Field,
+    _values_field,
     eta_tensor_id,
     g_tensor_vector,
     id_tensor_eta,
@@ -90,62 +90,57 @@ def _conformal_data(psi: ScalarField) -> TransformData:
 
 
 # -- pointwise data shared by the laws of a check -----------------------------
-#
-# One _PointData per structure, transform and sample set, kept like any
-# field's results, serves all the laws of every check that reads it.
 
 
-@kept
-def _point_data(s, t):
-    """The field ``p -> vars(_PointData(s, t, p))``, read by :func:`_data`."""
-    return _Field(s.chart, lambda p, _order: vars(_PointData(s, t, p)))
-
-
-def _data(point_data, p):
-    """The :class:`_PointData` of ``point_data`` at ``p``."""
-    d = _PointData.__new__(_PointData)
-    vars(d).update(point_data.jet(p, 0))
-    return d
-
-
-class _PointData:
+class _PointData(dict):
     """The values the curvature-change laws read, at a point or, with a
-    leading axis over its points, on a point set."""
+    leading axis over its points, on a point set, by attribute: a dict, so
+    the result store keeps it, and a row of it, like any field's result."""
 
-    def __init__(self, s: Structure, t: TransformData, p):
-        self.g = s.g.value(p)
-        self.ginv = inverse_metric_values(s.g, p)
-        self.gam = s.conn.value(p)
-        self.T = torsion_values(s.conn, p)
-        self.ng = nabla_g_values(s.conn, s.g, p)
-        self.dng = codazzi_defect(self.ng, self.g, self.T)
-        self.R = curvature_values(s.conn, p)
-        self.ric = ricci_values(s.conn, s.g, p)
-        self.scal = scalar_curvature(s.conn, s.g, p)
-        self.eta = s.eta.value(p)
-
-        phi_j = t.phi.jet(p, 2)
-        psi_j = t.psi.jet(p, 2)
-        self.phi = phi_j.value
-        self.psi = psi_j.value
-        self.dphi = phi_j.grad
-        self.dpsi = psi_j.grad
-        self.hess_phi = phi_j.hess
-        self.grad_phi = np.einsum("...ij,...j->...i", self.ginv, self.dphi)
-        self.grad_psi = np.einsum("...ij,...j->...i", self.ginv, self.dpsi)
-        self.dVphi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.phi), p)
-        self.dVpsi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.psi), p)
-        self.lap_phi = contract("...ab,...ak,...kb->...", self.ginv, self.dVphi, self.g)
-        self.lap_psi = contract("...ab,...ak,...kb->...", self.ginv, self.dVpsi, self.g)
-        # trace of X -> T(X, d_j)
-        self.trT = contract("...ab,...maj,...mb->...j", self.ginv, self.T, self.g)
-        self.norm_phi2 = np.vecdot(self.dphi, self.grad_phi)
-        self.norm_psi2 = np.vecdot(self.dpsi, self.grad_psi)
-        self.g_phi_psi = np.vecdot(self.dphi, self.grad_psi)
+    __getattr__ = dict.__getitem__
+    __setattr__ = dict.__setitem__
 
     @property
     def n(self):
         return self.g.shape[-1]
+
+
+@_values_field
+def _point_data(s: Structure, t: TransformData, p):
+    """The :class:`_PointData` of ``s`` and ``t`` at ``p``: one per
+    structure, transform and points in the running result store, which
+    serves all the laws of every check that reads it."""
+    d = _PointData()
+    d.g = s.g.value(p)
+    d.ginv = inverse_metric_values(s.g, p)
+    d.gam = s.conn.value(p)
+    d.T = torsion_values(s.conn, p)
+    d.ng = nabla_g_values(s.conn, s.g, p)
+    d.dng = codazzi_defect(d.ng, d.g, d.T)
+    d.R = curvature_values(s.conn, p)
+    d.ric = ricci_values(s.conn, s.g, p)
+    d.scal = scalar_curvature(s.conn, s.g, p)
+    d.eta = s.eta.value(p)
+
+    phi_j = t.phi.jet(p, 2)
+    psi_j = t.psi.jet(p, 2)
+    d.phi = phi_j.value
+    d.psi = psi_j.value
+    d.dphi = phi_j.grad
+    d.dpsi = psi_j.grad
+    d.hess_phi = phi_j.hess
+    d.grad_phi = np.einsum("...ij,...j->...i", d.ginv, d.dphi)
+    d.grad_psi = np.einsum("...ij,...j->...i", d.ginv, d.dpsi)
+    d.dVphi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.phi), p)
+    d.dVpsi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.psi), p)
+    d.lap_phi = contract("...ab,...ak,...kb->...", d.ginv, d.dVphi, d.g)
+    d.lap_psi = contract("...ab,...ak,...kb->...", d.ginv, d.dVpsi, d.g)
+    # trace of X -> T(X, d_j)
+    d.trT = contract("...ab,...maj,...mb->...j", d.ginv, d.T, d.g)
+    d.norm_phi2 = np.vecdot(d.dphi, d.grad_phi)
+    d.norm_psi2 = np.vecdot(d.dpsi, d.grad_psi)
+    d.g_phi_psi = np.vecdot(d.dphi, d.grad_psi)
+    return d
 
 
 def check_torsion_invariance(s: Structure, t: TransformData, config: RunConfig):
@@ -287,60 +282,50 @@ def _rhs_scal(d: _PointData):
     )
 
 
-def _curvature_laws(st: Structure, point_data, names):
-    """The curvature, Ricci and scalar-curvature change laws, under
-    ``names``, as laws of :func:`~semiweyl.verdicts.run_laws`: ``st`` is
-    ``transform(s, t)`` and ``point_data`` the :func:`_point_data` of
-    ``(s, t)``."""
-
-    def r_fn(p):
-        d = _data(point_data, p)
-        lhs = curvature_values(st.conn, p)
-        rhs = _rhs_curvature(d)
-        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
-
-    def ric_fn(p):
-        d = _data(point_data, p)
-        lhs = ricci_values(st.conn, st.g, p)
-        rhs = _rhs_ricci(d)
-        return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
-
-    def scal_fn(p):
-        d = _data(point_data, p)
-        lhs = scalar_curvature(st.conn, st.g, p)
-        rhs = _rhs_scal(d)
-        return abs(lhs - rhs), 1.0 + abs(lhs) + abs(rhs)
-
-    details = (
-        "curvature of the transformed connection matches the change formula",
-        "Ricci of the transformed structure matches the change formula",
-        "scalar curvature matches the change formula",
+def _curvature_laws(s: Structure, t: TransformData, names):
+    """The curvature, Ricci and scalar-curvature change laws of ``(s, t)``,
+    under ``names``, as laws of :func:`~semiweyl.verdicts.run_laws`."""
+    st = transform(s, t)
+    laws = (
+        (lambda p: curvature_values(st.conn, p), _rhs_curvature,
+         "curvature of the transformed connection matches the change formula"),
+        (lambda p: ricci_values(st.conn, st.g, p), _rhs_ricci,
+         "Ricci of the transformed structure matches the change formula"),
+        (lambda p: scalar_curvature(st.conn, st.g, p), _rhs_scal, "scalar curvature matches the change formula"),
     )
-    return [(nm, fn, None, det) for nm, fn, det in zip(names, (r_fn, ric_fn, scal_fn), details)]
+
+    def law(lhs_of, rhs_of):
+        def fn(p):
+            d = _point_data(s, t, p)
+            lhs, rhs = lhs_of(p), rhs_of(d)
+            return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
+
+        return fn
+
+    return [(name, law(lhs_of, rhs_of), None, detail) for name, (lhs_of, rhs_of, detail) in zip(names, laws)]
 
 
 def check_curvature_transform(s: Structure, t: TransformData, config: RunConfig):
     """Compare the transformed curvature, Ricci and scalar curvature against
     the term-by-term assembled change-of-curvature formulas."""
     names = ("cp_curvature_law", "cp_ricci_law", "cp_scalar_law")
-    return run_laws(s.chart, config, _curvature_laws(transform(s, t), _point_data(s, t), names))
+    return run_laws(s.chart, config, _curvature_laws(s, t, names))
 
 
 def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
     """The antisymmetric part of the transformed Ricci tensor, in both the
     covariant-derivative form and the torsion-contraction restatement."""
     st = transform(s, t)
-    point_data = _point_data(s, t)
 
     def full_fn(p):
         lhs = ricci_values(st.conn, st.g, p)
         lhs = lhs - lhs.swapaxes(-1, -2)
-        rhs = _rhs_ricci(_data(point_data, p))
+        rhs = _rhs_ricci(_point_data(s, t, p))
         rhs = rhs - rhs.swapaxes(-1, -2)
         return row_max(lhs - rhs, p), 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     def torsion_form_fn(p):
-        d = _data(point_data, p)
+        d = _point_data(s, t, p)
         lhs = ricci_values(st.conn, st.g, p)
         lhs = lhs - lhs.swapaxes(-1, -2)
         gT_df = np.einsum("...mjk,...m->...jk", d.T, d.dphi)  # g(T(d_j, d_k), grad phi)
@@ -392,9 +377,8 @@ def check_conformal_corollaries(s: Structure, psi: ScalarField, config: RunConfi
     chart = s.chart
     t = _conformal_data(psi)
     st = transform(s, t)
-    point_data = _point_data(s, t)
     names = ("conformal_curvature_law", "conformal_ricci_law", "conformal_scalar_law")
-    laws = _curvature_laws(st, point_data, names)
+    laws = _curvature_laws(s, t, names)
     if not is_swmt(s, config).passed:
         return run_laws(chart, config, laws) + [
             gated("conformal_ricci_antisymmetry_preserved", "structure condition fails", config.tol),
@@ -409,7 +393,7 @@ def check_conformal_corollaries(s: Structure, psi: ScalarField, config: RunConfi
         return res, 1.0 + row_max(lhs, p) + row_max(rhs, p)
 
     def cyclic_fn(p):
-        d = _data(point_data, p)
+        d = _point_data(s, t, p)
         term = (
             np.einsum("...mjk,...m->...jk", d.T, d.dpsi)
             + contract("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)
@@ -431,7 +415,6 @@ def check_conformally_flat(s: Structure, psi: ScalarField, config: RunConfig):
     chart = s.chart
     t = _conformal_data(psi)
     st = transform(s, t)
-    point_data = _point_data(s, t)
 
     def flat_fn(p):
         require_nondegenerate_metric(s.g, p)
@@ -445,7 +428,7 @@ def check_conformally_flat(s: Structure, psi: ScalarField, config: RunConfig):
         return [gated("conformally_flat_closed_forms", "structure condition fails", config.tol)]
 
     def fn(p):
-        d = _data(point_data, p)
+        d = _point_data(s, t, p)
         n = d.n
         hpsi = np.einsum("...jm,...mk->...jk", d.dVpsi, d.g)  # g(nabla_{d_j} grad psi, d_k)
         eta_gradpsi = np.vecdot(d.eta, d.grad_psi)

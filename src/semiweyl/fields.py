@@ -19,22 +19,22 @@ arithmetic (``G + K``, ``-K``, ``G * f``).
 Three rules share work.  A field's results are shared, hence read-only,
 and a field's ``fn`` may depend on nothing but ``(p, order)``.  The result
 store of a run (:func:`result_store`, which ``report.run_spec`` opens for
-one spec, and a call outside any run for itself) is the only cache of
-field results: one dict, whose entry per (field, order, points) is written
-once, from one ``fn`` call at those points (:func:`_kept`), whether they
-are one point or a point set, such as the running pass's sample set
-(:func:`sample_set`) or its images under an embedding, or truncated from a
-result at a higher order: an entry at order k answers every lower order,
-as layer r of a jet depends only on layers up to r.  A derived field asks
-its operands at the same points.  An entry is the result, its failure (a
-point error of that call or, on a set, a row that is not finite), or a
-sub-set fill with per-row failures: each row a set's point error names
-keeps its own, and the other rows fill one sub-set entry, which a derived
-field reuses.  A point of the running pass reads its row of a set or
-sub-set, or its kept error, and is otherwise evaluated alone.  An owner
-keeps what is derived from it (:func:`kept`), so each derived structure,
-frame and predicate verdict of a spec is one Python object, built once,
-and so one key of the store.
+one spec, and a call outside any run for itself) is the only cache: one
+dict, whose entry per (field, order, points) is written once, from one
+``fn`` call at those points (:func:`_kept`), whether they are one point or
+a point set, such as the running pass's sample set (:func:`sample_set`) or
+its images under an embedding, or truncated from a result at a higher
+order: an entry at order k answers every lower order, as layer r of a jet
+depends only on layers up to r.  A derived field asks its operands at the
+same points.  An entry is the result, its failure (a point error of that
+call or, on a set, a row that is not finite), or a sub-set fill with
+per-row failures: each row a set's point error names keeps its own, and
+the other rows fill one sub-set entry, which a derived field reuses.  A
+point of the running pass reads its row of a set or sub-set, or its kept
+error, and is otherwise evaluated alone.  What a run derives (:func:`kept`)
+is in the same store, under its build and arguments, so each derived
+structure, frame field and predicate verdict is one object per run, and
+no object keeps what is derived from it.
 """
 
 from __future__ import annotations
@@ -101,23 +101,42 @@ class Chart:
 
 
 def kept(build):
-    """``build(owner, *args)``, built once per owner and arguments and kept
-    by the owner.
-
-    The owner and the arguments are compared as dictionary keys: fields,
-    structures and maps by identity, a ``TransformData`` by its two fields,
-    a ``RunConfig`` or a string by value.  A build that raises keeps
-    nothing."""
+    """``build(*args)``, built once per arguments in the running
+    :func:`result_store` and kept there under ``(build, *args)``, or built
+    on each call when no store is running.  The arguments are compared as
+    dictionary keys: fields, structures and maps by identity, a
+    ``TransformData`` by its two fields, a ``RunConfig`` or a string by
+    value.  A build that raises keeps nothing."""
 
     @wraps(build)
-    def get(owner, *args):
-        memo = vars(owner).setdefault("_kept", {})
+    def get(*args):
+        store = _store.get()
+        if store is None:
+            return build(*args)
         key = (build, *args)
-        if key not in memo:
-            memo[key] = build(owner, *args)
-        return memo[key]
+        if key not in store:
+            store[key] = build(*args)
+        return store[key]
 
     return get
+
+
+def _values_field(compute):
+    """``compute(owner, *args, p)`` read through a field of ``owner`` and
+    ``args`` (:func:`kept`): evaluated once per points in the running
+    result store, a point error kept with it, and a point of a set that
+    failed evaluated alone."""
+
+    @kept
+    def field(owner, *args):
+        return _Field(owner.chart, lambda p, _order: compute(owner, *args, p))
+
+    @wraps(compute)
+    def values(owner, *args_and_p):
+        *args, p = args_and_p
+        return field(owner, *args).jet(p, 0)
+
+    return values
 
 
 class _Field:
@@ -187,16 +206,23 @@ def _leaves(out):
     return [out]
 
 
+def _each(out, layers, leaf):
+    """A field's result ``out`` with the layers of each of its jets
+    ``layers(jet.layers)`` and each other leaf ``x`` as ``leaf(x)``, in
+    tuples and dicts of ``out``'s types."""
+    if isinstance(out, Jet):
+        return Jet(out.n, layers(out.layers))
+    if isinstance(out, tuple):
+        return tuple(_each(item, layers, leaf) for item in out)
+    if isinstance(out, dict):
+        return type(out)({k: _each(item, layers, leaf) for k, item in out.items()})
+    return leaf(out)
+
+
 def _row(out, row):
     """The result at the point of row ``row`` of a result ``out`` on a point
     set: each of its leaves indexed by ``row``."""
-    if isinstance(out, Jet):
-        return Jet(out.n, [L[row] for L in out.layers])
-    if isinstance(out, tuple):
-        return tuple(_row(item, row) for item in out)
-    if isinstance(out, dict):
-        return {k: _row(item, row) for k, item in out.items()}
-    return out[row]
+    return _each(out, lambda layers: [L[row] for L in layers], lambda x: x[row])
 
 
 class _Raised(NamedTuple):
@@ -250,23 +276,13 @@ def _kept(store, field, order, p, where):
 
 def _truncated(store, field, order, where):
     """``field`` at ``order`` truncated from its nearest result at the same
-    points at an order up to 6, or ``None``: a kept failure answers no lower
-    order (``sqrt`` of 0 fails only above order 0)."""
+    points at an order up to 6, each jet less its top ``k - order`` layers,
+    or ``None``: a kept failure answers no lower order (``sqrt`` of 0 fails
+    only above order 0)."""
     for k in range(order + 1, 7):
         out = store.get((field, k, where))
         if out is not None and type(out) is not _Raised and type(out) is not _Split:
-            return _less(out, k - order)
-
-
-def _less(out, drop):
-    """A field's result with each of its jets less its top ``drop`` layers."""
-    if isinstance(out, Jet):
-        return Jet(out.n, out.layers[: len(out.layers) - drop])
-    if isinstance(out, tuple):
-        return tuple(_less(item, drop) for item in out)
-    if isinstance(out, dict):
-        return {k: _less(item, drop) for k, item in out.items()}
-    return out
+            return _each(out, lambda layers: layers[: len(layers) - (k - order)], lambda x: x)
 
 
 def _split(store, field, order, p, raised, named):

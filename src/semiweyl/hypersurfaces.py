@@ -38,7 +38,6 @@ __all__ = [
     "induced_structure",
     "unit_normal",
     "HypersurfaceFrame",
-    "hypersurface_frame",
     "check_induced_structure",
     "check_induced_duality_commutes",
     "check_induced_cp_equivalence",
@@ -57,9 +56,9 @@ class EmbeddingMap:
 
     Its coordinates are a :class:`~semiweyl.fields.VectorField` on the
     domain, and the pullback of an ambient field is a field on the domain.
-    The map keeps one pullback per ambient field (and one induced metric
-    per ambient metric, see :func:`~semiweyl.fields.kept`), so every frame
-    and check on the map shares its jets."""
+    A run keeps one pullback per map and ambient field (and one induced
+    metric per ambient metric, see :func:`~semiweyl.fields.kept`), so every
+    frame and check on the map shares its jets."""
 
     def __init__(self, domain: Chart, ambient: Chart, components):
         if len(components) != ambient.dim:
@@ -126,8 +125,8 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
 
 
 def _restricted(emb: EmbeddingMap, t):
-    """The transformation driven by the pullbacks of ``t``'s functions (the
-    map keeps the pullbacks, so a transform of the same fields is equal)."""
+    """The transformation driven by the pullbacks of ``t``'s functions (a
+    run keeps the pullbacks, so a transform of the same fields is equal)."""
     return type(t)(emb.compose(t.phi), emb.compose(t.psi))
 
 
@@ -171,6 +170,40 @@ def unit_normal(emb: EmbeddingMap, g: MetricField) -> _Field:
     return _Field(emb.domain, fn)
 
 
+@kept
+def _second_fundamental_form(emb: EmbeddingMap, s: Structure) -> _Field:
+    """:meth:`HypersurfaceFrame.second_fundamental_form` of ``s``, a field."""
+
+    def fn(p, order):
+        W = _ambient_derivative_of_frame(emb, s.conn, p, order)
+        Gc = emb.compose(s.g).jet(p, order)
+        N, eps = unit_normal(emb, s.g).jet(p, order)
+        alpha = jet_einsum("...ij,...iab,...j->...ab", Gc, W, N)
+        return _signed(alpha, eps), eps
+
+    return _Field(emb.domain, fn)
+
+
+@kept
+def _weingarten_map(emb: EmbeddingMap, s: Structure) -> _Field:
+    """:meth:`HypersurfaceFrame.weingarten` of ``s``, a field."""
+
+    def fn(p, order):
+        N, eps = unit_normal(emb, s.g).jet(p, order + 1)
+        dF = partials(emb.coords.jet(p, order + 1))
+        Gamc = emb.compose(s.conn).jet(p, order)
+        DN = partials(N) + jet_einsum("...ijk,...ja,...k->...ia", Gamc, dF, N)  # nabla_a N
+        Gc = emb.compose(s.g).jet(p, order)
+        tau = _signed(jet_einsum("...ij,...ia,...j->...a", Gc, DN, N), eps)
+        beta = -jet_einsum("...ij,...ia,...jb->...ab", Gc, DN, dF)
+        gp = emb.induced_metric(s.g)
+        G = gp.jet(p, order)
+        B = jet_solve_with(G, inverse_metric_values(gp, p), beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}
+        return beta, tau, B, eps
+
+    return _Field(emb.domain, fn)
+
+
 def _signed(J, eps):
     """``J`` times the sign ``eps`` (one per point of a set), layer by
     layer, so that each row is exactly ``J`` or ``-J``."""
@@ -197,12 +230,10 @@ class HypersurfaceFrame:
             raise ValueError("a hypersurface has codimension one")
         self.emb = emb
         self.s = s
-        self._alpha = _Field(emb.domain, self._second_fundamental_form)
-        self._weingarten = _Field(emb.domain, self._weingarten_map)
 
     def with_structure(self, s: Structure):
         """The frame of the same hypersurface in another ambient structure."""
-        return hypersurface_frame(self.emb, s)
+        return HypersurfaceFrame(self.emb, s)
 
     def normal(self, p, order):
         """Unit normal ``N`` (ambient components, jets) and the sign
@@ -212,35 +243,14 @@ class HypersurfaceFrame:
     def second_fundamental_form(self, p, order):
         """``alpha[a, b] = eps * g(nabla_{dF e_a}(dF e_b), N)`` as jets, and
         ``eps``; kept like any field's results."""
-        return self._alpha.jet(p, order)
-
-    def _second_fundamental_form(self, p, order):
-        W = _ambient_derivative_of_frame(self.emb, self.s.conn, p, order)
-        Gc = self.emb.compose(self.s.g).jet(p, order)
-        N, eps = self.normal(p, order)
-        alpha = jet_einsum("...ij,...iab,...j->...ab", Gc, W, N)
-        return _signed(alpha, eps), eps
+        return _second_fundamental_form(self.emb, self.s).jet(p, order)
 
     def weingarten(self, p, order):
         """Returns ``(beta, tau, B, eps)`` as jets: ``beta[a,b] =
         -g(nabla_a N, dF e_b)``, ``tau[a] = eps g(nabla_a N, N)`` and the
         shape operator ``B[d, a]`` with ``beta(X, Y) = g'(B X, Y)``; kept
         like any field's results."""
-        return self._weingarten.jet(p, order)
-
-    def _weingarten_map(self, p, order):
-        emb = self.emb
-        N, eps = self.normal(p, order + 1)
-        dF = partials(emb.coords.jet(p, order + 1))
-        Gamc = emb.compose(self.s.conn).jet(p, order)
-        DN = partials(N) + jet_einsum("...ijk,...ja,...k->...ia", Gamc, dF, N)  # nabla_a N
-        Gc = emb.compose(self.s.g).jet(p, order)
-        tau = _signed(jet_einsum("...ij,...ia,...j->...a", Gc, DN, N), eps)
-        beta = -jet_einsum("...ij,...ia,...jb->...ab", Gc, DN, dF)
-        gp = emb.induced_metric(self.s.g)
-        G = gp.jet(p, order)
-        B = jet_solve_with(G, inverse_metric_values(gp, p), beta.T)  # B[d, a] with g'_{db} B^d_a = beta_{ab}
-        return beta, tau, B, eps
+        return _weingarten_map(self.emb, self.s).jet(p, order)
 
     # -- the values the shared fundamental-form checks read ----------------
 
@@ -260,8 +270,6 @@ class HypersurfaceFrame:
     def transversal_value(self, p):
         return self.normal(p, 0)[0].value
 
-
-hypersurface_frame = kept(HypersurfaceFrame)
 
 
 # -- checks -------------------------------------------------------------------
@@ -407,7 +415,7 @@ def check_gauss_equation(emb: EmbeddingMap, s: Structure, config: RunConfig):
     """Ambient curvature on tangent vectors decomposes into the induced
     curvature, shape-operator terms, and a normal component built from the
     second fundamental form."""
-    frame = hypersurface_frame(emb, s)
+    frame = HypersurfaceFrame(emb, s)
     ind = induced_structure(emb, s)
 
     def fn(p):
@@ -448,8 +456,8 @@ def check_flat_dual_hypersurface(emb: EmbeddingMap, s: Structure, config: RunCon
     first-order law: the wedge of ``df`` with the induced metric cancels
     ``f`` times the induced semi-dual metric-derivative antisymmetry, its
     torsion pairing, and the wedge of the dual transversal one-form."""
-    frame = hypersurface_frame(emb, s)
-    frame_dual = hypersurface_frame(emb, semi_dual(s))
+    frame = HypersurfaceFrame(emb, s)
+    frame_dual = HypersurfaceFrame(emb, semi_dual(s))
     ind = induced_structure(emb, s)
     ind_dual = semi_dual(ind).conn
 

@@ -22,7 +22,6 @@ from .verdicts import RunConfig, gated, row_max, run_pointwise_check
 
 __all__ = [
     "LightlikeFrame",
-    "lightlike_frame",
     "check_radical_quality",
     "check_transversal_conditions",
     "check_screen_integrability",
@@ -97,79 +96,15 @@ def _null_frame(emb: EmbeddingMap, g, screen) -> _Field:
     return _Field(emb.domain, fn)
 
 
-class LightlikeFrame:
-    """Pointwise frame data for a hypersurface whose induced metric is
-    degenerate of rank ``dim - 1``: the radical direction ``xi`` (pinned to
-    have unit component at a fixed index), the unique transversal ``N``
-    with ``g(N, xi) = 1``, ``g(N, N) = 0``, ``g(N, W) = 0`` for screen
-    fields ``W``, and the screen-projected connection.  The radical, the
-    transversal and the coordinate screen are kept per (map, metric,
-    screen), so the frame of the semi-dual structure shares them."""
+@kept
+def _screen_data(emb: EmbeddingMap, s: Structure, screen) -> _Field:
+    """:meth:`LightlikeFrame.screen_data` of ``s`` and the ``screen``, a
+    field."""
 
-    # verdict names and details of the checks shared with hypersurface frames
-    VERDICTS = {
-        "beta_symmetry": ("lightlike_beta_symmetry", "screen form g(nabla N, .) is symmetric"),
-        "duality_pairing": ("lightlike_duality_pairing", "screen fundamental forms of a connection and its semi-dual pair up"),
-        "beta_law": ("lightlike_beta_law", "screen normal-derivative form transforms by the closed formula"),
-        "umbilic": ("lightlike_umbilic_preservation", "screen umbilic points stay umbilic under the transformation"),
-    }
-    # with the radical pinned to the same normalization before and after,
-    # the transversal rescales by the full inverse conformal factor, which
-    # absorbs the square-root prefactor of the beta law
-    BETA_LAW_WEIGHT = 0.0
-
-    def __init__(self, emb: EmbeddingMap, s: Structure, screen=None):
-        if emb.codim != 1:
-            raise ValueError("a hypersurface has codimension one")
-        if screen is not None and len(screen) != emb.domain.dim - 1:
-            raise ValueError(f"a screen has {emb.domain.dim - 1} fields, got {len(screen)}")
-        self.emb = emb
-        self.s = s
-        self._screen = screen  # tuple of VectorFields on the domain chart, or None
-        self._screen_data = _Field(emb.domain, self._build_screen_data)
-
-    def with_structure(self, s: Structure):
-        """The frame of the same hypersurface and screen in another ambient
-        structure."""
-        return lightlike_frame(self.emb, s, self.screen_fields())
-
-    def radical(self, p, order):
-        """Jets of the radical direction ``xi`` (domain components),
-        normalized so that its pinned component is exactly one, with the
-        induced metric, the differential and the pulled back metric."""
-        return _radical(self.emb, self.s.g, p, order)
-
-    def screen_fields(self):
-        """The screen fields: those given, or the coordinate screen."""
-        return self._screen or _coordinate_screen(self.emb, self.s.g)
-
-    def transversal(self, p, order):
-        """Jets of the transversal ``N`` (ambient components), the radical,
-        the screen fields ``Wdom[screen index, domain component]``, their
-        ambient pushforwards, and the rest of :meth:`radical`'s result."""
-        return _null_frame(self.emb, self.s.g, self.screen_fields()).jet(p, order)
-
-    # -- screen connection -------------------------------------------------
-
-    def screen_data(self, p, order):
-        """Returns a dict with the pointwise screen geometry: the Gram
-        matrix of the screen fields, the screen connection coefficients,
-        the forms ``alpha`` and ``beta``, the screen brackets, and what
-        they came from: the transversal, the radical and screen fields and
-        their ambient pushforwards, and the induced and ambient metrics.
-        The result is kept like any field's; its jets are read-only.
-
-        At order ``k``, ``gram``, ``N``, ``xi``, ``Wdom``, ``gp``, ``Gc``,
-        ``xi_amb`` and ``W_amb`` are jets of order ``k + 1``, and
-        ``nabla_bar``, ``alpha``, ``beta`` and ``bracket`` of order ``k``;
-        so order 0 holds the first derivatives of the Gram matrix that
-        :func:`check_screen_structure` reads."""
-        return self._screen_data.jet(p, order)
-
-    def _build_screen_data(self, p, order):
-        N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc = self.transversal(p, order + 1)
+    def fn(p, order):
+        N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc = _null_frame(emb, s.g, screen).jet(p, order + 1)
         r = W_amb.shape[-2]
-        Gamc = self.emb.compose(self.s.conn).jet(p, order)
+        Gamc = emb.compose(s.conn).jet(p, order)
 
         def along_screen(t, b):
             """``[a, b, i]``: ambient covariant derivative of the ambient
@@ -211,6 +146,77 @@ class LightlikeFrame:
             "W_amb": W_amb,
         }
 
+    return _Field(emb.domain, fn)
+
+
+class LightlikeFrame:
+    """Pointwise frame data for a hypersurface whose induced metric is
+    degenerate of rank ``dim - 1``: the radical direction ``xi`` (pinned to
+    have unit component at a fixed index), the unique transversal ``N``
+    with ``g(N, xi) = 1``, ``g(N, N) = 0``, ``g(N, W) = 0`` for screen
+    fields ``W``, and the screen-projected connection.  A run keeps the
+    radical, the transversal and the coordinate screen per (map, metric,
+    screen), so the frame of the semi-dual structure shares them."""
+
+    # verdict names and details of the checks shared with hypersurface frames
+    VERDICTS = {
+        "beta_symmetry": ("lightlike_beta_symmetry", "screen form g(nabla N, .) is symmetric"),
+        "duality_pairing": ("lightlike_duality_pairing", "screen fundamental forms of a connection and its semi-dual pair up"),
+        "beta_law": ("lightlike_beta_law", "screen normal-derivative form transforms by the closed formula"),
+        "umbilic": ("lightlike_umbilic_preservation", "screen umbilic points stay umbilic under the transformation"),
+    }
+    # with the radical pinned to the same normalization before and after,
+    # the transversal rescales by the full inverse conformal factor, which
+    # absorbs the square-root prefactor of the beta law
+    BETA_LAW_WEIGHT = 0.0
+
+    def __init__(self, emb: EmbeddingMap, s: Structure, screen=None):
+        if emb.codim != 1:
+            raise ValueError("a hypersurface has codimension one")
+        if screen is not None and len(screen) != emb.domain.dim - 1:
+            raise ValueError(f"a screen has {emb.domain.dim - 1} fields, got {len(screen)}")
+        self.emb = emb
+        self.s = s
+        self._screen = screen  # tuple of VectorFields on the domain chart, or None
+
+    def with_structure(self, s: Structure):
+        """The frame of the same hypersurface and screen in another ambient
+        structure."""
+        return LightlikeFrame(self.emb, s, self.screen_fields())
+
+    def radical(self, p, order):
+        """Jets of the radical direction ``xi`` (domain components),
+        normalized so that its pinned component is exactly one, with the
+        induced metric, the differential and the pulled back metric."""
+        return _radical(self.emb, self.s.g, p, order)
+
+    def screen_fields(self):
+        """The screen fields: those given, or the coordinate screen."""
+        return self._screen or _coordinate_screen(self.emb, self.s.g)
+
+    def transversal(self, p, order):
+        """Jets of the transversal ``N`` (ambient components), the radical,
+        the screen fields ``Wdom[screen index, domain component]``, their
+        ambient pushforwards, and the rest of :meth:`radical`'s result."""
+        return _null_frame(self.emb, self.s.g, self.screen_fields()).jet(p, order)
+
+    # -- screen connection -------------------------------------------------
+
+    def screen_data(self, p, order):
+        """Returns a dict with the pointwise screen geometry: the Gram
+        matrix of the screen fields, the screen connection coefficients,
+        the forms ``alpha`` and ``beta``, the screen brackets, and what
+        they came from: the transversal, the radical and screen fields and
+        their ambient pushforwards, and the induced and ambient metrics.
+        The result is kept like any field's; its jets are read-only.
+
+        At order ``k``, ``gram``, ``N``, ``xi``, ``Wdom``, ``gp``, ``Gc``,
+        ``xi_amb`` and ``W_amb`` are jets of order ``k + 1``, and
+        ``nabla_bar``, ``alpha``, ``beta`` and ``bracket`` of order ``k``;
+        so order 0 holds the first derivatives of the Gram matrix that
+        :func:`check_screen_structure` reads."""
+        return _screen_data(self.emb, self.s, self.screen_fields()).jet(p, order)
+
     # -- the values the shared fundamental-form checks read ----------------
 
     def alpha(self, p):
@@ -229,8 +235,6 @@ class LightlikeFrame:
     def transversal_value(self, p):
         return self.screen_data(p, 0)["N"].value
 
-
-lightlike_frame = kept(LightlikeFrame)
 
 
 # -- checks -------------------------------------------------------------------

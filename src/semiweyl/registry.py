@@ -82,12 +82,12 @@ ARGUMENTS = {
     "embedding": (("submanifold",), lambda spec: spec.embedding, _embedding_fields),
     "hypersurface_frame": (
         ("structure", "submanifold"),
-        lambda spec: _attr("hypersurfaces.hypersurface_frame")(spec.embedding, spec.structure),
+        lambda spec: _attr("hypersurfaces.HypersurfaceFrame")(spec.embedding, spec.structure),
         lambda f, spec: _fields("hypersurface", f.emb.domain, f, "normal", "second_fundamental_form", "weingarten"),
     ),
     "lightlike_frame": (
         ("structure", "lightlike"),
-        lambda spec: _attr("lightlike.lightlike_frame")(spec.lightlike_embedding, spec.structure, None),
+        lambda spec: _attr("lightlike.LightlikeFrame")(spec.lightlike_embedding, spec.structure, None),
         lambda f, spec: _fields("lightlike", f.emb.domain, f, "transversal", "screen_data"),
     ),
     "affine": (("affine",), lambda spec: spec.affine, lambda dist, spec: _realized("realized", dist)),

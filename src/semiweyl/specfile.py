@@ -1,7 +1,8 @@
 """Declarative verification-spec files.
 
 A spec file is a plain text tree of ``[section]`` headers and ``key = value``
-lines (``#`` starts a comment; keys may repeat where documented).  It
+lines (``#`` starts a comment; a key appears at most once in a section,
+except the repeated ``add`` lines of ``[connection]``).  It
 describes a chart, a metric / one-form / connection structure, an optional
 transformation, optional submanifold / lightlike / affine blocks, a run
 configuration, and the list of named checks to execute with their expected
@@ -142,8 +143,18 @@ class _Collector:
 
 
 def _single(entries, key):
-    found = [e for e in entries if e.key == key]
-    return found[-1] if found else None
+    return next((e for e in entries if e.key == key), None)
+
+
+def _check_repeats(sections, col):
+    """Every key but ``add`` at most once per section, and so every check
+    at most once in ``[checks]``."""
+    for name, entries in sections.items():
+        first = {}
+        for e in entries:
+            if e.key != "add" and first.setdefault(e.key, e) is not e:
+                what = f"check {e.key!r} is listed" if name == "checks" else f"key {e.key!r} appears"
+                col.err(e, f"{what} more than once in [{name}], on lines {first[e.key].line} and {e.line}")
 
 
 def _split_list(value):
@@ -428,6 +439,7 @@ def load_spec(path):
     for name in sections:
         if name not in _KNOWN_SECTIONS:
             col.err(None, f"unknown section [{name}]")
+    _check_repeats(sections, col)
 
     chart = None
     needs_manifold = any(name in sections for name in _AMBIENT_SECTIONS)

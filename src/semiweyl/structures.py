@@ -36,7 +36,8 @@ __all__ = [
 @dataclass(eq=False)
 class Structure:
     """A chart together with ``(g, eta, conn)``; ``eta`` may be zero.
-    Compared by identity, it owns what is derived from it."""
+    Compared by identity, so it is one key of what a run derives from it
+    (:func:`~semiweyl.fields.kept`)."""
 
     chart: Chart
     g: MetricField

@@ -6,10 +6,10 @@ set, whose arrays carry a leading axis over its points; :func:`signature`
 takes a point.
 
 Torsion, curvature, Ricci, scalar curvature, ``nabla g`` and the inverse
-metric are fields of their connection (and metric), kept by it
-(:func:`_values_field`), so each is computed once per points in the
-running result store, like any field's results.  The inverse metric is the
-non-degeneracy test of a metric field: it raises
+metric are fields of their connection (and metric)
+(:func:`~semiweyl.fields._values_field`), so each is computed once per
+points in the running result store, like any field's results.  The
+inverse metric is the non-degeneracy test of a metric field: it raises
 :class:`~semiweyl.fields.DegeneratePointError` where the metric is
 degenerate (:func:`require_nondegenerate_metric`), and the one inversion of
 its values, which every solve against a metric's jet reads
@@ -23,11 +23,9 @@ Ricci and scalar curvature are defined by metric contraction.
 
 from __future__ import annotations
 
-from functools import wraps
-
 import numpy as np
 
-from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField, _Field, kept
+from .fields import ConnectionField, DegeneratePointError, MetricField, VectorField, _values_field, kept
 from .jets import _pow, innermost, jet_einsum, jet_solve_with, partials
 
 __all__ = [
@@ -65,24 +63,6 @@ def require_nondegenerate(gvals):
     det = np.abs(np.linalg.det(gvals))
     if (bad := det <= degeneracy_threshold(gvals)).any():
         raise DegeneratePointError.where(bad, lambda at: f"metric degenerate (|det g| = {np.min(det[at]):.3e})")
-
-
-def _values_field(compute):
-    """``compute(owner, *args, p)`` read through a field of ``owner`` and
-    ``args``, kept by ``owner``: evaluated once per points in the running
-    result store, a point error kept with it, and a point of a set that
-    failed evaluated alone."""
-
-    @kept
-    def field(owner, *args):
-        return _Field(owner.chart, lambda p, _order: compute(owner, *args, p))
-
-    @wraps(compute)
-    def values(owner, *args_and_p):
-        *args, p = args_and_p
-        return field(owner, *args).jet(p, 0)
-
-    return values
 
 
 @_values_field

@@ -14,8 +14,10 @@ from semiweyl.fields import (
     MetricField,
     OneFormField,
     ScalarField,
+    _Field,
     eta_tensor_id,
     g_tensor_vector,
+    kept,
 )
 from semiweyl.jets import PointError, partials
 from semiweyl.structures import Structure
@@ -125,6 +127,29 @@ def rows_alone(call, pts):
         except PointError as exc:
             rows.append((type(exc), exc.args))
     return rows
+
+
+def field_entries(store):
+    """The entries of a result store that are fields' results, keyed by
+    ``(field, order, (shape, bytes))``; the store's other entries are what
+    a run derived (``fields.kept``), keyed by ``(build, *args)``."""
+    return {key: out for key, out in store.items() if isinstance(key[0], _Field)}
+
+
+def count_field_calls(monkeypatch, module, name, calls):
+    """Patch the kept field builder ``module.name`` so that each call of
+    the ``fn`` of a field it builds appends its ``(p, order)`` to
+    ``calls``."""
+    build = getattr(module, name).__wrapped__
+
+    @kept
+    def counted_build(*args):
+        field = build(*args)
+        fn = field._fn
+        field._fn = lambda p, order: calls.append((p, order)) or fn(p, order)
+        return field
+
+    monkeypatch.setattr(module, name, counted_build)
 
 
 def null_cone_embedding(ambient_chart):

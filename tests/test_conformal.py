@@ -28,6 +28,7 @@ from semiweyl.fields import (
     MetricField,
     OneFormField,
     ScalarField,
+    _values_field,
 )
 from semiweyl import conformal
 from semiweyl.jets import contract
@@ -229,9 +230,25 @@ class TestChangeLawArrays:
             s = ambient_swmt_3d()
             t = potentials(s.chart, "0.2*x + 0.1*y*z", "0.1*z + 0.05*x*y")
         for p in halton_points(s.chart, 10):
-            d = conformal._PointData(s, t, p)
+            d = conformal._point_data(s, t, p)
             assert np.array_equal(conformal._rhs_curvature(d), _loop_rhs_curvature(d))
             assert np.array_equal(conformal._rhs_ricci(d), _loop_rhs_ricci(d))
+
+
+def count_point_data(monkeypatch):
+    """Patch :func:`conformal._point_data` so that each computation of the
+    point data appends the bytes of its points to the list returned."""
+    builds = []
+    compute = conformal._point_data.__wrapped__
+
+    def counted(s, t, p):
+        builds.append(p.tobytes())
+        d = compute(s, t, p)
+        assert d.g.shape == p.shape[:-1] + (2, 2) and d.scal.shape == p.shape[:-1]
+        return d
+
+    monkeypatch.setattr(conformal, "_point_data", _values_field(counted))
+    return builds
 
 
 class TestPointData:
@@ -242,15 +259,7 @@ class TestPointData:
         # the cyclic identity) one of its phi = 0 transform; cp_codazzi_scaling
         # builds none.  One per point: 2 x 150; one per check: 3 x 150
         spec = load_spec(Path(__file__).resolve().parents[1] / "fixtures" / "conformal_projective_suite.spec")
-        builds = []
-        init = conformal._PointData.__init__
-
-        def counted(self, s, t, p):
-            builds.append(p.tobytes())
-            init(self, s, t, p)
-            assert self.g.shape == p.shape[:-1] + (2, 2) and self.scal.shape == p.shape[:-1]
-
-        monkeypatch.setattr(conformal._PointData, "__init__", counted)
+        builds = count_point_data(monkeypatch)
         run_spec(spec)
         assert spec.config.samples == 150
         pts = halton_points(spec.chart, 150, spec.config.seed)
@@ -260,14 +269,7 @@ class TestPointData:
         # cp_torsion_term_symmetry reads the coefficient tensor that
         # transform adds; it needs no curvature or covariant derivatives
         spec = load_spec(Path(__file__).resolve().parents[1] / "fixtures" / "swmt_eta_shift.spec")
-        builds = []
-        init = conformal._PointData.__init__
-
-        def counted(self, s, t, p):
-            builds.append(p.tobytes())
-            init(self, s, t, p)
-
-        monkeypatch.setattr(conformal._PointData, "__init__", counted)
+        builds = count_point_data(monkeypatch)
         symmetry, torsion = check_torsion_invariance(spec.structure, spec.transform, spec.config)
         assert builds == []
         assert symmetry.name == "cp_torsion_term_symmetry" and symmetry.tol == 0.0
@@ -277,14 +279,7 @@ class TestPointData:
     def test_codazzi_scaling_builds_no_point_data(self, monkeypatch):
         # the law reads nabla g before and after and the two potentials
         spec = load_spec(Path(__file__).resolve().parents[1] / "fixtures" / "conformal_projective_suite.spec")
-        builds = []
-        init = conformal._PointData.__init__
-
-        def counted(self, s, t, p):
-            builds.append(p.tobytes())
-            init(self, s, t, p)
-
-        monkeypatch.setattr(conformal._PointData, "__init__", counted)
+        builds = count_point_data(monkeypatch)
         (v,) = check_codazzi_scaling(spec.structure, spec.transform, spec.config)
         assert builds == []
         assert v.name == "cp_codazzi_scaling" and v.passed and v.points_tested == 150

@@ -21,6 +21,7 @@ from semiweyl.fields import (
     MetricField,
     OneFormField,
     ScalarField,
+    result_store,
     sample_set,
 )
 from semiweyl.hypersurfaces import (
@@ -117,7 +118,12 @@ class TestPullbacks:
         pb = emb.compose(phi)
         assert isinstance(pb, ScalarField) and pb.chart is emb.domain
         assert isinstance(emb.compose(s.conn), ConnectionField)
-        assert emb.compose(phi) is pb and emb.induced_metric(s.g) is emb.induced_metric(s.g)
+        # one pullback and one induced metric per run (a new one per call
+        # outside a run)
+        assert emb.compose(phi) is not pb
+        with result_store():
+            pb = emb.compose(phi)
+            assert emb.compose(phi) is pb and emb.induced_metric(s.g) is emb.induced_metric(s.g)
         for p in halton_points(emb.domain, 5):
             x, y, z = emb.coords.value(p)
             assert pb.value(p) == pytest.approx(x * y + np.exp(z), abs=1e-14)
@@ -125,11 +131,12 @@ class TestPullbacks:
     def test_a_duality_point_composes_each_ambient_field_once(self, monkeypatch):
         s = ambient_swmt_3d()
         frame = HypersurfaceFrame(sphere_embedding(s.chart), s)
-        frame.normal(frame.emb.domain.center(), 0)  # fixes the orientation outside the count
         real = hypersurfaces.jet_compose
         calls = []
-        monkeypatch.setattr(hypersurfaces, "jet_compose", lambda *a: calls.append(a) or real(*a))
-        out = check_duality_pairing(frame, RunConfig(samples=1, seed=0, tol=1e-8, min_valid_points=1))
+        with result_store():
+            frame.normal(frame.emb.domain.center(), 0)  # fixes the run's orientation outside the count
+            monkeypatch.setattr(hypersurfaces, "jet_compose", lambda *a: calls.append(a) or real(*a))
+            out = check_duality_pairing(frame, RunConfig(samples=1, seed=0, tol=1e-8, min_valid_points=1))
         assert out[0].passed and out[0].points_tested == 1
         # the metric at orders 0 and 1, the connection and its semi-dual at order 0
         assert len(calls) == 4

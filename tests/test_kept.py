@@ -1,9 +1,10 @@
-"""Each derived object of a spec is built once and kept by its owner
-(``fields.kept``): running a spec again builds nothing new, the fields a
-run builds do not depend on the sample count, a predicate verdict is
-computed once per structure and config, a transform of the same two
-fields is one key, every field evaluates once per sample set and order in
-a run, in one call on the whole set, and so does every law of a check, and
+"""Each derived object of a spec is built once per run and kept in the
+run's result store (``fields.kept``), and no object keeps it: running a
+spec again builds the same again, the fields a run builds do not depend on
+the sample count, a predicate verdict is computed once per structure and
+config in a run, a transform of the same two fields is one key, every
+field evaluates once per sample set and order in a run, in one call on the
+whole set, and so does every law of a check, and
 the metric's non-degeneracy test, curvature and nabla g run once per
 (field, points) in a run, where the kept inverse metric is the only
 inversion of a metric's values, and a pass makes a pinned number of
@@ -18,10 +19,10 @@ import numpy as np
 import pytest
 
 from conftest import swmt_structure
-from semiweyl import fields, structures, tensor, verdicts
+from semiweyl import fields, report, structures, tensor, verdicts
 from semiweyl.conformal import TransformData, check_conformal_corollaries, check_curvature_transform, transform
 from semiweyl.expressions import eval_jets, parse_expression
-from semiweyl.fields import ScalarField, kept
+from semiweyl.fields import ScalarField, kept, result_store
 from semiweyl.hypersurfaces import EmbeddingMap
 from semiweyl.report import run_spec
 from semiweyl.specfile import load_spec
@@ -37,7 +38,7 @@ class Owner:
 
 
 class TestKept:
-    def test_built_once_per_owner_and_arguments(self):
+    def test_built_once_per_arguments_in_a_run(self):
         builds = []
 
         @kept
@@ -46,10 +47,19 @@ class TestKept:
             return object()
 
         a, b = Owner(), Owner()
-        first = derived(a, "x")
-        assert derived(a, "x") is first
-        assert derived(a, "y") is not first and derived(b, "x") is not first
+        with result_store():
+            first = derived(a, "x")
+            assert derived(a, "x") is first
+            assert derived(a, "y") is not first and derived(b, "x") is not first
+            assert fields._store.get()[derived.__wrapped__, a, "x"] is first
         assert builds == ["x", "y", "x"]
+        # the next run builds again, and so does each call outside a run
+        with result_store():
+            assert derived(a, "x") is not first
+        assert derived(a, "x") is not derived(a, "x")
+        assert builds == ["x", "y", "x", "x", "x", "x"]
+        # the owner keeps nothing (kept by it: {"_kept": {...}})
+        assert vars(a) == vars(b) == {}
 
     def test_a_build_that_raises_keeps_nothing(self):
         calls = []
@@ -60,9 +70,11 @@ class TestKept:
             raise ValueError("no")
 
         owner = Owner()
-        for _ in range(2):
-            with pytest.raises(ValueError):
-                failing(owner)
+        with result_store():
+            for _ in range(2):
+                with pytest.raises(ValueError):
+                    failing(owner)
+            assert fields._store.get() == {}
         assert len(calls) == 2
 
 
@@ -89,10 +101,11 @@ class TestOneBuildPerSpec:
         assert fields_built(monkeypatch, name, 60) == fields_built(monkeypatch, name, 120)
 
     @pytest.mark.parametrize("name", ["conformal_projective_suite.spec", "swmt_eta_shift.spec"])
-    def test_running_a_spec_again_builds_no_field(self, monkeypatch, name):
+    def test_running_a_spec_again_builds_its_fields_once_again(self, monkeypatch, name):
+        # each run derives its own fields: the same number each time (none
+        # on a second run when the spec's objects kept them)
         spec = load_spec(FIXTURES / name)
         config = spec.config.with_(samples=30, min_valid_points=10)
-        run_spec(spec, config)
         count = [0]
         init = fields._Field.__init__
 
@@ -101,17 +114,26 @@ class TestOneBuildPerSpec:
             init(field, *args, **kw)
 
         monkeypatch.setattr(fields._Field, "__init__", counting)
-        run_spec(spec, config)
-        assert count[0] == 0
+        counts = []
+        for _ in range(3):
+            count[0] = 0
+            run_spec(spec, config)
+            counts.append(count[0])
+        assert counts[0] > 0 and counts == [counts[0]] * 3
 
-    def test_running_a_spec_again_adds_no_pullback(self):
+    def test_running_a_spec_again_builds_each_pullback_once_per_run(self, monkeypatch):
         spec = load_spec(FIXTURES / "sphere_hypersurface.spec")
         compose = EmbeddingMap.compose.__wrapped__
+        stores = []
+        run_check = report.run_check
+        monkeypatch.setattr(report, "run_check", lambda *a: stores.append(fields._store.get()) or run_check(*a))
         counts = []
         for _ in range(3):
             run_spec(spec, spec.config.with_(samples=30, min_valid_points=10))
-            counts.append(sum(key[0] is compose for key in spec.embedding._kept))
-        # with new derived fields on every run: 11, 17 and 23
+            counts.append(sum(key[0] is compose for key in stores[-1]))
+        # one store per run, whose pullbacks are those of that run alone
+        # (11, 17 and 23 with new derived fields on every run kept by the map)
+        assert len({id(store) for store in stores}) == 3
         assert counts[0] > 0 and counts == [counts[0]] * 3
 
     @pytest.mark.parametrize("name,runs", [("swmt_eta_shift.spec", 6), ("conformally_flat.spec", 1)])
@@ -137,14 +159,17 @@ class TestOneBuildPerSpec:
 
 
 class TestPredicateVerdicts:
-    def test_one_verdict_per_structure_and_config(self):
+    def test_one_verdict_per_structure_and_config_in_a_run(self):
         s = swmt_structure()
         config = RunConfig(samples=60, seed=1, tol=1e-8, min_valid_points=30)
-        v = is_swmt(s, config)
-        assert is_swmt(s, config) is v and is_swmt(s, config.with_()) is v
-        other = is_swmt(s, config.with_(samples=70))
-        assert other is not v and (v.points_tested, other.points_tested) == (60, 70)
-        assert is_swmt(swmt_structure(), config) is not v
+        with result_store():
+            v = is_swmt(s, config)
+            assert is_swmt(s, config) is v and is_swmt(s, config.with_()) is v
+            other = is_swmt(s, config.with_(samples=70))
+            assert other is not v and (v.points_tested, other.points_tested) == (60, 70)
+            assert is_swmt(swmt_structure(), config) is not v
+        with result_store():
+            assert is_swmt(s, config) is not v and is_swmt(s, config) == v
 
 
 class TestTransformKeys:
@@ -155,26 +180,24 @@ class TestTransformKeys:
         t = TransformData(phi, psi)
         assert TransformData(phi, psi) == t and hash(TransformData(phi, psi)) == hash(t)
         assert TransformData(psi, phi) != t
-        assert transform(s, TransformData(phi, psi)) is transform(s, t)
+        with result_store():
+            assert transform(s, TransformData(phi, psi)) is transform(s, t)
 
     def test_repeated_checks_keep_nothing_new(self):
-        # with text operands and identity keys: 3, 5, 7 and 2, 4, 6 entries
+        # with text operands and identity keys, kept by the structure: 3, 5,
+        # 7 and 2, 4, 6 entries
         config = RunConfig(samples=20, seed=0, tol=1e-8, min_valid_points=10)
         s = swmt_structure()
         psi = ScalarField.from_expression(s.chart, "0.1*x*y")
-        counts = []
-        for _ in range(3):
-            check_conformal_corollaries(s, psi, config)
-            counts.append(len(s._kept))
-        assert counts == [counts[0]] * 3
-
-        s = swmt_structure()
         phi = ScalarField.from_expression(s.chart, "0.2*x")
-        counts = []
-        for _ in range(3):
-            check_curvature_transform(s, TransformData(phi, psi), config)
-            counts.append(len(s._kept))
-        assert counts == [counts[0]] * 3
+        for check in (lambda: check_conformal_corollaries(s, psi, config),
+                      lambda: check_curvature_transform(s, TransformData(phi, psi), config)):
+            counts = []
+            with result_store():
+                for _ in range(3):
+                    check()
+                    counts.append(len(fields._store.get()))
+            assert counts == [counts[0]] * 3
 
 
 def expression_evaluations(monkeypatch, name, samples):

@@ -3,7 +3,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import half_null_plane, minkowski_structure, null_cone_embedding, potentials, rows_alone
+from conftest import count_field_calls, half_null_plane, minkowski_structure, null_cone_embedding, potentials, rows_alone
+from semiweyl import lightlike
 from semiweyl.fields import Chart, DegeneratePointError, result_store, sample_set
 from semiweyl.jets import EvaluationDomainError, Jet
 from semiweyl.hypersurfaces import (
@@ -14,7 +15,6 @@ from semiweyl.hypersurfaces import (
 )
 from semiweyl.lightlike import (
     LightlikeFrame,
-    lightlike_frame,
     check_radical_quality,
     check_screen_cp_equivalence,
     check_screen_integrability,
@@ -191,7 +191,7 @@ class TestScreen:
 
 def fixture_frame(name):
     spec = load_spec(FIXTURES / f"{name}.spec")
-    return lightlike_frame(spec.lightlike_embedding, spec.structure, None)
+    return LightlikeFrame(spec.lightlike_embedding, spec.structure)
 
 
 FRAMES = {
@@ -234,25 +234,20 @@ class TestScreenDataOrders:
 
     @pytest.mark.parametrize("name", ["minkowski_null_hyperplane", "null_cone"])
     def test_no_check_builds_screen_data_above_order_0(self, monkeypatch, name):
-        orders = []
-        build = LightlikeFrame._build_screen_data
-
-        def counted(frame, p, order):
-            orders.append(order)
-            return build(frame, p, order)
-
-        monkeypatch.setattr(LightlikeFrame, "_build_screen_data", counted)
+        calls = []
+        count_field_calls(monkeypatch, lightlike, "_screen_data", calls)
         assert run_spec(load_spec(FIXTURES / f"{name}.spec")).all_expectations_met
         # screen_structure asked order 1 before, for the Gram matrix's grad
-        assert orders and set(orders) == {0}
+        assert calls and {order for _, order in calls} == {0}
 
     def test_a_structure_and_its_semi_dual_share_the_transversal(self):
         from semiweyl.structures import semi_dual
 
-        frame = fixture_frame("null_cone")
-        dual = frame.with_structure(semi_dual(frame.s))
-        pts = halton_points(frame.emb.domain, 5)
+        pts = halton_points(fixture_frame("null_cone").emb.domain, 5)
+        # a run's frames share it: the coordinate screen is one per run
         with result_store(), sample_set(pts):
+            frame = fixture_frame("null_cone")
+            dual = frame.with_structure(semi_dual(frame.s))
             assert dual.transversal(pts, 1) is frame.transversal(pts, 1)
             assert dual.screen_data(pts, 0) is not frame.screen_data(pts, 0)
 

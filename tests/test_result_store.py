@@ -5,7 +5,8 @@ reads rows instead of rebuilding the chain; a pullback evaluates its ambient
 field on the whole image set; a set whose call raises a point error that
 names its rows keeps each named row's reason and fills the other rows as
 one sub-set, which a derived field reuses; a call that raises anything
-else keeps nothing; and the store dies with its run."""
+else keeps nothing; and the store, with all that the run derived, dies
+with its run."""
 
 import contextlib
 import gc
@@ -17,7 +18,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from conftest import plane_chart, swmt_structure
+from conftest import count_field_calls, field_entries, plane_chart, swmt_structure
 from semiweyl import fields, hypersurfaces, lightlike, report, verdicts
 from semiweyl.fields import _Field, result_store, sample_set
 from semiweyl.jets import EvaluationDomainError, Jet
@@ -61,7 +62,7 @@ class TestRows:
                 again = field.jet(pts[3], 2)
             # no fn call, no freeze walk and no kept lone point for a stored row
             assert calls == [2] and walks == []
-            assert all(shape == pts.shape for _, _, (shape, _) in fields._store.get())
+            assert all(shape == pts.shape for _, _, (shape, _) in field_entries(fields._store.get()))
         for J in (held, again):
             assert not any(L.flags.writeable for L in J.layers)
         assert [L.tobytes() for L in again.layers] == [L.tobytes() for L in held.layers]
@@ -139,7 +140,7 @@ class TestRows:
             assert split.raised == reason
             assert [k == reason for k in split.named] == [row in bad for row in range(len(pts))]
             # no point was evaluated alone
-            assert all(len(shape) == 2 for _, _, (shape, _) in store)
+            assert all(len(shape) == 2 for _, _, (shape, _) in field_entries(store))
 
     def test_a_point_that_raised_is_not_evaluated_again(self):
         g, calls, pts, bad = self.raising()
@@ -217,37 +218,33 @@ class TestRows:
                 for _ in range(2):
                     with pytest.raises(ValueError, match="^not a point error$"):
                         f.jet(pts, 0)
-            assert not any(field is f for field, _, _ in fields._store.get())
+            assert not any(field is f for field, _, _ in field_entries(fields._store.get()))
         assert calls == [pts.shape] * 2
 
 
 def count_per_point(monkeypatch, path, samples=None, runs=1):
-    """``(on the whole set, at sample points, elsewhere)`` for
-    ``_build_screen_data`` and for ``jet_compose`` in
-    ``EmbeddingMap.compose``, one entry per ``run_spec`` of one loaded
-    spec."""
+    """``(on the whole set, at sample points, elsewhere)`` for the screen
+    data's ``fn`` and for ``jet_compose`` in ``EmbeddingMap.compose``, one
+    entry per ``run_spec`` of one loaded spec."""
     spec = load_spec(path)
     config = spec.config if samples is None else spec.config.with_(samples=samples)
     emb = spec.embedding or spec.lightlike_embedding
-    seen = {"screen": [], "compose": []}
-    build = lightlike.LightlikeFrame._build_screen_data
+    seen = {"compose": []}
+    screen_calls = []  # (p, order) of each call
     compose = hypersurfaces.jet_compose
-
-    def counted_build(frame, p, order):
-        seen["screen"].append(p)
-        return build(frame, p, order)
 
     def counted_compose(f, F):
         seen["compose"].append(F.value)
         return compose(f, F)
 
-    monkeypatch.setattr(lightlike.LightlikeFrame, "_build_screen_data", counted_build)
+    count_field_calls(monkeypatch, lightlike, "_screen_data", screen_calls)
     monkeypatch.setattr(hypersurfaces, "jet_compose", counted_compose)
     counts = []
     for _ in range(runs):
-        for calls in seen.values():
-            calls.clear()
+        screen_calls.clear()
+        seen["compose"].clear()
         run_spec(spec, config)
+        seen["screen"] = [p for p, _ in screen_calls]
         pts = halton_points(emb.domain, config.samples, config.seed)
         images = np.array([emb.coords.value(p) for p in pts])
         whole = {"screen": pts.tobytes(), "compose": images.tobytes()}
@@ -300,10 +297,12 @@ class TestOneBuildPerPoint:
             assert counts == {"screen": (screen, 0, 0), "compose": (compose, 0, 2)}
 
     def test_a_second_run_rebuilds_every_set(self, monkeypatch):
-        # the store does not outlive a run; the pins are kept per (map, metric)
+        # the store does not outlive a run, nor do the frames' pins at the
+        # chart centre, which a run keeps per (map, metric): (5, 0, 0) on
+        # the second run when the map kept them
         first, second = count_per_point(monkeypatch, FIXTURES / "minkowski_null_hyperplane.spec", 60, runs=2)
         assert first["screen"] == second["screen"] == (3, 0, 0)
-        assert first["compose"] == (5, 0, 2) and second["compose"] == (5, 0, 0)
+        assert first["compose"] == second["compose"] == (5, 0, 2)
 
 
 class TestRelease:
@@ -317,7 +316,7 @@ class TestRelease:
 
         def recording(*args):
             out = run_check(*args)
-            for (_, _, (shape, _)), kept in fields._store.get().items():
+            for (_, _, (shape, _)), kept in field_entries(fields._store.get()).items():
                 refs["set" if len(shape) > 1 else "point"] += [
                     weakref.ref(L) for L in fields._leaves(kept) if isinstance(L, np.ndarray)
                 ]
@@ -333,6 +332,37 @@ class TestRelease:
         finally:
             gc.enable()
         assert fields._store.get() is None and fields._samples.get() is None
+
+
+def ours(o):
+    """Whether ``o`` is an instance of a class of this package."""
+    module = type(o).__module__  # a descriptor on some extension types
+    return isinstance(module, str) and module.startswith("semiweyl.")
+
+
+@pytest.mark.parametrize(
+    "path", [*sorted(FIXTURES.glob("*.spec")), ROOT / "perfbench" / "specs" / "domain_edge.spec"], ids=lambda p: p.stem
+)
+def test_a_run_and_its_spec_are_freed_without_the_cyclic_collector(path):
+    # what a run derives refers to what it was derived from, so an owner
+    # that kept it made a reference cycle: 73 of 75 objects of a
+    # centroaffine_sphere run outlived the spec until a collection
+    gc.collect()
+    gc.disable()  # only reference counting may free them
+    try:
+        before = {id(o) for o in gc.get_objects() if ours(o)}
+        spec = load_spec(path)
+        result = run_spec(spec)
+        assert result.all_expectations_met
+        alive = sum(1 for o in gc.get_objects() if ours(o) and id(o) not in before)
+        del spec, result
+        # a chart the sample sets' cache holds as a key is freed with it
+        halton_points.cache_clear()
+        left = [type(o).__name__ for o in gc.get_objects() if ours(o) and id(o) not in before]
+    finally:
+        gc.enable()
+    # the loaded spec's objects were alive until then
+    assert alive and left == []
 
 
 def computed_alone(field, p, order):
@@ -383,7 +413,7 @@ class TestSkipPath:
             # a row of a set, the reason a set keeps for a row it named, or
             # a result or reason kept at a point evaluated alone, outside the
             # domain is what its field computes there alone
-            for (field, order, (shape, key)), kept in fields._store.get().items():
+            for (field, order, (shape, key)), kept in field_entries(fields._store.get()).items():
                 if len(shape) == 1:
                     if np.frombuffer(key)[0] <= 0:
                         kept_outside[field, order, key] = kept

@@ -137,3 +137,49 @@ class TestLoading:
             is_statistical
             """))
         assert any("symmetric" in m for m in exc.value.errors)
+
+
+class TestRepeatedKeys:
+    """Only ``add`` may repeat in a section: a repeated run option kept its
+    last value, and a repeated check ran once per listing."""
+
+    def load_errors(self, tmp_path, text):
+        with pytest.raises(SpecError) as exc:
+            load_spec(write(tmp_path, text))
+        return exc.value.errors
+
+    def test_a_repeated_run_option_names_both_lines(self, tmp_path):
+        errors = self.load_errors(tmp_path, MINIMAL + "\n[run]\nsamples = 60\nsamples = 70\n")
+        assert errors == ["line 14: key 'samples' appears more than once in [run], on lines 13 and 14"]
+
+    def test_a_check_listed_twice_names_both_lines(self, tmp_path):
+        # is_swmt then is_swmt = fail ran twice, with opposite expectations
+        errors = self.load_errors(tmp_path, MINIMAL.replace("is_statistical", "is_swmt\nis_swmt = fail"))
+        assert errors == ["line 11: check 'is_swmt' is listed more than once in [checks], on lines 10 and 11"]
+
+    def test_a_key_repeated_under_a_second_header_of_its_section(self, tmp_path):
+        errors = self.load_errors(tmp_path, MINIMAL + "\n[metric]\ntype = euclidean\n")
+        assert errors == ["line 13: key 'type' appears more than once in [metric], on lines 7 and 13"]
+
+    def test_every_repeat_is_reported(self, tmp_path):
+        text = MINIMAL.replace("coords = x, y", "coords = x, y\ncoords = x, y") + "is_statistical = fail\n"
+        assert [m.split(":")[0] for m in self.load_errors(tmp_path, text)] == ["line 4", "line 12"]
+
+    def test_add_may_repeat(self, tmp_path):
+        spec = load_spec(write(tmp_path, MINIMAL.replace("[checks]", """[eta]
+components = y, x
+
+[connection]
+base = levi_civita
+add = eta_tensor_I
+add = I_tensor_dphi(x*y)
+
+[checks]""")))
+        assert spec.checks == [("is_statistical", "pass")]
+
+    def test_verify_exits_2(self, tmp_path, capsys):
+        from semiweyl.cli import main
+
+        path = write(tmp_path, MINIMAL + "\n[run]\nseed = 1\nseed = 2\n")
+        assert main(["verify", path]) == 2
+        assert "on lines 13 and 14" in capsys.readouterr().err

@@ -5,7 +5,7 @@ verdict."""
 from pathlib import Path
 
 import numpy as np
-from conftest import plane_chart
+from conftest import count_field_calls, plane_chart
 from semiweyl import conformal, lightlike, structures, verdicts
 from semiweyl.registry import run_check
 from semiweyl.sampling import halton_points
@@ -170,16 +170,10 @@ class TestOnePassPerCheck:
     def test_umbilic_preservation_builds_the_screen_data_once_per_point(self, monkeypatch):
         spec = load_spec(FIXTURES / "null_cone.spec")
         builds = []
-        build = lightlike.LightlikeFrame._build_screen_data
-
-        def counted(frame, p, order):
-            builds.append((np.shape(p), order))
-            return build(frame, p, order)
-
-        monkeypatch.setattr(lightlike.LightlikeFrame, "_build_screen_data", counted)
+        count_field_calls(monkeypatch, lightlike, "_screen_data", builds)
         law, _ = run_check("lightlike_umbilic_preservation", spec, spec.config)
         assert law.points_tested + law.points_skipped == 150
         # the frames before and after the transformation, once each on the
         # pass's points; once each per point: 300; one pass per law: 600
-        assert builds == [((150, 2), 0)] * 2
+        assert [(np.shape(p), order) for p, order in builds] == [((150, 2), 0)] * 2
 
