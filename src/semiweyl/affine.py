@@ -8,7 +8,7 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import Chart, ConnectionField, MetricField, OneFormField, ScalarField, VectorField, _Field, kept
-from .jets import contract, jet_einsum, jet_solve, jet_stack, partials
+from .jets import jet_einsum, jet_solve, jet_stack, partials
 from .structures import Structure, swmt_residual
 from .tensor import (
     codazzi_defect,
@@ -186,13 +186,14 @@ def check_realization_ricci_scalar(dist: AffineDistribution, config: RunConfig):
         E, eps = orthonormal_frame(gv)
         # gBE[i] = g(B(E_i), E_i)
         BE = np.einsum("...lm,...mi->...li", Bv, E)
-        gBEE = contract("...li,...lm,...mi->...i", BE, gv, E)
+        gBEE = np.einsum("...li,...lm,...mi->...i", BE, gv, E)
         trB = np.vecdot(eps, gBEE)
         ric = ricci_values(s.conn, s.g, p)
         # Ric(Y,Z) = g(Y,Z) trB - sum_i eps_i g(E_i, Z) g(B(Y), E_i)
         gE = np.einsum("...ml,...li->...mi", gv, E)  # gE[m, i] = g(e_m, E_i)
         gB = np.einsum("...ml,...lj->...mj", gv, Bv)  # gB[m, j] = g(B(e_j), e_m)
-        second = contract("...i,...ki,...mj,...mi->...jk", eps, gE, gB, E)
+        gBE = np.einsum("...mj,...mi->...ji", gB, E)  # gBE[j, i] = g(B(e_j), E_i)
+        second = np.einsum("...i,...ki,...ji->...jk", eps, gE, gBE)
         ric_rhs = gv * trB[..., None, None] - second
         r1 = row_max(ric - ric_rhs, p)
         scal = scalar_curvature(s.conn, s.g, p)

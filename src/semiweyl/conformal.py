@@ -20,7 +20,7 @@ from .fields import (
     negate_tensor,
     sum_tensors,
 )
-from .jets import _pow, contract
+from .jets import _pow
 from .structures import Structure, is_smt, is_swmt, semi_dual, smt_residual, swmt_residual
 from .tensor import (
     codazzi_defect,
@@ -133,10 +133,10 @@ def _point_data(s: Structure, t: TransformData, p):
     d.grad_psi = np.einsum("...ij,...j->...i", d.ginv, d.dpsi)
     d.dVphi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.phi), p)
     d.dVpsi = covariant_derivative_of_vector(s.conn, gradient(s.g, t.psi), p)
-    d.lap_phi = contract("...ab,...ak,...kb->...", d.ginv, d.dVphi, d.g)
-    d.lap_psi = contract("...ab,...ak,...kb->...", d.ginv, d.dVpsi, d.g)
+    d.lap_phi = np.einsum("...ab,...ak,...kb->...", d.ginv, d.dVphi, d.g)
+    d.lap_psi = np.einsum("...ab,...ak,...kb->...", d.ginv, d.dVpsi, d.g)
     # trace of X -> T(X, d_j)
-    d.trT = contract("...ab,...maj,...mb->...j", d.ginv, d.T, d.g)
+    d.trT = np.einsum("...ab,...maj,...mb->...j", d.ginv, d.T, d.g)
     d.norm_phi2 = np.vecdot(d.dphi, d.grad_phi)
     d.norm_psi2 = np.vecdot(d.dpsi, d.grad_psi)
     d.g_phi_psi = np.vecdot(d.dphi, d.grad_psi)
@@ -246,7 +246,7 @@ def _rhs_curvature(d: _PointData):
 
 
 def _rhs_ricci(d: _PointData):
-    gT_psi_Y_Z = contract("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
+    gT_psi_Y_Z = np.einsum("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
     ngradphi = np.einsum("...jmk,...m->...jk", d.ng, d.grad_phi)  # (nabla_{d_j} g)(grad phi, d_k)
     ngradpsi = np.einsum("...jmk,...m->...jk", d.ng, d.grad_psi)
     hess_phi_g = np.einsum("...jm,...mk->...jk", d.dVphi, d.g)  # g(nabla_{d_j} grad phi, d_k)
@@ -272,9 +272,9 @@ def _rhs_scal(d: _PointData):
     e = np.exp(-(d.phi + d.psi))
     trT_gradphi = np.vecdot(d.trT, d.grad_phi)
     trT_gradpsi = np.vecdot(d.trT, d.grad_psi)
-    tr_ng_phi = contract("...ab,...amb,...m->...", d.ginv, d.ng, d.grad_phi)
-    tr_ng_psi = contract("...ab,...amb,...m->...", d.ginv, d.ng, d.grad_psi)
-    tr_n_psi_g = contract("...ab,...mab,...m->...", d.ginv, d.ng, d.grad_psi)
+    tr_ng_phi = np.einsum("...ab,...amb,...m->...", d.ginv, d.ng, d.grad_phi)
+    tr_ng_psi = np.einsum("...ab,...amb,...m->...", d.ginv, d.ng, d.grad_psi)
+    tr_n_psi_g = np.einsum("...ab,...mab,...m->...", d.ginv, d.ng, d.grad_psi)
     return (
         e * (d.scal + trT_gradphi + trT_gradpsi)
         + (n - 1) * e * (d.norm_phi2 + d.norm_psi2 - d.lap_phi - d.lap_psi - n * d.g_phi_psi)
@@ -330,8 +330,8 @@ def check_ricci_antisymmetry(s: Structure, t: TransformData, config: RunConfig):
         lhs = lhs - lhs.swapaxes(-1, -2)
         gT_df = np.einsum("...mjk,...m->...jk", d.T, d.dphi)  # g(T(d_j, d_k), grad phi)
         gT_dpsi = np.einsum("...mjk,...m->...jk", d.T, d.dpsi)
-        gT_Z_psi = contract("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)  # g(T(d_k, grad psi), d_j)
-        gT_psi_Y = contract("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
+        gT_Z_psi = np.einsum("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)  # g(T(d_k, grad psi), d_j)
+        gT_psi_Y = np.einsum("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)  # g(T(grad psi, d_j), d_k)
         rhs = (
             d.ric - d.ric.swapaxes(-1, -2)
             + np.einsum("...k,...j->...jk", d.dphi, d.trT) - np.einsum("...j,...k->...jk", d.dphi, d.trT)
@@ -396,8 +396,8 @@ def check_conformal_corollaries(s: Structure, psi: ScalarField, config: RunConfi
         d = _point_data(s, t, p)
         term = (
             np.einsum("...mjk,...m->...jk", d.T, d.dpsi)
-            + contract("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)
-            + contract("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)
+            + np.einsum("...mka,...a,...mj->...jk", d.T, d.grad_psi, d.g)
+            + np.einsum("...maj,...a,...mk->...jk", d.T, d.grad_psi, d.g)
         )
         scale = 1.0 + row_max(d.T, p) * (row_max(d.dpsi, p) + 1.0) * (1.0 + row_max(d.g, p))
         return row_max(term, p), scale

@@ -15,16 +15,11 @@ order 3 one rule builds on these closed forms: layer ``r`` of ``a b`` is
 layer ``r - 1`` of ``da b + a db``, and layer ``r`` of ``f(g)`` is layer
 ``r - 1`` of ``f'(g) dg``, both products of jets one order lower (above
 order 4, by the same rule again).  So a layer does not depend on the order
-it is computed to.  Contractions take layer ``r`` as a Leibniz sum over the
-ways of sharing the ``r`` derivative slots between the operands, and
-:func:`jet_compose` as a Faa di Bruno sum over the set partitions of the
-slots (Griewank, Utke & Walther, "Evaluating higher derivative tensors by
-forward propagation of univariate Taylor series", *Math. Comp.* 69, 2000).
-Both sums are generic in ``r``; their einsum terms are built once per order
-and operand layout and cached, and evaluated by :func:`contract`, which is
-``np.einsum``, pairwise along a cached order when three or more operands
-have many terms per point (after Smith & Gray, "opt_einsum", *JOSS* 3(26),
-2018).
+it is computed to.  :func:`jet_compose` applies the same rule at every
+order: layer ``r`` of ``f o F`` is layer ``r - 1`` of ``(Df o F) dF``.
+Contractions take layer ``r`` as a Leibniz sum over the ways of sharing the
+``r`` derivative slots between the operands, one ``np.einsum`` per way,
+its terms built once per order and operand layout and cached.
 
 A jet of a point set has a leading batch axis, one row per point, ahead of
 the tensor axes; tensor code indexes from the end (``J[..., i, :]``), so
@@ -73,7 +68,6 @@ __all__ = [
     "jet_compose",
     "jet_einsum",
     "jet_stack",
-    "contract",
     "partials",
     "at_points",
     "innermost",
@@ -435,68 +429,6 @@ def _shared(jets):
     return n, min(len(j.layers) for j in jets) - 1
 
 
-# above this many terms per point an einsum of three or more operands goes
-# pairwise; on 150 points one np.einsum of ...ijk,...ja,...kb->...iab (108
-# terms) took 12 us against 17 us pairwise, the four-operand Gauss equation
-# (648 terms) 366 us against 44 us
-_PAIRWISE_ABOVE = 128
-
-
-@functools.lru_cache(maxsize=None)
-def _plan(subscripts, shapes):
-    """Pair steps of :func:`contract` on operands of ``shapes``, or ``None``
-    for one ``np.einsum``: each step ``(i, j, spec)`` takes operands ``i``
-    and ``j`` off the list and appends their ``np.einsum(spec)``, in the
-    order of fewest multiplications over the named labels.  The choice
-    counts the terms per point, leaving out the axis that holds a set's
-    points: a prefix label, or else the first ``...`` axis (every caller
-    spells a set so; a jet composed at a point is a set of one).  So a point
-    and sets of any size take one plan, and every set sums its rows alike."""
-    inputs, arrow, output = subscripts.replace(" ", "").partition("->")
-    prefix, dots, rest = output.rpartition("...")
-    specs = inputs.split(",")
-    bodies = [s[len(prefix):].removeprefix(dots) if s.startswith(prefix) else "." for s in specs]
-    labels = "".join(bodies)
-    summed = set(labels) - set(rest)
-    if not (arrow and summed and "." not in labels and all(labels.count(c) > 1 for c in summed)):
-        return None
-    size = {c: k for b, shape in zip(bodies, shapes) for c, k in zip(b, shape[len(shape) - len(b):])}.get
-    ells = np.broadcast_shapes(*(shape[len(prefix) : len(shape) - len(b)] for b, shape in zip(bodies, shapes)))
-    if math.prod(map(size, set(labels))) * math.prod(ells[0 if prefix else 1 :]) <= _PAIRWISE_ABOVE:
-        return None
-
-    def cheapest(items):
-        if len(items) == 1:
-            return 0, []
-        options = []
-        for i, j in itertools.combinations(range(len(items)), 2):
-            (da, a), (db, b) = items[i], items[j]
-            others = [x for t, x in enumerate(items) if t not in (i, j)]
-            keep = set(rest).union(*(o for _, o in others))
-            out = "".join(dict.fromkeys(c for c in a + b if c in keep)) if others else rest
-            cost, steps = cheapest(others + [(da or db, out)])
-            spec = f"{prefix}{dots * da}{a},{prefix}{dots * db}{b}->{prefix}{dots * (da or db)}{out}"
-            options.append((cost + math.prod(map(size, set(a + b))), [(i, j, spec)] + steps))
-        return min(options, key=lambda o: o[0])
-
-    return cheapest([(dots in s, b) for s, b in zip(specs, bodies)])[1]
-
-
-def contract(subscripts, *operands):
-    """``np.einsum(subscripts, *operands)``.  Three or more operands with
-    a summed label and many terms per point go pairwise, each pair one
-    ``np.einsum``, in the order :func:`_plan` picks.  With a set's points on
-    the innermost axis of every operand, each row of a set is summed in
-    the same order in every set of two or more points."""
-    steps = len(operands) > 2 and _plan(subscripts, tuple(map(np.shape, operands)))
-    if not steps:
-        return np.einsum(subscripts, *operands)
-    ops = list(operands)
-    for i, j, spec in steps:
-        ops = [x for t, x in enumerate(ops) if t not in (i, j)] + [np.einsum(spec, ops[i], ops[j])]
-    return ops[0]
-
-
 @functools.lru_cache(maxsize=None)
 def _leibniz_terms(inputs, output, depths, r):
     """``(einsum spec, layer index per operand)`` of each order-``r`` term
@@ -518,49 +450,8 @@ def _leibniz(inputs, output, layers, r):
     """Order-``r`` layer of the einsum product ``inputs -> output`` of
     operands given by their dense layers (a constant has one layer)."""
     parts = [
-        contract(spec, *(L[c] for L, c in zip(layers, counts)))
+        np.einsum(spec, *(L[c] for L, c in zip(layers, counts)))
         for spec, counts in _leibniz_terms(tuple(inputs), output, tuple(len(L) for L in layers), r)
-    ]
-    return sum(parts[1:], parts[0])
-
-
-def _set_partitions(slots):
-    """Every partition of the tuple ``slots`` into blocks, each block in
-    increasing order."""
-    if not slots:
-        return [()]
-    first, rest = slots[0], slots[1:]
-    out = []
-    for part in _set_partitions(rest):
-        out.append(((first,),) + part)
-        out += [part[:i] + ((first,) + block,) + part[i + 1 :] for i, block in enumerate(part)]
-    return out
-
-
-@functools.lru_cache(maxsize=None)
-def _faa_di_bruno_terms(r):
-    """``(einsum spec, outer layer, inner layer per block)`` of each
-    order-``r`` term of the Faa di Bruno formula of :func:`jet_compose`, one
-    per set partition of the ``r`` derivative slots: layer ``k`` of the
-    outer function of m variables (``k`` the block count), whose ``k`` image
-    axes contract with the blocks' leading axes, times, for each block, the
-    inner layer with as many derivative axes as the block has slots, placed
-    on the block's slots; every operand has a leading batch axis ``z``."""
-    slots = string.ascii_lowercase[:r]
-    terms = []
-    for part in _set_partitions(tuple(range(r))):
-        blocks = ["".join(slots[i] for i in block) for block in part]
-        images = string.ascii_uppercase[: len(blocks)]
-        specs = ["z..." + images] + ["z" + a + b for a, b in zip(images, blocks)]
-        terms.append((",".join(specs) + "->z..." + slots, len(blocks), tuple(len(b) for b in blocks)))
-    return tuple(terms)
-
-
-def _faa_di_bruno(outer, inner, r):
-    """Order-``r`` layer of the composition of the outer function's
-    derivative layers ``outer`` with the inner layers ``inner``."""
-    parts = [
-        contract(spec, outer[k], *(inner[s] for s in sizes)) for spec, k, sizes in _faa_di_bruno_terms(r)
     ]
     return sum(parts[1:], parts[0])
 
@@ -569,12 +460,13 @@ def jet_einsum(subscripts, *operands):
     """``np.einsum`` over jets, with exact derivatives.
 
     Float arrays count as constants.  The product rule is applied up to the
-    lowest jet order.  Subscripts must be in explicit ``...->...`` form.
-    With no jet operand it is :func:`contract`, the einsum of floats.
+    lowest jet order, one ``np.einsum`` per sharing of a layer's derivative
+    slots among the operands.  Subscripts must be in explicit ``...->...``
+    form.  With no jet operand it is ``np.einsum``, the einsum of floats.
     """
     jets = [op for op in operands if isinstance(op, Jet)]
     if not jets:
-        return contract(subscripts, *operands)
+        return np.einsum(subscripts, *operands)
     inputs, output = subscripts.replace(" ", "").split("->")
     n, order = _shared(jets)
     layers = [op.layers[: order + 1] if isinstance(op, Jet) else [np.asarray(op, dtype=float)] for op in operands]
@@ -696,11 +588,13 @@ def jet_cross(rows):
     of a first row placed above ``rows``."""
     k = rows.shape[-1]
     i, *idx = string.ascii_letters[:k]
-    return jet_einsum(
-        f"{i}{''.join(idx)},{','.join('...' + a for a in idx)}->...{i}",
-        _permutation_signs(k),
-        *(rows[..., a, :] for a in range(k - 1)),
-    )
+    # the rows past the second one at a time, the last first: one einsum of
+    # all the rows sums k^k terms per point
+    c, two = _permutation_signs(k), min(k - 1, 2)
+    for a in reversed(range(two, k - 1)):
+        c = jet_einsum(f"...{i}{''.join(idx[: a + 1])},...{idx[a]}->...{i}{''.join(idx[:a])}", c, rows[..., a, :])
+    head = idx[:two]
+    return jet_einsum(f"...{i}{''.join(head)},{','.join('...' + a for a in head)}->...{i}", c, *(rows[..., a, :] for a in range(two)))
 
 
 def jet_compose(outer, inner):
@@ -708,10 +602,15 @@ def jet_compose(outer, inner):
     variables, ``inner`` a shape-``(m,)`` jet in the source variables, or
     ``(P, m)`` on a point set, where ``outer`` has the same leading axis.
     Returns the jet of the composition in the source variables, at the
-    lower order of the two.  A point is composed as a set of one, so its
-    contractions take a set's plans."""
+    lower order of the two.  Layer ``r`` is layer ``r - 1`` of
+    ``d(f o F) = (Df o F) dF``, a composition one order down contracted
+    with the inner partials.  A point is composed as a set of one, whose
+    leading axis that contraction names."""
     if inner.ndim == 1:
         return jet_compose(outer[None, ...], inner[None, ...])[0]
     order = min(outer.order, inner.order)
-    o, F = outer.layers, inner.layers
-    return Jet(inner.n, [o[0]] + [_faa_di_bruno(o, F, r) for r in range(1, order + 1)])
+    if order == 0:
+        return Jet(inner.n, outer.layers[:1])
+    Df = jet_compose(Jet(outer.n, outer.layers[1 : order + 1]), Jet(inner.n, inner.layers[:order]))
+    dF = Jet(inner.n, inner.layers[1 : order + 1])
+    return Jet(inner.n, outer.layers[:1] + jet_einsum("z...A,zAa->z...a", Df, dF).layers)

@@ -15,7 +15,7 @@ import numpy as np
 
 from .fields import DegeneratePointError, VectorField, _Field, kept
 from .hypersurfaces import EmbeddingMap
-from .jets import EvaluationDomainError, Jet, at_points, contract, innermost, jet_einsum, jet_solve, jet_stack, partials, singular
+from .jets import EvaluationDomainError, Jet, at_points, innermost, jet_einsum, jet_solve, jet_stack, partials, singular
 from .structures import Structure, is_swmt
 from .tensor import codazzi_defect, covariant_derivative_of_form, degeneracy_threshold
 from .verdicts import RunConfig, gated, row_max, run_pointwise_check
@@ -299,7 +299,7 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
         gram = data["gram"]
         Wdom = data["Wdom"].value
         gv, nbv = gram.value, data["nabla_bar"].value
-        eta_W = contract("...ad,...i,...id->...a", Wdom, frame.s.eta.value(emb.coords.value(p)), emb.coords.jet(p, 1).grad)
+        eta_W = np.einsum("...ad,...i,...id->...a", Wdom, frame.s.eta.value(emb.coords.value(p)), emb.coords.jet(p, 1).grad)
         # directional derivatives of the Gram matrix along screen fields
         dgram = np.einsum("...bcd,...ad->...abc", gram.grad, Wdom)
         # (nabla_a g)(W_b, W_c), and the screen torsion, whose bracket part

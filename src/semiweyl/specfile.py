@@ -55,6 +55,7 @@ from .fields import (
     id_tensor_eta,
     sum_tensors,
 )
+from .sampling import PRIMES
 from .structures import Structure
 from .tensor import gradient, levi_civita
 from .verdicts import RunConfig
@@ -197,6 +198,9 @@ def _parse_chart(entries, col, section):
         return None
     if len(set(names)) != len(names):
         col.err(ce, "coordinate names must be distinct")
+        return None
+    if len(names) > len(PRIMES):
+        col.err(ce, f"a chart has at most {len(PRIMES)} coordinates to sample, got {len(names)}")
         return None
     box = _parse_domain(de, names, col)
     return None if box is None else Chart(names, *box)

@@ -10,6 +10,7 @@ import pytest
 from semiweyl.cli import main
 from semiweyl.registry import REGISTRY
 from semiweyl.report import CheckReport, emit_report, run_spec
+from semiweyl.sampling import PRIMES
 from semiweyl.specfile import load_spec
 
 FIXTURES = os.path.join(os.path.dirname(__file__), "..", "fixtures")
@@ -198,6 +199,15 @@ class TestOracle:
 
     def test_oracle_bad_spec_exits_two(self, capsys):
         assert main(["oracle", "missing.spec"]) == 2
+
+    @pytest.mark.parametrize("command", ["verify", "oracle"])
+    def test_a_chart_too_large_to_sample_exits_two(self, tmp_path, capsys, command):
+        # it loaded, and then halton_points raised a ValueError: exit 1
+        k = len(PRIMES) + 1
+        text = (f"[manifold]\ncoords = {', '.join(f'x{i}' for i in range(k))}\ndomain = {', '.join(['0.2 .. 1.0'] * k)}\n"
+                "[metric]\ntype = euclidean\n[checks]\nis_statistical\n")
+        assert main([command, write(tmp_path, text)]) == 2
+        assert f"error: line 2: a chart has at most 12 coordinates to sample, got {k}\n" in capsys.readouterr().err
 
     @pytest.mark.parametrize("points", [0, -1])
     def test_oracle_rejects_fewer_than_one_point(self, capsys, points):

@@ -31,7 +31,6 @@ from semiweyl.fields import (
     _values_field,
 )
 from semiweyl import conformal
-from semiweyl.jets import contract
 from semiweyl.report import run_spec
 from semiweyl.sampling import halton_points
 from semiweyl.specfile import load_spec
@@ -196,7 +195,7 @@ def _loop_rhs_ricci(d):
     n = d.n
     ric = np.empty((n, n))
     # contracted as the law contracts it, so the sums below compare bitwise
-    gT_psi_Y_Z = contract("maj,a,mk->jk", d.T, d.grad_psi, d.g)
+    gT_psi_Y_Z = np.einsum("maj,a,mk->jk", d.T, d.grad_psi, d.g)
     ngradphi = np.einsum("jmk,m->jk", d.ng, d.grad_phi)
     ngradpsi = np.einsum("jmk,m->jk", d.ng, d.grad_psi)
     hess_phi_g = np.einsum("jm,mk->jk", d.dVphi, d.g)

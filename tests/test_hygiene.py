@@ -2,7 +2,7 @@
 every name in its ``__all__`` exists, none builds a numpy object array,
 none edits the name or detail of a verdict after a check returned it,
 only the spec loader and the field constructors turn text into
-expressions, no literal ``np.einsum`` sums over three or more operands,
+expressions, no einsum spec has four or more operands,
 the package keeps few parameters with a default, no module tests a
 field's values for degeneracy with the array form of the test, every
 point error raised names its rows or says why it cannot, every spec
@@ -18,9 +18,10 @@ array of per-scalar jets is the format that type replaced.  The fourth keeps
 a check's laws carrying their own names and details into
 ``semiweyl.verdicts.run_laws``.  The fifth keeps checks, transforms and
 rescalings taking fields only: text is parsed where a spec is read.  The
-sixth keeps such sums on ``semiweyl.jets.contract``, which takes those
-with many terms per point pairwise: on a 150-point set the four-operand
-Gauss equation ran 8 times faster than numpy's many-operand loop.  The
+sixth keeps a longer sum a chain of einsums of two or three operands:
+numpy sums every operand in one loop over all the labels, and on a
+150-point set the four-operand Gauss equation took 664 us against 84 us
+as a chain.  The
 seventh is a ratchet against options that every caller sets or none does.
 The eighth keeps the non-degeneracy test of a metric field in the result
 store (``semiweyl.tensor.require_nondegenerate_metric``), which runs it
@@ -36,8 +37,8 @@ inverse (``semiweyl.tensor.inverse_metric_values`` read through
 ``jet_solve`` inverts only frames that are no metric's values.  The
 twelfth keeps ``Jet.__mul__`` and ``Jet._chain`` taking their layers above
 order 3 from the first-order rule on their own closed forms, with no
-einsum, and the Faa di Bruno sum to ``jet_compose``: the generic sums make
-one einsum per slot placement or set partition.
+einsum: the generic Leibniz sum makes one einsum per slot placement; and
+``jet_compose`` taking its layers by the same rule through ``jet_einsum``.
 """
 
 import ast
@@ -244,34 +245,34 @@ def test_module_takes_no_text_operands(path):
     assert text_operands(path.read_text()) == []
 
 
-def summing_einsums(source):
-    """Lines of every ``np.einsum`` call whose literal spec has three or
-    more operands and a label it sums over."""
+def many_operand_einsums(source):
+    """Lines of every ``einsum`` or ``jet_einsum`` call whose literal spec
+    has four or more operands."""
     lines = []
     for node in ast.walk(ast.parse(source)):
-        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute) and node.func.attr == "einsum":
-            spec = node.args[0] if node.args else None
+        if isinstance(node, ast.Call) and _called_name(node) in ("einsum", "jet_einsum") and node.args:
+            spec = node.args[0]
             if isinstance(spec, ast.Constant) and isinstance(spec.value, str):
-                inputs, _, output = spec.value.partition("->")
-                if inputs.count(",") >= 2 and set(inputs) - set(output) - set(",. "):
+                if spec.value.partition("->")[0].count(",") >= 3:
                     lines.append(node.lineno)
     return lines
 
 
-def test_the_check_sees_a_summing_einsum():
+def test_the_check_sees_a_many_operand_einsum():
     source = (
-        "a = np.einsum('...ij,...jk,...k->...i', x, y, z)\n"
+        "a = np.einsum('...ij,...jk,...k,...i->...', x, y, z, w)\n"
         "b = np.einsum('...i,...j,...k->...ijk', x, y, z)\n"
         "c = np.einsum('...ij,...j->...i', x, y)\n"
-        "d = contract('...ij,...jk,...k->...i', x, y, z)\n"
-        "e = np.einsum('ab,bc,cd->ad', x, y, z)\n"
+        "d = jet_einsum('...lkij,...kc,...ia,...jb->...lcab', r, x, x, x)\n"
+        "e = einsum('ab,bc,cd,de->ae', x, y, z, w)\n"
+        "f = np.einsum(spec, x, y, z, w)\n"
     )
-    assert summing_einsums(source) == [1, 5]
+    assert many_operand_einsums(source) == [1, 4, 5]
 
 
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_sums_no_many_operand_einsum(path):
-    assert summing_einsums(path.read_text()) == []
+    assert many_operand_einsums(path.read_text()) == []
 
 
 # parameters with a default across ``src/``; lower it when one goes, never
@@ -471,24 +472,18 @@ def test_only_the_kept_inverse_metric_and_the_jet_solve_invert():
     assert found == INVERTING
 
 
-# the generic Leibniz and Faa di Bruno sums: products and elementwise
-# functions take their layers above order 3 from the first-order rule on
-# their own closed forms, so only contractions sum over slot placements and
-# only a composition over set partitions
-GENERIC_SUMS = {"_leibniz", "_faa_di_bruno"}
+# the generic Leibniz sum: products and elementwise functions take their
+# layers above order 3 from the first-order rule on their own closed forms,
+# so only contractions sum over slot placements
+GENERIC_SUMS = {"_leibniz"}
 # scope prefixes of the product and the elementwise chain rule
 ELEMENTWISE = ("Jet.__mul__.", "Jet._chain.")
 
 
 def misplaced_generic_sums(source):
     """``(scope, name, line)`` of every call of a generic sum inside a
-    product or elementwise function (functions nested in them included),
-    and of the Faa di Bruno sum anywhere but in ``jet_compose``."""
-    return [
-        (scope, name, line)
-        for scope, name, line in calls(source, GENERIC_SUMS)
-        if f"{scope}.".startswith(ELEMENTWISE) or (name == "_faa_di_bruno" and scope != "jet_compose")
-    ]
+    product or elementwise function (functions nested in them included)."""
+    return [(scope, name, line) for scope, name, line in calls(source, GENERIC_SUMS) if f"{scope}.".startswith(ELEMENTWISE)]
 
 
 def test_the_check_sees_a_misplaced_generic_sum():
@@ -498,22 +493,18 @@ def test_the_check_sees_a_misplaced_generic_sum():
         "        return [_leibniz(spec, '...', [a, b], r) for r in rs]\n"
         "    def _chain(self, f):\n"
         "        def layer(r):\n"
-        "            return _faa_di_bruno('chain', f, L, r)\n"
-        "        return self.x._faa_di_bruno(f)\n"
+        "            return _leibniz(spec, '...', [f, L], r)\n"
+        "        return self.x._leibniz(f)\n"
         "    def _chained(self, f):\n"
         "        return _leibniz(spec, '...', [a, b], r)\n"
-        "def jet_compose(outer, inner):\n"
-        "    return _faa_di_bruno(kind, o, F, r)\n"
         "def jet_solve_with(A, inv, b):\n"
-        "    return _leibniz(spec, '...im', [a, s], r) + _faa_di_bruno(kind, o, F, r)\n"
-        "x = _faa_di_bruno(kind, o, F, 1)\n"
+        "    return _leibniz(spec, '...im', [a, s], r)\n"
+        "x = _leibniz(spec, '...', [a, b], 1)\n"
     )
     assert misplaced_generic_sums(source) == [
         ("Jet.__mul__", "_leibniz", 3),
-        ("Jet._chain.layer", "_faa_di_bruno", 6),
-        ("Jet._chain", "_faa_di_bruno", 7),
-        ("jet_solve_with", "_faa_di_bruno", 13),
-        (None, "_faa_di_bruno", 14),
+        ("Jet._chain.layer", "_leibniz", 6),
+        ("Jet._chain", "_leibniz", 7),
     ]
 
 
@@ -524,5 +515,5 @@ def test_products_and_elementwise_functions_call_no_generic_sum(path):
 
 def test_the_generic_sums_keep_their_callers():
     # the check above reads nothing if the sums or their callers are renamed
-    found = {(scope, name) for scope, name, _ in calls((PACKAGE / "jets.py").read_text(), GENERIC_SUMS)}
-    assert {("jet_compose", "_faa_di_bruno"), ("jet_einsum", "_leibniz"), ("jet_solve_with", "_leibniz")} <= found
+    found = {(scope, name) for scope, name, _ in calls((PACKAGE / "jets.py").read_text(), GENERIC_SUMS | {"jet_einsum"})}
+    assert {("jet_compose", "jet_einsum"), ("jet_einsum", "_leibniz"), ("jet_solve_with", "_leibniz")} <= found

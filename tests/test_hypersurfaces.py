@@ -14,6 +14,7 @@ from conftest import (
     sphere_embedding,
 )
 from semiweyl import hypersurfaces, verdicts
+from semiweyl.cli import taylor_oracle
 from semiweyl.fields import (
     Chart,
     ConnectionField,
@@ -262,6 +263,71 @@ class TestCurvatureRelations:
         s = Structure(chart, g, eta, levi_civita(g))
         out = check_flat_dual_hypersurface(sphere_embedding(chart), s, config)
         assert all(v.skipped for v in out)
+
+
+# the sphere_hypersurface fixture in a curved ambient: every fixture's
+# ambient is flat, where a composition's terms with outer derivatives vanish
+CURVED_AMBIENT = """
+[manifold]
+coords = x, y, z
+domain = -1.5 .. 1.5, -1.5 .. 1.5, -1.5 .. 1.5
+
+[metric]
+diag = 1 + 0.1*x*y, 1 + 0.2*z*z, 1 + 0.1*x*x
+
+[eta]
+components = 0.2*y, 0.1*z, 0.15*x
+
+[connection]
+base = levi_civita
+add = eta_tensor_I
+
+[transform]
+phi = 0.2*x + 0.1*y
+psi = 0.1*z + 0.05*x*y
+
+[submanifold]
+coords = u, v
+domain = 0.4 .. 1.2, 0.4 .. 1.2
+map = cos(u)*sin(v), sin(u)*sin(v), cos(v)
+
+[run]
+samples = 150
+seed = 5
+tol = 1e-8
+
+[checks]
+is_swmt = pass
+induced_structure = pass
+induced_duality_commutes = pass
+induced_cp_equivalence = pass
+beta_symmetry = pass
+duality_pairing = pass
+gauss_equation = pass
+"""
+
+
+class TestCurvedAmbient:
+    @pytest.fixture(scope="class")
+    def spec(self, tmp_path_factory):
+        path = tmp_path_factory.mktemp("curved") / "curved_ambient.spec"
+        path.write_text(CURVED_AMBIENT)
+        return load_spec(path)
+
+    def test_the_submanifold_checks_pass(self, spec):
+        # a unit normal solved against the metric's value layer alone passed
+        # every fixture and failed beta_symmetry, duality_pairing and
+        # gauss_equation here at about 0.1
+        report = run_spec(spec)
+        assert [(r.name, r.outcome) for r in report.results] == [(name, "pass") for name, _ in spec.checks]
+        for r in report.results:
+            assert all(v.points_tested == 150 and v.max_residual <= 1e-14 for v in r.verdicts), r.name
+
+    def test_the_taylor_oracle_agrees(self, spec):
+        # the same unit normal broke the normal, second fundamental form and
+        # Weingarten layers
+        for label, _, defects, failing in taylor_oracle(spec, 10):
+            assert not failing.any() and not np.isnan(defects).all(axis=0).any(), label
 
 
 class TestTimelikeNormal:

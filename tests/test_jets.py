@@ -12,8 +12,6 @@ from semiweyl.jets import (
     Jet,
     JetOrderError,
     _leibniz,
-    _plan,
-    contract,
     jet_compose,
     jet_cross,
     jet_einsum,
@@ -285,6 +283,19 @@ class TestLinearAlgebra:
         for got, want in zip(c.layers, ref.layers):
             assert np.allclose(got, want, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("k", [2, 3, 4, 5])
+    def test_cross_is_one_sum_over_the_permutations(self, k):
+        # the rows past the second are contracted one at a time; against
+        # the permutation sum as one einsum of every row
+        rng = np.random.default_rng(90 + k)
+        rows = random_jets(rng, (4, k - 1, k), 2, n=3)
+        eps = np.zeros((k,) * k)
+        for perm in itertools.permutations(range(k)):
+            eps[perm] = round(np.linalg.det(np.eye(k)[list(perm)]))
+        i, *idx = "ijklm"[:k]
+        spec = f"{i}{''.join(idx)},{','.join('...' + a for a in idx)}->...{i}"
+        assert_layers_close(jet_cross(rows), jet_einsum(spec, eps, *(rows[..., a, :] for a in range(k - 1))).layers)
+
     def test_singular_matrix_raises(self):
         ones = Jet.constant(np.ones((2, 2)), 2, 2)
         rhs = Jet.constant(np.ones(2), 2, 2)
@@ -377,8 +388,8 @@ class TestBatch:
     @pytest.mark.parametrize("order", [1, 2, 3, 4])
     def test_compose(self, order):
         # the points innermost, as a set's arrays are: a row has its bits in
-        # any set of two or more points, and alone its Faa di Bruno terms may
-        # be summed in another order
+        # any set of two or more points, and alone its einsums may take
+        # numpy's contiguous dot loop and sum in another order
         rng = np.random.default_rng(60 + order)
         outer, inner = self.batch(rng, (2,), order, n=3), self.batch(rng, (3,), order)
         innermost = lambda J: Jet(J.n, [np.asfortranarray(L) for L in J.layers])  # noqa: E731
@@ -421,8 +432,8 @@ class TestComposition:
 
     @pytest.mark.parametrize("order", [3, 4, 5])
     def test_compose_matches_direct_evaluation_at_high_order(self, order):
-        # every layer of the Faa di Bruno sum, against products and
-        # elementwise functions of the composite expression
+        # every layer of the chain rule taken one order down, against
+        # products and elementwise functions of the composite expression
         names = ("u", "v")
         outer = parse_expression("exp(x) * y + x*x*y", NAMES)
         composite = parse_expression("exp(u*v) * sin(u + v) + u*v*u*v*sin(u + v)", names)
@@ -472,8 +483,9 @@ class TestGenericOrders:
     by hand; above order 3, layer ``r`` is layer ``r - 1`` of the first-order
     rule (``da b + a db``, ``f'(g) dg``) on jets one order lower.  Checked
     against the Leibniz sum over every slot placement and the Faa di Bruno
-    sum over every set partition, written out here; and a layer does not
-    depend on the order it is computed to, nor a row on its set."""
+    sum over every set partition, written out here, as is a composition,
+    the chain rule one order down; and a layer does not depend on the order
+    it is computed to, nor a row on its set."""
 
     P = 3
 
@@ -519,6 +531,23 @@ class TestGenericOrders:
                 terms = [J.layers[len(b)] for b in blocks]
                 want[r] = want[r] + np.einsum(spec, derivative(J.value, len(blocks)), *terms)
         assert_layers_close(f(J), want, tol=1e-12)
+
+    @pytest.mark.parametrize("order", range(6))
+    def test_compose_against_every_set_partition(self, order):
+        # a composition takes layer r as layer r - 1 of (Df o F) dF; the
+        # Faa di Bruno sum puts layer k of the outer jet, one image axis per
+        # block, on each partition of the r slots into k blocks
+        rng = np.random.default_rng(140 + order)
+        outer, inner = random_jets(rng, (self.P, 2), order, n=3), random_jets(rng, (self.P, 3), order)
+        want = []
+        for r in range(order + 1):
+            slots = "abcdef"[:r]
+            want.append(0.0)
+            for blocks in _set_partitions(slots):
+                images = "ABCDEF"[: len(blocks)]
+                spec = ",".join(["zi" + images] + ["z" + A + b for A, b in zip(images, blocks)]) + "->zi" + slots
+                want[r] = want[r] + np.einsum(spec, outer.layers[len(blocks)], *(inner.layers[len(b)] for b in blocks))
+        assert_layers_close(jet_compose(outer, inner), want, tol=1e-12)
 
     @pytest.mark.parametrize("name", OPERATIONS)
     def test_order_six_truncated_is_each_fresh_lower_order(self, name):
@@ -628,10 +657,9 @@ CONTRACTIONS = {
 
 
 class TestContract:
-    """``contract`` is ``np.einsum``, summed pairwise by ``np.einsum`` when
-    an einsum of three or more operands has many terms per point; with the
-    points innermost, a row of a set is summed alike in every set of two or
-    more points, and within rounding as at the point alone."""
+    """Every contraction is one ``np.einsum``: with the points innermost, a
+    row of a set is summed alike in every set of two or more points, and
+    within rounding as at the point alone."""
 
     P = 7
 
@@ -647,51 +675,18 @@ class TestContract:
         return spec, [np.asfortranarray(x) if b else x for x, b in zip(ops, batched)], batched
 
     @pytest.mark.parametrize("case", CONTRACTIONS)
-    def test_matches_einsum(self, case):
-        spec, ops, _ = self.operands(case)
-        got, want = contract(spec, *ops), np.einsum(spec, *ops)
-        assert got.shape == want.shape
-        assert np.all(np.abs(got - want) <= 1e-14 * np.einsum(spec, *map(np.abs, ops)))
-
-    @pytest.mark.parametrize("case", CONTRACTIONS)
     def test_each_row_is_its_row_in_any_set_and_near_its_point(self, case):
         spec, ops, batched = self.operands(case)
-        got = contract(spec, *ops)
+        got = np.einsum(spec, *ops)
         assert got.strides[0] == got.itemsize
         for r in range(self.P):
             rows = [r, (r + 3) % self.P]
-            pair = contract(spec, *(np.asfortranarray(op[rows]) if b else op for op, b in zip(ops, batched)))
+            pair = np.einsum(spec, *(np.asfortranarray(op[rows]) if b else op for op, b in zip(ops, batched)))
             assert got[r].tobytes() == pair[0].tobytes()
             # alone, numpy may sum a row's terms in another order
-            point = contract(spec.replace("z", ""), *(op[r] if b else op for op, b in zip(ops, batched)))
+            point = np.einsum(spec.replace("z", ""), *(op[r] if b else op for op, b in zip(ops, batched)))
             bound = 1e-14 * np.einsum(spec, *(np.abs(op[r : r + 1]) if b else np.abs(op) for op, b in zip(ops, batched)))[0]
             assert np.all(np.abs(got[r] - point) <= bound)
-
-    def test_small_sums_and_outer_products_go_to_einsum(self):
-        for case in ("outer-product", "leading", "constant", "dot-first"):
-            spec, ops, _ = self.operands(case)
-            assert _plan(spec, tuple(op.shape for op in ops)) is None
-            assert contract(spec, *ops).tobytes() == np.einsum(spec, *ops).tobytes()
-        for spec in ("...i,...j,...k->...ijk", "...ij,...j,...k->...ijk", "...ij,...k,...l->...ikl"):
-            assert _plan(spec, ((self.P, 16, 16),) * 3) is None
-
-    def test_a_point_and_sets_of_any_size_take_one_plan(self):
-        spec, shapes = CONTRACTIONS["four-operands"]
-        plans = [_plan(spec, tuple((P,) + shape for shape in shapes)) for P in (2, 7, 150)]
-        assert len(plans[0]) == 3 and plans == [_plan(spec, tuple(shapes))] * 3
-
-    def test_a_jet_composed_at_a_point_and_on_sets_takes_one_plan(self, monkeypatch):
-        # a 3x3 tensor of 3 image variables pulled back to 2 at order 2: its
-        # two-block term has 324 terms per point and goes pairwise
-        plans = []
-        monkeypatch.setattr("semiweyl.jets._plan", lambda spec, shapes: plans.append(_plan(spec, shapes)) or plans[-1])
-        rng = np.random.default_rng(7)
-        taken = []
-        for batch in ((), (2,), (7,)):
-            del plans[:]
-            jet_compose(random_jets(rng, batch + (3, 3), 2, n=3), random_jets(rng, batch + (3,), 2))
-            taken.append(list(plans))
-        assert any(taken[0]) and taken == [taken[0]] * 3
 
 
 class TestPartials:

@@ -6,7 +6,7 @@ compared, with first derivatives where the engine carries them, against
 the jet values at fixed points.  Expressions and a composition are also
 compared layer by layer up to order 4, where products and elementwise
 functions take their layers from the first-order rule one order down, and a
-composition from the Faa di Bruno sum.  No code is shared with
+composition from the chain rule one order down.  No code is shared with
 ``semiweyl.jets``.
 """
 
@@ -199,7 +199,7 @@ def test_induced_metric_of_the_sphere_in_a_curved_ambient():
     assert_close(got[1], want_grad)
 
 
-# -- order four: the first-order rule one order down, and the Faa di Bruno sum -
+# -- order four: the first-order rule one order down ---------------------------
 
 
 def symbolic_layers(exprs, symbols, point, order):

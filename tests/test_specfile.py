@@ -122,6 +122,17 @@ class TestLoading:
             load_spec(write(tmp_path, MINIMAL.replace("type = euclidean", "diag = sin(, x")))
         assert any(m.startswith("line ") for m in exc.value.errors)
 
+    @pytest.mark.parametrize("k", [12, 13])
+    def test_a_chart_has_at_most_one_coordinate_per_halton_prime(self, tmp_path, k):
+        names, box = ", ".join(f"x{i}" for i in range(k)), ", ".join(["0.2 .. 1.0"] * k)
+        text = MINIMAL.replace("coords = x, y", f"coords = {names}").replace("domain = 0.2 .. 1.0, 0.2 .. 1.0", f"domain = {box}")
+        if k == 12:
+            assert load_spec(write(tmp_path, text)).chart.dim == 12
+            return
+        with pytest.raises(SpecError) as exc:
+            load_spec(write(tmp_path, text))
+        assert exc.value.errors[0] == "line 3: a chart has at most 12 coordinates to sample, got 13"
+
     def test_metric_symmetry_enforced(self, tmp_path):
         with pytest.raises(SpecError) as exc:
             load_spec(write(tmp_path, """

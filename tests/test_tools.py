@@ -1,6 +1,7 @@
 """The tools under ``tools/`` run: the in-process A/B timer times two
-passes of a workload with one tree on both sides, and the first-pass timer
-one fresh process per side."""
+passes of a workload with one tree on both sides, the first-pass timer
+one fresh process per side, and the report comparer finds a tree's reports
+equal to its own."""
 
 import subprocess
 import sys
@@ -35,3 +36,14 @@ def test_the_first_pass_timer_runs_one_tree_against_itself():
     for key, line in (("a", a), ("b", b)):
         assert line.startswith(f"{key}: fastest ") and " median " in line
         assert line.split("within 20 ms ")[1] in ("0/1", "1/1")
+
+
+def test_the_report_comparer_finds_one_tree_like_itself():
+    proc = subprocess.run(
+        [sys.executable, str(ROOT / "tools" / "same_reports.py"), str(ROOT), str(ROOT)],
+        capture_output=True,
+        text=True,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stdout.splitlines() == ["22 reports compared, 0 differences"]
