@@ -19,7 +19,7 @@ import numpy as np
 
 from .fields import Chart, ConnectionField, DegeneratePointError, MetricField, OneFormField, VectorField, _Field, kept
 from .jets import Jet, jet_compose, jet_cross, jet_einsum, jet_solve_with, partials
-from .structures import Structure, is_swmt, semi_dual, swmt_residual
+from .structures import Structure, semi_dual, swmt_residual
 from .tensor import (
     codazzi_defect,
     covariant_derivative_of_form,
@@ -112,7 +112,7 @@ def induced_structure(emb: EmbeddingMap, s: Structure) -> Structure:
         G = gp.jet(p, order)
         ginv = inverse_metric_values(gp, p)
         dF = partials(emb.coords.jet(p, order + 1))
-        W = _ambient_derivative_of_frame(emb, s.conn, p, order)
+        W = _ambient_derivative_of_frame(emb, s.conn).jet(p, order)
         # g'_{kd} gamma^k_{ab} = g(dF e_d, W_ab)
         return jet_solve_with(G, ginv, jet_einsum("...id,...ij,...jab->...dab", dF, Gc.jet(p, order), W))
 
@@ -130,42 +130,42 @@ def _restricted(emb: EmbeddingMap, t):
     return type(t)(emb.compose(t.phi), emb.compose(t.psi))
 
 
-def _ambient_derivative_of_frame(emb, conn, p, order):
+@kept
+def _ambient_derivative_of_frame(emb: EmbeddingMap, conn: ConnectionField) -> _Field:
     """``W[i, a, b]``: ambient components of the ambient covariant
-    derivative of the coordinate frame, ``nabla_{dF e_a} (dF e_b)``."""
-    dF = partials(emb.coords.jet(p, order + 2))
-    Gamc = emb.compose(conn).jet(p, order)
-    return partials(dF).transpose(0, 2, 1) + jet_einsum("...ijk,...ja,...kb->...iab", Gamc, dF, dF)
+    derivative of the coordinate frame, ``nabla_{dF e_a} (dF e_b)``, a
+    field of (map, connection) that the induced connection and the second
+    fundamental form share."""
+
+    def fn(p, order):
+        dF = partials(emb.coords.jet(p, order + 2))
+        Gamc = emb.compose(conn).jet(p, order)
+        return partials(dF).transpose(0, 2, 1) + jet_einsum("...ijk,...ja,...kb->...iab", Gamc, dF, dF)
+
+    return _Field(emb.domain, fn)
 
 
 @kept
 def unit_normal(emb: EmbeddingMap, g: MetricField) -> _Field:
     """The unit normal of a hypersurface in the metric ``g``, as a field
     whose jet at ``p`` is ``(N, eps)``: ``N`` the ambient components (jets)
-    and ``eps = g(N, N) = +-1``.  Its sign makes the largest component of
-    the raw normal at the centre of the domain positive."""
+    and ``eps = g(N, N) = +-1``.  It is ``N = g^-1 nu / sqrt|nu(g^-1 nu)|``
+    with ``nu_i = eps_{i j k ...} dF[j, 0] dF[k, 1] ...`` the conormal of
+    the chart (cofactors of the differential), so ``nu(N)`` has the sign
+    ``eps`` and swapping two domain coordinates turns ``N`` into ``-N``."""
 
-    def raw(p, order):
-        """``(N_raw, nu, G)``: the conormal ``nu_i = eps_{i j k ...} dF[j, 0]
-        dF[k, 1] ...`` (cofactors of the differential) raised by ``g``."""
+    def fn(p, order):
         F = emb.coords.jet(p, order + 1)
         Gc = emb.compose(g).jet(p, order)
         nu = jet_cross(partials(F).T)
-        return jet_solve_with(Gc, inverse_metric_values(g, F.value), nu), nu, Gc
-
-    centre = raw(emb.domain.center(), 0)[0].value
-    sign = 1.0 if centre[int(np.argmax(np.abs(centre)))] > 0 else -1.0
-
-    def fn(p, order):
-        N_raw, nu, Gc = raw(p, order)
+        N_raw = jet_solve_with(Gc, inverse_metric_values(g, F.value), nu)
         norm2 = jet_einsum("...i,...i->...", nu, N_raw)
         v = norm2.value
         if np.any(null := np.abs(v) <= degeneracy_threshold(Gc.value)):
             raise DegeneratePointError.where(null, "normal direction is null at this point")
         eps = np.where(v > 0, 1.0, -1.0)
         length = _signed(norm2, eps).sqrt()
-        N = N_raw / length[..., None]
-        return (N if sign > 0 else -N), eps
+        return N_raw / length[..., None], eps
 
     return _Field(emb.domain, fn)
 
@@ -175,7 +175,7 @@ def _second_fundamental_form(emb: EmbeddingMap, s: Structure) -> _Field:
     """:meth:`HypersurfaceFrame.second_fundamental_form` of ``s``, a field."""
 
     def fn(p, order):
-        W = _ambient_derivative_of_frame(emb, s.conn, p, order)
+        W = _ambient_derivative_of_frame(emb, s.conn).jet(p, order)
         Gc = emb.compose(s.g).jet(p, order)
         N, eps = unit_normal(emb, s.g).jet(p, order)
         alpha = jet_einsum("...ij,...iab,...j->...ab", Gc, W, N)
@@ -274,13 +274,28 @@ class HypersurfaceFrame:
 
 # -- checks -------------------------------------------------------------------
 
+# the detail of a check whose ambient hypothesis is not met
+AMBIENT_FAILS = "ambient structure condition fails along the hypersurface"
+
+
+@kept
+def _swmt_along(emb: EmbeddingMap, s: Structure, config: RunConfig):
+    """The hypothesis of the embedded laws, tested where they are
+    evaluated: the residual of :func:`~semiweyl.structures.is_swmt` of ``s``
+    at the images ``F(pts)`` of the domain sample, whose ambient fields the
+    pullbacks read too.  The laws hold pointwise, so the condition on the
+    rest of the ambient chart is not needed.  One verdict per (map,
+    structure, config) in a run."""
+    law = swmt_residual(s)
+    return run_pointwise_check("ambient_swmt", emb.domain, lambda p: law(emb.coords.value(p)), config)
+
 
 def check_induced_structure(emb: EmbeddingMap, s: Structure, config: RunConfig):
     """A non-degenerate submanifold of a structure satisfying the
-    eta-weighted torsion-Codazzi condition satisfies it too (with the
-    induced data)."""
-    if not is_swmt(s, config).passed:
-        return [gated("induced_structure_swmt", "ambient structure condition fails", config.tol)]
+    eta-weighted torsion-Codazzi condition along it satisfies it too (with
+    the induced data)."""
+    if not _swmt_along(emb, s, config).passed:
+        return [gated("induced_structure_swmt", AMBIENT_FAILS, config.tol)]
     return [run_pointwise_check("induced_structure_swmt", emb.domain, swmt_residual(induced_structure(emb, s)), config,
                                 detail="induced structure satisfies the same condition as the ambient one")]
 
@@ -323,11 +338,11 @@ def check_induced_cp_equivalence(emb: EmbeddingMap, s: Structure, t, config: Run
 
 
 def check_beta_symmetry(frame, config: RunConfig):
-    """On a hypersurface of a structure satisfying the condition, the
-    normal-derivative form ``beta`` is symmetric."""
+    """On a hypersurface along which the structure satisfies the condition,
+    the normal-derivative form ``beta`` is symmetric."""
     name, detail = frame.VERDICTS["beta_symmetry"]
-    if not is_swmt(frame.s, config).passed:
-        return [gated(name, "ambient structure condition fails", config.tol)]
+    if not _swmt_along(frame.emb, frame.s, config).passed:
+        return [gated(name, AMBIENT_FAILS, config.tol)]
 
     def fn(p):
         b = frame.beta(p)

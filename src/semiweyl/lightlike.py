@@ -14,9 +14,9 @@ from __future__ import annotations
 import numpy as np
 
 from .fields import DegeneratePointError, VectorField, _Field, kept
-from .hypersurfaces import EmbeddingMap
+from .hypersurfaces import AMBIENT_FAILS, EmbeddingMap, _swmt_along
 from .jets import EvaluationDomainError, Jet, at_points, innermost, jet_einsum, jet_solve, jet_stack, partials, singular
-from .structures import Structure, is_swmt
+from .structures import Structure
 from .tensor import codazzi_defect, covariant_derivative_of_form, degeneracy_threshold
 from .verdicts import RunConfig, gated, row_max, run_pointwise_check
 
@@ -285,9 +285,9 @@ def check_screen_integrability(frame: LightlikeFrame, config: RunConfig):
 def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
     """The screen-projected connection, restricted metric and restricted
     one-form satisfy the same eta-weighted torsion-Codazzi condition as the
-    ambient structure (screen assumed integrable)."""
-    if not is_swmt(frame.s, config).passed:
-        return [gated("screen_structure_swmt", "ambient structure condition fails", config.tol)]
+    ambient structure along the hypersurface (screen assumed integrable)."""
+    if not _swmt_along(frame.emb, frame.s, config).passed:
+        return [gated("screen_structure_swmt", AMBIENT_FAILS, config.tol)]
     gate2 = check_screen_integrability(frame, config)[0]
     if not gate2.passed:
         return [gated("screen_structure_swmt", "screen distribution not integrable", config.tol)]

@@ -485,7 +485,8 @@ def load_spec(path):
     checks = _build_checks(sections.get("checks", []), col)
 
     blocks = {
-        "structure": structure is not None or ("metric" in sections and chart is not None),
+        # a chart or metric that fails to parse has its own error
+        "structure": "manifold" in sections and "metric" in sections,
         "transform": "transform" in sections,
         "submanifold": "submanifold" in sections,
         "lightlike": "lightlike" in sections,

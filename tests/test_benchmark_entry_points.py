@@ -27,8 +27,11 @@ from semiweyl.specfile import load_spec  # noqa: E402
 
 # a run exits 1 when its first pass ends within one probe period (20 ms) of
 # the host-speed probe's start, which then has no slice; affine's first
-# pass ends closest to that, 26-47 ms after the start; embedded checks the
-# lightlike screen data against perfbench/reference.json
+# pass ends closest to that: tools/first_pass.py gave a median of 21-22 ms
+# and a fastest of 19.4 ms in 20 fresh processes on a 2-core host, 3 of
+# them within 20 ms, so the affine case fails by chance until the probe
+# takes a first pass that short; embedded checks the lightlike screen data
+# against perfbench/reference.json
 @pytest.mark.parametrize("workload", ["affine", "domain_edge", "embedded"])
 def test_a_short_benchmark_run_exits_zero_with_right_outcomes(workload):
     proc = subprocess.run(

@@ -46,6 +46,8 @@ from semiweyl.structures import Structure
 from semiweyl.tensor import curvature_values, scalar_curvature
 from semiweyl.verdicts import RunConfig
 
+FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
+
 
 def flat_euclidean_3d():
     chart = euclidean3_chart()
@@ -135,7 +137,6 @@ class TestPullbacks:
         real = hypersurfaces.jet_compose
         calls = []
         with result_store():
-            frame.normal(frame.emb.domain.center(), 0)  # fixes the run's orientation outside the count
             monkeypatch.setattr(hypersurfaces, "jet_compose", lambda *a: calls.append(a) or real(*a))
             out = check_duality_pairing(frame, RunConfig(samples=1, seed=0, tol=1e-8, min_valid_points=1))
         assert out[0].passed and out[0].points_tested == 1
@@ -328,6 +329,66 @@ class TestCurvedAmbient:
         # Weingarten layers
         for label, _, defects, failing in taylor_oracle(spec, 10):
             assert not failing.any() and not np.isnan(defects).all(axis=0).any(), label
+
+
+class TestTheHypothesisAlongTheHypersurface:
+    """The laws hold pointwise, so their hypothesis is tested at the images
+    of the sample, not on the ambient chart box."""
+
+    @pytest.fixture(scope="class")
+    def report(self, tmp_path_factory):
+        # a metric-gradient term whose one-form 0.2*(r^2 - 1)*d(r^2) vanishes
+        # on the unit sphere alone: semi-Weyl with torsion there, not on the box
+        text = (FIXTURES / "sphere_hypersurface.spec").read_text()
+        text = text.replace(
+            "add = eta_tensor_I\n",
+            "add = eta_tensor_I\nadd = g_tensor_gradient(0.1*(x*x + y*y + z*z - 1)*(x*x + y*y + z*z - 1))\n",
+        ).replace("[checks]\n", "[checks]\nis_swmt = fail\n")
+        assert text.count("g_tensor_gradient") == 1 and text.count("is_swmt = fail") == 1
+        path = tmp_path_factory.mktemp("along") / "along_the_sphere.spec"
+        path.write_text(text)
+        return run_spec(load_spec(path))
+
+    def test_the_gated_checks_run_and_pass(self, report):
+        # both skipped as "hypothesis not met" when the hypothesis was
+        # is_swmt on the ambient box, which fails at about 2.5
+        assert report.all_expectations_met
+        outcomes = {r.name: r for r in report.results}
+        (box,) = outcomes["is_swmt"].verdicts
+        assert outcomes["is_swmt"].outcome == "fail" and box.max_residual > 1.0
+        for name in ("induced_structure", "beta_symmetry"):
+            (v,) = outcomes[name].verdicts
+            assert outcomes[name].outcome == "pass" and v.points_tested == 150 and v.max_residual <= 1e-15, v
+
+    def test_a_structure_that_fails_along_it_still_gates(self, tmp_path):
+        text = (FIXTURES / "sphere_hypersurface.spec").read_text()
+        path = tmp_path / "broken.spec"
+        path.write_text(text.replace("add = eta_tensor_I\n", "add = eta_tensor_I\nadd = g_tensor_gradient(0.5*x*y)\n"))
+        results = {r.name: r for r in run_spec(load_spec(path)).results}
+        for name in ("induced_structure", "beta_symmetry"):
+            (v,) = results[name].verdicts
+            assert v.skipped and v.detail == "hypothesis not met: ambient structure condition fails along the hypersurface"
+
+
+def spec_of(text, path):
+    path.write_text(text)
+    return load_spec(path)
+
+
+class TestTheNormalFollowsTheChart:
+    @pytest.mark.parametrize("name", ["sphere_hypersurface", "flat_dual_sphere", "curved_ambient"])
+    def test_the_conormal_of_the_chart_is_positive_on_it(self, tmp_path, name):
+        text = CURVED_AMBIENT if name == "curved_ambient" else (FIXTURES / f"{name}.spec").read_text()
+        assert "coords = u, v\ndomain = 0.4 .. 1.2, 0.4 .. 1.2\n" in text  # the swap keeps the domain
+        spec = spec_of(text, tmp_path / "as_given.spec")
+        swapped = spec_of(text.replace("coords = u, v\n", "coords = v, u\n"), tmp_path / "swapped.spec")
+        pts = halton_points(spec.embedding.domain, spec.config.samples, spec.config.seed)
+        N = hypersurfaces.unit_normal(spec.embedding, spec.structure.g).jet(pts, 0)[0].value
+        dF = spec.embedding.coords.jet(pts, 1).grad  # [p, i, a]
+        assert len(N) == 150 and (np.vecdot(np.cross(dF[..., 0], dF[..., 1]), N) > 0).all()
+        # swapping the domain coordinates reverses the chart's orientation
+        N_swapped = hypersurfaces.unit_normal(swapped.embedding, swapped.structure.g).jet(pts[:, ::-1].copy(), 0)[0]
+        np.testing.assert_allclose(N_swapped.value, -N, rtol=0, atol=1e-15)
 
 
 class TestTimelikeNormal:

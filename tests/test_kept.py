@@ -253,12 +253,14 @@ class TestOneBatchPerSampleSet:
             # again, not truncated from the kept higher order
             (INTRINSIC, 0, 35),
             (["centroaffine_sphere"], 0, 8),
-            # the ambient fields evaluate on the image set F(pts); the 10
-            # points left are the chart centres of the frames' pins (10,227
-            # per point and 38 batches with the images evaluated point by point;
-            # 42 batches when screen_structure read the screen data at order 1;
-            # 13 and 39 before the truncation of kept higher orders)
-            (EMBEDDED, 10, 33),
+            # the ambient fields evaluate on the image set F(pts); the 4
+            # points left are the chart centres of the lightlike frame's pins
+            # (10,227 per point and 38 batches with the images evaluated point
+            # by point; 42 batches when screen_structure read the screen data
+            # at order 1; 13 and 39 before the truncation of kept higher
+            # orders; 10 and 33 when the unit normal fixed its sign at the
+            # domain centre and the hypotheses were tested on the ambient box)
+            (EMBEDDED, 4, 26),
         ],
         ids=["intrinsic", "affine", "embedded"],
     )
@@ -282,8 +284,8 @@ class TestOneBatchPerSampleSet:
             # 3,600 and 9; 33 before those fields (12 of these); 45 before
             # the truncation
             (["centroaffine_sphere"], 0, 44),
-            # 15,024 and 42; the 24 points left are the chart centres of the
-            # frames' pins; the lightlike checks read the screen data, so no
+            # 15,024 and 42; the 10 points left are the chart centres of the
+            # lightlike frame's pins; the lightlike checks read the screen data, so no
             # order-0 pullback, induced metric or screen field is asked on
             # minkowski_null_hyperplane's set (153 when they did); 150 before
             # those fields (26 of these); 176 when screen_structure read the
@@ -291,8 +293,13 @@ class TestOneBatchPerSampleSet:
             # (map, metric, screen), which the semi-dual frame reads, not built
             # by each frame; the unit normal's kept ambient inverse adds 3
             # calls at a centre and 1 on a set, and truncating lower orders
-            # from kept higher ones takes out 3 and 10 (24 and 168 before both)
-            (EMBEDDED, 24, 159),
+            # from kept higher ones takes out 3 and 10 (24 and 168 before both);
+            # 24 and 159 when the unit normal fixed its sign at the domain
+            # centre and the hypotheses were tested on the ambient box, not at
+            # the images, and before one field kept the ambient derivative of
+            # the frame for the induced connection and the second fundamental
+            # form
+            (EMBEDDED, 10, 151),
         ],
         ids=["intrinsic", "affine", "embedded"],
     )
@@ -448,9 +455,11 @@ class TestTensorValuesOncePerPoints:
         "paths,calls",
         [
             # 31, 50, 13 and 6 when each solve against a metric's jet
-            # inverted its value layer again
+            # inverted its value layer again; embedded 23 when the unit normal
+            # fixed its sign at the domain centre and the hypotheses were
+            # tested on the ambient box, not at the images
             ([FIXTURES / f"{name}.spec" for name in INTRINSIC], 9),
-            ([FIXTURES / f"{name}.spec" for name in EMBEDDED], 23),
+            ([FIXTURES / f"{name}.spec" for name in EMBEDDED], 17),
             ([FIXTURES / "centroaffine_sphere.spec"], 10),
             ([ROOT / "perfbench" / "specs" / "domain_edge.spec"], 2),
         ],
@@ -474,8 +483,11 @@ class TestTensorValuesOncePerPoints:
             # contraction is an np.einsum now
             ([FIXTURES / f"{name}.spec" for name in INTRINSIC], 273),
             # 429 and 84 when compositions summed every set partition and a
-            # four-operand law was one einsum: chains of einsums now
-            ([FIXTURES / f"{name}.spec" for name in EMBEDDED], 405),
+            # four-operand law was one einsum: chains of einsums now; 405
+            # when the induced connection and the second fundamental form
+            # each built the ambient derivative of the frame, and the unit
+            # normal fixed its sign at the domain centre
+            ([FIXTURES / f"{name}.spec" for name in EMBEDDED], 390),
             # 176 when products and elementwise functions above order 3
             # summed every slot placement and set partition by einsum
             ([FIXTURES / "centroaffine_sphere.spec"], 85),

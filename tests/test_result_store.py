@@ -267,7 +267,7 @@ class TestOneBuildPerPoint:
     read it."""
 
     @pytest.mark.parametrize(
-        "name,screen,compose",
+        "name,screen,compose,alone",
         [
             # one per point: 600 screen-data builds and 1,202 compositions;
             # one per point and check: 1,500 and 3,155; the lightlike checks
@@ -275,26 +275,29 @@ class TestOneBuildPerPoint:
             # order 0 (8 when it was); every check reads it at order 0, so
             # neither the metric at order 2 nor the connection at order 1 is
             # pulled back (4 and 7 when screen_structure read it at order 1)
-            ("minkowski_null_hyperplane", 3, 5),
+            ("minkowski_null_hyperplane", 3, 5, 2),
             # one per point: 1,952 compositions; per check: 5,102
-            ("sphere_hypersurface", 0, 13),
+            ("sphere_hypersurface", 0, 13, 0),
         ],
         ids=["minkowski_null_hyperplane", "sphere_hypersurface"],
     )
-    def test_a_fresh_run(self, monkeypatch, name, screen, compose):
+    def test_a_fresh_run(self, monkeypatch, name, screen, compose, alone):
         (counts,) = count_per_point(monkeypatch, FIXTURES / f"{name}.spec")
-        # the points elsewhere are the pins of the frames at the chart centre
-        assert counts == {"screen": (screen, 0, 0), "compose": (compose, 0, 2)}
+        # the points elsewhere are the pins of the lightlike frame at the
+        # chart centre; the unit normal takes the chart's orientation, so it
+        # has none (13, 0, 2 on sphere_hypersurface when it fixed its sign at
+        # the centre)
+        assert counts == {"screen": (screen, 0, 0), "compose": (compose, 0, alone)}
 
     @pytest.mark.parametrize(
-        "name,screen,compose",
-        [("minkowski_null_hyperplane", 3, 5), ("sphere_hypersurface", 0, 13)],
+        "name,screen,compose,alone",
+        [("minkowski_null_hyperplane", 3, 5, 2), ("sphere_hypersurface", 0, 13, 0)],
         ids=["minkowski_null_hyperplane", "sphere_hypersurface"],
     )
-    def test_the_same_at_60_and_120_samples(self, monkeypatch, name, screen, compose):
+    def test_the_same_at_60_and_120_samples(self, monkeypatch, name, screen, compose, alone):
         for samples in (60, 120):
             (counts,) = count_per_point(monkeypatch, FIXTURES / f"{name}.spec", samples)
-            assert counts == {"screen": (screen, 0, 0), "compose": (compose, 0, 2)}
+            assert counts == {"screen": (screen, 0, 0), "compose": (compose, 0, alone)}
 
     def test_a_second_run_rebuilds_every_set(self, monkeypatch):
         # the store does not outlive a run, nor do the frames' pins at the
