@@ -72,11 +72,11 @@ def _coordinate_screen(emb: EmbeddingMap, g):
 @kept
 def _null_frame(emb: EmbeddingMap, g, screen) -> _Field:
     """:meth:`LightlikeFrame.transversal` of the metric ``g`` and the
-    ``screen``, a field; ``N`` has a zero component at the largest of
-    ``xi``'s pushforward at the centre of the domain."""
+    ``screen``, a field.  The pairings with the screen and the radical leave
+    ``U`` free along ``xi_amb``, which pairs to zero with both; the row
+    ``xi_amb . U = 0`` fixes it wherever ``xi_amb`` is not zero, and the
+    shift to a null ``N`` cancels the choice."""
     n = emb.ambient.dim
-    xi, _, dF, _ = _radical(emb, g, emb.domain.center(), 0)
-    pin = np.eye(n)[int(np.argmax(np.abs(dF.value @ xi.value)))]
 
     def fn(p, order):
         xi, gp, dF, Gc = _radical(emb, g, p, order)
@@ -85,15 +85,22 @@ def _null_frame(emb: EmbeddingMap, g, screen) -> _Field:
         xi_amb = jet_einsum("...ia,...a->...i", dF, xi)
         W_amb = jet_einsum("...ia,...ra->...ri", dF, Wdom)
         r = W_amb.shape[-2]
-        # rows: g(., W_i) = 0, g(., xi) = 1, pinned component = 0
+        # rows: g(., W_i) = 0, g(., xi) = 1, xi_amb . U = 0
         GW = jet_einsum("...ij,...ri->...rj", Gc, W_amb)
-        A = jet_stack([*(GW[..., a, :] for a in range(r)), jet_einsum("...ij,...i->...j", Gc, xi_amb), pin], axis=-2)
+        A = jet_stack([*(GW[..., a, :] for a in range(r)), jet_einsum("...ij,...i->...j", Gc, xi_amb), xi_amb], axis=-2)
         U = jet_solve(A, np.eye(n)[r])
         # shift along the radical to make N null
         N = U - xi_amb * (jet_einsum("...ij,...i,...j->...", Gc, U, U) * 0.5)[..., None]
         return N, xi, xi_amb, W_amb, Wdom, gp, dF, Gc
 
     return _Field(emb.domain, fn)
+
+
+def _brackets(Wdom):
+    """``[a, b, k]``: the brackets ``[W_a, W_b]`` of the screen fields
+    (domain components) from the jets ``Wdom[a, k]``, one order lower."""
+    W_dW = jet_einsum("...ad,...bkd->...abk", Wdom, partials(Wdom))
+    return W_dW - W_dW.transpose(1, 0, 2)
 
 
 @kept
@@ -124,10 +131,6 @@ def _screen_data(emb: EmbeddingMap, s: Structure, screen) -> _Field:
         coeff = jet_solve(frame, D.transpose(2, 0, 1))  # [c, a, b]
         alpha = jet_einsum("...ij,...abi,...j->...ab", Gc, D, N)  # the pairing g(nabla_a W_b, N)
 
-        # brackets of the screen fields (domain components)
-        W_dW = jet_einsum("...ad,...bkd->...abk", Wdom, partials(Wdom))
-        bracket = W_dW - W_dW.transpose(1, 0, 2)
-
         # beta from the derivative of N along screen fields
         beta = -jet_einsum("...ij,...ai,...bj->...ab", Gc, along_screen(N, ""), W_amb)
 
@@ -136,7 +139,7 @@ def _screen_data(emb: EmbeddingMap, s: Structure, screen) -> _Field:
             "nabla_bar": coeff[..., :r, :, :],
             "alpha": alpha,
             "beta": beta,
-            "bracket": bracket,
+            "bracket": _brackets(Wdom),
             "N": N,
             "xi": xi,
             "Wdom": Wdom,
@@ -269,17 +272,27 @@ def check_transversal_conditions(frame: LightlikeFrame, config: RunConfig):
                                 detail="transversal field satisfies its defining pairings")]
 
 
+@kept
+def _screen_integrability(emb: EmbeddingMap, g, screen, config: RunConfig):
+    """The verdict of :func:`check_screen_integrability`, one per (map,
+    metric, screen, config) in a run: the screen fields, their brackets and
+    the radical read no connection."""
+    null_frame = _null_frame(emb, g, screen)
+
+    def fn(p):
+        _, xi, _, _, Wdom, *_ = null_frame.jet(p, 1)
+        coeff, err = _bracket_coefficients({"Wdom": Wdom, "xi": xi, "bracket": _brackets(Wdom)})
+        return np.maximum(err, row_max(coeff[..., -1, :, :], p)), 1.0
+
+    return run_pointwise_check("screen_integrability", emb.domain, fn, config,
+                               detail="screen brackets have no radical component")
+
+
 def check_screen_integrability(frame: LightlikeFrame, config: RunConfig):
     """Brackets of screen fields stay in the screen: their radical
     components vanish (the transversal component vanishes automatically
     for fields tangent to the hypersurface)."""
-
-    def fn(p):
-        coeff, err = _bracket_coefficients(frame.screen_data(p, 0))
-        return np.maximum(err, row_max(coeff[..., -1, :, :], p)), 1.0
-
-    return [run_pointwise_check("screen_integrability", frame.emb.domain, fn, config,
-                                detail="screen brackets have no radical component")]
+    return [_screen_integrability(frame.emb, frame.s.g, frame.screen_fields(), config)]
 
 
 def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
@@ -288,8 +301,7 @@ def check_screen_structure(frame: LightlikeFrame, config: RunConfig):
     ambient structure along the hypersurface (screen assumed integrable)."""
     if not _swmt_along(frame.emb, frame.s, config).passed:
         return [gated("screen_structure_swmt", AMBIENT_FAILS, config.tol)]
-    gate2 = check_screen_integrability(frame, config)[0]
-    if not gate2.passed:
+    if not _screen_integrability(frame.emb, frame.s.g, frame.screen_fields(), config).passed:
         return [gated("screen_structure_swmt", "screen distribution not integrable", config.tol)]
 
     emb = frame.emb

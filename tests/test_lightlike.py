@@ -87,6 +87,22 @@ class TestRadicalAndTransversal:
             out = check_transversal_conditions(frame, config)
             assert all(v.passed for v in out)
 
+    @pytest.mark.parametrize("name", ["minkowski_null_hyperplane", "null_cone"])
+    def test_the_transversal_solves_no_point_alone(self, monkeypatch, name):
+        # its system closes with the row xi_amb . U = 0, not with a component
+        # pinned by a solve at the domain centre
+        shapes = []
+        jet_solve = lightlike.jet_solve
+
+        def recording(A, b):
+            shapes.append(A.value.shape)
+            return jet_solve(A, b)
+
+        monkeypatch.setattr(lightlike, "jet_solve", recording)
+        spec = load_spec(FIXTURES / f"{name}.spec")
+        assert run_spec(spec).all_expectations_met
+        assert shapes and {shape[0] for shape in shapes} == {spec.config.samples}
+
     def test_degenerate_everywhere(self):
         frame, s = cone_frame()
         emb = frame.emb

@@ -353,7 +353,8 @@ def test_a_run_and_its_spec_are_freed_without_the_cyclic_collector(path):
     gc.collect()
     gc.disable()  # only reference counting may free them
     try:
-        before = {id(o) for o in gc.get_objects() if ours(o)}
+        # held, so that no object of the run takes the id of one freed meanwhile
+        before = {id(o): o for o in gc.get_objects() if ours(o)}
         spec = load_spec(path)
         result = run_spec(spec)
         assert result.all_expectations_met

@@ -60,13 +60,15 @@ class TestPredicates:
         assert not v.passed and v.max_residual > 1e-3
 
     def test_one_swmt_point_builds_each_field_once_per_order(self, monkeypatch):
-        # count the calls of every field's underlying fn, per field and order
+        # count the calls of every field's underlying fn, per field and order;
+        # keyed by the field itself, not by its id, which a freed field's
+        # successor may take
         calls = Counter()
         init = _Field.__init__
 
         def counting_init(field, chart, fn, expressions=None):
             def counted(p, order):
-                calls[type(field).__name__, id(field), np.shape(p), order] += 1
+                calls[type(field).__name__, field, np.shape(p), order] += 1
                 return fn(p, order)
 
             init(field, chart, counted, expressions)

@@ -132,12 +132,14 @@ class TestOnePassPerCheck:
         spec = load_spec(FIXTURES / "conformal_projective_suite.spec")
         calls = []
         transform = conformal.transform
-        counted = set()
+        # the structures counted, held: a freed one's id may be taken by the
+        # next check's structure, which run_check builds anew
+        counted = []
 
         def counted_transform(s, t):
-            st = transform(s, t)  # kept: the same structure for both checks
-            if id(st) not in counted:
-                counted.add(id(st))
+            st = transform(s, t)
+            if not any(st is seen for seen in counted):
+                counted.append(st)
                 count_calls(st.conn, calls)
             return st
 
